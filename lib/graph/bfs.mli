@@ -3,8 +3,9 @@
     BFS drives the baseline schedulers (layer-synchronised broadcast of
     [2] and [12]), the admissible lower bound of the M-counter search
     (hop distance from the informed set to the farthest uninformed
-    node), and source selection (the paper picks sources 5–8 hops from
-    the farthest node). *)
+    node), and single-source eccentricities (source selection takes all
+    of them at once from the bit-parallel {!Metrics.eccentricities}, for
+    which {!eccentricity} is the test oracle). *)
 
 (** Result of a BFS: [dist.(v)] is the hop distance from the source set
     ([max_int] when unreachable); [parent.(v)] is a predecessor on a

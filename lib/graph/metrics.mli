@@ -2,7 +2,11 @@
     diameter, radius, eccentricities, average degree. *)
 
 (** [eccentricities g] is the per-node eccentricity of a connected
-    graph. Raises [Invalid_argument] when disconnected. O(n·m). *)
+    graph. Raises [Invalid_argument] when disconnected. A bit-parallel
+    BFS from all sources at once, one machine word of sources (62 on a
+    64-bit host) per pass: O(⌈n/62⌉·e·(n + m)) word operations, where
+    [e] is the largest eccentricity in the pass, and O(n) scratch.
+    {!Bfs.eccentricity} is the single-source path. *)
 val eccentricities : Graph.t -> int array
 
 (** [diameter g] is the maximum eccentricity. *)

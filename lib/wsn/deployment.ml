@@ -1,6 +1,6 @@
 module Point = Mlbs_geom.Point
 module Rng = Mlbs_prng.Rng
-module Bfs = Mlbs_graph.Bfs
+module Metrics = Mlbs_graph.Metrics
 
 type shape =
   | Uniform
@@ -91,9 +91,8 @@ let generate ?(max_attempts = 200) rng spec =
 
 let select_source rng net ~min_ecc ~max_ecc =
   if max_ecc < min_ecc then invalid_arg "Deployment.select_source: max_ecc < min_ecc";
-  let g = Network.graph net in
   let n = Network.n_nodes net in
-  let ecc = Array.init n (fun v -> Bfs.eccentricity g ~source:v) in
+  let ecc = Metrics.eccentricities (Network.graph net) in
   let qualified = ref [] in
   for v = n - 1 downto 0 do
     if ecc.(v) >= min_ecc && ecc.(v) <= max_ecc then qualified := v :: !qualified

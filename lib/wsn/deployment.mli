@@ -41,7 +41,9 @@ val generate : ?max_attempts:int -> Mlbs_prng.Rng.t -> spec -> Network.t
     among those whose eccentricity lies in [min_ecc, max_ecc]; when no
     node qualifies, it falls back to a node of eccentricity closest to
     the interval (paper: sources 5–8 hops from the farthest node, which
-    low-density deployments cannot always provide). *)
+    low-density deployments cannot always provide). All eccentricities
+    come from one {!Mlbs_graph.Metrics.eccentricities} pass over the
+    graph. *)
 val select_source : Mlbs_prng.Rng.t -> Network.t -> min_ecc:int -> max_ecc:int -> int
 
 (** [density spec] is nodes per square foot — the x-axis of the paper's

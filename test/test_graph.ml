@@ -127,6 +127,52 @@ let test_metrics () =
   Alcotest.(check (list (pair int int))) "degree histogram" [ (1, 1); (2, 4); (3, 1) ]
     (Metrics.degree_histogram sample)
 
+(* Sizes straddling the 62-source word of [Metrics.eccentricities]:
+   one node, a single partial word, a full word, one past it, a partial
+   second word, two full words plus one, and the paper's largest n. *)
+let ecc_sizes = [ 1; 2; 61; 62; 63; 64; 125; 300 ]
+
+(* A random connected graph: a random spanning tree under a random
+   labelling plus a few chords, sparse enough for deep BFS layers. *)
+let random_connected ~n seed =
+  let rng = Mlbs_prng.Rng.create seed in
+  let label = Array.init n Fun.id in
+  Mlbs_prng.Rng.shuffle rng label;
+  let tree = List.init (n - 1) (fun i -> (label.(i + 1), label.(Mlbs_prng.Rng.int rng (i + 1)))) in
+  let chords =
+    List.init (Mlbs_prng.Rng.int rng (n + 1)) (fun _ ->
+        (Mlbs_prng.Rng.int rng n, Mlbs_prng.Rng.int rng n))
+    |> List.filter (fun (u, v) -> u <> v)
+  in
+  Graph.of_edges ~n (tree @ chords)
+
+let naive_eccentricities g = Array.init (Graph.n_nodes g) (fun v -> Bfs.eccentricity g ~source:v)
+
+let disconnected_raises g =
+  match Metrics.eccentricities g with
+  | _ -> false
+  | exception Invalid_argument _ -> true
+
+let test_eccentricities_edges () =
+  Alcotest.(check (array int)) "empty graph" [||] (Metrics.eccentricities (Graph.of_edges ~n:0 []));
+  Alcotest.(check (array int)) "sample" [| 2; 3; 3; 2; 2; 3 |] (Metrics.eccentricities sample);
+  (* A path 0..124 cut between 99 and 100: the unreachable nodes sit in
+     the second word of sources. *)
+  let path n ~cut =
+    List.init (n - 1) (fun i -> (i, i + 1))
+    |> List.filter (fun (u, _) -> u <> cut)
+    |> Graph.of_edges ~n
+  in
+  let g = path 125 ~cut:99 in
+  Alcotest.check_raises "unreachable node in a later word"
+    (Invalid_argument "Metrics.eccentricities: disconnected graph") (fun () ->
+      ignore (Metrics.eccentricities g));
+  (* Two components of one word each: every node's mask is either empty
+     or full within each word, yet the graph is disconnected. *)
+  Alcotest.check_raises "one component per word"
+    (Invalid_argument "Metrics.eccentricities: disconnected graph") (fun () ->
+      ignore (Metrics.eccentricities (path 124 ~cut:61)))
+
 (* ------------------------- coloring ------------------------------- *)
 
 let test_coloring_known () =
@@ -259,6 +305,19 @@ let props =
             (* The class itself may already be maximal and enumerated. *)
             List.mem (List.sort compare cls) (List.map (List.sort compare) sets))
           classes);
+    prop "bit-parallel eccentricities equal per-node BFS"
+      QCheck2.Gen.(pair (oneofl ecc_sizes) (0 -- 100_000))
+      (fun (n, seed) ->
+        let g = random_connected ~n seed in
+        Metrics.eccentricities g = naive_eccentricities g);
+    prop "eccentricities raise on a disconnected graph"
+      QCheck2.Gen.(triple (oneofl ecc_sizes) (0 -- 100_000) (0 -- 1000))
+      (fun (n, seed, pick) ->
+        (* Cut one node off a connected graph on n + 1 nodes. *)
+        let g = random_connected ~n:(n + 1) seed in
+        let w = pick mod (n + 1) in
+        let cut = Graph.edit g ~add:[] ~remove:[] ~rewire:[ (w, []) ] in
+        (not (Components.is_connected cut)) && disconnected_raises cut);
     prop "digest invariant under edge-list shuffle" QCheck2.Gen.(0 -- 1000) (fun seed ->
         let rng = Mlbs_prng.Rng.create seed in
         let n = 2 + Mlbs_prng.Rng.int rng 20 in
@@ -304,7 +363,11 @@ let () =
           Alcotest.test_case "canonical" `Quick test_digest_canonical;
           Alcotest.test_case "discriminates" `Quick test_digest_discriminates;
         ] );
-      ("metrics", [ Alcotest.test_case "metrics" `Quick test_metrics ]);
+      ( "metrics",
+        [
+          Alcotest.test_case "metrics" `Quick test_metrics;
+          Alcotest.test_case "eccentricities edge cases" `Quick test_eccentricities_edges;
+        ] );
       ( "coloring",
         [
           Alcotest.test_case "known" `Quick test_coloring_known;

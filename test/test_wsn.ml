@@ -83,14 +83,55 @@ let test_deployment_density () =
   let spec = Deployment.paper_spec ~n_nodes:300 in
   Alcotest.(check (float 1e-9)) "0.12" 0.12 (Deployment.density spec)
 
+(* Oracle for [Deployment.select_source] on the naive per-node BFS:
+   the same qualified list and the same [Rng.pick] draw, so an equal
+   pick keeps every served source and reply byte-identical. *)
+let reference_select_source rng net ~min_ecc ~max_ecc =
+  let g = Network.graph net in
+  let n = Network.n_nodes net in
+  let ecc = Array.init n (fun v -> Mlbs_graph.Bfs.eccentricity g ~source:v) in
+  let nodes = List.init n Fun.id in
+  match List.filter (fun v -> ecc.(v) >= min_ecc && ecc.(v) <= max_ecc) nodes with
+  | _ :: _ as qualified -> Rng.pick rng qualified
+  | [] ->
+      let gap e = if e < min_ecc then min_ecc - e else e - max_ecc in
+      let best = Array.fold_left (fun acc e -> min acc (gap e)) max_int ecc in
+      Rng.pick rng (List.filter (fun v -> gap ecc.(v) = best) nodes)
+
 let test_source_selection () =
   let spec = Deployment.paper_spec ~n_nodes:120 in
   let net = Deployment.generate (Rng.create 11) spec in
+  let g = Network.graph net in
   let source = Deployment.select_source (Rng.create 3) net ~min_ecc:5 ~max_ecc:8 in
-  let ecc = Mlbs_graph.Bfs.eccentricity (Network.graph net) ~source in
-  (* The window may be unsatisfiable on some deployments; the fallback
-     picks the closest eccentricity, so only sanity-check the value. *)
-  Alcotest.(check bool) "positive eccentricity" true (ecc > 0)
+  let gap v =
+    let e = Mlbs_graph.Bfs.eccentricity g ~source:v in
+    if e < 5 then 5 - e else max 0 (e - 8)
+  in
+  (* In the window when some node qualifies, else the closest there is. *)
+  let best = List.fold_left (fun acc v -> min acc (gap v)) max_int (List.init 120 Fun.id) in
+  Alcotest.(check int) "closest eccentricity to [5, 8]" best (gap source)
+
+let test_source_selection_matches_reference () =
+  List.iter
+    (fun n_nodes ->
+      for seed = 1 to 20 do
+        let net = Deployment.generate (Rng.create seed) (Deployment.paper_spec ~n_nodes) in
+        Alcotest.(check int)
+          (Printf.sprintf "n=%d seed=%d" n_nodes seed)
+          (reference_select_source (Rng.create seed) net ~min_ecc:5 ~max_ecc:8)
+          (Deployment.select_source (Rng.create seed) net ~min_ecc:5 ~max_ecc:8)
+      done)
+    [ 50; 100; 150; 200; 250; 300 ]
+
+let test_source_selection_fallback () =
+  (* A 4-node path: eccentricities 3,2,2,3, none in [5,8]; the closest
+     are the endpoints, drawn uniformly. *)
+  let pts = Array.init 4 (fun i -> Point.v (float_of_int i *. 8.) 0.) in
+  let net = Network.create ~radius:10. pts in
+  let picks =
+    List.init 20 (fun seed -> Deployment.select_source (Rng.create seed) net ~min_ecc:5 ~max_ecc:8)
+  in
+  Alcotest.(check (list int)) "both endpoints, nothing else" [ 0; 3 ] (List.sort_uniq compare picks)
 
 let test_source_selection_window () =
   (* A 9-node path: eccentricities 8,7,6,5,4,5,6,7,8. Only ids 0..3 and
@@ -246,6 +287,9 @@ let () =
           Alcotest.test_case "density" `Quick test_deployment_density;
           Alcotest.test_case "source" `Quick test_source_selection;
           Alcotest.test_case "source window" `Quick test_source_selection_window;
+          Alcotest.test_case "source matches per-node BFS" `Quick
+            test_source_selection_matches_reference;
+          Alcotest.test_case "source fallback" `Quick test_source_selection_fallback;
           Alcotest.test_case "shapes connected" `Quick test_shapes_generate_connected;
           Alcotest.test_case "shapes in area" `Quick test_shapes_stay_in_area;
           Alcotest.test_case "corridor strip" `Quick test_corridor_hugs_the_diagonal;
