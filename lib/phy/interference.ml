@@ -34,14 +34,7 @@ let validate = function
   | Multichannel k ->
       if k >= 1 && k <= 255 then Ok ()
       else Error "multichannel: channel count must be in 1..255"
-  | Sinr p ->
-      if p.beta < 1.0 then Error "sinr: beta must be >= 1 (capture effect)"
-      else if p.alpha <= 0.0 then Error "sinr: alpha must be positive"
-      else if p.noise < 0.0 then Error "sinr: noise must be non-negative"
-      else if p.power <= 0.0 then Error "sinr: power must be positive"
-      else if p.power < p.beta *. p.noise then
-        Error "sinr: power must be >= beta * noise"
-      else Ok ()
+  | Sinr p -> Result.map_error (fun e -> "sinr: " ^ e) (Sinr.check p)
 
 (* The model id — also the cache-key component, so it must be a stable
    function of the spec. %.17g round-trips every float exactly while

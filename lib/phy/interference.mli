@@ -53,7 +53,8 @@ val channels : t -> int
 val geometry_dependent : t -> bool
 
 (** [validate t] checks the spec's parameter constraints (the same ones
-    {!bind} enforces), for wire decoding and CLI parsing. *)
+    {!bind} enforces: every SINR parameter finite, then the bounds on
+    {!sinr_params}), for wire decoding and CLI parsing. *)
 val validate : t -> (unit, string) result
 
 (** [to_string t] is the stable model id ([udg], [sinr:A,B,N,P],

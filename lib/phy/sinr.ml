@@ -20,7 +20,12 @@
     on. [power ≥ β·noise] is also enforced so a lone sender always
     covers its whole neighbourhood: P_u(x) ≥ power at d ≤ radius, hence
     singleton classes are always feasible and greedy construction
-    terminates with full coverage. *)
+    terminates with full coverage.
+
+    [make] evaluates the path-loss law once per node pair into a flat
+    n² table (8·n² bytes per bound instance), so the class builder,
+    the pairwise prefilter and the replay only read it: no [**] on the
+    search path. *)
 
 module Bitset = Mlbs_util.Bitset
 module Graph = Mlbs_graph.Graph
@@ -35,18 +40,26 @@ let default = { alpha = 3.0; beta = 2.0; noise = 0.2; power = 1.0 }
 type t = {
   p : params;
   graph : Graph.t;
-  pos : Point.t array;
-  r2 : float;  (** radius², so path loss works off squared distances *)
-  half_alpha : float;
+  n : int;
+  pw : Float.Array.t;
+      (** received power, row-major: [pw.(u·n + x)] is P_u(x) *)
 }
 
+(* The parameter constraints, shared by [make] and spec validation.
+   NaN fails every comparison, so finiteness is checked first. *)
+let check p =
+  if not (List.for_all Float.is_finite [ p.alpha; p.beta; p.noise; p.power ]) then
+    Error "alpha, beta, noise and power must be finite"
+  else if p.beta < 1.0 then Error "beta must be >= 1 (capture effect)"
+  else if p.alpha <= 0.0 then Error "alpha must be positive"
+  else if p.noise < 0.0 then Error "noise must be non-negative"
+  else if p.power <= 0.0 then Error "power must be positive"
+  else if p.power < p.beta *. p.noise then
+    Error "power must be >= beta * noise (a lone sender must reach its whole neighbourhood)"
+  else Ok ()
+
 let make net p =
-  if p.beta < 1.0 then invalid_arg "Sinr.make: beta must be >= 1 (capture effect)";
-  if p.alpha <= 0.0 then invalid_arg "Sinr.make: alpha must be positive";
-  if p.noise < 0.0 then invalid_arg "Sinr.make: noise must be non-negative";
-  if p.power <= 0.0 then invalid_arg "Sinr.make: power must be positive";
-  if p.power < p.beta *. p.noise then
-    invalid_arg "Sinr.make: power must be >= beta * noise (a lone sender must reach its whole neighbourhood)";
+  Result.iter_error (fun e -> invalid_arg ("Sinr.make: " ^ e)) (check p);
   let r = Network.radius net in
   let graph = Network.graph net in
   let pos = Network.positions net in
@@ -62,17 +75,33 @@ let make net p =
       (fun acc (u, v) -> Float.max acc (Point.dist2 pos.(u) pos.(v)))
       (r *. r) (Graph.edges graph)
   in
-  { p; graph; pos; r2; half_alpha = 0.5 *. p.alpha }
+  (* One [**] per unordered pair, mirrored: [dist2] is exactly
+     symmetric (it squares coordinate differences), so both halves hold
+     the very float the formula gives either way round. The diagonal
+     (d = 0, never a sender–receiver pair) stores the formula's +inf. *)
+  let n = Array.length pos in
+  let half_alpha = 0.5 *. p.alpha in
+  let pw = Float.Array.make (n * n) 0.0 in
+  for u = 0 to n - 1 do
+    for x = u to n - 1 do
+      let v = p.power *. ((r2 /. Point.dist2 pos.(u) pos.(x)) ** half_alpha) in
+      Float.Array.set pw ((u * n) + x) v;
+      Float.Array.set pw ((x * n) + u) v
+    done
+  done;
+  { p; graph; n; pw }
 
 let params t = t.p
 
+(* Every kernel below counts the table reads it makes in a local and
+   reports them with one [Metrics.add] per call: the same total as one
+   increment per read, without a registry probe inside the loops. *)
 let c_power_evals = Metrics.counter "phy/power_evals"
 
-(* Received power of [u] at [x]; positions are distinct (Network checks
-   at construction), so d > 0 whenever u ≠ x. *)
-let power_at t u x =
-  Metrics.incr c_power_evals;
-  t.p.power *. ((t.r2 /. Point.dist2 t.pos.(u) t.pos.(x)) ** t.half_alpha)
+(* Received power of [u] at [x]: a read of the table [make] filled with
+   power · (r² / d²(u, x))^(α/2). Positions are distinct (Network
+   checks at construction), so d > 0 whenever u ≠ x. *)
+let power_at t u x = Float.Array.get t.pw ((u * t.n) + x)
 
 (* ------------------------- class builder --------------------------- *)
 
@@ -112,26 +141,33 @@ let zone_start zn ~uninformed =
   Array.fill zn.s 0 (Array.length zn.s) 0.0;
   Bitset.clear zn.covered
 
-(* Would admitting [u] keep every claimed receiver decodable? *)
+(* Would admitting [u] keep every claimed receiver decodable? Both
+   scans stop at the first receiver that would lose its signal. *)
 let zone_admits zn u =
   let z = zn.z in
   let beta = z.p.beta and noise = z.p.noise in
-  let ok = ref true in
-  Bitset.iter
-    (fun x ->
-      if !ok then begin
+  let evals = ref 0 in
+  let ok =
+    Bitset.for_all
+      (fun x ->
+        incr evals;
         let pu = power_at z u x in
         let pc = zn.p_cap.(x) in
-        if pc >= beta *. (noise +. zn.s.(x) +. pu -. pc) then ()
-        else if Graph.mem_edge z.graph u x && pu >= beta *. (noise +. zn.s.(x)) then ()
-        else ok := false
-      end)
-    zn.covered;
-  if !ok then
-    Graph.iter_neighbors z.graph u ~f:(fun x ->
-        if !ok && Bitset.mem zn.ubar x && not (Bitset.mem zn.covered x) then
-          if power_at z u x < beta *. (noise +. zn.s.(x)) then ok := false);
-  !ok
+        pc >= beta *. (noise +. zn.s.(x) +. pu -. pc)
+        || (Graph.mem_edge z.graph u x && pu >= beta *. (noise +. zn.s.(x))))
+      zn.covered
+    && Array.for_all
+         (fun x ->
+           (not (Bitset.mem zn.ubar x))
+           || Bitset.mem zn.covered x
+           || begin
+                incr evals;
+                power_at z u x >= beta *. (noise +. zn.s.(x))
+              end)
+         (Graph.neighbors z.graph u)
+  in
+  Metrics.add c_power_evals !evals;
+  ok
 
 (* Commit [u] (must have been admitted): interference accumulates at
    every still-uninformed node — also the ones no member reaches yet,
@@ -139,8 +175,10 @@ let zone_admits zn u =
 let zone_accept zn u =
   let z = zn.z in
   let beta = z.p.beta and noise = z.p.noise in
+  let evals = ref 0 in
   Bitset.iter
     (fun x ->
+      incr evals;
       let pu = power_at z u x in
       (if Bitset.mem zn.covered x then begin
          let pc = zn.p_cap.(x) in
@@ -155,7 +193,8 @@ let zone_accept zn u =
          zn.p_cap.(x) <- pu
        end);
       zn.s.(x) <- zn.s.(x) +. pu)
-    zn.ubar
+    zn.ubar;
+  Metrics.add c_power_evals !evals
 
 (* The invariant makes coverage and claim coincide: every node of
    (∪_m N(m)) ∩ W̄ is covered, so [covered] is exactly the informed-set
@@ -172,20 +211,22 @@ let conflicts t ~uninformed u v =
   u <> v
   &&
   let beta = t.p.beta and noise = t.p.noise in
+  let evals = ref 0 in
   let fails_over who other =
-    let bad = ref false in
-    Graph.iter_neighbors t.graph who ~f:(fun x ->
-        if (not !bad) && Bitset.mem uninformed x && x <> other then begin
-          let pw = power_at t who x and po = power_at t other x in
-          let who_ok = pw >= beta *. (noise +. po) in
-          let other_ok =
-            Graph.mem_edge t.graph other x && po >= beta *. (noise +. pw)
-          in
-          if not (who_ok || other_ok) then bad := true
-        end);
-    !bad
+    Array.exists
+      (fun x ->
+        Bitset.mem uninformed x && x <> other
+        &&
+        let pw = power_at t who x and po = power_at t other x in
+        evals := !evals + 2;
+        let who_ok = pw >= beta *. (noise +. po) in
+        let other_ok = Graph.mem_edge t.graph other x && po >= beta *. (noise +. pw) in
+        not (who_ok || other_ok))
+      (Graph.neighbors t.graph who)
   in
-  fails_over u v || fails_over v u
+  let bad = fails_over u v || fails_over v u in
+  Metrics.add c_power_evals !evals;
+  bad
 
 (* --------------------------- reception ----------------------------- *)
 
@@ -197,11 +238,14 @@ let reception t ~senders ~rx =
   let total = List.fold_left (fun a u -> a +. power_at t u rx) 0.0 senders in
   let beta = t.p.beta and noise = t.p.noise in
   let audible = List.filter (fun u -> Graph.mem_edge t.graph u rx) senders in
+  let evals = ref (List.length senders) in
   let capturer =
     List.find_opt
       (fun u ->
+        incr evals;
         let pu = power_at t u rx in
         pu >= beta *. (noise +. total -. pu))
       audible
   in
+  Metrics.add c_power_evals !evals;
   (audible, capturer)

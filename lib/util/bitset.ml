@@ -242,6 +242,18 @@ let iter f s =
     done
   done
 
+(* Like [iter], but stops at the first member [p] rejects. *)
+let for_all p s =
+  let n_words = Array.length s.words in
+  let rec from w word =
+    if word <> 0 then
+      let lsb = word land -word in
+      p ((w * bits_per_word) + lsb_index.(lsb land max_int mod 67))
+      && from w (word land (word - 1))
+    else w + 1 >= n_words || from (w + 1) s.words.(w + 1)
+  in
+  n_words = 0 || from 0 s.words.(0)
+
 let fold f s init =
   let acc = ref init in
   iter (fun i -> acc := f i !acc) s;

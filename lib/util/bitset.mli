@@ -122,6 +122,11 @@ val equal_union : t -> t -> t -> bool
 (** [iter f s] applies [f] to each member in increasing order. *)
 val iter : (int -> unit) -> t -> unit
 
+(** [for_all p s] is [true] iff [p] holds for every member. Members
+    are tested in increasing order and the scan stops at the first
+    one [p] rejects, so [p] is never applied past it. *)
+val for_all : (int -> bool) -> t -> bool
+
 (** [fold f s init] folds over members in increasing order. *)
 val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
 

@@ -57,6 +57,17 @@ let test_choose () =
   Alcotest.(check (option int)) "smallest" (Some 2)
     (Bitset.choose (Bitset.of_list 5 [ 4; 2; 3 ]))
 
+let test_for_all () =
+  let never _ = Alcotest.fail "predicate applied to a non-member" in
+  Alcotest.(check bool) "zero capacity" true (Bitset.for_all never (Bitset.create 0));
+  Alcotest.(check bool) "empty multi-word" true (Bitset.for_all never (Bitset.create capacity));
+  let s = Bitset.of_list capacity [ 0; 62; 63; 125; 126; 199 ] in
+  let calls = ref 0 in
+  Alcotest.(check bool) "rejects 126" false
+    (Bitset.for_all (fun i -> incr calls; i <> 126) s);
+  Alcotest.(check int) "stops at 126" 5 !calls;
+  Alcotest.(check bool) "accepts all" true (Bitset.for_all (fun i -> i <= 199) s)
+
 let test_zero_capacity () =
   let s = Bitset.create 0 in
   Alcotest.(check bool) "empty" true (Bitset.is_empty s);
@@ -133,6 +144,22 @@ let props =
         Bitset.is_full s = (Bitset.cardinal s = capacity)
         && Bitset.is_full full
         && (xs = [] || not (Bitset.is_full (Bitset.complement (of_members xs)))));
+    (* [for_all] agrees with the model and tests members in ascending
+       order up to and including the first rejected one, never past it —
+       also when that member sits in a later word. *)
+    prop "for_all = model, stops at first failure"
+      (QCheck2.Gen.pair gen_members (QCheck2.Gen.int_bound (capacity - 1)))
+      (fun (xs, cut) ->
+        let s = of_members xs in
+        let seen = ref [] in
+        let all = Bitset.for_all (fun i -> seen := i :: !seen; i < cut) s in
+        let xs = sorted xs in
+        let expect_seen =
+          match List.find_opt (fun i -> i >= cut) xs with
+          | None -> xs
+          | Some bad -> List.filter (fun i -> i <= bad) xs
+        in
+        all = List.for_all (fun i -> i < cut) xs && List.rev !seen = expect_seen);
     prop "clear empties in place" gen_members (fun xs ->
         let s = of_members xs in
         Bitset.clear s;
@@ -151,6 +178,7 @@ let () =
           Alcotest.test_case "capacity mismatch" `Quick test_capacity_mismatch;
           Alcotest.test_case "choose" `Quick test_choose;
           Alcotest.test_case "zero capacity" `Quick test_zero_capacity;
+          Alcotest.test_case "for_all" `Quick test_for_all;
         ] );
       ("properties", props);
     ]

@@ -17,6 +17,9 @@ module Baseline17 = Mlbs_core.Baseline17
 module Validate = Mlbs_sim.Validate
 module Fixtures = Mlbs_workload.Fixtures
 module Codec = Mlbs_server.Codec
+module Daemon = Mlbs_server.Daemon
+module Sinr = Mlbs_phy.Sinr
+module Config = Mlbs_workload.Config
 
 let schedule_eq name a b =
   Alcotest.(check string) name (Codec.schedule_bytes a) (Codec.schedule_bytes b)
@@ -164,6 +167,137 @@ let qcheck_pair_zone =
               = not (Interference.conflicts inst ~uninformed u v)))
         (informed_pairs w))
 
+(* ------------------- SINR received-power table --------------------- *)
+
+(* Path loss written out from scratch: normalised at the longest edge
+   when it exceeds the radius, power · (r² / d²)^(α/2). *)
+let naive_r2 net =
+  let pos = Network.positions net in
+  List.fold_left
+    (fun acc (u, v) -> Float.max acc (Point.dist2 pos.(u) pos.(v)))
+    (Network.radius net ** 2.)
+    (Graph.edges (Network.graph net))
+
+let naive_power (p : Interference.sinr_params) net r2 u x =
+  let pos = Network.positions net in
+  p.power *. ((r2 /. Point.dist2 pos.(u) pos.(x)) ** (p.alpha /. 2.))
+
+(* Every table entry is the very float the formula gives (so every
+   admission decision matches it), in both directions. *)
+let table_matches_formula net alpha =
+  let p = { Interference.default_sinr with alpha } in
+  let t = Sinr.make net p in
+  let r2 = naive_r2 net in
+  let n = Network.n_nodes net in
+  List.for_all
+    (fun u ->
+      List.for_all
+        (fun x ->
+          u = x
+          || Float.equal (Sinr.power_at t u x) (naive_power p net r2 u x)
+             && Float.equal (Sinr.power_at t u x) (Sinr.power_at t x u))
+        (List.init n Fun.id))
+    (List.init n Fun.id)
+
+let gen_alpha = QCheck2.Gen.oneofl [ 2.0; 2.5; 3.0; 6.0 ]
+
+(* Also on the unit-grid geometry over the same graph, where edges span
+   several grid units, so r² is the longest edge, not the radius. *)
+let qcheck_power_table =
+  QCheck2.Test.make ~name:"sinr: power table = naive path loss, symmetric" ~count:60
+    ~print:(fun ((net, w), a) -> Printf.sprintf "%s alpha=%g" (print_net_w (net, w)) a)
+    QCheck2.Gen.(pair gen_net_w gen_alpha)
+    (fun ((net, _), alpha) ->
+      table_matches_formula net alpha
+      && table_matches_formula (Network.synthetic (Network.graph net)) alpha)
+
+let test_synthetic_long_edge () =
+  let g = Graph.of_edges ~n:9 [ (0, 8); (0, 1); (1, 2) ] in
+  let syn = Network.synthetic g in
+  Alcotest.(check bool) "r² is the longest edge" true (naive_r2 syn > Network.radius syn ** 2.);
+  Alcotest.(check bool) "table matches" true (table_matches_formula syn 3.0)
+
+(* -------------------- SINR zone against a naive check --------------- *)
+
+(* Every greedy SINR class, re-checked from scratch: each uninformed
+   node adjacent to a member decodes some adjacent member against the
+   summed power of all the others, and the classifier's coverage is
+   exactly that set of decodable nodes. *)
+let zone_oracle p (net, w) =
+  let phy = Interference.Sinr p in
+  let g = Network.graph net in
+  let n = Network.n_nodes net in
+  let r2 = naive_r2 net in
+  let uninformed = Bitset.complement w in
+  let m = Model.create ~phy net Model.Sync in
+  let cls = Interference.classifier (Interference.bind phy net) in
+  List.for_all
+    (fun members ->
+      let decodes x u =
+        let interference =
+          List.fold_left
+            (fun acc v -> if v = u then acc else acc +. naive_power p net r2 v x)
+            0.0 members
+        in
+        naive_power p net r2 u x >= p.beta *. (p.noise +. interference)
+      in
+      let reached x = List.exists (fun u -> Graph.mem_edge g u x) members in
+      let decodable x = List.exists (fun u -> Graph.mem_edge g u x && decodes x u) members in
+      let xs = List.filter (Bitset.mem uninformed) (List.init n Fun.id) in
+      Interference.start_class cls ~uninformed;
+      List.iter (Interference.accept cls) members;
+      List.for_all (fun x -> (not (reached x)) || decodable x) xs
+      && Bitset.elements (Interference.class_coverage cls) = List.filter decodable xs)
+    (Model.greedy_classes m ~w ~slot:1)
+
+let qcheck_zone_oracle =
+  QCheck2.Test.make ~name:"sinr: greedy classes pass a naive SINR check" ~count:80
+    ~print:print_net_w gen_net_w (fun nw ->
+      List.for_all
+        (fun p -> zone_oracle p nw)
+        Interference.[ default_sinr; { alpha = 2.5; beta = 1.0; noise = 0.0; power = 1.0 } ])
+
+(* ----------------------- SINR golden schedules ---------------------- *)
+
+(* G-OPT under SINR on paper deployments (n = 150, the service's source
+   selection): MD5 of the schedule bytes, pinned. A change to the power
+   arithmetic that moves any admission decision moves these. *)
+let sinr_golden =
+  [
+    ("sinr", 400002, "592ea909a8c3c7d82d3de86258ca84dd");
+    ("sinr", 400005, "60872da6a12fa719cf5229c28afe3b52");
+    ("sinr", 400009, "7b19881132bcc3e63d9d663c34868d28");
+    ("sinr", 400011, "c51c7d3c88db51ac84be8adc9717c3cf");
+    ("sinr", 400020, "693d27f5c002e4642ec0bf3e23bb08b4");
+    ("sinr:2.5,1,0,1", 400002, "84a439354a0fca8071277ab96dc53d6a");
+    ("sinr:2.5,1,0,1", 400005, "e67e0e412f6ad760fdf9790fbc7492c6");
+    ("sinr:2.5,1,0,1", 400009, "d1f934541bae8b5955dcb4b84ed9c484");
+    ("sinr:2.5,1,0,1", 400011, "0c66e435c0d19f0521dc285e7471bf6e");
+    ("sinr:2.5,1,0,1", 400020, "9022757686e8c901bba0599a9df37a6a");
+  ]
+
+let test_sinr_golden () =
+  List.iter
+    (fun (spec, seed, digest) ->
+      let model = Result.get_ok (Interference.parse spec) in
+      let req =
+        {
+          Codec.policy = Codec.Gopt;
+          rate = None;
+          seed;
+          topology = Codec.Gen { n = 150; radius = Config.default.Config.radius };
+          source = None;
+          start = 1;
+          model;
+        }
+      in
+      let _, s = Daemon.solve req in
+      Alcotest.(check string)
+        (Printf.sprintf "%s seed %d" spec seed)
+        digest
+        (Digest.to_hex (Digest.string (Codec.schedule_bytes s))))
+    sinr_golden
+
 (* -------------- validator accepts every planner/backend ------------ *)
 
 let policies m =
@@ -259,7 +393,28 @@ let test_spec_roundtrip () =
       match Interference.parse bad with
       | Ok _ -> Alcotest.failf "%S must not parse" bad
       | Error _ -> ())
-    [ "udgg"; "mc:0"; "mc:256"; "mc:x"; "sinr:1"; "sinr:3,0.5,0.2,1"; "sinr:0,2,0.2,1" ]
+    [
+      "udgg"; "mc:0"; "mc:256"; "mc:x"; "sinr:1"; "sinr:3,0.5,0.2,1"; "sinr:0,2,0.2,1";
+      "sinr:nan,2,0.2,1"; "sinr:3,nan,0.2,1"; "sinr:3,2,nan,1"; "sinr:inf,2,0.2,1";
+      "sinr:3,2,0.2,inf";
+    ]
+
+(* A spec built directly, bypassing [parse], is still refused at bind. *)
+let test_bind_rejects_nan () =
+  let net = Test_support.small_network ~n:10 ~seed:3 in
+  List.iter
+    (fun p ->
+      match Interference.bind (Interference.Sinr p) net with
+      | _ -> Alcotest.failf "%s must not bind" (Interference.to_string (Interference.Sinr p))
+      | exception Invalid_argument _ -> ())
+    Interference.
+      [
+        { default_sinr with alpha = Float.nan };
+        { default_sinr with beta = Float.nan };
+        { default_sinr with noise = Float.nan };
+        { default_sinr with power = Float.nan };
+        { default_sinr with power = Float.infinity };
+      ]
 
 let () =
   let qt = QCheck_alcotest.to_alcotest in
@@ -272,6 +427,10 @@ let () =
           qt qcheck_beta_monotone;
           Alcotest.test_case "alpha regime" `Quick test_alpha_regime;
           qt qcheck_pair_zone;
+          qt qcheck_power_table;
+          Alcotest.test_case "synthetic long edge" `Quick test_synthetic_long_edge;
+          qt qcheck_zone_oracle;
+          Alcotest.test_case "golden G-OPT schedules" `Quick test_sinr_golden;
         ] );
       ( "schedules",
         [
@@ -280,5 +439,9 @@ let () =
           Alcotest.test_case "udg default" `Quick test_udg_default;
           Alcotest.test_case "mc channel separation" `Quick test_mc_channel_separation;
         ] );
-      ("spec", [ Alcotest.test_case "id roundtrip" `Quick test_spec_roundtrip ]);
+      ( "spec",
+        [
+          Alcotest.test_case "id roundtrip" `Quick test_spec_roundtrip;
+          Alcotest.test_case "bind rejects non-finite" `Quick test_bind_rejects_nan;
+        ] );
     ]

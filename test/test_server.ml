@@ -128,6 +128,17 @@ let test_codec_malformed () =
   expect_malformed "hostile count" "\x06\x7f\xff\xff\xff";
   let ok = Codec.encode (Codec.Reply_error "x") in
   expect_malformed "trailing bytes" (ok ^ "y");
+  (* A non-finite SINR parameter never reaches a cache key. *)
+  List.iter
+    (fun (name, p) ->
+      expect_malformed name
+        (Codec.encode
+           (Codec.Request { gen_request with Codec.model = Mlbs_phy.Interference.Sinr p })))
+    Mlbs_phy.Interference.
+      [
+        ("nan alpha", { default_sinr with alpha = Float.nan });
+        ("infinite power", { default_sinr with power = Float.infinity });
+      ];
   (* An inconsistent schedule (steps out of order) must not decode. *)
   let b = Buffer.create 64 in
   Buffer.add_string b "\x04";
