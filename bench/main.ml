@@ -15,7 +15,7 @@
    The service target drives an in-process scheduling daemon over its
    Unix socket — cold (distinct instances) then warm (cache hits) — and
    dumps throughput and p50/p95/p99 to BENCH_3.json (suppressed with
-   the other JSON under --smoke). The search target times the Strong
+   the other JSON under --smoke). The search target times the
    default-budget cold-solve kernels on fixed instances and dumps them
    to BENCH_6.json. The models target compares the interference
    backends (udg / sinr / mc:2 / mc:3) on shared deployments — solve
@@ -985,9 +985,9 @@ let micro_tests cfg =
   let source = inst.Experiment.source in
   let run model policy () = ignore (Scheduler.run model policy ~source ~start:1) in
   let budget = cfg.Config.budget in
-  (* Conflict-test kernel, old vs new: the paper's predicate
-     N(u) ∩ N(v) ∩ W̄ ≠ ∅ on two adjacent relays of the n=150 instance,
-     as one allocating intersection versus the fused word-wise probe. *)
+  (* Conflict-test kernel: the paper's predicate N(u) ∩ N(v) ∩ W̄ ≠ ∅
+     on two adjacent relays of the n=150 instance, as the fused
+     word-wise probe the model uses. *)
   let g = Mlbs_wsn.Network.graph net in
   let u = source in
   let v = (Mlbs_graph.Graph.neighbors g u).(0) in
@@ -996,8 +996,6 @@ let micro_tests cfg =
   let w = Model.initial_w sync_model ~source in
   let ubar = Bitset.complement w in
   [
-    Test.make ~name:"kernel/conflict-test old (inter alloc)"
-      (Staged.stage (fun () -> ignore (Bitset.intersects (Bitset.inter nu nv) ubar)));
     Test.make ~name:"kernel/conflict-test new (intersects3)"
       (Staged.stage (fun () -> ignore (Bitset.intersects3 nu nv ubar)));
     Test.make ~name:"kernel/hop lower bound (scratch BFS)"
@@ -1033,11 +1031,10 @@ let micro_tests cfg =
 (* The --micro-quick subset: one representative kernel per gated
    family, so a CI smoke run still gates the conflict predicate, the
    BFS bound, both G-OPT systems and the E-model without paying the
-   full 18-kernel session (which dominates the smoke run's wall
+   full 17-kernel session (which dominates the smoke run's wall
    clock). *)
 let micro_quick_names =
   [
-    "kernel/conflict-test old (inter alloc)";
     "kernel/conflict-test new (intersects3)";
     "kernel/hop lower bound (scratch BFS)";
     "fig3/G-OPT";
@@ -1091,12 +1088,12 @@ let run_micro cfg ~micro_quick =
 (* ------------------------- search bench ---------------------------- *)
 
 (* The BENCH_6 kernels: the service's cold-solve path — Scheduler.run
-   at the Strong default budget — on fixed instances, independent of
+   at the default budget — on fixed instances, independent of
    --quick/--smoke so every invocation gates against the committed
    baseline on identical work. This is the path every cache miss,
-   fleet fill and churn re-solve pays; BENCH_2's fig3/G-OPT (the same
-   n=150 instance under the Classic reference search) is the
-   comparison point for the Strong-mode speedup. *)
+   fleet fill and churn re-solve pays. BENCH_2's fig3/G-OPT times the
+   same n=150 instance before the search gained its bound, dominance
+   and transposition-table pruning, and stays as history. *)
 let search_tests () =
   let open Bechamel in
   let inst = Experiment.make_instance Config.default ~n:150 ~seed:1 in
@@ -1124,7 +1121,7 @@ let search_tests () =
   ]
 
 let run_search () =
-  section "Search-core kernels (Strong default budget, cold solves)";
+  section "Search-core kernels (default budget, cold solves)";
   bechamel_session ~group:"search" ~label:"search" (search_tests ())
 
 (* ------------------------- model bench ----------------------------- *)
@@ -1371,7 +1368,7 @@ let write_bench6 path ~jobs kernels =
   p "  \"schema\": \"mlbs-bench-6\",\n";
   p "  \"jobs\": %d,\n" jobs;
   p "  \"host_cores\": %d,\n" (Pool.default_jobs ());
-  p "  \"budget\": \"default (Strong, 200k states)\",\n";
+  p "  \"budget\": \"default (200k states)\",\n";
   p "  \"micro_ns_per_run\": [\n";
   List.iteri
     (fun i (name, ns) ->
@@ -1819,7 +1816,7 @@ let () =
     let micro = if want "micro" then run_micro cfg ~micro_quick else [] in
     (* Churn, fleet, search and model gate kernels join the micro list
        for --compare, so a CI smoke run gates repair latency against the
-       committed BENCH_4, fleet latency against BENCH_5, the Strong-mode
+       committed BENCH_4, fleet latency against BENCH_5, the
        cold-solve path against BENCH_6, and the interference backends
        against BENCH_7. *)
     let micro =

@@ -1216,14 +1216,9 @@ let loadgen_cmd =
 
 (* -------------------------- experiment ----------------------------- *)
 
-let experiment figure quick smoke strong jobs model csv_dir trace_file metrics_file =
+let experiment figure quick smoke jobs model csv_dir trace_file metrics_file =
   let cfg = if smoke then Config.smoke else if quick then Config.quick else Config.default in
   let cfg = match jobs with Some j -> { cfg with Config.jobs = j } | None -> cfg in
-  let cfg =
-    if strong then
-      { cfg with Config.budget = { cfg.Config.budget with Mcounter.mode = Mcounter.Strong } }
-    else cfg
-  in
   let cfg = { cfg with Config.trace_file; metrics_file; model } in
   Telemetry.with_config cfg @@ fun () ->
   let figures =
@@ -1254,7 +1249,7 @@ let experiment figure quick smoke strong jobs model csv_dir trace_file metrics_f
 
 let experiment_cmd =
   let figure_arg =
-    Arg.(value & pos 0 string "all" & info [] ~docv:"FIGURE" ~doc:"fig3..fig7 | all")
+    Arg.(value & pos 0 string "all" & info [] ~docv:"FIGURE" ~doc:"fig3..fig7 | reliability | all")
   in
   let quick_arg =
     Arg.(value & flag & info [ "quick" ] ~doc:"Reduced sweep (3 node counts, 2 seeds).")
@@ -1266,16 +1261,6 @@ let experiment_cmd =
           ~doc:
             "Minimal sweep (one node count, one seed) sized for CI; takes precedence \
              over $(b,--quick).")
-  in
-  let strong_arg =
-    Arg.(
-      value & flag
-      & info [ "strong" ]
-          ~doc:
-            "Run the sweep's searches in Strong mode (admissible bound, dominance \
-             and transposition-table pruning — the service cold-solve discipline) \
-             instead of the Classic reference traversal. Schedules are identical in \
-             exact mode; figures rendered from exhausted budgets may differ.")
   in
   let jobs_conv =
     let parse s =
@@ -1301,7 +1286,7 @@ let experiment_cmd =
   Cmd.v
     (Cmd.info "experiment" ~doc:"Regenerate a figure of the paper's evaluation")
     Term.(
-      const experiment $ figure_arg $ quick_arg $ smoke_arg $ strong_arg $ jobs_arg
+      const experiment $ figure_arg $ quick_arg $ smoke_arg $ jobs_arg
       $ model_arg $ csv_arg $ trace_file_arg $ metrics_file_arg)
 
 let () =

@@ -28,7 +28,7 @@ val source_depth : Model.t -> source:int -> int
 
     Admissible, incrementally-maintained bounds on the number of
     advances still needed from an {!Istate} position, used by the
-    Strong-mode branch-and-bound in {!Mcounter}. *)
+    branch-and-bound in {!Mcounter}. *)
 
 (** Which bound was decisive. *)
 type kind =

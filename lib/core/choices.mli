@@ -2,7 +2,8 @@
     scheduler may launch from the current progress [W] at slot [t].
 
     - [Greedy] (Eq. 2/3): the λ classes produced by Algorithm 1 — the
-      G-OPT space.
+      G-OPT space. The {!Mcounter} search skips a class whose coverage
+      is a strict subset of a sibling class's.
     - [All] (Eq. 1): any valid color set. Because the broadcast model is
       monotone, only maximal conflict-free candidate subsets matter;
       [max_sets] caps the enumeration on dense frontiers (the cap is a

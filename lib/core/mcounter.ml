@@ -17,27 +17,16 @@ let m_rollouts = Metrics.counter "search/rollouts"
 let m_exhausted = Metrics.counter "search/exhausted"
 let m_seeded = Metrics.counter "search/seeded_entries"
 
-(* Strong-mode pruning, by decisive bound: candidates cut off once the
+(* Bound pruning, by decisive bound: candidates cut off once the
    incumbent meets the parent's eccentricity / packing floor, and
-   siblings skipped by coverage-subset domination. All zero in Classic
-   mode, whose traversal is the bit-for-bit seed reference. *)
+   siblings skipped by coverage-subset domination. *)
 let m_prune_ecc = Metrics.counter "search/bound_prune_ecc"
 let m_prune_pack = Metrics.counter "search/bound_prune_packing"
 let m_prune_dom = Metrics.counter "search/dominance_prunes"
 
-(* [Classic] reproduces the seed search traversal bit for bit — same
-   expansions, same state counts, same exhaustion points — so the
-   figure sweeps stay byte-identical across releases. [Strong] layers
-   the admissible-bound candidate skip, parent-floor early exit and
-   sibling dominance on top; in exact mode it provably returns the
-   same schedule (every skipped candidate is proved unable to displace
-   the incumbent, and ties keep the earlier candidate), it just gets
-   there with far fewer expansions — the service cold-solve path. *)
-type mode = Classic | Strong
+type budget = { max_states : int; lookahead : int; beam : int }
 
-type budget = { max_states : int; lookahead : int; beam : int; mode : mode }
-
-let default_budget = { max_states = 200_000; lookahead = 2; beam = 4; mode = Strong }
+let default_budget = { max_states = 200_000; lookahead = 2; beam = 4 }
 
 type evaluation = { finish : int; exact : bool; states : int }
 
@@ -108,9 +97,8 @@ let local_istate model ~w =
 (* insertions intern a copy. One open-addressing [Ttable] per context  *)
 (* replaces the former sync/async [Hashtbl] pair — sync values depend  *)
 (* on [W] alone and use the sentinel slot 0, async entries key on the  *)
-(* true (W, slot). The table grows and never evicts here, so it hits   *)
-(* exactly when the hashtables did and the Classic traversal (state    *)
-(* counts, exhaustion points) is unchanged.                            *)
+(* true (W, slot). The table grows and never evicts here, so every     *)
+(* value the search establishes stays available to plan construction. *)
 (* ------------------------------------------------------------------ *)
 
 type ctx = {
@@ -151,6 +139,32 @@ let ranked_successors ctx ~slot =
       else if cov1 > cov2 then 1
       else 0)
     scored
+
+(* The exact search's choices: the ranked successors less every
+   candidate whose coverage is a subset of an earlier one's. A superset
+   cover never ranks later (its hop bound is no larger and its |W'| is
+   larger), so this keeps exactly the candidates with inclusion-maximal
+   coverage, the first of equal ones. In the [All] space the drop is
+   value-safe: a schedule from W replays from any W' ⊇ W with each color
+   set cut to the senders that still have uninformed neighbours, which
+   stays conflict-free and informs at least as much, so M is monotone
+   and a dominated child never finishes earlier. The greedy classes are
+   rebuilt from each W and are not monotone, so there the drop is part
+   of the space G-OPT searches: a class that informs a subset of what a
+   sibling class informs is never chosen. (A truncating [max_sets] also
+   breaks the replay argument; OPT is then the documented approximation
+   either way.) The beam fallback ranks the full list. *)
+let search_successors ctx ~slot =
+  let rec keep kept = function
+    | [] -> []
+    | ((_, _, _, cov) as x) :: rest ->
+        if List.exists (fun cov' -> Bitset.subset cov cov') kept then begin
+          Metrics.incr m_prune_dom;
+          keep kept rest
+        end
+        else x :: keep (cov :: kept) rest
+  in
+  keep [] (ranked_successors ctx ~slot)
 
 (* Child memo probe without applying: derive the child key (W ∪ cov)
    hash-and-all from the coverage set — [hash_union] re-mixes only the
@@ -206,33 +220,19 @@ let rollout_finish model space ~w ~slot =
   rollout_finish_i (make_ctx st space default_budget) ~slot
 
 (* ------------------------------------------------------------------ *)
-(* Exact memoised branch-and-bound. The traversal (choice order,       *)
-(* pruning tests, memo keys, state counting, budget exhaustion) is     *)
-(* intentionally identical to the from-scratch implementation it       *)
-(* replaced — only the per-state work is incremental — so evaluated    *)
-(* finishes, [states] counts and schedules are unchanged.              *)
+(* Exact memoised branch-and-bound over [search_successors]. Every     *)
+(* skip below is value-safe (the skipped candidate is proved unable to *)
+(* beat the incumbent) and ties keep the earlier candidate, so the     *)
+(* evaluated finish and the chosen schedule are those of the plain     *)
+(* memoised recursion over the same choices.                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Strong-mode sibling helpers. The parent floor is [Bounds.remaining]:
-   once the incumbent meets it no candidate can improve, so the rest of
-   the sibling list is cut off (each skip counted under the decisive
-   bound's kind). Dominance skips a candidate whose coverage is a
-   subset of an earlier sibling's: by memo monotonicity (W ⊆ W' ⇒ the
-   value from W' is no worse) its value is ≥ the dominator's, and the
-   incumbent is already ≤ every earlier sibling's value — whether that
-   sibling was scored, bound-pruned (its value ≥ the then-incumbent) or
-   itself dominated (inductively) — so the skip can change neither the
-   minimum nor, with ties keeping the earlier candidate, the selection.
-   The kept list is capped: domination is an optimisation, not a
-   correctness device, so forgetting old covers is free. *)
-let max_kept_covs = 16
-
+(* The parent floor is [Bounds.remaining]: once the incumbent meets it
+   no candidate can improve, so the rest of the sibling list is cut off
+   (each skip counted under the decisive bound's kind). *)
 let bound_counter = function
   | Bounds.Ecc -> m_prune_ecc
   | Bounds.Packing -> m_prune_pack
-
-let dominated kept cov =
-  List.exists (fun cov' -> Bitset.subset cov cov') kept
 
 (* Sync: remaining advance count depends on W only. *)
 let rec sync_remaining ctx =
@@ -246,38 +246,26 @@ let rec sync_remaining ctx =
         v
     | None ->
         Metrics.incr m_memo_miss;
-        let succs = ranked_successors ctx ~slot:1 in
+        let succs = search_successors ctx ~slot:1 in
         if succs = [] then failwith "Mcounter: no candidates before completion";
-        let strong = ctx.budget.mode = Strong in
-        let floor_r, floor_k =
-          if strong then Bounds.remaining ctx.st else (0, Bounds.Ecc)
-        in
+        let floor_r, floor_k = Bounds.remaining ctx.st in
         let best = ref max_int in
-        let kept = ref [] and n_kept = ref 0 in
         List.iter
           (fun (lb, _, c, cov) ->
-            if strong && !best <= floor_r then Metrics.incr (bound_counter floor_k)
+            if !best <= floor_r then Metrics.incr (bound_counter floor_k)
             else if lb <> max_int && 1 + lb < !best then begin
               (* Admissible pruning: this branch needs ≥ 1 + lb advances. *)
-              if strong && !best < max_int && dominated !kept cov then
-                Metrics.incr m_prune_dom
-              else begin
-                let v =
-                  (* A memoised (or completing) child costs no apply. *)
-                  match child_cached ctx ~cov with
-                  | Some v0 -> 1 + v0
-                  | None ->
-                      Istate.apply ctx.st ~senders:c;
-                      let v = 1 + sync_remaining ctx in
-                      Istate.undo ctx.st;
-                      v
-                in
-                if v < !best then best := v
-              end;
-              if strong && !n_kept < max_kept_covs then begin
-                kept := cov :: !kept;
-                incr n_kept
-              end
+              let v =
+                (* A memoised (or completing) child costs no apply. *)
+                match child_cached ctx ~cov with
+                | Some v0 -> 1 + v0
+                | None ->
+                    Istate.apply ctx.st ~senders:c;
+                    let v = 1 + sync_remaining ctx in
+                    Istate.undo ctx.st;
+                    v
+              in
+              if v < !best then best := v
             end
             else Metrics.incr m_prunes)
           succs;
@@ -305,34 +293,22 @@ let rec async_finish ctx ~slot =
             v
         | None ->
             Metrics.incr m_memo_miss;
-            let succs = ranked_successors ctx ~slot:t in
+            let succs = search_successors ctx ~slot:t in
             if succs = [] then failwith "Mcounter: active slot without candidates";
-            let strong = ctx.budget.mode = Strong in
-            let floor_r, floor_k =
-              if strong then Bounds.remaining ctx.st else (0, Bounds.Ecc)
-            in
+            let floor_r, floor_k = Bounds.remaining ctx.st in
             let best = ref max_int in
-            let kept = ref [] and n_kept = ref 0 in
             List.iter
-              (fun (lb, _, c, cov) ->
+              (fun (lb, _, c, _) ->
                 (* [r] remaining advances, the first at slot [t], finish
                    at ≥ t + r - 1. *)
-                if strong && !best <> max_int && !best <= t + floor_r - 1 then
+                if !best <> max_int && !best <= t + floor_r - 1 then
                   Metrics.incr (bound_counter floor_k)
                 else if lb <> max_int && (!best = max_int || t + lb < !best) then begin
                   (* finish ≥ t + lb: each remaining hop costs ≥ 1 slot. *)
-                  if strong && !best < max_int && dominated !kept cov then
-                    Metrics.incr m_prune_dom
-                  else begin
-                    Istate.apply ctx.st ~senders:c;
-                    let v = async_finish ctx ~slot:(t + 1) in
-                    Istate.undo ctx.st;
-                    if v < !best then best := v
-                  end;
-                  if strong && !n_kept < max_kept_covs then begin
-                    kept := cov :: !kept;
-                    incr n_kept
-                  end
+                  Istate.apply ctx.st ~senders:c;
+                  let v = async_finish ctx ~slot:(t + 1) in
+                  Istate.undo ctx.st;
+                  if v < !best then best := v
                 end
                 else Metrics.incr m_prunes)
               succs;
@@ -418,9 +394,9 @@ let evaluate model space ~budget ~w ~slot =
 (* Snapshots: a completed plan's transposition table, frozen for       *)
 (* reuse. The stored informed sets are the private copies the table    *)
 (* interned at insertion time and are never mutated afterwards, so a   *)
-(* safe to publish across domains and to share between chained        *)
-(* snapshots. Reusing an entry is sound exactly when the caller's      *)
-(* validity predicate certifies its value unchanged — see              *)
+(* snapshot is safe to publish across domains and to share between    *)
+(* chained snapshots. Reusing an entry is sound exactly when the       *)
+(* caller's validity predicate certifies its value unchanged — see     *)
 (* [plan_snapshot] in the interface for the contract.                  *)
 (* ------------------------------------------------------------------ *)
 
@@ -493,14 +469,6 @@ let rec plan_gen model space ~budget ~source ~start ~seeds ~capture =
           end
     in
     let is_sync = match Model.system model with Model.Sync -> true | Model.Async _ -> false in
-    (* The warm path (snapshot capture / seeded repair) prunes the
-       round scoring below with the same admissible floor the search
-       uses — and so does every Strong-mode solve, warm or cold: the
-       skip rule only elides candidates proved unable to displace the
-       incumbent, so the schedule is unchanged and only the exhaustive
-       re-scoring cost disappears. Classic [plan] keeps that exhaustive
-       re-scoring as the reference the property tests compare against. *)
-    let warm = capture || seeds <> None || budget.mode = Strong in
     let degraded = ref false in
     (* Root search first: if the budget holds, candidate scores reuse its
        memo; otherwise every score degrades to the lookahead policy. *)
@@ -561,49 +529,29 @@ let rec plan_gen model space ~budget ~source ~start ~seeds ~capture =
             Otrace.with_span ~arg:t ~cat:"sched" "round" @@ fun () ->
             let succs =
               Otrace.with_span ~arg:t ~cat:"search" "color-select" (fun () ->
-                  ranked_successors ctx ~slot:t)
+                  search_successors ctx ~slot:t)
             in
             match succs with
             | [] -> failwith "Mcounter.plan: active slot without candidates"
             | _ ->
-                let strong = budget.mode = Strong in
-                let floor_r, floor_k =
-                  if strong then Bounds.remaining st else (0, Bounds.Ecc)
-                in
-                let kept = ref [] and n_kept = ref 0 in
+                let floor_r, floor_k = Bounds.remaining st in
                 let best =
                 List.fold_left
                   (fun acc (lb, _, c, cov) ->
                     match acc with
-                    | Some (bv, _, _)
-                      when strong && bv <> max_int && bv <= t + floor_r - 1 ->
+                    | Some (bv, _, _) when bv <> max_int && bv <= t + floor_r - 1 ->
                         (* Any completion advancing at slot [t] needs
                            ≥ floor_r further advances, so no sibling can
                            score below the incumbent. *)
                         Metrics.incr (bound_counter floor_k);
                         acc
-                    | Some (bv, _, _)
-                      when ((not exact_ok) || warm) && lb <> max_int && bv <= t + lb ->
+                    | Some (bv, _, _) when lb <> max_int && bv <= t + lb ->
                         (* Scores (exact or lookahead) are bounded below
                            by t + lb, and ties keep the earlier
                            candidate, so this candidate cannot displace
-                           the incumbent. Exact mode only elides the
-                           bound on the reference path, where every
-                           sibling's score is re-derived in full. *)
-                        acc
-                    | Some (bv, _, _)
-                      when strong && bv <> max_int && dominated !kept cov ->
-                        (* Coverage-subset domination: this candidate's
-                           score is ≥ an earlier sibling's, and the
-                           incumbent is already ≤ every earlier
-                           sibling's score. *)
-                        Metrics.incr m_prune_dom;
+                           the incumbent. *)
                         acc
                     | _ -> (
-                        if strong && !n_kept < max_kept_covs then begin
-                          kept := cov :: !kept;
-                          incr n_kept
-                        end;
                         (* In exact sync mode an already-memoised (or
                            completing) child scores without an apply;
                            its informed list is the coverage set. *)

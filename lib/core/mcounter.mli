@@ -9,45 +9,41 @@
     - [M(W, t) = min over color sets C of M(W + A_C, t + 1)].
 
     The paper computes this "with an off-line calculation" in its
-    simulator. We realise it as an exact, memoised branch-and-bound —
-    monotonicity of the model (larger [W] never finishes later) makes
-    the hop-distance lower bound admissible — with a budget on explored
-    states. When an instance exhausts the budget, evaluation degrades to
-    a beam-limited lookahead with greedy-rollout tails, which is the
-    standard realisation of such heuristics; DESIGN.md §4 documents the
-    substitution. The fixture graphs of Tables II–IV are solved exactly.
+    simulator. We realise it as an exact, memoised branch-and-bound with
+    a budget on explored states. The hop-distance bound and the
+    {!Bounds} floors skip candidates that cannot beat the incumbent, and
+    a transposition table ({!Ttable}) shares values between paths; both
+    are value-safe. The search also never expands a color set whose
+    coverage (the nodes it newly informs) is a strict subset of a
+    sibling's: in the {!Choices.All} space that is value-safe by
+    monotonicity (below), and among the {!Choices.Greedy} classes it is
+    part of the space G-OPT searches (the greedy classes are not
+    monotone; DESIGN.md §10). Ties keep the earlier candidate, so in
+    exact mode the schedule is the one a plain memoised recursion over
+    that space would pick. When an instance exhausts the budget,
+    evaluation degrades to a beam-limited lookahead with greedy-rollout
+    tails, which is the standard realisation of such heuristics;
+    DESIGN.md §4 documents the substitution. The fixture graphs of
+    Tables II–IV are solved exactly.
 
     Two structural facts the implementation exploits (both are covered
     by property tests):
-    - {b monotonicity}: [W ⊆ W'] implies [M(W', t) ≤ M(W, t)], so only
-      maximal conflict-free sender sets need be searched, and idling at
-      an active slot is never beneficial;
+    - {b monotonicity} (the {!Choices.All} space): [W ⊆ W'] implies
+      [M(W', t) ≤ M(W, t)], so only maximal conflict-free sender sets
+      need be searched, idling at an active slot is never beneficial,
+      and a coverage-dominated set is never needed;
     - {b time-shift invariance} (sync only): [M(W, t) − t] depends only
       on [W], so the memo table can key on [W] alone. *)
 
 module Bitset = Mlbs_util.Bitset
 
-(** Search discipline. [Classic] reproduces the seed traversal bit for
-    bit — same expansions, state counts and exhaustion points — keeping
-    the figure sweeps byte-identical across releases; the experiment
-    configs use it. [Strong] additionally prunes with the admissible
-    {!Bounds} floors, skips candidates the incumbent already beats, and
-    applies coverage-subset dominance between siblings. Every Strong
-    skip is value-safe, and ties keep the earlier candidate, so in
-    exact mode a Strong solve returns the same schedule as a Classic
-    one — with far fewer expansions; the service cold-solve path uses
-    it. The two modes may diverge only when a budget exhausts (Strong
-    explores fewer states, so it can stay exact where Classic
-    degrades). *)
-type mode = Classic | Strong
-
 (** Search budget. [max_states]: memo entries before the exact search
     gives up. [lookahead]: fallback search depth. [beam]: choices
     expanded per fallback node (ranked by hop lower bound, then
-    coverage). [mode]: the pruning discipline above. *)
-type budget = { max_states : int; lookahead : int; beam : int; mode : mode }
+    coverage). *)
+type budget = { max_states : int; lookahead : int; beam : int }
 
-(** [{ max_states = 200_000; lookahead = 2; beam = 4; mode = Strong }]. *)
+(** [{ max_states = 200_000; lookahead = 2; beam = 4 }]. *)
 val default_budget : budget
 
 (** Result of evaluating [M]: the finish slot, whether it is exact, and

@@ -9,9 +9,9 @@
     share a single immutable copy.
 
     Unbounded tables ([max_entries = 0], the search default) grow and
-    never evict, so lookups hit exactly when a [Hashtbl] would — the
-    Classic-mode traversal (and its state counts) is preserved
-    bit-for-bit. Bounded tables overwrite in place at capacity
+    never evict, so lookups hit exactly when a [Hashtbl] would and every
+    value a search establishes stays available to plan construction and
+    snapshots. Bounded tables overwrite in place at capacity
     (value-safe: a memo entry's value is a pure function of its key, so
     dropping one only costs recomputation); no slot is ever cleared, so
     probe chains stay intact either way.

@@ -6,9 +6,11 @@ module Coloring = Mlbs_graph.Coloring
 module Wake_schedule = Mlbs_dutycycle.Wake_schedule
 module Model = Mlbs_core.Model
 module Emodel = Mlbs_core.Emodel
-module Gopt = Mlbs_core.Gopt
+module Scheduler = Mlbs_core.Scheduler
 module Mcounter = Mlbs_core.Mcounter
 module Schedule = Mlbs_core.Schedule
+
+let gopt budget model ~source ~start = Scheduler.run model (Scheduler.Gopt budget) ~source ~start
 
 type selector = By_emodel | By_hop_to_source | First_class
 
@@ -107,7 +109,7 @@ let selector_table cfg ~n =
       ("hop distance to source", fun m -> plan_with_selector m By_hop_to_source);
       ("always largest class", fun m -> plan_with_selector m First_class);
       ("id-order coloring", plan_with_id_order);
-      ("G-OPT (M search)", fun m -> Gopt.plan ~budget:cfg.Config.budget m);
+      ("G-OPT (M search)", gopt cfg.Config.budget);
     ];
   tab
 
@@ -126,7 +128,7 @@ let wake_family_table cfg ~n ~rate =
         policy model ~source:inst.Experiment.source ~start:1
       in
       let g =
-        mean_latency cfg ~n ~plan:(plan_with (fun m -> Gopt.plan ~budget:cfg.Config.budget m))
+        mean_latency cfg ~n ~plan:(plan_with (gopt cfg.Config.budget))
       in
       let e = mean_latency cfg ~n ~plan:(plan_with (fun m -> Emodel.plan ?tuples:None m)) in
       Tab.add_float_row tab ~label [ g; e ])
@@ -162,7 +164,7 @@ let relay_set_table cfg ~n =
     [
       ("layered, all relays (26-approx)", Mlbs_core.Baseline26.plan);
       ("layered, CDS backbone [4]", Mlbs_core.Baseline_cds.plan);
-      ("pipelined (G-OPT)", fun m -> Gopt.plan ~budget:cfg.Config.budget m);
+      ("pipelined (G-OPT)", gopt cfg.Config.budget);
     ];
   tab
 
@@ -222,14 +224,14 @@ let shape_table cfg ~n =
         in
         let model = Model.create net Model.Sync in
         float_of_int
-          (Schedule.elapsed (Mlbs_core.Scheduler.run model policy ~source ~start:1))
+          (Schedule.elapsed (Scheduler.run model policy ~source ~start:1))
       in
       let mean policy = Stats.mean (seed_map cfg (run policy)) in
       Tab.add_float_row tab ~label
         [
-          mean Mlbs_core.Scheduler.Baseline;
-          mean (Mlbs_core.Scheduler.Gopt cfg.Config.budget);
-          mean Mlbs_core.Scheduler.Emodel;
+          mean Scheduler.Baseline;
+          mean (Scheduler.Gopt cfg.Config.budget);
+          mean Scheduler.Emodel;
         ])
     [
       ("uniform (paper)", Deployment.Uniform);
@@ -285,16 +287,16 @@ let protocol_table cfg ~n =
   in
   let central policy (inst : Experiment.instance) =
     let model = Model.create inst.Experiment.net Model.Sync in
-    let plan = Mlbs_core.Scheduler.run model policy ~source:inst.Experiment.source ~start:1 in
+    let plan = Scheduler.run model policy ~source:inst.Experiment.source ~start:1 in
     (float_of_int (Schedule.elapsed plan), 0., 0., 1.)
   in
   row "blind flooding (once)" (pmap (flood Mlbs_core.Flooding.Once) insts);
   row "flooding (p = 0.3)" (pmap (flood (Mlbs_core.Flooding.Persistent 0.3)) insts);
   row "localized (2-hop oracle)" (pmap localized insts);
   row "distributed (beacons only)" (pmap distributed insts);
-  row "centralized E-model" (pmap (central Mlbs_core.Scheduler.Emodel) insts);
+  row "centralized E-model" (pmap (central Scheduler.Emodel) insts);
   row "centralized G-OPT"
-    (pmap (central (Mlbs_core.Scheduler.Gopt cfg.Config.budget)) insts);
+    (pmap (central (Scheduler.Gopt cfg.Config.budget)) insts);
   tab
 
 let resilience_table cfg ~n ~kill_fraction =
@@ -313,7 +315,7 @@ let resilience_table cfg ~n ~kill_fraction =
            let inst = Experiment.make_instance cfg ~n ~seed in
            let model = Model.create inst.Experiment.net Model.Sync in
            let plan =
-             Mlbs_core.Scheduler.run model policy ~source:inst.Experiment.source ~start:1
+             Scheduler.run model policy ~source:inst.Experiment.source ~start:1
            in
            (* Kill a seeded sample of non-source nodes. *)
            let rng = Mlbs_prng.Rng.create (seed * 31337) in
@@ -331,9 +333,9 @@ let resilience_table cfg ~n ~kill_fraction =
   List.iter
     (fun (label, policy) -> Tab.add_float_row tab ~label [ coverage policy ])
     [
-      ("26-approx (all relays)", Mlbs_core.Scheduler.Baseline);
-      ("G-OPT", Mlbs_core.Scheduler.Gopt cfg.Config.budget);
-      ("E-model", Mlbs_core.Scheduler.Emodel);
+      ("26-approx (all relays)", Scheduler.Baseline);
+      ("G-OPT", Scheduler.Gopt cfg.Config.budget);
+      ("E-model", Scheduler.Emodel);
     ];
   tab
 
@@ -393,10 +395,10 @@ let lookahead_table cfg ~n =
   in
   List.iter
     (fun depth ->
-      let budget = { Mcounter.max_states = 0; lookahead = depth; beam = 4; mode = Classic } in
+      let budget = { Mcounter.max_states = 0; lookahead = depth; beam = 4 } in
       let plan ~seed:_ (inst : Experiment.instance) =
         let model = Model.create inst.Experiment.net Model.Sync in
-        Gopt.plan ~budget model ~source:inst.Experiment.source ~start:1
+        gopt budget model ~source:inst.Experiment.source ~start:1
       in
       Tab.add_float_row tab ~label:(string_of_int depth) [ mean_latency cfg ~n ~plan ])
     [ 0; 1; 2; 3 ];

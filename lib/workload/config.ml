@@ -31,7 +31,7 @@ let default =
     radius = 10.;
     min_ecc = 5;
     max_ecc = 8;
-    budget = { Mcounter.max_states = 2_000; lookahead = 2; beam = 4; mode = Classic };
+    budget = { Mcounter.max_states = 2_000; lookahead = 2; beam = 4 };
     opt_max_sets = 32;
     validate = true;
     jobs = Mlbs_util.Pool.default_jobs ();
@@ -50,7 +50,7 @@ let quick =
     default with
     node_counts = [ 50; 150; 300 ];
     seeds = [ 1; 2 ];
-    budget = { Mcounter.max_states = 500; lookahead = 1; beam = 3; mode = Classic };
+    budget = { Mcounter.max_states = 500; lookahead = 1; beam = 3 };
     opt_max_sets = 16;
     loss_rates = [ 0.; 0.1; 0.2 ];
   }
@@ -60,7 +60,7 @@ let smoke =
     quick with
     node_counts = [ 50 ];
     seeds = [ 1 ];
-    budget = { Mcounter.max_states = 200; lookahead = 1; beam = 2; mode = Classic };
+    budget = { Mcounter.max_states = 200; lookahead = 1; beam = 2 };
     opt_max_sets = 8;
     loss_rates = [ 0.; 0.2 ];
   }

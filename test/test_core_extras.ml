@@ -1,12 +1,12 @@
-(* Coverage for the smaller core APIs: Choices, Trace, the Opt/Gopt
-   wrappers, and async exact search on hand-built wake schedules. *)
+(* Coverage for the smaller core APIs: Choices, Trace, the G-OPT/OPT
+   scheduler entry points, and async exact search on hand-built wake
+   schedules. *)
 
 module Bitset = Mlbs_util.Bitset
 module Model = Mlbs_core.Model
 module Choices = Mlbs_core.Choices
 module Trace = Mlbs_core.Trace
-module Opt = Mlbs_core.Opt
-module Gopt = Mlbs_core.Gopt
+module Scheduler = Mlbs_core.Scheduler
 module Mcounter = Mlbs_core.Mcounter
 module Schedule = Mlbs_core.Schedule
 module Fixtures = Mlbs_workload.Fixtures
@@ -108,16 +108,20 @@ let test_trace_render_custom_names () =
     String.iteri (fun i c -> if c = 's' && i > 0 && s.[i - 1] = '{' then found := true) s;
     !found)
 
-(* ----------------------- opt/gopt wrappers ------------------------- *)
+(* ------------------ G-OPT/OPT entry points ------------------------- *)
 
 let test_finish_wrappers_agree_with_plans () =
   let { Fixtures.net; source; start; _ } = Fixtures.fig1 in
   let m = Model.create net Model.Sync in
-  let ge = Gopt.finish m ~source ~start in
-  let gp = Gopt.plan m ~source ~start in
+  let finish space =
+    Mcounter.evaluate m space ~budget:Mcounter.default_budget
+      ~w:(Model.initial_w m ~source) ~slot:start
+  in
+  let ge = finish Choices.Greedy in
+  let gp = Scheduler.run m Scheduler.gopt ~source ~start in
   Alcotest.(check int) "gopt" (Schedule.finish gp) ge.Mcounter.finish;
-  let oe = Opt.finish m ~source ~start in
-  let op = Opt.plan m ~source ~start in
+  let oe = finish (Choices.All { max_sets = 64 }) in
+  let op = Scheduler.run m Scheduler.opt ~source ~start in
   Alcotest.(check int) "opt" (Schedule.finish op) oe.Mcounter.finish;
   Alcotest.(check bool) "opt <= gopt" true (oe.Mcounter.finish <= ge.Mcounter.finish)
 
@@ -137,14 +141,14 @@ let test_async_exact_path () =
   let m = Model.create net (Model.Async sched) in
   let e =
     Mcounter.evaluate m Choices.Greedy
-      ~budget:{ Mcounter.max_states = 10000; lookahead = 2; beam = 4; mode = Classic }
+      ~budget:{ Mcounter.max_states = 10000; lookahead = 2; beam = 4 }
       ~w:(Model.initial_w m ~source:0) ~slot:1
   in
   Alcotest.(check bool) "exact" true e.Mcounter.exact;
   Alcotest.(check int) "finish" 4 e.Mcounter.finish;
   let plan =
     Mcounter.plan m Choices.Greedy
-      ~budget:{ Mcounter.max_states = 10000; lookahead = 2; beam = 4; mode = Classic }
+      ~budget:{ Mcounter.max_states = 10000; lookahead = 2; beam = 4 }
       ~source:0 ~start:1
   in
   Alcotest.(check (list int)) "transmission slots" [ 1; 2; 4 ]
@@ -160,7 +164,7 @@ let test_async_missed_wake () =
   let m = Model.create net (Model.Async sched) in
   let e =
     Mcounter.evaluate m Choices.Greedy
-      ~budget:{ Mcounter.max_states = 10000; lookahead = 2; beam = 4; mode = Classic }
+      ~budget:{ Mcounter.max_states = 10000; lookahead = 2; beam = 4 }
       ~w:(Model.initial_w m ~source:0) ~slot:1
   in
   (* 0 wakes at 3 (informs 1); 1's next wake is 12 (informs 2): 12. *)

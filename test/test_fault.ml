@@ -153,7 +153,7 @@ let test_noop_replay_identity () =
 let test_check_under_faults_noop_full_coverage () =
   let { Fixtures.net; source; start; _ } = Fixtures.fig1 in
   let m = Model.create net Model.Sync in
-  let sched = Mlbs_core.Gopt.plan m ~source ~start in
+  let sched = Scheduler.run m Scheduler.gopt ~source ~start in
   let r = Validate.check_under_faults m ~faults:Fault.none sched in
   Alcotest.(check bool) "ok" true r.Validate.ok;
   Alcotest.(check int) "all delivered" 12 r.Validate.delivered;

@@ -1,7 +1,6 @@
 module Model = Mlbs_core.Model
 module Schedule = Mlbs_core.Schedule
 module Localized = Mlbs_core.Localized
-module Gopt = Mlbs_core.Gopt
 module Validate = Mlbs_sim.Validate
 module Fixtures = Mlbs_workload.Fixtures
 

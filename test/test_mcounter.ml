@@ -6,7 +6,7 @@ module Schedule = Mlbs_core.Schedule
 module Fixtures = Mlbs_workload.Fixtures
 module Validate = Mlbs_sim.Validate
 
-let big_budget = { Mcounter.max_states = 1_000_000; lookahead = 2; beam = 4; mode = Classic }
+let big_budget = { Mcounter.max_states = 1_000_000; lookahead = 2; beam = 4 }
 
 let eval model space ~w ~slot = Mcounter.evaluate model space ~budget:big_budget ~w ~slot
 
@@ -99,7 +99,7 @@ let test_plan_async_fig2 () =
   Alcotest.(check (list int)) "slots" [ 2; 4 ] slots
 
 let test_budget_fallback_still_valid () =
-  let tiny = { Mcounter.max_states = 1; lookahead = 1; beam = 2; mode = Classic } in
+  let tiny = { Mcounter.max_states = 1; lookahead = 1; beam = 2 } in
   let { Fixtures.net; source; start; _ } = Fixtures.fig1 in
   let m = Model.create net Model.Sync in
   let e = Mcounter.evaluate m Choices.Greedy ~budget:tiny ~w:(Model.initial_w m ~source) ~slot:start in

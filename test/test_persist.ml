@@ -3,6 +3,7 @@ module Network = Mlbs_wsn.Network
 module Graph = Mlbs_graph.Graph
 module Model = Mlbs_core.Model
 module Schedule = Mlbs_core.Schedule
+module Scheduler = Mlbs_core.Scheduler
 module Persist = Mlbs_workload.Persist
 module Fixtures = Mlbs_workload.Fixtures
 
@@ -39,7 +40,7 @@ let test_network_roundtrip_fixture_adjacency () =
 let test_schedule_roundtrip () =
   let { Fixtures.net; source; start; _ } = Fixtures.fig1 in
   let m = Model.create net Model.Sync in
-  let plan = Mlbs_core.Gopt.plan m ~source ~start in
+  let plan = Scheduler.run m Scheduler.gopt ~source ~start in
   let path = temp ".sched" in
   Persist.save_schedule path plan;
   let loaded = Persist.load_schedule path in
@@ -109,7 +110,7 @@ let props =
         && Graph.edges (Network.graph net) = Graph.edges (Network.graph loaded));
     prop "schedule roundtrip preserves radio outcome" Test_support.gen_sync_model
       (fun (model, seed) ->
-        let plan = Mlbs_core.Gopt.plan model ~source:0 ~start:1 in
+        let plan = Scheduler.run model Scheduler.gopt ~source:0 ~start:1 in
         let path = temp (Printf.sprintf ".s%d" seed) in
         Persist.save_schedule path plan;
         let loaded = Persist.load_schedule path in

@@ -78,7 +78,7 @@ let tiny_cfg =
     Config.quick with
     Config.node_counts = [ 50 ];
     seeds = [ 1; 2 ];
-    budget = { Mlbs_core.Mcounter.max_states = 200; lookahead = 1; beam = 2; mode = Classic };
+    budget = { Mlbs_core.Mcounter.max_states = 200; lookahead = 1; beam = 2 };
     opt_max_sets = 8;
   }
 

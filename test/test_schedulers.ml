@@ -10,7 +10,7 @@ module Fixtures = Mlbs_workload.Fixtures
 module Validate = Mlbs_sim.Validate
 module Wake_schedule = Mlbs_dutycycle.Wake_schedule
 
-let big_budget = { Mcounter.max_states = 1_000_000; lookahead = 2; beam = 4; mode = Classic }
+let big_budget = { Mcounter.max_states = 1_000_000; lookahead = 2; beam = 4 }
 
 (* ------------------------- baselines ------------------------------ *)
 

@@ -350,7 +350,7 @@ let test_daemon_serves_and_caches () =
     (List.mem_assoc "server/requests" stats);
   Alcotest.(check bool) "two requests counted" true
     (List.assoc "server/requests" stats >= 2);
-  (* The cold miss above ran the Strong-mode search, so the Stats
+  (* The cold miss above ran the M-counter search, so the Stats
      frame must surface the search core's counters alongside the
      daemon's own. *)
   List.iter

@@ -1,6 +1,7 @@
 module Bitset = Mlbs_util.Bitset
 module Model = Mlbs_core.Model
 module Schedule = Mlbs_core.Schedule
+module Scheduler = Mlbs_core.Scheduler
 module Radio = Mlbs_sim.Radio
 module Validate = Mlbs_sim.Validate
 module Fixtures = Mlbs_workload.Fixtures
@@ -123,7 +124,7 @@ let test_failure_injection_fig1 () =
      stranded. *)
   let { Fixtures.net; source; start; _ } = Fixtures.fig1 in
   let m = Model.create net Model.Sync in
-  let plan = Mlbs_core.Gopt.plan m ~source ~start in
+  let plan = Scheduler.run m Scheduler.gopt ~source ~start in
   let failed = Bitset.of_list 12 [ 1 ] in
   let informed_alive, alive = Validate.surviving_coverage m ~failed plan in
   Alcotest.(check int) "alive" 11 alive;
@@ -136,7 +137,7 @@ let test_failure_of_leaf_harmless () =
      itself. *)
   let { Fixtures.net; source; start; _ } = Fixtures.fig1 in
   let m = Model.create net Model.Sync in
-  let plan = Mlbs_core.Gopt.plan m ~source ~start in
+  let plan = Scheduler.run m Scheduler.gopt ~source ~start in
   let failed = Bitset.of_list 12 [ 5 ] in
   let informed_alive, alive = Validate.surviving_coverage m ~failed plan in
   Alcotest.(check int) "alive" 11 alive;

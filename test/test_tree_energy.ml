@@ -1,7 +1,7 @@
 module Bitset = Mlbs_util.Bitset
 module Model = Mlbs_core.Model
 module Schedule = Mlbs_core.Schedule
-module Gopt = Mlbs_core.Gopt
+module Scheduler = Mlbs_core.Scheduler
 module Broadcast_tree = Mlbs_core.Broadcast_tree
 module Energy = Mlbs_sim.Energy
 module Validate = Mlbs_sim.Validate
@@ -14,7 +14,7 @@ let feq = Alcotest.float 1e-9
 let fig1_tree () =
   let { Fixtures.net; source; start; _ } = Fixtures.fig1 in
   let model = Model.create net Model.Sync in
-  let plan = Gopt.plan model ~source ~start in
+  let plan = Scheduler.run model Scheduler.gopt ~source ~start in
   (model, plan, Broadcast_tree.of_schedule model plan)
 
 let test_tree_fig1 () =
@@ -120,18 +120,18 @@ let props =
   [
     prop "tree spans exactly the network (sync G-OPT)" Test_support.gen_sync_model
       (fun (model, _) ->
-        let plan = Gopt.plan model ~source:0 ~start:1 in
+        let plan = Scheduler.run model Scheduler.gopt ~source:0 ~start:1 in
         let tree = Broadcast_tree.of_schedule model plan in
         List.length (Broadcast_tree.directed_edges tree) = Model.n_nodes model - 1);
     prop "tree height >= source eccentricity-0 lower bound is latency"
       Test_support.gen_sync_model (fun (model, _) ->
-        let plan = Gopt.plan model ~source:0 ~start:1 in
+        let plan = Scheduler.run model Scheduler.gopt ~source:0 ~start:1 in
         let tree = Broadcast_tree.of_schedule model plan in
         (* Each tree level costs at least one slot. *)
         Broadcast_tree.height tree <= Schedule.elapsed plan);
     prop "energy components sum to total" Test_support.gen_sync_model
       (fun (model, _) ->
-        let plan = Gopt.plan model ~source:0 ~start:1 in
+        let plan = Scheduler.run model Scheduler.gopt ~source:0 ~start:1 in
         let r = Energy.charge model plan in
         abs_float (r.Energy.total -. (r.Energy.tx_energy +. r.Energy.rx_energy +. r.Energy.idle_energy))
         < 1e-6
