@@ -94,22 +94,29 @@ let local_istate model ~w =
 (* Transposition table, keyed by the informed set with its carried     *)
 (* hash: lookups probe with the istate's live bitset (and its          *)
 (* incrementally maintained hash) so they never copy or re-hash; only  *)
-(* insertions intern a copy. One open-addressing [Ttable] per context  *)
-(* replaces the former sync/async [Hashtbl] pair — sync values depend  *)
-(* on [W] alone and use the sentinel slot 0, async entries key on the  *)
-(* true (W, slot). The table grows and never evicts here, so every     *)
-(* value the search establishes stays available to plan construction. *)
+(* insertions intern a copy. One open-addressing [Ttable] per context, *)
+(* keyed on (W, key slot): the active slot under Async, and 0 under    *)
+(* Sync, whose values are time-shift invariant. The stored value is    *)
+(* the span [finish − t + 1] from the active slot [t], which under     *)
+(* Sync is the remaining advance count. The table grows and never      *)
+(* evicts here, so every value the search establishes stays available  *)
+(* to plan construction.                                               *)
 (* ------------------------------------------------------------------ *)
 
 type ctx = {
   st : Istate.t;
   space : Choices.t;
   budget : budget;
+  sync : bool;
   tt : Ttable.t;
   mutable states : int;
 }
 
-let make_ctx st space budget = { st; space; budget; tt = Ttable.create (); states = 0 }
+let make_ctx st space budget =
+  let sync =
+    match Model.system (Istate.model st) with Model.Sync -> true | Model.Async _ -> false
+  in
+  { st; space; budget; sync; tt = Ttable.create (); states = 0 }
 
 (* Rank successors: fewest remaining hops first, then most coverage, then
    enumeration order (stable sort keeps it deterministic). The ranking
@@ -153,7 +160,9 @@ let ranked_successors ctx ~slot =
    of the space G-OPT searches: a class that informs a subset of what a
    sibling class informs is never chosen. (A truncating [max_sets] also
    breaks the replay argument; OPT is then the documented approximation
-   either way.) The beam fallback ranks the full list. *)
+   either way, so it keeps the drop when the cap binds: one code path,
+   and the plan still matches the naive recursion over the same capped,
+   coverage-maximal space.) The beam fallback ranks the full list. *)
 let search_successors ctx ~slot =
   let rec keep kept = function
     | [] -> []
@@ -166,12 +175,13 @@ let search_successors ctx ~slot =
   in
   keep [] (ranked_successors ctx ~slot)
 
-(* Child memo probe without applying: derive the child key (W ∪ cov)
+(* Child memo probe without applying (Sync only: the child's key slot
+   is 0 whatever its active slot): derive the child key (W ∪ cov)
    hash-and-all from the coverage set — [hash_union] re-mixes only the
    touched words, [equal_union] verifies a hit word-wise — so the probe
-   allocates nothing and never materialises the union. [Some 0] for a
-   completing advance mirrors the complete-check a recursive call would
-   have short-circuited on. *)
+   allocates nothing and never materialises the union. The result is
+   the child's span; [Some 0] for a completing advance mirrors the
+   complete-check a recursive call would have short-circuited on. *)
 let child_cached ctx ~cov =
   let st = ctx.st in
   let r =
@@ -227,98 +237,73 @@ let rollout_finish model space ~w ~slot =
 (* memoised recursion over the same choices.                           *)
 (* ------------------------------------------------------------------ *)
 
-(* The parent floor is [Bounds.remaining]: once the incumbent meets it
-   no candidate can improve, so the rest of the sibling list is cut off
-   (each skip counted under the decisive bound's kind). *)
+(* Parent-floor cuts count under the decisive bound's kind. *)
 let bound_counter = function
   | Bounds.Ecc -> m_prune_ecc
   | Bounds.Packing -> m_prune_pack
 
-(* Sync: remaining advance count depends on W only. *)
-let rec sync_remaining ctx =
-  if Istate.complete ctx.st then 0
-  else begin
-    match
-      Ttable.find ctx.tt ~h:(Istate.whash ctx.st) ~slot:0 ~set:(Istate.w ctx.st)
-    with
-    | Some v ->
-        Metrics.incr m_memo_hit;
-        v
-    | None ->
-        Metrics.incr m_memo_miss;
-        let succs = search_successors ctx ~slot:1 in
-        if succs = [] then failwith "Mcounter: no candidates before completion";
-        let floor_r, floor_k = Bounds.remaining ctx.st in
-        let best = ref max_int in
-        List.iter
-          (fun (lb, _, c, cov) ->
-            if !best <= floor_r then Metrics.incr (bound_counter floor_k)
-            else if lb <> max_int && 1 + lb < !best then begin
-              (* Admissible pruning: this branch needs ≥ 1 + lb advances. *)
-              let v =
-                (* A memoised (or completing) child costs no apply. *)
-                match child_cached ctx ~cov with
-                | Some v0 -> 1 + v0
-                | None ->
-                    Istate.apply ctx.st ~senders:c;
-                    let v = 1 + sync_remaining ctx in
-                    Istate.undo ctx.st;
-                    v
-              in
-              if v < !best then best := v
-            end
-            else Metrics.incr m_prunes)
-          succs;
-        if !best = max_int then failwith "Mcounter: dead end in sync search";
-        Metrics.incr m_states;
-        ctx.states <- ctx.states + 1;
-        if ctx.states > ctx.budget.max_states then raise Exhausted;
-        Ttable.add ctx.tt ~h:(Istate.whash ctx.st) ~slot:0 ~set:(Istate.w ctx.st) !best;
-        !best
-  end
+(* The best advance at active slot [t], shared by the exact search and
+   plan construction: the least finish over [succs] as
+   [(finish, senders)], ties keeping the earlier candidate. [score ()]
+   values the applied candidate; with [probe], a memoised (or
+   completing) child is read off the sync table without an apply. A
+   candidate advancing at [t] finishes at ≥ t + floor − 1 and at
+   ≥ t + lb, so once the incumbent meets the parent floor the rest of
+   the list is cut off, and once it meets a candidate's hop bound that
+   candidate is skipped. *)
+let best_advance ctx ~t succs ~probe ~score =
+  let floor_r, floor_k = Bounds.remaining ctx.st in
+  List.fold_left
+    (fun acc (lb, _, c, cov) ->
+      match acc with
+      | Some (bv, _) when bv <= t + floor_r - 1 ->
+          Metrics.incr (bound_counter floor_k);
+          acc
+      | Some (bv, _) when lb = max_int || bv <= t + lb ->
+          Metrics.incr m_prunes;
+          acc
+      | _ -> (
+          let v =
+            match if probe then child_cached ctx ~cov else None with
+            | Some v0 -> t + v0
+            | None ->
+                Istate.apply ctx.st ~senders:c;
+                let v = score () in
+                Istate.undo ctx.st;
+                v
+          in
+          match acc with Some (bv, _) when bv <= v -> acc | _ -> Some (v, c)))
+    None succs
 
-(* Async: finish time depends on (W, slot); idle gaps are skipped by
-   jumping to the next slot at which some frontier node is awake. *)
-let rec async_finish ctx ~slot =
-  if Istate.complete ctx.st then slot - 1
+(* M(W, slot), one recursion for both systems: idle gaps are skipped by
+   jumping to the next slot [t] at which some frontier node is awake
+   (under Sync, [slot] itself). Memo entries key on (W, t) under Async
+   and on (W, 0) under Sync and hold the span [M − t + 1]. *)
+let rec finish ctx ~slot =
+  let st = ctx.st in
+  if Istate.complete st then slot - 1
   else
-    match Istate.next_active_slot ctx.st ~after:(slot - 1) with
+    match Istate.next_active_slot st ~after:(slot - 1) with
     | None -> failwith "Mcounter: empty frontier before completion"
     | Some t -> (
-        match
-          Ttable.find ctx.tt ~h:(Istate.whash ctx.st) ~slot:t ~set:(Istate.w ctx.st)
-        with
-        | Some v ->
+        let key = if ctx.sync then 0 else t in
+        match Ttable.find ctx.tt ~h:(Istate.whash st) ~slot:key ~set:(Istate.w st) with
+        | Some span ->
             Metrics.incr m_memo_hit;
-            v
-        | None ->
+            t + span - 1
+        | None -> (
             Metrics.incr m_memo_miss;
             let succs = search_successors ctx ~slot:t in
-            if succs = [] then failwith "Mcounter: active slot without candidates";
-            let floor_r, floor_k = Bounds.remaining ctx.st in
-            let best = ref max_int in
-            List.iter
-              (fun (lb, _, c, _) ->
-                (* [r] remaining advances, the first at slot [t], finish
-                   at ≥ t + r - 1. *)
-                if !best <> max_int && !best <= t + floor_r - 1 then
-                  Metrics.incr (bound_counter floor_k)
-                else if lb <> max_int && (!best = max_int || t + lb < !best) then begin
-                  (* finish ≥ t + lb: each remaining hop costs ≥ 1 slot. *)
-                  Istate.apply ctx.st ~senders:c;
-                  let v = async_finish ctx ~slot:(t + 1) in
-                  Istate.undo ctx.st;
-                  if v < !best then best := v
-                end
-                else Metrics.incr m_prunes)
-              succs;
-            if !best = max_int then failwith "Mcounter: dead end in async search";
-            Metrics.incr m_states;
-            ctx.states <- ctx.states + 1;
-            if ctx.states > ctx.budget.max_states then raise Exhausted;
-            Ttable.add ctx.tt ~h:(Istate.whash ctx.st) ~slot:t ~set:(Istate.w ctx.st)
-              !best;
-            !best)
+            let score () = finish ctx ~slot:(t + 1) in
+            match best_advance ctx ~t succs ~probe:ctx.sync ~score with
+            | None -> failwith "Mcounter: active slot without candidates"
+            | Some (best, _) ->
+                Metrics.incr m_states;
+                ctx.states <- ctx.states + 1;
+                if ctx.states > ctx.budget.max_states then raise Exhausted;
+                Ttable.add ctx.tt ~h:(Istate.whash st) ~slot:key ~set:(Istate.w st)
+                  (best - t + 1);
+                best))
 
 (* ------------------------------------------------------------------ *)
 (* Beam-limited lookahead fallback.                                    *)
@@ -370,25 +355,14 @@ let evaluate model space ~budget ~w ~slot =
   let st = local_istate model ~w in
   if Istate.lb st = max_int then failwith unreachable_msg;
   let ctx = make_ctx st space budget in
-  match Model.system model with
-  | Model.Sync -> (
-      try
-        let r = sync_remaining ctx in
-        { finish = slot - 1 + r; exact = true; states = ctx.states }
-      with Exhausted ->
-        Metrics.incr m_exhausted;
-        Istate.rewind st ~depth:0;
-        let finish = lookahead_value ctx ~slot ~depth:budget.lookahead in
-        { finish; exact = false; states = ctx.states })
-  | Model.Async _ -> (
-      try
-        let finish = async_finish ctx ~slot in
-        { finish; exact = true; states = ctx.states }
-      with Exhausted ->
-        Metrics.incr m_exhausted;
-        Istate.rewind st ~depth:0;
-        let finish = lookahead_value ctx ~slot ~depth:budget.lookahead in
-        { finish; exact = false; states = ctx.states })
+  try
+    let f = finish ctx ~slot in
+    { finish = f; exact = true; states = ctx.states }
+  with Exhausted ->
+    Metrics.incr m_exhausted;
+    Istate.rewind st ~depth:0;
+    let f = lookahead_value ctx ~slot ~depth:budget.lookahead in
+    { finish = f; exact = false; states = ctx.states }
 
 (* ------------------------------------------------------------------ *)
 (* Snapshots: a completed plan's transposition table, frozen for       *)
@@ -403,13 +377,12 @@ let evaluate model space ~budget ~w ~slot =
 type snapshot = {
   snap_n : int;
   snap_space : Choices.t;
-  snap_sync : (int * Bitset.t * int) array;  (* (hash, W, remaining) *)
-  snap_async : (int * Bitset.t * int * int) array;  (* (hash, W, slot, finish) *)
+  snap_entries : (int * Bitset.t * int * int) array;  (* (hash, W, key slot, span) *)
   snap_exact : bool;
   snap_states : int;
 }
 
-let snapshot_entries s = Array.length s.snap_sync + Array.length s.snap_async
+let snapshot_entries s = Array.length s.snap_entries
 let snapshot_exact s = s.snap_exact
 
 (* Seeds only ever shrink the explored state count, so a seeded search
@@ -426,13 +399,14 @@ let snapshot_reusable s ~space ~budget ~n =
    the degraded path is byte-identical to a cold solve's. *)
 exception Restart_unseeded
 
-(* Plan construction: walk greedily, scoring each choice with the same
-   evaluator the top-level used, so the realised schedule matches the
-   evaluated finish time in exact mode. [seeds] pre-populates the memo
-   with still-valid entries from a previous solve: every value the
-   search reads is the same pure function of (graph, wake schedules,
-   informed set) either way, so the constructed schedule is unchanged —
-   only the work to re-derive it shrinks. *)
+(* Plan construction: walk greedily, choosing each advance with the
+   search's own candidate fold and the same evaluator the top level
+   used, so the realised schedule matches the evaluated finish time in
+   exact mode. [seeds] pre-populates the memo with still-valid entries
+   from a previous solve: every value the search reads is the same pure
+   function of (graph, wake schedules, informed set) either way, so the
+   constructed schedule is unchanged — only the work to re-derive it
+   shrinks. *)
 let rec plan_gen model space ~budget ~source ~start ~seeds ~capture =
   try
     Otrace.with_span ~arg:start ~cat:"search" "plan" @@ fun () ->
@@ -442,180 +416,93 @@ let rec plan_gen model space ~budget ~source ~start ~seeds ~capture =
     let ctx = make_ctx st space budget in
     let n_seeded =
       match seeds with
-      | None -> 0
-      | Some (snap, valid) ->
-          if snap.snap_n <> Model.n_nodes model || snap.snap_space <> space then 0
-          else begin
-            let k = ref 0 in
-            (match Model.system model with
-            | Model.Sync ->
-                Array.iter
-                  (fun (h, set, v) ->
-                    if valid set then begin
-                      Ttable.add_shared ctx.tt ~h ~slot:0 ~set v;
-                      incr k
-                    end)
-                  snap.snap_sync
-            | Model.Async _ ->
-                Array.iter
-                  (fun (h, set, slot, v) ->
-                    if valid set then begin
-                      Ttable.add_shared ctx.tt ~h ~slot ~set v;
-                      incr k
-                    end)
-                  snap.snap_async);
-            Metrics.add m_seeded !k;
-            !k
-          end
+      | Some (snap, valid)
+        when snap.snap_n = Model.n_nodes model && snap.snap_space = space ->
+          let k = ref 0 in
+          Array.iter
+            (fun (h, set, slot, v) ->
+              if valid set then begin
+                Ttable.add_shared ctx.tt ~h ~slot ~set v;
+                incr k
+              end)
+            snap.snap_entries;
+          Metrics.add m_seeded !k;
+          !k
+      | _ -> 0
     in
-    let is_sync = match Model.system model with Model.Sync -> true | Model.Async _ -> false in
-    let degraded = ref false in
+    (* Out of budget: a seeded plan restarts unseeded; otherwise count
+       the exhaustion and rewind to the position being scored. *)
+    let exhausted ~depth =
+      if n_seeded > 0 then raise Restart_unseeded;
+      Metrics.incr m_exhausted;
+      Istate.rewind st ~depth
+    in
     (* Root search first: if the budget holds, candidate scores reuse its
        memo; otherwise every score degrades to the lookahead policy. *)
     let exact_ok =
-      match Model.system model with
-      | Model.Sync -> (
-          try
-            ignore (sync_remaining ctx);
-            true
-          with Exhausted ->
-            if n_seeded > 0 then raise Restart_unseeded;
-            Metrics.incr m_exhausted;
-            Istate.rewind st ~depth:0;
-            false)
-      | Model.Async _ -> (
-          try
-            ignore (async_finish ctx ~slot:start);
-            true
-          with Exhausted ->
-            if n_seeded > 0 then raise Restart_unseeded;
-            Metrics.incr m_exhausted;
-            Istate.rewind st ~depth:0;
-            false)
+      try
+        ignore (finish ctx ~slot:start);
+        true
+      with Exhausted ->
+        exhausted ~depth:0;
+        false
     in
+    let degraded = ref false in
     (* Score the already-applied candidate for an advance at slot [t]. *)
-    let fallback_score ~t =
-      degraded := true;
-      lookahead_value ctx ~slot:(t + 1) ~depth:budget.lookahead
-    in
-    let exact_score ~t =
-      match Model.system model with
-      | Model.Sync -> t + sync_remaining ctx
-      | Model.Async _ -> async_finish ctx ~slot:(t + 1)
-    in
-    let score ~t =
-      if exact_ok then (
+    let score ~t () =
+      let fallback () =
+        degraded := true;
+        lookahead_value ctx ~slot:(t + 1) ~depth:budget.lookahead
+      in
+      if not exact_ok then fallback ()
+      else
         (* Replanning can touch sibling states the root search never
            expanded; degrade to lookahead if that blows the budget. *)
         let d = Istate.depth st in
-        try exact_score ~t
+        try finish ctx ~slot:(t + 1)
         with Exhausted ->
-          if n_seeded > 0 then raise Restart_unseeded;
-          Metrics.incr m_exhausted;
-          Istate.rewind st ~depth:d;
-          fallback_score ~t)
-      else fallback_score ~t
+          exhausted ~depth:d;
+          fallback ()
     in
-  let rec loop slot steps =
-    if Istate.complete st then List.rev steps
-    else
-      match Istate.next_active_slot st ~after:(slot - 1) with
-      | None -> failwith "Mcounter.plan: empty frontier before completion"
-      | Some t ->
-          (* The round span covers this slot's selection only — the
-             recursion continues outside it, so rounds appear as
-             siblings (with nested color-selection) in the trace. *)
-          let step =
-            Otrace.with_span ~arg:t ~cat:"sched" "round" @@ fun () ->
-            let succs =
-              Otrace.with_span ~arg:t ~cat:"search" "color-select" (fun () ->
-                  search_successors ctx ~slot:t)
+    let rec loop slot steps =
+      if Istate.complete st then List.rev steps
+      else
+        match Istate.next_active_slot st ~after:(slot - 1) with
+        | None -> failwith "Mcounter.plan: empty frontier before completion"
+        | Some t ->
+            (* The round span covers this slot's selection only — the
+               recursion continues outside it, so rounds appear as
+               siblings (with nested color-selection) in the trace. *)
+            let step =
+              Otrace.with_span ~arg:t ~cat:"sched" "round" @@ fun () ->
+              let succs =
+                Otrace.with_span ~arg:t ~cat:"search" "color-select" (fun () ->
+                    search_successors ctx ~slot:t)
+              in
+              let probe = exact_ok && ctx.sync in
+              match best_advance ctx ~t succs ~probe ~score:(score ~t) with
+              | None -> failwith "Mcounter.plan: active slot without candidates"
+              | Some (_, c) ->
+                  Istate.apply st ~senders:c;
+                  let informed = List.sort compare (Istate.last_added st) in
+                  { Schedule.slot = t; senders = c; informed }
             in
-            match succs with
-            | [] -> failwith "Mcounter.plan: active slot without candidates"
-            | _ ->
-                let floor_r, floor_k = Bounds.remaining st in
-                let best =
-                List.fold_left
-                  (fun acc (lb, _, c, cov) ->
-                    match acc with
-                    | Some (bv, _, _) when bv <> max_int && bv <= t + floor_r - 1 ->
-                        (* Any completion advancing at slot [t] needs
-                           ≥ floor_r further advances, so no sibling can
-                           score below the incumbent. *)
-                        Metrics.incr (bound_counter floor_k);
-                        acc
-                    | Some (bv, _, _) when lb <> max_int && bv <= t + lb ->
-                        (* Scores (exact or lookahead) are bounded below
-                           by t + lb, and ties keep the earlier
-                           candidate, so this candidate cannot displace
-                           the incumbent. *)
-                        acc
-                    | _ -> (
-                        (* In exact sync mode an already-memoised (or
-                           completing) child scores without an apply;
-                           its informed list is the coverage set. *)
-                        let pre =
-                          if exact_ok && is_sync then child_cached ctx ~cov
-                          else None
-                        in
-                        match pre with
-                        | Some v0 ->
-                            let v = t + v0 in
-                            let keep =
-                              match acc with Some (bv, _, _) -> bv <= v | None -> false
-                            in
-                            if keep then acc else Some (v, c, Bitset.elements cov)
-                        | None ->
-                            Istate.apply st ~senders:c;
-                            let v = score ~t in
-                            let keep =
-                              match acc with Some (bv, _, _) -> bv <= v | None -> false
-                            in
-                            if keep then begin
-                              Istate.undo st;
-                              acc
-                            end
-                            else begin
-                              let informed = List.sort compare (Istate.last_added st) in
-                              Istate.undo st;
-                              Some (v, c, informed)
-                            end))
-                  None succs
-                in
-                let _, c, informed = Option.get best in
-                Istate.apply st ~senders:c;
-                { Schedule.slot = t; senders = c; informed }
-          in
-          loop (t + 1) (step :: steps)
-  in
+            loop (t + 1) (step :: steps)
+    in
     let steps = loop start [] in
     let schedule = Schedule.make ~n_nodes:(Model.n_nodes model) ~source ~start steps in
     let snap =
       if not capture then None
-      else
+      else begin
+        let acc = ref [] in
+        Ttable.iter
+          (fun ~h ~slot ~set ~value -> acc := (h, set, slot, value) :: !acc)
+          ctx.tt;
         Some
           {
             snap_n = Model.n_nodes model;
             snap_space = space;
-            snap_sync =
-              (if not is_sync then [||]
-               else begin
-                 let acc = ref [] in
-                 Ttable.iter
-                   (fun ~h ~slot:_ ~set ~value -> acc := (h, set, value) :: !acc)
-                   ctx.tt;
-                 Array.of_list !acc
-               end);
-            snap_async =
-              (if is_sync then [||]
-               else begin
-                 let acc = ref [] in
-                 Ttable.iter
-                   (fun ~h ~slot ~set ~value -> acc := (h, set, slot, value) :: !acc)
-                   ctx.tt;
-                 Array.of_list !acc
-               end);
+            snap_entries = Array.of_list !acc;
             snap_exact = exact_ok && not !degraded;
             (* Chained repairs carry the base's state count forward so
                the reuse margin reflects the whole lineage, not just the
@@ -623,6 +510,7 @@ let rec plan_gen model space ~budget ~source ~start ~seeds ~capture =
             snap_states =
               (ctx.states + match seeds with Some (s, _) -> s.snap_states | None -> 0);
           }
+      end
     in
     (schedule, snap)
   with Restart_unseeded -> plan_gen model space ~budget ~source ~start ~seeds:None ~capture

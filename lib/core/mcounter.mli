@@ -10,7 +10,14 @@
 
     The paper computes this "with an off-line calculation" in its
     simulator. We realise it as an exact, memoised branch-and-bound with
-    a budget on explored states. The hop-distance bound and the
+    a budget on explored states: one recursion over [(W, slot)] for the
+    round-based and the duty-cycled system alike, which jumps to the
+    next active slot [t] (under Sync, the slot itself) and memoises the
+    span [M(W, t) − t + 1] under the key [(W, key slot)]. The key slot
+    is [t] under Async and [0] under Sync (time-shift invariance,
+    below), so a sync entry holds the number of advances still needed.
+    Plan construction picks each advance with the same candidate fold
+    as the recursion. The hop-distance bound and the
     {!Bounds} floors skip candidates that cannot beat the incumbent, and
     a transposition table ({!Ttable}) shares values between paths; both
     are value-safe. The search also never expands a color set whose
@@ -33,7 +40,7 @@
       need be searched, idling at an active slot is never beneficial,
       and a coverage-dominated set is never needed;
     - {b time-shift invariance} (sync only): [M(W, t) − t] depends only
-      on [W], so the memo table can key on [W] alone. *)
+      on [W], so the memo table can key on [W] alone (key slot [0]). *)
 
 module Bitset = Mlbs_util.Bitset
 
@@ -62,10 +69,10 @@ val evaluate :
 val plan :
   Model.t -> Choices.t -> budget:budget -> source:int -> start:int -> Schedule.t
 
-(** A completed plan's memo tables, frozen: every (informed set →
-    value) the search established, plus enough metadata to decide
-    whether they may seed a later search. Snapshots are immutable and
-    safe to share across domains. *)
+(** A completed plan's memo table, frozen: every
+    ((informed set, key slot) → span) the search established, plus
+    enough metadata to decide whether it may seed a later search.
+    Snapshots are immutable and safe to share across domains. *)
 type snapshot
 
 (** Number of frozen memo entries. *)
@@ -82,14 +89,15 @@ val snapshot_exact : snapshot -> bool
 val snapshot_reusable : snapshot -> space:Choices.t -> budget:budget -> n:int -> bool
 
 (** [plan_snapshot ?seeds model space ~budget ~source ~start] is
-    {!plan} that also captures the snapshot of its memo tables, and
+    {!plan} that also captures the snapshot of its memo table, and
     optionally seeds the search from a previous snapshot.
 
     [seeds = (snap, valid)] pre-loads every entry of [snap] whose
     informed set satisfies [valid] before the search runs. Soundness is
     the caller's contract: [valid w] must certify that the entry's
-    value is unchanged on this model. Two predicates are used in this
-    repository:
+    value is unchanged on this model, so a snapshot only seeds searches
+    of the same system (sync, or the same wake schedules). Two
+    predicates are used in this repository:
     - same graph, different [source]/[start]: every entry is valid
       (the value function never depends on the source), so
       [fun _ -> true];

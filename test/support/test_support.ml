@@ -35,5 +35,28 @@ let gen_async_model =
     let sched = Wake_schedule.create ~rate ~n_nodes:n ~seed () in
     return (Model.create net (Model.Async sched), seed))
 
+(* Sparser, deeper deployments than [small_network] (area side 9√n
+   instead of 7√n, up to 18 nodes): deeper searches, and the greedy
+   classes' coverage sets nest more often. *)
+let sparse_network ~n ~seed =
+  let side = 9. *. sqrt (float_of_int n) in
+  Deployment.generate (Rng.create seed)
+    { Deployment.n_nodes = n; width = side; height = side; radius = 10.;
+      shape = Deployment.Uniform }
+
+let gen_sparse_sync_model =
+  QCheck2.Gen.(
+    let* n = int_range 8 18 in
+    let* seed = int_bound 100000 in
+    return (Model.create (sparse_network ~n ~seed) Model.Sync, seed))
+
+let gen_sparse_async_model =
+  QCheck2.Gen.(
+    let* n = int_range 8 16 in
+    let* seed = int_bound 100000 in
+    let* rate = int_range 2 8 in
+    let sched = Wake_schedule.create ~rate ~n_nodes:n ~seed () in
+    return (Model.create (sparse_network ~n ~seed) (Model.Async sched), seed))
+
 (* A deterministic source: node 0 is always present. *)
 let source _model = 0

@@ -13,9 +13,6 @@ module Bounds = Mlbs_core.Bounds
 module Ttable = Mlbs_core.Ttable
 module Mcounter = Mlbs_core.Mcounter
 module Schedule = Mlbs_core.Schedule
-module Rng = Mlbs_prng.Rng
-module Deployment = Mlbs_wsn.Deployment
-module Wake_schedule = Mlbs_dutycycle.Wake_schedule
 
 let budget = { Mcounter.max_states = 1_000_000; lookahead = 2; beam = 4 }
 
@@ -137,15 +134,6 @@ let find_union_agrees (base_members, cov_members, slot, v) =
 
 (* --------------------------- naive oracle -------------------------- *)
 
-(* Sparser, deeper deployments than the shared generators (area side
-   9√n instead of 7√n, up to 18 nodes): deeper searches, and the greedy
-   classes' coverage sets nest more often. *)
-let sparse_network ~n ~seed =
-  let side = 9. *. sqrt (float_of_int n) in
-  Deployment.generate (Rng.create seed)
-    { Deployment.n_nodes = n; width = side; height = side; radius = 10.;
-      shape = Deployment.Uniform }
-
 (* The color sets the search chooses from at (W, t), each with its
    successor W + A_C, in enumeration order: the sets of the space less
    every set whose successor is a strict subset of a sibling's
@@ -229,7 +217,11 @@ let oracle_plan model space ~source ~start =
    independent searches. *)
 let every_source model f = List.for_all f (List.init (Model.n_nodes model) Fun.id)
 
-let plan_matches_oracle space ((model, _) : Model.t * int) =
+(* For an uncapped [All] space the drop must also leave M unchanged.
+   Under a binding [max_sets] cap the replay argument fails and OPT
+   keeps the drop anyway, so [~capped:true] checks the plan against the
+   oracle over the same (dropped) space only. *)
+let plan_matches_oracle ?(capped = false) space ((model, _) : Model.t * int) =
   let unfiltered = oracle_finish ~maximal:false model space in
   every_source model (fun source ->
       let w = Model.initial_w model ~source in
@@ -239,8 +231,9 @@ let plan_matches_oracle space ((model, _) : Model.t * int) =
       && Schedule.finish p = e.Mcounter.finish
       && Schedule.steps p = oracle_plan model space ~source ~start:1
       && (match space with
-         | Choices.All _ -> e.Mcounter.finish = unfiltered w ~slot:1
-         | Choices.Greedy -> true))
+         | Choices.All _ when not capped ->
+             e.Mcounter.finish = unfiltered w ~slot:1
+         | Choices.All _ | Choices.Greedy -> true))
 
 let evaluation_matches_oracle space ((model, _) : Model.t * int) =
   let oracle = oracle_finish model space in
@@ -256,7 +249,7 @@ let evaluation_matches_oracle space ((model, _) : Model.t * int) =
    such a class, so it finishes in 5; the oracle without the drop finds
    the 4. *)
 let test_greedy_drop_pinned () =
-  let model = Model.create (sparse_network ~n:17 ~seed:92671) Model.Sync in
+  let model = Model.create (Test_support.sparse_network ~n:17 ~seed:92671) Model.Sync in
   let w = Model.initial_w model ~source:11 in
   Alcotest.(check int) "every class" 4
     (oracle_finish ~maximal:false model Choices.Greedy w ~slot:1);
@@ -269,19 +262,8 @@ let test_greedy_drop_pinned () =
 let gen_sync = Test_support.gen_sync_model
 let gen_async = Test_support.gen_async_model
 
-let gen_sparse_sync =
-  QCheck2.Gen.(
-    let* n = int_range 8 18 in
-    let* seed = int_bound 100000 in
-    return (Model.create (sparse_network ~n ~seed) Model.Sync, seed))
-
-let gen_sparse_async =
-  QCheck2.Gen.(
-    let* n = int_range 8 16 in
-    let* seed = int_bound 100000 in
-    let* rate = int_range 2 8 in
-    let sched = Wake_schedule.create ~rate ~n_nodes:n ~seed () in
-    return (Model.create (sparse_network ~n ~seed) (Model.Async sched), seed))
+let gen_sparse_sync = Test_support.gen_sparse_sync_model
+let gen_sparse_async = Test_support.gen_sparse_async_model
 
 let () =
   Alcotest.run "bounds"
@@ -319,8 +301,10 @@ let () =
             (evaluation_matches_oracle Choices.Greedy);
           prop ~count:200 "sparse sync greedy plans" gen_sparse_sync
             (plan_matches_oracle Choices.Greedy);
-          prop ~count:100 "sparse sync OPT plans" gen_sparse_sync
-            (plan_matches_oracle (Choices.All { max_sets = 4096 }));
+          prop ~count:100 "sparse sync OPT plans" gen_sparse_sync (fun m ->
+              plan_matches_oracle (Choices.All { max_sets = 4096 }) m
+              && plan_matches_oracle ~capped:true (Choices.All { max_sets = 2 }) m
+              && plan_matches_oracle ~capped:true (Choices.All { max_sets = 1 }) m);
           prop ~count:200 "sparse async greedy plans" gen_sparse_async
             (plan_matches_oracle Choices.Greedy);
           prop ~count:200 "sparse sync evaluations" gen_sparse_sync

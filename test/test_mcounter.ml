@@ -5,6 +5,8 @@ module Mcounter = Mlbs_core.Mcounter
 module Schedule = Mlbs_core.Schedule
 module Fixtures = Mlbs_workload.Fixtures
 module Validate = Mlbs_sim.Validate
+module Metrics = Mlbs_obs.Metrics
+module Obs = Mlbs_obs.Obs
 
 let big_budget = { Mcounter.max_states = 1_000_000; lookahead = 2; beam = 4 }
 
@@ -100,13 +102,118 @@ let test_plan_async_fig2 () =
 
 let test_budget_fallback_still_valid () =
   let tiny = { Mcounter.max_states = 1; lookahead = 1; beam = 2 } in
+  let check m ~source ~start ~optimum =
+    let w = Model.initial_w m ~source in
+    let e = Mcounter.evaluate m Choices.Greedy ~budget:tiny ~w ~slot:start in
+    Alcotest.(check bool) "flagged inexact" false e.Mcounter.exact;
+    Alcotest.(check bool) "still an upper bound >= optimum" true
+      (e.Mcounter.finish >= optimum);
+    let plan = Mcounter.plan m Choices.Greedy ~budget:tiny ~source ~start in
+    Validate.check_exn m plan
+  in
   let { Fixtures.net; source; start; _ } = Fixtures.fig1 in
-  let m = Model.create net Model.Sync in
-  let e = Mcounter.evaluate m Choices.Greedy ~budget:tiny ~w:(Model.initial_w m ~source) ~slot:start in
-  Alcotest.(check bool) "flagged inexact" false e.Mcounter.exact;
-  Alcotest.(check bool) "still an upper bound >= optimum" true (e.Mcounter.finish >= 3);
-  let plan = Mcounter.plan m Choices.Greedy ~budget:tiny ~source ~start in
-  Validate.check_exn m plan
+  check (Model.create net Model.Sync) ~source ~start ~optimum:3;
+  let fixture, sched = Fixtures.fig2_dc in
+  check
+    (Model.create fixture.Fixtures.net (Model.Async sched))
+    ~source:fixture.Fixtures.source ~start:fixture.Fixtures.start ~optimum:4
+
+(* A paper deployment (n = 100, deployment seed 2) under a named
+   interference model, sync when [rate = 0] and duty-cycled otherwise. *)
+let paper_model ~phy ~rate =
+  let n = 100 and seed = 2 in
+  let net =
+    Mlbs_wsn.Deployment.generate (Mlbs_prng.Rng.create seed)
+      (Mlbs_wsn.Deployment.paper_spec ~n_nodes:n)
+  in
+  let phy = Result.get_ok (Mlbs_phy.Interference.parse phy) in
+  let system =
+    if rate = 0 then Model.Sync
+    else
+      Model.Async
+        (Mlbs_dutycycle.Wake_schedule.create ~rate ~n_nodes:n ~seed:(seed * 104729) ())
+  in
+  Model.create ~phy net system
+
+(* A seeded plan whose search exhausts the budget reruns without seeds,
+   so it returns the cold degraded plan's schedule byte for byte. The
+   seed set is one entry of an exact snapshot; the budget is far below
+   the instance's 139 states. *)
+let test_seeded_exhaustion_restarts () =
+  let model = paper_model ~phy:"udg" ~rate:4 in
+  let tiny = { Mcounter.max_states = 5; lookahead = 2; beam = 4 } in
+  let _, snap =
+    Mcounter.plan_snapshot model Choices.Greedy ~budget:Mcounter.default_budget ~source:0
+      ~start:1
+  in
+  let admitted = ref 0 in
+  let valid _ =
+    incr admitted;
+    !admitted = 1
+  in
+  Obs.enable ~metrics:true ();
+  Metrics.reset ();
+  let seeded, snap' =
+    Mcounter.plan_snapshot ~seeds:(snap, valid) model Choices.Greedy ~budget:tiny ~source:0
+      ~start:1
+  in
+  let n_seeded = Metrics.counter_value "search/seeded_entries" in
+  Obs.disable ();
+  Alcotest.(check int) "one entry seeded" 1 n_seeded;
+  Alcotest.(check bool) "degraded snapshot" false (Mcounter.snapshot_exact snap');
+  let cold = Mcounter.plan model Choices.Greedy ~budget:tiny ~source:0 ~start:1 in
+  Alcotest.(check string) "cold schedule bytes"
+    (Mlbs_server.Codec.schedule_bytes cold)
+    (Mlbs_server.Codec.schedule_bytes seeded)
+
+(* ---------------------- pinned search work ------------------------ *)
+
+(* The search's work on a fixed grid of paper deployments (source 0,
+   start 1): evaluated finish, exactness and states, and the memo
+   entries a cold plan's snapshot holds. A change that only reorganises
+   the search leaves every row as it is; a change to what the search
+   expands updates the rows on purpose. *)
+let opt = Choices.All { max_sets = 64 }
+
+let pinned =
+  let d = Mcounter.default_budget in
+  let capped k = { d with Mcounter.max_states = k } in
+  (* phy, rate (0 = sync), policy, space, budget, (finish, exact, states, entries) *)
+  [
+    ("udg", 0, "G-OPT", Choices.Greedy, d, (8, true, 8, 8));
+    ("udg", 0, "OPT", opt, d, (8, true, 8, 8));
+    ("udg", 4, "G-OPT", Choices.Greedy, d, (16, true, 139, 139));
+    ("udg", 4, "OPT", opt, d, (16, true, 63, 63));
+    ("mc:2", 0, "G-OPT", Choices.Greedy, d, (8, true, 8, 8));
+    ("mc:2", 0, "OPT", opt, d, (8, true, 8, 8));
+    ("mc:2", 4, "G-OPT", Choices.Greedy, d, (16, true, 29, 29));
+    ("mc:2", 4, "OPT", opt, d, (16, true, 21, 21));
+    ("sinr", 0, "G-OPT", Choices.Greedy, d, (9, true, 111, 111));
+    ("sinr", 0, "OPT", opt, d, (8, true, 36, 36));
+    ("sinr", 4, "G-OPT", Choices.Greedy, d, (16, true, 423, 423));
+    ("sinr", 4, "OPT", opt, d, (16, true, 180, 180));
+    ("sinr", 4, "G-OPT", Choices.Greedy, capped 100, (16, false, 101, 100));
+    ("sinr", 0, "OPT", opt, capped 20, (8, false, 21, 20));
+  ]
+
+let pinned_case (phy, rate, policy, space, budget, (finish, exact, states, entries)) =
+  let name =
+    Printf.sprintf "%s %s %s%s" phy
+      (if rate = 0 then "sync" else Printf.sprintf "r=%d" rate)
+      policy
+      (if budget = Mcounter.default_budget then ""
+       else Printf.sprintf " max_states=%d" budget.Mcounter.max_states)
+  in
+  Alcotest.test_case name `Quick (fun () ->
+      let model = paper_model ~phy ~rate in
+      let e =
+        Mcounter.evaluate model space ~budget ~w:(Model.initial_w model ~source:0) ~slot:1
+      in
+      Alcotest.(check int) "finish" finish e.Mcounter.finish;
+      Alcotest.(check bool) "exact" exact e.Mcounter.exact;
+      Alcotest.(check int) "states" states e.Mcounter.states;
+      let _, snap = Mcounter.plan_snapshot model space ~budget ~source:0 ~start:1 in
+      Alcotest.(check int) "snapshot entries" entries (Mcounter.snapshot_entries snap))
 
 (* ------------------------ properties ------------------------------ *)
 
@@ -117,6 +224,20 @@ let gen_sync = Test_support.gen_sync_model
 let gen_async = Test_support.gen_async_model
 
 let initial model = Model.initial_w model ~source:0
+
+(* Monotonicity holds in the whole maximal-set space, where a schedule
+   from W replays from any W' ⊇ W. The greedy classes are rebuilt from
+   each W and are not monotone (test_bounds.ml pins a counterexample). *)
+let monotone (model, seed) =
+  let space = Choices.All { max_sets = 4096 } in
+  let w = initial model in
+  let n = Model.n_nodes model in
+  let extra = seed mod n in
+  let w' = Bitset.copy w in
+  Bitset.add w' extra;
+  let m1 = eval model space ~w ~slot:1 in
+  let m2 = eval model space ~w:w' ~slot:1 in
+  (not (m1.Mcounter.exact && m2.Mcounter.exact)) || m2.Mcounter.finish <= m1.Mcounter.finish
 
 let props =
   [
@@ -137,16 +258,7 @@ let props =
         let g = eval model Choices.Greedy ~w ~slot:1 in
         let r = Mcounter.rollout_finish model Choices.Greedy ~w ~slot:1 in
         (not g.Mcounter.exact) || r >= g.Mcounter.finish);
-    prop "monotone: informing one more node never hurts" gen_sync (fun (model, seed) ->
-        let w = initial model in
-        let n = Model.n_nodes model in
-        let extra = seed mod n in
-        let w' = Bitset.copy w in
-        Bitset.add w' extra;
-        let m1 = eval model Choices.Greedy ~w ~slot:1 in
-        let m2 = eval model Choices.Greedy ~w:w' ~slot:1 in
-        (not (m1.Mcounter.exact && m2.Mcounter.exact))
-        || m2.Mcounter.finish <= m1.Mcounter.finish);
+    prop "monotone: informing one more node never hurts" gen_sync monotone;
     prop "sync time-shift invariance: M(w,t+k) = M(w,t)+k" gen_sync (fun (model, _) ->
         let w = initial model in
         let a = eval model Choices.Greedy ~w ~slot:1 in
@@ -189,6 +301,8 @@ let props =
         let s = eval sync_model Choices.Greedy ~w:(initial sync_model) ~slot:1 in
         (not (a.Mcounter.exact && s.Mcounter.exact))
         || a.Mcounter.finish >= s.Mcounter.finish);
+    prop ~count:100 "monotone on sparse deployments (OPT space)"
+      Test_support.gen_sparse_sync_model monotone;
   ]
 
 let () =
@@ -208,6 +322,9 @@ let () =
           Alcotest.test_case "fig1 plan" `Quick test_plan_matches_evaluation_fig1;
           Alcotest.test_case "fig2 async plan" `Quick test_plan_async_fig2;
           Alcotest.test_case "budget fallback" `Quick test_budget_fallback_still_valid;
+          Alcotest.test_case "seeded exhaustion restarts" `Quick
+            test_seeded_exhaustion_restarts;
         ] );
       ("properties", props);
+      ("pinned", List.map pinned_case pinned);
     ]
