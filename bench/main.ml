@@ -1,49 +1,51 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation, runs the ablation studies, and times the schedulers with
-   Bechamel.
+   evaluation, runs the ablation studies, times the schedulers with
+   Bechamel, and drives the service, churn, fleet, search, model and
+   improver benches.
 
      dune exec bench/main.exe                 # everything, full sweep
      dune exec bench/main.exe -- --quick      # reduced sweep
      dune exec bench/main.exe -- fig3 table2  # selected targets
      dune exec bench/main.exe -- --jobs 4 fig3  # 4 worker domains
-     dune exec bench/main.exe -- --smoke      # CI-sized, no JSON
-     dune exec bench/main.exe -- --smoke --compare BENCH_SMOKE.json
+     dune exec bench/main.exe -- --smoke --compare BENCH_9.json  # CI gate
+     dune exec bench/main.exe -- --smoke --json BENCH_9.json     # re-record it
 
    Targets: table2 table3 table4 fig3 fig4 fig5 fig6 fig7 reliability
    ablation service churn fleet micro search models improve
    (default: all).
    The service target drives an in-process scheduling daemon over its
-   Unix socket — cold (distinct instances) then warm (cache hits) — and
-   dumps throughput and p50/p95/p99 to BENCH_3.json (suppressed with
-   the other JSON under --smoke). The search target times the
-   default-budget cold-solve kernels on fixed instances and dumps them
-   to BENCH_6.json. The models target compares the interference
-   backends (udg / sinr / mc:2 / mc:3) on shared deployments — solve
-   ns/run plus scheduled rounds and transmissions — and dumps them to
-   BENCH_7.json. The improve target sweeps the GLS/VNS anytime
-   improver over fixed G-OPT starts at increasing evaluation budgets
-   (best of a small seed portfolio per point, every improved schedule
-   re-validated by radio replay) — the quality-vs-budget curve behind
-   BENCH_8.json — plus two ns/run gate kernels.
+   Unix socket — cold (distinct instances) then warm (cache hits). The
+   churn target times warm-started repair against full re-solves and
+   byte-compares every repair; fleet drives a front over 1/2/4 shards
+   and kills one. The search target times the default-budget cold-solve
+   kernels on fixed instances. The models target compares the
+   interference backends (udg / sinr / mc:2 / mc:3) on shared
+   deployments — solve ns/run plus scheduled rounds and transmissions.
+   The improve target sweeps the GLS/VNS anytime improver over fixed
+   G-OPT starts at increasing evaluation budgets (best of a small seed
+   portfolio per point, every improved schedule re-validated by radio
+   replay) plus two ns/run kernels.
 
-   Flags: --quick (reduced sweep), --smoke (Config.smoke — the CI
-   gate: smallest sweep, JSON suppressed unless --json is given
-   explicitly), --micro-quick (run only a representative subset of the
-   Bechamel micro kernels — the bulk of a smoke run's wall clock),
-   --jobs N (worker domains, default all cores),
-   --json FILE (machine-readable timings, default BENCH_2.json),
-   --no-json, --compare FILE (diff this run against a previous JSON
-   dump: per-kernel old/new/Δ, exit non-zero when any tracked micro
-   kernel regresses beyond --compare-threshold percent, default 25;
-   section timings are reported but never gate), --trace FILE /
-   --metrics FILE (record observability artifacts for the whole run;
+   Every number a run records is one row of rows.ml's schema
+   {target, name, metric, value, unit}: section wall-clock (figures
+   additionally run at jobs=1 first — a parallel-speedup baseline and
+   warm-up — with a byte-identity check on the rendered output), every
+   Bechamel ns/run estimate, and each target's own table.
+
+   Flags: --quick (reduced sweep), --smoke (Config.smoke plus the
+   representative micro-kernel subset — the CI gate; no JSON unless
+   --json is given), --jobs N (worker domains, default all cores),
+   --json FILE (the rows, default BENCH_9.json; the committed file is a
+   --smoke run, the CI baseline), --no-json, --compare FILE (gate this
+   run's rows against a previous dump with rows.ml's rule: an ns row
+   more than Rows.threshold_pct slower, or missing from a target that
+   ran, exits non-zero; every other row is reported only), --trace FILE
+   / --metrics FILE (record observability artifacts for the whole run;
    off by default so timed sections pay only the registry's disabled
    branch — which is exactly what the --compare gate then measures).
 
-   Unless --no-json is given, the harness writes per-section wall-clock
-   (figures additionally run at jobs=1 first — a parallel-speedup
-   baseline and warm-up — with a byte-identity check on the rendered
-   output) plus the Bechamel ns/run estimates. *)
+   A churn repair that is not byte-identical to a full re-solve, or an
+   improved schedule that fails the radio replay, also exits non-zero. *)
 
 module Config = Mlbs_workload.Config
 module Figures = Mlbs_workload.Figures
@@ -62,7 +64,7 @@ module Validate = Mlbs_sim.Validate
 module Improve = Mlbs_search.Improve
 module Obs = Mlbs_obs.Obs
 module Obs_metrics = Mlbs_obs.Metrics
-module Obs_export = Mlbs_obs.Export
+module Rows = Bench_rows.Rows
 module Telemetry = Mlbs_workload.Telemetry
 
 (* Monotonic nanoseconds (CLOCK_MONOTONIC via bechamel's stubs), so
@@ -80,21 +82,35 @@ let timed f =
   Printf.printf "(%.1fs)\n\n%!" dt;
   dt
 
-(* One row of BENCH_2.json: wall-clock at the configured jobs, plus the
-   jobs=1 comparison run for figure sweeps (defaulting to the timed run
-   itself for single-run sections, so the field is always present). *)
-type entry = { name : string; seconds : float; seconds_jobs1 : float }
+(* Every row this run records, newest first. Values keep six significant
+   digits: timings are noisier than that, and the file stays readable. *)
+let rows : Rows.row list ref = ref []
 
-let log : entry list ref = ref []
+let emit target name metrics =
+  List.iter
+    (fun (metric, unit, v) ->
+      let value = float_of_string (Printf.sprintf "%.6g" v) in
+      rows := { Rows.target; name; metric; value; unit } :: !rows)
+    metrics
+
+(* Why this run fails, newest first: churn and improver checks, then the
+   regression compare. *)
+let failures : string list ref = ref []
 
 (* Section timings also feed the registry (a no-op unless --metrics is
-   on), so a telemetry-enabled bench run ships its phase profile. *)
+   on), so a telemetry-enabled bench run ships its phase profile. Every
+   section is named after its target; the jobs=1 comparison run of a
+   figure sweep defaults to the timed run itself for single-run
+   sections, so both rows are always present. *)
 let h_section_ms = Obs_metrics.histogram "bench/section_ms"
 
-let record name ?seconds_jobs1 seconds =
+let record target ?seconds_jobs1 seconds =
   Obs_metrics.observe h_section_ms (int_of_float (seconds *. 1000.));
-  let seconds_jobs1 = Option.value seconds_jobs1 ~default:seconds in
-  log := { name; seconds; seconds_jobs1 } :: !log
+  emit target "section"
+    [
+      ("seconds", "s", seconds);
+      ("seconds_jobs1", "s", Option.value seconds_jobs1 ~default:seconds);
+    ]
 
 (* ------------------------ paper tables ----------------------------- *)
 
@@ -207,7 +223,7 @@ module Sv_daemon = Mlbs_server.Daemon
 module Sv_client = Mlbs_server.Client
 module Sv_codec = Mlbs_server.Codec
 
-(* One phase of the service benchmark (BENCH_3.json). *)
+(* One load phase of the service or fleet bench. *)
 type phase = {
   pname : string;
   requests : int;
@@ -226,9 +242,25 @@ let percentile sorted q =
               (Array.length sorted - 1)
               (int_of_float (ceil (q *. float_of_int (Array.length sorted))) - 1))
 
-let service_phase name ~socket ~concurrency ~requests req_of =
+let emit_phase target suffix p =
+  emit target
+    (Printf.sprintf "%s %s" p.pname suffix)
+    [
+      ("requests", "count", float_of_int p.requests);
+      ("seconds", "s", p.p_seconds);
+      ("rps", "1/s", p.rps);
+      ("p50", "us", p.p50_us);
+      ("p95", "us", p.p95_us);
+      ("p99", "us", p.p99_us);
+      ("cache_hits", "count", float_of_int p.hits);
+    ]
+
+(* [requests] requests from [concurrency] clients; returns the phase
+   with the rejected and failed request counts. *)
+let load_phase name ~socket ~concurrency ~requests req_of =
   let lat = Array.make requests 0.0 in
   let hits = Atomic.make 0 in
+  let rejected = Atomic.make 0 in
   let errors = Atomic.make 0 in
   let worker w () =
     let c, _, _ = Sv_client.connect (Sv_client.Unix_socket socket) in
@@ -238,7 +270,8 @@ let service_phase name ~socket ~concurrency ~requests req_of =
       let t0 = now_s () in
       (match Sv_client.request_retry ~attempts:8 c (req_of !i) with
       | Sv_client.Ok ok -> if ok.Sv_codec.cache_hit then Atomic.incr hits
-      | Sv_client.Rejected _ | Sv_client.Error _ -> Atomic.incr errors);
+      | Sv_client.Rejected _ -> Atomic.incr rejected
+      | Sv_client.Error _ -> Atomic.incr errors);
       lat.(!i) <- (now_s () -. t0) *. 1e6;
       i := !i + concurrency
     done
@@ -247,19 +280,19 @@ let service_phase name ~socket ~concurrency ~requests req_of =
   let threads = List.init concurrency (fun w -> Thread.create (worker w) ()) in
   List.iter Thread.join threads;
   let dt = now_s () -. t0 in
-  if Atomic.get errors > 0 then
-    Printf.printf "  WARNING: %d failed requests in %s phase\n%!" (Atomic.get errors) name;
   Array.sort compare lat;
-  {
-    pname = name;
-    requests;
-    p_seconds = dt;
-    rps = float_of_int requests /. dt;
-    p50_us = percentile lat 0.50;
-    p95_us = percentile lat 0.95;
-    p99_us = percentile lat 0.99;
-    hits = Atomic.get hits;
-  }
+  ( {
+      pname = name;
+      requests;
+      p_seconds = dt;
+      rps = float_of_int requests /. dt;
+      p50_us = percentile lat 0.50;
+      p95_us = percentile lat 0.95;
+      p99_us = percentile lat 0.99;
+      hits = Atomic.get hits;
+    },
+    Atomic.get rejected,
+    Atomic.get errors )
 
 (* Cold phase: every request is a distinct instance — pays deployment
    generation, source selection and the solve. Warm phase: the same
@@ -272,7 +305,7 @@ let run_service cfg ~smoke =
        cfg.Config.jobs);
   (* The daemon force-enables the metrics registry; restore the bench's
      registry state afterwards so later timed sections (micro!) still
-     run with the disabled-branch cost the baseline JSON was recorded
+     run with the disabled-branch cost the baseline rows were recorded
      under. *)
   let metrics0 = Obs.metrics_enabled () and tracing0 = Obs.tracing_enabled () in
   let n = List.fold_left max 50 cfg.Config.node_counts in
@@ -311,9 +344,15 @@ let run_service cfg ~smoke =
           if tracing0 then Obs.enable ~metrics:false ~tracing:true ()
         end)
       (fun () ->
-        let cold = service_phase "cold" ~socket ~concurrency ~requests:instances req_of in
-        let warm = service_phase "warm" ~socket ~concurrency ~requests:warm_requests req_of in
-        (cold, warm))
+        let phase name requests =
+          let p, rejected, errors = load_phase name ~socket ~concurrency ~requests req_of in
+          if rejected + errors > 0 then
+            Printf.printf "  WARNING: %d failed requests in %s phase\n%!" (rejected + errors)
+              name;
+          p
+        in
+        let cold = phase "cold" instances in
+        (cold, phase "warm" warm_requests))
   in
   let dt = now_s () -. t0 in
   let speedup = warm.rps /. cold.rps in
@@ -327,33 +366,10 @@ let run_service cfg ~smoke =
     [ cold; warm ];
   Printf.printf "  warm/cold throughput: %.1fx\n" speedup;
   Printf.printf "(%.1fs)\n\n%!" dt;
-  record "service" dt;
-  (cold, warm, speedup, n, instances, concurrency)
-
-let write_bench3 path ~jobs (cold, warm, speedup, n, instances, concurrency) =
-  let oc = open_out path in
-  let p fmt = Printf.fprintf oc fmt in
-  p "{\n";
-  p "  \"schema\": \"mlbs-bench-3\",\n";
-  p "  \"jobs\": %d,\n" jobs;
-  p "  \"host_cores\": %d,\n" (Pool.default_jobs ());
-  p "  \"n_nodes\": %d,\n" n;
-  p "  \"instances\": %d,\n" instances;
-  p "  \"concurrency\": %d,\n" concurrency;
-  p "  \"phases\": [\n";
-  List.iteri
-    (fun i ph ->
-      p
-        "    {\"name\": \"%s\", \"requests\": %d, \"seconds\": %.3f, \"rps\": %.1f, \
-         \"p50_us\": %.1f, \"p95_us\": %.1f, \"p99_us\": %.1f, \"cache_hits\": %d}%s\n"
-        ph.pname ph.requests ph.p_seconds ph.rps ph.p50_us ph.p95_us ph.p99_us ph.hits
-        (if i = 1 then "" else ","))
-    [ cold; warm ];
-  p "  ],\n";
-  p "  \"warm_over_cold_speedup\": %.1f\n" speedup;
-  p "}\n";
-  close_out oc;
-  Printf.printf "wrote %s\n" path
+  let suffix = Printf.sprintf "(n=%d, %d instances, %d clients)" n instances concurrency in
+  List.iter (emit_phase "service" suffix) [ cold; warm ];
+  emit "service" "warm/cold" [ ("speedup", "x", speedup) ];
+  record "service" dt
 
 (* ------------------------- churn bench ----------------------------- *)
 
@@ -363,14 +379,13 @@ module Deployment = Mlbs_wsn.Deployment
 module Network = Mlbs_wsn.Network
 module Rng = Mlbs_prng.Rng
 
-(* One churn level of BENCH_4.json: [c_k] nodes drift per event, the
+(* One churn level: [c_k] nodes drift per event, the
    repaired schedule is byte-compared against a full re-solve of the
    edited model every time (the re-solve doubles as the resolve
    timing). *)
 type churn_level = {
   c_pct : int;
   c_k : int;
-  c_events : int;
   repair_mean_us : float;
   repair_p50_us : float;
   resolve_mean_us : float;
@@ -419,7 +434,6 @@ let run_churn_level ~net ~model ~source ~policy ~snap ~sched ~rng ~events ~pct =
   {
     c_pct = pct;
     c_k = k;
-    c_events = events;
     repair_mean_us = mean rep_us;
     repair_p50_us = median rep_us;
     resolve_mean_us = mean res_us;
@@ -452,8 +466,6 @@ let run_churn_levels ~n ~seed ~events ~pcts =
    (cold), then a stream of [Reschedule] frames — every one a cache
    miss on the edited digest, served by warm-started repair. *)
 type churn_service = {
-  s_n : int;
-  s_events : int;
   s_cold_us : float;
   s_warm_us : float;
       (* near-miss solves: the same broadcast re-issued at later start
@@ -570,8 +582,6 @@ let run_churn_service cfg ~n ~seed ~events ~pct =
     | None -> 0
   in
   {
-    s_n = n;
-    s_events = events;
     s_cold_us = cold_us;
     s_warm_us = warm_us;
     s_repair_mean_us = mean lat;
@@ -580,19 +590,16 @@ let run_churn_service cfg ~n ~seed ~events ~pct =
     s_errors = !errors;
   }
 
-(* The CI gate pair: repair and resolve at a fixed small size, present
-   in every BENCH_4.json regardless of --smoke so the committed
-   baseline and the CI run always share these two kernel names. *)
+(* The gate pair: repair and resolve at a fixed small size, whatever
+   --smoke says, so the baseline and every run share these two kernel
+   names. Returns the repairs that were not byte-identical. *)
 let churn_gate_kernels () =
-  let levels = run_churn_levels ~n:80 ~seed:7 ~events:6 ~pcts:[ 10 ] in
-  match levels with
+  match run_churn_levels ~n:80 ~seed:7 ~events:6 ~pcts:[ 10 ] with
   | [ l ] ->
-      ( l.c_mismatches,
-        [
-          ("churn/repair (n=80, 10%)", l.repair_mean_us *. 1e3);
-          ("churn/resolve (n=80, 10%)", l.resolve_mean_us *. 1e3);
-        ] )
-  | _ -> (0, [])
+      emit "churn" "churn/repair (n=80, 10%)" [ ("mean", "ns", l.repair_mean_us *. 1e3) ];
+      emit "churn" "churn/resolve (n=80, 10%)" [ ("mean", "ns", l.resolve_mean_us *. 1e3) ];
+      l.c_mismatches
+  | _ -> 0
 
 let run_churn cfg ~smoke =
   let n = if smoke then 80 else 300 in
@@ -619,54 +626,41 @@ let run_churn cfg ~smoke =
      %8.0f), %d warm-start hits%s\n"
     svc.s_cold_us svc.s_warm_us svc.s_repair_mean_us svc.s_repair_p50_us svc.s_warm_hits
     (if svc.s_errors = 0 then "" else Printf.sprintf "  %d ERRORS" svc.s_errors);
-  let gate_mismatches, kernels = churn_gate_kernels () in
+  List.iter
+    (fun l ->
+      emit "churn"
+        (Printf.sprintf "drift %d%% (n=%d, k=%d)" l.c_pct n l.c_k)
+        [
+          ("repair_mean", "us", l.repair_mean_us);
+          ("repair_p50", "us", l.repair_p50_us);
+          ("resolve_mean", "us", l.resolve_mean_us);
+          ("resolve_p50", "us", l.resolve_p50_us);
+          ("speedup_mean", "x", l.speedup_mean);
+          ("speedup_p50", "x", l.speedup_p50);
+          ("mismatches", "count", float_of_int l.c_mismatches);
+        ])
+    levels;
+  emit "churn"
+    (Printf.sprintf "service (n=%d, %d events)" n events)
+    [
+      ("cold", "us", svc.s_cold_us);
+      ("warm", "us", svc.s_warm_us);
+      ("repair_mean", "us", svc.s_repair_mean_us);
+      ("repair_p50", "us", svc.s_repair_p50_us);
+      ("warmstart_hits", "count", float_of_int svc.s_warm_hits);
+      ("errors", "count", float_of_int svc.s_errors);
+    ];
+  let mismatches =
+    churn_gate_kernels () + List.fold_left (fun a l -> a + l.c_mismatches) 0 levels
+  in
   let dt = now_s () -. t0 in
   Printf.printf "(%.1fs)\n\n%!" dt;
   record "churn" dt;
-  let mismatches =
-    gate_mismatches + List.fold_left (fun a l -> a + l.c_mismatches) 0 levels
-  in
-  (levels, svc, kernels, mismatches, n, events)
-
-let write_bench4 path ~jobs (levels, svc, kernels, _, n, events) =
-  let oc = open_out path in
-  let p fmt = Printf.fprintf oc fmt in
-  p "{\n";
-  p "  \"schema\": \"mlbs-bench-4\",\n";
-  p "  \"jobs\": %d,\n" jobs;
-  p "  \"host_cores\": %d,\n" (Pool.default_jobs ());
-  p "  \"n_nodes\": %d,\n" n;
-  p "  \"events_per_level\": %d,\n" events;
-  p "  \"policy\": \"gopt\",\n";
-  p "  \"levels\": [\n";
-  List.iteri
-    (fun i l ->
-      p
-        "    {\"churn_pct\": %d, \"k\": %d, \"repair_mean_us\": %.1f, \"repair_p50_us\": \
-         %.1f, \"resolve_mean_us\": %.1f, \"resolve_p50_us\": %.1f, \"speedup_mean\": \
-         %.2f, \"speedup_p50\": %.2f, \"byte_equal\": %b}%s\n"
-        l.c_pct l.c_k l.repair_mean_us l.repair_p50_us l.resolve_mean_us l.resolve_p50_us
-        l.speedup_mean l.speedup_p50
-        (l.c_mismatches = 0)
-        (if i = List.length levels - 1 then "" else ","))
-    levels;
-  p "  ],\n";
-  p
-    "  \"service\": {\"n_nodes\": %d, \"events\": %d, \"cold_us\": %.1f, \"warm_us\": \
-     %.1f, \"repair_mean_us\": %.1f, \"repair_p50_us\": %.1f, \"warmstart_hits\": %d, \
-     \"errors\": %d},\n"
-    svc.s_n svc.s_events svc.s_cold_us svc.s_warm_us svc.s_repair_mean_us
-    svc.s_repair_p50_us svc.s_warm_hits svc.s_errors;
-  p "  \"micro_ns_per_run\": [\n";
-  List.iteri
-    (fun i (name, ns) ->
-      p "    {\"name\": \"%s\", \"ns\": %.1f}%s\n" name ns
-        (if i = List.length kernels - 1 then "" else ","))
-    kernels;
-  p "  ]\n";
-  p "}\n";
-  close_out oc;
-  Printf.printf "wrote %s\n" path
+  if mismatches > 0 then
+    failures :=
+      Printf.sprintf "%d repaired schedules were not byte-identical to full re-solves"
+        mismatches
+      :: !failures
 
 (* ------------------------- fleet bench ----------------------------- *)
 
@@ -741,60 +735,6 @@ let kill_shard = function
       Sv_daemon.stop d;
       Sv_daemon.wait d
 
-(* service_phase, plus the reject/error split the degraded phase needs. *)
-let fleet_phase name ~socket ~concurrency ~requests req_of =
-  let lat = Array.make requests 0.0 in
-  let hits = Atomic.make 0 in
-  let rejected = Atomic.make 0 in
-  let errors = Atomic.make 0 in
-  let worker w () =
-    let c, _, _ = Sv_client.connect (Sv_client.Unix_socket socket) in
-    Fun.protect ~finally:(fun () -> Sv_client.close c) @@ fun () ->
-    let i = ref w in
-    while !i < requests do
-      let t0 = now_s () in
-      (match Sv_client.request_retry ~attempts:8 c (req_of !i) with
-      | Sv_client.Ok ok -> if ok.Sv_codec.cache_hit then Atomic.incr hits
-      | Sv_client.Rejected _ -> Atomic.incr rejected
-      | Sv_client.Error _ -> Atomic.incr errors);
-      lat.(!i) <- (now_s () -. t0) *. 1e6;
-      i := !i + concurrency
-    done
-  in
-  let t0 = now_s () in
-  let threads = List.init concurrency (fun w -> Thread.create (worker w) ()) in
-  List.iter Thread.join threads;
-  let dt = now_s () -. t0 in
-  Array.sort compare lat;
-  ( {
-      pname = name;
-      requests;
-      p_seconds = dt;
-      rps = float_of_int requests /. dt;
-      p50_us = percentile lat 0.50;
-      p95_us = percentile lat 0.95;
-      p99_us = percentile lat 0.99;
-      hits = Atomic.get hits;
-    },
-    Atomic.get rejected,
-    Atomic.get errors )
-
-type fleet_row = {
-  fr_shards : int;
-  fr_cold : phase;
-  fr_warm : phase;
-  fr_rejected : int;
-  fr_fill_hits : int;
-}
-
-type fleet_degraded = {
-  fd_shards : int;
-  fd_phase : phase;
-  fd_rejected : int;
-  fd_errors : int;
-  fd_rebalances : int;
-}
-
 let front_stats socket =
   let c, _, _ = Sv_client.connect (Sv_client.Unix_socket socket) in
   Fun.protect ~finally:(fun () -> Sv_client.close c) (fun () -> Sv_client.stats c)
@@ -806,8 +746,8 @@ let stat_diff before after k =
   let get kvs = Option.value ~default:0 (List.assoc_opt k kvs) in
   get after - get before
 
-(* Fixed small-n rows (the BENCH_5 gate compares p50 latencies by name,
-   so sizes must not move with --smoke): shard counts 1/2/4 through one
+(* Fixed small-n rows (the gate compares p50 latencies by name, so
+   sizes must not move with --smoke): shard counts 1/2/4 through one
    front, cold then warm, and a kill-one-shard degraded phase at 4. *)
 let run_fleet cfg ~smoke =
   section (Printf.sprintf "Fleet (front + sharded backends, jobs=%d)" cfg.Config.jobs);
@@ -827,150 +767,78 @@ let run_fleet cfg ~smoke =
       model = Mlbs_phy.Interference.Udg;
     }
   in
+  Printf.printf "  %d instances (n=%d), %d clients, %s shards\n" instances n concurrency
+    (match Lazy.force cli_exe with Some _ -> "process" | None -> "in-process");
   let t0 = now_s () in
-  let degraded = ref None in
-  let rows =
-    List.map
-      (fun shards ->
-        let members = List.init shards (fun _ -> spawn_shard ()) in
-        let socket = Filename.temp_file "mlbs-fleet" ".sock" in
-        let fcfg =
-          {
-            (Sv_fleet.default_config
-               ~backends:(List.map shard_endpoint members)
-               ~socket_path:socket)
-            with
-            Sv_fleet.health_period = 0.2;
-          }
-        in
-        let t = Sv_fleet.start fcfg in
-        Fun.protect
-          ~finally:(fun () ->
-            Sv_fleet.stop t;
-            Sv_fleet.wait t;
-            List.iter kill_shard members;
-            try Sys.remove socket with Sys_error _ -> ())
-          (fun () ->
-            let s0 = front_stats socket in
-            let cold, _, _ =
-              fleet_phase "cold" ~socket ~concurrency ~requests:instances req_of
+  List.iter
+    (fun shards ->
+      let label = Printf.sprintf "(%d shard%s)" shards (if shards = 1 then "" else "s") in
+      let members = List.init shards (fun _ -> spawn_shard ()) in
+      let socket = Filename.temp_file "mlbs-fleet" ".sock" in
+      let fcfg =
+        {
+          (Sv_fleet.default_config
+             ~backends:(List.map shard_endpoint members)
+             ~socket_path:socket)
+          with
+          Sv_fleet.health_period = 0.2;
+        }
+      in
+      let t = Sv_fleet.start fcfg in
+      Fun.protect
+        ~finally:(fun () ->
+          Sv_fleet.stop t;
+          Sv_fleet.wait t;
+          List.iter kill_shard members;
+          try Sys.remove socket with Sys_error _ -> ())
+        (fun () ->
+          let s0 = front_stats socket in
+          let cold, _, _ = load_phase "cold" ~socket ~concurrency ~requests:instances req_of in
+          let warm, rejected, _ =
+            load_phase "warm" ~socket ~concurrency ~requests:warm_requests req_of
+          in
+          let s1 = front_stats socket in
+          let fills = stat_diff s0 s1 "server/fleet/fill_hits" in
+          Printf.printf
+            "  %d shard%s: cold %7.0f req/s   warm %7.0f req/s  p50=%.0fus p99=%.0fus  (%d \
+             hits, %d rejected, %d fills)\n"
+            shards
+            (if shards = 1 then " " else "s")
+            cold.rps warm.rps warm.p50_us warm.p99_us warm.hits rejected fills;
+          List.iter (emit_phase "fleet" label) [ cold; warm ];
+          emit "fleet" ("warm " ^ label)
+            [ ("rejected", "count", float_of_int rejected); ("fill_hits", "count", float_of_int fills) ];
+          if shards <> 2 then
+            emit "fleet" ("fleet/warm p50 " ^ label) [ ("p50", "ns", warm.p50_us *. 1e3) ];
+          if shards = 4 then begin
+            (* Chaos: SIGKILL one shard, drive the same load straight
+               through the reroute storm. *)
+            kill_shard (List.hd members);
+            let ph, rejected, errors =
+              load_phase "degraded" ~socket ~concurrency ~requests:(warm_requests / 2) req_of
             in
-            let warm, warm_rej, _ =
-              fleet_phase "warm" ~socket ~concurrency ~requests:warm_requests req_of
-            in
-            let s1 = front_stats socket in
-            if shards = 4 then begin
-              (* Chaos: SIGKILL one shard, drive the same load straight
-                 through the reroute storm. *)
-              kill_shard (List.hd members);
-              let ph, rej, errs =
-                fleet_phase "degraded" ~socket ~concurrency
-                  ~requests:(warm_requests / 2) req_of
-              in
-              let s2 = front_stats socket in
-              degraded :=
-                Some
-                  {
-                    fd_shards = shards;
-                    fd_phase = ph;
-                    fd_rejected = rej;
-                    fd_errors = errs;
-                    fd_rebalances = stat_diff s1 s2 "server/fleet/rebalances";
-                  }
-            end;
-            {
-              fr_shards = shards;
-              fr_cold = cold;
-              fr_warm = warm;
-              fr_rejected = warm_rej;
-              fr_fill_hits = stat_diff s0 s1 "server/fleet/fill_hits";
-            }))
-      [ 1; 2; 4 ]
-  in
+            let rebalances = stat_diff s1 (front_stats socket) "server/fleet/rebalances" in
+            Printf.printf
+              "  kill 1/%d: %7.0f req/s  p50=%.0fus p99=%.0fus  (%d rejected, %d errors, %d \
+               rebalances)\n"
+              shards ph.rps ph.p50_us ph.p99_us rejected errors rebalances;
+            emit_phase "fleet" label ph;
+            emit "fleet" ("degraded " ^ label)
+              [
+                ("rejected", "count", float_of_int rejected);
+                ("errors", "count", float_of_int errors);
+                ("rebalances", "count", float_of_int rebalances);
+              ];
+            emit "fleet" ("fleet/degraded p50 " ^ label) [ ("p50", "ns", ph.p50_us *. 1e3) ]
+          end))
+    [ 1; 2; 4 ];
   if not metrics0 then begin
     Obs.disable ();
     if tracing0 then Obs.enable ~metrics:false ~tracing:true ()
   end;
-  Printf.printf "  %d instances (n=%d), %d clients, %s shards\n" instances n concurrency
-    (match Lazy.force cli_exe with Some _ -> "process" | None -> "in-process");
-  List.iter
-    (fun r ->
-      Printf.printf
-        "  %d shard%s: cold %7.0f req/s   warm %7.0f req/s  p50=%.0fus p99=%.0fus  \
-         (%d hits, %d rejected, %d fills)\n"
-        r.fr_shards
-        (if r.fr_shards = 1 then " " else "s")
-        r.fr_cold.rps r.fr_warm.rps r.fr_warm.p50_us r.fr_warm.p99_us r.fr_warm.hits
-        r.fr_rejected r.fr_fill_hits)
-    rows;
-  (match !degraded with
-  | Some d ->
-      Printf.printf
-        "  kill 1/%d: %7.0f req/s  p50=%.0fus p99=%.0fus  (%d rejected, %d errors, %d \
-         rebalances)\n"
-        d.fd_shards d.fd_phase.rps d.fd_phase.p50_us d.fd_phase.p99_us d.fd_rejected
-        d.fd_errors d.fd_rebalances
-  | None -> ());
-  let kernels =
-    List.filter_map
-      (fun r ->
-        if r.fr_shards = 1 || r.fr_shards = 4 then
-          Some
-            ( Printf.sprintf "fleet/warm p50 (%d shard%s)" r.fr_shards
-                (if r.fr_shards = 1 then "" else "s"),
-              r.fr_warm.p50_us *. 1e3 )
-        else None)
-      rows
-    @
-    match !degraded with
-    | Some d -> [ ("fleet/degraded p50 (4 shards)", d.fd_phase.p50_us *. 1e3) ]
-    | None -> []
-  in
   let dt = now_s () -. t0 in
   Printf.printf "(%.1fs)\n\n%!" dt;
-  record "fleet" dt;
-  (rows, !degraded, kernels)
-
-let write_bench5 path ~jobs (rows, degraded, kernels) =
-  let oc = open_out path in
-  let p fmt = Printf.fprintf oc fmt in
-  p "{\n";
-  p "  \"schema\": \"mlbs-bench-5\",\n";
-  p "  \"jobs\": %d,\n" jobs;
-  (* Warm rps scales with shard count only when the host has at least
-     one core per shard; on fewer cores the rows measure overhead. *)
-  p "  \"host_cores\": %d,\n" (Pool.default_jobs ());
-  p "  \"rows\": [\n";
-  List.iteri
-    (fun i r ->
-      p
-        "    {\"shards\": %d, \"cold_rps\": %.1f, \"warm_rps\": %.1f, \"warm_p50_us\": \
-         %.1f, \"warm_p99_us\": %.1f, \"warm_hits\": %d, \"rejected\": %d, \
-         \"fill_hits\": %d}%s\n"
-        r.fr_shards r.fr_cold.rps r.fr_warm.rps r.fr_warm.p50_us r.fr_warm.p99_us
-        r.fr_warm.hits r.fr_rejected r.fr_fill_hits
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  p "  ],\n";
-  (match degraded with
-  | Some d ->
-      p
-        "  \"degraded\": {\"shards\": %d, \"killed\": 1, \"rps\": %.1f, \"p50_us\": \
-         %.1f, \"p99_us\": %.1f, \"rejected\": %d, \"errors\": %d, \"rebalances\": \
-         %d},\n"
-        d.fd_shards d.fd_phase.rps d.fd_phase.p50_us d.fd_phase.p99_us d.fd_rejected
-        d.fd_errors d.fd_rebalances
-  | None -> ());
-  p "  \"micro_ns_per_run\": [\n";
-  List.iteri
-    (fun i (name, ns) ->
-      p "    {\"name\": \"%s\", \"ns\": %.1f}%s\n" name ns
-        (if i = List.length kernels - 1 then "" else ","))
-    kernels;
-  p "  ]\n";
-  p "}\n";
-  close_out oc;
-  Printf.printf "wrote %s\n" path
+  record "fleet" dt
 
 (* ------------------------ bechamel micro --------------------------- *)
 
@@ -1028,12 +896,11 @@ let micro_tests cfg =
                 (Mlbs_wsn.Deployment.paper_spec ~n_nodes:150))));
   ]
 
-(* The --micro-quick subset: one representative kernel per gated
-   family, so a CI smoke run still gates the conflict predicate, the
-   BFS bound, both G-OPT systems and the E-model without paying the
-   full 17-kernel session (which dominates the smoke run's wall
-   clock). *)
-let micro_quick_names =
+(* The --smoke subset: one representative kernel per gated family, so
+   a CI smoke run still gates the conflict predicate, the BFS bound,
+   both G-OPT systems and the E-model without paying the full 16-kernel
+   session (which dominates the smoke run's wall clock). *)
+let micro_smoke_names =
   [
     "kernel/conflict-test new (intersects3)";
     "kernel/hop lower bound (scratch BFS)";
@@ -1042,11 +909,9 @@ let micro_quick_names =
     "fig4/G-OPT";
   ]
 
-(* One bechamel session over [tests], grouped under [group]; returns
-   the sorted (name, ns/run) estimates and records the section under
-   [label]. *)
-let bechamel_session ~group ~label tests =
-  let estimates = ref [] in
+(* One bechamel session over [tests], grouped under [group]: one ns
+   row per estimate, then the section, all under [target]. *)
+let bechamel_session ~group ~target tests =
   let dt =
     timed (fun () ->
         let open Bechamel in
@@ -1064,36 +929,31 @@ let bechamel_session ~group ~label tests =
           (fun (name, result) ->
             match Analyze.OLS.estimates result with
             | Some [ est ] ->
-                estimates := (name, est) :: !estimates;
+                emit target name [ ("ns_per_run", "ns", est) ];
                 Printf.printf "  %-44s %14.0f ns/run\n" name est
             | _ -> Printf.printf "  %-44s (no estimate)\n" name)
           (List.sort compare rows))
   in
-  record label dt;
-  List.sort compare !estimates
+  record target dt
 
-let run_micro cfg ~micro_quick =
+let run_micro cfg ~smoke =
   let tests = micro_tests cfg in
   let tests =
-    if not micro_quick then tests
-    else
-      List.filter (fun t -> List.mem (Bechamel.Test.name t) micro_quick_names) tests
+    if not smoke then tests
+    else List.filter (fun t -> List.mem (Bechamel.Test.name t) micro_smoke_names) tests
   in
   section
-    (if micro_quick then
-       "Bechamel micro-benchmarks (one scheduling run, n=150; --micro-quick subset)"
+    (if smoke then "Bechamel micro-benchmarks (one scheduling run, n=150; --smoke subset)"
      else "Bechamel micro-benchmarks (one scheduling run, n=150)");
-  bechamel_session ~group:"mlbs" ~label:"micro" tests
+  bechamel_session ~group:"mlbs" ~target:"micro" tests
 
 (* ------------------------- search bench ---------------------------- *)
 
-(* The BENCH_6 kernels: the service's cold-solve path — Scheduler.run
-   at the default budget — on fixed instances, independent of
-   --quick/--smoke so every invocation gates against the committed
-   baseline on identical work. This is the path every cache miss,
-   fleet fill and churn re-solve pays. BENCH_2's fig3/G-OPT times the
-   same n=150 instance before the search gained its bound, dominance
-   and transposition-table pruning, and stays as history. *)
+(* The cold-solve kernels: the service's cold-solve path —
+   Scheduler.run at the default budget — on fixed instances,
+   independent of --quick/--smoke so every invocation gates against the
+   committed baseline on identical work. This is the path every cache
+   miss, fleet fill and churn re-solve pays. *)
 let search_tests () =
   let open Bechamel in
   let inst = Experiment.make_instance Config.default ~n:150 ~seed:1 in
@@ -1122,14 +982,14 @@ let search_tests () =
 
 let run_search () =
   section "Search-core kernels (default budget, cold solves)";
-  bechamel_session ~group:"search" ~label:"search" (search_tests ())
+  bechamel_session ~group:"search" ~target:"search" (search_tests ())
 
 (* ------------------------- model bench ----------------------------- *)
 
-(* The interference-backend comparison behind BENCH_7: cold G-OPT
-   solves per backend on shared deployments, at fixed sizes independent
-   of --smoke/--quick (like the search bench) so the committed JSON is
-   comparable across runs. The ns/run kernels price SINR's additive
+(* The interference-backend comparison: cold G-OPT solves per backend
+   on shared deployments, at fixed sizes independent of --smoke/--quick
+   (like the search bench) so the committed rows are comparable across
+   runs. The ns/run kernels price SINR's additive
    zone checks and multi-channel's first-fit grouping against the
    protocol model; the rounds/transmissions table records what the
    models *schedule* on the same deployment — channel separation
@@ -1181,17 +1041,19 @@ let run_models () =
   List.iter
     (fun (label, n, rounds, tx) ->
       Printf.printf "  %-6s n=%-4d latency=%-3d rounds  transmissions=%d\n" label n
-        rounds tx)
+        rounds tx;
+      emit "models"
+        (Printf.sprintf "G-OPT %s (n=%d)" label n)
+        [ ("rounds", "rounds", float_of_int rounds); ("transmissions", "count", float_of_int tx) ])
     lat;
-  let kernels = bechamel_session ~group:"models" ~label:"models" (model_tests insts) in
-  (kernels, lat)
+  bechamel_session ~group:"models" ~target:"models" (model_tests insts)
 
 (* ------------------------ improve bench ---------------------------- *)
 
-(* The quality-vs-budget sweep behind BENCH_8: GLS/VNS local search
-   from cold G-OPT starts on fixed instances (independent of
-   --quick/--smoke, like the search and model benches, so the
-   committed JSON is comparable across runs). Each sweep point takes
+(* The quality-vs-budget sweep: GLS/VNS local search from cold G-OPT
+   starts on fixed instances (independent of --quick/--smoke, like the
+   search and model benches, so the committed rows are comparable
+   across runs). Each sweep point takes
    the best final latency over a small search-seed portfolio — the
    anytime engine is deterministic per seed, so the whole table is
    reproducible — and every improved schedule is re-validated by radio
@@ -1241,7 +1103,7 @@ let run_improve_sweep () =
       })
     improve_instances
 
-(* The BENCH_8 gate kernels: one budget-bounded improvement pass over a
+(* The improver's gate kernels: one budget-bounded improvement pass over a
    G-OPT start and over a baseline start (the regime the daemon's
    background polishing runs in). *)
 let improve_tests () =
@@ -1271,7 +1133,14 @@ let run_improve () =
 " r.ir_n r.ir_seed r.ir_gopt
         (String.concat ""
            (List.map (fun x -> Printf.sprintf " %-6d" x) r.ir_rounds))
-        (if r.ir_valid then "valid" else "INVALID"))
+        (if r.ir_valid then "valid" else "INVALID");
+      emit "improve"
+        (Printf.sprintf "G-OPT start (n=%d, seed %d)" r.ir_n r.ir_seed)
+        ((("gopt", "rounds", float_of_int r.ir_gopt)
+         :: List.map2
+              (fun b x -> (Printf.sprintf "b%d" b, "rounds", float_of_int x))
+              improve_budgets r.ir_rounds)
+        @ [ ("replay_valid", "bool", if r.ir_valid then 1. else 0.) ]))
     rows;
   let final r = List.nth r.ir_rounds (List.length r.ir_rounds - 1) in
   let wins = List.length (List.filter (fun r -> final r < r.ir_gopt) rows) in
@@ -1280,457 +1149,68 @@ let run_improve () =
 %!"
     (List.fold_left max 0 improve_budgets)
     wins (List.length rows);
-  let kernels = bechamel_session ~group:"improve" ~label:"improve" (improve_tests ()) in
-  (rows, kernels, invalid)
-
-(* ------------------------- metrics probe --------------------------- *)
-
-let g_heap = Obs_metrics.gauge "gc/heap_words"
-let g_majors = Obs_metrics.gauge "gc/major_collections"
-let g_minors = Obs_metrics.gauge "gc/minor_collections"
-
-(* The metrics section of the bench JSON. The timed sections run with
-   the registry disabled (unless --metrics asked otherwise), so the
-   counters come from an untimed replay of the smoke scenario — G-OPT
-   plus the distributed protocol on the n=50 instance — whose totals
-   (search work, protocol traffic) are deterministic and explain the
-   timings next to them. With --metrics active the run's accumulated
-   registry is snapshotted instead. Gc figures are end-of-run either
-   way. *)
-let metrics_snapshot ~user_metrics =
-  if not user_metrics then begin
-    Obs.enable ~metrics:true ~tracing:false ();
-    Obs_metrics.reset ();
-    let cfg = Config.smoke in
-    let inst = Experiment.make_instance cfg ~n:50 ~seed:1 in
-    let model = Model.create inst.Experiment.net Model.Sync in
-    let source = inst.Experiment.source in
-    ignore (Scheduler.run model (Scheduler.Gopt cfg.Config.budget) ~source ~start:1);
-    ignore (Mlbs_proto.Broadcast_protocol.run model ~source ~start:1)
-  end;
-  let st = Gc.quick_stat () in
-  Obs_metrics.set g_heap st.Gc.heap_words;
-  Obs_metrics.set g_majors st.Gc.major_collections;
-  Obs_metrics.set g_minors st.Gc.minor_collections;
-  let snap = Obs_metrics.snapshot () in
-  if not user_metrics then Obs.disable ();
-  snap
-
-(* --------------------------- JSON dump ----------------------------- *)
-
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let write_json path ~quick ~jobs ~recommended_domains ~total ~metrics entries micro =
-  let oc = open_out path in
-  let p fmt = Printf.fprintf oc fmt in
-  p "{\n";
-  p "  \"schema\": \"mlbs-bench-2\",\n";
-  p "  \"quick\": %b,\n" quick;
-  p "  \"jobs\": %d,\n" jobs;
-  p "  \"host_cores\": %d,\n" (Pool.default_jobs ());
-  p "  \"recommended_domains\": %d,\n" recommended_domains;
-  p "  \"total_seconds\": %.3f,\n" total;
-  p "  \"sections\": [\n";
-  List.iteri
-    (fun i e ->
-      p "    {\"name\": \"%s\", \"seconds\": %.3f, \"seconds_jobs1\": %.3f}%s\n"
-        (json_escape e.name) e.seconds e.seconds_jobs1
-        (if i = List.length entries - 1 then "" else ","))
-    entries;
-  p "  ],\n";
-  p "  \"micro_ns_per_run\": [\n";
-  List.iteri
-    (fun i (name, est) ->
-      p "    {\"name\": \"%s\", \"ns\": %.1f}%s\n" (json_escape name) est
-        (if i = List.length micro - 1 then "" else ","))
-    micro;
-  p "  ],\n";
-  p "  \"metrics\": %s\n" (Obs_export.metrics_object ~indent:"  " metrics);
-  p "}\n";
-  close_out oc;
-  Printf.printf "wrote %s\n" path
-
-let write_bench6 path ~jobs kernels =
-  let oc = open_out path in
-  let p fmt = Printf.fprintf oc fmt in
-  p "{\n";
-  p "  \"schema\": \"mlbs-bench-6\",\n";
-  p "  \"jobs\": %d,\n" jobs;
-  p "  \"host_cores\": %d,\n" (Pool.default_jobs ());
-  p "  \"budget\": \"default (200k states)\",\n";
-  p "  \"micro_ns_per_run\": [\n";
-  List.iteri
-    (fun i (name, ns) ->
-      p "    {\"name\": \"%s\", \"ns\": %.1f}%s\n" (json_escape name) ns
-        (if i = List.length kernels - 1 then "" else ","))
-    kernels;
-  p "  ]\n";
-  p "}\n";
-  close_out oc;
-  Printf.printf "wrote %s\n" path
-
-let write_bench7 path ~jobs kernels latencies =
-  let oc = open_out path in
-  let p fmt = Printf.fprintf oc fmt in
-  p "{\n";
-  p "  \"schema\": \"mlbs-bench-7\",\n";
-  p "  \"jobs\": %d,\n" jobs;
-  p "  \"host_cores\": %d,\n" (Pool.default_jobs ());
-  p "  \"policy\": \"G-OPT (default budget), shared deployments, seed 1\",\n";
-  p "  \"latency_rounds\": [\n";
-  List.iteri
-    (fun i (model, n, rounds, tx) ->
-      p "    {\"model\": \"%s\", \"n\": %d, \"rounds\": %d, \"transmissions\": %d}%s\n"
-        (json_escape model) n rounds tx
-        (if i = List.length latencies - 1 then "" else ","))
-    latencies;
-  p "  ],\n";
-  p "  \"micro_ns_per_run\": [\n";
-  List.iteri
-    (fun i (name, ns) ->
-      p "    {\"name\": \"%s\", \"ns\": %.1f}%s\n" (json_escape name) ns
-        (if i = List.length kernels - 1 then "" else ","))
-    kernels;
-  p "  ]\n";
-  p "}\n";
-  close_out oc;
-  Printf.printf "wrote %s\n" path
-
-let write_bench8 path ~jobs rows kernels =
-  let oc = open_out path in
-  let p fmt = Printf.fprintf oc fmt in
-  p "{\n";
-  p "  \"schema\": \"mlbs-bench-8\",\n";
-  p "  \"jobs\": %d,\n" jobs;
-  p "  \"host_cores\": %d,\n" (Pool.default_jobs ());
-  p "  \"policy\": \"GLS/VNS from G-OPT (default budget) starts, best of search seeds [%s]\",\n"
-    (String.concat "; " (List.map string_of_int improve_seed_portfolio));
-  p "  \"budgets\": [%s],\n"
-    (String.concat ", " (List.map string_of_int improve_budgets));
-  p "  \"quality\": [\n";
-  List.iteri
-    (fun i r ->
-      p "    {\"n\": %d, \"seed\": %d, \"gopt_rounds\": %d, \"rounds_by_budget\": [%s], \"replay_valid\": %b}%s\n"
-        r.ir_n r.ir_seed r.ir_gopt
-        (String.concat ", " (List.map string_of_int r.ir_rounds))
-        r.ir_valid
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  p "  ],\n";
-  p "  \"micro_ns_per_run\": [\n";
-  List.iteri
-    (fun i (name, ns) ->
-      p "    {\"name\": \"%s\", \"ns\": %.1f}%s\n" (json_escape name) ns
-        (if i = List.length kernels - 1 then "" else ","))
-    kernels;
-  p "  ]\n";
-  p "}\n";
-  close_out oc;
-  Printf.printf "wrote %s\n" path
-
-(* ----------------------- regression compare ------------------------ *)
-
-(* A minimal JSON reader, sufficient for the dumps this harness writes
-   (the toolchain ships no JSON library and the bench must not grow a
-   dependency for one file format it controls both ends of). *)
-module Json = struct
-  type t =
-    | Null
-    | Bool of bool
-    | Num of float
-    | Str of string
-    | Arr of t list
-    | Obj of (string * t) list
-
-  exception Malformed of string
-
-  let parse s =
-    let n = String.length s in
-    let pos = ref 0 in
-    let fail msg = raise (Malformed (Printf.sprintf "%s at offset %d" msg !pos)) in
-    let peek () = if !pos < n then Some s.[!pos] else None in
-    let skip_ws () =
-      while
-        !pos < n && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false)
-      do
-        incr pos
-      done
-    in
-    let expect c =
-      if !pos < n && s.[!pos] = c then incr pos
-      else fail (Printf.sprintf "expected '%c'" c)
-    in
-    let lit w v =
-      let l = String.length w in
-      if !pos + l <= n && String.sub s !pos l = w then begin
-        pos := !pos + l;
-        v
-      end
-      else fail ("expected " ^ w)
-    in
-    let str () =
-      expect '"';
-      let buf = Buffer.create 16 in
-      let rec go () =
-        if !pos >= n then fail "unterminated string"
-        else
-          match s.[!pos] with
-          | '"' ->
-              incr pos;
-              Buffer.contents buf
-          | '\\' ->
-              incr pos;
-              if !pos >= n then fail "bad escape";
-              (match s.[!pos] with
-              | '"' -> Buffer.add_char buf '"'
-              | '\\' -> Buffer.add_char buf '\\'
-              | '/' -> Buffer.add_char buf '/'
-              | 'n' -> Buffer.add_char buf '\n'
-              | 't' -> Buffer.add_char buf '\t'
-              | 'r' -> Buffer.add_char buf '\r'
-              | 'b' -> Buffer.add_char buf '\b'
-              | 'f' -> Buffer.add_char buf '\012'
-              | 'u' ->
-                  if !pos + 4 >= n then fail "bad \\u escape";
-                  (match int_of_string_opt ("0x" ^ String.sub s (!pos + 1) 4) with
-                  | Some code -> Buffer.add_char buf (Char.chr (code land 0xff))
-                  | None -> fail "bad \\u escape");
-                  pos := !pos + 4
-              | _ -> fail "bad escape");
-              incr pos;
-              go ()
-          | c ->
-              Buffer.add_char buf c;
-              incr pos;
-              go ()
-      in
-      go ()
-    in
-    let number () =
-      let start = !pos in
-      while
-        !pos < n
-        &&
-        match s.[!pos] with
-        | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-        | _ -> false
-      do
-        incr pos
-      done;
-      match float_of_string_opt (String.sub s start (!pos - start)) with
-      | Some f -> Num f
-      | None -> fail "bad number"
-    in
-    let rec value () =
-      skip_ws ();
-      match peek () with
-      | Some '{' -> obj ()
-      | Some '[' -> arr ()
-      | Some '"' -> Str (str ())
-      | Some 't' -> lit "true" (Bool true)
-      | Some 'f' -> lit "false" (Bool false)
-      | Some 'n' -> lit "null" Null
-      | Some _ -> number ()
-      | None -> fail "unexpected end of input"
-    and arr () =
-      expect '[';
-      skip_ws ();
-      if peek () = Some ']' then begin
-        incr pos;
-        Arr []
-      end
-      else
-        let rec go acc =
-          let v = value () in
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-              incr pos;
-              go (v :: acc)
-          | Some ']' ->
-              incr pos;
-              Arr (List.rev (v :: acc))
-          | _ -> fail "expected ',' or ']'"
-        in
-        go []
-    and obj () =
-      expect '{';
-      skip_ws ();
-      if peek () = Some '}' then begin
-        incr pos;
-        Obj []
-      end
-      else
-        let rec go acc =
-          skip_ws ();
-          let k = str () in
-          skip_ws ();
-          expect ':';
-          let v = value () in
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-              incr pos;
-              go ((k, v) :: acc)
-          | Some '}' ->
-              incr pos;
-              Obj (List.rev ((k, v) :: acc))
-          | _ -> fail "expected ',' or '}'"
-        in
-        go []
-    in
-    let v = value () in
-    skip_ws ();
-    if !pos <> n then fail "trailing garbage";
-    v
-
-  let member k = function Obj kvs -> List.assoc_opt k kvs | _ -> None
-  let to_list = function Arr l -> l | _ -> []
-  let to_num = function Some (Num f) -> Some f | _ -> None
-  let to_str = function Some (Str s) -> Some s | _ -> None
-end
-
-(* [compare_against path ~threshold entries micro] prints old/new/Δ per
-   micro kernel and per section and returns [true] iff some kernel
-   present in both runs regressed by more than [threshold] percent.
-   Sections mix sweep sizes and machine load, so they inform only. *)
-let compare_against path ~threshold entries micro =
-  let ic = open_in_bin path in
-  let old_json =
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> Json.parse (really_input_string ic (in_channel_length ic)))
-  in
-  let named_nums root field value_key =
-    List.filter_map
-      (fun item ->
-        match (Json.to_str (Json.member "name" item), Json.to_num (Json.member value_key item)) with
-        | Some name, Some v -> Some (name, v)
-        | _ -> None)
-      (Json.to_list (Option.value ~default:(Json.Arr []) (Json.member field root)))
-  in
-  let old_micro = named_nums old_json "micro_ns_per_run" "ns" in
-  let old_sections = named_nums old_json "sections" "seconds" in
-  section (Printf.sprintf "Regression check vs %s (threshold %d%%)" path threshold);
-  (* A baseline recorded on a different core count is not comparable at
-     gating fidelity (kernel ns/run shifts with the memory subsystem,
-     sections with parallel speedup): warn and demote every row to
-     informational rather than fail spuriously. Baselines predating the
-     host_cores field gate as before. *)
-  let cores_ok =
-    match Json.to_num (Json.member "host_cores" old_json) with
-    | Some c when int_of_float c <> Pool.default_jobs () ->
-        Printf.printf
-          "WARNING: baseline recorded on %d cores, this host has %d — \
-           comparison is informational only, nothing gates\n"
-          (int_of_float c) (Pool.default_jobs ());
-        false
-    | _ -> true
-  in
-  let failed = ref false in
-  let row name old_v new_v gate unit =
-    let delta = (new_v -. old_v) /. old_v *. 100. in
-    let flag =
-      if gate && new_v > old_v *. (1. +. (float_of_int threshold /. 100.)) then begin
-        failed := true;
-        "  REGRESSED"
-      end
-      else ""
-    in
-    Printf.printf "  %-44s %12.1f %12.1f %+8.1f%% %s%s\n" name old_v new_v delta unit flag
-  in
-  if micro <> [] then begin
-    Printf.printf "  micro kernels (ns/run): %-20s %12s %12s %9s\n" "" "old" "new" "delta";
-    List.iter
-      (fun (name, new_v) ->
-        match List.assoc_opt name old_micro with
-        | Some old_v when old_v > 0. -> row name old_v new_v cores_ok ""
-        | _ -> Printf.printf "  %-44s %12s %12.1f (new kernel)\n" name "-" new_v)
-      micro
-  end;
-  if entries <> [] then begin
-    Printf.printf "  sections (seconds, informational):\n";
-    List.iter
-      (fun e ->
-        match List.assoc_opt e.name old_sections with
-        | Some old_v when old_v > 0. -> row e.name old_v e.seconds false "s"
-        | _ -> ())
-      entries
-  end;
-  if !failed then
-    Printf.printf "FAIL: at least one micro kernel regressed more than %d%%\n%!" threshold
-  else Printf.printf "OK: no micro kernel regressed more than %d%%\n%!" threshold;
-  !failed
+  bechamel_session ~group:"improve" ~target:"improve" (improve_tests ());
+  if invalid > 0 then
+    failures :=
+      Printf.sprintf "%d improved schedules failed the radio replay" invalid :: !failures
 
 (* ----------------------------- main -------------------------------- *)
+
+let known =
+  [ "table2"; "table3"; "table4"; "fig3"; "fig4"; "fig5"; "fig6"; "fig7"; "reliability";
+    "ablation"; "service"; "churn"; "fleet"; "micro"; "search"; "models"; "improve" ]
 
 let () =
   (* [json] is [None] until --json/--no-json appears, so --smoke can
      default to no file without overriding an explicit request. *)
-  let rec parse targets jobs json cmp thr tr mt = function
-    | [] -> (List.rev targets, jobs, json, cmp, thr, tr, mt)
+  let rec parse targets jobs json cmp tr mt = function
+    | [] -> (List.rev targets, jobs, json, cmp, tr, mt)
     | "--jobs" :: v :: rest -> (
         match int_of_string_opt v with
-        | Some j when j >= 1 -> parse targets (Some j) json cmp thr tr mt rest
+        | Some j when j >= 1 -> parse targets (Some j) json cmp tr mt rest
         | _ -> failwith (Printf.sprintf "bad --jobs value %S" v))
     | [ "--jobs" ] -> failwith "--jobs needs a value"
-    | "--json" :: v :: rest -> parse targets jobs (Some (Some v)) cmp thr tr mt rest
+    | "--json" :: v :: rest -> parse targets jobs (Some (Some v)) cmp tr mt rest
     | [ "--json" ] -> failwith "--json needs a value"
-    | "--no-json" :: rest -> parse targets jobs (Some None) cmp thr tr mt rest
-    | "--compare" :: v :: rest -> parse targets jobs json (Some v) thr tr mt rest
+    | "--no-json" :: rest -> parse targets jobs (Some None) cmp tr mt rest
+    | "--compare" :: v :: rest -> parse targets jobs json (Some v) tr mt rest
     | [ "--compare" ] -> failwith "--compare needs a value"
-    | "--compare-threshold" :: v :: rest -> (
-        match int_of_string_opt v with
-        | Some t when t >= 0 -> parse targets jobs json cmp (Some t) tr mt rest
-        | _ -> failwith (Printf.sprintf "bad --compare-threshold value %S" v))
-    | [ "--compare-threshold" ] -> failwith "--compare-threshold needs a value"
-    | "--trace" :: v :: rest -> parse targets jobs json cmp thr (Some v) mt rest
+    | "--trace" :: v :: rest -> parse targets jobs json cmp (Some v) mt rest
     | [ "--trace" ] -> failwith "--trace needs a value"
-    | "--metrics" :: v :: rest -> parse targets jobs json cmp thr tr (Some v) rest
+    | "--metrics" :: v :: rest -> parse targets jobs json cmp tr (Some v) rest
     | [ "--metrics" ] -> failwith "--metrics needs a value"
-    | a :: rest -> parse (a :: targets) jobs json cmp thr tr mt rest
+    | a :: rest -> parse (a :: targets) jobs json cmp tr mt rest
   in
-  let args, jobs, json_arg, cmp, thr, trace_file, metrics_file =
-    parse [] None None None None None None (List.tl (Array.to_list Sys.argv))
+  let args, jobs, json_arg, cmp, trace_file, metrics_file =
+    parse [] None None None None None (List.tl (Array.to_list Sys.argv))
   in
   let quick = List.mem "--quick" args in
   let smoke = List.mem "--smoke" args in
-  let micro_quick = List.mem "--micro-quick" args in
-  let targets =
-    List.filter
-      (fun a -> a <> "--quick" && a <> "--smoke" && a <> "--micro-quick")
-      args
-  in
+  let targets = List.filter (fun a -> a <> "--quick" && a <> "--smoke") args in
   let json =
     match json_arg with
     | Some j -> j
-    | None -> if smoke then None else Some "BENCH_2.json"
+    | None -> if smoke then None else Some "BENCH_9.json"
   in
-  let threshold = Option.value thr ~default:25 in
   let targets = if targets = [] then [ "all" ] else targets in
-  let known =
-    [ "all"; "table2"; "table3"; "table4"; "fig3"; "fig4"; "fig5"; "fig6"; "fig7";
-      "reliability"; "ablation"; "service"; "churn"; "fleet"; "micro"; "search";
-      "models"; "improve" ]
-  in
-  (match List.filter (fun t -> not (List.mem t known)) targets with
+  (match List.filter (fun t -> not (List.mem t ("all" :: known))) targets with
   | [] -> ()
   | bad ->
       failwith
         (Printf.sprintf "unknown target(s): %s (expected: %s)" (String.concat ", " bad)
-           (String.concat "|" known)));
+           (String.concat "|" ("all" :: known))));
   let want t = List.mem t targets || List.mem "all" targets in
+  (* The baseline is read before anything runs: a line the reader
+     cannot read fails the run at once. *)
+  let baseline =
+    Option.map
+      (fun path ->
+        try (path, Rows.read path)
+        with Failure msg | Sys_error msg ->
+          Printf.printf "FAIL: %s\n%!" msg;
+          exit 1)
+      cmp
+  in
   let cfg =
     if smoke then Config.smoke else if quick then Config.quick else Config.default
   in
@@ -1743,14 +1223,21 @@ let () =
   let failed =
     Telemetry.with_config cfg @@ fun () ->
     (* Bring the shared pool up and pre-size every domain's search
-       scratch before anything is timed; the recommended-domain figure is
+       scratch before anything is timed; the host-core figure is
        sampled only once the pool is live, after any runtime topology
        detection the spawns trigger. *)
     let max_n = List.fold_left max 150 cfg.Config.node_counts in
     Pool.prewarm ~jobs:cfg.Config.jobs
       ~setup:(fun () -> Mlbs_core.Mcounter.prewarm ~n:max_n)
       ();
-    let recommended_domains = Pool.default_jobs () in
+    let flag b = if b then 1. else 0. in
+    emit "run" "config"
+      [
+        ("host_cores", "count", float_of_int (Pool.default_jobs ()));
+        ("jobs", "count", float_of_int cfg.Config.jobs);
+        ("quick", "bool", flag quick);
+        ("smoke", "bool", flag smoke);
+      ];
     let total0 = now_s () in
     if want "table2" then run_table "II" "table2" Figures.table2;
     if want "table3" then run_table "III" "table3" Figures.table3;
@@ -1767,83 +1254,32 @@ let () =
            (List.length cfg.Config.seeds))
         Figures.fig_reliability;
     if want "ablation" then run_ablation cfg;
-    if want "service" then begin
-      let svc = run_service cfg ~smoke in
-      (* BENCH_3.json rides the same switch as BENCH_2: suppressed under
-         --smoke (clean-worktree CI gate) unless --json asked for dumps
-         explicitly. *)
-      if json <> None then write_bench3 "BENCH_3.json" ~jobs:cfg.Config.jobs svc
-    end;
-    let churn_mismatches = ref 0 in
-    let churn_kernels = ref [] in
-    if want "churn" then begin
-      let ((_, _, kernels, mismatches, _, _) as res) = run_churn cfg ~smoke in
-      churn_mismatches := mismatches;
-      churn_kernels := kernels;
-      (* BENCH_4.json rides the same switch as BENCH_2/BENCH_3. *)
-      if json <> None then write_bench4 "BENCH_4.json" ~jobs:cfg.Config.jobs res
-    end;
-    let fleet_kernels = ref [] in
-    if want "fleet" then begin
-      let ((_, _, kernels) as res) = run_fleet cfg ~smoke in
-      fleet_kernels := kernels;
-      (* BENCH_5.json rides the same switch as BENCH_2/3/4. *)
-      if json <> None then write_bench5 "BENCH_5.json" ~jobs:cfg.Config.jobs res
-    end;
-    let search_kernels = ref [] in
-    if want "search" then begin
-      let kernels = run_search () in
-      search_kernels := kernels;
-      (* BENCH_6.json rides the same switch as the other dumps. *)
-      if json <> None then write_bench6 "BENCH_6.json" ~jobs:cfg.Config.jobs kernels
-    end;
-    let model_kernels = ref [] in
-    if want "models" then begin
-      let kernels, lat = run_models () in
-      model_kernels := kernels;
-      (* BENCH_7.json rides the same switch as the other dumps. *)
-      if json <> None then write_bench7 "BENCH_7.json" ~jobs:cfg.Config.jobs kernels lat
-    end;
-    let improve_kernels = ref [] in
-    let improve_invalid = ref 0 in
-    if want "improve" then begin
-      let rows, kernels, invalid = run_improve () in
-      improve_kernels := kernels;
-      improve_invalid := invalid;
-      (* BENCH_8.json rides the same switch as the other dumps. *)
-      if json <> None then write_bench8 "BENCH_8.json" ~jobs:cfg.Config.jobs rows kernels
-    end;
-    let micro = if want "micro" then run_micro cfg ~micro_quick else [] in
-    (* Churn, fleet, search and model gate kernels join the micro list
-       for --compare, so a CI smoke run gates repair latency against the
-       committed BENCH_4, fleet latency against BENCH_5, the
-       cold-solve path against BENCH_6, and the interference backends
-       against BENCH_7. *)
-    let micro =
-      micro @ !churn_kernels @ !fleet_kernels @ !search_kernels @ !model_kernels
-      @ !improve_kernels
-    in
+    if want "service" then run_service cfg ~smoke;
+    if want "churn" then run_churn cfg ~smoke;
+    if want "fleet" then run_fleet cfg ~smoke;
+    if want "search" then run_search ();
+    if want "models" then run_models ();
+    if want "improve" then run_improve ();
+    if want "micro" then run_micro cfg ~smoke;
     let total = now_s () -. total0 in
     Printf.printf "total: %.1fs (jobs=%d)\n" total cfg.Config.jobs;
-    let entries = List.rev !log in
-    (match json with
-    | Some path ->
-        let metrics = metrics_snapshot ~user_metrics:(metrics_file <> None) in
-        write_json path ~quick ~jobs:cfg.Config.jobs ~recommended_domains ~total
-          ~metrics entries micro
-    | None -> ());
-    let cmp_failed =
-      match cmp with
-      | Some path -> compare_against path ~threshold entries micro
-      | None -> false
-    in
-    if !churn_mismatches > 0 then
-      Printf.printf
-        "FAIL: %d repaired schedules were not byte-identical to full re-solves\n%!"
-        !churn_mismatches;
-    if !improve_invalid > 0 then
-      Printf.printf "FAIL: %d improved schedules failed the radio replay\n%!"
-        !improve_invalid;
-    cmp_failed || !churn_mismatches > 0 || !improve_invalid > 0
+    emit "run" "total" [ ("seconds", "s", total) ];
+    let rows = List.rev !rows in
+    Option.iter
+      (fun path ->
+        Rows.write path rows;
+        Printf.printf "wrote %s\n" path)
+      json;
+    Option.iter
+      (fun (path, baseline) ->
+        section
+          (Printf.sprintf "Regression check vs %s (threshold %d%%)" path Rows.threshold_pct);
+        let checks = Rows.compare ~ran:(List.filter want known) ~baseline rows in
+        Rows.report checks;
+        if Rows.failed checks then
+          failures := Printf.sprintf "regression check vs %s" path :: !failures)
+      baseline;
+    List.iter (Printf.printf "FAIL: %s\n%!") (List.rev !failures);
+    !failures <> []
   in
   if failed then exit 1
