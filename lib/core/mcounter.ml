@@ -4,15 +4,18 @@ module Metrics = Mlbs_obs.Metrics
 module Otrace = Mlbs_obs.Trace
 
 (* Search observability (all behind the disabled-registry branch):
-   nodes expanded, memo traffic for both tables, pre-apply child memo
-   hits, branch-and-bound prunes, rollouts, budget exhaustions. Summed
-   across domains these are identical at any [--jobs]: each instance's
-   search is deterministic and runs whole on one domain. *)
+   nodes expanded, memo traffic, pre-apply child memo hits,
+   branch-and-bound prunes, cutoffs (searches that returned a lower
+   bound above their limit instead of an exact value), rollouts, budget
+   exhaustions. Summed across domains these are identical at any
+   [--jobs]: each instance's search is deterministic and runs whole on
+   one domain. *)
 let m_states = Metrics.counter "search/states"
 let m_memo_hit = Metrics.counter "search/memo_hit"
 let m_memo_miss = Metrics.counter "search/memo_miss"
 let m_child_hit = Metrics.counter "search/child_memo_hit"
 let m_prunes = Metrics.counter "search/bnb_prunes"
+let m_cutoffs = Metrics.counter "search/cutoffs"
 let m_rollouts = Metrics.counter "search/rollouts"
 let m_exhausted = Metrics.counter "search/exhausted"
 let m_seeded = Metrics.counter "search/seeded_entries"
@@ -180,8 +183,9 @@ let search_successors ctx ~slot =
    hash-and-all from the coverage set — [hash_union] re-mixes only the
    touched words, [equal_union] verifies a hit word-wise — so the probe
    allocates nothing and never materialises the union. The result is
-   the child's span; [Some 0] for a completing advance mirrors the
-   complete-check a recursive call would have short-circuited on. *)
+   the child's exact span (a stored lower bound reads as a miss);
+   [Some 0] for a completing advance mirrors the complete-check a
+   recursive call would have short-circuited on. *)
 let child_cached ctx ~cov =
   let st = ctx.st in
   let r =
@@ -189,7 +193,9 @@ let child_cached ctx ~cov =
     else
       let w = Istate.w st in
       let h = Bitset.hash_union w cov (Istate.whash st) in
-      Ttable.find_union ctx.tt ~h ~slot:0 ~base:w ~cov
+      match Ttable.find_union ctx.tt ~h ~slot:0 ~base:w ~cov with
+      | Some span when span > 0 -> Some span
+      | _ -> None
   in
   if r <> None then Metrics.incr m_child_hit;
   r
@@ -230,7 +236,10 @@ let rollout_finish model space ~w ~slot =
   rollout_finish_i (make_ctx st space default_budget) ~slot
 
 (* ------------------------------------------------------------------ *)
-(* Exact memoised branch-and-bound over [search_successors]. Every     *)
+(* Exact memoised branch-and-bound over [search_successors], with      *)
+(* cutoffs. Every search carries a [limit]: it returns the exact [M]   *)
+(* when [M ≤ limit] and otherwise any lower bound [> limit], which is  *)
+(* all a parent needs to refute a child against its incumbent. Every   *)
 (* skip below is value-safe (the skipped candidate is proved unable to *)
 (* beat the incumbent) and ties keep the earlier candidate, so the     *)
 (* evaluated finish and the chosen schedule are those of the plain     *)
@@ -242,44 +251,65 @@ let bound_counter = function
   | Bounds.Ecc -> m_prune_ecc
   | Bounds.Packing -> m_prune_pack
 
-(* The best advance at active slot [t], shared by the exact search and
-   plan construction: the least finish over [succs] as
-   [(finish, senders)], ties keeping the earlier candidate. [score ()]
-   values the applied candidate; with [probe], a memoised (or
-   completing) child is read off the sync table without an apply. A
-   candidate advancing at [t] finishes at ≥ t + floor − 1 and at
-   ≥ t + lb, so once the incumbent meets the parent floor the rest of
-   the list is cut off, and once it meets a candidate's hop bound that
-   candidate is skipped. *)
-let best_advance ctx ~t succs ~probe ~score =
-  let floor_r, floor_k = Bounds.remaining ctx.st in
-  List.fold_left
-    (fun acc (lb, _, c, cov) ->
-      match acc with
-      | Some (bv, _) when bv <= t + floor_r - 1 ->
-          Metrics.incr (bound_counter floor_k);
-          acc
-      | Some (bv, _) when lb = max_int || bv <= t + lb ->
+(* The best advance at active slot [t] under [limit], shared by the
+   exact search and plan construction. [floor] is [Bounds.remaining] at
+   the position. Each candidate is scored with
+   [cap = min limit (incumbent − 1)]: [score ~limit:cap ()] values the
+   applied candidate, and with [probe] an exact memoised (or completing)
+   child is read off the sync table without an apply. A result [≤ cap]
+   is exact and becomes the incumbent; a larger one refutes the
+   candidate. A candidate advancing at [t] finishes at ≥ t + floor − 1
+   and at ≥ t + lb, so once the parent floor exceeds the cap the rest of
+   the list is cut off, and a candidate whose hop bound exceeds it is
+   skipped. The result is the first candidate with the least finish
+   when that finish is [≤ limit], and otherwise the least child bound,
+   at least the floor. *)
+type advance =
+  | Best of int * int list  (** exact finish [≤ limit], senders *)
+  | Refuted of int  (** lower bound [> limit] *)
+
+let best_advance ctx ~t ~limit ~floor:(floor_r, floor_k) succs ~probe ~score =
+  let floor_v = t + floor_r - 1 in
+  let result best lo = match best with Some (v, c) -> Best (v, c) | None -> Refuted (max floor_v lo) in
+  let rec go best lo = function
+    | [] -> result best lo
+    | (lb, _, c, cov) :: rest as cands -> (
+        let cap = match best with Some (bv, _) -> bv - 1 | None -> limit in
+        if floor_v > cap then begin
+          if Mlbs_obs.Obs.metrics_enabled () then
+            Metrics.add (bound_counter floor_k) (List.length cands);
+          result best floor_v
+        end
+        else if lb = max_int || t + lb > cap then begin
           Metrics.incr m_prunes;
-          acc
-      | _ -> (
+          go best (if lb = max_int then lo else min lo (t + lb)) rest
+        end
+        else
           let v =
             match if probe then child_cached ctx ~cov else None with
             | Some v0 -> t + v0
             | None ->
                 Istate.apply ctx.st ~senders:c;
-                let v = score () in
+                let v = score ~limit:cap () in
                 Istate.undo ctx.st;
                 v
           in
-          match acc with Some (bv, _) when bv <= v -> acc | _ -> Some (v, c)))
-    None succs
+          if v <= cap then go (Some (v, c)) lo rest else go best (min lo v) rest)
+  in
+  if succs = [] then failwith "Mcounter: active slot without candidates";
+  go None max_int succs
 
-(* M(W, slot), one recursion for both systems: idle gaps are skipped by
-   jumping to the next slot [t] at which some frontier node is awake
-   (under Sync, [slot] itself). Memo entries key on (W, t) under Async
-   and on (W, 0) under Sync and hold the span [M − t + 1]. *)
-let rec finish ctx ~slot =
+(* M(W, slot) under [limit], one recursion for both systems: idle gaps
+   are skipped by jumping to the next slot [t] at which some frontier
+   node is awake (under Sync, [slot] itself). Memo entries key on
+   (W, t) under Async and on (W, 0) under Sync and hold the span
+   [M − t + 1] when exact, or the negated span of a lower bound (every
+   span of an incomplete position is ≥ 1, so the sign is the tag). A
+   stored bound answers a probe it already refutes; otherwise the node
+   is searched again and the result, exact or a higher bound, replaces
+   it. A position whose own floor exceeds the limit is refuted without
+   expanding it. *)
+let rec finish ctx ~slot ~limit =
   let st = ctx.st in
   if Istate.complete st then slot - 1
   else
@@ -287,23 +317,37 @@ let rec finish ctx ~slot =
     | None -> failwith "Mcounter: empty frontier before completion"
     | Some t -> (
         let key = if ctx.sync then 0 else t in
-        match Ttable.find ctx.tt ~h:(Istate.whash st) ~slot:key ~set:(Istate.w st) with
-        | Some span ->
+        let h = Istate.whash st and set = Istate.w st in
+        match Ttable.find ctx.tt ~h ~slot:key ~set with
+        | Some span when span > 0 ->
             Metrics.incr m_memo_hit;
             t + span - 1
-        | None -> (
+        | Some span when t - span - 1 > limit ->
+            Metrics.incr m_memo_hit;
+            t - span - 1
+        | _ ->
             Metrics.incr m_memo_miss;
-            let succs = search_successors ctx ~slot:t in
-            let score () = finish ctx ~slot:(t + 1) in
-            match best_advance ctx ~t succs ~probe:ctx.sync ~score with
-            | None -> failwith "Mcounter: active slot without candidates"
-            | Some (best, _) ->
-                Metrics.incr m_states;
-                ctx.states <- ctx.states + 1;
-                if ctx.states > ctx.budget.max_states then raise Exhausted;
-                Ttable.add ctx.tt ~h:(Istate.whash st) ~slot:key ~set:(Istate.w st)
-                  (best - t + 1);
-                best))
+            let ((floor_r, _) as floor) = Bounds.remaining st in
+            if t + floor_r - 1 > limit then begin
+              Metrics.incr m_cutoffs;
+              t + floor_r - 1
+            end
+            else begin
+              let succs = search_successors ctx ~slot:t in
+              let score ~limit () = finish ctx ~slot:(t + 1) ~limit in
+              let r = best_advance ctx ~t ~limit ~floor succs ~probe:ctx.sync ~score in
+              Metrics.incr m_states;
+              ctx.states <- ctx.states + 1;
+              if ctx.states > ctx.budget.max_states then raise Exhausted;
+              match r with
+              | Best (v, _) ->
+                  Ttable.add ctx.tt ~h ~slot:key ~set (v - t + 1);
+                  v
+              | Refuted b ->
+                  Metrics.incr m_cutoffs;
+                  Ttable.add ctx.tt ~h ~slot:key ~set (-(b - t + 1));
+                  b
+            end)
 
 (* ------------------------------------------------------------------ *)
 (* Beam-limited lookahead fallback.                                    *)
@@ -350,13 +394,13 @@ let rec lookahead_value ctx ~slot ~depth =
 (* Public interface.                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let evaluate model space ~budget ~w ~slot =
+let evaluate ?(limit = max_int) model space ~budget ~w ~slot =
   Otrace.with_span ~arg:slot ~cat:"search" "evaluate" @@ fun () ->
   let st = local_istate model ~w in
   if Istate.lb st = max_int then failwith unreachable_msg;
   let ctx = make_ctx st space budget in
   try
-    let f = finish ctx ~slot in
+    let f = finish ctx ~slot ~limit in
     { finish = f; exact = true; states = ctx.states }
   with Exhausted ->
     Metrics.incr m_exhausted;
@@ -385,12 +429,21 @@ type snapshot = {
 let snapshot_entries s = Array.length s.snap_entries
 let snapshot_exact s = s.snap_exact
 
-(* Seeds only ever shrink the explored state count, so a seeded search
-   that exhausts the budget implies the unseeded one would too — but
-   not conversely. Near the budget cliff a seeded run could stay exact
-   where a cold run degrades, which would break schedule equality; the
-   4x margin keeps warm starts well clear of that cliff (churn deltas
-   move the state count by far less). *)
+let snapshot_bindings s =
+  Array.to_list (Array.map (fun (_, set, slot, span) -> (set, slot, span)) s.snap_entries)
+
+(* Seeds are exact entries, and an exact entry answers every probe that
+   a stored bound or a fresh search would (the comparisons against each
+   cap come out the same), so seeds only ever shrink the explored state
+   count: a seeded search that exhausts the budget implies the unseeded
+   one would too — but not conversely. Near the budget cliff a seeded
+   run could stay exact where a cold run degrades, which would break
+   schedule equality; the 4x margin keeps warm starts well clear of
+   that cliff (churn deltas move the state count by far less). The
+   margin is on expanded states, refuted nodes included, which the
+   lineage carries in [snap_states]; the entry count would understate
+   it, since a snapshot keeps only the exact entries (13 of 44 states
+   on a paper deployment at r = 4). *)
 let snapshot_reusable s ~space ~budget ~n =
   s.snap_exact && s.snap_space = space && s.snap_n = n
   && s.snap_states <= budget.max_states / 4
@@ -441,7 +494,7 @@ let rec plan_gen model space ~budget ~source ~start ~seeds ~capture =
        memo; otherwise every score degrades to the lookahead policy. *)
     let exact_ok =
       try
-        ignore (finish ctx ~slot:start);
+        ignore (finish ctx ~slot:start ~limit:max_int);
         true
       with Exhausted ->
         exhausted ~depth:0;
@@ -449,20 +502,37 @@ let rec plan_gen model space ~budget ~source ~start ~seeds ~capture =
     in
     let degraded = ref false in
     (* Score the already-applied candidate for an advance at slot [t]. *)
-    let score ~t () =
+    let score ~t ~limit () =
       let fallback () =
         degraded := true;
         lookahead_value ctx ~slot:(t + 1) ~depth:budget.lookahead
       in
       if not exact_ok then fallback ()
       else
-        (* Replanning can touch sibling states the root search never
-           expanded; degrade to lookahead if that blows the budget. *)
+        (* Unseeded, this expands no new state: the root search already
+           solved or refuted every candidate the plan scores. A seeded
+           plan can reach a position whose value came from a seed and
+           whose siblings were never expanded; if that blows the budget
+           it restarts unseeded. *)
         let d = Istate.depth st in
-        try finish ctx ~slot:(t + 1)
+        try finish ctx ~slot:(t + 1) ~limit
         with Exhausted ->
           exhausted ~depth:d;
           fallback ()
+    in
+    (* The limit of the advance at slot [t]: the exact finish the table
+       holds for the current position, so every candidate that cannot
+       match it is refuted by a stored bound rather than re-searched.
+       The root search leaves an exact entry at every position the plan
+       reaches. Degraded plans score with the lookahead and keep
+       [max_int]. *)
+    let step_limit t =
+      if (not exact_ok) || !degraded then max_int
+      else
+        let key = if ctx.sync then 0 else t in
+        match Ttable.find ctx.tt ~h:(Istate.whash st) ~slot:key ~set:(Istate.w st) with
+        | Some span when span > 0 -> t + span - 1
+        | _ -> max_int
     in
     let rec loop slot steps =
       if Istate.complete st then List.rev steps
@@ -480,9 +550,12 @@ let rec plan_gen model space ~budget ~source ~start ~seeds ~capture =
                     search_successors ctx ~slot:t)
               in
               let probe = exact_ok && ctx.sync in
-              match best_advance ctx ~t succs ~probe ~score:(score ~t) with
-              | None -> failwith "Mcounter.plan: active slot without candidates"
-              | Some (_, c) ->
+              let floor = Bounds.remaining st in
+              match
+                best_advance ctx ~t ~limit:(step_limit t) ~floor succs ~probe ~score:(score ~t)
+              with
+              | Refuted _ -> failwith "Mcounter.plan: no advance within the limit"
+              | Best (_, c) ->
                   Istate.apply st ~senders:c;
                   let informed = List.sort compare (Istate.last_added st) in
                   { Schedule.slot = t; senders = c; informed }
@@ -496,7 +569,8 @@ let rec plan_gen model space ~budget ~source ~start ~seeds ~capture =
       else begin
         let acc = ref [] in
         Ttable.iter
-          (fun ~h ~slot ~set ~value -> acc := (h, set, slot, value) :: !acc)
+          (fun ~h ~slot ~set ~value ->
+            if value > 0 then acc := (h, set, slot, value) :: !acc)
           ctx.tt;
         Some
           {

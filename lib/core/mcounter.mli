@@ -16,16 +16,31 @@
     span [M(W, t) − t + 1] under the key [(W, key slot)]. The key slot
     is [t] under Async and [0] under Sync (time-shift invariance,
     below), so a sync entry holds the number of advances still needed.
-    Plan construction picks each advance with the same candidate fold
-    as the recursion. The hop-distance bound and the
-    {!Bounds} floors skip candidates that cannot beat the incumbent, and
-    a transposition table ({!Ttable}) shares values between paths; both
-    are value-safe. The search also never expands a color set whose
-    coverage (the nodes it newly informs) is a strict subset of a
-    sibling's: in the {!Choices.All} space that is value-safe by
-    monotonicity (below), and among the {!Choices.Greedy} classes it is
-    part of the space G-OPT searches (the greedy classes are not
-    monotone; DESIGN.md §10). Ties keep the earlier candidate, so in
+
+    The recursion is a cutoff search (IDA*/alpha style): every call
+    carries a [limit] and returns the exact [M] when [M ≤ limit], and
+    otherwise a lower bound [> limit]. Each candidate is scored against
+    [cap = min limit (incumbent − 1)]: a result [≤ cap] is exact and
+    becomes the incumbent, a larger one refutes the candidate without
+    solving it. When no candidate lands within the limit the call
+    returns the least child bound (at least its floor). Exact spans and
+    lower-bound spans share the one transposition table ({!Ttable}): a
+    bound is stored negated, only exact entries answer child probes,
+    seed a search or enter a snapshot, and an exact result overwrites a
+    bound for the same key. The top-level search runs with no limit.
+    Plan construction picks each advance with the same candidate fold,
+    against the exact finish the table holds for its position, so it
+    expands no state the top-level search did not; a degraded plan
+    scores with no limit.
+
+    The hop-distance bound and the {!Bounds} floors skip candidates
+    whose finish must exceed the cap, and the transposition table shares
+    values between paths; both are value-safe. The search also never
+    expands a color set whose coverage (the nodes it newly informs) is
+    a strict subset of a sibling's: in the {!Choices.All} space that is
+    value-safe by monotonicity (below), and among the {!Choices.Greedy}
+    classes it is part of the space G-OPT searches (the greedy classes
+    are not monotone; DESIGN.md §10). Ties keep the earlier candidate, so in
     exact mode the schedule is the one a plain memoised recursion over
     that space would pick. When an instance exhausts the budget,
     evaluation degrades to a beam-limited lookahead with greedy-rollout
@@ -57,11 +72,20 @@ val default_budget : budget
     how many memo states the search used. *)
 type evaluation = { finish : int; exact : bool; states : int }
 
-(** [evaluate model space ~budget ~w ~slot] is [M(w, slot)] within the
-    choice space. Raises [Failure] when some node is unreachable (the
-    broadcast cannot complete). *)
+(** [evaluate ?limit model space ~budget ~w ~slot] is [M(w, slot)]
+    within the choice space. With a [limit] (default [max_int]) an exact
+    search returns [M] when [M ≤ limit] and otherwise a lower bound in
+    [(limit, M]]; [exact] says the search stayed within budget (a
+    degraded evaluation ignores the limit). Raises [Failure] when some
+    node is unreachable (the broadcast cannot complete). *)
 val evaluate :
-  Model.t -> Choices.t -> budget:budget -> w:Bitset.t -> slot:int -> evaluation
+  ?limit:int ->
+  Model.t ->
+  Choices.t ->
+  budget:budget ->
+  w:Bitset.t ->
+  slot:int ->
+  evaluation
 
 (** [plan model space ~budget ~source ~start] runs the search and
     materialises a schedule achieving the evaluated finish time (exact
@@ -69,7 +93,7 @@ val evaluate :
 val plan :
   Model.t -> Choices.t -> budget:budget -> source:int -> start:int -> Schedule.t
 
-(** A completed plan's memo table, frozen: every
+(** A completed plan's memo table, frozen: every exact
     ((informed set, key slot) → span) the search established, plus
     enough metadata to decide whether it may seed a later search.
     Snapshots are immutable and safe to share across domains. *)
@@ -78,6 +102,11 @@ type snapshot
 (** Number of frozen memo entries. *)
 val snapshot_entries : snapshot -> int
 
+(** The frozen entries as [(W, key slot, span)]: the key slot is [0]
+    under Sync and the active slot [t] under Async, and the span is the
+    exact [M(W, t) − t + 1]. *)
+val snapshot_bindings : snapshot -> (Bitset.t * int * int) list
+
 (** Whether the capturing solve stayed exact end to end. *)
 val snapshot_exact : snapshot -> bool
 
@@ -85,7 +114,10 @@ val snapshot_exact : snapshot -> bool
     capture must have been exact, over the same choice space and node
     count, and comfortably inside the state budget (a 4x margin), so a
     seeded re-solve can never stay exact where a cold one would have
-    degraded to the lookahead fallback. *)
+    degraded to the lookahead fallback. The margin counts the capturing
+    lineage's expanded states (refuted nodes included), not
+    {!snapshot_entries}: a snapshot keeps exact entries only, which are
+    usually far fewer. *)
 val snapshot_reusable : snapshot -> space:Choices.t -> budget:budget -> n:int -> bool
 
 (** [plan_snapshot ?seeds model space ~budget ~source ~start] is

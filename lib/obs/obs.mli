@@ -4,7 +4,7 @@
     before doing anything; with the flags off (the default) an
     instrumented call site costs one atomic load and one branch, so
     probes can sit inside the M-search and protocol inner loops without
-    perturbing BENCH_SMOKE.json.
+    perturbing the BENCH_9.json timings.
 
     The flags are process-global: the experiment pool's worker domains
     observe an [enable] performed by the submitting domain before the

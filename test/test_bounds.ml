@@ -242,6 +242,33 @@ let evaluation_matches_oracle space ((model, _) : Model.t * int) =
       let e = Mcounter.evaluate model space ~budget ~w ~slot:1 in
       e.Mcounter.exact && e.Mcounter.finish = oracle w ~slot:1)
 
+(* The cutoff contract, at every limit from one below the hop bound to
+   one above the optimum: an exact search returns M when M <= limit and
+   otherwise a lower bound in (limit, M]. A plan's snapshot holds the
+   exact entries only, so every entry must equal the oracle's span. *)
+let limits_match_oracle space ((model, _) : Model.t * int) =
+  let oracle = oracle_finish model space in
+  (* Sync entries key on slot 0 and are slot-invariant: read them at 1. *)
+  let key_slot slot = match Model.system model with Model.Sync -> 1 | Model.Async _ -> slot in
+  every_source model (fun source ->
+      let w = Model.initial_w model ~source in
+      let m = oracle w ~slot:1 in
+      let lb = Mcounter.hop_lower_bound model ~w in
+      let within limit =
+        let e = Mcounter.evaluate ~limit model space ~budget ~w ~slot:1 in
+        e.Mcounter.exact
+        &&
+        if m <= limit then e.Mcounter.finish = m
+        else limit < e.Mcounter.finish && e.Mcounter.finish <= m
+      in
+      let _, snap = Mcounter.plan_snapshot model space ~budget ~source ~start:1 in
+      List.for_all within (List.init (m - lb + 3) (fun i -> lb - 1 + i))
+      && List.for_all
+           (fun (set, slot, span) ->
+             let t = key_slot slot in
+             span = oracle set ~slot:t - t + 1)
+           (Mcounter.snapshot_bindings snap))
+
 (* A pinned instance where the greedy classes are not monotone: from
    source 11 the best greedy broadcast takes 4 rounds, but every
    4-round schedule chooses, at some advance, a class that informs a
@@ -312,5 +339,15 @@ let () =
           prop ~count:200 "sparse async evaluations" gen_sparse_async
             (evaluation_matches_oracle Choices.Greedy);
           Alcotest.test_case "greedy drop pinned case" `Quick test_greedy_drop_pinned;
+          prop ~count:60 "sync greedy limits" gen_sync (limits_match_oracle Choices.Greedy);
+          prop ~count:40 "sync OPT limits" gen_sync
+            (limits_match_oracle (Choices.All { max_sets = 4096 }));
+          prop ~count:40 "async greedy limits" gen_async (limits_match_oracle Choices.Greedy);
+          prop ~count:30 "async OPT limits" gen_async
+            (limits_match_oracle (Choices.All { max_sets = 4096 }));
+          prop ~count:100 "sparse sync limits" gen_sparse_sync
+            (limits_match_oracle Choices.Greedy);
+          prop ~count:100 "sparse async limits" gen_sparse_async
+            (limits_match_oracle Choices.Greedy);
         ] );
     ]
