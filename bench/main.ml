@@ -462,30 +462,25 @@ let run_churn_levels ~n ~seed ~events ~pcts =
     (fun pct -> run_churn_level ~net ~model ~source ~policy ~snap ~sched ~rng ~events ~pct)
     pcts
 
-(* The service-side half of the churn story: one daemon, one base solve
-   (cold), then a stream of [Reschedule] frames — every one a cache
-   miss on the edited digest, served by warm-started repair. *)
+(* The service-side half of the churn story: one daemon, cold solves of
+   the base and of a few sibling deployments, then a stream of
+   [Reschedule] frames on the base — every one a cache miss on the
+   edited digest, answered as its derived request. *)
 type churn_service = {
   s_cold_us : float;
-  s_warm_us : float;
-      (* near-miss solves: the same broadcast re-issued at later start
-         slots — family hits with an empty diff, so the whole memo
-         seeds and the sync search replays from it *)
   s_repair_mean_us : float;
   s_repair_p50_us : float;
-  s_warm_hits : int;
   s_errors : int;
 }
 
 let run_churn_service cfg ~n ~seed ~events ~pct =
   let metrics0 = Obs.metrics_enabled () and tracing0 = Obs.tracing_enabled () in
-  let rng, net, _, source = churn_instance ~n ~seed in
-  let g = Network.graph net in
-  let adj =
-    Array.init (Mlbs_graph.Graph.n_nodes g) (fun u ->
-        Array.to_list (Mlbs_graph.Graph.neighbors g u))
-  in
-  let base =
+  let request_of ~seed net source =
+    let g = Network.graph net in
+    let adj =
+      Array.init (Mlbs_graph.Graph.n_nodes g) (fun u ->
+          Array.to_list (Mlbs_graph.Graph.neighbors g u))
+    in
     {
       Sv_codec.policy = Sv_codec.Gopt;
       rate = None;
@@ -496,6 +491,8 @@ let run_churn_service cfg ~n ~seed ~events ~pct =
       model = Mlbs_phy.Interference.Udg;
     }
   in
+  let rng, net, _, source = churn_instance ~n ~seed in
+  let base = request_of ~seed net source in
   let socket = Filename.temp_file "mlbs-churn" ".sock" in
   let dcfg =
     {
@@ -525,46 +522,20 @@ let run_churn_service cfg ~n ~seed ~events ~pct =
     | Sv_client.Rejected _ | Sv_client.Error _ -> incr errors);
     (now_s () -. t) *. 1e6
   in
-  (* Warm-start near misses vs family misses, paired per family: the
-     warm index is keyed on node count (not digest), so deployments at
-     distinct [n] are distinct families. For each, the first request
-     is the family-miss (cold) sample; re-issues of the same broadcast
-     at later start slots are the near-miss (warm) samples — a
-     different content address (cache miss) but a family hit whose
-     graph diff is empty, so every memo entry seeds, and the sync memo
-     is keyed on the informed set alone, so the re-solve replays the
-     whole search from it. Several families beat one: a single cold
-     sample is too noisy to compare against. *)
   (* One untimed solve first: the daemon's first search pays one-time
      costs (domain-local scratch sizing, allocator warm-up) that would
      otherwise land entirely in the first cold sample. *)
   ignore
     (timed_request
        { base with Sv_codec.topology = Sv_codec.Gen { n = 120; radius = 10.0 }; source = None });
-  let families = [ 0; 1; 2; 3; 4; 5 ] in
-  let cold_lat, warm_lat =
-    List.fold_left
-      (fun (cold, warm) i ->
-        let nf = n - i in
-        let rngf, netf, _, srcf =
-          churn_instance ~n:nf ~seed:(seed + (31 * i))
-        in
-        ignore rngf;
-        let gf = Network.graph netf in
-        let adjf =
-          Array.init (Mlbs_graph.Graph.n_nodes gf) (fun u ->
-              Array.to_list (Mlbs_graph.Graph.neighbors gf u))
-        in
-        let basef = { base with Sv_codec.topology = Sv_codec.Adj adjf; source = Some srcf } in
-        let cold_us = timed_request basef in
-        let warm_us =
-          List.map (fun s -> timed_request { basef with Sv_codec.start = s }) [ 2; 3; 4 ]
-        in
-        (cold_us :: cold, warm_us @ warm))
-      ([], []) families
+  (* Several deployments beat one: a single cold sample is too noisy. *)
+  let cold_us =
+    mean
+      (Array.init 6 (fun i ->
+           let seed = seed + (31 * i) in
+           let _, net, _, source = churn_instance ~n ~seed in
+           timed_request (request_of ~seed net source)))
   in
-  let cold_us = mean (Array.of_list cold_lat) in
-  let warm_us = mean (Array.of_list warm_lat) in
   let k = max 1 (n * pct / 100) in
   let lat = Array.make events 0.0 in
   for e = 0 to events - 1 do
@@ -576,17 +547,10 @@ let run_churn_service cfg ~n ~seed ~events ~pct =
     | Sv_client.Rejected _ | Sv_client.Error _ -> incr errors);
     lat.(e) <- (now_s () -. t1) *. 1e6
   done;
-  let warm_hits =
-    match List.assoc_opt "server/warmstart/hit" (Sv_client.stats c) with
-    | Some v -> v
-    | None -> 0
-  in
   {
     s_cold_us = cold_us;
-    s_warm_us = warm_us;
     s_repair_mean_us = mean lat;
     s_repair_p50_us = median lat;
-    s_warm_hits = warm_hits;
     s_errors = !errors;
   }
 
@@ -622,9 +586,8 @@ let run_churn cfg ~smoke =
     levels;
   let svc = run_churn_service cfg ~n ~seed:42 ~events ~pct:10 in
   Printf.printf
-    "  service: cold %8.0f us, warm near-miss %8.0f us, repair mean %8.0f us (p50 \
-     %8.0f), %d warm-start hits%s\n"
-    svc.s_cold_us svc.s_warm_us svc.s_repair_mean_us svc.s_repair_p50_us svc.s_warm_hits
+    "  service: cold %8.0f us, repair mean %8.0f us (p50 %8.0f)%s\n" svc.s_cold_us
+    svc.s_repair_mean_us svc.s_repair_p50_us
     (if svc.s_errors = 0 then "" else Printf.sprintf "  %d ERRORS" svc.s_errors);
   List.iter
     (fun l ->
@@ -644,10 +607,8 @@ let run_churn cfg ~smoke =
     (Printf.sprintf "service (n=%d, %d events)" n events)
     [
       ("cold", "us", svc.s_cold_us);
-      ("warm", "us", svc.s_warm_us);
       ("repair_mean", "us", svc.s_repair_mean_us);
       ("repair_p50", "us", svc.s_repair_p50_us);
-      ("warmstart_hits", "count", float_of_int svc.s_warm_hits);
       ("errors", "count", float_of_int svc.s_errors);
     ];
   let mismatches =

@@ -956,8 +956,7 @@ let request_cmd =
       & info [ "delta" ] ~docv:"K"
           ~doc:
             "Send a reschedule instead of a plain request: drift $(docv) nodes of the \
-             base topology and ask the service to repair the cached schedule for the \
-             edited graph.")
+             base topology and ask the service for the schedule of the edited graph.")
   in
   let delta_seed_arg =
     Arg.(
@@ -973,10 +972,10 @@ let request_cmd =
 
 (* Churn mode: one connection replaying a topology-churn stream per
    instance — a base solve, then [requests/seeds] drift events, each
-   shipped as a [Reschedule] frame the daemon serves by warm-started
-   repair of the cached base schedule. Repair latency is reported
-   against the cold base solves; sampled events are byte-compared
-   against a direct solve of the edited topology. *)
+   shipped as a [Reschedule] frame the daemon answers as its derived
+   request (a solve of the edited topology). Reschedule latency is
+   reported against the cold base solves; sampled events are
+   byte-compared against a direct solve of the edited topology. *)
 let churn_loadgen ep ~requests ~n ~seeds ~policy ~rate ~model ~churn ~verify_sample
     ~smoke =
   let events = max 1 (requests / max 1 seeds) in
@@ -1030,12 +1029,6 @@ let churn_loadgen ep ~requests ~n ~seeds ~policy ~rate ~model ~churn ~verify_sam
     (if rep_mean > 0. then cold_mean /. rep_mean else 0.);
   Printf.printf "outcome: repairs=%d (cache hits=%d) errors=%d\n" (List.length !repair)
     !hits !errors;
-  List.iter
-    (fun k ->
-      match List.assoc_opt k (Sv_client.stats c) with
-      | Some v -> Printf.printf "%s: %d\n" k v
-      | None -> ())
-    [ "server/warmstart/hit"; "server/warmstart/miss"; "server/repair_ms" ];
   if !verified > 0 then
     Printf.printf "verify: %d/%d sampled repairs consistent with direct scheduler\n"
       (!verified - !mismatches) !verified;

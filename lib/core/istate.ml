@@ -303,30 +303,6 @@ let rewind st ~depth =
     undo st
   done
 
-(* Region watermarks: the frame boundaries recorded in [f_added] slice
-   the shared [added] log into per-frame informed sets, so asking which
-   leading frames stay clear of a region is one scan of the log — no
-   undo, no per-frame allocation. *)
-let frames_clear_of st ~region =
-  if Bitset.cap region <> st.cap then
-    invalid_arg "Istate.frames_clear_of: region capacity mismatch";
-  let d = ref 0 and stop = ref false in
-  while (not !stop) && !d < st.n_frames do
-    let lo = st.f_added.(!d) in
-    let hi = if !d + 1 < st.n_frames then st.f_added.(!d + 1) else st.n_added in
-    let touched = ref false in
-    for i = lo to hi - 1 do
-      if Bitset.mem region st.added.(i) then touched := true
-    done;
-    if !touched then stop := true else incr d
-  done;
-  !d
-
-let rewind_region st ~region =
-  let d = frames_clear_of st ~region in
-  rewind st ~depth:d;
-  d
-
 let last_added st =
   if st.n_frames = 0 then invalid_arg "Istate.last_added: no frame";
   let base = st.f_added.(st.n_frames - 1) in

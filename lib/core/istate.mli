@@ -53,22 +53,6 @@ val rewind : t -> depth:int -> unit
     application order (not sorted). *)
 val last_added : t -> int list
 
-(** [frames_clear_of t ~region] is the number of leading frames whose
-    informed nodes all avoid [region] — one scan of the watermarked
-    undo log, no undo performed. A frame informing a node in [region]
-    caps the count; frames above it are not inspected (LIFO rewind
-    cannot skip them anyway). Raises [Invalid_argument] on capacity
-    mismatch. *)
-val frames_clear_of : t -> region:Bitset.t -> int
-
-(** [rewind_region t ~region] rewinds until every remaining frame is
-    clear of [region] — i.e. to depth [frames_clear_of t ~region],
-    popping exactly the frames the region touches (and everything
-    stacked above them) — and returns the new depth. The reschedule
-    engine uses this to certify how much of a broadcast's history a
-    topology delta leaves intact. *)
-val rewind_region : t -> region:Bitset.t -> int
-
 (** [w t] is the current informed set. The returned value is the live
     internal set: it mutates with [apply]/[undo], so callers must
     [Bitset.copy] it before retaining it. *)

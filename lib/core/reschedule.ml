@@ -8,71 +8,12 @@ module Trace = Mlbs_obs.Trace
 type report = {
   schedule : Schedule.t;
   model : Model.t;
-  changed : int list;
-  region : Bitset.t;
-  clear_steps : int;
   warm : bool;
   snapshot : Mcounter.snapshot option;
 }
 
-(* Domain-local replay state, sized on first use — repairs land on the
-   daemon's worker domains, and a churn stream repairs the same
-   deployment many times over. *)
-let istate_key : Istate.t option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let local_istate n =
-  let slot = Domain.DLS.get istate_key in
-  match !slot with
-  | Some st when Istate.capacity st = n -> st
-  | _ ->
-      let st = Istate.create n in
-      slot := Some st;
-      st
-
 let m_repairs = Metrics.counter "reschedule/repairs"
 let m_warm = Metrics.counter "reschedule/warm"
-let m_clear = Metrics.counter "reschedule/clear_steps"
-
-(* Changed endpoints plus their 1-hop neighbourhoods on the edited
-   graph — the only nodes whose candidate sets, receiver counts or
-   conflict relations the delta can perturb directly. *)
-let region_of g changed =
-  let r = Bitset.create (Graph.n_nodes g) in
-  List.iter
-    (fun u ->
-      Bitset.add r u;
-      Array.iter (fun v -> Bitset.add r v) (Graph.neighbors g u))
-    changed;
-  r
-
-(* Replay the old schedule's steps on the edited model, stopping at the
-   first step that cannot replay verbatim: a sender that is a changed
-   endpoint (its coverage may differ between the graphs), a sender the
-   replay has not informed, or a step whose newly-informed set differs
-   from the recorded one. Every frame pushed before the stop informs
-   the same nodes on both graphs, so [Istate.frames_clear_of] over the
-   changed-endpoint set then counts the provably intact prefix, and
-   [rewind_region] pops exactly the frames the delta touches. *)
-let certified_prefix st old_schedule ~endpoints =
-  let w = Istate.w st in
-  let rec replay = function
-    | [] -> ()
-    | { Schedule.senders; informed; _ } :: rest ->
-        if
-          List.for_all (fun u -> Bitset.mem w u && not (Bitset.mem endpoints u)) senders
-          && List.for_all (fun v -> not (Bitset.mem endpoints v)) informed
-        then begin
-          let before = Istate.n_informed st in
-          Istate.apply st ~senders;
-          if Istate.n_informed st - before = List.length informed then replay rest
-          else Istate.undo st
-        end
-  in
-  replay (Schedule.steps old_schedule);
-  let d = Istate.rewind_region st ~region:endpoints in
-  assert (d = Istate.depth st);
-  d
 
 let reschedule model policy ?snapshot ?snapshot_graph ?source ~old_schedule ~added
     ~removed ~rewired () =
@@ -86,8 +27,6 @@ let reschedule model policy ?snapshot ?snapshot_graph ?source ~old_schedule ~add
     invalid_arg "Reschedule.reschedule: schedule/model node counts differ";
   let g = Model.graph model in
   let g' = Graph.edit g ~add:added ~remove:removed ~rewire:rewired in
-  let changed = Graph.diff_endpoints g g' in
-  let endpoints = Bitset.of_list n changed in
   (* The repaired model inherits the interference backend: a daemon-side
      repair and a direct re-solve of the edited adjacency must bind the
      same model (and, for SINR, the same synthetic geometry) or their
@@ -95,10 +34,6 @@ let reschedule model policy ?snapshot ?snapshot_graph ?source ~old_schedule ~add
   let model' =
     Model.create ~phy:(Model.phy model) (Network.synthetic g') (Model.system model)
   in
-  (* Certified-intact prefix, through the watermarked undo log. *)
-  let st = local_istate n in
-  Istate.reset st model' ~w:(Model.initial_w model' ~source);
-  let clear_steps = certified_prefix st old_schedule ~endpoints in
   (* Warm start: seed the search with every memo entry whose informed
      set contains all endpoints of the diff between the snapshot's
      graph (the base graph unless the snapshot came from another
@@ -127,13 +62,4 @@ let reschedule model policy ?snapshot ?snapshot_graph ?source ~old_schedule ~add
   let schedule, snapshot' = Scheduler.run_warm model' policy ?seeds ~source ~start () in
   Metrics.incr m_repairs;
   if warm then Metrics.incr m_warm;
-  Metrics.add m_clear clear_steps;
-  {
-    schedule;
-    model = model';
-    changed;
-    region = region_of g' changed;
-    clear_steps;
-    warm;
-    snapshot = snapshot';
-  }
+  { schedule; model = model'; warm; snapshot = snapshot' }

@@ -1,52 +1,36 @@
-(** Delta repair for dynamic topologies: patch a solved broadcast after
-    a localised graph change instead of re-solving from scratch.
+(** Delta repair for dynamic topologies: the schedule of a solved
+    broadcast after a topology delta.
 
     The engine takes the model and schedule of a completed solve, a
     topology delta (edges added/removed, nodes rewired), and optionally
     the solve's memo {!Mcounter.snapshot}. It
 
-    + applies the delta with {!Mlbs_graph.Graph.edit} and identifies
-      the {e changed endpoints} — the nodes whose neighbourhood the
-      delta touched ({!Mlbs_graph.Graph.diff_endpoints});
-    + replays the old schedule on the edited model through an
-      {!Istate}, then rewinds exactly the frames the affected region
-      touches via the watermarked undo log
-      ({!Istate.rewind_region}) — certifying how long a prefix of the
-      broadcast the delta provably leaves intact;
+    + applies the delta with {!Mlbs_graph.Graph.edit} and binds the
+      edited graph on {!Mlbs_wsn.Network.synthetic} geometry — the
+      same recipe the scheduling service uses for explicit
+      adjacencies — so daemon-side answers and direct calls agree byte
+      for byte;
     + re-solves with {!Scheduler.run_warm}, seeding the M-counter memo
       with every snapshot entry whose informed set already contains
-      all changed endpoints: the search below such a set only reads
-      edges with an uninformed endpoint, and every changed edge has
-      both endpoints in the diff, so the seeded values are exactly
-      what a cold search would recompute.
+      all changed endpoints ({!Mlbs_graph.Graph.diff_endpoints}): the
+      search below such a set only reads edges with an uninformed
+      endpoint, and every changed edge has both endpoints in the diff,
+      so the seeded values are exactly what a cold search would
+      recompute.
 
     Consequently the repaired schedule is byte-identical to a full
     {!Scheduler.run} on the edited model (property-tested in
     [test/test_reschedule.ml]); the seeds only skip re-deriving values
-    that cannot have changed. Under small deltas most of the memo
-    survives, which is where the repair-vs-resolve speedup of BENCH_4
-    comes from.
-
-    The edited model's geometry is synthesised with
-    {!Mlbs_wsn.Network.synthetic} — the same recipe the scheduling
-    service uses for explicit adjacencies — so daemon-side repairs and
-    direct calls agree byte for byte. *)
-
-module Bitset = Mlbs_util.Bitset
+    that cannot have changed. They do not make a repair cheaper than a
+    re-solve: BENCH_9's churn rows read a repair/re-solve speedup of
+    0.50–0.60× (the snapshot holds only exact entries, and the cut-off
+    search it races is cheap), which is why the scheduling service
+    answers a reschedule with a plain solve of the edited graph. *)
 
 (** What a repair did, beyond the schedule itself. *)
 type report = {
   schedule : Schedule.t;  (** the repaired schedule *)
   model : Model.t;  (** the edited model the schedule is for *)
-  changed : int list;
-      (** changed endpoints: nodes whose adjacency differs, ascending *)
-  region : Bitset.t;
-      (** the affected region — changed endpoints plus their 1-hop
-          neighbourhoods on the edited graph *)
-  clear_steps : int;
-      (** length of the certified-intact prefix: leading old-schedule
-          steps whose senders and newly-informed nodes all avoid the
-          changed endpoints (these replay identically on both graphs) *)
   warm : bool;
       (** whether snapshot seeding was actually engaged (a reusable
           snapshot was supplied and passed {!Mcounter.snapshot_reusable}) *)

@@ -72,9 +72,8 @@ val digest : t -> int64
     irrelevant), then [add]ed edges inserted. Duplicates collapse;
     self-loops and out-of-range endpoints raise [Invalid_argument].
     This is the churn primitive behind the scheduling service's delta
-    requests: the edited graph's {!digest} is the repaired schedule's
-    new content address, while the base digest keys the warm-start
-    family (see lib/server). *)
+    requests: the edited graph's {!digest} is the content address of
+    the schedule served for the delta (see lib/server). *)
 val edit :
   t ->
   add:(int * int) list ->

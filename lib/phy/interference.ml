@@ -25,8 +25,8 @@ let channels = function Multichannel k -> k | Udg | Sinr _ -> 1
 
 (* Under SINR, conflict structure — and with it every search memo
    value — is a function of node positions, not just the graph. Warm
-   starts indexed graph-wise (the service's family index, repair
-   snapshots) are only sound for graph-determined models. *)
+   starts indexed graph-wise ([Reschedule]'s snapshot seeding) are
+   only sound for graph-determined models. *)
 let geometry_dependent = function Sinr _ -> true | Udg | Multichannel _ -> false
 
 let validate = function

@@ -46,10 +46,9 @@ val channels : t -> int
 
 (** [geometry_dependent t]: do conflicts (and hence search memo values)
     depend on node positions rather than the graph alone? True only for
-    {!Sinr}. Graph-keyed warm starts — the scheduling service's family
-    index, repair snapshot seeding — must be skipped when this holds,
-    or a memo computed on one deployment's geometry would steer the
-    search on another's. *)
+    {!Sinr}. Graph-keyed warm starts — [Reschedule]'s snapshot
+    seeding — must be skipped when this holds, or a memo computed on
+    one deployment's geometry would steer the search on another's. *)
 val geometry_dependent : t -> bool
 
 (** [validate t] checks the spec's parameter constraints (the same ones

@@ -30,9 +30,9 @@ val request : t -> Codec.request -> outcome
 val request_retry : ?attempts:int -> t -> Codec.request -> outcome
 
 (** [reschedule t ~base ~delta] asks the daemon to serve the topology
-    obtained by applying [delta] to [base]'s resolved graph — repaired
-    from the cached base schedule when possible, byte-identical to a
-    plain {!request} for {!Daemon.derived_request}[ base delta]. *)
+    obtained by applying [delta] to [base]'s resolved graph — answered
+    as, and byte-identical to, a plain {!request} for
+    {!Daemon.derived_request}[ base delta]. *)
 val reschedule : t -> base:Codec.request -> delta:Codec.delta -> outcome
 
 (** [reschedule_retry ?attempts t ~base ~delta] retries like

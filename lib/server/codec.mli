@@ -87,13 +87,12 @@ type msg =
   | Hello_ack of { proto : int; version : string; version_match : bool }
   | Request of request
   | Reschedule of { base : request; delta : delta }
-      (** repair the base request's schedule after a topology delta:
-          the daemon resolves [base] (hitting its caches), applies the
-          delta, and serves a schedule for the edited graph — warm
-          starting from the base solve when it has one. The reply is a
-          plain [Reply_ok]; the repaired schedule is cached under the
-          {e edited} graph's content address, byte-identical to what a
-          plain [Request] for that adjacency would compute. *)
+      (** the base request's schedule after a topology delta: the
+          daemon resolves [base] (hitting its caches), applies the
+          delta, and answers the plain [Request] for the edited
+          adjacency. The reply is a plain [Reply_ok], cached under the
+          {e edited} graph's content address and byte-identical to that
+          request's. *)
   | Reply_ok of ok_reply
   | Reply_rejected of { retry_after_ms : int }
       (** admission queue full: overload is shed explicitly, retry after

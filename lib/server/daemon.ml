@@ -5,13 +5,11 @@ module Graph = Mlbs_graph.Graph
 module Network = Mlbs_wsn.Network
 module Deployment = Mlbs_wsn.Deployment
 module Wake_schedule = Mlbs_dutycycle.Wake_schedule
-module Bitset = Mlbs_util.Bitset
 module Interference = Mlbs_phy.Interference
 module Model = Mlbs_core.Model
 module Schedule = Mlbs_core.Schedule
 module Scheduler = Mlbs_core.Scheduler
-module Mcounter = Mlbs_core.Mcounter
-module Reschedule = Mlbs_core.Reschedule
+module Validate = Mlbs_sim.Validate
 module Config = Mlbs_workload.Config
 module Persist = Mlbs_workload.Persist
 module Improve = Mlbs_search.Improve
@@ -73,16 +71,14 @@ let m_connections = Metrics.counter "server/connections"
 let m_bad_frames = Metrics.counter "server/bad_frames"
 let m_peeks = Metrics.counter "server/peeks"
 let m_fills = Metrics.counter "server/fills"
+let m_put_refused = Metrics.counter "server/put_refused"
 let h_request_us = Metrics.histogram "server/request_us"
 let h_solve_us = Metrics.histogram "server/solve_us"
-let h_repair_ms = Metrics.histogram "server/repair_ms"
-let m_warm_hit = Metrics.counter "server/warmstart/hit"
-let m_warm_miss = Metrics.counter "server/warmstart/miss"
 let m_polish_passes = Metrics.counter "search/improve/polish_passes"
 let m_upgrades = Metrics.counter "search/improve/upgrades_installed"
 
-(* EWMA of recent solve/repair wall time, process-wide — the basis of
-   the load-scaled retry hint handed to shed clients. *)
+(* EWMA of recent solve wall time, process-wide — the basis of the
+   load-scaled retry hint handed to shed clients. *)
 let ewma_solve_us = Atomic.make 0
 
 let note_solve_us us =
@@ -186,6 +182,11 @@ let cache_key req =
   let r = resolve req in
   key_of req ~digest:r.rdigest ~source:(source_of req r)
 
+let model_for (req : C.request) r = Model.create ~phy:req.C.model r.rnet (system_of req r.rnet)
+
+(* The one solve path: [solve] below and every dispatched miss, a
+   [Reschedule] included, run this, so served bytes equal the
+   reference by construction. *)
 let do_solve model policy ~source ~start =
   let s0 = Metrics.counter_value "search/states" in
   let t0 = Obs.now_us () in
@@ -201,140 +202,35 @@ let do_solve model policy ~source ~start =
     }
   in
   Metrics.observe h_solve_us stats.C.solve_us;
+  note_solve_us stats.C.solve_us;
   (stats, plan)
 
 let solve req =
   let r = resolve req in
-  let source = source_of req r in
-  let model = Model.create ~phy:req.C.model r.rnet (system_of req r.rnet) in
-  do_solve model (policy_of req.C.policy) ~source ~start:req.C.start
+  do_solve (model_for req r) (policy_of req.C.policy) ~source:(source_of req r)
+    ~start:req.C.start
 
-let model_of req =
-  let r = resolve req in
-  Model.create ~phy:req.C.model r.rnet (system_of req r.rnet)
+let model_of req = model_for req (resolve req)
 
-(* [derived_request base delta] is the plain request for the edited
-   topology: the adjacency of [Graph.edit] applied to [base]'s
-   resolved graph, with the resolved source pinned. A [Reschedule]
-   reply is byte-identical to this request's reply, and both land on
-   the same content address. *)
-let derived_request (base : C.request) (delta : C.delta) =
-  let r = resolve base in
+(* A [Reschedule] is its derived request: the plain request for the
+   adjacency of [Graph.edit] applied to [base]'s resolved graph, with
+   the resolved source pinned. Returns that request together with its
+   resolved record — the synthetic geometry [resolve] would build for
+   the adjacency, the edited digest and the pinned source — so the
+   daemon can answer it without rebuilding the graph from the
+   adjacency. *)
+let resolve_derived ?memo (base : C.request) (delta : C.delta) =
+  let r = resolve ?memo base in
   let source = source_of base r in
   let g' =
     Graph.edit (Network.graph r.rnet) ~add:delta.C.d_added ~remove:delta.C.d_removed
       ~rewire:delta.C.d_rewired
   in
   let adj = Array.init (Graph.n_nodes g') (fun u -> Array.to_list (Graph.neighbors g' u)) in
-  { base with C.topology = C.Adj adj; source = Some source }
+  ( { base with C.topology = C.Adj adj; source = Some source },
+    { rnet = Network.synthetic g'; rdigest = Graph.digest g'; rsource = source } )
 
-(* ------------------------- warm-start index ------------------------ *)
-
-(* One memo snapshot per (policy, rate, wake seed, node count) family,
-   keyed WITHOUT the graph digest — near misses (same deployment
-   family, different source, edited graph) are exactly the lookups we
-   want to catch. The stored graph is the one the snapshot's solve ran
-   on; per-entry validity is re-derived against it at use time, which
-   keeps chained churn repairs sound. *)
-type wentry = { wgraph : Graph.t; wsnapshot : Mcounter.snapshot }
-
-let family_key (req : C.request) ~n =
-  Printf.sprintf "p%d:r%d:w%d:n%d:m%s" (policy_tag req.C.policy)
-    (match req.C.rate with None -> -1 | Some r -> r)
-    (match req.C.rate with None -> 0 | Some _ -> req.C.seed)
-    n
-    (Interference.to_string req.C.model)
-
-let searchful = function C.Gopt | C.Opt -> true | C.Baseline | C.Emodel -> false
-
-(* Probe the family index for seeds valid on [g]: a memo entry is
-   reused iff its informed set contains every endpoint of the diff
-   between the snapshot's graph and [g] (the soundness contract of
-   [Mcounter.plan_snapshot]). On a same-graph near miss — different
-   source, say — the diff is empty and the whole memo seeds. *)
-let family_seeds warm (req : C.request) policy ~family ~g =
-  (* The subset-validity argument is graph-wise; under a
-     geometry-dependent model a memo computed on one deployment's
-     positions would steer the search on another's (the family key
-     carries no geometry), so SINR families never seed. *)
-  if Interference.geometry_dependent req.C.model then None
-  else
-    let n = Graph.n_nodes g in
-    match Cache.find warm family with
-    | Some we when Graph.n_nodes we.wgraph = n ->
-        let eps = Bitset.of_list n (Graph.diff_endpoints we.wgraph g) in
-        Scheduler.warm_seeds policy we.wsnapshot ~n ~valid:(fun w -> Bitset.subset eps w)
-    | _ -> None
-
-(* Warm solve: same schedules as [do_solve], byte for byte, but
-   through [Scheduler.run_warm] — family-index seeds in, memo snapshot
-   out. *)
-let do_solve_warm warm (req : C.request) model ~source ~family =
-  let policy = policy_of req.C.policy in
-  let g = Model.graph model in
-  let seeds = family_seeds warm req policy ~family ~g in
-  if searchful req.C.policy then
-    Metrics.incr (match seeds with Some _ -> m_warm_hit | None -> m_warm_miss);
-  let s0 = Metrics.counter_value "search/states" in
-  let t0 = Obs.now_us () in
-  let schedule, snap = Scheduler.run_warm model policy ?seeds ~source ~start:req.C.start () in
-  let dt = Obs.now_us () -. t0 in
-  let stats =
-    {
-      C.elapsed = Schedule.elapsed schedule;
-      transmissions = Schedule.n_transmissions schedule;
-      n_steps = List.length (Schedule.steps schedule);
-      search_states = max 0 (Metrics.counter_value "search/states" - s0);
-      solve_us = int_of_float dt;
-    }
-  in
-  Metrics.observe h_solve_us stats.C.solve_us;
-  note_solve_us stats.C.solve_us;
-  (match snap with
-  | Some s when not (Interference.geometry_dependent req.C.model) ->
-      Cache.add warm family { wgraph = g; wsnapshot = s }
-  | _ -> ());
-  (stats, schedule)
-
-(* Delta repair: patch the cached base schedule for the edited graph
-   through [Reschedule], seeding from the family snapshot when one is
-   on hand. Byte-identical to a cold solve of the edited topology. *)
-let do_repair warm (req : C.request) ~base_model ~(base_entry : entry) ~family ~source
-    (delta : C.delta) =
-  let prev =
-    if Interference.geometry_dependent req.C.model then None
-    else Cache.find warm family
-  in
-  let s0 = Metrics.counter_value "search/states" in
-  let t0 = Obs.now_us () in
-  let rep =
-    Reschedule.reschedule base_model (policy_of req.C.policy)
-      ?snapshot:(Option.map (fun we -> we.wsnapshot) prev)
-      ?snapshot_graph:(Option.map (fun we -> we.wgraph) prev)
-      ~source ~old_schedule:base_entry.schedule ~added:delta.C.d_added
-      ~removed:delta.C.d_removed ~rewired:delta.C.d_rewired ()
-  in
-  let dt = Obs.now_us () -. t0 in
-  if searchful req.C.policy then
-    Metrics.incr (if rep.Reschedule.warm then m_warm_hit else m_warm_miss);
-  let schedule = rep.Reschedule.schedule in
-  let stats =
-    {
-      C.elapsed = Schedule.elapsed schedule;
-      transmissions = Schedule.n_transmissions schedule;
-      n_steps = List.length (Schedule.steps schedule);
-      search_states = max 0 (Metrics.counter_value "search/states" - s0);
-      solve_us = int_of_float dt;
-    }
-  in
-  Metrics.observe h_solve_us stats.C.solve_us;
-  Metrics.observe h_repair_ms (max 0 (int_of_float (dt /. 1000.)));
-  note_solve_us stats.C.solve_us;
-  (match rep.Reschedule.snapshot with
-  | Some s when not (Interference.geometry_dependent req.C.model) ->
-      Cache.add warm family { wgraph = Model.graph rep.Reschedule.model; wsnapshot = s }
-  | _ -> ());
-  (stats, schedule)
+let derived_request base delta = fst (resolve_derived base delta)
 
 (* ------------------------ cache persistence ------------------------ *)
 
@@ -382,9 +278,7 @@ let load_cache ~dir cache =
           go [])
     in
     match lines with
-    | header :: rest when String.length header >= 18
-                          && (String.sub header 0 18 = "mlbs-cache-index 1"
-                             || String.sub header 0 18 = "mlbs-cache-index 2") ->
+    | header :: rest when String.starts_with ~prefix:"mlbs-cache-index 2 " header ->
         let parse ~stem ~key ~el ~tx ~st ~ss ~su ~ver =
           try
             let schedule = Persist.load_schedule (Filename.concat dir (stem ^ ".sched")) in
@@ -407,8 +301,6 @@ let load_cache ~dir cache =
           List.filter_map
             (fun line ->
               match String.split_on_char ' ' line with
-              | [ "entry"; stem; key; el; tx; st; ss; su ] ->
-                  parse ~stem ~key ~el ~tx ~st ~ss ~su ~ver:"0"
               | [ "entry"; stem; key; el; tx; st; ss; su; ver ] ->
                   parse ~stem ~key ~el ~tx ~st ~ss ~su ~ver
               | _ -> None)
@@ -418,7 +310,7 @@ let load_cache ~dir cache =
            cache restores the recency order. *)
         List.iter (fun (key, e) -> Cache.add cache key e) (List.rev parsed);
         List.length parsed
-    | _ -> failwith (Printf.sprintf "Daemon.load_cache: %s is not a v1 index" (index_file dir))
+    | _ -> failwith (Printf.sprintf "Daemon.load_cache: %s is not a v2 index" (index_file dir))
   end
 
 (* ----------------------------- daemon ------------------------------ *)
@@ -427,7 +319,6 @@ type t = {
   cfg : config;
   pool : Pool.t;
   cache : entry Cache.t;
-  warm : wentry Cache.t;
   topo : resolved Cache.t;
   disp : entry Dispatch.t;
   stop_requested : bool Atomic.t;
@@ -487,6 +378,17 @@ let retry_hint t ~depth =
       let ms = (depth + 1) * per_us / (max 1 t.cfg.jobs * 1000) in
       max 5 (min 5000 ms)
 
+let reply_ok t ~digest ~cache_hit (e : entry) =
+  Metrics.incr m_ok;
+  C.Reply_ok
+    {
+      trace_id = fresh_trace_id t digest;
+      cache_hit;
+      version = e.version;
+      stats = e.stats;
+      schedule = e.schedule;
+    }
+
 (* Admit the solve closure and block the connection thread until a pool
    worker finishes it (or it is shed at the door). The dispatcher's
    [on_done] publishes the entry under [key] even if this connection
@@ -500,186 +402,106 @@ let await t ~key ~digest run =
       C.Reply_rejected { retry_after_ms = retry_hint t ~depth }
   | Ok ticket -> (
       match Dispatch.await ticket with
-      | Ok e ->
-          Metrics.incr m_ok;
-          C.Reply_ok
-            {
-              trace_id = fresh_trace_id t digest;
-              cache_hit = false;
-              version = e.version;
-              stats = e.stats;
-              schedule = e.schedule;
-            }
+      | Ok e -> reply_ok t ~digest ~cache_hit:false e
       | Error msg -> reply_error msg)
 
-let handle_request t (req : C.request) =
+(* Where a frame's request lives: the request the schedule answers, its
+   resolved topology, source and content address. *)
+type address = { areq : C.request; ar : resolved; asource : int; akey : string }
+
+let plain t req = (req, resolve ~memo:t.topo req)
+
+(* The lookup every frame shares: allow-list, then [answer] (which
+   resolves the request actually answered — a [Reschedule]'s derived
+   request), then source, then content address. Any failure on the way
+   is the frame's [Reply_error]. *)
+let address t (req : C.request) ~answer =
+  if not (model_allowed t req.C.model) then Error (reject_model req.C.model)
+  else
+    match
+      let areq, ar = answer req in
+      let asource = source_of areq ar in
+      { areq; ar; asource; akey = key_of areq ~digest:ar.rdigest ~source:asource }
+    with
+    | a -> Ok a
+    | exception e -> Error (reply_error (Printexc.to_string e))
+
+(* A [Request] or [Reschedule]: a hit replies from cache, a miss is
+   solved by [do_solve] on a pool worker and filed under the answered
+   request's address. *)
+let serve t ~name (req : C.request) ~answer =
   Metrics.incr m_requests;
   let t0 = Obs.now_us () in
   let reply =
-    if not (model_allowed t req.C.model) then reject_model req.C.model
-    else
-    match resolve ~memo:t.topo req with
-    | exception e -> reply_error (Printexc.to_string e)
-    | r -> (
-        match source_of req r with
-        | exception e -> reply_error (Printexc.to_string e)
-        | source -> (
-            let key = key_of req ~digest:r.rdigest ~source in
-            match Cache.find t.cache key with
-            | Some e ->
-                Metrics.incr m_ok;
-                C.Reply_ok
-                  {
-                    trace_id = fresh_trace_id t r.rdigest;
-                    cache_hit = true;
-                    version = e.version;
-                    stats = e.stats;
-                    schedule = e.schedule;
-                  }
-            | None -> (
-                match Model.create ~phy:req.C.model r.rnet (system_of req r.rnet) with
-                | exception e -> reply_error (Printexc.to_string e)
-                | model ->
-                    let family = family_key req ~n:(Network.n_nodes r.rnet) in
-                    await t ~key ~digest:r.rdigest (fun () ->
-                        entry_of ~origin:req
-                          (do_solve_warm t.warm req model ~source ~family)))))
+    match address t req ~answer with
+    | Error reply -> reply
+    | Ok { areq; ar; asource; akey } -> (
+        match Cache.find t.cache akey with
+        | Some e -> reply_ok t ~digest:ar.rdigest ~cache_hit:true e
+        | None -> (
+            match model_for areq ar with
+            | exception e -> reply_error (Printexc.to_string e)
+            | model ->
+                await t ~key:akey ~digest:ar.rdigest (fun () ->
+                    entry_of ~origin:areq
+                      (do_solve model (policy_of areq.C.policy) ~source:asource
+                         ~start:areq.C.start))))
   in
   let dt = Obs.now_us () -. t0 in
   Metrics.observe h_request_us (int_of_float dt);
   if Obs.tracing_enabled () then
-    Trace.complete ~cat:"server" ~name:"request" ~t0_us:t0 ~dur_us:dt ();
+    Trace.complete ~cat:"server" ~name ~t0_us:t0 ~dur_us:dt ();
   reply
 
-(* A [Reschedule]: resolve the base, apply the delta, and serve the
-   edited topology — from cache when its content address is warm,
-   otherwise by repairing the cached base schedule (or cold-solving
-   the edited graph when the base was never solved here; family seeds
-   may still apply). The reply is byte-identical to a plain [Request]
-   for the edited adjacency ([derived_request]), and the result is
-   inserted under that request's content address, so either route hits
-   the same cache line afterwards. *)
-let handle_reschedule t (base : C.request) (delta : C.delta) =
-  Metrics.incr m_requests;
-  let t0 = Obs.now_us () in
-  let reply =
-    if not (model_allowed t base.C.model) then reject_model base.C.model
-    else
-    match resolve ~memo:t.topo base with
-    | exception e -> reply_error (Printexc.to_string e)
-    | r -> (
-        match source_of base r with
-        | exception e -> reply_error (Printexc.to_string e)
-        | source -> (
-            match
-              Graph.edit (Network.graph r.rnet) ~add:delta.C.d_added
-                ~remove:delta.C.d_removed ~rewire:delta.C.d_rewired
-            with
-            | exception e -> reply_error (Printexc.to_string e)
-            | g' -> (
-                let digest' = Graph.digest g' in
-                let key = key_of base ~digest:digest' ~source in
-                match Cache.find t.cache key with
-                | Some e ->
-                    Metrics.incr m_ok;
-                    C.Reply_ok
-                      {
-                        trace_id = fresh_trace_id t digest';
-                        cache_hit = true;
-                        version = e.version;
-                        stats = e.stats;
-                        schedule = e.schedule;
-                      }
-                | None ->
-                    let family = family_key base ~n:(Graph.n_nodes g') in
-                    (* The entry answers the edited topology: its origin
-                       for later polishing is the plain request for that
-                       adjacency (the same one [derived_request] builds). *)
-                    let origin =
-                      let adj =
-                        Array.init (Graph.n_nodes g') (fun u ->
-                            Array.to_list (Graph.neighbors g' u))
-                      in
-                      { base with C.topology = C.Adj adj; source = Some source }
-                    in
-                    let run =
-                      match Cache.find t.cache (key_of base ~digest:r.rdigest ~source) with
-                      | Some base_entry ->
-                          fun () ->
-                            let base_model =
-                              Model.create ~phy:base.C.model r.rnet (system_of base r.rnet)
-                            in
-                            entry_of ~origin
-                              (do_repair t.warm base ~base_model ~base_entry ~family
-                                 ~source delta)
-                      | None ->
-                          fun () ->
-                            let net' = Network.synthetic g' in
-                            let model' =
-                              Model.create ~phy:base.C.model net' (system_of base net')
-                            in
-                            entry_of ~origin
-                              (do_solve_warm t.warm base model' ~source ~family)
-                    in
-                    await t ~key ~digest:digest' run)))
-  in
-  let dt = Obs.now_us () -. t0 in
-  Metrics.observe h_request_us (int_of_float dt);
-  if Obs.tracing_enabled () then
-    Trace.complete ~cat:"server" ~name:"reschedule" ~t0_us:t0 ~dur_us:dt ();
-  reply
+let handle_request t req = serve t ~name:"request" req ~answer:(plain t)
+
+(* A [Reschedule] is answered as its derived request: edit the base
+   graph, then serve the plain request for the edited adjacency. The
+   reply is byte-identical to that request's, and both share one cache
+   line; the entry's origin is the derived request, so the improver can
+   polish it. *)
+let handle_reschedule t base delta =
+  serve t ~name:"reschedule" base ~answer:(fun base -> resolve_derived ~memo:t.topo base delta)
 
 (* A [Peek] (protocol v3): cache-only probe — a hit is a normal
    [Reply_ok] with [cache_hit = true]; a miss answers [Peek_miss] and
    never solves. The fleet front tier peeks shards before committing a
    solve, so this path must stay allocation-light and queue-free. *)
-let handle_peek t (req : C.request) =
+let handle_peek t req =
   Metrics.incr m_peeks;
-  if not (model_allowed t req.C.model) then reject_model req.C.model
-  else
-  match resolve ~memo:t.topo req with
-  | exception e -> reply_error (Printexc.to_string e)
-  | r -> (
-      match source_of req r with
-      | exception e -> reply_error (Printexc.to_string e)
-      | source -> (
-          match Cache.find t.cache (key_of req ~digest:r.rdigest ~source) with
-          | Some e ->
-              Metrics.incr m_ok;
-              C.Reply_ok
-                {
-                  trace_id = fresh_trace_id t r.rdigest;
-                  cache_hit = true;
-                  version = e.version;
-                  stats = e.stats;
-                  schedule = e.schedule;
-                }
-          | None -> C.Peek_miss))
+  match address t req ~answer:(plain t) with
+  | Error reply -> reply
+  | Ok { ar; akey; _ } -> (
+      match Cache.find t.cache akey with
+      | Some e -> reply_ok t ~digest:ar.rdigest ~cache_hit:true e
+      | None -> C.Peek_miss)
 
 (* A [Put] (protocol v3): peer cache-fill. The content address is
-   recomputed from the request itself — a peer cannot file a schedule
-   under an address that does not match it short of sending a wrong
-   schedule for the right request, which determinism upstream rules
-   out. Only shape is re-validated here; byte-level trust is between
-   fleet members. *)
-let handle_put t (req : C.request) ~version (stats : C.stats) schedule =
-  if not (model_allowed t req.C.model) then reject_model req.C.model
-  else
-  match resolve ~memo:t.topo req with
-  | exception e -> reply_error (Printexc.to_string e)
-  | r -> (
-      match source_of req r with
-      | exception e -> reply_error (Printexc.to_string e)
-      | source ->
-          if Schedule.n_nodes schedule <> Network.n_nodes r.rnet then
-            reply_error "put: schedule does not match the request topology"
-          else begin
-            install t
-              ~key:(key_of req ~digest:r.rdigest ~source)
-              (entry_of ~origin:req ~version (stats, schedule));
-            Metrics.incr m_fills;
-            C.Put_ack
-          end)
+   recomputed from the request itself, and the schedule must answer it:
+   same node count, source and start, and a clean radio replay under the
+   request's model. A peer's schedule is trusted no further than any
+   other, so a wrong one is refused, never installed. *)
+let handle_put t req ~version (stats : C.stats) schedule =
+  let refuse msg =
+    Metrics.incr m_put_refused;
+    reply_error msg
+  in
+  match address t req ~answer:(plain t) with
+  | Error reply -> reply
+  | Ok { areq; ar; asource; akey } ->
+      if
+        Schedule.n_nodes schedule <> Network.n_nodes ar.rnet
+        || Schedule.source schedule <> asource
+        || Schedule.start schedule <> areq.C.start
+      then refuse "put: schedule does not match the request topology"
+      else if
+        not (try (Validate.check (model_for areq ar) schedule).Validate.ok with _ -> false)
+      then refuse "put: schedule does not replay clean under the request's model"
+      else begin
+        install t ~key:akey (entry_of ~origin:areq ~version (stats, schedule));
+        Metrics.incr m_fills;
+        C.Put_ack
+      end
 
 (* The Stats frame carries the daemon's own counters plus the search
    core's ("search/states", bound-prune kinds, dominance prunes, the
@@ -795,8 +617,7 @@ let polish_once t ~budget =
       Metrics.incr m_polish_passes;
       let outcome =
         try
-          let r = resolve ~memo:t.topo req in
-          let model = Model.create ~phy:req.C.model r.rnet (system_of req r.rnet) in
+          let model = model_for req (resolve ~memo:t.topo req) in
           let seed = (Hashtbl.hash key * 131) + attempt in
           Some (Improve.improve ~seed ~budget model e.schedule)
         with _ -> None
@@ -843,7 +664,6 @@ let start cfg =
       cfg;
       pool;
       cache;
-      warm = Cache.create ~metrics_prefix:"server/warm" ~capacity:64 ();
       topo = Cache.create ~metrics_prefix:"server/topo" ~capacity:256 ();
       disp = Dispatch.create ~pool ~capacity:cfg.queue_capacity;
       stop_requested = Atomic.make false;

@@ -19,23 +19,22 @@
       domains, inserts results into the cache, and wakes the waiting
       connection threads.
 
-    A [Reschedule] frame (base request + topology delta) serves the
-    edited topology: the daemon applies the delta to the resolved base
-    graph, probes the cache under the edited graph's content address,
-    and on a miss {e repairs} the cached base schedule through
-    {!Mlbs_core.Reschedule} instead of solving from scratch, warm
-    started from a per-family memo snapshot index (keyed on policy,
-    rate, wake seed and node count — digest-free, so near misses such
-    as a different source or a previous churn step still seed). The
-    repaired entry is filed under the edited topology's own content
-    address — the same key a plain [Request] for that adjacency
-    ({!derived_request}) would hit.
+    A [Reschedule] frame (base request + topology delta) is answered as
+    its derived request ({!derived_request}): the daemon applies the
+    delta to the resolved base graph, builds the edited graph's
+    resolved record, and then follows the flow above — same lookup,
+    same cache line as a plain [Request] for that adjacency, same
+    solve on a miss.
+
+    A [Put] frame (peer cache-fill) is installed only when its
+    schedule replays clean under the request's model
+    ({!Mlbs_sim.Validate.check}); otherwise it is refused with
+    [Reply_error] and counted in [server/put_refused].
 
     Served schedules are byte-identical to a direct
     {!Mlbs_core.Scheduler.run} on the same request, at any [jobs],
-    cache hit or miss, repaired or cold — {!solve} below is that
-    reference path, shared by the dispatcher, [mlbs loadgen --verify]
-    and the tests. *)
+    cache hit or miss — {!solve} below is the one solve path, shared
+    by the dispatcher, [mlbs loadgen --verify] and the tests. *)
 
 type config = {
   socket_path : string option;  (** Unix-domain listener *)
@@ -159,5 +158,6 @@ val save_cache : dir:string -> limit:int -> entry Cache.t -> int
 
 (** [load_cache ~dir cache] warms [cache] from a directory written by
     {!save_cache}, restoring the recency order; unreadable entries are
-    skipped. Returns the number loaded (0 when [dir] has no index). *)
+    skipped. Returns the number loaded (0 when [dir] has no index).
+    Raises [Failure] when the index is not a v2 index. *)
 val load_cache : dir:string -> entry Cache.t -> int

@@ -8,8 +8,9 @@
    stays O(header). A [Request] is routed by its content address (the
    same [Daemon.cache_key] the backends file it under, memoised here by
    the encoded request bytes); a [Reschedule] is routed by its *base*
-   request's address, so the repair lands on the shard holding the base
-   schedule.
+   request's address, memoised the same way, so a base's reschedules
+   all land on one shard (the derived request's own address may be
+   owned by another).
 
    Peer cache-fill: on a warm ring the front first [Peek]s the owner
    (cache-only, 1 RTT on a hit). On a miss it peeks the ring successor —
@@ -463,8 +464,8 @@ let handle_conn t fd =
               | _ -> encode_error "malformed request")
           | 11 -> (
               Metrics.incr m_requests;
-              (* Routed by the BASE request's address: the repair must
-                 land where the base schedule is cached. *)
+              (* Routed by the BASE request's address, memoised by
+                 the base's encoded bytes like a plain request. *)
               match C.decode payload with
               | C.Reschedule { base; delta = _ } -> (
                   let base_payload = C.encode (C.Request base) in

@@ -2,20 +2,14 @@
    byte-for-byte the schedule a from-scratch [Scheduler.run] produces on
    the edited model — under chained drift, arbitrary edge add/remove
    deltas, warm or cold, sync or duty-cycled. The suite walks random
-   churn chains comparing canonical schedule bytes at every step, and
-   checks the watermarked undo-log properties ([Istate.frames_clear_of]
-   / [rewind_region]) the certified-prefix computation rests on. *)
+   churn chains comparing canonical schedule bytes at every step. *)
 
-module Bitset = Mlbs_util.Bitset
 module Rng = Mlbs_prng.Rng
 module Graph = Mlbs_graph.Graph
 module Network = Mlbs_wsn.Network
 module Churn = Mlbs_wsn.Churn
 module Wake_schedule = Mlbs_dutycycle.Wake_schedule
 module Model = Mlbs_core.Model
-module Choices = Mlbs_core.Choices
-module Istate = Mlbs_core.Istate
-module Schedule = Mlbs_core.Schedule
 module Scheduler = Mlbs_core.Scheduler
 module Reschedule = Mlbs_core.Reschedule
 module Codec = Mlbs_server.Codec
@@ -45,9 +39,9 @@ let gen_walk = QCheck2.Gen.(pair gen_instance (list_size (int_range 1 4) small_i
 
 (* ----------------------- chained drift walks ----------------------- *)
 
-(* Follow a churn chain the way the daemon does: each repair consumes
-   the previous step's model, schedule and memo snapshot (the snapshot's
-   graph is the model's — the [?snapshot_graph] default). Every repaired
+(* Follow a churn chain: each repair consumes the previous step's
+   model, schedule and memo snapshot (the snapshot's graph is the
+   model's — the [?snapshot_graph] default). Every repaired
    schedule must equal the cold solve of its own model. [Churn.drift]
    gives up on deployments it cannot keep connected; those walks prove
    nothing and pass vacuously. *)
@@ -75,8 +69,8 @@ let walk_byte_equal ((net, system, policy), moves) =
 
 (* A stale snapshot — the base solve's, several drifts old, named via
    [?snapshot_graph] — may only shrink the seed set, never change the
-   schedule. This is the daemon's family-index situation when churn has
-   moved on but the index still holds an earlier family member. *)
+   schedule. This is a churn chain that kept only an earlier member's
+   snapshot. *)
 let stale_snapshot_byte_equal ((net, system, policy), moves) =
   let model0 = Model.create net system in
   let source = 0 in
@@ -126,92 +120,6 @@ let add_remove_byte_equal ((net, system, policy), pairs) =
     bytes_of rep.Reschedule.schedule = bytes_of fresh
   with Failure _ -> true
 
-(* ------------------------ report invariants ------------------------ *)
-
-(* The certified-intact prefix really is intact: each of the first
-   [clear_steps] old-schedule steps replays verbatim on the edited
-   model (same senders, same newly-informed sets), touching no changed
-   endpoint. The changed list must match [Graph.diff_endpoints] and sit
-   inside the reported region. *)
-let report_invariants ((net, system, policy), pairs) =
-  let model = Model.create net system in
-  let n = Model.n_nodes model in
-  let g = Model.graph model in
-  let source = 0 in
-  let norm (a, b) = (min (abs a mod n) (abs b mod n), max (abs a mod n) (abs b mod n)) in
-  let pairs =
-    List.sort_uniq compare (List.filter (fun (u, v) -> u <> v) (List.map norm pairs))
-  in
-  let added, removed = List.partition (fun (u, v) -> not (Graph.mem_edge g u v)) pairs in
-  try
-    let sched = Scheduler.run model policy ~source ~start:1 in
-    let rep =
-      Reschedule.reschedule model policy ~source ~old_schedule:sched ~added ~removed
-        ~rewired:[] ()
-    in
-    let g' = Model.graph rep.Reschedule.model in
-    let changed_ok = rep.Reschedule.changed = Graph.diff_endpoints g g' in
-    let region_ok =
-      List.for_all (fun u -> Bitset.mem rep.Reschedule.region u) rep.Reschedule.changed
-    in
-    let endpoints = Bitset.of_list n rep.Reschedule.changed in
-    let model' = rep.Reschedule.model in
-    let rec replay w i = function
-      | _ when i >= rep.Reschedule.clear_steps -> true
-      | [] -> true
-      | { Schedule.senders; informed; _ } :: rest ->
-          List.for_all (fun u -> not (Bitset.mem endpoints u)) senders
-          && List.for_all (fun v -> not (Bitset.mem endpoints v)) informed
-          && List.sort compare (Model.newly_informed model' ~w ~senders)
-             = List.sort compare informed
-          && replay (Model.apply model' ~w ~senders) (i + 1) rest
-    in
-    let steps = Schedule.steps sched in
-    changed_ok && region_ok
-    && rep.Reschedule.clear_steps <= List.length steps
-    && replay (Model.initial_w model' ~source) 0 steps
-  with Failure _ -> true
-
-(* ------------------- watermarked undo-log rewind ------------------- *)
-
-(* [frames_clear_of] must equal the naive count of leading frames whose
-   newly-informed nodes avoid the region, and [rewind_region] must pop
-   to exactly that depth — on a random apply walk, against a region
-   drawn independently of it. *)
-let watermark_rewind ((model, _seed), rs, members) =
-  let n = Model.n_nodes model in
-  let st = Istate.create n in
-  let w0 = Model.initial_w model ~source:0 in
-  Istate.reset st model ~w:w0;
-  let frames = ref [] (* newly-informed deltas, newest first *)
-  and w = ref w0
-  and slot = ref 1 in
-  List.iter
-    (fun r ->
-      if not (Model.complete model ~w:!w) then
-        match Choices.enumerate model Choices.Greedy ~w:!w ~slot:!slot with
-        | [] -> incr slot
-        | cs ->
-            let senders = List.nth cs (abs r mod List.length cs) in
-            Istate.apply st ~senders;
-            frames := Istate.last_added st :: !frames;
-            w := Model.apply model ~w:!w ~senders;
-            incr slot)
-    rs;
-  let region = Bitset.create n in
-  List.iter (fun i -> Bitset.add region (abs i mod n)) members;
-  let naive =
-    let rec count k = function
-      | added :: rest when List.for_all (fun v -> not (Bitset.mem region v)) added ->
-          count (k + 1) rest
-      | _ -> k
-    in
-    count 0 (List.rev !frames)
-  in
-  let cleared = Istate.frames_clear_of st ~region in
-  let depth = Istate.rewind_region st ~region in
-  cleared = naive && depth = naive && Istate.depth st = naive
-
 let prop ?(count = 30) name gen f =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen f)
 
@@ -228,16 +136,5 @@ let () =
             stale_snapshot_byte_equal;
           prop "add/remove delta repair = from-scratch solve" gen_pairs
             add_remove_byte_equal;
-        ] );
-      ( "report",
-        [ prop ~count:20 "certified prefix replays verbatim" gen_pairs report_invariants ] );
-      ( "undo log",
-        [
-          prop ~count:60 "frames_clear_of / rewind_region match naive count"
-            QCheck2.Gen.(
-              triple Test_support.gen_sync_model
-                (list_size (int_bound 20) (int_bound 1000))
-                (list_size (int_bound 6) small_int))
-            watermark_rewind;
         ] );
     ]

@@ -253,6 +253,18 @@ let test_cache_persistence_roundtrip () =
   Alcotest.(check int) "reload sees the truncation" 2 (Daemon.load_cache ~dir c'');
   rm_rf dir
 
+(* Only the v2 index (9-field entry lines) is read; a v1 index from an
+   older daemon is refused outright rather than half-loaded. *)
+let test_load_cache_refuses_v1 () =
+  let dir = temp_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let oc = open_out (Filename.concat dir "index.txt") in
+  output_string oc "mlbs-cache-index 1 1\nentry e0000 somekey 3 3 2 17 1234\n";
+  close_out oc;
+  match Daemon.load_cache ~dir (Cache.create ~metrics_prefix:"test/v1" ~capacity:4 ()) with
+  | exception Failure _ -> ()
+  | n -> Alcotest.failf "v1 index must be refused, loaded %d" n
+
 let test_load_cache_missing_dir () =
   Alcotest.(check int) "no index -> 0"
     0
@@ -449,45 +461,43 @@ let test_daemon_concurrent_clients () =
   Alcotest.(check int) "80 concurrent requests all byte-identical" 0 (Atomic.get errors)
 
 let test_daemon_reschedule () =
-  (* Added edges only: never disconnects, so the repair path always
-     engages. The reply must be byte-identical to solving the derived
-     request directly, and must share that request's cache line. *)
+  (* Added edges only: never disconnects. The reply must be
+     byte-identical to solving the derived request directly, and must
+     share that request's cache line — whether or not the base itself
+     was ever requested. *)
   let delta =
     { Codec.d_added = [ (0, 7); (3, 11); (20, 41) ]; d_removed = []; d_rewired = [] }
   in
   with_daemon @@ fun socket ->
   let c = connect socket in
   Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
-  (* Prime the base entry so the daemon repairs rather than cold-solves. *)
+  let check_reschedule name base =
+    let derived = Daemon.derived_request base delta in
+    (match Client.reschedule c ~base ~delta with
+    | Client.Ok ok ->
+        Alcotest.(check bool) (name ^ ": reschedule is a cache miss") false ok.Codec.cache_hit;
+        let _, direct = Daemon.solve derived in
+        Alcotest.(check string) (name ^ ": byte-identical to derived solve")
+          (Codec.schedule_bytes direct)
+          (Codec.schedule_bytes ok.Codec.schedule)
+    | _ -> Alcotest.fail "expected Ok for reschedule");
+    (* The entry was filed under the derived request's content address:
+       both a repeat reschedule and the plain derived request must hit
+       it. *)
+    (match Client.reschedule c ~base ~delta with
+    | Client.Ok ok ->
+        Alcotest.(check bool) (name ^ ": repeat reschedule hits") true ok.Codec.cache_hit
+    | _ -> Alcotest.fail "expected Ok for repeat reschedule");
+    match Client.request c derived with
+    | Client.Ok ok ->
+        Alcotest.(check bool) (name ^ ": derived request hits") true ok.Codec.cache_hit
+    | _ -> Alcotest.fail "expected Ok for derived request"
+  in
   (match Client.request c gen_request with
   | Client.Ok _ -> ()
   | _ -> Alcotest.fail "expected Ok for base request");
-  let derived = Daemon.derived_request gen_request delta in
-  (match Client.reschedule c ~base:gen_request ~delta with
-  | Client.Ok ok ->
-      Alcotest.(check bool) "repair is a cache miss" false ok.Codec.cache_hit;
-      let _, direct = Daemon.solve derived in
-      Alcotest.(check string) "repair byte-identical to derived solve"
-        (Codec.schedule_bytes direct)
-        (Codec.schedule_bytes ok.Codec.schedule)
-  | _ -> Alcotest.fail "expected Ok for reschedule");
-  (* The repaired entry was filed under the derived request's content
-     address: both a repeat reschedule and the plain derived request
-     must hit it. *)
-  (match Client.reschedule c ~base:gen_request ~delta with
-  | Client.Ok ok -> Alcotest.(check bool) "repeat reschedule hits" true ok.Codec.cache_hit
-  | _ -> Alcotest.fail "expected Ok for repeat reschedule");
-  (match Client.request c derived with
-  | Client.Ok ok -> Alcotest.(check bool) "derived request hits" true ok.Codec.cache_hit
-  | _ -> Alcotest.fail "expected Ok for derived request");
-  let stats = Client.stats c in
-  Alcotest.(check bool) "warmstart counters exported" true
-    (List.mem_assoc "server/warmstart/hit" stats
-    && List.mem_assoc "server/warmstart/miss" stats);
-  Alcotest.(check bool) "searchful solves counted" true
-    (List.assoc "server/warmstart/hit" stats + List.assoc "server/warmstart/miss" stats >= 2);
-  Alcotest.(check bool) "repair histogram observed" true
-    (match List.assoc_opt "server/repair_ms" stats with Some n -> n >= 1 | None -> false)
+  check_reschedule "primed base" gen_request;
+  check_reschedule "unprimed base" { gen_request with Codec.seed = 8 }
 
 let test_daemon_reschedule_bad_delta () =
   with_daemon @@ fun socket ->
@@ -501,6 +511,38 @@ let test_daemon_reschedule_bad_delta () =
   match Client.request c gen_request with
   | Client.Ok _ -> ()
   | _ -> Alcotest.fail "connection must survive a bad delta"
+
+(* A peer [Put] is installed only if its schedule replays clean under
+   the request's model: another deployment's schedule of the same size,
+   source and start is refused and leaves the address empty; the right
+   schedule is acked and then served. *)
+let test_daemon_put_validated () =
+  let req = { gen_request with Codec.source = Some 0 } in
+  let other = { req with Codec.seed = 8 } in
+  with_daemon @@ fun socket ->
+  let c = connect socket in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  let wrong_stats, wrong = Daemon.solve other in
+  (match Client.put c ~req ~stats:wrong_stats ~schedule:wrong () with
+  | Error _ -> ()
+  | Ok () -> Alcotest.fail "a schedule for another deployment must be refused");
+  (match Client.peek c req with
+  | `Miss -> ()
+  | `Hit _ -> Alcotest.fail "a refused put must not be installed"
+  | `Error m -> Alcotest.failf "peek failed: %s" m);
+  Alcotest.(check bool) "refusal counted" true
+    (List.assoc_opt "server/put_refused" (Client.stats c) = Some 1);
+  let stats, schedule = Daemon.solve req in
+  (match Client.put c ~req ~stats ~schedule () with
+  | Ok () -> ()
+  | Error m -> Alcotest.failf "a correct put must be acked: %s" m);
+  match Client.peek c req with
+  | `Hit hit ->
+      Alcotest.(check string) "put schedule served"
+        (Codec.schedule_bytes schedule)
+        (Codec.schedule_bytes hit.Codec.schedule)
+  | `Miss -> Alcotest.fail "a correct put must be installed"
+  | `Error m -> Alcotest.failf "peek failed: %s" m
 
 let test_daemon_model_keyed_cache () =
   (* Same topology, policy and source under a different interference
@@ -653,6 +695,7 @@ let () =
         [
           Alcotest.test_case "roundtrip" `Quick test_cache_persistence_roundtrip;
           Alcotest.test_case "missing dir" `Quick test_load_cache_missing_dir;
+          Alcotest.test_case "v1 index refused" `Quick test_load_cache_refuses_v1;
         ] );
       ( "keys",
         [ Alcotest.test_case "content addressing" `Quick test_cache_key_content_addressing ] );
@@ -666,6 +709,7 @@ let () =
           Alcotest.test_case "concurrent clients" `Quick test_daemon_concurrent_clients;
           Alcotest.test_case "reschedule" `Quick test_daemon_reschedule;
           Alcotest.test_case "reschedule bad delta" `Quick test_daemon_reschedule_bad_delta;
+          Alcotest.test_case "put validated" `Quick test_daemon_put_validated;
           Alcotest.test_case "model-keyed cache" `Quick test_daemon_model_keyed_cache;
           Alcotest.test_case "serves every model" `Quick test_daemon_serves_every_model;
           Alcotest.test_case "allowed models" `Quick test_daemon_allowed_models;
