@@ -861,6 +861,21 @@ let micro_tests cfg =
            ignore (Mlbs_proto.Broadcast_protocol.run sync_model ~source ~start:1)));
     Test.make ~name:"substrate/E-tuple construction"
       (Staged.stage (fun () -> ignore (Emodel.compute sync_model)));
+    (* The daemon's cold-miss resolve before the solve: sample a
+       connected n = 300 deployment and pick its source, cycling over
+       cold_solve's udg_sync deployment seeds. *)
+    Test.make ~name:"wsn/generate+source (n=300)"
+      (let i = ref 0 in
+       Staged.stage (fun () ->
+           let seed = 100_001 + (!i land 15) in
+           incr i;
+           let net =
+             Mlbs_wsn.Deployment.generate (Mlbs_prng.Rng.create seed)
+               (Mlbs_wsn.Deployment.paper_spec ~n_nodes:300)
+           in
+           ignore
+             (Mlbs_wsn.Deployment.select_source (Mlbs_prng.Rng.create seed) net
+                ~min_ecc:cfg.Config.min_ecc ~max_ecc:cfg.Config.max_ecc)));
     Test.make ~name:"substrate/UDG deployment (n=150)"
       (Staged.stage (fun () ->
            ignore
@@ -870,8 +885,9 @@ let micro_tests cfg =
 
 (* The --smoke subset: one representative kernel per gated family, so
    a CI smoke run still gates the conflict predicate, the BFS bound,
-   both G-OPT systems and the E-model without paying the full 16-kernel
-   session (which dominates the smoke run's wall clock). *)
+   both G-OPT systems, the E-model and the cold-miss deployment
+   resolve without paying the full 17-kernel session (which dominates
+   the smoke run's wall clock). *)
 let micro_smoke_names =
   [
     "kernel/conflict-test new (intersects3)";
@@ -879,6 +895,7 @@ let micro_smoke_names =
     "fig3/G-OPT";
     "fig3/E-model";
     "fig4/G-OPT";
+    "wsn/generate+source (n=300)";
   ]
 
 (* One bechamel session over [tests], grouped under [group]: one ns

@@ -1,18 +1,29 @@
-module Union_find = Mlbs_util.Union_find
-
+(* Depth-first over the adjacency arrays with an explicit stack. Labels
+   number components in order of their smallest node. *)
 let labels g =
   let n = Graph.n_nodes g in
-  let uf = Union_find.create n in
-  List.iter (fun (u, v) -> ignore (Union_find.union uf u v)) (Graph.edges g);
   let label = Array.make n (-1) in
+  let stack = Array.make n 0 in
   let next = ref 0 in
-  for v = 0 to n - 1 do
-    let root = Union_find.find uf v in
-    if label.(root) = -1 then begin
-      label.(root) <- !next;
-      incr next
-    end;
-    label.(v) <- label.(root)
+  for s = 0 to n - 1 do
+    if label.(s) < 0 then begin
+      let c = !next in
+      incr next;
+      label.(s) <- c;
+      stack.(0) <- s;
+      let top = ref 1 in
+      while !top > 0 do
+        decr top;
+        Array.iter
+          (fun v ->
+            if label.(v) < 0 then begin
+              label.(v) <- c;
+              stack.(!top) <- v;
+              incr top
+            end)
+          (Graph.neighbors g stack.(!top))
+      done
+    end
   done;
   label
 

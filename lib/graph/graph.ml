@@ -7,54 +7,100 @@ type t = {
   sets : Bitset.t array; (* same adjacency as bit sets *)
 }
 
-let build n adj_lists =
-  let adj =
-    Array.map
-      (fun l ->
-        let arr = Array.of_list (List.sort_uniq compare l) in
-        arr)
-      adj_lists
-  in
+(* Every constructor ends here: [adj] holds the rows and is owned by
+   the graph from now on. Each row is checked (range, self-loop, strict
+   order) and read into its bit set; then symmetry is checked without a
+   single lookup: visiting [u] ascending meets every row's smaller
+   neighbours in ascending order, so [seen.(v)] counts how much of row
+   [v]'s lower part has been matched. O(n + m) in all. *)
+let of_checked_rows ctx adj =
+  let n = Array.length adj in
+  let total = ref 0 in
   let sets =
-    Array.map
-      (fun arr ->
-        let s = Bitset.create n in
-        Array.iter (Bitset.add s) arr;
-        s)
+    Array.mapi
+      (fun u row ->
+        let prev = ref (-1) in
+        for k = 0 to Array.length row - 1 do
+          let v = row.(k) in
+          if v < 0 || v >= n then
+            invalid_arg (Printf.sprintf "Graph.%s: neighbour %d of %d out of range" ctx v u);
+          if v = u then invalid_arg (Printf.sprintf "Graph.%s: self-loop at %d" ctx u);
+          if v <= !prev then
+            invalid_arg (Printf.sprintf "Graph.%s: row %d not strictly ascending" ctx u);
+          prev := v
+        done;
+        total := !total + Array.length row;
+        Bitset.of_array n row)
       adj
   in
-  let m = Array.fold_left (fun acc arr -> acc + Array.length arr) 0 adj / 2 in
-  { n; m; adj; sets }
+  let seen = Array.make n 0 in
+  let asymmetric u v =
+    invalid_arg (Printf.sprintf "Graph.%s: asymmetric edge %d->%d" ctx u v)
+  in
+  (* The next smaller neighbour row [v] has yet to match, else [v]. *)
+  let expected v =
+    let rv = adj.(v) in
+    if seen.(v) < Array.length rv && rv.(seen.(v)) < v then rv.(seen.(v)) else v
+  in
+  for u = 0 to n - 1 do
+    let row = adj.(u) in
+    for k = 0 to Array.length row - 1 do
+      let v = row.(k) in
+      if v > u then begin
+        let w = expected v in
+        if w = u then seen.(v) <- seen.(v) + 1
+        else if w < u then asymmetric v w (* [w] was visited and does not list [v] *)
+        else asymmetric u v
+      end
+    done
+  done;
+  for v = 0 to n - 1 do
+    let w = expected v in
+    if w < v then asymmetric v w
+  done;
+  { n; m = !total / 2; adj; sets }
+
+let of_rows rows = of_checked_rows "of_rows" rows
+
+(* Sort an int row in place and drop repeats. *)
+let sort_uniq_row row =
+  Array.sort Int.compare row;
+  let len = Array.length row in
+  if len = 0 then row
+  else begin
+    let k = ref 1 in
+    for i = 1 to len - 1 do
+      if row.(i) <> row.(!k - 1) then begin
+        row.(!k) <- row.(i);
+        incr k
+      end
+    done;
+    if !k = len then row else Array.sub row 0 !k
+  end
 
 let of_edges ~n edges =
   if n < 0 then invalid_arg "Graph.of_edges: negative n";
-  let adj_lists = Array.make n [] in
+  let deg = Array.make n 0 in
   List.iter
     (fun (u, v) ->
       if u < 0 || u >= n || v < 0 || v >= n then
         invalid_arg (Printf.sprintf "Graph.of_edges: edge (%d,%d) outside [0,%d)" u v n);
       if u = v then invalid_arg (Printf.sprintf "Graph.of_edges: self-loop at %d" u);
-      adj_lists.(u) <- v :: adj_lists.(u);
-      adj_lists.(v) <- u :: adj_lists.(v))
+      deg.(u) <- deg.(u) + 1;
+      deg.(v) <- deg.(v) + 1)
     edges;
-  build n adj_lists
+  let rows = Array.map (fun d -> Array.make d 0) deg in
+  List.iter
+    (fun (u, v) ->
+      deg.(u) <- deg.(u) - 1;
+      rows.(u).(deg.(u)) <- v;
+      deg.(v) <- deg.(v) - 1;
+      rows.(v).(deg.(v)) <- u)
+    edges;
+  of_checked_rows "of_edges" (Array.map sort_uniq_row rows)
 
 let of_adjacency adj_lists =
-  let n = Array.length adj_lists in
-  let g = build n adj_lists in
-  (* Verify symmetry: u ∈ N(v) ⟺ v ∈ N(u); also reject self-loops. *)
-  Array.iteri
-    (fun u arr ->
-      Array.iter
-        (fun v ->
-          if v < 0 || v >= n then
-            invalid_arg (Printf.sprintf "Graph.of_adjacency: neighbour %d of %d out of range" v u);
-          if v = u then invalid_arg (Printf.sprintf "Graph.of_adjacency: self-loop at %d" u);
-          if not (Bitset.mem g.sets.(v) u) then
-            invalid_arg (Printf.sprintf "Graph.of_adjacency: asymmetric edge %d->%d" u v))
-        arr)
-    g.adj;
-  g
+  of_checked_rows "of_adjacency" (Array.map (fun l -> sort_uniq_row (Array.of_list l)) adj_lists)
 
 let n_nodes g = g.n
 let n_edges g = g.m
@@ -161,7 +207,21 @@ let edit g ~add ~remove ~rewire =
       check "add" v;
       put "add" u v)
     add;
-  build n (Array.map Bitset.elements sets)
+  (* The sets are symmetric by construction: read the rows off them. *)
+  let adj =
+    Array.map
+      (fun s ->
+        let row = Array.make (Bitset.cardinal s) 0 in
+        let k = ref 0 in
+        Bitset.iter
+          (fun v ->
+            row.(!k) <- v;
+            incr k)
+          s;
+        row)
+      sets
+  in
+  { n; m = Array.fold_left (fun acc row -> acc + Array.length row) 0 adj / 2; adj; sets }
 
 let diff_endpoints a b =
   if a.n <> b.n then invalid_arg "Graph.diff_endpoints: node counts differ";

@@ -15,8 +15,16 @@ type t
 val of_edges : n:int -> (int * int) list -> t
 
 (** [of_adjacency adj] builds from an explicit neighbour list per node
-    (must be symmetric; raises [Invalid_argument] if not). *)
+    (must be symmetric; raises [Invalid_argument] if not). Duplicates
+    collapse. *)
 val of_adjacency : int list array -> t
+
+(** [of_rows rows] builds from neighbour rows that are already
+    canonical: row [u] is [N(u)] in strictly ascending order. Checks
+    ranges, self-loops, order and symmetry in O(n + m) and raises
+    [Invalid_argument] on any violation. The graph takes ownership of
+    [rows]: callers must not mutate them afterwards. *)
+val of_rows : int array array -> t
 
 (** [n_nodes g] is the node count. *)
 val n_nodes : t -> int

@@ -212,6 +212,13 @@ let solve req =
 
 let model_of req = model_for req (resolve req)
 
+(* The edited graph of a [Reschedule] and the base's resolved source. *)
+let derived_graph ?memo (base : C.request) (delta : C.delta) =
+  let r = resolve ?memo base in
+  ( Graph.edit (Network.graph r.rnet) ~add:delta.C.d_added ~remove:delta.C.d_removed
+      ~rewire:delta.C.d_rewired,
+    source_of base r )
+
 (* A [Reschedule] is its derived request: the plain request for the
    adjacency of [Graph.edit] applied to [base]'s resolved graph, with
    the resolved source pinned. Returns that request together with its
@@ -219,18 +226,19 @@ let model_of req = model_for req (resolve req)
    the adjacency, the edited digest and the pinned source — so the
    daemon can answer it without rebuilding the graph from the
    adjacency. *)
-let resolve_derived ?memo (base : C.request) (delta : C.delta) =
-  let r = resolve ?memo base in
-  let source = source_of base r in
-  let g' =
-    Graph.edit (Network.graph r.rnet) ~add:delta.C.d_added ~remove:delta.C.d_removed
-      ~rewire:delta.C.d_rewired
-  in
+let resolve_derived ?memo base delta =
+  let g', source = derived_graph ?memo base delta in
   let adj = Array.init (Graph.n_nodes g') (fun u -> Array.to_list (Graph.neighbors g' u)) in
   ( { base with C.topology = C.Adj adj; source = Some source },
     { rnet = Network.synthetic g'; rdigest = Graph.digest g'; rsource = source } )
 
 let derived_request base delta = fst (resolve_derived base delta)
+
+(* [key_of] reads neither the topology nor the requested source, the
+   two fields the derived request replaces, so the base stands in. *)
+let reschedule_key ?memo base delta =
+  let g', source = derived_graph ?memo base delta in
+  key_of base ~digest:(Graph.digest g') ~source
 
 (* ------------------------ cache persistence ------------------------ *)
 

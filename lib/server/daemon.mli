@@ -118,6 +118,19 @@ val cache_key : Codec.request -> string
     Raises like {!solve} on unresolvable bases or malformed deltas. *)
 val derived_request : Codec.request -> Codec.delta -> Codec.request
 
+(** A request's resolved topology: its network, graph digest and
+    source. The daemon memoises generator topologies in a
+    [resolved Cache.t]; the fleet front keeps one too. *)
+type resolved
+
+(** [reschedule_key ?memo base delta] is
+    [cache_key (derived_request base delta)] — the address the daemon
+    files the reschedule's answer under — computed from the edited
+    graph without the adjacency round trip. [memo] memoises [base]'s
+    generator topology as the daemon does. The fleet front routes a
+    [Reschedule] by it. Raises like {!derived_request}. *)
+val reschedule_key : ?memo:resolved Cache.t -> Codec.request -> Codec.delta -> string
+
 (* --------------------- cache persistence ------------------------- *)
 
 (** One cached solve. [version] counts the strictly-better

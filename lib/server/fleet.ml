@@ -7,10 +7,10 @@
    to the owning backend's by construction and the per-request CPU cost
    stays O(header). A [Request] is routed by its content address (the
    same [Daemon.cache_key] the backends file it under, memoised here by
-   the encoded request bytes); a [Reschedule] is routed by its *base*
-   request's address, memoised the same way, so a base's reschedules
-   all land on one shard (the derived request's own address may be
-   owned by another).
+   the encoded request bytes); a [Reschedule] is routed by its derived
+   request's address ([Daemon.reschedule_key], memoised the same way),
+   the one the owner files the answer under, so a later plain request
+   for the edited graph finds it.
 
    Peer cache-fill: on a warm ring the front first [Peek]s the owner
    (cache-only, 1 RTT on a hit). On a miss it peeks the ring successor —
@@ -93,6 +93,7 @@ type t = {
   rm : Mutex.t;
   mutable ring : Ring.t;
   kmemo : string Cache.t;  (* encoded request payload -> content address *)
+  tmemo : Daemon.resolved Cache.t;  (* reschedule bases' generator topologies *)
   inflight : int Atomic.t;
   ewma_retry_ms : int Atomic.t;
   stop_requested : bool Atomic.t;
@@ -368,13 +369,15 @@ let serve_routed t ~payload ~key =
    sampling, against a sub-microsecond table lookup. So memoise it on
    the encoded request bytes — the canonical encoding makes equal
    requests equal keys. *)
-let key_of_request_payload t ~payload req =
+let memo_key t ~payload key =
   match Cache.find t.kmemo payload with
   | Some k -> k
   | None ->
-      let k = Daemon.cache_key req in
+      let k = key () in
       Cache.add t.kmemo payload k;
       k
+
+let key_of_request_payload t ~payload req = memo_key t ~payload (fun () -> Daemon.cache_key req)
 
 (* ---------------------------- admission ----------------------------- *)
 
@@ -464,12 +467,14 @@ let handle_conn t fd =
               | _ -> encode_error "malformed request")
           | 11 -> (
               Metrics.incr m_requests;
-              (* Routed by the BASE request's address, memoised by
-                 the base's encoded bytes like a plain request. *)
+              (* Routed by the derived request's address, memoised by
+                 the reschedule's bytes; every reschedule of one base
+                 resolves that base from [tmemo]. *)
               match C.decode payload with
-              | C.Reschedule { base; delta = _ } -> (
-                  let base_payload = C.encode (C.Request base) in
-                  match key_of_request_payload t ~payload:base_payload base with
+              | C.Reschedule { base; delta } -> (
+                  match
+                    memo_key t ~payload (fun () -> Daemon.reschedule_key ~memo:t.tmemo base delta)
+                  with
                   | exception e -> encode_error (Printexc.to_string e)
                   | key -> with_admission t (fun () -> serve_routed t ~payload ~key))
               | _ -> encode_error "malformed reschedule")
@@ -564,6 +569,7 @@ let start cfg =
       rm = Mutex.create ();
       ring = Ring.create ~replicas:cfg.replicas [];
       kmemo = Cache.create ~metrics_prefix:"server/fleet/keymemo" ~capacity:512 ();
+      tmemo = Cache.create ~metrics_prefix:"server/fleet/topo" ~capacity:64 ();
       inflight = Atomic.make 0;
       ewma_retry_ms = Atomic.make 0;
       stop_requested = Atomic.make false;

@@ -266,6 +266,16 @@ let of_list capacity xs =
   List.iter (add s) xs;
   s
 
+let of_array capacity xs =
+  let s = create capacity in
+  for k = 0 to Array.length xs - 1 do
+    let i = xs.(k) in
+    check s i "of_array";
+    let w = i / bits_per_word in
+    s.words.(w) <- s.words.(w) lor (1 lsl (i mod bits_per_word))
+  done;
+  s
+
 let full capacity =
   let s = create capacity in
   for i = 0 to capacity - 1 do

@@ -136,6 +136,10 @@ val elements : t -> int list
 (** [of_list capacity xs] builds a set from a member list. *)
 val of_list : int -> int list -> t
 
+(** [of_array capacity xs] builds a set from a member array. Raises
+    [Invalid_argument] when a member is out of range. *)
+val of_array : int -> int array -> t
+
 (** [full capacity] is the set containing all of [0 .. capacity - 1]. *)
 val full : int -> t
 

@@ -1,6 +1,5 @@
 module Point = Mlbs_geom.Point
 module Quadrant = Mlbs_geom.Quadrant
-module Hull = Mlbs_geom.Hull
 module Graph = Mlbs_graph.Graph
 module Components = Mlbs_graph.Components
 
@@ -8,8 +7,8 @@ type t = {
   radius : float;
   points : Point.t array;
   graph : Graph.t;
-  hull : bool array;
-  by_quadrant : int array array array; (* node -> quadrant index -> sorted neighbours *)
+  by_quadrant : int array array array option Atomic.t;
+      (* node -> quadrant index -> sorted neighbours, built on first use *)
 }
 
 let check_distinct points =
@@ -37,33 +36,28 @@ let partition_quadrants points graph =
       Array.map (fun l -> Array.of_list (List.rev l)) buckets)
     points
 
+let make ~radius ~points graph = { radius; points; graph; by_quadrant = Atomic.make None }
+
 let of_graph ~radius ~points graph =
   if radius <= 0. then invalid_arg "Network.of_graph: radius <= 0";
   if Array.length points <> Graph.n_nodes graph then
     invalid_arg "Network.of_graph: points/graph size mismatch";
   check_distinct points;
-  {
-    radius;
-    points;
-    graph;
-    hull = Hull.on_hull points;
-    by_quadrant = partition_quadrants points graph;
-  }
+  make ~radius ~points graph
 
+(* The unit grid's positions are distinct by construction. *)
 let synthetic graph =
   let n = Graph.n_nodes graph in
   let cols = max 1 (int_of_float (ceil (sqrt (float_of_int (max n 1))))) in
   let points =
     Array.init n (fun i -> Point.v (float_of_int (i mod cols)) (float_of_int (i / cols)))
   in
-  of_graph ~radius:1.0 ~points graph
+  make ~radius:1.0 ~points graph
 
 let create ~radius points =
   if radius <= 0. then invalid_arg "Network.create: radius <= 0";
   check_distinct points;
-  let grid = Grid.create ~cell:radius points in
-  let graph = Graph.of_edges ~n:(Array.length points) (Grid.pairs_within grid ~radius) in
-  of_graph ~radius ~points graph
+  make ~radius ~points (Graph.of_rows (Grid.neighbor_rows (Grid.create ~cell:radius points) ~radius))
 
 let graph t = t.graph
 let n_nodes t = Array.length t.points
@@ -72,9 +66,18 @@ let position t u = t.points.(u)
 let positions t = t.points
 let neighbors t u = Graph.neighbors t.graph u
 
-let neighbors_in_quadrant t u q = t.by_quadrant.(u).(Quadrant.to_index q)
+(* Only E-model and boundary construction read the partition, so it is
+   built on the first call. Concurrent first calls each compute the
+   same pure value and the compare-and-set keeps one; nothing can
+   observe a half-built partition. *)
+let quadrants t =
+  match Atomic.get t.by_quadrant with
+  | Some q -> q
+  | None ->
+      ignore (Atomic.compare_and_set t.by_quadrant None (Some (partition_quadrants t.points t.graph)));
+      Option.get (Atomic.get t.by_quadrant)
 
-let on_hull t u = t.hull.(u)
+let neighbors_in_quadrant t u q = (quadrants t).(u).(Quadrant.to_index q)
 
 let is_connected t = Components.is_connected t.graph
 

@@ -1,27 +1,33 @@
 (** A deployed WSN: node positions plus the induced unit-disk graph.
 
     This is the paper's network model (§III): [N(u)] is every node
-    within the communication radius of [u]. The graph, hull membership
-    and per-quadrant neighbour partition are all precomputed here
-    because the schedulers consult them constantly. *)
+    within the communication radius of [u]. The graph is built with
+    the network, in O(n + m) past the distance checks ({!Grid}): every
+    scheduler reads it. The per-quadrant neighbour partition is built
+    on the first {!neighbors_in_quadrant} call, because only the
+    E-model scheduler and boundary construction read it; a network is
+    safe to share between domains and threads before and after that
+    call. *)
 
 type t
 
 (** [create ~radius points] builds the UDG over [points]. Raises
-    [Invalid_argument] when [radius <= 0] or two nodes coincide (the
-    UDG and quadrant models assume distinct positions). *)
+    [Invalid_argument] when [radius <= 0], a coordinate is not finite
+    or two nodes coincide (the UDG and quadrant models assume distinct
+    positions). *)
 val create : radius:float -> Mlbs_geom.Point.t array -> t
 
 (** [of_graph ~radius ~points g] wraps a pre-built graph (used by
     fixtures whose adjacency is specified explicitly rather than
-    geometrically). [points] still drive quadrants and hull. Raises
-    [Invalid_argument] when sizes disagree. *)
+    geometrically). [points] still drive the quadrants. Raises
+    [Invalid_argument] when [radius <= 0], sizes disagree or two nodes
+    coincide. *)
 val of_graph : radius:float -> points:Mlbs_geom.Point.t array -> Mlbs_graph.Graph.t -> t
 
 (** [synthetic g] wraps a bare connectivity graph in a deterministic
     unit-grid geometry (node [i] at [(i mod cols, i / cols)],
     [cols = ceil (sqrt n)], radius 1.0) — for adjacencies that carry no
-    positions. Quadrants and hull derive from the fake geometry, so two
+    positions. Quadrants derive from the fake geometry, so two
     calls on equal graphs yield networks the schedulers treat
     identically; the scheduling service and the reschedule engine both
     rely on this to keep derived schedules byte-reproducible. *)
@@ -49,10 +55,6 @@ val neighbors : t -> int -> int array
 (** [neighbors_in_quadrant t u q] is [N(u) ∩ Q_q(u)], sorted — the set
     Algorithm 2 relaxes over. *)
 val neighbors_in_quadrant : t -> int -> Mlbs_geom.Quadrant.t -> int array
-
-(** [on_hull t u] is [true] iff [u] lies on the convex hull of the
-    deployment. *)
-val on_hull : t -> int -> bool
 
 (** [is_connected t] is connectivity of the UDG. *)
 val is_connected : t -> bool

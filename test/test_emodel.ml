@@ -131,6 +131,35 @@ let props =
           (List.init (Model.n_nodes model) Fun.id));
   ]
 
+(* A network's quadrant partition is built on first use. Two domains
+   sharing one network that has never been asked for it both force it
+   at once through E-model planning: neither may raise, and both must
+   get the schedule a network of their own gives. *)
+let test_shared_network_two_domains () =
+  let spec = Mlbs_wsn.Deployment.paper_spec ~n_nodes:150 in
+  for seed = 1 to 4 do
+    let fresh () = Mlbs_wsn.Deployment.generate (Mlbs_prng.Rng.create seed) spec in
+    let plan net = Schedule.steps (Emodel.plan (Model.create net Model.Sync) ~source:0 ~start:1) in
+    let expected = plan (fresh ()) in
+    let shared = fresh () in
+    let go = Atomic.make false in
+    let worker () =
+      while not (Atomic.get go) do
+        Domain.cpu_relax ()
+      done;
+      plan shared
+    in
+    let domains = List.init 2 (fun _ -> Domain.spawn worker) in
+    Atomic.set go true;
+    List.iter
+      (fun d ->
+        Alcotest.(check bool)
+          (Printf.sprintf "seed %d: shared-network schedule = own-network schedule" seed)
+          true
+          (Domain.join d = expected))
+      domains
+  done
+
 let () =
   Alcotest.run "emodel"
     [
@@ -142,5 +171,7 @@ let () =
           Alcotest.test_case "max applicable" `Quick test_max_applicable;
           Alcotest.test_case "select requires classes" `Quick test_select_requires_classes;
         ] );
+      ( "sharing",
+        [ Alcotest.test_case "two domains force quadrants" `Quick test_shared_network_two_domains ] );
       ("properties", props);
     ]

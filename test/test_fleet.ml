@@ -318,6 +318,42 @@ let test_fleet_reschedule_routed () =
   | Client.Rejected _ -> Alcotest.fail "fleet rejected reschedule"
   | Client.Error m -> Alcotest.failf "fleet reschedule error: %s" m
 
+(* A reschedule's answer is filed under its derived request's address,
+   so the front must route it there: on four shards that owner usually
+   differs from the base's, and a later plain request for the edited
+   graph must find the answer where the ring sends it. *)
+let test_fleet_reschedule_files_at_derived_owner () =
+  with_fleet ~n_backends:4 @@ fun socket _t _backends eps ->
+  let ring = Ring.create (List.map Fleet.endpoint_name eps) in
+  let owner key = Option.get (Ring.owner ring key) in
+  let c = connect socket in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  let moved = ref 0 in
+  let derived =
+    List.init 12 (fun i ->
+        let base = gen_request (i + 1) in
+        (* One added edge: node 0 to its first non-neighbour. *)
+        let g = Mlbs_core.Model.graph (Daemon.model_of base) in
+        let v = List.find (fun v -> v > 0 && not (Mlbs_graph.Graph.mem_edge g 0 v)) (List.init 40 Fun.id) in
+        let delta = { Codec.d_added = [ (0, v) ]; d_removed = []; d_rewired = [] } in
+        let derived = Daemon.derived_request base delta in
+        Alcotest.(check string) "reschedule_key = cache_key of the derived request"
+          (Daemon.cache_key derived) (Daemon.reschedule_key base delta);
+        if owner (Daemon.cache_key base) <> owner (Daemon.cache_key derived) then incr moved;
+        (match Client.reschedule_retry ~attempts:8 c ~base ~delta with
+        | Client.Ok _ -> ()
+        | Client.Rejected _ -> Alcotest.fail "fleet rejected reschedule"
+        | Client.Error m -> Alcotest.failf "fleet reschedule error: %s" m);
+        derived)
+  in
+  Alcotest.(check bool) "some derived addresses live on another shard" true (!moved > 0);
+  List.iteri
+    (fun i req ->
+      Alcotest.(check bool)
+        (Printf.sprintf "seed %d: plain derived request is a cache hit" (i + 1))
+        true (request_ok c req).Codec.cache_hit)
+    derived
+
 let () =
   Alcotest.run "fleet"
     [
@@ -337,5 +373,7 @@ let () =
           Alcotest.test_case "backend death failover" `Quick
             test_fleet_backend_death_failover;
           Alcotest.test_case "reschedule routed" `Quick test_fleet_reschedule_routed;
+          Alcotest.test_case "reschedule at derived owner" `Quick
+            test_fleet_reschedule_files_at_derived_owner;
         ] );
     ]

@@ -29,6 +29,22 @@ let test_construction_errors () =
     (Invalid_argument "Graph.of_adjacency: asymmetric edge 0->1") (fun () ->
       ignore (Graph.of_adjacency [| [ 1 ]; [] |]))
 
+let test_of_rows_errors () =
+  let raises msg rows =
+    Alcotest.check_raises msg (Invalid_argument ("Graph.of_rows: " ^ msg)) (fun () ->
+        ignore (Graph.of_rows rows))
+  in
+  raises "asymmetric edge 0->1" [| [| 1 |]; [||] |];
+  raises "asymmetric edge 1->0" [| [||]; [| 0 |] |];
+  raises "asymmetric edge 0->2" [| [| 2 |]; [| 2 |]; [| 1 |] |];
+  raises "asymmetric edge 2->0" [| [||]; [| 2 |]; [| 0; 1 |] |];
+  raises "row 0 not strictly ascending" [| [| 2; 1 |]; [| 0 |]; [| 0 |] |];
+  raises "row 0 not strictly ascending" [| [| 1; 1 |]; [| 0 |] |];
+  raises "self-loop at 0" [| [| 0 |] |];
+  raises "neighbour 3 of 0 out of range" [| [| 3 |]; [||] |];
+  let g = Graph.of_rows [| [| 1; 2 |]; [| 0 |]; [| 0 |] |] in
+  Alcotest.(check (list (pair int int))) "edges" [ (0, 1); (0, 2) ] (Graph.edges g)
+
 let test_duplicate_edges_collapse () =
   let g = Graph.of_edges ~n:2 [ (0, 1); (1, 0); (0, 1) ] in
   Alcotest.(check int) "one edge" 1 (Graph.n_edges g);
@@ -334,6 +350,71 @@ let props =
         in
         Graph.digest (Graph.of_edges ~n !edges)
         = Graph.digest (Graph.of_edges ~n shuffled));
+    prop "of_edges: shuffled list with duplicates = canonical rows" QCheck2.Gen.(0 -- 1000)
+      (fun seed ->
+        let rng = Mlbs_prng.Rng.create seed in
+        let n = 1 + Mlbs_prng.Rng.int rng 30 in
+        let canonical = ref [] in
+        for u = n - 1 downto 0 do
+          for v = n - 1 downto u + 1 do
+            if Mlbs_prng.Rng.float rng 1.0 < 0.25 then canonical := (u, v) :: !canonical
+          done
+        done;
+        (* Every edge once or twice, either orientation, in random order. *)
+        let noisy =
+          List.concat_map
+            (fun (u, v) ->
+              if Mlbs_prng.Rng.int rng 3 = 0 then [ (u, v); (v, u) ]
+              else if Mlbs_prng.Rng.bool rng ~p:0.5 then [ (v, u) ]
+              else [ (u, v) ])
+            !canonical
+          |> List.map (fun e -> (Mlbs_prng.Rng.int rng 1_000_000, e))
+          |> List.sort compare |> List.map snd
+        in
+        let a = Graph.of_edges ~n !canonical and b = Graph.of_edges ~n noisy in
+        let rows g = List.init n (fun u -> Array.to_list (Graph.neighbors g u)) in
+        rows a = rows b
+        && Graph.digest a = Graph.digest b
+        && Graph.n_edges a = List.length !canonical
+        && Graph.edges a = !canonical
+        && Graph.digest (Graph.of_rows (Array.init n (Graph.neighbors a))) = Graph.digest a);
+    prop "of_rows raises exactly on asymmetric rows" QCheck2.Gen.(0 -- 1000) (fun seed ->
+        let rng = Mlbs_prng.Rng.create seed in
+        let n = 1 + Mlbs_prng.Rng.int rng 12 in
+        let rows =
+          Array.init n (fun u ->
+              Array.of_list
+                (List.filter
+                   (fun v -> v <> u && Mlbs_prng.Rng.float rng 1.0 < 0.3)
+                   (List.init n Fun.id)))
+        in
+        (* Mirror most rows so both outcomes occur. *)
+        if Mlbs_prng.Rng.bool rng ~p:0.7 then
+          Array.iteri
+            (fun u row ->
+              Array.iter
+                (fun v -> rows.(v) <- Array.of_list (List.sort_uniq compare (u :: Array.to_list rows.(v))))
+                row)
+            (Array.copy rows);
+        let symmetric =
+          Array.for_all Fun.id
+            (Array.mapi (fun u row -> Array.for_all (fun v -> Array.mem u rows.(v)) row) rows)
+        in
+        match Graph.of_rows rows with
+        | _ -> symmetric
+        | exception Invalid_argument _ -> not symmetric);
+    prop "of_edges: a self-loop or out-of-range endpoint raises"
+      QCheck2.Gen.(triple (1 -- 20) (0 -- 1000) (0 -- 2))
+      (fun (n, pick, kind) ->
+        let u = pick mod n in
+        let bad = match kind with 0 -> (u, u) | 1 -> (u, n + pick) | _ -> (-1 - pick, u) in
+        let edges = List.init (n - 1) (fun v -> (v, v + 1)) in
+        let raises edges =
+          match Graph.of_edges ~n edges with
+          | _ -> false
+          | exception Invalid_argument _ -> true
+        in
+        raises (bad :: edges) && raises (edges @ [ bad ]));
   ]
 
 let () =
@@ -343,6 +424,7 @@ let () =
         [
           Alcotest.test_case "construction" `Quick test_construction;
           Alcotest.test_case "errors" `Quick test_construction_errors;
+          Alcotest.test_case "of_rows errors" `Quick test_of_rows_errors;
           Alcotest.test_case "duplicates" `Quick test_duplicate_edges_collapse;
           Alcotest.test_case "edges" `Quick test_edges_listing;
           Alcotest.test_case "common neighbor" `Quick test_common_neighbor;

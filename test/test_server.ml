@@ -273,6 +273,37 @@ let test_load_cache_missing_dir () =
 
 (* ---------------------------- cache keys --------------------------- *)
 
+(* Content addresses are persistent: cache indexes on disk and every
+   fleet's ring placement are keyed by them, so a change to how a
+   deployment, its source or its digest comes out must not move them
+   silently. The strings cover udg, duty cycle, mc:2 and SINR at
+   n = 150 and 300 over cold_solve and hot_fleet seeds. *)
+let pinned_keys =
+  let module I = Mlbs_phy.Interference in
+  [
+    (I.Udg, None, 300, 100_001, "6a27bd070aab9b1b:p2:r-1:w0:s28:t1:mudg");
+    (I.Udg, None, 300, 100_002, "86b0dbe801e2373f:p2:r-1:w0:s124:t1:mudg");
+    (I.Udg, Some 10, 150, 200_001, "eb38523dca388bb7:p2:r10:w200001:s16:t1:mudg");
+    (I.Udg, Some 10, 150, 200_002, "942d064a0aef304a:p2:r10:w200002:s89:t1:mudg");
+    (I.Udg, Some 10, 300, 200_003, "86876cd0743e79ed:p2:r10:w200003:s244:t1:mudg");
+    (I.Multichannel 2, None, 300, 300_001, "3a881638df556b96:p2:r-1:w0:s146:t1:mmc:2");
+    (I.Multichannel 2, None, 300, 300_002, "b9672afd46925627:p2:r-1:w0:s111:t1:mmc:2");
+    (I.Sinr I.default_sinr, None, 150, 400_001, "ac09ede282c418fc:p2:r-1:w0:s28:t1:msinr:3,2,0.2,1");
+    (I.Sinr I.default_sinr, None, 150, 400_002, "0c0ca1e5921f9f89:p2:r-1:w0:s46:t1:msinr:3,2,0.2,1");
+    (I.Sinr I.default_sinr, None, 300, 400_003, "fdcc1f23954fcdda:p2:r-1:w0:s117:t1:msinr:3,2,0.2,1");
+    (I.Udg, None, 150, 500_001, "086faf8fcce8a73c:p2:r-1:w0:s40:t1:mudg");
+    (I.Udg, None, 150, 500_064, "afa6d29419a7c8d9:p2:r-1:w0:s1:t1:mudg");
+  ]
+
+let test_cache_key_pinned () =
+  List.iter
+    (fun (model, rate, n, seed, want) ->
+      let req =
+        { gen_request with Codec.model; rate; seed; topology = Codec.Gen { n; radius = 10.0 } }
+      in
+      Alcotest.(check string) (Printf.sprintf "n=%d seed=%d" n seed) want (Daemon.cache_key req))
+    pinned_keys
+
 let test_cache_key_content_addressing () =
   (* The same labelled adjacency, neighbour lists built in different
      orders, must file under the same key. *)
@@ -698,7 +729,10 @@ let () =
           Alcotest.test_case "v1 index refused" `Quick test_load_cache_refuses_v1;
         ] );
       ( "keys",
-        [ Alcotest.test_case "content addressing" `Quick test_cache_key_content_addressing ] );
+        [
+          Alcotest.test_case "content addressing" `Quick test_cache_key_content_addressing;
+          Alcotest.test_case "pinned addresses" `Quick test_cache_key_pinned;
+        ] );
       ( "daemon",
         [
           Alcotest.test_case "serves and caches" `Quick test_daemon_serves_and_caches;

@@ -57,6 +57,18 @@ let test_network_rejects_duplicates () =
     (Invalid_argument "Network: nodes 0 and 1 share position") (fun () ->
       ignore (Network.create ~radius:1. [| Point.v 1. 1.; Point.v 1. 1. |]))
 
+let test_network_first_duplicate () =
+  (* Two coincident pairs, (0, 4) and (1, 3): the report names the
+     first index that repeats an earlier position, then that position's
+     first occurrence. *)
+  let a = Point.v 1. 1. and b = Point.v 2. 2. in
+  Alcotest.check_raises "first repeat"
+    (Invalid_argument "Network: nodes 1 and 3 share position") (fun () ->
+      ignore (Network.create ~radius:5. [| a; b; Point.v 3. 3.; b; a |]));
+  Alcotest.check_raises "non-finite coordinate"
+    (Invalid_argument "Grid.create: non-finite coordinate") (fun () ->
+      ignore (Network.create ~radius:1. [| a; Point.v Float.nan 0. |]))
+
 let test_quadrant_partition () =
   let pts =
     [| Point.v 5. 5.; Point.v 6. 6.; Point.v 4. 6.; Point.v 4. 4.; Point.v 6. 4. |]
@@ -233,6 +245,13 @@ let props =
     prop "grid pairs = brute force" gen_points (fun pts ->
         let grid = Grid.create ~cell:10. pts in
         List.sort compare (Grid.pairs_within grid ~radius:10.) = brute_pairs pts 10.);
+    prop "grid pairs = brute force on sparse wide areas" gen_points (fun pts ->
+        (* Spread over a 5000 ft square: far more radius-sized cells
+           than points, so the index coarsens its cells. *)
+        let pts = Array.map (fun p -> Point.v (p.Point.x *. 100.) (p.Point.y *. 100.)) pts in
+        let pts = Array.append pts (Array.map (fun p -> Point.v (p.Point.x +. 7.) p.Point.y) pts) in
+        let grid = Grid.create ~cell:10. pts in
+        Grid.pairs_within grid ~radius:10. = brute_pairs pts 10.);
     prop "UDG edges = brute force distances" gen_points (fun pts ->
         (* Skip the occasional duplicate-coordinate draw. *)
         let distinct =
@@ -279,6 +298,7 @@ let () =
         [
           Alcotest.test_case "udg" `Quick test_network_udg;
           Alcotest.test_case "duplicates" `Quick test_network_rejects_duplicates;
+          Alcotest.test_case "first duplicate" `Quick test_network_first_duplicate;
           Alcotest.test_case "quadrants" `Quick test_quadrant_partition;
         ] );
       ( "deployment",
