@@ -297,9 +297,8 @@ let trace_run n seed rate phy trace_file metrics_file =
   Printf.printf "bounds:   ecc-prunes=%d packing-prunes=%d dominance-prunes=%d\n"
     (c "search/bound_prune_ecc") (c "search/bound_prune_packing")
     (c "search/dominance_prunes");
-  Printf.printf "ttable:   hit=%d miss=%d collisions=%d evictions=%d grows=%d\n"
-    (c "search/tt_hit") (c "search/tt_miss") (c "search/tt_collision")
-    (c "search/tt_evict") (c "search/tt_grow");
+  Printf.printf "ttable:   hit=%d miss=%d collisions=%d grows=%d\n"
+    (c "search/tt_hit") (c "search/tt_miss") (c "search/tt_collision") (c "search/tt_grow");
   Printf.printf "phy:      model=%s conflict-checks=%d power-evals=%d \
                  channel-assignments=%d\n"
     (Interference.to_string phy) (c "phy/conflict_checks") (c "phy/power_evals")
@@ -714,7 +713,7 @@ let parse_backend s =
       | _ -> failwith (s ^ ": expected HOST:PORT"))
   | _ -> failwith (s ^ ": expected HOST:PORT")
 
-let fleet socket tcp backends spawn jobs replicas max_inflight no_fill health_period
+let fleet socket tcp backends spawn jobs replicas max_inflight health_period
     trace_file metrics_file =
   let base = { Config.default with Config.trace_file; metrics_file } in
   Telemetry.with_config base @@ fun () ->
@@ -755,7 +754,6 @@ let fleet socket tcp backends spawn jobs replicas max_inflight no_fill health_pe
           Sv_fleet.tcp_port = tcp;
           replicas;
           max_inflight;
-          fill = not no_fill;
           health_period;
         }
       in
@@ -812,12 +810,6 @@ let fleet_cmd =
       & info [ "max-inflight" ] ~docv:"N"
           ~doc:"Global in-flight cap; beyond it the front sheds with a retry hint.")
   in
-  let no_fill_arg =
-    Arg.(
-      value & flag
-      & info [ "no-fill" ]
-          ~doc:"Disable peer cache-fill (peeking the ring successor on a miss).")
-  in
   let health_period_arg =
     Arg.(
       value & opt float 1.0
@@ -828,7 +820,7 @@ let fleet_cmd =
     (Cmd.info "fleet" ~doc:"Run the fleet front tier over backend shards")
     Term.(
       const fleet $ socket_arg $ tcp_arg $ backends_arg $ spawn_arg $ jobs_arg
-      $ replicas_arg $ max_inflight_arg $ no_fill_arg $ health_period_arg
+      $ replicas_arg $ max_inflight_arg $ health_period_arg
       $ trace_file_arg $ metrics_file_arg)
 
 let build_request ?(model = Interference.Udg) ~policy ~rate ~seed ~n ~source ~start ~load

@@ -4,13 +4,11 @@ module Metrics = Mlbs_obs.Metrics
 (* Transposition-table observability (behind the disabled-registry
    branch, like the search counters). Hits/misses count probes from
    both the node-entry lookup and the pre-apply child probe; collisions
-   count probe-chain displacements (occupied slots walked past);
-   evictions count capacity-policy replacements (and declined inserts
-   at capacity); grows count capacity doublings. *)
+   count probe-chain displacements (occupied slots walked past); grows
+   count capacity doublings. *)
 let m_hit = Metrics.counter "search/tt_hit"
 let m_miss = Metrics.counter "search/tt_miss"
 let m_collision = Metrics.counter "search/tt_collision"
-let m_evict = Metrics.counter "search/tt_evict"
 let m_grow = Metrics.counter "search/tt_grow"
 
 (* Open-addressing table keyed by (informed-set hash, slot) with linear
@@ -18,9 +16,8 @@ let m_grow = Metrics.counter "search/tt_grow"
    on W alone); async searches key on the true (W, slot) pair. The
    stored sets are hash-consed through a side intern table, so the
    async entries for one informed set at many slots share a single
-   bitset copy. Slots are never cleared — replacement overwrites in
-   place — so probe chains stay intact and every lookup terminates on
-   the first empty slot. *)
+   bitset copy. The table grows and never evicts; slots are never
+   cleared, so every lookup terminates on the first empty slot. *)
 type t = {
   mutable mask : int;  (* capacity - 1; capacity is a power of two *)
   mutable hkey : int array;  (* informed-set hash *)
@@ -28,7 +25,6 @@ type t = {
   mutable set : Bitset.t array;
   mutable value : int array;
   mutable size : int;
-  max_entries : int;  (* 0 = unbounded (grow, never evict) *)
   dummy : Bitset.t;
   (* intern store: content-addressed informed-set copies *)
   mutable imask : int;
@@ -37,12 +33,8 @@ type t = {
   mutable isize : int;
 }
 
-let pow2_at_least n =
-  let rec go c = if c >= n then c else go (c * 2) in
-  go 16
-
-let create ?(max_entries = 0) () =
-  let cap = if max_entries > 0 then pow2_at_least (2 * max_entries) else 1024 in
+let create () =
+  let cap = 1024 in
   let dummy = Bitset.create 0 in
   {
     mask = cap - 1;
@@ -51,7 +43,6 @@ let create ?(max_entries = 0) () =
     set = Array.make cap dummy;
     value = Array.make cap 0;
     size = 0;
-    max_entries;
     dummy;
     imask = cap - 1;
     ihash = Array.make cap 0;
@@ -179,37 +170,22 @@ let grow t =
       end)
     old_slot
 
-let store t j ~h ~slot ~stored v =
-  t.hkey.(j) <- h;
-  t.slot.(j) <- slot;
-  t.set.(j) <- stored;
-  t.value.(j) <- v
-
 let insert t ~h ~slot ~shared ~set v =
-  let home = mixkey h slot land t.mask in
   let rec probe i =
     let j = i land t.mask in
-    if t.slot.(j) < 0 then
-      if t.max_entries > 0 && t.size >= t.max_entries then begin
-        (* Value-safe replacement at capacity: overwrite the entry at
-           this key's home slot when occupied (the evicted key simply
-           recomputes on its next miss), otherwise decline the insert.
-           Either way no slot is ever cleared, so every existing probe
-           chain — including through the overwritten slot — survives. *)
-        Metrics.incr m_evict;
-        if t.slot.(home) >= 0 then
-          store t home ~h ~slot ~stored:(intern t ~h ~shared set) v
-      end
-      else begin
-        store t j ~h ~slot ~stored:(intern t ~h ~shared set) v;
-        t.size <- t.size + 1;
-        if t.max_entries = 0 && (t.size + 1) * 2 > t.mask + 1 then grow t
-      end
+    if t.slot.(j) < 0 then begin
+      t.hkey.(j) <- h;
+      t.slot.(j) <- slot;
+      t.set.(j) <- intern t ~h ~shared set;
+      t.value.(j) <- v;
+      t.size <- t.size + 1;
+      if (t.size + 1) * 2 > t.mask + 1 then grow t
+    end
     else if t.hkey.(j) = h && t.slot.(j) = slot && Bitset.equal t.set.(j) set
     then t.value.(j) <- v
     else probe (i + 1)
   in
-  probe home
+  probe (mixkey h slot)
 
 let add t ~h ~slot ~set v = insert t ~h ~slot ~shared:false ~set v
 let add_shared t ~h ~slot ~set v = insert t ~h ~slot ~shared:true ~set v

@@ -8,26 +8,20 @@
     hash-consed: async entries for one informed set at several slots
     share a single immutable copy.
 
-    Unbounded tables ([max_entries = 0], the search default) grow and
-    never evict, so lookups hit exactly when a [Hashtbl] would and every
-    value a search establishes stays available to plan construction and
-    snapshots. Bounded tables overwrite in place at capacity
-    (value-safe: a memo entry's value is a pure function of its key, so
-    dropping one only costs recomputation); no slot is ever cleared, so
-    probe chains stay intact either way.
+    The table grows and never evicts, so lookups hit exactly when a
+    [Hashtbl] would and every value a search establishes stays
+    available to plan construction and snapshots. The search's
+    [max_states] budget is what bounds its size.
 
     Counters: [search/tt_hit], [tt_miss], [tt_collision] (probe-chain
-    displacements), [tt_evict] (capacity-policy replacements or
-    declined inserts), [tt_grow]. *)
+    displacements), [tt_grow]. *)
 
 module Bitset = Mlbs_util.Bitset
 
 type t
 
-(** [create ?max_entries ()] makes an empty table. [max_entries = 0]
-    (default) means unbounded; a positive bound fixes the capacity and
-    enables in-place replacement. *)
-val create : ?max_entries:int -> unit -> t
+(** [create ()] makes an empty table. *)
+val create : unit -> t
 
 (** Number of live entries. *)
 val length : t -> int

@@ -174,12 +174,10 @@ let snapshot () =
   in
   List.sort (fun (a, _) (b, _) -> compare a b) merged
 
+let to_int = function Count n | Level n -> n | Dist d -> d.total
+
 let counter_value name =
-  match List.assoc_opt name (snapshot ()) with
-  | Some (Count n) -> n
-  | Some (Level n) -> n
-  | Some (Dist d) -> d.total
-  | None -> 0
+  match List.assoc_opt name (snapshot ()) with Some v -> to_int v | None -> 0
 
 let reset () =
   Mutex.lock shards_lock;

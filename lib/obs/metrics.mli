@@ -59,9 +59,12 @@ type value =
     sorted by name. *)
 val snapshot : unit -> (string * value) list
 
-(** [counter_value name] is the merged total of [name] (0 when never
-    registered or never updated; a histogram reports its observation
-    count, a gauge its level). *)
+(** [to_int v] is a counter's total, a gauge's level or a histogram's
+    observation count. *)
+val to_int : value -> int
+
+(** [counter_value name] is [to_int] of [name]'s merged value (0 when
+    never registered). *)
 val counter_value : string -> int
 
 (** [reset ()] zeroes every shard. Call at a quiescent point. *)

@@ -15,11 +15,13 @@ let close t =
     try Unix.close t.fd with Unix.Unix_error (_, _, _) -> ()
   end
 
-let roundtrip t msg =
-  C.send t.fd msg;
-  match C.recv t.fd with
+let relay t payload =
+  C.send_payload t.fd payload;
+  match C.recv_payload t.fd with
   | Some reply -> reply
   | None -> failwith "server closed the connection"
+
+let roundtrip t msg = C.decode (relay t (C.encode msg))
 
 let connect ep =
   let fd, addr =

@@ -59,6 +59,11 @@ val put :
   unit ->
   (unit, string) result
 
+(** [relay t payload] sends an encoded message payload and returns the
+    reply payload undecoded — the fleet front's path to its shards.
+    Raises [Failure] when the server closes the connection. *)
+val relay : t -> string -> string
+
 (** [stats t] fetches the daemon's [server/…] metric snapshot. *)
 val stats : t -> (string * int) list
 

@@ -63,31 +63,13 @@ let entry_of ?origin ?(version = 0) (stats, schedule) =
 
 (* ---------------------------- metrics ------------------------------ *)
 
-let m_requests = Metrics.counter "server/requests"
-let m_ok = Metrics.counter "server/replies_ok"
-let m_rejected = Metrics.counter "server/rejected"
-let m_errors = Metrics.counter "server/errors"
-let m_connections = Metrics.counter "server/connections"
-let m_bad_frames = Metrics.counter "server/bad_frames"
+let family = Acceptor.family "server"
 let m_peeks = Metrics.counter "server/peeks"
 let m_fills = Metrics.counter "server/fills"
 let m_put_refused = Metrics.counter "server/put_refused"
-let h_request_us = Metrics.histogram "server/request_us"
 let h_solve_us = Metrics.histogram "server/solve_us"
 let m_polish_passes = Metrics.counter "search/improve/polish_passes"
 let m_upgrades = Metrics.counter "search/improve/upgrades_installed"
-
-(* EWMA of recent solve wall time, process-wide — the basis of the
-   load-scaled retry hint handed to shed clients. *)
-let ewma_solve_us = Atomic.make 0
-
-let note_solve_us us =
-  let rec go () =
-    let cur = Atomic.get ewma_solve_us in
-    let next = if cur = 0 then us else ((7 * cur) + us) / 8 in
-    if not (Atomic.compare_and_set ewma_solve_us cur next) then go ()
-  in
-  go ()
 
 (* ------------------------ request resolution ----------------------- *)
 
@@ -202,7 +184,6 @@ let do_solve model policy ~source ~start =
     }
   in
   Metrics.observe h_solve_us stats.C.solve_us;
-  note_solve_us stats.C.solve_us;
   (stats, plan)
 
 let solve req =
@@ -329,10 +310,9 @@ type t = {
   cache : entry Cache.t;
   topo : resolved Cache.t;
   disp : entry Dispatch.t;
-  stop_requested : bool Atomic.t;
-  mutable listeners : Acceptor.listener list;
+  shell : Acceptor.t;
+  ewma_solve_us : int Atomic.t;  (* recent solve wall time: the retry hint's basis *)
   trace_ctr : int Atomic.t;
-  mutable acceptor : Thread.t option;
   mutable improver : Thread.t option;
   mutable cleaned : bool;
 }
@@ -349,8 +329,8 @@ let install t ~key (e : entry) =
     | Some old when old.version = e.version && e.version > 0 -> None
     | _ -> Some e)
 
-let stop t = Atomic.set t.stop_requested true
-let tcp_port t = List.find_map Acceptor.port t.listeners
+let stop t = Acceptor.stop t.shell
+let tcp_port t = Acceptor.tcp_port t.shell
 
 let fresh_trace_id t digest =
   Printf.sprintf "rq-%06d-%08Lx" (Atomic.fetch_and_add t.trace_ctr 1)
@@ -359,7 +339,7 @@ let fresh_trace_id t digest =
 (* ------------------------ request handling ------------------------- *)
 
 let reply_error msg =
-  Metrics.incr m_errors;
+  Metrics.incr family.errors;
   C.Reply_error msg
 
 (* Serve-side model policy: a daemon started with an allow-list (the
@@ -380,14 +360,14 @@ let reject_model model =
    worker pool — clamped to [5, 5000] ms. Before the first solve lands
    (cold EWMA) fall back to a flat 10 ms per queued slot. *)
 let retry_hint t ~depth =
-  match Atomic.get ewma_solve_us with
+  match Atomic.get t.ewma_solve_us with
   | 0 -> 10 * (depth + 1)
   | per_us ->
       let ms = (depth + 1) * per_us / (max 1 t.cfg.jobs * 1000) in
       max 5 (min 5000 ms)
 
 let reply_ok t ~digest ~cache_hit (e : entry) =
-  Metrics.incr m_ok;
+  Metrics.incr family.replies_ok;
   C.Reply_ok
     {
       trace_id = fresh_trace_id t digest;
@@ -406,7 +386,7 @@ let await t ~key ~digest run =
   match Dispatch.submit t.disp ~on_done run with
   | Error `Closing -> reply_error "server is shutting down"
   | Error (`Shed depth) ->
-      Metrics.incr m_rejected;
+      Metrics.incr family.rejected;
       C.Reply_rejected { retry_after_ms = retry_hint t ~depth }
   | Ok ticket -> (
       match Dispatch.await ticket with
@@ -438,7 +418,7 @@ let address t (req : C.request) ~answer =
    solved by [do_solve] on a pool worker and filed under the answered
    request's address. *)
 let serve t ~name (req : C.request) ~answer =
-  Metrics.incr m_requests;
+  Metrics.incr family.requests;
   let t0 = Obs.now_us () in
   let reply =
     match address t req ~answer with
@@ -451,25 +431,17 @@ let serve t ~name (req : C.request) ~answer =
             | exception e -> reply_error (Printexc.to_string e)
             | model ->
                 await t ~key:akey ~digest:ar.rdigest (fun () ->
-                    entry_of ~origin:areq
-                      (do_solve model (policy_of areq.C.policy) ~source:asource
-                         ~start:areq.C.start))))
+                    let stats, plan =
+                      do_solve model (policy_of areq.C.policy) ~source:asource ~start:areq.C.start
+                    in
+                    Acceptor.note_ewma t.ewma_solve_us stats.C.solve_us;
+                    entry_of ~origin:areq (stats, plan))))
   in
   let dt = Obs.now_us () -. t0 in
-  Metrics.observe h_request_us (int_of_float dt);
+  Metrics.observe family.request_us (int_of_float dt);
   if Obs.tracing_enabled () then
     Trace.complete ~cat:"server" ~name ~t0_us:t0 ~dur_us:dt ();
   reply
-
-let handle_request t req = serve t ~name:"request" req ~answer:(plain t)
-
-(* A [Reschedule] is answered as its derived request: edit the base
-   graph, then serve the plain request for the edited adjacency. The
-   reply is byte-identical to that request's, and both share one cache
-   line; the entry's origin is the derived request, so the improver can
-   polish it. *)
-let handle_reschedule t base delta =
-  serve t ~name:"reschedule" base ~answer:(fun base -> resolve_derived ~memo:t.topo base delta)
 
 (* A [Peek] (protocol v3): cache-only probe — a hit is a normal
    [Reply_ok] with [cache_hit = true]; a miss answers [Peek_miss] and
@@ -513,76 +485,32 @@ let handle_put t req ~version (stats : C.stats) schedule =
 
 (* The Stats frame carries the daemon's own counters plus the search
    core's ("search/states", bound-prune kinds, dominance prunes, the
-   transposition-table hit/miss/collision/evict/grow family) so a
-   client can see how the cold-miss solves behave without shell access
-   to the server host. *)
+   transposition-table hit/miss/collision/grow family) and the phy
+   layer's, so a client can see how the cold-miss solves behave without
+   shell access to the server host. *)
 let server_stats () =
-  let has_prefix p name =
-    String.length name >= String.length p && String.sub name 0 (String.length p) = p
-  in
-  List.filter_map
-    (fun (name, v) ->
-      if has_prefix "server/" name || has_prefix "search/" name || has_prefix "phy/" name
-      then
-        Some
-          ( name,
-            match (v : Metrics.value) with
-            | Metrics.Count c -> c
-            | Metrics.Level l -> l
-            | Metrics.Dist { total; _ } -> total )
-      else None)
-    (Metrics.snapshot ())
+  Acceptor.stats (fun name ->
+      List.exists (fun prefix -> String.starts_with ~prefix name) [ "server/"; "search/"; "phy/" ])
 
-let handle_conn t fd =
-  Metrics.incr m_connections;
-  let rec loop () =
-    match C.recv fd with
-    | None -> ()
-    | Some msg ->
-        let continue =
-          match msg with
-          | C.Hello { proto; version } ->
-              C.send fd
-                (C.Hello_ack
-                   {
-                     proto = C.protocol_version;
-                     version = Version.version;
-                     version_match =
-                       proto = C.protocol_version && version = Version.version;
-                   });
-              true
-          | C.Request req ->
-              C.send fd (handle_request t req);
-              true
-          | C.Reschedule { base; delta } ->
-              C.send fd (handle_reschedule t base delta);
-              true
-          | C.Peek req ->
-              C.send fd (handle_peek t req);
-              true
-          | C.Put { req; version; stats; schedule } ->
-              C.send fd (handle_put t req ~version stats schedule);
-              true
-          | C.Stats_request ->
-              C.send fd (C.Stats_reply (server_stats ()));
-              true
-          | C.Shutdown ->
-              C.send fd C.Shutdown_ack;
-              stop t;
-              false
-          | C.Hello_ack _ | C.Reply_ok _ | C.Reply_rejected _ | C.Reply_error _
-          | C.Stats_reply _ | C.Shutdown_ack | C.Peek_miss | C.Put_ack ->
-              C.send fd (C.Reply_error "unexpected message from client");
-              true
-        in
-        if continue then loop ()
-  in
-  (try loop () with
-  | C.Malformed _ ->
-      Metrics.incr m_bad_frames;
-      (try C.send fd (C.Reply_error "malformed frame") with _ -> ())
-  | Unix.Unix_error (_, _, _) | Sys_error _ -> ());
-  try Unix.close fd with Unix.Unix_error (_, _, _) -> ()
+(* Every frame but the shell's [Hello] and [Shutdown]. *)
+let handle t payload =
+  C.encode
+    (match C.decode payload with
+    | C.Request req -> serve t ~name:"request" req ~answer:(plain t)
+    | C.Reschedule { base; delta } ->
+        (* Answered as its derived request: edit the base graph, then
+           serve the plain request for the edited adjacency. The reply
+           is byte-identical to that request's, and both share one cache
+           line; the entry's origin is the derived request, so the
+           improver can polish it. *)
+        serve t ~name:"reschedule" base ~answer:(fun base ->
+            resolve_derived ~memo:t.topo base delta)
+    | C.Peek req -> handle_peek t req
+    | C.Put { req; version; stats; schedule } -> handle_put t req ~version stats schedule
+    | C.Stats_request -> C.Stats_reply (server_stats ())
+    | C.Hello _ | C.Shutdown | C.Hello_ack _ | C.Reply_ok _ | C.Reply_rejected _
+    | C.Reply_error _ | C.Stats_reply _ | C.Shutdown_ack | C.Peek_miss | C.Put_ack ->
+        reply_error "unexpected message from client")
 
 (* ----------------------- background polishing ---------------------- *)
 
@@ -656,16 +584,16 @@ let polish_once t ~budget =
 (* --------------------------- lifecycle ----------------------------- *)
 
 let start cfg =
-  if cfg.socket_path = None && cfg.tcp_port = None then
-    failwith "Daemon.start: no listener configured (need a socket path or TCP port)";
-  (* The registry is the server's own observability surface; tracing
-     stays at whatever the caller (Telemetry.with_config) selected. *)
-  Obs.enable ~metrics:true ~tracing:(Obs.tracing_enabled ()) ();
-  (match Sys.os_type with
-  | "Unix" -> Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-  | _ -> ());
+  let shell = Acceptor.bind ~socket_path:cfg.socket_path ~tcp_port:cfg.tcp_port family in
   let cache = Cache.create ~metrics_prefix:"server/cache" ~capacity:cfg.cache_capacity () in
-  (match cfg.cache_dir with Some dir -> ignore (load_cache ~dir cache) | None -> ());
+  (match cfg.cache_dir with
+  | Some dir -> (
+      try ignore (load_cache ~dir cache)
+      with e ->
+        Acceptor.stop shell;
+        Acceptor.wait shell;
+        raise e)
+  | None -> ());
   let pool = Pool.create ~jobs:cfg.jobs in
   let t =
     {
@@ -674,28 +602,15 @@ let start cfg =
       cache;
       topo = Cache.create ~metrics_prefix:"server/topo" ~capacity:256 ();
       disp = Dispatch.create ~pool ~capacity:cfg.queue_capacity;
-      stop_requested = Atomic.make false;
-      listeners = [];
+      shell;
+      ewma_solve_us = Atomic.make 0;
       trace_ctr = Atomic.make 0;
-      acceptor = None;
       improver = None;
       cleaned = false;
     }
   in
-  let listeners =
-    (match cfg.socket_path with Some p -> [ Acceptor.bind_unix p ] | None -> [])
-    @ (match cfg.tcp_port with Some p -> [ Acceptor.bind_tcp ~port:p ] | None -> [])
-  in
-  t.listeners <- listeners;
   Dispatch.start t.disp;
-  t.acceptor <-
-    Some
-      (Thread.create
-         (fun () ->
-           Acceptor.serve t.listeners
-             ~stopped:(fun () -> Atomic.get t.stop_requested)
-             ~handle:(handle_conn t))
-         ());
+  Acceptor.serve shell (handle t);
   if cfg.improve_budget > 0 then
     t.improver <-
       Some
@@ -705,7 +620,7 @@ let start cfg =
                 dispatcher has neither queued nor in-flight work, and
                 every pass is budget-bounded, so shutdown joins
                 promptly. *)
-             while not (Atomic.get t.stop_requested) do
+             while not (Acceptor.stopping shell) do
                if Dispatch.busy t.disp then Thread.delay 0.02
                else if not (polish_once t ~budget:cfg.improve_budget) then
                  Thread.delay 0.02
@@ -713,27 +628,19 @@ let start cfg =
            ());
   t
 
-let cleanup t =
+(* Once stopped: drain the queue, join the threads, persist the hot
+   cache entries and release the pool. *)
+let wait t =
+  Acceptor.wait t.shell;
   if not t.cleaned then begin
     t.cleaned <- true;
-    Acceptor.close_all t.listeners;
+    Dispatch.stop t.disp;
+    Option.iter Thread.join t.improver;
+    Dispatch.join t.disp;
     (match t.cfg.cache_dir with
     | Some dir -> ignore (save_cache ~dir ~limit:t.cfg.persist_limit t.cache)
     | None -> ());
     Pool.shutdown t.pool
   end
-
-let wait t =
-  (* Poll rather than block in a join: the waiting thread keeps
-     executing OCaml code, so a SIGINT/SIGTERM handler that calls
-     [stop] gets to run here. *)
-  while not (Atomic.get t.stop_requested) do
-    Thread.delay 0.05
-  done;
-  Dispatch.stop t.disp;
-  Option.iter Thread.join t.acceptor;
-  Option.iter Thread.join t.improver;
-  Dispatch.join t.disp;
-  cleanup t
 
 let run cfg = wait (start cfg)

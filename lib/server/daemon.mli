@@ -64,10 +64,13 @@ val default_config : socket_path:string -> config
 (** A running daemon. *)
 type t
 
-(** [start cfg] binds the listeners, spawns the acceptor and dispatcher
-    threads and returns. Raises [Failure] when no listener is
-    configured or a bind fails. Enables the {!Mlbs_obs} metrics
-    registry (the server's own counters live under [server/…]). *)
+(** [start cfg] binds the listeners ({!Acceptor.bind}), spawns the
+    accept and dispatcher threads (and the improver when
+    [improve_budget > 0]) and returns. Raises [Failure] when no
+    listener is configured or a bind fails. Enables the {!Mlbs_obs}
+    metrics registry (the server's own counters live under
+    [server/…]). The connection frames the shell does not answer itself
+    are decoded and served here. *)
 val start : config -> t
 
 (** [stop t] initiates shutdown: stops accepting, lets queued solves

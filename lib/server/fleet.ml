@@ -1,11 +1,12 @@
 (* The fleet front tier: one process that owns no solver at all, just a
    consistent-hash ring over backend daemons.
 
-   Data path: client frames arrive as raw payloads ([Codec.recv_payload])
-   and replies are relayed byte-for-byte ([Codec.send_payload]) — the
-   front never decodes a schedule, so relayed replies are byte-identical
-   to the owning backend's by construction and the per-request CPU cost
-   stays O(header). A [Request] is routed by its content address (the
+   Data path: the server shell ([Acceptor]) hands each client frame
+   over as a raw payload, and backend replies go back byte-for-byte
+   ([Client.relay]) — the front never decodes a reply's schedule outside
+   the rare fill event, so relayed replies are byte-identical to the
+   owning backend's by construction and the per-reply CPU cost stays
+   O(header). A [Request] is routed by its content address (the
    same [Daemon.cache_key] the backends file it under, memoised here by
    the encoded request bytes); a [Reschedule] is routed by its derived
    request's address ([Daemon.reschedule_key], memoised the same way),
@@ -42,7 +43,6 @@ type config = {
   replicas : int;
   health_period : float;
   max_inflight : int;
-  fill : bool;
 }
 
 let default_config ~backends ~socket_path =
@@ -53,7 +53,6 @@ let default_config ~backends ~socket_path =
     replicas = 64;
     health_period = 1.0;
     max_inflight = 256;
-    fill = true;
   }
 
 let endpoint_name = function
@@ -62,18 +61,12 @@ let endpoint_name = function
 
 (* ------------------------------ metrics ----------------------------- *)
 
-let m_requests = Metrics.counter "server/fleet/requests"
-let m_ok = Metrics.counter "server/fleet/replies_ok"
-let m_rejected = Metrics.counter "server/fleet/rejected"
-let m_errors = Metrics.counter "server/fleet/errors"
-let m_connections = Metrics.counter "server/fleet/connections"
-let m_bad_frames = Metrics.counter "server/fleet/bad_frames"
+let family = Acceptor.family "server/fleet"
 let m_fill_hits = Metrics.counter "server/fleet/fill_hits"
 let m_rebalances = Metrics.counter "server/fleet/rebalances"
 let m_deaths = Metrics.counter "server/fleet/deaths"
 let m_reroutes = Metrics.counter "server/fleet/reroutes"
 let m_shed = Metrics.counter "server/fleet/shed"
-let h_request_us = Metrics.histogram "server/fleet/request_us"
 
 (* ------------------------------ state ------------------------------- *)
 
@@ -81,7 +74,7 @@ type backend = {
   bname : string;
   bep : Client.endpoint;
   bm : Mutex.t;
-  mutable bidle : Unix.file_descr list;  (* pooled, handshaken connections *)
+  mutable bidle : Client.t list;  (* pooled, handshaken connections *)
   balive : bool Atomic.t;
   m_shard_requests : Metrics.counter;
   m_shard_hits : Metrics.counter;
@@ -96,15 +89,12 @@ type t = {
   tmemo : Daemon.resolved Cache.t;  (* reschedule bases' generator topologies *)
   inflight : int Atomic.t;
   ewma_retry_ms : int Atomic.t;
-  stop_requested : bool Atomic.t;
-  mutable listeners : Acceptor.listener list;
-  mutable acceptor : Thread.t option;
+  shell : Acceptor.t;
   mutable health : Thread.t option;
-  mutable cleaned : bool;
 }
 
-let stop t = Atomic.set t.stop_requested true
-let tcp_port t = List.find_map Acceptor.port t.listeners
+let stop t = Acceptor.stop t.shell
+let tcp_port t = Acceptor.tcp_port t.shell
 
 exception Backend_down
 
@@ -112,43 +102,25 @@ exception Backend_down
 
 let max_idle_conns = 16
 
-let connect_backend b =
-  let fd, addr =
-    match b.bep with
-    | Client.Unix_socket path ->
-        (Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0, Unix.ADDR_UNIX path)
-    | Client.Tcp { host; port } ->
-        let inet =
-          try Unix.inet_addr_of_string host
-          with Failure _ -> (Unix.gethostbyname host).Unix.h_addr_list.(0)
-        in
-        (Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0, Unix.ADDR_INET (inet, port))
-  in
-  try
-    Unix.connect fd addr;
-    C.send fd (C.Hello { proto = C.protocol_version; version = Version.version });
-    match C.recv fd with
-    | Some (C.Hello_ack { proto; _ }) when proto = C.protocol_version -> fd
-    | _ -> failwith "backend handshake failed"
-  with e ->
-    (try Unix.close fd with Unix.Unix_error (_, _, _) -> ());
-    raise e
+let dial b =
+  let c, _, _ = Client.connect b.bep in
+  c
 
 let borrow b =
   Mutex.lock b.bm;
-  let pooled = match b.bidle with [] -> None | fd :: rest -> b.bidle <- rest; Some fd in
+  let pooled = match b.bidle with [] -> None | c :: rest -> b.bidle <- rest; Some c in
   Mutex.unlock b.bm;
-  match pooled with Some fd -> fd | None -> connect_backend b
+  match pooled with Some c -> c | None -> dial b
 
-let give_back b fd =
+let give_back b c =
   Mutex.lock b.bm;
   if List.length b.bidle < max_idle_conns then begin
-    b.bidle <- fd :: b.bidle;
+    b.bidle <- c :: b.bidle;
     Mutex.unlock b.bm
   end
   else begin
     Mutex.unlock b.bm;
-    try Unix.close fd with Unix.Unix_error (_, _, _) -> ()
+    Client.close c
   end
 
 let drop_idle b =
@@ -156,7 +128,7 @@ let drop_idle b =
   let idle = b.bidle in
   b.bidle <- [];
   Mutex.unlock b.bm;
-  List.iter (fun fd -> try Unix.close fd with Unix.Unix_error (_, _, _) -> ()) idle
+  List.iter Client.close idle
 
 (* ------------------------------ ring -------------------------------- *)
 
@@ -211,18 +183,15 @@ let backend_named t name =
 let rpc t b payload =
   if not (Atomic.get b.balive) then raise Backend_down;
   let once ~fresh =
-    match (if fresh then connect_backend b else borrow b) with
+    match (if fresh then dial b else borrow b) with
     | exception _ -> None
-    | fd -> (
-        match
-          C.send_payload fd payload;
-          C.recv_payload fd
-        with
-        | Some reply ->
-            give_back b fd;
+    | c -> (
+        match Client.relay c payload with
+        | reply ->
+            give_back b c;
             Some reply
-        | None | (exception _) ->
-            (try Unix.close fd with Unix.Unix_error (_, _, _) -> ());
+        | exception _ ->
+            Client.close c;
             None)
   in
   match once ~fresh:false with
@@ -236,30 +205,26 @@ let rpc t b payload =
 
 (* --------------------------- backpressure --------------------------- *)
 
-let note_retry_ms t ms =
-  let rec go () =
-    let cur = Atomic.get t.ewma_retry_ms in
-    let next = if cur = 0 then ms else ((7 * cur) + ms) / 8 in
-    if not (Atomic.compare_and_set t.ewma_retry_ms cur next) then go ()
-  in
-  go ()
-
 let shed_hint t =
   match Atomic.get t.ewma_retry_ms with 0 -> 10 | ms -> max 5 (min 5000 ms)
 
 let encode_error msg =
-  Metrics.incr m_errors;
+  Metrics.incr family.errors;
   C.encode (C.Reply_error msg)
 
-(* Account the reply the client is about to see. *)
-let record_reply t reply =
-  match C.reply_view reply with
-  | C.View_ok _ -> Metrics.incr m_ok
+(* Account the reply the client is about to see, and return it. [from]
+   is the shard that answered, when its own cache hit counts as its. *)
+let record_reply t ?from reply =
+  (match C.reply_view reply with
+  | C.View_ok { cache_hit; _ } ->
+      Metrics.incr family.replies_ok;
+      if cache_hit then Option.iter (fun b -> Metrics.incr b.m_shard_hits) from
   | C.View_rejected { retry_after_ms } ->
-      Metrics.incr m_rejected;
-      note_retry_ms t retry_after_ms
-  | C.View_error _ -> Metrics.incr m_errors
-  | C.View_peek_miss | C.View_other _ -> ()
+      Metrics.incr family.rejected;
+      Acceptor.note_ewma t.ewma_retry_ms retry_after_ms
+  | C.View_error _ -> Metrics.incr family.errors
+  | C.View_peek_miss | C.View_other _ -> ());
+  reply
 
 (* ------------------------------ routing ----------------------------- *)
 
@@ -276,6 +241,7 @@ let routed t ~key attempt =
           match backend_named t oname with
           | None -> encode_error "no backend available"
           | Some b -> (
+              Metrics.incr b.m_shard_requests;
               match attempt b succ with
               | reply -> reply
               | exception Backend_down ->
@@ -284,33 +250,20 @@ let routed t ~key attempt =
   in
   go (Array.length t.fbackends + 1)
 
+(* Reschedule / client-peek / client-put, and a plain request's solve:
+   relayed to the owner verbatim. *)
+let relay t b payload = record_reply t ~from:b (rpc t b payload)
+let serve_routed t ~payload ~key = routed t ~key (fun b _succ -> relay t b payload)
+
 (* A plain [Request]: peek-owner / fill-from-successor / solve-on-owner. *)
 let serve_request t ~payload ~key =
   routed t ~key (fun b succ ->
-      Metrics.incr b.m_shard_requests;
-      let solve_on_owner () =
-        let reply = rpc t b payload in
-        (match C.reply_view reply with
-        | C.View_ok { cache_hit = true; _ } -> Metrics.incr b.m_shard_hits
-        | _ -> ());
-        record_reply t reply;
-        reply
-      in
-      let fill_source =
-        if t.fcfg.fill then
-          match succ with Some s when s <> b.bname -> backend_named t s | _ -> None
-        else None
-      in
-      match fill_source with
-      | None -> solve_on_owner ()
+      match (match succ with Some s when s <> b.bname -> backend_named t s | _ -> None) with
+      | None -> relay t b payload
       | Some sb -> (
           let peek = C.peek_of_request_payload payload in
           let reply = rpc t b peek in
           match C.reply_view reply with
-          | C.View_ok _ ->
-              Metrics.incr b.m_shard_hits;
-              record_reply t reply;
-              reply
           | C.View_peek_miss -> (
               (* The successor owned this key before the last membership
                  change — ask it before paying for a solve. Its failure
@@ -323,43 +276,21 @@ let serve_request t ~payload ~key =
                     match C.reply_view sreply with C.View_ok _ -> Some sreply | _ -> None)
               in
               match filled with
-              | None -> solve_on_owner ()
+              | None -> relay t b payload
               | Some sreply ->
                   Metrics.incr m_fill_hits;
                   (* Warm the owner so the next request is local. Decode
                      only here, on the rare fill event. *)
                   (match (C.decode sreply, C.decode payload) with
                   | C.Reply_ok ok, C.Request req -> (
-                      match
-                        rpc t b
-                          (C.encode
-                             (C.Put
-                                 {
-                                   req;
-                                   version = ok.C.version;
-                                   stats = ok.C.stats;
-                                   schedule = ok.C.schedule;
-                                 }))
-                      with
-                      | _ -> ()
-                      | exception Backend_down -> ())
+                      let put =
+                        C.Put
+                          { req; version = ok.C.version; stats = ok.C.stats; schedule = ok.C.schedule }
+                      in
+                      try ignore (rpc t b (C.encode put)) with Backend_down -> ())
                   | _ -> ());
-                  record_reply t sreply;
-                  sreply)
-          | _ ->
-              record_reply t reply;
-              reply))
-
-(* Reschedule / client-peek / client-put: routed to the owner verbatim. *)
-let serve_routed t ~payload ~key =
-  routed t ~key (fun b _succ ->
-      Metrics.incr b.m_shard_requests;
-      let reply = rpc t b payload in
-      (match C.reply_view reply with
-      | C.View_ok { cache_hit = true; _ } -> Metrics.incr b.m_shard_hits
-      | _ -> ());
-      record_reply t reply;
-      reply)
+                  record_reply t sreply)
+          | _ -> record_reply t ~from:b reply))
 
 (* --------------------------- content keys --------------------------- *)
 
@@ -388,12 +319,14 @@ let with_admission t f =
     (fun () ->
       if cur >= t.fcfg.max_inflight then begin
         Metrics.incr m_shed;
-        Metrics.incr m_rejected;
+        Metrics.incr family.rejected;
         C.encode (C.Reply_rejected { retry_after_ms = shed_hint t })
       end
       else f ())
 
 (* ------------------------------ stats ------------------------------- *)
+
+let is_fleet name = String.starts_with ~prefix:"server/fleet/" name
 
 let add_kv tbl (k, v) =
   Hashtbl.replace tbl k (v + Option.value ~default:0 (Hashtbl.find_opt tbl k))
@@ -404,16 +337,7 @@ let fleet_stats t =
      server/* totals come from the backends themselves below (and when a
      backend shares this process's registry, skipping fleet/* there
      avoids double counting). *)
-  List.iter
-    (fun (name, v) ->
-      if String.length name >= 13 && String.sub name 0 13 = "server/fleet/" then
-        add_kv tbl
-          ( name,
-            match (v : Metrics.value) with
-            | Metrics.Count c -> c
-            | Metrics.Level l -> l
-            | Metrics.Dist { total; _ } -> total ))
-    (Metrics.snapshot ());
+  List.iter (add_kv tbl) (Acceptor.stats is_fleet);
   Array.iter
     (fun b ->
       if Atomic.get b.balive then
@@ -422,108 +346,65 @@ let fleet_stats t =
         | reply -> (
             match C.decode reply with
             | C.Stats_reply kvs ->
-                List.iter
-                  (fun (k, v) ->
-                    if not (String.length k >= 13 && String.sub k 0 13 = "server/fleet/")
-                    then add_kv tbl (k, v))
-                  kvs
+                List.iter (fun kv -> if not (is_fleet (fst kv)) then add_kv tbl kv) kvs
             | _ -> ()
             | exception C.Malformed _ -> ()))
     t.fbackends;
   List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
 
-(* --------------------------- connections ---------------------------- *)
+(* ------------------------------ frames ------------------------------ *)
 
-let handle_conn t fd =
-  Metrics.incr m_connections;
-  let rec loop () =
-    match C.recv_payload fd with
-    | None -> ()
-    | Some payload ->
-        let t0 = Obs.now_us () in
-        let continue = ref true in
-        let reply =
-          match C.payload_tag payload with
-          | 1 -> (
-              (* Hello: the front answers the handshake itself. *)
-              match C.decode payload with
-              | C.Hello { proto; version } ->
-                  C.encode
-                    (C.Hello_ack
-                       {
-                         proto = C.protocol_version;
-                         version = Version.version;
-                         version_match =
-                           proto = C.protocol_version && version = Version.version;
-                       })
-              | _ -> encode_error "malformed hello")
-          | 3 -> (
-              Metrics.incr m_requests;
-              match C.decode payload with
-              | C.Request req -> (
-                  match key_of_request_payload t ~payload req with
-                  | exception e -> encode_error (Printexc.to_string e)
-                  | key -> with_admission t (fun () -> serve_request t ~payload ~key))
-              | _ -> encode_error "malformed request")
-          | 11 -> (
-              Metrics.incr m_requests;
-              (* Routed by the derived request's address, memoised by
-                 the reschedule's bytes; every reschedule of one base
-                 resolves that base from [tmemo]. *)
-              match C.decode payload with
-              | C.Reschedule { base; delta } -> (
-                  match
-                    memo_key t ~payload (fun () -> Daemon.reschedule_key ~memo:t.tmemo base delta)
-                  with
-                  | exception e -> encode_error (Printexc.to_string e)
-                  | key -> with_admission t (fun () -> serve_routed t ~payload ~key))
-              | _ -> encode_error "malformed reschedule")
-          | 12 | 14 -> (
-              (* A client-side Peek or Put: forward to the owner. *)
-              match C.decode payload with
-              | C.Peek req | C.Put { req; _ } -> (
-                  let req_payload = C.encode (C.Request req) in
-                  match key_of_request_payload t ~payload:req_payload req with
-                  | exception e -> encode_error (Printexc.to_string e)
-                  | key -> with_admission t (fun () -> serve_routed t ~payload ~key))
-              | _ -> encode_error "malformed peek/put")
-          | 7 -> C.encode (C.Stats_reply (fleet_stats t))
-          | 9 ->
-              continue := false;
-              stop t;
-              C.encode C.Shutdown_ack
-          | _ -> encode_error "unexpected message from client"
-        in
-        C.send_payload fd reply;
-        let dt = Obs.now_us () -. t0 in
-        Metrics.observe h_request_us (int_of_float dt);
-        if !continue then loop ()
+(* Every frame but the shell's [Hello] and [Shutdown]. A routed frame
+   resolves its routing key, then passes admission. *)
+let handle t payload =
+  let route serve key =
+    match key () with
+    | exception e -> encode_error (Printexc.to_string e)
+    | key -> with_admission t (fun () -> serve t ~payload ~key)
   in
-  (try loop () with
-  | C.Malformed _ ->
-      Metrics.incr m_bad_frames;
-      (try C.send_payload fd (C.encode (C.Reply_error "malformed frame")) with _ -> ())
-  | Unix.Unix_error (_, _, _) | Sys_error _ -> ());
-  try Unix.close fd with Unix.Unix_error (_, _, _) -> ()
+  (* As in the daemon, [request_us] times the solve frames only. *)
+  let timed f =
+    Metrics.incr family.requests;
+    let t0 = Obs.now_us () in
+    let reply = f () in
+    Metrics.observe family.request_us (int_of_float (Obs.now_us () -. t0));
+    reply
+  in
+  match C.decode payload with
+  | C.Request req ->
+      timed (fun () -> route serve_request (fun () -> key_of_request_payload t ~payload req))
+  | C.Reschedule { base; delta } ->
+      (* Routed by the derived request's address, memoised by the
+         reschedule's bytes; every reschedule of one base resolves that
+         base from [tmemo]. *)
+      timed (fun () ->
+          route serve_routed (fun () ->
+              memo_key t ~payload (fun () -> Daemon.reschedule_key ~memo:t.tmemo base delta)))
+  | C.Peek req | C.Put { req; _ } ->
+      (* A client-side Peek or Put: forward to the owner. *)
+      route serve_routed (fun () ->
+          key_of_request_payload t ~payload:(C.encode (C.Request req)) req)
+  | C.Stats_request -> C.encode (C.Stats_reply (fleet_stats t))
+  | _ -> encode_error "unexpected message from client"
 
 (* ------------------------------ health ------------------------------ *)
 
 let probe b =
-  match connect_backend b with
-  | fd ->
-      give_back b fd;
+  match dial b with
+  | c ->
+      give_back b c;
       true
   | exception _ -> false
 
 let health_loop t =
   let rec nap d =
-    if d > 0. && not (Atomic.get t.stop_requested) then begin
+    if d > 0. && not (Acceptor.stopping t.shell) then begin
       Thread.delay (min 0.05 d);
       nap (d -. 0.05)
     end
   in
   let rec loop () =
-    if not (Atomic.get t.stop_requested) then begin
+    if not (Acceptor.stopping t.shell) then begin
       Array.iter
         (fun b ->
           let ok = probe b in
@@ -539,13 +420,8 @@ let health_loop t =
 (* ---------------------------- lifecycle ----------------------------- *)
 
 let start cfg =
-  if cfg.socket_path = None && cfg.tcp_port = None then
-    failwith "Fleet.start: no listener configured (need a socket path or TCP port)";
   if cfg.backends = [] then failwith "Fleet.start: no backends configured";
-  Obs.enable ~metrics:true ~tracing:(Obs.tracing_enabled ()) ();
-  (match Sys.os_type with
-  | "Unix" -> Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-  | _ -> ());
+  let shell = Acceptor.bind ~socket_path:cfg.socket_path ~tcp_port:cfg.tcp_port family in
   let fbackends =
     Array.of_list
       (List.mapi
@@ -572,11 +448,8 @@ let start cfg =
       tmemo = Cache.create ~metrics_prefix:"server/fleet/topo" ~capacity:64 ();
       inflight = Atomic.make 0;
       ewma_retry_ms = Atomic.make 0;
-      stop_requested = Atomic.make false;
-      listeners = [];
-      acceptor = None;
+      shell;
       health = None;
-      cleaned = false;
     }
   in
   (* Synchronous initial probe (not counted as rebalances): the first
@@ -586,37 +459,15 @@ let start cfg =
   Mutex.lock t.rm;
   rebuild_ring t;
   Mutex.unlock t.rm;
-  let listeners =
-    (match cfg.socket_path with Some p -> [ Acceptor.bind_unix p ] | None -> [])
-    @ (match cfg.tcp_port with Some p -> [ Acceptor.bind_tcp ~port:p ] | None -> [])
-  in
-  t.listeners <- listeners;
-  t.acceptor <-
-    Some
-      (Thread.create
-         (fun () ->
-           Acceptor.serve t.listeners
-             ~stopped:(fun () -> Atomic.get t.stop_requested)
-             ~handle:(handle_conn t))
-         ());
+  Acceptor.serve shell (handle t);
   t.health <- Some (Thread.create health_loop t);
   t
 
-let cleanup t =
-  if not t.cleaned then begin
-    t.cleaned <- true;
-    Acceptor.close_all t.listeners;
-    Array.iter drop_idle t.fbackends
-  end
-
 let wait t =
-  (* Poll so signal handlers calling [stop] get to run (cf. Daemon). *)
-  while not (Atomic.get t.stop_requested) do
-    Thread.delay 0.05
-  done;
-  Option.iter Thread.join t.acceptor;
+  Acceptor.wait t.shell;
   Option.iter Thread.join t.health;
-  cleanup t
+  t.health <- None;
+  Array.iter drop_idle t.fbackends
 
 let run cfg = wait (start cfg)
 

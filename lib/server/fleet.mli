@@ -16,10 +16,9 @@ type config = {
   replicas : int;  (** virtual points per shard on the ring *)
   health_period : float;  (** seconds between backend probes *)
   max_inflight : int;  (** global in-flight cap before the front sheds *)
-  fill : bool;  (** peek the ring successor before solving on a miss *)
 }
 
-(** 64 replicas, 1 s health period, 256 in-flight, fill enabled, no TCP. *)
+(** 64 replicas, 1 s health period, 256 in-flight, no TCP. *)
 val default_config : backends:Client.endpoint list -> socket_path:string -> config
 
 (** Stable shard name used on the ring and in logs: ["host:port"] for
@@ -28,15 +27,17 @@ val endpoint_name : Client.endpoint -> string
 
 type t
 
-(** [start cfg] probes the backends (the live ones form the initial
-    ring), binds the listeners, and spawns the acceptor and health
-    threads. Raises [Failure] without a listener or backends. *)
+(** [start cfg] binds the listeners ({!Acceptor.bind}), probes the
+    backends (the live ones form the initial ring), and spawns the
+    accept and health threads. Raises [Failure] without a listener or
+    backends. *)
 val start : config -> t
 
 (** Initiate shutdown; idempotent, signal-safe. *)
 val stop : t -> unit
 
-(** Block until stopped, then join threads and close everything. *)
+(** Block until stopped, then join the threads and close the listeners
+    and the pooled backend connections. *)
 val wait : t -> unit
 
 (** [start] + [wait]. *)

@@ -56,6 +56,30 @@ let create ~cell points =
     home;
   t
 
+(* Equal coordinates land in one cell, so only cell mates are
+   compared, each against its smaller mates in ascending order: the
+   first match is its position's first index. *)
+let first_repeat t =
+  let best = ref None in
+  let better i = match !best with Some (_, r) -> i < r | None -> true in
+  for c = 0 to (t.cols * t.rows) - 1 do
+    for k = t.start.(c) + 1 to t.start.(c + 1) - 1 do
+      let i = t.items.(k) in
+      if better i then begin
+        let xi = Float.Array.get t.xs i and yi = Float.Array.get t.ys i in
+        let rec scan k' =
+          if k' < k then begin
+            let j = t.items.(k') in
+            if Float.Array.get t.xs j = xi && Float.Array.get t.ys j = yi then best := Some (j, i)
+            else scan (k' + 1)
+          end
+        in
+        scan t.start.(c)
+      end
+    done
+  done;
+  !best
+
 let check_radius t radius fn =
   if radius > t.cell +. 1e-9 then invalid_arg (Printf.sprintf "Grid.%s: radius exceeds cell size" fn)
 

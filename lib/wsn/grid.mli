@@ -15,6 +15,12 @@ type t
     when [cell <= 0] or a coordinate is not finite. *)
 val create : cell:float -> Mlbs_geom.Point.t array -> t
 
+(** [first_repeat t] is [Some (j, i)] for the lowest index [i] whose
+    position an earlier point already holds, [j] being the first index
+    at that position; [None] when all positions are distinct. Only
+    points sharing a cell are compared. *)
+val first_repeat : t -> (int * int) option
+
 (** [neighbor_rows t ~radius] is every point's neighbours within
     [radius] as strictly ascending rows — the input {!Mlbs_graph.Graph.of_rows}
     takes — in O(n + m) past the distance checks: no row is sorted,

@@ -11,15 +11,10 @@ type t = {
       (* node -> quadrant index -> sorted neighbours, built on first use *)
 }
 
-let check_distinct points =
-  let tbl = Hashtbl.create (Array.length points) in
-  Array.iteri
-    (fun i p ->
-      match Hashtbl.find_opt tbl (p.Point.x, p.Point.y) with
-      | Some j ->
-          invalid_arg (Printf.sprintf "Network: nodes %d and %d share position" j i)
-      | None -> Hashtbl.add tbl (p.Point.x, p.Point.y) i)
-    points
+let check_distinct grid =
+  match Grid.first_repeat grid with
+  | Some (j, i) -> invalid_arg (Printf.sprintf "Network: nodes %d and %d share position" j i)
+  | None -> ()
 
 let partition_quadrants points graph =
   Array.mapi
@@ -42,7 +37,7 @@ let of_graph ~radius ~points graph =
   if radius <= 0. then invalid_arg "Network.of_graph: radius <= 0";
   if Array.length points <> Graph.n_nodes graph then
     invalid_arg "Network.of_graph: points/graph size mismatch";
-  check_distinct points;
+  check_distinct (Grid.create ~cell:radius points);
   make ~radius ~points graph
 
 (* The unit grid's positions are distinct by construction. *)
@@ -56,8 +51,9 @@ let synthetic graph =
 
 let create ~radius points =
   if radius <= 0. then invalid_arg "Network.create: radius <= 0";
-  check_distinct points;
-  make ~radius ~points (Graph.of_rows (Grid.neighbor_rows (Grid.create ~cell:radius points) ~radius))
+  let grid = Grid.create ~cell:radius points in
+  check_distinct grid;
+  make ~radius ~points (Graph.of_rows (Grid.neighbor_rows grid ~radius))
 
 let graph t = t.graph
 let n_nodes t = Array.length t.points

@@ -20,8 +20,8 @@ val create : radius:float -> Mlbs_geom.Point.t array -> t
 (** [of_graph ~radius ~points g] wraps a pre-built graph (used by
     fixtures whose adjacency is specified explicitly rather than
     geometrically). [points] still drive the quadrants. Raises
-    [Invalid_argument] when [radius <= 0], sizes disagree or two nodes
-    coincide. *)
+    [Invalid_argument] when [radius <= 0], sizes disagree, a coordinate
+    is not finite or two nodes coincide. *)
 val of_graph : radius:float -> points:Mlbs_geom.Point.t array -> Mlbs_graph.Graph.t -> t
 
 (** [synthetic g] wraps a bare connectivity graph in a deterministic

@@ -79,13 +79,10 @@ let gen_tt_ops =
       let* is_add = bool in
       return (members, slot, v, is_add)
     in
-    pair (int_bound 2) (list_size (int_bound 120) op))
+    list_size (int_bound 120) op)
 
-(* [cap_choice]: 0 = unbounded, 1 = tiny bounded (8), 2 = bounded (40). *)
-let tt_matches_naive (cap_choice, ops) =
-  let max_entries = [| 0; 8; 40 |].(cap_choice) in
-  let bounded = max_entries > 0 in
-  let t = Ttable.create ~max_entries () in
+let tt_matches_naive ops =
+  let t = Ttable.create () in
   let naive = Hashtbl.create 64 in
   List.iter
     (fun (members, slot, v, is_add) ->
@@ -93,28 +90,14 @@ let tt_matches_naive (cap_choice, ops) =
       let h = Bitset.hash set in
       if is_add then begin
         Ttable.add t ~h ~slot ~set v;
-        (* A bounded table may decline the insert, but if the key is
-           resident [add] replaces in place — so a later hit still
-           returns the latest value. Only track keys the table kept. *)
-        if Ttable.find t ~h ~slot ~set = Some v then
-          Hashtbl.replace naive (mask set, slot) v
-        else if bounded then Hashtbl.remove naive (mask set, slot)
-        else Alcotest.fail "unbounded table dropped an insert"
+        Alcotest.(check (option int)) "find after add" (Some v) (Ttable.find t ~h ~slot ~set);
+        Hashtbl.replace naive (mask set, slot) v
       end
       else
-        let got = Ttable.find t ~h ~slot ~set in
-        let expected = Hashtbl.find_opt naive (mask set, slot) in
-        if bounded then (
-          (* Value-safe: a bounded table may forget, never lie. *)
-          match got with
-          | None -> ()
-          | Some _ ->
-              Alcotest.(check (option int)) "bounded hit is truthful" expected got)
-        else Alcotest.(check (option int)) "unbounded find" expected got)
+        Alcotest.(check (option int))
+          "find" (Hashtbl.find_opt naive (mask set, slot)) (Ttable.find t ~h ~slot ~set))
     ops;
-  (if not bounded then
-     let live = Hashtbl.length naive in
-     Alcotest.(check int) "length" live (Ttable.length t));
+  Alcotest.(check int) "length" (Hashtbl.length naive) (Ttable.length t);
   true
 
 let find_union_agrees (base_members, cov_members, slot, v) =

@@ -141,18 +141,12 @@ let backend_endpoint d =
   | Some port -> Client.Tcp { host = "127.0.0.1"; port }
   | None -> Alcotest.fail "backend has no TCP port"
 
-let with_fleet ?(n_backends = 2) ?(fill = true) f =
+let with_fleet ?(n_backends = 2) f =
   let dir = temp_dir () in
   let socket_path = Filename.concat dir "front.sock" in
   let backends = List.init n_backends (fun _ -> start_backend ()) in
   let eps = List.map backend_endpoint backends in
-  let fcfg =
-    {
-      (Fleet.default_config ~backends:eps ~socket_path) with
-      Fleet.fill;
-      health_period = 0.2;
-    }
-  in
+  let fcfg = { (Fleet.default_config ~backends:eps ~socket_path) with Fleet.health_period = 0.2 } in
   let t = Fleet.start fcfg in
   let finish () =
     Fleet.stop t;
@@ -354,6 +348,86 @@ let test_fleet_reschedule_files_at_derived_owner () =
         true (request_ok c req).Codec.cache_hit)
     derived
 
+(* ---------------------------- server shell ------------------------- *)
+
+(* The daemon and the front share one server shell, so both must keep
+   the same contract for the frames it owns. *)
+
+let raw_connect path =
+  let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX path);
+  fd
+
+let roundtrip fd msg =
+  Codec.send fd msg;
+  Codec.recv fd
+
+let stat socket name =
+  let c = connect socket in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  Option.value ~default:0 (List.assoc_opt name (Client.stats c))
+
+let returns_within secs f =
+  let finished = Atomic.make false in
+  let th = Thread.create (fun () -> f (); Atomic.set finished true) () in
+  let deadline = Unix.gettimeofday () +. secs in
+  while (not (Atomic.get finished)) && Unix.gettimeofday () < deadline do
+    Thread.delay 0.02
+  done;
+  Atomic.get finished && (Thread.join th; true)
+
+let check_shell ~socket ~prefix ~wait =
+  let fd = raw_connect socket in
+  let errors0 = stat socket (prefix ^ "/errors") in
+  (match
+     roundtrip fd
+       (Codec.Hello { proto = Codec.protocol_version; version = Mlbs_server.Version.version })
+   with
+  | Some (Codec.Hello_ack { proto; version_match; _ }) ->
+      Alcotest.(check int) "protocol" Codec.protocol_version proto;
+      Alcotest.(check bool) "version_match" true version_match
+  | _ -> Alcotest.fail "Hello not answered with Hello_ack");
+  (match roundtrip fd Codec.Put_ack with
+  | Some (Codec.Reply_error _) -> ()
+  | _ -> Alcotest.fail "unexpected frame not answered with Reply_error");
+  (match roundtrip fd Codec.Stats_request with
+  | Some (Codec.Stats_reply _) -> ()
+  | _ -> Alcotest.fail "connection unusable after an unexpected frame");
+  Unix.close fd;
+  Alcotest.(check int) "unexpected frame counted as an error" (errors0 + 1)
+    (stat socket (prefix ^ "/errors"));
+  let bad0 = stat socket (prefix ^ "/bad_frames") in
+  let fd = raw_connect socket in
+  Codec.send_payload fd "\xee";
+  (match Codec.recv fd with
+  | Some (Codec.Reply_error "malformed frame") -> ()
+  | _ -> Alcotest.fail "garbage frame not answered \"malformed frame\"");
+  Alcotest.(check bool) "connection closed after a garbage frame" true
+    (Codec.recv_payload fd = None);
+  Unix.close fd;
+  Alcotest.(check int) "garbage frame counted" (bad0 + 1) (stat socket (prefix ^ "/bad_frames"));
+  let fd = raw_connect socket in
+  (match roundtrip fd Codec.Shutdown with
+  | Some Codec.Shutdown_ack -> ()
+  | _ -> Alcotest.fail "Shutdown not answered with Shutdown_ack");
+  Unix.close fd;
+  Alcotest.(check bool) "wait returns after Shutdown" true (returns_within 5. wait)
+
+let test_shell_daemon () =
+  let dir = temp_dir () in
+  let socket_path = Filename.concat dir "daemon.sock" in
+  let d = Daemon.start { (Daemon.default_config ~socket_path) with Daemon.jobs = 1 } in
+  Fun.protect
+    ~finally:(fun () ->
+      Daemon.stop d;
+      Daemon.wait d;
+      rm_rf dir)
+    (fun () -> check_shell ~socket:socket_path ~prefix:"server" ~wait:(fun () -> Daemon.wait d))
+
+let test_shell_fleet () =
+  with_fleet @@ fun socket t _backends _eps ->
+  check_shell ~socket ~prefix:"server/fleet" ~wait:(fun () -> Fleet.wait t)
+
 let () =
   Alcotest.run "fleet"
     [
@@ -375,5 +449,10 @@ let () =
           Alcotest.test_case "reschedule routed" `Quick test_fleet_reschedule_routed;
           Alcotest.test_case "reschedule at derived owner" `Quick
             test_fleet_reschedule_files_at_derived_owner;
+        ] );
+      ( "shell",
+        [
+          Alcotest.test_case "daemon" `Quick test_shell_daemon;
+          Alcotest.test_case "fleet front" `Quick test_shell_fleet;
         ] );
     ]

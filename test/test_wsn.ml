@@ -252,6 +252,22 @@ let props =
         let pts = Array.append pts (Array.map (fun p -> Point.v (p.Point.x +. 7.) p.Point.y) pts) in
         let grid = Grid.create ~cell:10. pts in
         Grid.pairs_within grid ~radius:10. = brute_pairs pts 10.);
+    prop "first repeat = naive scan"
+      QCheck2.Gen.(list_size (int_range 1 40) (pair (int_bound 7) (int_bound 7)))
+      (fun cells ->
+        (* Integer positions on an 8×8 lattice: repeats are common. *)
+        let pts =
+          Array.of_list (List.map (fun (x, y) -> Point.v (float_of_int x) (float_of_int y)) cells)
+        in
+        let n = Array.length pts in
+        let rec naive i =
+          if i >= n then None
+          else
+            match List.find_opt (fun j -> Point.equal pts.(j) pts.(i)) (List.init i Fun.id) with
+            | Some j -> Some (j, i)
+            | None -> naive (i + 1)
+        in
+        Grid.first_repeat (Grid.create ~cell:2. pts) = naive 0);
     prop "UDG edges = brute force distances" gen_points (fun pts ->
         (* Skip the occasional duplicate-coordinate draw. *)
         let distinct =
