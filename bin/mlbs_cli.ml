@@ -605,7 +605,6 @@ let serve socket tcp backend jobs queue cache cache_dir models improve_budget tr
     let jobs = Option.value jobs ~default:Config.default.Config.jobs in
     let dcfg =
       {
-        (Sv_daemon.default_config ~socket_path:socket) with
         Sv_daemon.socket_path = (if backend then None else Some socket);
         tcp_port = tcp;
         jobs;
@@ -641,17 +640,18 @@ let serve socket tcp backend jobs queue cache cache_dir models improve_budget tr
   end
 
 let serve_cmd =
+  let defaults = Sv_daemon.default_config ~socket_path:"" in
   let queue_arg =
     Arg.(
       value
-      & opt int Config.default.Config.queue_capacity
+      & opt int defaults.Sv_daemon.queue_capacity
       & info [ "queue" ] ~docv:"N"
           ~doc:"Admission-queue bound; further solve requests are shed with a retry hint.")
   in
   let cache_arg =
     Arg.(
       value
-      & opt int Config.default.Config.cache_capacity
+      & opt int defaults.Sv_daemon.cache_capacity
       & info [ "cache" ] ~docv:"N" ~doc:"Schedule-cache capacity (LRU entries).")
   in
   let cache_dir_arg =

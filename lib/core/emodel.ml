@@ -115,45 +115,47 @@ let max_applicable t model ~w ~node =
       else acc)
     None Quadrant.all
 
+(* The index of the class holding the highest-scoring node; ties
+   prefer the earlier (greedier) class. *)
+let argmax_class node_score classes =
+  let score cls = List.fold_left (fun acc u -> max acc (node_score u)) (-1) cls in
+  match classes with
+  | [] -> invalid_arg "Emodel.argmax_class: no classes"
+  | first :: rest ->
+      let _, best, _ =
+        List.fold_left
+          (fun (i, best, best_score) cls ->
+            let s = score cls in
+            if s > best_score then (i + 1, i, s) else (i + 1, best, best_score))
+          (1, 0, score first) rest
+      in
+      best
+
 let select t model ~w ~classes =
   if classes = [] then invalid_arg "Emodel.select: no classes";
-  let score cls =
-    List.fold_left
-      (fun acc u ->
-        match max_applicable t model ~w ~node:u with
-        | Some e -> max acc e
-        | None -> acc)
-      (-1) cls
-  in
-  let best = ref 0 and best_score = ref (score (List.hd classes)) in
-  List.iteri
-    (fun i cls ->
-      if i > 0 then begin
-        let s = score cls in
-        if s > !best_score then begin
-          best := i;
-          best_score := s
-        end
-      end)
-    classes;
-  !best
+  argmax_class
+    (fun u -> Option.value (max_applicable t model ~w ~node:u) ~default:(-1))
+    classes
 
-let plan ?tuples model ~source ~start =
-  let tuples = match tuples with Some t -> t | None -> compute model in
+let pipeline ~classes_of ~select model ~source ~start =
   let rec loop w slot steps =
     if Model.complete model ~w then List.rev steps
     else
       match Model.next_active_slot model ~w ~after:(slot - 1) with
-      | None -> failwith "Emodel.plan: empty frontier before completion"
+      | None -> failwith "Emodel.pipeline: empty frontier before completion"
       | Some t -> (
-          match Model.greedy_classes model ~w ~slot:t with
-          | [] -> failwith "Emodel.plan: active slot without candidates"
+          match classes_of ~w ~slot:t with
+          | [] -> failwith "Emodel.pipeline: active slot without candidates"
           | classes ->
-              let i = select tuples model ~w ~classes in
-              let senders = List.nth classes i in
+              let senders = List.nth classes (select ~w ~classes) in
               let w' = Model.apply model ~w ~senders in
               let informed = Bitset.elements (Bitset.diff w' w) in
               loop w' (t + 1) ({ Schedule.slot = t; senders; informed } :: steps))
   in
   let steps = loop (Model.initial_w model ~source) start [] in
   Schedule.make ~n_nodes:(Model.n_nodes model) ~source ~start steps
+
+let plan ?tuples model ~source ~start =
+  let tuples = match tuples with Some t -> t | None -> compute model in
+  pipeline ~classes_of:(Model.greedy_classes model) ~select:(select tuples model) model ~source
+    ~start

@@ -67,6 +67,26 @@ val max_applicable : t -> Model.t -> w:Model.Bitset.t -> node:int -> int option
     Raises [Invalid_argument] on an empty class list. *)
 val select : t -> Model.t -> w:Model.Bitset.t -> classes:int list list -> int
 
+(** [argmax_class node_score classes] is the index of the class
+    holding the node with the largest [node_score] (a class scores [-1]
+    when every node does); ties prefer the earlier (greedier) class.
+    {!select} is [argmax_class] over the applicable E values. Raises
+    [Invalid_argument] on an empty class list. *)
+val argmax_class : (int -> int) -> int list list -> int
+
+(** [pipeline ~classes_of ~select model ~source ~start] is the greedy
+    pipelined broadcast: at each active slot from [start] on, launch
+    class [select ~w ~classes] of [classes_of ~w ~slot] until every node
+    is informed. {!plan} is [pipeline] over Algorithm 1's classes with
+    the Eq. (10) choice; the ablations swap either argument. *)
+val pipeline :
+  classes_of:(w:Model.Bitset.t -> slot:int -> int list list) ->
+  select:(w:Model.Bitset.t -> classes:int list list -> int) ->
+  Model.t ->
+  source:int ->
+  start:int ->
+  Schedule.t
+
 (** [plan ?tuples model ~source ~start] runs the E-model broadcast:
     at each active slot, color the candidates with Algorithm 1 and
     launch the Eq. (10) class. [tuples] defaults to [compute model]

@@ -11,7 +11,6 @@ module Schedule = Mlbs_core.Schedule
 module Scheduler = Mlbs_core.Scheduler
 module Validate = Mlbs_sim.Validate
 module Config = Mlbs_workload.Config
-module Persist = Mlbs_workload.Persist
 module Improve = Mlbs_search.Improve
 module Obs = Mlbs_obs.Obs
 module Metrics = Mlbs_obs.Metrics
@@ -24,21 +23,18 @@ type config = {
   queue_capacity : int;
   cache_capacity : int;
   cache_dir : string option;
-  persist_limit : int;
   allowed_models : Interference.t list option;
   improve_budget : int;
 }
 
 let default_config ~socket_path =
-  let c = Config.default in
   {
     socket_path = Some socket_path;
     tcp_port = None;
-    jobs = c.Config.jobs;
-    queue_capacity = c.Config.queue_capacity;
-    cache_capacity = c.Config.cache_capacity;
+    jobs = Config.default.Config.jobs;
+    queue_capacity = 64;
+    cache_capacity = 512;
     cache_dir = None;
-    persist_limit = 64;
     allowed_models = None;
     improve_budget = 0;
   }
@@ -46,19 +42,19 @@ let default_config ~socket_path =
 (* One cached solve. [version] counts the strictly-better Validate-clean
    upgrades the background improver installed on this content address
    (0 = the deterministic construction [solve] produces). [origin] is
-   the request the entry answers — the improver needs it to rebuild the
-   model; entries warmed from disk carry [None] and are never polished.
+   the request the entry answers — the improver rebuilds the model from
+   it, and the disk file stores it so a restart re-checks the entry.
    [attempts] counts polish passes spent on this entry (it salts the
    improver's seed and caps fruitless re-polish work). *)
 type entry = {
   stats : C.stats;
   schedule : Schedule.t;
   version : int;
-  origin : C.request option;
+  origin : C.request;
   attempts : int Atomic.t;
 }
 
-let entry_of ?origin ?(version = 0) (stats, schedule) =
+let entry_of ~origin ?(version = 0) (stats, schedule) =
   { stats; schedule; version; origin; attempts = Atomic.make 0 }
 
 (* ---------------------------- metrics ------------------------------ *)
@@ -221,7 +217,84 @@ let reschedule_key ?memo base delta =
   let g', source = derived_graph ?memo base delta in
   key_of base ~digest:(Graph.digest g') ~source
 
+(* --------------------------- the cache gate ------------------------ *)
+
+(* Monotone install: a cache line's schedule version never decreases.
+   Two concurrent writers (a solve's [on_done], the improver, a fleet
+   [Put]) race through [Cache.upsert]'s mutex, and whichever carries
+   the newer version wins; an equal-version improver result never
+   replaces (same address + same version = same upgrade chain, and for
+   version 0 the bytes are identical by determinism anyway). *)
+let install cache ~key (e : entry) =
+  Cache.upsert cache key (function
+    | Some old when old.version > e.version -> None
+    | Some old when old.version = e.version && e.version > 0 -> None
+    | _ -> Some e)
+
+(* Serve-side model policy: a daemon started with an allow-list (the
+   [mlbs serve --model] flag) refuses any other interference model
+   before resolving the topology, so a shard dedicated to one backend
+   never burns a solve slot on another's request. *)
+let model_allowed allowed (model : Interference.t) =
+  match allowed with
+  | None -> true
+  | Some l -> List.exists (Interference.equal model) l
+
+(* Where a frame's request lives: the request the schedule answers, its
+   resolved topology, source and content address. *)
+type address = { areq : C.request; ar : resolved; asource : int; akey : string }
+
+(* The lookup every frame shares: allow-list, then [answer] (which
+   resolves the request actually answered — a [Reschedule]'s derived
+   request), then source, then content address. *)
+let locate ~allowed (req : C.request) ~answer =
+  if not (model_allowed allowed req.C.model) then
+    Error
+      (Printf.sprintf "interference model %s is not served here"
+         (Interference.to_string req.C.model))
+  else
+    match
+      let areq, ar = answer req in
+      let asource = source_of areq ar in
+      { areq; ar; asource; akey = key_of areq ~digest:ar.rdigest ~source:asource }
+    with
+    | a -> Ok a
+    | exception e -> Error (Printexc.to_string e)
+
+(* The one gate for schedules this daemon did not solve itself: a peer
+   [Put] and every entry read back from disk. The content address is
+   recomputed from the request, and the schedule must answer it: same
+   node count, source and start, and a clean radio replay under the
+   request's model. Neither a peer nor a file is trusted further than
+   that, so a wrong schedule is refused (counted in [server/put_refused])
+   and never installed. *)
+let admit ~allowed ?memo cache (req : C.request) ~version stats schedule =
+  let refuse msg =
+    Metrics.incr m_put_refused;
+    Error msg
+  in
+  match locate ~allowed req ~answer:(fun req -> (req, resolve ?memo req)) with
+  | Error msg -> refuse msg
+  | Ok { areq; ar; asource; akey } ->
+      if
+        Schedule.n_nodes schedule <> Network.n_nodes ar.rnet
+        || Schedule.source schedule <> asource
+        || Schedule.start schedule <> areq.C.start
+      then refuse "put: schedule does not match the request topology"
+      else if
+        not (try (Validate.check (model_for areq ar) schedule).Validate.ok with _ -> false)
+      then refuse "put: schedule does not replay clean under the request's model"
+      else begin
+        install cache ~key:akey (entry_of ~origin:areq ~version (stats, schedule));
+        Ok ()
+      end
+
 (* ------------------------ cache persistence ------------------------ *)
+
+(* The disk format is the wire's: a [Hello] header, then one [Put] per
+   entry, LRU first, written through a fsynced temp file and a rename. *)
+
+let persist_limit = 64
 
 let rec mkdir_p d =
   if d <> "" && d <> "/" && d <> "." && not (Sys.file_exists d) then begin
@@ -229,78 +302,47 @@ let rec mkdir_p d =
     try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   end
 
-let index_file dir = Filename.concat dir "index.txt"
+let cache_file dir = Filename.concat dir "cache.frames"
 
-let save_cache ~dir ~limit cache =
+let save_cache ~dir cache =
   mkdir_p dir;
-  let entries =
-    List.filteri (fun i _ -> i < limit) (Cache.to_list_mru cache)
-  in
-  let oc = open_out (index_file dir) in
+  let entries = List.filteri (fun i _ -> i < persist_limit) (Cache.to_list_mru cache) in
+  let tmp = cache_file dir ^ ".tmp" in
+  let fd = Unix.openfile tmp [ Unix.O_WRONLY; O_CREAT; O_TRUNC; O_CLOEXEC ] 0o644 in
   Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
+    ~finally:(fun () -> Unix.close fd)
     (fun () ->
-      Printf.fprintf oc "mlbs-cache-index 2 %d\n" (List.length entries);
-      List.iteri
-        (fun i (key, e) ->
-          let stem = Printf.sprintf "e%04d" i in
-          Persist.save_schedule (Filename.concat dir (stem ^ ".sched")) e.schedule;
-          Printf.fprintf oc "entry %s %s %d %d %d %d %d %d\n" stem key e.stats.C.elapsed
-            e.stats.C.transmissions e.stats.C.n_steps e.stats.C.search_states
-            e.stats.C.solve_us e.version)
-        entries);
+      C.send fd (C.Hello { proto = C.protocol_version; version = Version.version });
+      List.iter
+        (fun (_, e) ->
+          C.send fd
+            (C.Put { req = e.origin; version = e.version; stats = e.stats; schedule = e.schedule }))
+        (List.rev entries);
+      Unix.fsync fd);
+  Unix.rename tmp (cache_file dir);
   List.length entries
 
-let load_cache ~dir cache =
-  if not (Sys.file_exists (index_file dir)) then 0
-  else begin
-    let ic = open_in (index_file dir) in
-    let lines =
+(* Every [Put] passes [admit]. The read stops at the first frame that
+   is not a [Put] — a truncated tail keeps the entries before it. *)
+let load_cache ?allowed_models ?memo ~dir cache =
+  match Unix.openfile (cache_file dir) [ Unix.O_RDONLY; O_CLOEXEC ] 0 with
+  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> 0
+  | fd ->
       Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
+        ~finally:(fun () -> Unix.close fd)
         (fun () ->
-          let rec go acc =
-            match input_line ic with
-            | l -> go (l :: acc)
-            | exception End_of_file -> List.rev acc
+          let next () = try C.recv fd with C.Malformed _ -> None in
+          let rec go n =
+            match next () with
+            | Some (C.Put { req; version; stats; schedule }) -> (
+                match admit ~allowed:allowed_models ?memo cache req ~version stats schedule with
+                | Ok () -> go (n + 1)
+                | Error _ -> go n)
+            | _ -> n
           in
-          go [])
-    in
-    match lines with
-    | header :: rest when String.starts_with ~prefix:"mlbs-cache-index 2 " header ->
-        let parse ~stem ~key ~el ~tx ~st ~ss ~su ~ver =
-          try
-            let schedule = Persist.load_schedule (Filename.concat dir (stem ^ ".sched")) in
-            let stats =
-              {
-                C.elapsed = int_of_string el;
-                transmissions = int_of_string tx;
-                n_steps = int_of_string st;
-                search_states = int_of_string ss;
-                solve_us = int_of_string su;
-              }
-            in
-            (* Disk-warmed entries carry no originating request, so the
-               improver leaves them alone; the version survives so a
-               previously upgraded schedule is still served as such. *)
-            Some (key, entry_of ~version:(int_of_string ver) (stats, schedule))
-          with _ -> None
-        in
-        let parsed =
-          List.filter_map
-            (fun line ->
-              match String.split_on_char ' ' line with
-              | [ "entry"; stem; key; el; tx; st; ss; su; ver ] ->
-                  parse ~stem ~key ~el ~tx ~st ~ss ~su ~ver
-              | _ -> None)
-            rest
-        in
-        (* The index lists MRU first; re-insert LRU first so the warm
-           cache restores the recency order. *)
-        List.iter (fun (key, e) -> Cache.add cache key e) (List.rev parsed);
-        List.length parsed
-    | _ -> failwith (Printf.sprintf "Daemon.load_cache: %s is not a v2 index" (index_file dir))
-  end
+          match next () with
+          | Some (C.Hello { proto; _ }) when proto = C.protocol_version -> go 0
+          | _ -> 0)
 
 (* ----------------------------- daemon ------------------------------ *)
 
@@ -317,18 +359,6 @@ type t = {
   mutable cleaned : bool;
 }
 
-(* Monotone install: a cache line's schedule version never decreases.
-   Two concurrent writers (a solve's [on_done], the improver, a fleet
-   [Put]) race through [Cache.upsert]'s mutex, and whichever carries
-   the newer version wins; an equal-version improver result never
-   replaces (same address + same version = same upgrade chain, and for
-   version 0 the bytes are identical by determinism anyway). *)
-let install t ~key (e : entry) =
-  Cache.upsert t.cache key (function
-    | Some old when old.version > e.version -> None
-    | Some old when old.version = e.version && e.version > 0 -> None
-    | _ -> Some e)
-
 let stop t = Acceptor.stop t.shell
 let tcp_port t = Acceptor.tcp_port t.shell
 
@@ -341,19 +371,6 @@ let fresh_trace_id t digest =
 let reply_error msg =
   Metrics.incr family.errors;
   C.Reply_error msg
-
-(* Serve-side model policy: a daemon started with an allow-list (the
-   [mlbs serve --model] flag) refuses any other interference model
-   before resolving the topology, so a shard dedicated to one backend
-   never burns a solve slot on another's request. *)
-let model_allowed t (model : Interference.t) =
-  match t.cfg.allowed_models with
-  | None -> true
-  | Some l -> List.exists (Interference.equal model) l
-
-let reject_model model =
-  reply_error
-    (Printf.sprintf "interference model %s is not served here" (Interference.to_string model))
 
 (* Load-scaled backpressure: the hint is the queue's expected drain
    time — [depth + 1] slots at the EWMA solve cost spread over the
@@ -382,7 +399,7 @@ let reply_ok t ~digest ~cache_hit (e : entry) =
    [on_done] publishes the entry under [key] even if this connection
    dies before waking. *)
 let await t ~key ~digest run =
-  let on_done = function Ok e -> install t ~key e | Error _ -> () in
+  let on_done = function Ok e -> install t.cache ~key e | Error _ -> () in
   match Dispatch.submit t.disp ~on_done run with
   | Error `Closing -> reply_error "server is shutting down"
   | Error (`Shed depth) ->
@@ -393,26 +410,11 @@ let await t ~key ~digest run =
       | Ok e -> reply_ok t ~digest ~cache_hit:false e
       | Error msg -> reply_error msg)
 
-(* Where a frame's request lives: the request the schedule answers, its
-   resolved topology, source and content address. *)
-type address = { areq : C.request; ar : resolved; asource : int; akey : string }
-
 let plain t req = (req, resolve ~memo:t.topo req)
 
-(* The lookup every frame shares: allow-list, then [answer] (which
-   resolves the request actually answered — a [Reschedule]'s derived
-   request), then source, then content address. Any failure on the way
-   is the frame's [Reply_error]. *)
-let address t (req : C.request) ~answer =
-  if not (model_allowed t req.C.model) then Error (reject_model req.C.model)
-  else
-    match
-      let areq, ar = answer req in
-      let asource = source_of areq ar in
-      { areq; ar; asource; akey = key_of areq ~digest:ar.rdigest ~source:asource }
-    with
-    | a -> Ok a
-    | exception e -> Error (reply_error (Printexc.to_string e))
+(* Any failure on the way to a frame's address is its [Reply_error]. *)
+let address t req ~answer =
+  Result.map_error reply_error (locate ~allowed:t.cfg.allowed_models req ~answer)
 
 (* A [Request] or [Reschedule]: a hit replies from cache, a miss is
    solved by [do_solve] on a pool worker and filed under the answered
@@ -456,32 +458,13 @@ let handle_peek t req =
       | Some e -> reply_ok t ~digest:ar.rdigest ~cache_hit:true e
       | None -> C.Peek_miss)
 
-(* A [Put] (protocol v3): peer cache-fill. The content address is
-   recomputed from the request itself, and the schedule must answer it:
-   same node count, source and start, and a clean radio replay under the
-   request's model. A peer's schedule is trusted no further than any
-   other, so a wrong one is refused, never installed. *)
-let handle_put t req ~version (stats : C.stats) schedule =
-  let refuse msg =
-    Metrics.incr m_put_refused;
-    reply_error msg
-  in
-  match address t req ~answer:(plain t) with
-  | Error reply -> reply
-  | Ok { areq; ar; asource; akey } ->
-      if
-        Schedule.n_nodes schedule <> Network.n_nodes ar.rnet
-        || Schedule.source schedule <> asource
-        || Schedule.start schedule <> areq.C.start
-      then refuse "put: schedule does not match the request topology"
-      else if
-        not (try (Validate.check (model_for areq ar) schedule).Validate.ok with _ -> false)
-      then refuse "put: schedule does not replay clean under the request's model"
-      else begin
-        install t ~key:akey (entry_of ~origin:areq ~version (stats, schedule));
-        Metrics.incr m_fills;
-        C.Put_ack
-      end
+(* A [Put] (protocol v3): peer cache-fill through [admit]. *)
+let handle_put t req ~version stats schedule =
+  match admit ~allowed:t.cfg.allowed_models ~memo:t.topo t.cache req ~version stats schedule with
+  | Ok () ->
+      Metrics.incr m_fills;
+      C.Put_ack
+  | Error msg -> reply_error msg
 
 (* The Stats frame carries the daemon's own counters plus the search
    core's ("search/states", bound-prune kinds, dominance prunes, the
@@ -528,24 +511,17 @@ let max_polish_attempts = 16
 let polish_scan = 8
 
 let polish_once t ~budget =
-  let rec take n = function
-    | x :: tl when n > 0 -> x :: take (n - 1) tl
-    | _ -> []
-  in
   let cands =
-    List.filter_map
-      (fun (key, e) ->
-        match e.origin with
-        | Some req when Atomic.get e.attempts < max_polish_attempts -> Some (key, e, req)
-        | _ -> None)
-      (take polish_scan (Cache.to_list_mru t.cache))
+    List.filteri
+      (fun i (_, e) -> i < polish_scan && Atomic.get e.attempts < max_polish_attempts)
+      (Cache.to_list_mru t.cache)
   in
   match cands with
   | [] -> false
   | first :: rest ->
-      let key, e, req =
+      let key, e =
         List.fold_left
-          (fun ((_, be, _) as b) ((_, ce, _) as c) ->
+          (fun ((_, be) as b) ((_, ce) as c) ->
             if Atomic.get ce.attempts < Atomic.get be.attempts then c else b)
           first rest
       in
@@ -553,7 +529,7 @@ let polish_once t ~budget =
       Metrics.incr m_polish_passes;
       let outcome =
         try
-          let model = model_for req (resolve ~memo:t.topo req) in
+          let model = model_for e.origin (resolve ~memo:t.topo e.origin) in
           let seed = (Hashtbl.hash key * 131) + attempt in
           Some (Improve.improve ~seed ~budget model e.schedule)
         with _ -> None
@@ -569,12 +545,12 @@ let polish_once t ~budget =
               n_steps = List.length (Schedule.steps plan);
             }
           in
-          install t ~key
+          install t.cache ~key
             {
+              e with
               stats;
               schedule = plan;
               version = e.version + 1;
-              origin = e.origin;
               attempts = Atomic.make (attempt + 1);
             };
           Metrics.incr m_upgrades;
@@ -586,9 +562,10 @@ let polish_once t ~budget =
 let start cfg =
   let shell = Acceptor.bind ~socket_path:cfg.socket_path ~tcp_port:cfg.tcp_port family in
   let cache = Cache.create ~metrics_prefix:"server/cache" ~capacity:cfg.cache_capacity () in
+  let topo = Cache.create ~metrics_prefix:"server/topo" ~capacity:256 () in
   (match cfg.cache_dir with
   | Some dir -> (
-      try ignore (load_cache ~dir cache)
+      try ignore (load_cache ?allowed_models:cfg.allowed_models ~memo:topo ~dir cache)
       with e ->
         Acceptor.stop shell;
         Acceptor.wait shell;
@@ -600,7 +577,7 @@ let start cfg =
       cfg;
       pool;
       cache;
-      topo = Cache.create ~metrics_prefix:"server/topo" ~capacity:256 ();
+      topo;
       disp = Dispatch.create ~pool ~capacity:cfg.queue_capacity;
       shell;
       ewma_solve_us = Atomic.make 0;
@@ -638,7 +615,7 @@ let wait t =
     Option.iter Thread.join t.improver;
     Dispatch.join t.disp;
     (match t.cfg.cache_dir with
-    | Some dir -> ignore (save_cache ~dir ~limit:t.cfg.persist_limit t.cache)
+    | Some dir -> ignore (save_cache ~dir t.cache)
     | None -> ());
     Pool.shutdown t.pool
   end

@@ -26,10 +26,12 @@
     same cache line as a plain [Request] for that adjacency, same
     solve on a miss.
 
-    A [Put] frame (peer cache-fill) is installed only when its
-    schedule replays clean under the request's model
-    ({!Mlbs_sim.Validate.check}); otherwise it is refused with
-    [Reply_error] and counted in [server/put_refused].
+    A [Put] frame (peer cache-fill) and every entry read back from
+    [cache_dir] pass one gate: the schedule is installed under the
+    address recomputed from its request only when it replays clean
+    under that request's model ({!Mlbs_sim.Validate.check}). A refused
+    entry is counted in [server/put_refused]; a refused [Put] is also
+    answered with [Reply_error].
 
     Served schedules are byte-identical to a direct
     {!Mlbs_core.Scheduler.run} on the same request, at any [jobs],
@@ -44,8 +46,7 @@ type config = {
   cache_capacity : int;  (** schedule-cache LRU entries *)
   cache_dir : string option;
       (** when set: warm the cache from this directory on start and
-          persist the hottest entries back on shutdown *)
-  persist_limit : int;  (** how many MRU entries to persist *)
+          persist the hottest entries back on shutdown ({!save_cache}) *)
   allowed_models : Mlbs_phy.Interference.t list option;
       (** interference models this daemon serves; [None] = all. A
           request for any other model is refused with [Reply_error]
@@ -56,9 +57,8 @@ type config = {
           schedule then stays byte-identical to {!solve}. *)
 }
 
-(** Defaults from {!Mlbs_workload.Config.default}: jobs = all cores,
-    queue 64, cache 512, persist 64, no TCP, socket required,
-    improvement off. *)
+(** The [mlbs serve] defaults: jobs = all cores, queue 64, cache 512,
+    no TCP, socket required, improvement off. *)
 val default_config : socket_path:string -> config
 
 (** A running daemon. *)
@@ -139,41 +139,46 @@ val reschedule_key : ?memo:resolved Cache.t -> Codec.request -> Codec.delta -> s
 (** One cached solve. [version] counts the strictly-better
     Validate-clean upgrades installed on this content address (0 = the
     deterministic {!solve} result). [origin] is the request the entry
-    answers; the background improver needs it to rebuild the model, so
-    entries warmed from disk ([None]) are never polished. [attempts]
-    counts polish passes spent on the entry — it salts the improver's
-    seed and caps fruitless re-polish work. *)
+    answers: the background improver rebuilds the model from it, and
+    {!save_cache} stores it so {!load_cache} can re-check the entry.
+    [attempts] counts polish passes spent on the entry — it salts the
+    improver's seed and caps fruitless re-polish work. *)
 type entry = {
   stats : Codec.stats;
   schedule : Mlbs_core.Schedule.t;
   version : int;
-  origin : Codec.request option;
+  origin : Codec.request;
   attempts : int Atomic.t;
 }
 
-(** [entry_of ?origin ?version (stats, schedule)] builds an entry
-    (defaults: no origin, version 0, zero attempts). *)
-val entry_of : ?origin:Codec.request -> ?version:int -> Codec.stats * Mlbs_core.Schedule.t -> entry
+(** [entry_of ~origin ?version (stats, schedule)] builds an entry
+    (defaults: version 0, zero attempts). *)
+val entry_of : origin:Codec.request -> ?version:int -> Codec.stats * Mlbs_core.Schedule.t -> entry
 
 (** [polish_once t ~budget] runs one background-improvement pass by
-    hand: pick the least-attempted entry among the hottest few that
-    still carry an origin request, run a [budget]-bounded
-    {!Mlbs_search.Improve.improve} over it, and install a
-    strictly-better Validate-clean result under [version + 1]. Returns
-    [true] iff an upgrade was installed. This is exactly what the
-    improver thread does in idle dispatcher cycles when the daemon
+    hand: pick the least-attempted entry among the hottest few, run a
+    [budget]-bounded {!Mlbs_search.Improve.improve} over it, and install
+    a strictly-better Validate-clean result under [version + 1].
+    Returns [true] iff an upgrade was installed. This is exactly what
+    the improver thread does in idle dispatcher cycles when the daemon
     runs with [improve_budget > 0]; exposed so tests can drive the
     polishing loop deterministically. *)
 val polish_once : t -> budget:int -> bool
 
-(** [save_cache ~dir ~limit cache] writes the [limit] hottest entries
-    (MRU first) into [dir] — an [index.txt] plus one
-    {!Mlbs_workload.Persist} schedule file per entry — creating [dir]
-    if needed. Returns the number persisted. *)
-val save_cache : dir:string -> limit:int -> entry Cache.t -> int
+(** [save_cache ~dir cache] writes the 64 hottest entries to
+    [dir/cache.frames] (creating [dir]) in the wire's own frames: a
+    [Hello] header carrying {!Codec.protocol_version}, then one [Put]
+    per entry, least recently used first. It writes a temp file, fsyncs
+    it and renames it over the old one, so a crash mid-save leaves the
+    previous file whole. Returns the number written. *)
+val save_cache : dir:string -> entry Cache.t -> int
 
-(** [load_cache ~dir cache] warms [cache] from a directory written by
-    {!save_cache}, restoring the recency order; unreadable entries are
-    skipped. Returns the number loaded (0 when [dir] has no index).
-    Raises [Failure] when the index is not a v2 index. *)
-val load_cache : dir:string -> entry Cache.t -> int
+(** [load_cache ?allowed_models ?memo ~dir cache] reads that file back,
+    restoring the recency order. Every entry passes the [Put] gate
+    ([allowed_models] as in {!config}, [memo] as in {!reschedule_key});
+    a refused one is dropped. A missing file or another protocol
+    version loads nothing; a truncated or garbled frame ends the read.
+    Returns the number installed. *)
+val load_cache :
+  ?allowed_models:Mlbs_phy.Interference.t list -> ?memo:resolved Cache.t ->
+  dir:string -> entry Cache.t -> int

@@ -14,52 +14,16 @@ let gopt budget model ~source ~start = Scheduler.run model (Scheduler.Gopt budge
 
 type selector = By_emodel | By_hop_to_source | First_class
 
-(* Generic pipelined loop: greedy classes at every active slot, class
-   chosen by [select]. *)
-let pipeline_plan model ~classes_of ~select ~source ~start =
-  let rec loop w slot steps =
-    if Model.complete model ~w then List.rev steps
-    else
-      match Model.next_active_slot model ~w ~after:(slot - 1) with
-      | None -> failwith "Ablation: empty frontier before completion"
-      | Some t -> (
-          match classes_of ~w ~slot:t with
-          | [] -> failwith "Ablation: active slot without candidates"
-          | classes ->
-              let senders = List.nth classes (select ~w ~classes) in
-              let w' = Model.apply model ~w ~senders in
-              let informed = Bitset.elements (Bitset.diff w' w) in
-              loop w' (t + 1) ({ Schedule.slot = t; senders; informed } :: steps))
-  in
-  let steps = loop (Model.initial_w model ~source) start [] in
-  Schedule.make ~n_nodes:(Model.n_nodes model) ~source ~start steps
+let greedy model ~select = Emodel.pipeline ~classes_of:(Model.greedy_classes model) ~select model
 
 let plan_with_selector model sel ~source ~start =
   match sel with
   | By_emodel -> Emodel.plan model ~source ~start
-  | First_class ->
-      pipeline_plan model
-        ~classes_of:(fun ~w ~slot -> Model.greedy_classes model ~w ~slot)
-        ~select:(fun ~w:_ ~classes:_ -> 0)
-        ~source ~start
+  | First_class -> greedy model ~select:(fun ~w:_ ~classes:_ -> 0) ~source ~start
   | By_hop_to_source ->
       let dist = (Bfs.run (Model.graph model) ~source).Bfs.dist in
-      let score cls = List.fold_left (fun acc u -> max acc dist.(u)) (-1) cls in
-      pipeline_plan model
-        ~classes_of:(fun ~w ~slot -> Model.greedy_classes model ~w ~slot)
-        ~select:(fun ~w:_ ~classes ->
-          let best = ref 0 and best_score = ref (score (List.hd classes)) in
-          List.iteri
-            (fun i cls ->
-              if i > 0 then begin
-                let s = score cls in
-                if s > !best_score then begin
-                  best := i;
-                  best_score := s
-                end
-              end)
-            classes;
-          !best)
+      greedy model
+        ~select:(fun ~w:_ ~classes -> Emodel.argmax_class (fun u -> dist.(u)) classes)
         ~source ~start
 
 (* Algorithm 1 with ascending-id visiting order instead of Eq. (2)'s
@@ -71,10 +35,9 @@ let id_order_classes model ~w ~slot =
     cands
 
 let plan_with_id_order model ~source ~start =
-  pipeline_plan model
-    ~classes_of:(id_order_classes model)
+  Emodel.pipeline ~classes_of:(id_order_classes model)
     ~select:(fun ~w:_ ~classes:_ -> 0)
-    ~source ~start
+    model ~source ~start
 
 (* --------------------------- tables -------------------------------- *)
 

@@ -17,8 +17,6 @@ type t = {
   fault_seed : int;
   trace_file : string option;
   metrics_file : string option;
-  queue_capacity : int;
-  cache_capacity : int;
   model : Mlbs_phy.Interference.t;
 }
 
@@ -40,8 +38,6 @@ let default =
     fault_seed = 0xFA17;
     trace_file = None;
     metrics_file = None;
-    queue_capacity = 64;
-    cache_capacity = 512;
     model = Mlbs_phy.Interference.Udg;
   }
 

@@ -31,14 +31,6 @@ type t = {
   metrics_file : string option;
       (** when set, enable the metrics registry and write its merged
           snapshot here when the run ends *)
-  queue_capacity : int;
-      (** scheduling service: admission-queue bound — a request arriving
-          while this many solves are already queued is shed with an
-          explicit reject-with-retry-after frame, never buffered without
-          bound (see [Mlbs_server.Daemon]) *)
-  cache_capacity : int;
-      (** scheduling service: LRU entry count of the content-addressed
-          schedule cache *)
   model : Mlbs_phy.Interference.t;
       (** interference model every solve and replay of the run binds
           (default {!Mlbs_phy.Interference.Udg}, the paper's protocol

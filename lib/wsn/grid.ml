@@ -80,11 +80,8 @@ let first_repeat t =
   done;
   !best
 
-let check_radius t radius fn =
-  if radius > t.cell +. 1e-9 then invalid_arg (Printf.sprintf "Grid.%s: radius exceeds cell size" fn)
-
 let neighbor_rows t ~radius =
-  check_radius t radius "neighbor_rows";
+  if radius > t.cell +. 1e-9 then invalid_arg "Grid.neighbor_rows: radius exceeds cell size";
   let n = Float.Array.length t.xs in
   let r2 = radius *. radius in
   (* Pass 1: each point's larger neighbours from the 3×3 cells around
@@ -145,18 +142,3 @@ let neighbor_rows t ~radius =
     done
   done;
   rows
-
-let neighbors_within t i ~radius =
-  check_radius t radius "neighbors_within";
-  Array.to_list (neighbor_rows t ~radius).(i)
-
-let pairs_within t ~radius =
-  let rows = neighbor_rows t ~radius in
-  let acc = ref [] in
-  for i = Array.length rows - 1 downto 0 do
-    let row = rows.(i) in
-    for k = Array.length row - 1 downto 0 do
-      if i < row.(k) then acc := (i, row.(k)) :: !acc
-    done
-  done;
-  !acc

@@ -27,13 +27,3 @@ val first_repeat : t -> (int * int) option
     each is filled in order from the ascending cell scans. [radius]
     must not exceed the cell size. *)
 val neighbor_rows : t -> radius:float -> int array array
-
-(** [neighbors_within t i ~radius] is row [i] of {!neighbor_rows} as a
-    list: the indices [j ≠ i] with [dist2 points.(i) points.(j) <=
-    radius²], ascending. *)
-val neighbors_within : t -> int -> radius:float -> int list
-
-(** [pairs_within t ~radius] is every unordered pair within [radius],
-    each reported once with the smaller index first, in ascending
-    order. *)
-val pairs_within : t -> radius:float -> (int * int) list

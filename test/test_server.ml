@@ -216,60 +216,233 @@ let test_cache_concurrent_domains () =
   Alcotest.(check bool) "no torn entries" true (Array.for_all Fun.id ok);
   Alcotest.(check bool) "capacity respected" true (Cache.length c <= 64)
 
+(* ------------------------- daemon harness -------------------------- *)
+
+(* A daemon on a fresh socket, handed to [f] with its socket path. *)
+let with_running_daemon ?(jobs = 2) ?(queue_capacity = 64) ?cache_dir ?(allowed_models = None) f =
+  let dir = temp_dir () in
+  let socket_path = Filename.concat dir "d.sock" in
+  let cfg =
+    {
+      (Daemon.default_config ~socket_path) with
+      Daemon.jobs;
+      queue_capacity;
+      cache_capacity = 32;
+      cache_dir;
+      allowed_models;
+    }
+  in
+  let d = Daemon.start cfg in
+  let finish () =
+    Daemon.stop d;
+    Daemon.wait d;
+    rm_rf dir
+  in
+  Fun.protect ~finally:finish (fun () -> f d socket_path)
+
+let with_daemon ?jobs ?queue_capacity ?cache_dir ?allowed_models f =
+  with_running_daemon ?jobs ?queue_capacity ?cache_dir ?allowed_models (fun _ socket -> f socket)
+
+let connect path =
+  let c, `Version _, `Match m = Client.connect (Client.Unix_socket path) in
+  Alcotest.(check bool) "client and server builds match" true m;
+  c
+
+(* Request [req] and check the reply is [Daemon.solve]'s schedule, a
+   cache hit iff [hit]. *)
+let check_served c ~hit name req =
+  match Client.request c req with
+  | Client.Ok ok ->
+      Alcotest.(check bool) (name ^ ": cache hit") hit ok.Codec.cache_hit;
+      let _, direct = Daemon.solve req in
+      Alcotest.(check string) (name ^ ": byte-identical to Daemon.solve")
+        (Codec.schedule_bytes direct)
+        (Codec.schedule_bytes ok.Codec.schedule)
+  | _ -> Alcotest.failf "%s: expected Ok" name
+
 (* ------------------------- cache persistence ----------------------- *)
 
-let entry_of_request req = Daemon.entry_of ~origin:req (Daemon.solve req)
+let cache_file dir = Filename.concat dir "cache.frames"
+
+let persist_requests =
+  List.map
+    (fun seed -> { gen_request with Codec.seed; topology = Codec.Gen { n = 50; radius = 10.0 } })
+    [ 1; 2; 3 ]
+
+let check_entries name want got =
+  Alcotest.(check (list string)) (name ^ ": recency order")
+    (List.map fst (Cache.to_list_mru want))
+    (List.map fst (Cache.to_list_mru got));
+  List.iter2
+    (fun (_, (e : Daemon.entry)) (_, (e' : Daemon.entry)) ->
+      Alcotest.(check string) (name ^ ": schedule bytes")
+        (Codec.schedule_bytes e.Daemon.schedule)
+        (Codec.schedule_bytes e'.Daemon.schedule);
+      Alcotest.(check bool) (name ^ ": stats") true (e.Daemon.stats = e'.Daemon.stats);
+      Alcotest.(check int) (name ^ ": version") e.Daemon.version e'.Daemon.version;
+      Alcotest.(check bool) (name ^ ": origin") true (e.Daemon.origin = e'.Daemon.origin))
+    (Cache.to_list_mru want) (Cache.to_list_mru got)
 
 let test_cache_persistence_roundtrip () =
   let dir = temp_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
   let c = Cache.create ~metrics_prefix:"test/persist" ~capacity:8 () in
-  let reqs =
-    List.map
-      (fun seed ->
-        { gen_request with Codec.seed; topology = Codec.Gen { n = 50; radius = 10.0 } })
-      [ 1; 2; 3 ]
-  in
-  List.iter (fun req -> Cache.add c (Daemon.cache_key req) (entry_of_request req)) reqs;
-  let saved = Daemon.save_cache ~dir ~limit:8 c in
-  Alcotest.(check int) "saved all" 3 saved;
+  List.iteri
+    (fun version req ->
+      Cache.add c (Daemon.cache_key req) (Daemon.entry_of ~origin:req ~version (Daemon.solve req)))
+    persist_requests;
+  (* A hit moves the oldest entry to the MRU end. *)
+  ignore (Cache.find c (Daemon.cache_key (List.hd persist_requests)));
+  Alcotest.(check int) "saved all" 3 (Daemon.save_cache ~dir c);
   let c' = Cache.create ~metrics_prefix:"test/persist2" ~capacity:8 () in
-  let loaded = Daemon.load_cache ~dir c' in
-  Alcotest.(check int) "loaded all" 3 loaded;
-  Alcotest.(check (list string)) "recency order restored"
-    (List.map fst (Cache.to_list_mru c))
-    (List.map fst (Cache.to_list_mru c'));
-  List.iter2
-    (fun (k, (e : Daemon.entry)) (k', (e' : Daemon.entry)) ->
-      Alcotest.(check string) "key" k k';
-      Alcotest.(check string) "schedule bytes"
-        (Codec.schedule_bytes e.Daemon.schedule)
-        (Codec.schedule_bytes e'.Daemon.schedule);
-      Alcotest.(check int) "elapsed" e.Daemon.stats.Codec.elapsed e'.Daemon.stats.Codec.elapsed)
-    (Cache.to_list_mru c) (Cache.to_list_mru c');
-  (* Persisting on top of an existing directory truncates the index. *)
-  let saved2 = Daemon.save_cache ~dir ~limit:2 c in
-  Alcotest.(check int) "limit respected" 2 saved2;
-  let c'' = Cache.create ~metrics_prefix:"test/persist3" ~capacity:8 () in
-  Alcotest.(check int) "reload sees the truncation" 2 (Daemon.load_cache ~dir c'');
-  rm_rf dir
+  Alcotest.(check int) "loaded all" 3 (Daemon.load_cache ~dir c');
+  check_entries "reload" c c';
+  (* Saving over an existing file replaces it whole. *)
+  let small = Cache.create ~metrics_prefix:"test/persist3" ~capacity:2 () in
+  List.iter (fun (k, e) -> Cache.add small k e) (List.rev (Cache.to_list_mru c));
+  Alcotest.(check int) "capacity-bounded save" 2 (Daemon.save_cache ~dir small);
+  let c'' = Cache.create ~metrics_prefix:"test/persist4" ~capacity:8 () in
+  Alcotest.(check int) "reload sees the smaller file" 2 (Daemon.load_cache ~dir c'');
+  check_entries "second reload" small c''
 
-(* Only the v2 index (9-field entry lines) is read; a v1 index from an
-   older daemon is refused outright rather than half-loaded. *)
-let test_load_cache_refuses_v1 () =
+(* The text index of older daemons is not read: the daemon starts cold
+   over it. *)
+let test_load_cache_ignores_old_index () =
   let dir = temp_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
   let oc = open_out (Filename.concat dir "index.txt") in
-  output_string oc "mlbs-cache-index 1 1\nentry e0000 somekey 3 3 2 17 1234\n";
+  output_string oc "mlbs-cache-index 2 1\nentry e0000 somekey 3 3 2 17 1234 0\n";
   close_out oc;
-  match Daemon.load_cache ~dir (Cache.create ~metrics_prefix:"test/v1" ~capacity:4 ()) with
-  | exception Failure _ -> ()
-  | n -> Alcotest.failf "v1 index must be refused, loaded %d" n
+  Alcotest.(check int) "old index loads nothing" 0
+    (Daemon.load_cache ~dir (Cache.create ~metrics_prefix:"test/old" ~capacity:4 ()))
 
 let test_load_cache_missing_dir () =
-  Alcotest.(check int) "no index -> 0"
+  Alcotest.(check int) "no file -> 0"
     0
     (Daemon.load_cache ~dir:"/nonexistent/mlbs-cache"
        (Cache.create ~metrics_prefix:"test/missing" ~capacity:4 ()))
+
+let write_frames path msgs =
+  let fd = Unix.openfile path [ Unix.O_WRONLY; O_CREAT; O_TRUNC ] 0o644 in
+  Fun.protect ~finally:(fun () -> Unix.close fd) (fun () -> List.iter (Codec.send fd) msgs)
+
+let read_frames path =
+  let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      let rec go acc = match Codec.recv fd with Some m -> go (m :: acc) | None -> List.rev acc in
+      go [])
+
+let put_of req =
+  let stats, schedule = Daemon.solve req in
+  Codec.Put { req; version = 0; stats; schedule }
+
+(* A file from another protocol revision is not read at all, even when
+   its frames would decode. *)
+let test_load_cache_wrong_proto () =
+  let dir = temp_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  write_frames (cache_file dir)
+    (Codec.Hello { proto = Codec.protocol_version - 1; version = "old" }
+    :: List.map put_of persist_requests);
+  Alcotest.(check int) "wrong proto loads nothing" 0
+    (Daemon.load_cache ~dir (Cache.create ~metrics_prefix:"test/proto" ~capacity:4 ()))
+
+(* A disk entry passes the same replay check as a peer [Put]: a
+   schedule edited so that two relays collide is dropped at start,
+   counted once in [server/put_refused], and the request is then
+   solved afresh. On the diamond 0-{1,2}-3 the edit makes both 1 and 2
+   send to 3 in one slot. *)
+let test_load_cache_refuses_collision () =
+  let dir = temp_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let diamond = Codec.Adj [| [ 1; 2 ]; [ 0; 3 ]; [ 0; 3 ]; [ 1; 2 ] |] in
+  let req = { gen_request with Codec.topology = diamond; source = Some 0 } in
+  with_daemon ~cache_dir:dir (fun socket ->
+      let c = connect socket in
+      Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+      check_served c ~hit:false "cold" req);
+  let collide (s : Schedule.step) =
+    if List.mem 3 s.Schedule.informed then { s with Schedule.senders = [ 1; 2 ] } else s
+  in
+  (match read_frames (cache_file dir) with
+  | [ (Codec.Hello _ as hello); Codec.Put p ] ->
+      let s = p.schedule in
+      let edited =
+        Schedule.make ~n_nodes:(Schedule.n_nodes s) ~source:(Schedule.source s)
+          ~start:(Schedule.start s) (List.map collide (Schedule.steps s))
+      in
+      write_frames (cache_file dir) [ hello; Codec.Put { p with schedule = edited } ]
+  | _ -> Alcotest.fail "expected a header and one Put");
+  let refused = Mlbs_obs.Metrics.counter_value "server/put_refused" in
+  with_daemon ~cache_dir:dir (fun socket ->
+      Alcotest.(check int) "refusal counted once" (refused + 1)
+        (Mlbs_obs.Metrics.counter_value "server/put_refused");
+      let c = connect socket in
+      Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+      check_served c ~hit:false "collided entry dropped" req)
+
+let save_requests dir reqs =
+  let c = Cache.create ~metrics_prefix:"test/torn" ~capacity:8 () in
+  List.iter
+    (fun req -> Cache.add c (Daemon.cache_key req) (Daemon.entry_of ~origin:req (Daemon.solve req)))
+    reqs;
+  ignore (Daemon.save_cache ~dir c)
+
+(* The two states a crash mid-save can leave. A stray temp file beside
+   a good file is ignored and replaced by the next save. A final frame
+   cut mid-payload ends the read: the entries before it load, and the
+   cut one is solved afresh. Every reply is [Daemon.solve]'s. *)
+let test_load_cache_torn_save () =
+  let dir = temp_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  save_requests dir persist_requests;
+  let tmp = cache_file dir ^ ".tmp" in
+  let good = In_channel.with_open_bin (cache_file dir) In_channel.input_all in
+  Out_channel.with_open_bin tmp (fun oc ->
+      output_string oc (String.sub good 0 (String.length good / 2)));
+  with_daemon ~cache_dir:dir (fun socket ->
+      let c = connect socket in
+      Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+      List.iteri
+        (fun i req -> check_served c ~hit:true (Printf.sprintf "stray temp, entry %d" i) req)
+        persist_requests);
+  Alcotest.(check bool) "next save consumed the temp file" false (Sys.file_exists tmp);
+  save_requests dir persist_requests;
+  let size = (Unix.stat (cache_file dir)).Unix.st_size in
+  Unix.truncate (cache_file dir) (size - 5);
+  with_daemon ~cache_dir:dir (fun socket ->
+      let c = connect socket in
+      Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+      (* Saved LRU first: the last request's frame is the cut one. *)
+      List.iteri
+        (fun i req ->
+          check_served c ~hit:(i < 2) (Printf.sprintf "truncated tail, entry %d" i) req)
+        persist_requests)
+
+(* Entries read back from disk carry their request, so the improver
+   can polish them like any other. *)
+let test_polish_disk_entry () =
+  let dir = temp_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let req = { gen_request with Codec.policy = Codec.Baseline } in
+  save_requests dir [ req ];
+  with_running_daemon ~jobs:1 ~cache_dir:dir @@ fun d socket ->
+  let rec polish_until = function
+    | 0 -> false
+    | n -> Daemon.polish_once d ~budget:400 || polish_until (n - 1)
+  in
+  Alcotest.(check bool) "a disk entry is upgraded" true (polish_until 12);
+  let c = connect socket in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  match Client.request c req with
+  | Client.Ok ok ->
+      Alcotest.(check bool) "upgrade served from cache" true ok.Codec.cache_hit;
+      Alcotest.(check bool) "version advanced" true (ok.Codec.version > 0);
+      Alcotest.(check bool) "upgrade replays clean" true
+        (Mlbs_sim.Validate.check (Daemon.model_of req) ok.Codec.schedule).Mlbs_sim.Validate.ok
+  | _ -> Alcotest.fail "expected Ok"
 
 (* ---------------------------- cache keys --------------------------- *)
 
@@ -341,32 +514,6 @@ let test_cache_key_content_addressing () =
     <> Daemon.cache_key { base with Codec.model = Mlbs_phy.Interference.Multichannel 3 })
 
 (* --------------------------- daemon e2e ---------------------------- *)
-
-let with_daemon ?(jobs = 2) ?(queue_capacity = 64) ?cache_dir ?(allowed_models = None) f =
-  let dir = temp_dir () in
-  let socket_path = Filename.concat dir "d.sock" in
-  let cfg =
-    {
-      (Daemon.default_config ~socket_path) with
-      Daemon.jobs;
-      queue_capacity;
-      cache_capacity = 32;
-      cache_dir;
-      allowed_models;
-    }
-  in
-  let d = Daemon.start cfg in
-  let finish () =
-    Daemon.stop d;
-    Daemon.wait d;
-    rm_rf dir
-  in
-  Fun.protect ~finally:finish (fun () -> f socket_path)
-
-let connect path =
-  let c, `Version _, `Match m = Client.connect (Client.Unix_socket path) in
-  Alcotest.(check bool) "client and server builds match" true m;
-  c
 
 let test_daemon_serves_and_caches () =
   with_daemon @@ fun socket ->
@@ -553,6 +700,7 @@ let test_daemon_put_validated () =
   with_daemon @@ fun socket ->
   let c = connect socket in
   Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  let refused = Mlbs_obs.Metrics.counter_value "server/put_refused" in
   let wrong_stats, wrong = Daemon.solve other in
   (match Client.put c ~req ~stats:wrong_stats ~schedule:wrong () with
   | Error _ -> ()
@@ -562,7 +710,7 @@ let test_daemon_put_validated () =
   | `Hit _ -> Alcotest.fail "a refused put must not be installed"
   | `Error m -> Alcotest.failf "peek failed: %s" m);
   Alcotest.(check bool) "refusal counted" true
-    (List.assoc_opt "server/put_refused" (Client.stats c) = Some 1);
+    (List.assoc_opt "server/put_refused" (Client.stats c) = Some (refused + 1));
   let stats, schedule = Daemon.solve req in
   (match Client.put c ~req ~stats ~schedule () with
   | Ok () -> ()
@@ -726,7 +874,11 @@ let () =
         [
           Alcotest.test_case "roundtrip" `Quick test_cache_persistence_roundtrip;
           Alcotest.test_case "missing dir" `Quick test_load_cache_missing_dir;
-          Alcotest.test_case "v1 index refused" `Quick test_load_cache_refuses_v1;
+          Alcotest.test_case "old index ignored" `Quick test_load_cache_ignores_old_index;
+          Alcotest.test_case "wrong proto" `Quick test_load_cache_wrong_proto;
+          Alcotest.test_case "collided entry refused" `Quick test_load_cache_refuses_collision;
+          Alcotest.test_case "torn save" `Quick test_load_cache_torn_save;
+          Alcotest.test_case "disk entry polished" `Quick test_polish_disk_entry;
         ] );
       ( "keys",
         [

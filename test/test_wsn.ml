@@ -26,19 +26,25 @@ let brute_pairs points radius =
     points;
   List.sort compare !acc
 
+(* Every row entry [j > i] as the pair [(i, j)], in ascending order. *)
+let row_pairs rows =
+  List.concat_map
+    (fun (i, row) -> List.filter_map (fun j -> if i < j then Some (i, j) else None) row)
+    (List.mapi (fun i row -> (i, Array.to_list row)) (Array.to_list rows))
+
 let test_grid_known () =
   let pts = [| Point.v 0. 0.; Point.v 5. 0.; Point.v 30. 0. |] in
   let grid = Grid.create ~cell:10. pts in
-  Alcotest.(check (list int)) "close pair" [ 1 ]
-    (List.sort compare (Grid.neighbors_within grid 0 ~radius:10.));
-  Alcotest.(check (list (pair int int))) "pairs" [ (0, 1) ]
-    (Grid.pairs_within grid ~radius:10.)
+  let rows = Grid.neighbor_rows grid ~radius:10. in
+  Alcotest.(check (list int)) "close pair" [ 1 ] (Array.to_list rows.(0));
+  Alcotest.(check (list int)) "far point isolated" [] (Array.to_list rows.(2));
+  Alcotest.(check (list (pair int int))) "pairs" [ (0, 1) ] (row_pairs rows)
 
 let test_grid_radius_check () =
   let grid = Grid.create ~cell:5. [| Point.v 0. 0. |] in
   Alcotest.check_raises "radius too large"
-    (Invalid_argument "Grid.neighbors_within: radius exceeds cell size") (fun () ->
-      ignore (Grid.neighbors_within grid 0 ~radius:6.))
+    (Invalid_argument "Grid.neighbor_rows: radius exceeds cell size") (fun () ->
+      ignore (Grid.neighbor_rows grid ~radius:6.))
 
 let test_network_udg () =
   (* The fig2 geometry: known adjacency under radius 10. *)
@@ -244,14 +250,14 @@ let props =
   [
     prop "grid pairs = brute force" gen_points (fun pts ->
         let grid = Grid.create ~cell:10. pts in
-        List.sort compare (Grid.pairs_within grid ~radius:10.) = brute_pairs pts 10.);
+        row_pairs (Grid.neighbor_rows grid ~radius:10.) = brute_pairs pts 10.);
     prop "grid pairs = brute force on sparse wide areas" gen_points (fun pts ->
         (* Spread over a 5000 ft square: far more radius-sized cells
            than points, so the index coarsens its cells. *)
         let pts = Array.map (fun p -> Point.v (p.Point.x *. 100.) (p.Point.y *. 100.)) pts in
         let pts = Array.append pts (Array.map (fun p -> Point.v (p.Point.x +. 7.) p.Point.y) pts) in
         let grid = Grid.create ~cell:10. pts in
-        Grid.pairs_within grid ~radius:10. = brute_pairs pts 10.);
+        row_pairs (Grid.neighbor_rows grid ~radius:10.) = brute_pairs pts 10.);
     prop "first repeat = naive scan"
       QCheck2.Gen.(list_size (int_range 1 40) (pair (int_bound 7) (int_bound 7)))
       (fun cells ->
