@@ -60,8 +60,6 @@ let height t =
 
 let informed_slot t v = t.slot.(v)
 
-let start_slot t = t.start
-
 let relays t =
   let acc = ref [] in
   Array.iteri (fun u l -> if l <> [] then acc := u :: !acc) t.children;

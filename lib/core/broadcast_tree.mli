@@ -31,11 +31,9 @@ val depth : t -> int -> int
 val height : t -> int
 
 (** [informed_slot t v] is the slot at which [v] received the message
-    ([start - 1] convention: the source's own slot is [start_slot t]). *)
+    ([start - 1] convention: the source's own slot is the schedule's
+    start slot). *)
 val informed_slot : t -> int -> int
-
-(** [start_slot t] is the source's transmission slot. *)
-val start_slot : t -> int
 
 (** [relays t] is the sorted list of nodes that transmitted. *)
 val relays : t -> int list

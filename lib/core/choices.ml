@@ -1,90 +1,54 @@
 module Bitset = Mlbs_util.Bitset
 module Indep = Mlbs_graph.Indep
 module Interference = Mlbs_phy.Interference
+module Udg = Mlbs_phy.Udg
 
 type t = Greedy | All of { max_sets : int }
 
-let enumerate_all ~graph ~uninformed ~max_sets cands =
+let enumerate_all ~conflicts ~max_sets cands =
   match cands with
   | [] -> []
   | _ ->
       let arr = Array.of_list cands in
-      let conflict i j =
-        Bitset.intersects3
-          (Mlbs_graph.Graph.neighbor_set graph arr.(i))
-          (Mlbs_graph.Graph.neighbor_set graph arr.(j))
-          uninformed
-      in
-      Indep.maximal ~n:(Array.length arr) ~conflict ~limit:max_sets
+      Indep.maximal ~n:(Array.length arr)
+        ~conflict:(fun i j -> conflicts arr.(i) arr.(j))
+        ~limit:max_sets
       |> List.map (List.map (fun i -> arr.(i)))
 
-(* Backend-aware OPT choice sets. UDG takes the historical path above.
-   SINR prefilters with the pairwise-conservative predicate, then trims
-   each maximal set through the additive zone in order — pairwise
-   compatibility is necessary but not sufficient under summed
+(* Backend-aware OPT choice sets: the maximal conflict-free candidate
+   subsets. SINR prefilters with the pairwise-conservative predicate,
+   then trims each maximal set through one class-builder pass —
+   pairwise compatibility is necessary but not sufficient under summed
    interference, and only zone-built sets are guaranteed to validate.
-   Multi-channel extends each maximal set (channel 1) with greedy
-   classes of the leftover candidates on channels 2..k, in
-   concatenated-class order so first-fit reconstruction recovers the
-   channel assignment from the sender list alone. *)
+   Multi-channel extends each maximal set (channel 1) with one pass per
+   channel 2..k over the leftover candidates, in concatenated-class
+   order so first-fit reconstruction recovers the channel assignment
+   from the sender list alone. *)
 let enumerate_all_phy inst ~uninformed ~max_sets cands =
   match inst with
-  | Interference.I_udg graph -> enumerate_all ~graph ~uninformed ~max_sets cands
-  | Interference.I_sinr _ -> (
-      match cands with
-      | [] -> []
-      | _ ->
-          let arr = Array.of_list cands in
-          let conflict i j = Interference.conflicts inst ~uninformed arr.(i) arr.(j) in
-          let sets =
-            Indep.maximal ~n:(Array.length arr) ~conflict ~limit:max_sets
-            |> List.map (List.map (fun i -> arr.(i)))
-          in
-          let cls = Interference.classifier inst in
-          List.map
-            (fun set ->
-              Interference.start_class cls ~uninformed;
-              List.filter
-                (fun u ->
-                  if Interference.admits cls u then begin
-                    Interference.accept cls u;
-                    true
-                  end
-                  else false)
-                set)
-            sets)
-  | Interference.I_mc { graph = g; k } ->
-      let sets = enumerate_all ~graph:g ~uninformed ~max_sets cands in
+  | Interference.I_udg graph ->
+      enumerate_all ~conflicts:(Udg.conflicts graph ~uninformed) ~max_sets cands
+  | Interference.I_sinr _ ->
+      let cls = Interference.classifier inst in
+      enumerate_all ~conflicts:(Interference.conflicts inst ~uninformed) ~max_sets cands
+      |> List.map (fun set -> fst (Interference.pass cls ~uninformed set))
+  | Interference.I_mc { graph; k } ->
+      let sets = enumerate_all ~conflicts:(Udg.conflicts graph ~uninformed) ~max_sets cands in
       if k = 1 then sets
       else
-        let cap = Bitset.cap uninformed in
+        let cls = Interference.classifier inst in
+        let taken = Bitset.create (Bitset.cap uninformed) in
         List.map
           (fun s1 ->
-            let taken = Bitset.create cap in
+            Bitset.clear taken;
             List.iter (Bitset.add taken) s1;
-            let remaining = List.filter (fun u -> not (Bitset.mem taken u)) cands in
-            let blocked = Bitset.create cap in
             let rec channels ch senders remaining =
               if ch >= k || remaining = [] then senders
-              else begin
-                Bitset.clear blocked;
-                let cls, rest =
-                  List.fold_left
-                    (fun (cls, rest) u ->
-                      if Bitset.intersects (Mlbs_graph.Graph.neighbor_set g u) blocked
-                      then (cls, u :: rest)
-                      else begin
-                        Bitset.union_inter_into ~into:blocked
-                          (Mlbs_graph.Graph.neighbor_set g u)
-                          uninformed;
-                        (u :: cls, rest)
-                      end)
-                    ([], []) remaining
-                in
-                channels (ch + 1) (senders @ List.rev cls) (List.rev rest)
-              end
+              else
+                let cl, rest = Interference.pass cls ~uninformed remaining in
+                channels (ch + 1) (senders @ cl) rest
             in
-            channels 1 s1 remaining)
+            channels 1 s1 (List.filter (fun u -> not (Bitset.mem taken u)) cands))
           sets
 
 let enumerate model space ~w ~slot =

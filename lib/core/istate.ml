@@ -27,7 +27,6 @@
 
 module Bitset = Mlbs_util.Bitset
 module Graph = Mlbs_graph.Graph
-module Coloring = Mlbs_graph.Coloring
 module Metrics = Mlbs_obs.Metrics
 module Interference = Mlbs_phy.Interference
 
@@ -68,10 +67,9 @@ type t = {
   mutable lay_valid : bool;
   pfront : Bitset.t;
   pnext : Bitset.t;
-  pblocked : Bitset.t;  (* greedy-colouring scratch: class blocked zone *)
-  (* Interference-backend class builder, created lazily on the first
-     colouring under a non-UDG model (reset drops it with the model). *)
-  mutable phy_cls : Interference.classifier option;
+  (* Class-builder scratch for the bound model, created lazily on the
+     first colouring (reset drops it with the model). *)
+  mutable cls : Interference.classifier option;
 }
 
 let create cap =
@@ -104,8 +102,7 @@ let create cap =
     lay_valid = false;
     pfront = Bitset.create cap;
     pnext = Bitset.create cap;
-    pblocked = Bitset.create cap;
-    phy_cls = None;
+    cls = None;
   }
 
 let capacity st = st.cap
@@ -150,7 +147,7 @@ let reset st m ~w =
   if Bitset.cap w <> st.cap then invalid_arg "Istate.reset: informed set capacity mismatch";
   st.model <- Some m;
   st.lay_valid <- false;
-  st.phy_cls <- None;
+  st.cls <- None;
   Bitset.assign ~into:st.w w;
   Bitset.complement_into ~into:st.ubar w;
   st.whash <- Bitset.hash st.w;
@@ -414,12 +411,9 @@ let candidates st ~slot =
        (fun u acc -> if st.uncov.(u) > 0 && Model.awake m u ~slot then u :: acc else acc)
        st.w [])
 
-(* Same classes as [Coloring.greedy] over the paper's conflict
-   predicate (receiver count descending, id ascending, prefix-greedy),
-   but conflict-with-class collapses to one intersection test: item [v]
-   conflicts with some class member [c] — N(c) ∩ N(v) ∩ W̄ ≠ ∅ — iff
-   N(v) meets the running union of the members' uninformed coverage
-   zones, kept in a scratch bitset. O(|class|) pair tests become one. *)
+(* Algorithm 1 from the maintained counts: the receiver counts are
+   [uncov] and the uninformed set is the live [ubar], so the class
+   builder runs without a frontier scan or a complement. *)
 let greedy_classes_cov st ~slot =
   Metrics.incr m_color;
   let m = model st in
@@ -430,103 +424,15 @@ let greedy_classes_cov st ~slot =
         else acc)
       st.w []
   in
-  match counts with
-  | [] -> []
-  | _ ->
-      let g = graph st in
-      (* The order (count desc, id asc) is total — ids are distinct — so
-         sorting the unreversed fold output lands on the same list. *)
-      let sorted =
-        List.stable_sort
-          (fun (u, cu) (v, cv) ->
-            if cu <> cv then (if cu > cv then -1 else 1)
-            else if u < v then -1
-            else if u > v then 1
-            else 0)
-          counts
-      in
-      let blocked = st.pblocked in
-      let rec assign remaining acc =
-        match remaining with
-        | [] -> List.rev acc
-        | _ ->
-            Bitset.clear blocked;
-            let cls, rest =
-              List.fold_left
-                (fun (cls, rest) ((u, _) as item) ->
-                  if Bitset.intersects (Graph.neighbor_set g u) blocked then
-                    (cls, item :: rest)
-                  else begin
-                    Bitset.union_inter_into ~into:blocked (Graph.neighbor_set g u)
-                      st.ubar;
-                    (u :: cls, rest)
-                  end)
-                ([], []) remaining
-            in
-            (* At this point [blocked] is exactly the set of nodes the
-               class informs — the search reuses it as probe seeds and
-               child memo keys, so hand out a copy alongside. *)
-            assign (List.rev rest) ((List.rev cls, Bitset.copy blocked) :: acc)
-      in
-      (* The backend's class builder replaces the blocked-set test when
-         admission is feasibility-based (SINR); under multi-channel the
-         UDG classes merge k at a time into (slot, channel)
-         super-classes, coverage unioned, concatenated-class sender
-         order preserved for first-fit channel reconstruction. *)
-      let rec assign_phy cls remaining acc =
-        match remaining with
-        | [] -> List.rev acc
-        | _ ->
-            Interference.start_class cls ~uninformed:st.ubar;
-            let cl, rest =
-              List.fold_left
-                (fun (cl, rest) ((u, _) as item) ->
-                  if Interference.admits cls u then begin
-                    Interference.accept cls u;
-                    (u :: cl, rest)
-                  end
-                  else (cl, item :: rest))
-                ([], []) remaining
-            in
-            assign_phy cls (List.rev rest)
-              ((List.rev cl, Bitset.copy (Interference.class_coverage cls)) :: acc)
-      in
-      let rec chunk_cov k = function
-        | [] -> []
-        | rows ->
-            let rec take i acc rest =
-              if i = 0 then (List.rev acc, rest)
-              else
-                match rest with
-                | [] -> (List.rev acc, [])
-                | r :: tl -> take (i - 1) (r :: acc) tl
-            in
-            let head, tl = take k [] rows in
-            let senders = List.concat_map fst head in
-            let cov =
-              match head with
-              | (_, c0) :: more ->
-                  List.iter (fun (_, c) -> Bitset.union_into ~into:c0 c) more;
-                  c0
-              | [] -> assert false
-            in
-            (senders, cov) :: chunk_cov k tl
-      in
-      (match Model.phy_instance m with
-      | Interference.I_udg _ -> assign sorted []
-      | Interference.I_mc { k; _ } ->
-          let rows = assign sorted [] in
-          if k > 1 then chunk_cov k rows else rows
-      | Interference.I_sinr _ ->
-          let cls =
-            match st.phy_cls with
-            | Some c -> c
-            | None ->
-                let c = Interference.classifier (Model.phy_instance m) in
-                st.phy_cls <- Some c;
-                c
-          in
-          assign_phy cls sorted [])
+  let cls =
+    match st.cls with
+    | Some c -> c
+    | None ->
+        let c = Interference.classifier (Model.phy_instance m) in
+        st.cls <- Some c;
+        c
+  in
+  Model.classes_of_counts m cls ~uninformed:st.ubar counts
 
 let greedy_classes st ~slot = List.map fst (greedy_classes_cov st ~slot)
 

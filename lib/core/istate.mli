@@ -117,8 +117,10 @@ val greedy_classes : t -> slot:int -> int list list
 
 (** [greedy_classes_cov t ~slot] is [greedy_classes] paired with each
     class's coverage set [N(class) ∩ W̄] — a byproduct of the colouring
-    that the search reuses as probe seeds and child memo keys. The
-    returned sets are fresh copies. *)
+    that the search reuses as probe seeds and child memo keys. It runs
+    [Model.classes_of_counts] over the maintained counts and the live
+    [ubar], with one classifier cached per [reset]. The returned sets
+    are fresh copies. *)
 val greedy_classes_cov : t -> slot:int -> (int list * Bitset.t) list
 
 (** [next_active_slot t ~after] equals [Model.next_active_slot] at the

@@ -1,9 +1,9 @@
 module Bitset = Mlbs_util.Bitset
 module Graph = Mlbs_graph.Graph
-module Coloring = Mlbs_graph.Coloring
 module Network = Mlbs_wsn.Network
 module Wake_schedule = Mlbs_dutycycle.Wake_schedule
 module Interference = Mlbs_phy.Interference
+module Udg = Mlbs_phy.Udg
 
 type system = Sync | Async of Wake_schedule.t
 
@@ -59,18 +59,13 @@ let frontier t ~w =
 let candidates t ~w ~slot =
   List.filter (fun u -> awake t u ~slot) (frontier t ~w)
 
-(* The conflict predicate [N(u) ∩ N(v) ∩ W̄ ≠ ∅] as one fused word-wise
-   probe over the stored neighbour bitsets — boolean-equivalent to
-   scanning the smaller adjacency list, without the scan. Under
-   multi-channel the same predicate applies (it is the intra-channel
-   rule; channel parallelism lives in the class chunking); under SINR
-   the backend's pairwise-conservative test takes over. *)
+(* The conflict predicate [N(u) ∩ N(v) ∩ W̄ ≠ ∅]. Under multi-channel
+   the same predicate applies (it is the intra-channel rule; channel
+   parallelism lives in the class merge); under SINR the backend's
+   pairwise-conservative test takes over. *)
 let conflicts_with_uninformed t ~uninformed u v =
   match t.inst with
-  | Interference.I_udg _ | Interference.I_mc _ ->
-      u <> v
-      && Bitset.intersects3 (Graph.neighbor_set t.graph u)
-           (Graph.neighbor_set t.graph v) uninformed
+  | Interference.I_udg _ | Interference.I_mc _ -> Udg.conflicts t.graph ~uninformed u v
   | Interference.I_sinr _ -> Interference.conflicts t.inst ~uninformed u v
 
 let conflicts t ~w u v =
@@ -79,74 +74,29 @@ let conflicts t ~w u v =
   let uninformed = Bitset.complement w in
   conflicts_with_uninformed t ~uninformed u v
 
-(* Merge runs of [k] colour classes into one (slot, channel)
-   super-class. Concatenated-class order is load-bearing: first-fit
-   grouping over it (Multichannel.groups) reconstructs exactly these
-   classes from the schedule bytes, so channels never need storing. *)
-let rec chunk k = function
-  | [] -> []
-  | classes ->
-      let rec take i acc rest =
-        if i = 0 then (List.rev acc, rest)
-        else
-          match rest with
-          | [] -> (List.rev acc, [])
-          | c :: tl -> take (i - 1) (c :: acc) tl
-      in
-      let head, tl = take k [] classes in
-      List.concat head :: chunk k tl
-
-let greedy_order (u, cu) (v, cv) = if cu <> cv then compare cv cu else compare u v
-
-(* Algorithm 1 under a feasibility-based backend: the same candidate
-   order and repeated-pass structure as [Coloring.greedy], but class
-   membership is the backend's incremental admission (for SINR:
-   additive feasibility of the class built so far). *)
-let greedy_classes_via_classifier t ~uninformed counts =
-  let sorted = List.stable_sort greedy_order counts in
-  let cls = Interference.classifier t.inst in
-  let rec assign remaining acc =
-    match remaining with
-    | [] -> List.rev acc
-    | _ ->
-        Interference.start_class cls ~uninformed;
-        let cl, rest =
-          List.fold_left
-            (fun (cl, rest) ((u, _) as item) ->
-              if Interference.admits cls u then begin
-                Interference.accept cls u;
-                (u :: cl, rest)
-              end
-              else (cl, item :: rest))
-            ([], []) remaining
-        in
-        assign (List.rev rest) (List.rev cl :: acc)
-  in
-  assign sorted []
+(* Algorithm 1's visiting order. Total — ids are distinct — so the
+   input order of [counts] never shows. *)
+let visit_order counts =
+  List.stable_sort
+    (fun ((u : int), (cu : int)) (v, cv) -> if cu <> cv then compare cv cu else compare u v)
+    counts
+  |> List.map fst
 
 (* The layer-structured baselines colour pre-counted candidate lists of
-   their own making; they share the backend-aware core but never chunk
-   (a single-channel schedule is valid under any channel count). Under
-   UDG the classifier reproduces [Coloring.greedy] exactly — admission
-   against the running blocked set is "conflicts with some member". *)
-let color_classes t ~uninformed counts = greedy_classes_via_classifier t ~uninformed counts
+   their own making; they never merge channels (a single-channel
+   schedule is valid under any channel count). *)
+let color_classes t ~uninformed counts =
+  Interference.classes (Interference.classifier t.inst) ~uninformed (visit_order counts)
+  |> List.map fst
+
+let classes_of_counts t cls ~uninformed counts =
+  Interference.classes cls ~uninformed (visit_order counts)
+  |> Interference.merge_channels (Interference.channels t.phy)
 
 let greedy_classes t ~w ~slot =
-  let cands = candidates t ~w ~slot in
-  let uninformed = Bitset.complement w in
-  let count u = n_receivers t ~w u in
-  (* Precompute receiver counts so the sort comparator is O(1). *)
-  let counts = List.map (fun u -> (u, count u)) cands in
-  match t.inst with
-  | Interference.I_sinr _ -> greedy_classes_via_classifier t ~uninformed counts
-  | Interference.I_udg _ | Interference.I_mc _ -> (
-      let conflicts (u, _) (v, _) = conflicts_with_uninformed t ~uninformed u v in
-      let classes =
-        Coloring.greedy ~order:greedy_order ~conflicts counts |> List.map (List.map fst)
-      in
-      match t.inst with
-      | Interference.I_mc { k; _ } when k > 1 -> chunk k classes
-      | _ -> classes)
+  let counts = List.map (fun u -> (u, n_receivers t ~w u)) (candidates t ~w ~slot) in
+  classes_of_counts t (Interference.classifier t.inst) ~uninformed:(Bitset.complement w) counts
+  |> List.map fst
 
 let apply t ~w ~senders =
   let w' = Bitset.copy w in

@@ -8,7 +8,9 @@
 
     - the candidate set (Eq. 1 constraints 1–2; Eq. 3 adds wake-up),
     - the conflict predicate [N(u) ∩ N(v) ∩ W̄ ≠ ∅] (constraint 3),
-    - the extended greedy colouring of candidates (Algorithm 1). *)
+    - the extended greedy colouring of candidates (Algorithm 1): this
+      module fixes its visiting order and hands the ordered candidates
+      to the one class builder, [Mlbs_phy.Interference.classes]. *)
 
 module Bitset = Mlbs_util.Bitset
 
@@ -75,10 +77,23 @@ val conflicts : t -> w:Bitset.t -> int -> int -> bool
     [Sinr] admission is the additive-feasibility zone. *)
 val greedy_classes : t -> w:Bitset.t -> slot:int -> int list list
 
+(** [classes_of_counts t cls ~uninformed counts] is the Algorithm 1 run
+    behind [greedy_classes], over caller-counted candidates
+    [(u, receiver count)] with a caller-held classifier for [t]'s
+    instance: [Interference.classes] in [greedy_classes]' order, then
+    [Interference.merge_channels] by [t]'s channel count. Each class
+    comes with a fresh copy of its coverage. *)
+val classes_of_counts :
+  t ->
+  Mlbs_phy.Interference.classifier ->
+  uninformed:Bitset.t ->
+  (int * int) list ->
+  (int list * Bitset.t) list
+
 (** [color_classes t ~uninformed counts] colours a caller-supplied
     candidate list [(u, receiver count)] under the model's interference
-    backend — the shared core the layer-structured baselines use. Same
-    order as [greedy_classes]; never chunks channels. *)
+    backend — the same class builder the layer-structured baselines
+    use. Same order as [greedy_classes]; never merges channels. *)
 val color_classes : t -> uninformed:Bitset.t -> (int * int) list -> int list list
 
 (** [apply t ~w ~senders] is the new informed set

@@ -2,9 +2,11 @@
 
     The paper's Algorithm 1 colours *relay candidates* where "adjacent"
     means the conflict predicate (common uninformed neighbour), and
-    visits candidates in descending receiver count. This module provides
-    the order-parameterised greedy core so the MLBS layer, the baseline
-    schedulers and the tests all share one implementation. *)
+    visits candidates in descending receiver count. This module is that
+    colouring spelled pairwise, for any relation: the distributed
+    protocol's per-node views and the ablation use it, and the tests
+    hold the scheduler's incremental class builder
+    ([Mlbs_phy.Interference.classes]) to it. *)
 
 (** [greedy ~order ~conflicts items] colours [items] visiting them in
     [order]'s sort order (stable; ties keep input order). [conflicts a b]

@@ -4,16 +4,6 @@
     with equal counters produce byte-identical files — the property the
     jobs-determinism gate diffs. *)
 
-(** [write_chrome_trace path evs] writes the Trace Event Format JSON
-    ("complete" events, µs timestamps) that Perfetto
-    ({{:https://ui.perfetto.dev}ui.perfetto.dev}) and chrome://tracing
-    load directly. *)
-val write_chrome_trace : string -> Trace.ev list -> unit
-
-(** [write_events_jsonl path evs] writes one JSON object per line — the
-    compact log for ad-hoc grepping/jq. *)
-val write_events_jsonl : string -> Trace.ev list -> unit
-
 (** [jsonl_path "x.trace.json"] is ["x.trace.jsonl"] — where {!dump}
     puts the event log next to a trace file. *)
 val jsonl_path : string -> string
@@ -24,10 +14,10 @@ val jsonl_path : string -> string
     enclosing document (the bench JSON). *)
 val metrics_object : ?indent:string -> (string * Metrics.value) list -> string
 
-(** [write_metrics path snap] writes [metrics_object snap] to [path]. *)
-val write_metrics : string -> (string * Metrics.value) list -> unit
-
 (** [dump ?trace_file ?metrics_file ()] writes whichever artifacts were
-    requested: the Chrome trace plus its JSONL sibling, and the metrics
-    JSON of a fresh snapshot. *)
+    requested: the Trace Event Format JSON ("complete" events, µs
+    timestamps) that Perfetto
+    ({{:https://ui.perfetto.dev}ui.perfetto.dev}) and chrome://tracing
+    load directly, plus its JSONL sibling (one event object per line),
+    and the metrics JSON ({!metrics_object}) of a fresh snapshot. *)
 val dump : ?trace_file:string -> ?metrics_file:string -> unit -> unit

@@ -41,10 +41,8 @@ val set : gauge -> int -> unit
 
 (** [observe h v] adds one observation to a histogram. Buckets are
     powers of two: bucket [0] holds [v <= 0], bucket [i >= 1] holds
-    [2^(i-1) <= v < 2^i], saturating at {!n_buckets}[- 1]. *)
+    [2^(i-1) <= v < 2^i], saturating at the last of 40 buckets. *)
 val observe : histogram -> int -> unit
-
-val n_buckets : int
 
 (** [bucket_lt i] is the exclusive upper bound of bucket [i]. *)
 val bucket_lt : int -> int

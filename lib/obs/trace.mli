@@ -7,8 +7,8 @@
     {!Obs.tracing_enabled}; disabled, a span is one branch plus the
     wrapped call.
 
-    Export via {!Export.write_chrome_trace} (Perfetto-loadable) or
-    {!Export.write_events_jsonl}. *)
+    Export via {!Export.dump} (a Perfetto-loadable trace plus a JSONL
+    event log). *)
 
 type ev = {
   name : string;

@@ -100,7 +100,7 @@ let c_conflict_checks = Metrics.counter "phy/conflict_checks"
 
 (* Pairwise slot-compatibility. Under multi-channel this is the
    *intra-channel* predicate (cross-channel pairs never conflict; the
-   channel structure lives in the class chunking and the first-fit
+   channel structure lives in the class merge and the first-fit
    grouping, not here). *)
 let conflicts inst ~uninformed u v =
   Metrics.incr c_conflict_checks;
@@ -114,7 +114,7 @@ let conflicts inst ~uninformed u v =
    against the slot's uninformed set, [admits] asks whether a candidate
    keeps it feasible, [accept] commits one, [class_coverage] is the
    informed-set delta the class produces. The UDG blocked set doubles
-   as coverage, exactly as in the original inline loops. *)
+   as coverage. *)
 type classifier =
   | C_udg of { graph : Graph.t; blocked : Bitset.t; mutable ubar : Bitset.t }
   | C_sinr of Sinr.zone
@@ -145,6 +145,59 @@ let accept c u =
 let class_coverage = function
   | C_udg c -> c.blocked
   | C_sinr z -> Sinr.zone_coverage z
+
+(* ------------------------ Algorithm 1 ------------------------------ *)
+
+(* One pass of the extended greedy colour scheme: open a class, then
+   admit each item in visiting order while the class stays feasible.
+   Under UDG admission against the running blocked set is exactly "no
+   common uninformed neighbour with any member", so this is the
+   pairwise greedy colouring with one intersection test per item. *)
+let pass c ~uninformed items =
+  start_class c ~uninformed;
+  let cl, rest =
+    List.fold_left
+      (fun (cl, rest) u ->
+        if admits c u then begin
+          accept c u;
+          (u :: cl, rest)
+        end
+        else (cl, u :: rest))
+      ([], []) items
+  in
+  (List.rev cl, List.rev rest)
+
+(* Repeated passes over the rejects: every item of class i > 1 was
+   refused by each earlier class. The coverage is copied out before the
+   next pass reuses the classifier's scratch. *)
+let classes c ~uninformed items =
+  let rec go items acc =
+    match items with
+    | [] -> List.rev acc
+    | _ ->
+        let cl, rest = pass c ~uninformed items in
+        go rest ((cl, Bitset.copy (class_coverage c)) :: acc)
+  in
+  go items []
+
+(* Runs of [k] classes merge into one (slot, channel) super-class.
+   Concatenated-class sender order is load-bearing: first-fit grouping
+   over it ({!Multichannel.groups}) reconstructs exactly these classes
+   from the schedule bytes, so channels never need storing. *)
+let merge_channels k rows =
+  let rec go = function
+    | [] -> []
+    | (s0, cov) :: rest ->
+        let rec take i acc = function
+          | (s, c) :: tl when i > 0 ->
+              Bitset.union_into ~into:cov c;
+              take (i - 1) (s :: acc) tl
+          | tl -> (List.concat (List.rev acc), tl)
+        in
+        let senders, tl = take (k - 1) [ s0 ] rest in
+        (senders, cov) :: go tl
+  in
+  if k <= 1 then rows else go rows
 
 (* --------------------------- reception ----------------------------- *)
 

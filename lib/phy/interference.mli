@@ -1,9 +1,10 @@
 (** Pluggable interference models.
 
     Everything the scheduler core knows about the radio medium funnels
-    through this interface: a pairwise conflict predicate, an
-    incremental per-class blocked-set/feasibility builder, a channel
-    count, and slot-replay reception. Three backends:
+    through this interface: a pairwise conflict predicate, Algorithm 1's
+    class builder (an incremental per-class blocked-set/feasibility
+    test, the greedy passes over it and the k-class channel merge), a
+    channel count, and slot-replay reception. Three backends:
 
     - {!Udg} — the paper's protocol model (N(u) ∩ N(v) ∩ W̄ ≠ ∅),
       extracted in {!module:Udg} and byte-identical to the historical
@@ -94,6 +95,30 @@ val start_class : classifier -> uninformed:Bitset.t -> unit
 val admits : classifier -> int -> bool
 val accept : classifier -> int -> unit
 val class_coverage : classifier -> Bitset.t
+
+(** {1 Algorithm 1}
+
+    The paper's extended greedy colour scheme, the one class builder
+    every scheduler, the search and the choice enumeration call. Items
+    arrive already in visiting order ([Model] in the scheduler core
+    sorts by receiver count descending, then id ascending). *)
+
+(** [pass c ~uninformed items] opens one class against [uninformed]
+    and admits each item in order while the class stays feasible.
+    Returns the class and the rejects, both in visiting order; the
+    class's coverage is then [class_coverage c]. *)
+val pass : classifier -> uninformed:Bitset.t -> int list -> int list * int list
+
+(** [classes c ~uninformed items] repeats {!pass} over the rejects
+    until every item has a class, pairing each class with a fresh copy
+    of its coverage [N(class) ∩ uninformed]. *)
+val classes : classifier -> uninformed:Bitset.t -> int list -> (int list * Bitset.t) list
+
+(** [merge_channels k rows] merges runs of [k] consecutive classes into
+    one (slot, channel) super-class: senders concatenated in class
+    order, coverage unioned into the run's first set (which is
+    mutated). The identity when [k <= 1]. *)
+val merge_channels : int -> (int list * Bitset.t) list -> (int list * Bitset.t) list
 
 (** {1 Slot replay} *)
 

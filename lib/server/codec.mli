@@ -5,7 +5,7 @@
     The first payload byte is the message tag; the rest is the
     fixed-order field encoding below (big-endian integers, 8-byte IEEE
     floats, strings and lists length-prefixed). A frame longer than
-    {!max_frame} is rejected before any allocation proportional to it,
+    64 MiB is rejected before any allocation proportional to it,
     so a corrupt or hostile peer cannot OOM the daemon.
 
     The encoding is canonical: equal values encode to equal bytes,
@@ -15,9 +15,6 @@
 (** Protocol revision carried in the handshake; bumped on any frame
     layout change. *)
 val protocol_version : int
-
-(** Hard ceiling on a frame's payload size (bytes). *)
-val max_frame : int
 
 (** Scheduling policy requested for a solve; [Gopt]/[Opt] run with the
     library's default budgets (the same ones [mlbs schedule] uses). *)

@@ -562,7 +562,12 @@ let polish_once t ~budget =
 let start cfg =
   let shell = Acceptor.bind ~socket_path:cfg.socket_path ~tcp_port:cfg.tcp_port family in
   let cache = Cache.create ~metrics_prefix:"server/cache" ~capacity:cfg.cache_capacity () in
-  let topo = Cache.create ~metrics_prefix:"server/topo" ~capacity:256 () in
+  (* The topology memo holds at least as many generator keys as the
+     schedule cache, so a working set that fits the cache never
+     re-samples a deployment on a hit. *)
+  let topo =
+    Cache.create ~metrics_prefix:"server/topo" ~capacity:(max 256 cfg.cache_capacity) ()
+  in
   (match cfg.cache_dir with
   | Some dir -> (
       try ignore (load_cache ?allowed_models:cfg.allowed_models ~memo:topo ~dir cache)

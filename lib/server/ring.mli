@@ -36,6 +36,3 @@ val successor : t -> string -> string option
 val add : t -> string -> t
 
 val remove : t -> string -> t
-
-(** The point-placement hash, exposed for white-box tests. *)
-val hash_string : string -> int64

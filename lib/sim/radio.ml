@@ -1,5 +1,4 @@
 module Bitset = Mlbs_util.Bitset
-module Graph = Mlbs_graph.Graph
 module Wake_schedule = Mlbs_dutycycle.Wake_schedule
 module Model = Mlbs_core.Model
 module Schedule = Mlbs_core.Schedule
@@ -21,7 +20,6 @@ type outcome = {
 }
 
 let replay ?(allow_resend = false) ?failed ?(faults = Fault.none) model schedule =
-  let g = Model.graph model in
   let n = Model.n_nodes model in
   let failed = match failed with Some f -> f | None -> Bitset.create n in
   let fault_active = not (Fault.is_noop faults) in
@@ -37,8 +35,7 @@ let replay ?(allow_resend = false) ?failed ?(faults = Fault.none) model schedule
   let w = Bitset.create n in
   Bitset.add w (Schedule.source schedule);
   let inst = Model.phy_instance model in
-  let is_udg = match inst with Interference.I_udg _ -> true | _ -> false in
-  (* Non-UDG reception needs the *claimed* informed set: multi-channel
+  (* Reception can need the *claimed* informed set: multi-channel
      receivers derive their tuning from the schedule's plan (they cannot
      observe faults), so the slot context is built against the informed
      set the schedule claims, not the replay's ground truth. *)
@@ -109,43 +106,26 @@ let replay ?(allow_resend = false) ?failed ?(faults = Fault.none) model schedule
            packets still interfere. Hearing several is a collision.
            Crashed nodes hear nothing. *)
         let received = ref [] and collided = ref [] in
-        (if is_udg then
-           for v = n - 1 downto 0 do
-             if (not (Bitset.mem w v)) && alive ~slot v then begin
-               let hearers = List.filter (fun u -> Graph.mem_edge g u v) effective in
-               match hearers with
-               | [] -> ()
-               | [ u ] ->
-                   if Fault.delivers ~slot ~tx:u ~rx:v faults then
-                     received := v :: !received
-                   else lost := (slot, u, v) :: !lost
-               | several -> collided := (v, several) :: !collided
-             end
-           done
-         else begin
-           let uninformed_claimed = Bitset.complement claimed_w in
-           let ctx =
-             Interference.slot_ctx inst ~uninformed:uninformed_claimed
-               ~scheduled:step.Schedule.senders
-           in
-           (match inst with
-           | Interference.I_mc { k; _ } ->
-               let used = Interference.slot_channels ctx in
-               if used > k then
-                 violate "slot %d: senders need %d channels but only %d exist" slot used k
-           | _ -> ());
-           for v = n - 1 downto 0 do
-             if (not (Bitset.mem w v)) && alive ~slot v then
-               match Interference.reception ctx ~effective ~rx:v with
-               | Interference.Silent -> ()
-               | Interference.Delivered u ->
-                   if Fault.delivers ~slot ~tx:u ~rx:v faults then
-                     received := v :: !received
-                   else lost := (slot, u, v) :: !lost
-               | Interference.Collision several -> collided := (v, several) :: !collided
-           done;
-           List.iter (Bitset.add claimed_w) step.Schedule.informed
-         end);
+        let ctx =
+          Interference.slot_ctx inst ~uninformed:(Bitset.complement claimed_w)
+            ~scheduled:step.Schedule.senders
+        in
+        (match inst with
+        | Interference.I_mc { k; _ } ->
+            let used = Interference.slot_channels ctx in
+            if used > k then
+              violate "slot %d: senders need %d channels but only %d exist" slot used k
+        | _ -> ());
+        for v = n - 1 downto 0 do
+          if (not (Bitset.mem w v)) && alive ~slot v then
+            match Interference.reception ctx ~effective ~rx:v with
+            | Interference.Silent -> ()
+            | Interference.Delivered u ->
+                if Fault.delivers ~slot ~tx:u ~rx:v faults then received := v :: !received
+                else lost := (slot, u, v) :: !lost
+            | Interference.Collision several -> collided := (v, several) :: !collided
+        done;
+        List.iter (Bitset.add claimed_w) step.Schedule.informed;
         List.iter (Bitset.add w) !received;
         (* Cross-check the scheduler's claim against the replay (not
            meaningful when failures were injected). *)

@@ -51,7 +51,6 @@ type fault_report = {
 let check_under_faults ?(allow_resend = false) model ~faults schedule =
   let outcome = Radio.replay ~allow_resend ~faults model schedule in
   let n = Mlbs_core.Model.n_nodes model in
-  let g = Mlbs_core.Model.graph model in
   (* Independent re-derivation: every reception the replay granted must
      be explainable as exactly one audible (alive, informed, awake)
      sender whose packet survived its link roll. This re-asks the fault
@@ -66,8 +65,7 @@ let check_under_faults ?(allow_resend = false) model ~faults schedule =
   let informed = Bitset.create n in
   Bitset.add informed (Mlbs_core.Schedule.source schedule);
   let inst = Mlbs_core.Model.phy_instance model in
-  let is_udg = match inst with Interference.I_udg _ -> true | _ -> false in
-  (* Non-UDG reception depends on the *claimed* informed progression
+  (* Reception can depend on the *claimed* informed progression
      (multi-channel tuning, SINR interference sums over the planned
      slot), replayed from the schedule's own steps — the same inputs
      [Radio.replay] uses, re-derived here independently. *)
@@ -90,12 +88,9 @@ let check_under_faults ?(allow_resend = false) model ~faults schedule =
           e.Radio.senders
       in
       let ctx =
-        if is_udg then None
-        else
-          Some
-            (Interference.slot_ctx inst
-               ~uninformed:(Bitset.complement claimed)
-               ~scheduled:step.Mlbs_core.Schedule.senders)
+        Interference.slot_ctx inst
+          ~uninformed:(Bitset.complement claimed)
+          ~scheduled:step.Mlbs_core.Schedule.senders
       in
       List.iter
         (fun v ->
@@ -103,27 +98,15 @@ let check_under_faults ?(allow_resend = false) model ~faults schedule =
             issue "slot %d: node %d received while already informed" slot v;
           if not (Fault.alive faults ~slot v) then
             issue "slot %d: dead node %d received" slot v;
-          match ctx with
-          | None -> (
-              match List.filter (fun u -> Mlbs_graph.Graph.mem_edge g u v) audible with
-              | [ u ] ->
-                  if not (Fault.delivers ~slot ~tx:u ~rx:v faults) then
-                    issue "slot %d: reception at %d but link %d->%d was corrupted" slot v
-                      u v
-              | hearers ->
-                  issue "slot %d: reception at %d amid %d audible transmissions" slot v
-                    (List.length hearers))
-          | Some ctx -> (
-              match Interference.reception ctx ~effective:audible ~rx:v with
-              | Interference.Delivered u ->
-                  if not (Fault.delivers ~slot ~tx:u ~rx:v faults) then
-                    issue "slot %d: reception at %d but link %d->%d was corrupted" slot v
-                      u v
-              | Interference.Silent ->
-                  issue "slot %d: reception at %d amid 0 audible transmissions" slot v
-              | Interference.Collision several ->
-                  issue "slot %d: reception at %d amid %d audible transmissions" slot v
-                    (List.length several)))
+          match Interference.reception ctx ~effective:audible ~rx:v with
+          | Interference.Delivered u ->
+              if not (Fault.delivers ~slot ~tx:u ~rx:v faults) then
+                issue "slot %d: reception at %d but link %d->%d was corrupted" slot v u v
+          | Interference.Silent ->
+              issue "slot %d: reception at %d amid 0 audible transmissions" slot v
+          | Interference.Collision several ->
+              issue "slot %d: reception at %d amid %d audible transmissions" slot v
+                (List.length several))
         e.Radio.received;
       List.iter (Bitset.add informed) e.Radio.received;
       List.iter (Bitset.add claimed) step.Mlbs_core.Schedule.informed)

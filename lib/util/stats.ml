@@ -43,11 +43,6 @@ let summarize xs =
     median = median xs;
   }
 
-let of_ints = List.map float_of_int
-
 let improvement ~baseline ~ours =
   if baseline <= 0. then invalid_arg "Stats.improvement: non-positive baseline";
   (baseline -. ours) /. baseline
-
-let pp_summary ppf s =
-  Format.fprintf ppf "%.2f ± %.2f [%.0f, %.0f]" s.mean s.stddev s.min s.max

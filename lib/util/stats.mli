@@ -29,14 +29,8 @@ val median : float list -> float
     copy. Raises [Invalid_argument] on an empty list. *)
 val summarize : float list -> summary
 
-(** [of_ints xs] converts for convenience. *)
-val of_ints : int list -> float list
-
 (** [improvement ~baseline ~ours] is the fractional latency reduction
     [(baseline - ours) / baseline]; the paper reports these as "70%
     improvement" style numbers. Raises [Invalid_argument] when
     [baseline <= 0]. *)
 val improvement : baseline:float -> ours:float -> float
-
-(** [pp_summary] prints "mean ± stddev [min, max]". *)
-val pp_summary : Format.formatter -> summary -> unit

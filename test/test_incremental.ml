@@ -6,6 +6,7 @@
    [Bitset.hash]. *)
 
 module Bitset = Mlbs_util.Bitset
+module Interference = Mlbs_phy.Interference
 module Model = Mlbs_core.Model
 module Choices = Mlbs_core.Choices
 module Istate = Mlbs_core.Istate
@@ -103,6 +104,42 @@ let walk_agrees ((model, _seed), moves) =
   check_agrees ~ctx:"after rewind" model st ~w:w0 ~slot:1;
   true
 
+(* Each class's coverage set — the search's probe seeds and child memo
+   keys — is exactly what applying its senders informs, under every
+   backend, at every position of a greedy walk from a random informed
+   set. *)
+let coverage_agrees (model, members) =
+  let n = Model.n_nodes model in
+  let st = Istate.create n in
+  Istate.reset st model ~w:(Bitset.of_list n (0 :: members));
+  let rec walk slot =
+    let w = Bitset.copy (Istate.w st) in
+    match Istate.greedy_classes_cov st ~slot with
+    | [] -> true
+    | (first, _) :: _ as rows ->
+        List.iter
+          (fun (senders, cov) ->
+            Alcotest.(check (list int))
+              "coverage = newly informed"
+              (Model.newly_informed model ~w ~senders)
+              (Bitset.elements cov))
+          rows;
+        Istate.apply st ~senders:first;
+        walk (slot + 1)
+  in
+  walk 1
+
+let gen_phy_model_and_members =
+  QCheck2.Gen.(
+    let* phy =
+      oneofl Interference.[ Udg; Multichannel 2; Sinr default_sinr ]
+    in
+    let* n = int_range 4 16 in
+    let* seed = int_bound 100000 in
+    let model = Model.create ~phy (Test_support.small_network ~n ~seed) Model.Sync in
+    let* members = list_size (int_bound (n - 1)) (int_bound (n - 1)) in
+    return (model, members))
+
 let prop ?(count = 60) name gen f =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen f)
 
@@ -138,6 +175,8 @@ let () =
             walk_agrees;
           prop "async walk agrees with naive recompute"
             (gen_walk Test_support.gen_async_model) walk_agrees;
+          prop ~count:200 "class coverage = newly informed (udg, mc:2, sinr)"
+            gen_phy_model_and_members coverage_agrees;
         ] );
       ( "hash",
         [

@@ -1,5 +1,6 @@
 module Bitset = Mlbs_util.Bitset
 module Coloring = Mlbs_graph.Coloring
+module Interference = Mlbs_phy.Interference
 module Model = Mlbs_core.Model
 module Wake_schedule = Mlbs_dutycycle.Wake_schedule
 module Fixtures = Mlbs_workload.Fixtures
@@ -99,8 +100,50 @@ let gen_model_and_w =
     ignore seed;
     return (model, Bitset.of_list n (0 :: members)))
 
+(* Algorithm 1 spelled pairwise: [Coloring.greedy] over [Model.conflicts]
+   in the visiting order (receiver count descending, id ascending), then
+   runs of [k] classes concatenated into one (slot, channel) class. The
+   class builder behind lib/phy must reproduce it exactly. *)
+let pairwise_classes model ~w ~slot ~k =
+  let order (u, cu) (v, cv) = if cu <> cv then compare cv cu else compare u v in
+  let counts =
+    List.map (fun u -> (u, Model.n_receivers model ~w u)) (Model.candidates model ~w ~slot)
+  in
+  let classes =
+    Coloring.greedy ~order ~conflicts:(fun (u, _) (v, _) -> Model.conflicts model ~w u v) counts
+    |> List.map (List.map fst)
+  in
+  let rec merge = function
+    | [] -> []
+    | classes ->
+        let rec take i acc = function
+          | c :: tl when i > 0 -> take (i - 1) (acc @ c) tl
+          | tl -> (acc, tl)
+        in
+        let run, rest = take k [] classes in
+        run :: merge rest
+  in
+  merge classes
+
+let gen_phy_model_and_w =
+  QCheck2.Gen.(
+    let* phy =
+      oneofl Interference.[ Udg; Multichannel 2; Multichannel 3 ]
+    in
+    let* n = int_range 4 16 in
+    let* seed = int_bound 100000 in
+    let model = Model.create ~phy (Test_support.small_network ~n ~seed) Model.Sync in
+    let* members = list_size (int_bound (n - 1)) (int_bound (n - 1)) in
+    return (model, Bitset.of_list n (0 :: members)))
+
 let props =
   [
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:300
+         ~name:"greedy classes = pairwise greedy colouring, k classes merged"
+         gen_phy_model_and_w (fun (model, w) ->
+           let k = Interference.channels (Model.phy model) in
+           Model.greedy_classes model ~w ~slot:1 = pairwise_classes model ~w ~slot:1 ~k));
     prop "greedy classes partition the candidates and are valid" gen_model_and_w
       (fun (model, w) ->
         let classes = Model.greedy_classes model ~w ~slot:1 in

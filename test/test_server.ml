@@ -219,7 +219,8 @@ let test_cache_concurrent_domains () =
 (* ------------------------- daemon harness -------------------------- *)
 
 (* A daemon on a fresh socket, handed to [f] with its socket path. *)
-let with_running_daemon ?(jobs = 2) ?(queue_capacity = 64) ?cache_dir ?(allowed_models = None) f =
+let with_running_daemon ?(jobs = 2) ?(queue_capacity = 64) ?(cache_capacity = 32) ?cache_dir
+    ?(allowed_models = None) f =
   let dir = temp_dir () in
   let socket_path = Filename.concat dir "d.sock" in
   let cfg =
@@ -227,7 +228,7 @@ let with_running_daemon ?(jobs = 2) ?(queue_capacity = 64) ?cache_dir ?(allowed_
       (Daemon.default_config ~socket_path) with
       Daemon.jobs;
       queue_capacity;
-      cache_capacity = 32;
+      cache_capacity;
       cache_dir;
       allowed_models;
     }
@@ -550,6 +551,31 @@ let test_daemon_serves_and_caches () =
       "search/bound_prune_ecc"; "search/dominance_prunes" ];
   Alcotest.(check bool) "cold solve explored states" true
     (List.assoc "search/states" stats > 0)
+
+(* The generator-topology memo is sized with the schedule cache: 300
+   generator keys fit a 320-entry cache, so serving them a second time
+   hits the memo on every request and never re-samples a deployment. *)
+let test_daemon_topo_memo_sized_with_cache () =
+  with_running_daemon ~cache_capacity:320 @@ fun _ socket ->
+  let c = connect socket in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  let reqs =
+    List.init 300 (fun seed ->
+        { gen_request with Codec.seed; topology = Codec.Gen { n = 12; radius = 40.0 } })
+  in
+  let serve_all () =
+    List.iter
+      (fun req ->
+        match Client.request c req with
+        | Client.Ok _ -> ()
+        | _ -> Alcotest.failf "seed %d: expected Ok" req.Codec.seed)
+      reqs
+  in
+  serve_all ();
+  let misses = Mlbs_obs.Metrics.counter_value "server/topo/misses" in
+  serve_all ();
+  Alcotest.(check int) "second pass never re-resolves a topology" misses
+    (Mlbs_obs.Metrics.counter_value "server/topo/misses")
 
 let test_daemon_duty_cycle_and_explicit_source () =
   with_daemon @@ fun socket ->
@@ -888,6 +914,8 @@ let () =
       ( "daemon",
         [
           Alcotest.test_case "serves and caches" `Quick test_daemon_serves_and_caches;
+          Alcotest.test_case "topology memo sized with the cache" `Quick
+            test_daemon_topo_memo_sized_with_cache;
           Alcotest.test_case "duty cycle + source" `Quick test_daemon_duty_cycle_and_explicit_source;
           Alcotest.test_case "bad requests" `Quick test_daemon_rejects_bad_requests;
           Alcotest.test_case "overload shedding" `Quick test_daemon_sheds_overload;
