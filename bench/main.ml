@@ -852,7 +852,7 @@ let micro_tests cfg =
     Test.make ~name:"table4/trace" (Staged.stage (fun () -> ignore (Mlbs_workload.Figures.table4 ())));
     Test.make ~name:"extension/localized protocol"
       (Staged.stage (fun () ->
-           ignore (Mlbs_core.Localized.run sync_model ~source ~start:1)));
+           ignore (Mlbs_proto.Localized.run sync_model ~source ~start:1)));
     Test.make ~name:"extension/CDS baseline"
       (Staged.stage (fun () ->
            ignore (Mlbs_core.Baseline_cds.plan sync_model ~source ~start:1)));

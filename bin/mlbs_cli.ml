@@ -425,13 +425,13 @@ let localized n seed rate =
   in
   let model = Model.create net system in
   let source = Deployment.select_source (Rng.create seed) net ~min_ecc:5 ~max_ecc:8 in
-  let r = Mlbs_core.Localized.run model ~source ~start:1 in
-  let check = Mlbs_sim.Validate.check_lossy model r.Mlbs_core.Localized.schedule in
+  let r = Mlbs_proto.Localized.run model ~source ~start:1 in
+  let check = Mlbs_sim.Validate.check_lossy model r.Mlbs_proto.Localized.schedule in
   Printf.printf "localized protocol (2-hop views, E-based selection, exponential back-off)\n";
-  Printf.printf "latency:         %d %s\n" r.Mlbs_core.Localized.latency
+  Printf.printf "latency:         %d %s\n" r.Mlbs_proto.Localized.latency
     (match rate with None -> "rounds" | Some _ -> "slots");
-  Printf.printf "collisions:      %d\n" r.Mlbs_core.Localized.collisions;
-  Printf.printf "retransmissions: %d\n" r.Mlbs_core.Localized.retransmissions;
+  Printf.printf "collisions:      %d\n" r.Mlbs_proto.Localized.collisions;
+  Printf.printf "retransmissions: %d\n" r.Mlbs_proto.Localized.retransmissions;
   Printf.printf "coverage:        %s\n"
     (if check.Mlbs_sim.Validate.ok then "complete" else "INCOMPLETE");
   (* The fully distributed variant: beacons only, no oracle. *)

@@ -10,8 +10,8 @@
 module Rng = Mlbs_prng.Rng
 module Deployment = Mlbs_wsn.Deployment
 module Model = Mlbs_core.Model
-module Flooding = Mlbs_core.Flooding
-module Localized = Mlbs_core.Localized
+module Flooding = Mlbs_proto.Flooding
+module Localized = Mlbs_proto.Localized
 module Scheduler = Mlbs_core.Scheduler
 module Schedule = Mlbs_core.Schedule
 

@@ -213,13 +213,15 @@ type slot_ctx =
 
 let slot_ctx inst ~uninformed ~scheduled =
   match inst with
-  | I_udg g ->
-      ignore uninformed;
-      ignore scheduled;
-      S_udg g
+  | I_udg g -> S_udg g
   | I_sinr s -> S_sinr s
   | I_mc { graph; _ } ->
       S_mc { graph; groups = Multichannel.groups graph ~uninformed scheduled }
+
+let admit inst ~uninformed senders =
+  match inst with
+  | I_mc { graph; k } -> Multichannel.fit graph ~uninformed ~k senders
+  | I_udg _ | I_sinr _ -> senders
 
 let slot_channels = function
   | S_udg _ | S_sinr _ -> 1

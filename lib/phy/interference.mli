@@ -133,6 +133,12 @@ type slot_ctx
     survived faults). *)
 val slot_ctx : instance -> uninformed:Bitset.t -> scheduled:int list -> slot_ctx
 
+(** [admit inst ~uninformed senders] keeps, in order, the senders that
+    find a first-fit channel (the grouping {!slot_ctx} rebuilds): under
+    [Multichannel k] one that would need channel k+1 stays silent; the
+    identity on single-channel backends. *)
+val admit : instance -> uninformed:Bitset.t -> int list -> int list
+
 (** [slot_channels ctx] is how many channels the slot's first-fit
     grouping uses — the validator's overflow check against k. *)
 val slot_channels : slot_ctx -> int

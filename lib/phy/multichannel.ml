@@ -19,11 +19,14 @@ module Metrics = Mlbs_obs.Metrics
 
 let c_channel_assignments = Metrics.counter "phy/channel_assignments"
 
-(* First-fit grouping of [senders] (in list order): each sender joins
-   the lowest-indexed group it has no intra-channel (UDG vs [uninformed])
-   conflict with. Unbounded — the validator checks the group count
-   against k. *)
-let groups g ~uninformed senders =
+(* First-fit channel assignment of [senders] (in list order): each
+   sender joins the lowest-indexed group it has no intra-channel (UDG vs
+   [uninformed]) conflict with, unless that would open group [k + 1] —
+   then it is left out. Returns the groups in channel order (members
+   newest first) and the placed senders newest first. A sender's group
+   depends on earlier senders only, so first-fit over the placed
+   senders rebuilds the same groups. *)
+let assign ~k g ~uninformed senders =
   let rec place u = function
     | [] -> [ [ u ] ]
     | grp :: rest ->
@@ -31,14 +34,19 @@ let groups g ~uninformed senders =
           grp :: place u rest
         else (u :: grp) :: rest
   in
-  let gs =
-    List.fold_left
-      (fun gs u ->
-        Metrics.incr c_channel_assignments;
-        place u gs)
-      [] senders
-  in
-  List.map List.rev gs
+  List.fold_left
+    (fun (gs, placed) u ->
+      Metrics.incr c_channel_assignments;
+      let gs' = place u gs in
+      if List.length gs' > k then (gs, placed) else (gs', u :: placed))
+    ([], []) senders
+
+(* Unbounded grouping — the validator checks the group count against k. *)
+let groups g ~uninformed senders =
+  List.map List.rev (fst (assign ~k:max_int g ~uninformed senders))
+
+(* The senders that find one of [k] channels. *)
+let fit g ~uninformed ~k senders = List.rev (snd (assign ~k g ~uninformed senders))
 
 (* Rendezvous reception: [rx] tunes the lowest channel on which any
    *scheduled* sender is adjacent (receivers know the schedule, not the

@@ -5,7 +5,6 @@ module Wake_schedule = Mlbs_dutycycle.Wake_schedule
 module Model = Mlbs_core.Model
 module Schedule = Mlbs_core.Schedule
 module Interference = Mlbs_phy.Interference
-module Sinr = Mlbs_phy.Sinr
 module Fault = Mlbs_sim.Fault
 module Metrics = Mlbs_obs.Metrics
 module Otrace = Mlbs_obs.Trace
@@ -53,7 +52,6 @@ type stats = {
    region of the network stops paying for its beacons' contents. *)
 type nstate = {
   view : Hello.view;
-  e : int array;
   known : int array;  (** the node's 2-hop universe (excluding itself), sorted *)
   local_index : (int, int) Hashtbl.t;  (** id -> index into the local universe *)
   adj : Bitset.t array;
@@ -90,14 +88,7 @@ type nstate = {
   mutable has_msg : bool;
   mutable attempts : int;
   mutable silent_until : int;
-  mutable stalled : int;
-      (** eligible slots in a row during which this node neither sent
-          nor heard any data — divergent local selections can deadlock
-          (everyone defers to someone else's class); after
-          [stall_limit] such slots the node transmits unconditionally *)
 }
-
-let stall_limit = 4
 
 (* Belief writers: flips of a 1-hop neighbour's state invalidate the
    cached payload (and, for holds, the maintained request count and
@@ -150,12 +141,6 @@ let refresh_payload st =
     st.pay_dirty <- false
   end
 
-(* Deterministic exponential back-off, as in [Mlbs_core.Localized]. *)
-let backoff u attempts =
-  let window = 1 lsl min attempts 6 in
-  let h = (u * 2654435761) lxor (attempts * 40503) in
-  (h land max_int) mod window
-
 let run ?max_slots ?(faults = Fault.none) ?max_attempts model ~source ~start =
   Otrace.with_span ~arg:start ~cat:"proto" "broadcast" @@ fun () ->
   let n = Model.n_nodes model in
@@ -166,10 +151,7 @@ let run ?max_slots ?(faults = Fault.none) ?max_attempts model ~source ~start =
   let max_attempts =
     match max_attempts with Some m -> m | None -> if fault_active then 8 else max_int
   in
-  let rate =
-    match Model.system model with Model.Sync -> 1 | Model.Async s -> Wake_schedule.rate s
-  in
-  let max_slots = match max_slots with Some m -> m | None -> 64 * n * rate in
+  let max_slots = Online.max_slots model max_slots in
   let { Hello.views; messages = hello_messages } = Hello.discover (Model.network model) in
   let e_result = E_protocol.construct ~faults model views in
   let states =
@@ -202,7 +184,6 @@ let run ?max_slots ?(faults = Fault.none) ?max_attempts model ~source ~start =
         let npos = Array.of_list view.Hello.neighbor_position in
         {
           view;
-          e;
           known;
           local_index;
           adj;
@@ -234,7 +215,6 @@ let run ?max_slots ?(faults = Fault.none) ?max_attempts model ~source ~start =
           has_msg = u = source;
           attempts = 0;
           silent_until = 0;
-          stalled = 0;
         })
   in
   (* Resolve each directed edge once: where every digest slot of u's
@@ -256,32 +236,17 @@ let run ?max_slots ?(faults = Fault.none) ?max_attempts model ~source ~start =
      schedule; a node's own radio follows its true, possibly jittered,
      clock. The gap between the two is exactly the fault being
      injected — with zero jitter both schedules are the same value. *)
-  let self_sched =
+  let self_system =
     match Model.system model with
-    | Model.Sync -> None
-    | Model.Async sched -> Some (Fault.jittered faults sched)
+    | Model.Sync -> Model.Sync
+    | Model.Async sched -> Model.Async (Fault.jittered faults sched)
   in
-  let awake u ~slot =
-    match Model.system model with
+  let awake_self u ~slot =
+    match self_system with
     | Model.Sync -> true
     | Model.Async sched -> Wake_schedule.awake sched u ~slot
   in
-  let awake_self u ~slot =
-    match self_sched with None -> true | Some sched -> Wake_schedule.awake sched u ~slot
-  in
-  let nth_wake u t k =
-    let rec go t k =
-      if k <= 0 then t
-      else
-        let t' =
-          match self_sched with
-          | None -> t + 1
-          | Some sched -> Wake_schedule.next_wake sched u ~after:t
-        in
-        go t' (k - 1)
-    in
-    go t k
-  in
+  let stalled = Array.make n 0 in
   let beacon_messages = ref hello_messages in
   let collisions = ref 0 in
   let lost_packets = ref 0 in
@@ -312,27 +277,18 @@ let run ?max_slots ?(faults = Fault.none) ?max_attempts model ~source ~start =
                 let tgt = st.edge_tgt.(j) in
                 for k = 0 to Array.length tgt - 1 do
                   let i = tgt.(k) in
-                  if i >= 0 then begin
-                    (* Under faults, a node's holdership can regress
-                       (crash + recovery loses the message), so
-                       second-hand claims about a direct neighbour —
-                       whose own beacons are authoritative and arrive
-                       here first-hand — are ignored rather than
-                       monotonically believed. Fault-free the two
-                       rules coincide: a digest only ever lags the
-                       first-hand beacon it was built from. *)
-                    if ((not fault_active) || not dst.is_nbr.(i)) && st.dig_h.(k) then
-                      set_holds dst i true;
-                    (* Second-hand counts only fill in 2-hop nodes. *)
-                    if not dst.is_nbr.(i) then begin
-                      set_requests dst i st.dig_r.(k);
-                      set_score dst i st.dig_s.(k)
-                    end
+                  (* Second-hand claims only fill in 2-hop nodes: a direct
+                     neighbour's own beacon is authoritative and arrives
+                     here first-hand — under faults its holdership can
+                     even regress (crash + recovery loses the message). *)
+                  if i >= 0 && not dst.is_nbr.(i) then begin
+                    if st.dig_h.(k) then set_holds dst i true;
+                    set_requests dst i st.dig_r.(k);
+                    set_score dst i st.dig_s.(k)
                   end
                 done;
                 let i = st.edge_self.(j) in
-                if fault_active then set_holds dst i st.has_msg
-                else if st.has_msg then set_holds dst i true;
+                set_holds dst i st.has_msg;
                 set_requests dst i st.pay_req;
                 set_score dst i st.pay_e
               end)
@@ -344,7 +300,7 @@ let run ?max_slots ?(faults = Fault.none) ?max_attempts model ~source ~start =
   let eligible u ~slot =
     let st = states.(u) in
     st.has_msg
-    && ((not fault_active) || Fault.alive faults ~slot u)
+    && Fault.alive faults ~slot u
     && awake_self u ~slot
     && st.silent_until <= slot
     && st.own_req > 0
@@ -353,7 +309,7 @@ let run ?max_slots ?(faults = Fault.none) ?max_attempts model ~source ~start =
   let decide u ~slot =
     let st = states.(u) in
     if not (eligible u ~slot) then false
-    else if st.stalled >= stall_limit then true
+    else if stalled.(u) >= Online.stall_limit then true
     else begin
       (* Candidates this node can see: itself plus believed holders with
          requests in its 2-hop view, filtered by wake forecast. Each
@@ -363,7 +319,7 @@ let run ?max_slots ?(faults = Fault.none) ?max_attempts model ~source ~start =
       let others = ref [] in
       for i = Array.length st.known - 1 downto 0 do
         let x = st.known.(i) in
-        if st.b_holds.(i) && st.b_requests.(i) > 0 && awake x ~slot then
+        if st.b_holds.(i) && st.b_requests.(i) > 0 && Model.awake model x ~slot then
           others := (x, st.b_requests.(i), i) :: !others
       done;
       let cands = (u, st.own_req, size - 1) :: !others in
@@ -386,55 +342,30 @@ let run ?max_slots ?(faults = Fault.none) ?max_attempts model ~source ~start =
       in
       match classes with
       | [] -> false
-      | first :: _ ->
-          let best = ref first and best_score = ref (score first) in
-          List.iter
-            (fun cls ->
-              let s = score cls in
-              if s > !best_score then begin
-                best := cls;
-                best_score := s
-              end)
-            classes;
-          List.exists (fun (x, _, _) -> x = u) !best
+      | first :: rest ->
+          let best, _ =
+            List.fold_left
+              (fun (best, bs) cls ->
+                let s = score cls in
+                if s > bs then (cls, s) else (best, bs))
+              (first, score first) rest
+          in
+          List.exists (fun (x, _, _) -> x = u) best
     end
   in
 
-  (* Per-slot radio scratch, reused across slots: who sent, who is in
-     radio range of a sender (the sender set plus its neighbourhoods),
-     and how many senders cover each node — replacing the old
-     O(n·|senders|) [List.mem]/[mem_edge] scans with one pass over the
-     senders' adjacency lists and O(1) probes. *)
-  let graph = Model.graph model in
-  (* Ground-truth radio physics. Under SINR the additive physical model
-     decides delivery — capture can rescue a receiver that hears several
-     transmissions, and a strong non-adjacent interferer can drown an
-     adjacent one. UDG and multi-channel both keep the audible-count
-     rule: distributed nodes share one common hopping sequence (they
-     cannot negotiate per-slot channel assignments from 2-hop views), so
-     every transmission lands on the same channel and multi-channel
-     operation degenerates to UDG (see DESIGN.md §13). *)
-  let sinr_inst =
-    match Model.phy_instance model with Interference.I_sinr s -> Some s | _ -> None
-  in
-  let sender_set = Bitset.create n in
-  let heard_set = Bitset.create n in
-  let sender_count = Array.make n 0 in
-  let last_sender = Array.make n (-1) in
   (* A recovering node rejoins with amnesia: no message (unless it is
      the source, which re-originates), no beliefs, a fresh retry
      budget. Its neighbours re-learn its true state from its first
      authoritative beacon and the unresolved requests pull the relays
      back into the greedy re-coloring. *)
   let recoveries =
-    if not fault_active then []
-    else
-      List.filter_map
-        (fun (c : Fault.crash) ->
-          match c.Fault.recover with Some r -> Some (r, c.Fault.node) | None -> None)
-        (Fault.spec faults).Fault.crashes
+    List.filter_map
+      (fun (c : Fault.crash) ->
+        match c.Fault.recover with Some r -> Some (r, c.Fault.node) | None -> None)
+      (Fault.spec faults).Fault.crashes
   in
-  let last_recovery = List.fold_left (fun acc (r, _) -> max acc r) 0 recoveries in
+  let last_recovery = List.fold_left (fun acc (r, _) -> max acc r) (start - 1) recoveries in
   let revive node =
     let st = states.(node) in
     Array.fill st.b_holds 0 (Array.length st.b_holds) false;
@@ -446,28 +377,22 @@ let run ?max_slots ?(faults = Fault.none) ?max_attempts model ~source ~start =
     st.has_msg <- node = source;
     st.attempts <- 0;
     st.silent_until <- 0;
-    st.stalled <- 0;
+    stalled.(node) <- 0;
     if node <> source then Bitset.remove truly_informed node
   in
   let all_alive_informed slot =
-    let ok = ref true in
-    for u = 0 to n - 1 do
-      if Fault.alive faults ~slot u && not (Bitset.mem truly_informed u) then ok := false
-    done;
-    !ok
+    List.for_all
+      (fun u -> Bitset.mem truly_informed u || not (Fault.alive faults ~slot u))
+      (List.init n Fun.id)
   in
   let progress_possible slot =
-    let any = ref false in
-    Array.iteri
-      (fun u st ->
-        if
-          Fault.alive faults ~slot u
-          && st.has_msg
-          && st.attempts < max_attempts
-          && st.own_req > 0
-        then any := true)
-      states;
-    !any
+    Array.exists
+      (fun st ->
+        Fault.alive faults ~slot st.view.Hello.id
+        && st.has_msg
+        && st.attempts < max_attempts
+        && st.own_req > 0)
+      states
   in
   (* One slot's work, factored out of the recursion so the per-slot
      span covers exactly this body and slots appear as sibling spans
@@ -475,54 +400,21 @@ let run ?max_slots ?(faults = Fault.none) ?max_attempts model ~source ~start =
      to the caller's [loop (slot + 1)]. *)
   let slot_body slot =
       Metrics.incr m_slots;
-      if fault_active then
-        List.iter (fun (r, node) -> if r = slot then revive node) recoveries;
+      List.iter (fun (r, node) -> if r = slot then revive node) recoveries;
       beacon_phase ~slot;
-      let senders = List.filter (fun u -> decide u ~slot) (List.init n Fun.id) in
+      let senders =
+        Online.admit model ~informed:truly_informed
+          (List.filter (fun u -> decide u ~slot) (List.init n Fun.id))
+      in
       if Mlbs_obs.Obs.metrics_enabled () then Metrics.add m_sends (List.length senders);
-      Bitset.clear sender_set;
-      Bitset.clear heard_set;
-      Array.fill sender_count 0 n 0;
-      List.iter
-        (fun u ->
-          Bitset.add sender_set u;
-          Bitset.add heard_set u;
-          Mlbs_graph.Graph.iter_neighbors graph u ~f:(fun v ->
-              Bitset.add heard_set v;
-              sender_count.(v) <- sender_count.(v) + 1;
-              last_sender.(v) <- u))
-        senders;
-      (* Stall accounting: an eligible node that deferred and heard no
-         data this slot edges toward its unconditional escalation. *)
-      for u = 0 to n - 1 do
-        if Bitset.mem sender_set u then states.(u).stalled <- 0
-        else if eligible u ~slot && not (Bitset.mem heard_set u) then
-          states.(u).stalled <- states.(u).stalled + 1
-        else if Bitset.mem heard_set u then states.(u).stalled <- 0
-      done;
+      Online.note_stalls (Model.graph model) stalled ~senders ~eligible:(eligible ~slot);
       if senders <> [] then begin
         let received = ref [] in
-        for v = 0 to n - 1 do
-          if
-            (not (Bitset.mem truly_informed v))
-            && ((not fault_active) || Fault.alive faults ~slot v)
-          then begin
-            let outcome =
-              match sinr_inst with
-              | None -> (
-                  match sender_count.(v) with
-                  | 0 -> `Silent
-                  | 1 -> `Decoded last_sender.(v)
-                  | _ -> `Collision)
-              | Some s -> (
-                  match Sinr.reception s ~senders ~rx:v with
-                  | _, Some u -> `Decoded u
-                  | [], None -> `Silent
-                  | _ :: _, None -> `Collision)
-            in
-            match outcome with
-            | `Silent -> ()
-            | `Decoded tx ->
+        Online.air model ~informed:truly_informed ~senders
+          ~hears:(fun v -> Fault.alive faults ~slot v)
+          (fun v -> function
+            | Interference.Silent -> ()
+            | Interference.Delivered tx ->
                 (* Decodable transmission: the per-link roll decides
                    whether the payload survives. A corrupted copy
                    delivers nothing — the unresolved request shows up
@@ -537,11 +429,9 @@ let run ?max_slots ?(faults = Fault.none) ?max_attempts model ~source ~start =
                   incr lost_packets;
                   Metrics.incr m_lost
                 end
-            | `Collision ->
+            | Interference.Collision _ ->
                 incr collisions;
-                Metrics.incr m_collisions
-          end
-        done;
+                Metrics.incr m_collisions);
         List.iter
           (fun u ->
             let st = states.(u) in
@@ -551,8 +441,8 @@ let run ?max_slots ?(faults = Fault.none) ?max_attempts model ~source ~start =
                the backoff itself ([k] slots of conflict avoidance) and
                the extra slots the duty cycle keeps the node asleep
                beyond it — the CWT share. *)
-            let k = backoff u st.attempts + 1 in
-            let until = nth_wake u slot k in
+            let k = Online.backoff u st.attempts + 1 in
+            let until = Online.nth_wake self_system u slot k in
             Metrics.add m_wait_conflict k;
             Metrics.add m_wait_cwt (until - slot - k);
             st.silent_until <- until)
@@ -563,11 +453,7 @@ let run ?max_slots ?(faults = Fault.none) ?max_attempts model ~source ~start =
       end
   in
   let rec loop slot =
-    let finished =
-      if fault_active then slot > last_recovery && all_alive_informed slot
-      else Bitset.is_full truly_informed
-    in
-    if finished then slot - 1
+    if slot > last_recovery && all_alive_informed slot then slot - 1
     else if slot - start >= max_slots then
       if fault_active then slot - 1
       else
@@ -597,7 +483,7 @@ let run ?max_slots ?(faults = Fault.none) ?max_attempts model ~source ~start =
   Array.iter
     (fun st ->
       let u = st.view.Hello.id in
-      if (not fault_active) || Fault.alive faults ~slot:max_int u then begin
+      if Fault.alive faults ~slot:max_int u then begin
         if Bitset.mem truly_informed u then incr delivered;
         if st.attempts >= max_attempts && st.own_req > 0 then incr gave_up
       end)

@@ -3,7 +3,7 @@
 
     This is the end of the road the paper points down in §VII ("a
     localized color scheme and its selection to provide a more reliable
-    and scalable solution"): unlike [Mlbs_core.Localized] — which scopes
+    and scalable solution"): unlike {!Localized} — which scopes
     the *decision* to 2 hops but still reads the true informed set —
     nothing here touches global state except the radio itself.
 
@@ -21,9 +21,12 @@
       believes to be holders with requests), using only edges its
       {!Hello.view} can certify, and transmits iff it places itself in
       the class its (distributed) E values select.
-    + {b radio}: one audible transmission delivers; several collide.
-      A sender cannot observe its receivers directly — it backs off
-      after each attempt and learns the outcome from the next beacons;
+    + {b radio}: the model's [Interference.reception] decides what
+      each receiver hears ({!Online.air}: one audible sender under UDG,
+      capture under SINR, channel rendezvous under multi-channel), so
+      the schedule replays under the model it ran on. A sender cannot
+      observe its receivers directly — it backs off after each attempt
+      ({!Online.backoff}) and learns the outcome from the next beacons;
       unresolved requests trigger a retransmission.
 
     Imperfect knowledge (one-slot lag, uncertifiable edges) causes real

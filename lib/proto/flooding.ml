@@ -1,6 +1,8 @@
 module Bitset = Mlbs_util.Bitset
-module Graph = Mlbs_graph.Graph
-module Wake_schedule = Mlbs_dutycycle.Wake_schedule
+module Model = Mlbs_core.Model
+module Schedule = Mlbs_core.Schedule
+module Interference = Mlbs_phy.Interference
+module Fault = Mlbs_sim.Fault
 
 type variant = Once | Persistent of float
 
@@ -19,37 +21,22 @@ let coin u slot p =
   let h = ((u * 0x9E3779B1) lxor (slot * 0x85EBCA77)) land max_int in
   float_of_int (h mod 1_000_000) /. 1_000_000. < p
 
-let run ?max_slots ?delivers ?alive model variant ~source ~start =
+let run ?max_slots ?(faults = Fault.none) model variant ~source ~start =
   (match variant with
   | Persistent p when p <= 0. || p > 1. ->
       invalid_arg "Flooding.run: persistence outside (0, 1]"
   | _ -> ());
-  (* Fault hooks (plain closures: core cannot depend on the simulator's
-     [Fault] plans). Defaults are the ideal radio. *)
-  let alive u ~slot = match alive with None -> true | Some f -> f ~slot u in
-  let delivered ~slot ~tx ~rx =
-    match delivers with None -> true | Some f -> f ~slot ~tx ~rx
-  in
-  let g = Model.graph model in
   let n = Model.n_nodes model in
-  let rate =
-    match Model.system model with Model.Sync -> 1 | Model.Async s -> Wake_schedule.rate s
-  in
-  let max_slots = match max_slots with Some m -> m | None -> 64 * n * rate in
-  let w = ref (Model.initial_w model ~source) in
+  let max_slots = Online.max_slots model max_slots in
+  let w = Model.initial_w model ~source in
   let has_sent = Array.make n 0 in
   let steps = ref [] in
   let collisions = ref 0 in
-  let awake u ~slot =
-    match Model.system model with
-    | Model.Sync -> true
-    | Model.Async sched -> Wake_schedule.awake sched u ~slot
-  in
   let wants u ~slot =
-    Bitset.mem !w u
-    && alive u ~slot
-    && awake u ~slot
-    && Model.n_receivers model ~w:!w u > 0
+    Bitset.mem w u
+    && Fault.alive faults ~slot u
+    && Model.awake model u ~slot
+    && Model.n_receivers model ~w u > 0
     &&
     match variant with
     | Once -> has_sent.(u) = 0
@@ -59,31 +46,32 @@ let run ?max_slots ?delivers ?alive model variant ~source ~start =
     (* For [Once]: someone informed, un-sent, with uninformed
        neighbours, might still fire at a future wake. *)
     List.exists
-      (fun u ->
-        Bitset.mem !w u && has_sent.(u) = 0 && Model.n_receivers model ~w:!w u > 0)
+      (fun u -> Bitset.mem w u && has_sent.(u) = 0 && Model.n_receivers model ~w u > 0)
       (List.init n Fun.id)
   in
   let rec loop slot last_tx =
-    if Model.complete model ~w:!w then (true, last_tx)
+    if Model.complete model ~w then (true, last_tx)
     else if slot - start >= max_slots then (false, last_tx)
     else if variant = Once && not (pending_exists ()) then (false, last_tx)
     else begin
-      let senders = List.filter (fun u -> wants u ~slot) (List.init n Fun.id) in
+      let senders =
+        Online.admit model ~informed:w (List.filter (fun u -> wants u ~slot) (List.init n Fun.id))
+      in
       if senders = [] then loop (slot + 1) last_tx
       else begin
         let received = ref [] in
-        for v = 0 to n - 1 do
-          if (not (Bitset.mem !w v)) && alive v ~slot then begin
-            (* A corrupted packet still interferes, so the hearer count
-               is taken before the per-link delivery roll. *)
-            match List.filter (fun u -> Graph.mem_edge g u v) senders with
-            | [] -> ()
-            | [ u ] -> if delivered ~slot ~tx:u ~rx:v then received := v :: !received
-            | _ -> incr collisions
-          end
-        done;
+        (* A corrupted packet still interferes: the radio decides who is
+           decodable, then the per-link roll whether the payload
+           survives. *)
+        Online.air model ~informed:w ~senders
+          ~hears:(fun v -> Fault.alive faults ~slot v)
+          (fun v -> function
+            | Interference.Silent -> ()
+            | Interference.Delivered u ->
+                if Fault.delivers ~slot ~tx:u ~rx:v faults then received := v :: !received
+            | Interference.Collision _ -> incr collisions);
         List.iter (fun u -> has_sent.(u) <- has_sent.(u) + 1) senders;
-        List.iter (Bitset.add !w) !received;
+        List.iter (Bitset.add w) !received;
         steps := { Schedule.slot; senders; informed = List.sort compare !received } :: !steps;
         loop (slot + 1) slot
       end
@@ -94,7 +82,7 @@ let run ?max_slots ?delivers ?alive model variant ~source ~start =
   {
     schedule;
     covered;
-    informed = Bitset.cardinal !w;
+    informed = Bitset.cardinal w;
     latency = (if last_tx < start then 0 else last_tx - start + 1);
     collisions = !collisions;
     retransmissions = Array.fold_left (fun acc k -> acc + max 0 (k - 1)) 0 has_sent;

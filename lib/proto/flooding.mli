@@ -21,34 +21,35 @@
 type variant = Once | Persistent of float
 
 type result = {
-  schedule : Schedule.t;  (** every transmission attempted *)
+  schedule : Mlbs_core.Schedule.t;  (** every transmission attempted *)
   covered : bool;  (** did the message reach every node? *)
   informed : int;  (** nodes holding the message at the end *)
   latency : int;  (** slots until coverage (or until the run stopped) *)
-  collisions : int;
+  collisions : int;  (** receiver-slot outcomes the radio called a collision *)
   retransmissions : int;
 }
 
-(** [run ?max_slots ?delivers ?alive model variant ~source ~start]
-    simulates flooding. [Once] stops when no transmission is pending;
+(** [run ?max_slots ?faults model variant ~source ~start] simulates
+    flooding. [Once] stops when no transmission is pending;
     [Persistent] stops at coverage or [max_slots] (default [64 * n * r]),
     whichever first — running out of slots reports [covered = false]
     rather than raising, since non-coverage is the phenomenon being
     measured. Raises [Invalid_argument] for [Persistent p] outside
     (0, 1].
 
-    [delivers] and [alive] are fault-injection hooks (see
-    [Mlbs_sim.Fault], which this layer cannot depend on): [alive]
-    excludes crashed nodes from sending and hearing; [delivers] decides
-    whether an otherwise collision-free reception actually delivers —
-    a corrupted packet still interferes. Defaults are the ideal radio,
-    leaving fault-free runs untouched. A permanently crashed pending
-    relay under [Once] idles the run out to [max_slots]. *)
+    Receivers hear through the model's [Interference.reception]
+    ({!Online.air}), so the schedule replays under [model].
+
+    [faults] (default {!Mlbs_sim.Fault.none}, a strict no-op) excludes
+    crashed nodes from sending and hearing and rolls each otherwise
+    decodable reception for per-link loss on the data channel — a
+    corrupted packet still interferes. Wake jitter is not applied:
+    senders follow the published schedule. A permanently crashed
+    pending relay under [Once] idles the run out to [max_slots]. *)
 val run :
   ?max_slots:int ->
-  ?delivers:(slot:int -> tx:int -> rx:int -> bool) ->
-  ?alive:(slot:int -> int -> bool) ->
-  Model.t ->
+  ?faults:Mlbs_sim.Fault.t ->
+  Mlbs_core.Model.t ->
   variant ->
   source:int ->
   start:int ->

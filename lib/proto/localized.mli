@@ -20,10 +20,15 @@
     resulting schedule is therefore {e lossy} (collisions and
     retransmissions happen), which is exactly the reliability cost the
     future-work remark anticipates; [Mlbs_sim.Validate.check_lossy]
-    checks such runs. *)
+    checks such runs.
+
+    Receivers hear through the model's [Interference.reception]
+    ({!Online.air}), so the schedule replays under the model it ran on.
+    Back-off and the stall escalation that breaks deadlocked divergent
+    selections are {!Online}'s, shared with {!Broadcast_protocol}. *)
 
 type result = {
-  schedule : Schedule.t;  (** every transmission actually made *)
+  schedule : Mlbs_core.Schedule.t;  (** every transmission actually made *)
   latency : int;  (** elapsed slots until full coverage *)
   collisions : int;  (** receiver-slot collision events *)
   retransmissions : int;  (** sends beyond each node's first *)
@@ -34,9 +39,9 @@ type result = {
     [64 * n * r]) bounds the simulation; exceeding it raises [Failure]
     (a livelock would be a protocol bug — tests rely on this). *)
 val run :
-  ?tuples:Emodel.t ->
+  ?tuples:Mlbs_core.Emodel.t ->
   ?max_slots:int ->
-  Model.t ->
+  Mlbs_core.Model.t ->
   source:int ->
   start:int ->
   result

@@ -19,12 +19,9 @@ type outcome = {
   lost : (int * int * int) list;
 }
 
-let replay ?(allow_resend = false) ?failed ?(faults = Fault.none) model schedule =
+let replay ?(allow_resend = false) ?(faults = Fault.none) model schedule =
   let n = Model.n_nodes model in
-  let failed = match failed with Some f -> f | None -> Bitset.create n in
   let fault_active = not (Fault.is_noop faults) in
-  let inject_failures = not (Bitset.is_empty failed) || fault_active in
-  let alive ~slot u = (not (Bitset.mem failed u)) && Fault.alive faults ~slot u in
   (* Under jitter a node's true wake sequence drifts from the one the
      scheduler planned against; the replay judges senders by the truth. *)
   let jittered_sched =
@@ -50,56 +47,43 @@ let replay ?(allow_resend = false) ?failed ?(faults = Fault.none) model schedule
     List.map
       (fun (step : Schedule.step) ->
         let slot = step.Schedule.slot in
-        (* Crashed/failed senders emit nothing. *)
+        (* Crashed senders emit nothing. *)
         let senders, crashed =
-          List.partition (fun u -> alive ~slot u) step.Schedule.senders
+          List.partition (fun u -> Fault.alive faults ~slot u) step.Schedule.senders
         in
         List.iter (fun u -> dropped := (slot, u) :: !dropped) crashed;
+        (* Well-formedness: fault-free, a sender must hold the message
+           and be awake; double transmission is always a schedule bug. *)
+        List.iter
+          (fun u ->
+            if (not fault_active) && not (Bitset.mem w u) then
+              violate "slot %d: sender %d does not hold the message" slot u;
+            if Bitset.mem has_sent u && not allow_resend then
+              violate "slot %d: sender %d already transmitted" slot u;
+            (match Model.system model with
+            | Model.Async sched when not fault_active ->
+                if not (Wake_schedule.awake sched u ~slot) then
+                  violate "slot %d: sender %d is asleep" slot u
+            | _ -> ());
+            Bitset.add has_sent u)
+          senders;
+        (* A sender without the message emits (and interferes) nothing.
+           Under faults that is legitimate — its copy was lost upstream
+           — as is a sender jitter put to sleep: both go to [dropped]. *)
         let effective =
-          if not fault_active then begin
-            (* Fault-free path: exactly the original well-formedness
-               checks, byte-identical violations. *)
-            List.iter
-              (fun u ->
-                if not (Bitset.mem w u) then
-                  violate "slot %d: sender %d does not hold the message" slot u;
-                if Bitset.mem has_sent u && not allow_resend then
-                  violate "slot %d: sender %d already transmitted" slot u;
-                (match Model.system model with
-                | Model.Sync -> ()
-                | Model.Async sched ->
-                    if not (Wake_schedule.awake sched u ~slot) then
-                      violate "slot %d: sender %d is asleep" slot u);
-                Bitset.add has_sent u)
-              senders;
-            (* A sender that does not hold the message has nothing to
-               emit: it is flagged above but cannot deliver (or
-               interfere). *)
-            List.filter (fun u -> Bitset.mem w u) senders
-          end
-          else begin
-            (* Under faults a scheduled sender may legitimately lack the
-               message (its own copy was lost upstream) or be asleep
-               (jitter): it simply stays silent. Double transmission
-               remains a schedule bug. *)
-            List.iter
-              (fun u ->
-                if Bitset.mem has_sent u && not allow_resend then
-                  violate "slot %d: sender %d already transmitted" slot u;
-                Bitset.add has_sent u)
-              senders;
-            List.filter
-              (fun u ->
-                let holds = Bitset.mem w u in
-                let awake =
-                  match jittered_sched with
-                  | None -> true
-                  | Some sched -> Wake_schedule.awake sched u ~slot
-                in
-                if not (holds && awake) then dropped := (slot, u) :: !dropped;
-                holds && awake)
-              senders
-          end
+          List.filter
+            (fun u ->
+              let airs =
+                Bitset.mem w u
+                && ((not fault_active)
+                   ||
+                   match jittered_sched with
+                   | None -> true
+                   | Some sched -> Wake_schedule.awake sched u ~slot)
+              in
+              if fault_active && not airs then dropped := (slot, u) :: !dropped;
+              airs)
+            senders
         in
         (* Reception: an uninformed node hearing exactly one transmission
            receives — if the payload survives the link; corrupted
@@ -117,7 +101,7 @@ let replay ?(allow_resend = false) ?failed ?(faults = Fault.none) model schedule
               violate "slot %d: senders need %d channels but only %d exist" slot used k
         | _ -> ());
         for v = n - 1 downto 0 do
-          if (not (Bitset.mem w v)) && alive ~slot v then
+          if (not (Bitset.mem w v)) && Fault.alive faults ~slot v then
             match Interference.reception ctx ~effective ~rx:v with
             | Interference.Silent -> ()
             | Interference.Delivered u ->
@@ -128,9 +112,9 @@ let replay ?(allow_resend = false) ?failed ?(faults = Fault.none) model schedule
         List.iter (Bitset.add claimed_w) step.Schedule.informed;
         List.iter (Bitset.add w) !received;
         (* Cross-check the scheduler's claim against the replay (not
-           meaningful when failures were injected). *)
+           meaningful when faults were injected). *)
         if
-          (not inject_failures)
+          (not fault_active)
           && !received <> List.sort_uniq compare step.Schedule.informed
         then violate "slot %d: claimed informed set differs from radio outcome" slot;
         { slot; senders; received = !received; collided = !collided })

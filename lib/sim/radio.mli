@@ -38,18 +38,16 @@ type outcome = {
           plan — the receiver heard only noise *)
 }
 
-(** [replay ?allow_resend ?failed ?faults model schedule] runs the radio
-    simulation. Never raises on a malformed schedule — problems are
-    reported in [violations] (and collisions in the per-slot events) so
-    tests can assert on them.
+(** [replay ?allow_resend ?faults model schedule] runs the radio
+    simulation through [Interference.reception] on the model's instance
+    — the call the on-line runners of [Mlbs_proto] hear through. Never
+    raises on a malformed schedule — problems are reported in
+    [violations] (and collisions in the per-slot events) so tests can
+    assert on them.
 
     [allow_resend] (default false) suppresses the send-once violation:
-    lossy protocols such as [Mlbs_core.Localized] legitimately
+    lossy protocols such as [Mlbs_proto.Localized] legitimately
     retransmit after collisions.
-
-    [failed] injects permanent crash failures: a failed node's
-    transmissions are silently dropped (reported in [dropped], not as
-    violations) and it never receives.
 
     [faults] (default {!Fault.none}) injects the full fault plan. When
     the plan {!Fault.is_noop}, the replay is byte-identical to the
@@ -57,10 +55,11 @@ type outcome = {
     under jitter are dropped silently (the schedule was computed for a
     kinder world — diverging from it is the experiment), per-link loss
     rolls decide whether a collision-free reception actually delivers,
-    and the per-slot claim check is skipped. *)
+    and the per-slot claim check is skipped. A permanent crash is a
+    plan crash that never recovers: the node's transmissions are
+    dropped (reported in [dropped]) and it never receives. *)
 val replay :
   ?allow_resend:bool ->
-  ?failed:Bitset.t ->
   ?faults:Fault.t ->
   Mlbs_core.Model.t ->
   Mlbs_core.Schedule.t ->

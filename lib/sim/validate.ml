@@ -25,18 +25,6 @@ let check model schedule = summarize (Radio.replay model schedule) ~collision_fr
 let check_lossy model schedule =
   summarize (Radio.replay ~allow_resend:true model schedule) ~collision_free:false
 
-let surviving_coverage model ~failed schedule =
-  let outcome = Radio.replay ~allow_resend:true ~failed model schedule in
-  let n = Mlbs_core.Model.n_nodes model in
-  let informed_alive = ref 0 and alive = ref 0 in
-  for v = 0 to n - 1 do
-    if not (Bitset.mem failed v) then begin
-      incr alive;
-      if Bitset.mem outcome.Radio.informed v then incr informed_alive
-    end
-  done;
-  (!informed_alive, !alive)
-
 type fault_report = {
   ok : bool;
   delivered : int;

@@ -21,17 +21,11 @@ val check : Mlbs_core.Model.t -> Mlbs_core.Schedule.t -> report
 val check_exn : Mlbs_core.Model.t -> Mlbs_core.Schedule.t -> unit
 
 (** [check_lossy model schedule] validates the run of a lossy protocol
-    (e.g. [Mlbs_core.Localized]): collisions and retransmissions are
-    tolerated and merely counted; [ok] still requires full coverage,
-    truthful per-slot claims, and senders that are informed and awake. *)
+    (the on-line runners of [Mlbs_proto], which pass it under the model
+    they ran on): collisions and retransmissions are tolerated and
+    merely counted; [ok] still requires full coverage, truthful per-slot
+    claims, and senders that are informed and awake. *)
 val check_lossy : Mlbs_core.Model.t -> Mlbs_core.Schedule.t -> report
-
-(** [surviving_coverage model ~failed schedule] replays the schedule
-    with the crash failures injected and reports which {e alive} nodes
-    the broadcast still reaches — the failure-injection measurement.
-    Returns (alive nodes informed, alive nodes total). *)
-val surviving_coverage :
-  Mlbs_core.Model.t -> failed:Mlbs_util.Bitset.t -> Mlbs_core.Schedule.t -> int * int
 
 (** Verdict of a replay under a {!Fault} plan. Full coverage is not
     required — crashes legitimately cut nodes off — but every reception
@@ -55,6 +49,8 @@ type fault_report = {
     the schedule under the fault plan and independently re-derives the
     informed progression from the outcome events, re-querying the plan
     ([Fault.delivers]/[alive] are pure) for every granted reception.
+    Crash-only plans make this the failure-injection measurement too:
+    [delivered]/[alive] are the alive nodes the broadcast still reaches.
     [allow_resend] defaults to false; pass [true] for retransmitting
     protocols. *)
 val check_under_faults :

@@ -150,7 +150,7 @@ let localized_table cfg ~n ~rate =
     seed_map cfg (fun seed ->
         let inst = Experiment.make_instance cfg ~n ~seed in
         let model = Model.create inst.Experiment.net (system_of ~seed) in
-        let local = Mlbs_core.Localized.run model ~source:inst.Experiment.source ~start:1 in
+        let local = Mlbs_proto.Localized.run model ~source:inst.Experiment.source ~start:1 in
         let central =
           Emodel.plan model ~source:inst.Experiment.source ~start:1 |> Schedule.elapsed
         in
@@ -159,9 +159,9 @@ let localized_table cfg ~n ~rate =
   let meanf f = Stats.mean (List.map f runs) in
   Tab.add_float_row tab ~label:"localized (2-hop views)"
     [
-      meanf (fun (l, _) -> float_of_int l.Mlbs_core.Localized.latency);
-      meanf (fun (l, _) -> float_of_int l.Mlbs_core.Localized.collisions);
-      meanf (fun (l, _) -> float_of_int l.Mlbs_core.Localized.retransmissions);
+      meanf (fun (l, _) -> float_of_int l.Mlbs_proto.Localized.latency);
+      meanf (fun (l, _) -> float_of_int l.Mlbs_proto.Localized.collisions);
+      meanf (fun (l, _) -> float_of_int l.Mlbs_proto.Localized.retransmissions);
     ];
   Tab.add_float_row tab ~label:"centralized E-model"
     [ meanf (fun (_, c) -> float_of_int c); 0.; 0. ];
@@ -224,18 +224,18 @@ let protocol_table cfg ~n =
   in
   let flood variant (inst : Experiment.instance) =
     let model = Model.create inst.Experiment.net Model.Sync in
-    let r = Mlbs_core.Flooding.run model variant ~source:inst.Experiment.source ~start:1 in
-    ( float_of_int r.Mlbs_core.Flooding.latency,
-      float_of_int r.Mlbs_core.Flooding.collisions,
-      float_of_int r.Mlbs_core.Flooding.retransmissions,
-      float_of_int r.Mlbs_core.Flooding.informed /. float_of_int n )
+    let r = Mlbs_proto.Flooding.run model variant ~source:inst.Experiment.source ~start:1 in
+    ( float_of_int r.Mlbs_proto.Flooding.latency,
+      float_of_int r.Mlbs_proto.Flooding.collisions,
+      float_of_int r.Mlbs_proto.Flooding.retransmissions,
+      float_of_int r.Mlbs_proto.Flooding.informed /. float_of_int n )
   in
   let localized (inst : Experiment.instance) =
     let model = Model.create inst.Experiment.net Model.Sync in
-    let r = Mlbs_core.Localized.run model ~source:inst.Experiment.source ~start:1 in
-    ( float_of_int r.Mlbs_core.Localized.latency,
-      float_of_int r.Mlbs_core.Localized.collisions,
-      float_of_int r.Mlbs_core.Localized.retransmissions,
+    let r = Mlbs_proto.Localized.run model ~source:inst.Experiment.source ~start:1 in
+    ( float_of_int r.Mlbs_proto.Localized.latency,
+      float_of_int r.Mlbs_proto.Localized.collisions,
+      float_of_int r.Mlbs_proto.Localized.retransmissions,
       1. )
   in
   let distributed (inst : Experiment.instance) =
@@ -253,8 +253,8 @@ let protocol_table cfg ~n =
     let plan = Scheduler.run model policy ~source:inst.Experiment.source ~start:1 in
     (float_of_int (Schedule.elapsed plan), 0., 0., 1.)
   in
-  row "blind flooding (once)" (pmap (flood Mlbs_core.Flooding.Once) insts);
-  row "flooding (p = 0.3)" (pmap (flood (Mlbs_core.Flooding.Persistent 0.3)) insts);
+  row "blind flooding (once)" (pmap (flood Mlbs_proto.Flooding.Once) insts);
+  row "flooding (p = 0.3)" (pmap (flood (Mlbs_proto.Flooding.Persistent 0.3)) insts);
   row "localized (2-hop oracle)" (pmap localized insts);
   row "distributed (beacons only)" (pmap distributed insts);
   row "centralized E-model" (pmap (central Scheduler.Emodel) insts);
@@ -287,11 +287,12 @@ let resilience_table cfg ~n ~kill_fraction =
                ~k:(int_of_float (kill_fraction *. float_of_int n))
                (List.filter (fun v -> v <> inst.Experiment.source) (List.init n Fun.id))
            in
-           let failed = Mlbs_util.Bitset.of_list n victims in
-           let informed, alive =
-             Mlbs_sim.Validate.surviving_coverage model ~failed plan
-           in
-           float_of_int informed /. float_of_int alive))
+           let module Fault = Mlbs_sim.Fault in
+           let crashes = List.map (fun node -> { Fault.node; at = 0; recover = None }) victims in
+           let faults = Fault.make { (Fault.spec Fault.none) with Fault.crashes } in
+           let r = Mlbs_sim.Validate.check_under_faults model ~faults plan in
+           float_of_int r.Mlbs_sim.Validate.delivered
+           /. float_of_int r.Mlbs_sim.Validate.alive))
   in
   List.iter
     (fun (label, policy) -> Tab.add_float_row tab ~label [ coverage policy ])

@@ -8,7 +8,8 @@ module Mcounter = Mlbs_core.Mcounter
 module Validate = Mlbs_sim.Validate
 module Fault = Mlbs_sim.Fault
 module Energy = Mlbs_sim.Energy
-module Flooding = Mlbs_core.Flooding
+module Flooding = Mlbs_proto.Flooding
+module Broadcast_protocol = Mlbs_proto.Broadcast_protocol
 module Metrics = Mlbs_obs.Metrics
 module Otrace = Mlbs_obs.Trace
 
@@ -153,6 +154,13 @@ let run_faulty (cfg : Config.t) ?rate ~inst_seed ?(jitter = 0) ~loss inst =
         Model.Async (Wake_schedule.create ~rate ~n_nodes:n ~seed:(inst_seed * 104729) ())
   in
   let model = Model.create ~phy:cfg.Config.model inst.net system in
+  (* The on-line runners' senders cannot agree on per-slot channels
+     from 2-hop views: they all share one channel, the UDG model. *)
+  let runner_model =
+    match cfg.Config.model with
+    | Mlbs_phy.Interference.Multichannel _ -> Model.create inst.net system
+    | _ -> model
+  in
   let faults = fault_plan cfg ~inst_seed ~jitter ~loss inst in
   let alive = alive_at_end faults ~n in
   let informed_alive sched =
@@ -163,7 +171,7 @@ let run_faulty (cfg : Config.t) ?rate ~inst_seed ?(jitter = 0) ~loss inst =
     done;
     !c
   in
-  let energy_ratio ~allow_resend ~clean ~faulty =
+  let energy_ratio model ~allow_resend ~clean ~faulty =
     let e0 = (Energy.charge ~allow_resend model clean).Energy.total in
     let e = (Energy.charge ~allow_resend ~faults model faulty).Energy.total in
     if e0 <= 0. then 1. else e /. e0
@@ -172,13 +180,8 @@ let run_faulty (cfg : Config.t) ?rate ~inst_seed ?(jitter = 0) ~loss inst =
      while delivery holds up. *)
   let flooding =
     let variant = Flooding.Persistent flooding_p in
-    let clean = Flooding.run model variant ~source:inst.source ~start:1 in
-    let faulty =
-      Flooding.run
-        ~delivers:(fun ~slot ~tx ~rx -> Fault.delivers ~slot ~tx ~rx faults)
-        ~alive:(fun ~slot u -> Fault.alive faults ~slot u)
-        model variant ~source:inst.source ~start:1
-    in
+    let clean = Flooding.run runner_model variant ~source:inst.source ~start:1 in
+    let faulty = Flooding.run ~faults runner_model variant ~source:inst.source ~start:1 in
     {
       policy = Printf.sprintf "flooding (p=%.1f)" flooding_p;
       delivery = ratio (informed_alive faulty.Flooding.schedule) alive;
@@ -186,26 +189,24 @@ let run_faulty (cfg : Config.t) ?rate ~inst_seed ?(jitter = 0) ~loss inst =
       stretch = stretch_of ~clean:clean.Flooding.latency ~faulty:faulty.Flooding.latency;
       retransmissions = faulty.Flooding.retransmissions;
       energy_overhead =
-        energy_ratio ~allow_resend:true ~clean:clean.Flooding.schedule
+        energy_ratio runner_model ~allow_resend:true ~clean:clean.Flooding.schedule
           ~faulty:faulty.Flooding.schedule;
     }
   in
   let protocol =
-    let clean = Mlbs_proto.Broadcast_protocol.run model ~source:inst.source ~start:1 in
-    let faulty =
-      Mlbs_proto.Broadcast_protocol.run ~faults model ~source:inst.source ~start:1
-    in
+    let clean = Broadcast_protocol.run runner_model ~source:inst.source ~start:1 in
+    let faulty = Broadcast_protocol.run ~faults runner_model ~source:inst.source ~start:1 in
     {
       policy = "protocol";
-      delivery = ratio faulty.Mlbs_proto.Broadcast_protocol.delivered alive;
-      latency = float_of_int faulty.Mlbs_proto.Broadcast_protocol.latency;
+      delivery = ratio faulty.Broadcast_protocol.delivered alive;
+      latency = float_of_int faulty.Broadcast_protocol.latency;
       stretch =
-        stretch_of ~clean:clean.Mlbs_proto.Broadcast_protocol.latency
-          ~faulty:faulty.Mlbs_proto.Broadcast_protocol.latency;
-      retransmissions = faulty.Mlbs_proto.Broadcast_protocol.retransmissions;
+        stretch_of ~clean:clean.Broadcast_protocol.latency
+          ~faulty:faulty.Broadcast_protocol.latency;
+      retransmissions = faulty.Broadcast_protocol.retransmissions;
       energy_overhead =
-        energy_ratio ~allow_resend:true ~clean:clean.Mlbs_proto.Broadcast_protocol.schedule
-          ~faulty:faulty.Mlbs_proto.Broadcast_protocol.schedule;
+        energy_ratio runner_model ~allow_resend:true
+          ~clean:clean.Broadcast_protocol.schedule ~faulty:faulty.Broadcast_protocol.schedule;
     }
   in
   (* Static schedules are computed for the ideal radio and then replayed
@@ -219,7 +220,8 @@ let run_faulty (cfg : Config.t) ?rate ~inst_seed ?(jitter = 0) ~loss inst =
       latency = float_of_int fr.Validate.latency;
       stretch = 1.;
       retransmissions = 0;
-      energy_overhead = energy_ratio ~allow_resend:false ~clean:schedule ~faulty:schedule;
+      energy_overhead =
+        energy_ratio model ~allow_resend:false ~clean:schedule ~faulty:schedule;
     }
   in
   let ms =

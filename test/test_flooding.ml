@@ -1,7 +1,7 @@
 module Bitset = Mlbs_util.Bitset
 module Model = Mlbs_core.Model
 module Schedule = Mlbs_core.Schedule
-module Flooding = Mlbs_core.Flooding
+module Flooding = Mlbs_proto.Flooding
 module Validate = Mlbs_sim.Validate
 module Fixtures = Mlbs_workload.Fixtures
 

@@ -1,6 +1,6 @@
 module Model = Mlbs_core.Model
 module Schedule = Mlbs_core.Schedule
-module Localized = Mlbs_core.Localized
+module Localized = Mlbs_proto.Localized
 module Validate = Mlbs_sim.Validate
 module Fixtures = Mlbs_workload.Fixtures
 
@@ -37,6 +37,21 @@ let test_max_slots_guard () =
   Alcotest.check_raises "livelock guard"
     (Failure "Localized.run: no convergence within 1 slots (protocol livelock?)")
     (fun () -> ignore (Localized.run ~max_slots:1 m ~source:11 ~start:1))
+
+(* The CLI's instances ([mlbs localized -n 150 --seed s]): on these
+   seeds divergent 2-hop selections used to deadlock until the slot
+   budget ran out; the stall escalation shared with the distributed
+   protocol breaks the tie. *)
+let test_cli_instance_converges seed () =
+  let module Rng = Mlbs_prng.Rng in
+  let module Deployment = Mlbs_wsn.Deployment in
+  let net = Deployment.generate (Rng.create seed) (Deployment.paper_spec ~n_nodes:150) in
+  let source = Deployment.select_source (Rng.create seed) net ~min_ecc:5 ~max_ecc:8 in
+  let m = Model.create net Model.Sync in
+  let r = Localized.run m ~source ~start:1 in
+  Alcotest.(check bool) "covers" true (Schedule.covers_all r.Localized.schedule);
+  Alcotest.(check bool) "lossy-valid" true
+    (Validate.check_lossy m r.Localized.schedule).Validate.ok
 
 let prop ?(count = 50) name gen f =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen f)
@@ -76,5 +91,11 @@ let () =
           Alcotest.test_case "fig2 async" `Quick test_fig2_async;
           Alcotest.test_case "max_slots guard" `Quick test_max_slots_guard;
         ] );
+      ( "livelock",
+        List.map
+          (fun seed ->
+            Alcotest.test_case (Printf.sprintf "cli n=150 seed %d converges" seed) `Quick
+              (test_cli_instance_converges seed))
+          [ 2; 3; 6 ] );
       ("properties", props);
     ]

@@ -4,6 +4,7 @@ module Schedule = Mlbs_core.Schedule
 module Scheduler = Mlbs_core.Scheduler
 module Radio = Mlbs_sim.Radio
 module Validate = Mlbs_sim.Validate
+module Fault = Mlbs_sim.Fault
 module Fixtures = Mlbs_workload.Fixtures
 module Wake_schedule = Mlbs_dutycycle.Wake_schedule
 
@@ -116,6 +117,17 @@ let test_check_exn_message () =
 
 (* ---------------------- failure injection -------------------------- *)
 
+(* A plan whose [victims] crash before the first slot and never
+   recover: the permanent-failure case of the fault model. *)
+let crash_plan victims =
+  Fault.make
+    {
+      Fault.loss = Fault.No_loss;
+      crashes = List.map (fun node -> { Fault.node; at = 0; recover = None }) victims;
+      wake_jitter = 0;
+      seed = 0;
+    }
+
 let test_failure_injection_fig1 () =
   (* Kill the magenta relay (node 1) of the optimal Figure 1 schedule:
      slot 2's transmission is dropped, so node 4 never gets the message
@@ -125,12 +137,16 @@ let test_failure_injection_fig1 () =
   let { Fixtures.net; source; start; _ } = Fixtures.fig1 in
   let m = Model.create net Model.Sync in
   let plan = Scheduler.run m Scheduler.gopt ~source ~start in
-  let failed = Bitset.of_list 12 [ 1 ] in
-  let informed_alive, alive = Validate.surviving_coverage m ~failed plan in
-  Alcotest.(check int) "alive" 11 alive;
-  Alcotest.(check int) "alive informed" 7 informed_alive;
-  let outcome = Radio.replay ~failed m plan in
-  Alcotest.(check (list (pair int int))) "dropped send" [ (2, 1) ] outcome.Radio.dropped
+  let faults = crash_plan [ 1 ] in
+  let r = Validate.check_under_faults m ~faults plan in
+  Alcotest.(check int) "alive" 11 r.Validate.alive;
+  Alcotest.(check int) "alive informed" 7 r.Validate.delivered;
+  Alcotest.(check bool) "receptions conflict-free" true r.Validate.ok;
+  (* The crashed relay's send is dropped, and so is the send of the
+     relay it left without the message. *)
+  let outcome = Radio.replay ~faults m plan in
+  Alcotest.(check (list (pair int int))) "dropped sends" [ (2, 1); (3, 4) ]
+    outcome.Radio.dropped
 
 let test_failure_of_leaf_harmless () =
   (* Node 5 never relays in the fig1 optimum; killing it costs only
@@ -138,20 +154,22 @@ let test_failure_of_leaf_harmless () =
   let { Fixtures.net; source; start; _ } = Fixtures.fig1 in
   let m = Model.create net Model.Sync in
   let plan = Scheduler.run m Scheduler.gopt ~source ~start in
-  let failed = Bitset.of_list 12 [ 5 ] in
-  let informed_alive, alive = Validate.surviving_coverage m ~failed plan in
-  Alcotest.(check int) "alive" 11 alive;
-  Alcotest.(check int) "everyone else informed" 11 informed_alive
+  let r = Validate.check_under_faults m ~faults:(crash_plan [ 5 ]) plan in
+  Alcotest.(check int) "alive" 11 r.Validate.alive;
+  Alcotest.(check int) "everyone else informed" 11 r.Validate.delivered
 
 let test_no_failures_matches_plain_replay () =
+  (* An empty crash plan is the no-op plan: the replay is the plain one. *)
   let m = fig2_model () in
   let s = good_schedule () in
   let plain = Radio.replay m s in
-  let with_empty = Radio.replay ~failed:(Bitset.create 5) m s in
+  let with_empty = Radio.replay ~faults:(crash_plan []) m s in
   Alcotest.(check (list int)) "same informed"
     (Bitset.elements plain.Radio.informed)
     (Bitset.elements with_empty.Radio.informed);
-  Alcotest.(check int) "nothing dropped" 0 (List.length with_empty.Radio.dropped)
+  Alcotest.(check int) "nothing dropped" 0 (List.length with_empty.Radio.dropped);
+  Alcotest.(check (list string)) "same verdicts" plain.Radio.violations
+    with_empty.Radio.violations
 
 let test_schedule_make_validation () =
   Alcotest.check_raises "decreasing slots"
