@@ -51,9 +51,6 @@ let rate_arg =
     & info [ "r"; "rate" ] ~docv:"RATE"
         ~doc:"Duty-cycle rate in slots; omit for the synchronous system.")
 
-let make_network ~n ~seed =
-  Deployment.generate (Rng.create seed) (Deployment.paper_spec ~n_nodes:n)
-
 let model_conv =
   let parse s = Result.map_error (fun m -> `Msg m) (Interference.parse s) in
   let print ppf m = Format.pp_print_string ppf (Interference.to_string m) in
@@ -67,6 +64,34 @@ let model_arg =
           "Interference model: $(b,udg) (the paper's protocol model, default), \
            $(b,sinr)[:ALPHA,BETA,NOISE,POWER] (additive physical model), or \
            $(b,mc:K) (K-channel multi-channel scheduling).")
+
+let codec_policy = function
+  | Scheduler.Baseline -> Sv_codec.Baseline
+  | Scheduler.Emodel -> Sv_codec.Emodel
+  | Scheduler.Gopt _ -> Sv_codec.Gopt
+  | Scheduler.Opt _ -> Sv_codec.Opt
+
+let build_request ?(model = Interference.Udg) ~policy ~rate ~seed ~n ~source ~start ~load
+    () =
+  let topology =
+    match load with
+    | Some path ->
+        let g = Network.graph (Mlbs_workload.Persist.load_network path) in
+        Sv_codec.Adj
+          (Array.init (Mlbs_graph.Graph.n_nodes g) (fun u ->
+               Array.to_list (Mlbs_graph.Graph.neighbors g u)))
+    | None -> Sv_codec.Gen { n; radius = Config.default.Config.radius }
+  in
+  { Sv_codec.policy = codec_policy policy; rate; seed; topology; source; start; model }
+
+(* The paper's instance (§V.A) for N nodes and SEED: the model and
+   source the service resolves for the same generator request, so a CLI
+   run schedules what [mlbs request] would be served. The policy is not
+   part of the instance. *)
+let instance ?model ~rate ~seed ~n () =
+  Sv_daemon.instance
+    (build_request ?model ~policy:Scheduler.Emodel ~rate ~seed ~n ~source:None ~start:1
+       ~load:None ())
 
 let trace_file_arg =
   Arg.(
@@ -85,7 +110,7 @@ let metrics_file_arg =
 (* -------------------------- generate ------------------------------- *)
 
 let generate n seed save =
-  let net = make_network ~n ~seed in
+  let net = Model.network (fst (instance ~rate:None ~seed ~n ())) in
   let g = Network.graph net in
   Printf.printf "deployment: n=%d seed=%d area=50x50ft radius=10ft\n" n seed;
   Printf.printf "  edges:          %d\n" (Mlbs_graph.Graph.n_edges g);
@@ -138,15 +163,24 @@ let verbose_arg =
   Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Print every advance of the schedule.")
 
 let schedule n seed rate policy phy verbose load save =
-  let net = match load with Some path -> Mlbs_workload.Persist.load_network path | None -> make_network ~n ~seed in
-  let n = Network.n_nodes net in
-  let system =
-    match rate with
-    | None -> Model.Sync
-    | Some r -> Model.Async (Wake_schedule.create ~rate:r ~n_nodes:n ~seed ())
+  let model, source =
+    match load with
+    | None -> instance ~model:phy ~rate ~seed ~n ()
+    | Some path ->
+        (* A saved deployment keeps its geometry; the wake schedule and
+           the source window are the paper's. *)
+        let net = Mlbs_workload.Persist.load_network path in
+        let system =
+          match rate with
+          | None -> Model.Sync
+          | Some r ->
+              Model.Async (Wake_schedule.create ~rate:r ~n_nodes:(Network.n_nodes net) ~seed ())
+        in
+        ( Model.create ~phy net system,
+          Deployment.select_source (Rng.create seed) net ~min_ecc:Config.default.Config.min_ecc
+            ~max_ecc:Config.default.Config.max_ecc )
   in
-  let model = Model.create ~phy net system in
-  let source = Deployment.select_source (Rng.create seed) net ~min_ecc:5 ~max_ecc:8 in
+  let system = Model.system model in
   let plan = Scheduler.run model policy ~source ~start:1 in
   let d = Bounds.source_depth model ~source in
   let report = Validate.check model plan in
@@ -195,15 +229,8 @@ let schedule_cmd =
    result and report the quality trajectory. The improved schedule is
    radio-replayed before printing, like everything else. *)
 let improve_run n seed rate policy phy budget search_seed verbose save =
-  let net = make_network ~n ~seed in
-  let nn = Network.n_nodes net in
-  let system =
-    match rate with
-    | None -> Model.Sync
-    | Some r -> Model.Async (Wake_schedule.create ~rate:r ~n_nodes:nn ~seed ())
-  in
-  let model = Model.create ~phy net system in
-  let source = Deployment.select_source (Rng.create seed) net ~min_ecc:5 ~max_ecc:8 in
+  let model, source = instance ~model:phy ~rate ~seed ~n () in
+  let system = Model.system model in
   let plan = Scheduler.run model policy ~source ~start:1 in
   let o = Improve.improve ~seed:search_seed ~budget model plan in
   let report = Validate.check model o.Improve.schedule in
@@ -267,15 +294,7 @@ let trace_run n seed rate phy trace_file metrics_file =
     { Config.default with Config.trace_file = Some trace_file;
       metrics_file = Some metrics_file; model = phy }
   in
-  let net = make_network ~n ~seed in
-  let nn = Network.n_nodes net in
-  let system =
-    match rate with
-    | None -> Model.Sync
-    | Some r -> Model.Async (Wake_schedule.create ~rate:r ~n_nodes:nn ~seed ())
-  in
-  let model = Model.create ~phy net system in
-  let source = Deployment.select_source (Rng.create seed) net ~min_ecc:5 ~max_ecc:8 in
+  let model, source = instance ~model:phy ~rate ~seed ~n () in
   let plan, polished, report, stats =
     Telemetry.with_config cfg (fun () ->
         let plan = Scheduler.run model Scheduler.gopt ~source ~start:1 in
@@ -365,14 +384,8 @@ let trace_cmd =
 (* ----------------------- tree / energy ----------------------------- *)
 
 let tree n seed rate policy =
-  let net = make_network ~n ~seed in
-  let system =
-    match rate with
-    | None -> Model.Sync
-    | Some r -> Model.Async (Wake_schedule.create ~rate:r ~n_nodes:n ~seed ())
-  in
-  let model = Model.create net system in
-  let source = Deployment.select_source (Rng.create seed) net ~min_ecc:5 ~max_ecc:8 in
+  let model, source = instance ~rate ~seed ~n () in
+  let system = Model.system model in
   let plan = Scheduler.run model policy ~source ~start:1 in
   let tree = Mlbs_core.Broadcast_tree.of_schedule model plan in
   Printf.printf "policy=%s source=%d\n" (Scheduler.name ~system policy) source;
@@ -391,14 +404,8 @@ let tree_cmd =
     Term.(const tree $ nodes_arg $ seed_arg $ rate_arg $ policy_arg)
 
 let energy n seed rate policy =
-  let net = make_network ~n ~seed in
-  let system =
-    match rate with
-    | None -> Model.Sync
-    | Some r -> Model.Async (Wake_schedule.create ~rate:r ~n_nodes:n ~seed ())
-  in
-  let model = Model.create net system in
-  let source = Deployment.select_source (Rng.create seed) net ~min_ecc:5 ~max_ecc:8 in
+  let model, source = instance ~rate ~seed ~n () in
+  let system = Model.system model in
   let plan = Scheduler.run model policy ~source ~start:1 in
   let r = Mlbs_sim.Energy.charge model plan in
   Printf.printf "policy=%s latency=%d\n" (Scheduler.name ~system policy)
@@ -417,14 +424,7 @@ let energy_cmd =
     Term.(const energy $ nodes_arg $ seed_arg $ rate_arg $ policy_arg)
 
 let localized n seed rate =
-  let net = make_network ~n ~seed in
-  let system =
-    match rate with
-    | None -> Model.Sync
-    | Some r -> Model.Async (Wake_schedule.create ~rate:r ~n_nodes:n ~seed ())
-  in
-  let model = Model.create net system in
-  let source = Deployment.select_source (Rng.create seed) net ~min_ecc:5 ~max_ecc:8 in
+  let model, source = instance ~rate ~seed ~n () in
   let r = Mlbs_proto.Localized.run model ~source ~start:1 in
   let check = Mlbs_sim.Validate.check_lossy model r.Mlbs_proto.Localized.schedule in
   Printf.printf "localized protocol (2-hop views, E-based selection, exponential back-off)\n";
@@ -587,12 +587,6 @@ let endpoint socket tcp =
   | Some port -> Sv_client.Tcp { host = "127.0.0.1"; port }
   | None -> Sv_client.Unix_socket socket
 
-let codec_policy = function
-  | Scheduler.Baseline -> Sv_codec.Baseline
-  | Scheduler.Emodel -> Sv_codec.Emodel
-  | Scheduler.Gopt _ -> Sv_codec.Gopt
-  | Scheduler.Opt _ -> Sv_codec.Opt
-
 let serve socket tcp backend jobs queue cache cache_dir models improve_budget trace_file
     metrics_file =
   let base = { Config.default with Config.trace_file; metrics_file } in
@@ -713,8 +707,7 @@ let parse_backend s =
       | _ -> failwith (s ^ ": expected HOST:PORT"))
   | _ -> failwith (s ^ ": expected HOST:PORT")
 
-let fleet socket tcp backends spawn jobs replicas max_inflight health_period
-    trace_file metrics_file =
+let fleet socket tcp backends spawn jobs health_period trace_file metrics_file =
   let base = { Config.default with Config.trace_file; metrics_file } in
   Telemetry.with_config base @@ fun () ->
   match List.map parse_backend backends with
@@ -752,8 +745,6 @@ let fleet socket tcp backends spawn jobs replicas max_inflight health_period
         {
           (Sv_fleet.default_config ~backends:(named @ spawned_eps) ~socket_path:socket) with
           Sv_fleet.tcp_port = tcp;
-          replicas;
-          max_inflight;
           health_period;
         }
       in
@@ -799,17 +790,6 @@ let fleet_cmd =
       & info [ "j"; "jobs" ] ~docv:"JOBS"
           ~doc:"Solver pool size per spawned backend (default: cores / K).")
   in
-  let replicas_arg =
-    Arg.(
-      value & opt int 64
-      & info [ "replicas" ] ~docv:"N" ~doc:"Virtual points per shard on the hash ring.")
-  in
-  let max_inflight_arg =
-    Arg.(
-      value & opt int 256
-      & info [ "max-inflight" ] ~docv:"N"
-          ~doc:"Global in-flight cap; beyond it the front sheds with a retry hint.")
-  in
   let health_period_arg =
     Arg.(
       value & opt float 1.0
@@ -820,21 +800,7 @@ let fleet_cmd =
     (Cmd.info "fleet" ~doc:"Run the fleet front tier over backend shards")
     Term.(
       const fleet $ socket_arg $ tcp_arg $ backends_arg $ spawn_arg $ jobs_arg
-      $ replicas_arg $ max_inflight_arg $ health_period_arg
-      $ trace_file_arg $ metrics_file_arg)
-
-let build_request ?(model = Interference.Udg) ~policy ~rate ~seed ~n ~source ~start ~load
-    () =
-  let topology =
-    match load with
-    | Some path ->
-        let g = Network.graph (Mlbs_workload.Persist.load_network path) in
-        Sv_codec.Adj
-          (Array.init (Mlbs_graph.Graph.n_nodes g) (fun u ->
-               Array.to_list (Mlbs_graph.Graph.neighbors g u)))
-    | None -> Sv_codec.Gen { n; radius = Config.default.Config.radius }
-  in
-  { Sv_codec.policy = codec_policy policy; rate; seed; topology; source; start; model }
+      $ health_period_arg $ trace_file_arg $ metrics_file_arg)
 
 (* Version 0 replies are the deterministic construction and must be
    byte-identical to a direct solve. A version-upgraded reply (the
@@ -850,21 +816,13 @@ let verify_against_local req (ok : Sv_codec.ok_reply) =
     report.Validate.ok
     && Schedule.elapsed ok.Sv_codec.schedule <= Schedule.elapsed local
 
-(* The client-side replica of the base topology a delta drifts: the
-   same deployment recipe the daemon resolves for the request, so the
-   generated rewires apply to the graph the daemon actually holds. *)
-let base_network ~n ~seed ~load =
+(* The base deployment a delta drifts: the network the daemon resolves
+   for a generator request, so the generated rewires apply to the graph
+   it actually holds; a saved deployment drifts its own geometry. *)
+let base_network req ~load =
   match load with
   | Some path -> Mlbs_workload.Persist.load_network path
-  | None ->
-      Deployment.generate (Rng.create seed)
-        {
-          Deployment.n_nodes = n;
-          width = Config.default.Config.width;
-          height = Config.default.Config.height;
-          radius = Config.default.Config.radius;
-          shape = Deployment.Uniform;
-        }
+  | None -> Model.network (Sv_daemon.model_of req)
 
 (* One churn event: drift [k] nodes of [net] by up to 20% of the radius
    and ship the resulting rewires as a wire delta. *)
@@ -880,7 +838,7 @@ let request socket tcp n seed rate policy model source start load delta delta_se
   let outcome, vreq =
     if delta = 0 then (Sv_client.request_retry c req, req)
     else begin
-      let net = base_network ~n ~seed ~load in
+      let net = base_network req ~load in
       let _, d = drift_delta (Rng.create delta_seed) net ~k:delta in
       Printf.printf "delta:         %d nodes drifted, %d rewired\n" delta
         (List.length d.Sv_codec.d_rewired);
@@ -984,7 +942,7 @@ let churn_loadgen ep ~requests ~n ~seeds ~policy ~rate ~model ~churn ~verify_sam
     let base =
       build_request ~model ~policy ~rate ~seed:s ~n ~source:None ~start:1 ~load:None ()
     in
-    let net = base_network ~n ~seed:s ~load:None in
+    let net = base_network base ~load:None in
     (match time (fun () -> Sv_client.request_retry ~attempts:8 c base) with
     | Sv_client.Ok _, us -> cold := us :: !cold
     | (Sv_client.Rejected _ | Sv_client.Error _), _ -> incr errors);

@@ -47,7 +47,7 @@ let () =
   List.iter
     (fun u -> Printf.printf "  E_2(%s) = %d\n" (name u) (Emodel.value e ~node:u Q.Q2))
     [ 7; 8; 9; 0; 4; 5; 6; 10; 1 ];
-  let plan = Emodel.plan ~tuples:e model ~source ~start in
+  let plan = Emodel.plan model ~source ~start in
   Printf.printf "E-model latency: %d rounds (the optimum)\n\n" (Schedule.elapsed plan);
 
   (* The prior layered scheme cannot pipeline across BFS layers. *)

@@ -1,7 +1,5 @@
 module Bitset = Mlbs_util.Bitset
 module Bfs = Mlbs_graph.Bfs
-module Coloring = Mlbs_graph.Coloring
-module Graph = Mlbs_graph.Graph
 
 (* Colour the relays of one BFS layer: relays are the layer members with
    an uninformed neighbour; "uninformed" for both receivers and the
@@ -13,11 +11,10 @@ let layer_classes model ~w layer =
   let counts = List.map (fun u -> (u, Model.n_receivers model ~w u)) relays in
   Model.color_classes model ~uninformed counts
 
-let plan model ~source ~start =
+let layered ~name layering model ~source ~start =
   (match Model.system model with
   | Model.Sync -> ()
-  | Model.Async _ -> invalid_arg "Baseline26.plan: synchronous model required");
-  let layers = Bfs.layers (Model.graph model) ~source in
+  | Model.Async _ -> invalid_arg (name ^ ": synchronous model required"));
   let w = ref (Model.initial_w model ~source) in
   let t = ref start in
   let steps = ref [] in
@@ -34,7 +31,10 @@ let plan model ~source ~start =
           incr t;
           w := w')
         classes)
-    layers;
+    (layering model ~source);
   if not (Model.complete model ~w:!w) then
-    failwith "Baseline26.plan: broadcast did not cover the network (disconnected?)";
+    failwith (name ^ ": broadcast did not cover the network (disconnected?)");
   Schedule.make ~n_nodes:(Model.n_nodes model) ~source ~start (List.rev !steps)
+
+let plan =
+  layered ~name:"Baseline26.plan" (fun model ~source -> Bfs.layers (Model.graph model) ~source)

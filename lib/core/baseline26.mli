@@ -13,6 +13,20 @@
     [Invalid_argument] under [Async] (use {!Baseline17}). *)
 val plan : Model.t -> source:int -> start:int -> Schedule.t
 
+(** [layered ~name layering model ~source ~start] fires the layers
+    [layering model ~source] in order, each layer's {!layer_classes} in
+    consecutive rounds. {!plan} layers by BFS hop distance;
+    [Baseline_cds] by hop distance inside its backbone. Raises
+    [Invalid_argument] under [Async] and [Failure] when the layers do
+    not cover the network, both messages prefixed with [name]. *)
+val layered :
+  name:string ->
+  (Model.t -> source:int -> int list list) ->
+  Model.t ->
+  source:int ->
+  start:int ->
+  Schedule.t
+
 (** [layer_classes model ~w layer] colours one BFS layer's relays the
     way the hop-distance schemes do: relays are the layer members with
     an uninformed neighbour; the greedy order is descending receiver

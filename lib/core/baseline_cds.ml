@@ -1,45 +1,21 @@
 module Bitset = Mlbs_util.Bitset
 module Bfs = Mlbs_graph.Bfs
 module Cds = Mlbs_graph.Cds
-module Coloring = Mlbs_graph.Coloring
 module Graph = Mlbs_graph.Graph
 
-let plan model ~source ~start =
-  (match Model.system model with
-  | Model.Sync -> ()
-  | Model.Async _ -> invalid_arg "Baseline_cds.plan: synchronous model required");
+(* The message travels along the backbone only, so layers are hop
+   distances *within* the induced backbone subgraph (a graph-wide BFS
+   layer could contain a backbone node whose backbone path is longer,
+   which would strand it). The backbone is connected and the source is
+   adjacent to it, so the induced BFS reaches every relay. *)
+let backbone_layers model ~source =
   let g = Model.graph model in
   let n = Model.n_nodes model in
   let backbone = Bitset.of_list n (Cds.greedy g) in
   Bitset.add backbone source;
-  (* The message travels along the backbone only, so layers are hop
-     distances *within* the induced backbone subgraph (a graph-wide BFS
-     layer could contain a backbone node whose backbone path is longer,
-     which would strand it). The backbone is connected and the source
-     is adjacent to it, so the induced BFS reaches every relay. *)
   let backbone_edges =
     List.filter (fun (u, v) -> Bitset.mem backbone u && Bitset.mem backbone v) (Graph.edges g)
   in
-  let induced = Graph.of_edges ~n backbone_edges in
-  let layers = Bfs.layers induced ~source in
-  let w = ref (Model.initial_w model ~source) in
-  let t = ref start in
-  let steps = ref [] in
-  List.iter
-    (fun layer ->
-      let relays = List.filter (fun u -> Model.n_receivers model ~w:!w u > 0) layer in
-      let uninformed = Bitset.complement !w in
-      let counts = List.map (fun u -> (u, Model.n_receivers model ~w:!w u)) relays in
-      let classes = Model.color_classes model ~uninformed counts in
-      List.iter
-        (fun senders ->
-          let w' = Model.apply model ~w:!w ~senders in
-          let informed = Bitset.elements (Bitset.diff w' !w) in
-          steps := { Schedule.slot = !t; senders; informed } :: !steps;
-          incr t;
-          w := w')
-        classes)
-    layers;
-  if not (Model.complete model ~w:!w) then
-    failwith "Baseline_cds.plan: broadcast did not cover the network";
-  Schedule.make ~n_nodes:n ~source ~start (List.rev !steps)
+  Bfs.layers (Graph.of_edges ~n backbone_edges) ~source
+
+let plan = Baseline26.layered ~name:"Baseline_cds.plan" backbone_layers

@@ -10,9 +10,12 @@ type t = { values : int array array (* node -> quadrant index -> E *) }
 let infinity_ = max_int
 
 (* Proactive CWT estimate for Eq. (11): the mean wait from [v]'s wake-ups
-   (first [frames] frames) until [u]'s next wake — computable by [v] from
-   [u]'s seed and last active slot. At least 1, like any real wait. *)
-let edge_weight model ~cwt_frames v u =
+   (first [cwt_frames] frames) until [u]'s next wake — computable by [v]
+   from [u]'s seed and last active slot. At least 1, like any real
+   wait. *)
+let cwt_frames = 4
+
+let edge_weight model v u =
   match Model.system model with
   | Model.Sync -> 1
   | Model.Async sched ->
@@ -32,7 +35,7 @@ let edge_weight model ~cwt_frames v u =
    [v ∈ Q_opp(i)(u)] — with [E_i(v) = w(v,u) + E_i(u)]. [updatable]
    restricts which nodes may change (phase B must not touch phase-A
    results). *)
-let relax model ~cwt_frames ~qi values updatable =
+let relax model ~qi values updatable =
   let net = Model.network model in
   let opp = Quadrant.opposite qi in
   let cmp (d1, _) (d2, _) = compare d1 d2 in
@@ -46,7 +49,7 @@ let relax model ~cwt_frames ~qi values updatable =
           Array.iter
             (fun v ->
               if updatable.(v) then begin
-                let cand = edge_weight model ~cwt_frames v u + d in
+                let cand = edge_weight model v u + d in
                 if cand < values.(v) then begin
                   values.(v) <- cand;
                   Heap.push heap (cand, v)
@@ -59,7 +62,7 @@ let relax model ~cwt_frames ~qi values updatable =
 
 type seeding = Two_phase | Merged
 
-let compute ?(cwt_frames = 4) ?(seeding = Two_phase) model =
+let compute ?(seeding = Two_phase) model =
   let net = Model.network model in
   let n = Model.n_nodes model in
   let boundary = Array.make n false in
@@ -78,7 +81,7 @@ let compute ?(cwt_frames = 4) ?(seeding = Two_phase) model =
         if (seeding = Merged || boundary.(u)) && empty_quadrant u then vq.(u) <- 0
       done;
       let all = Array.make n true in
-      relax model ~cwt_frames ~qi vq all;
+      relax model ~qi vq all;
       (* Phase B: re-seed interior local minima (step 5), then update the
          remaining ∞ values — and only those (step 6). A no-op under
          [Merged], where those nodes were seeded up front. *)
@@ -86,7 +89,7 @@ let compute ?(cwt_frames = 4) ?(seeding = Two_phase) model =
       for u = 0 to n - 1 do
         if vq.(u) = infinity_ && empty_quadrant u then vq.(u) <- 0
       done;
-      relax model ~cwt_frames ~qi vq updatable;
+      relax model ~qi vq updatable;
       Array.iteri
         (fun u d ->
           if d = infinity_ then
@@ -155,7 +158,6 @@ let pipeline ~classes_of ~select model ~source ~start =
   let steps = loop (Model.initial_w model ~source) start [] in
   Schedule.make ~n_nodes:(Model.n_nodes model) ~source ~start steps
 
-let plan ?tuples model ~source ~start =
-  let tuples = match tuples with Some t -> t | None -> compute model in
-  pipeline ~classes_of:(Model.greedy_classes model) ~select:(select tuples model) model ~source
-    ~start
+let plan model ~source ~start =
+  pipeline ~classes_of:(Model.greedy_classes model) ~select:(select (compute model) model) model
+    ~source ~start

@@ -37,19 +37,19 @@ type t
       two-phase ones. *)
 type seeding = Two_phase | Merged
 
-(** [compute ?cwt_frames ?seeding model] builds the tuples. Under
-    [Async], the per-edge weight [t(u,v)] is estimated proactively as
-    the mean CWT from [u]'s wake-ups to [v]'s next wake-up over the
-    first [cwt_frames] frames (default 4) — the forecast any node can
-    make from its neighbour's seed and last active slot. *)
-val compute : ?cwt_frames:int -> ?seeding:seeding -> Model.t -> t
+(** [compute ?seeding model] builds the tuples. Under [Async], the
+    per-edge weight [t(u,v)] is estimated proactively as the mean CWT
+    from [u]'s wake-ups to [v]'s next wake-up over the first 4 frames —
+    the forecast any node can make from its neighbour's seed and last
+    active slot. *)
+val compute : ?seeding:seeding -> Model.t -> t
 
-(** [edge_weight model ~cwt_frames u v] is the per-hop weight of
+(** [edge_weight model u v] is the per-hop weight of
     Eq. (9)/(11): [1] under [Sync]; under [Async], the proactive
     estimate of [t(u,v)] — how long [u] waits for [v]'s next wake-up.
     Exposed for the distributed construction
     ([Mlbs_proto.E_protocol]), which must price edges the same way. *)
-val edge_weight : Model.t -> cwt_frames:int -> int -> int -> int
+val edge_weight : Model.t -> int -> int -> int
 
 (** [value t ~node q] is [E_q(node)]. After construction no value is ∞
     (every node reaches an empty-quadrant node inside its own quadrant
@@ -87,8 +87,7 @@ val pipeline :
   start:int ->
   Schedule.t
 
-(** [plan ?tuples model ~source ~start] runs the E-model broadcast:
-    at each active slot, color the candidates with Algorithm 1 and
-    launch the Eq. (10) class. [tuples] defaults to [compute model]
-    (pass it explicitly to amortise over many runs). *)
-val plan : ?tuples:t -> Model.t -> source:int -> start:int -> Schedule.t
+(** [plan model ~source ~start] runs the E-model broadcast over
+    [compute model]: at each active slot, color the candidates with
+    Algorithm 1 and launch the Eq. (10) class. *)
+val plan : Model.t -> source:int -> start:int -> Schedule.t

@@ -1,5 +1,4 @@
-let wait sched ~from_ ~at v =
-  ignore from_;
+let wait sched ~at v =
   Wake_schedule.next_wake sched v ~after:at - at
 
 let expected_wait ~rate = (float_of_int rate +. 1.) /. 2.

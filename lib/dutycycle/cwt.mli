@@ -7,11 +7,10 @@
     counts (Eq. 11), and what makes relay selection diverse across
     neighbours in the duty-cycle system. *)
 
-(** [wait sched ~from_ ~at v] is the CWT from slot [at]: the delay until
-    [v]'s first sending slot strictly after [at]. [from_] is the waiting
-    node (kept for interface symmetry / logging; the wait depends only
-    on [v]'s schedule). *)
-val wait : Wake_schedule.t -> from_:int -> at:int -> int -> int
+(** [wait sched ~at v] is the CWT from slot [at]: the delay until [v]'s
+    first sending slot strictly after [at]. It depends only on [v]'s
+    schedule, not on the waiting node. *)
+val wait : Wake_schedule.t -> at:int -> int -> int
 
 (** [expected_wait ~rate] is the mean CWT of a uniform-per-frame
     schedule observed from a uniform random slot, ≈ rate/2 + 1/2; used

@@ -66,33 +66,33 @@ let jsonl_path trace_file =
 
 (* --------------------------- metrics JSON -------------------------- *)
 
-let metrics_object ?(indent = "") snap =
+let metrics_object snap =
   let buf = Buffer.create 1024 in
   let p fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   let counters = List.filter (fun (_, v) -> match v with Metrics.Count _ -> true | _ -> false) snap in
   let gauges = List.filter (fun (_, v) -> match v with Metrics.Level _ -> true | _ -> false) snap in
   let hists = List.filter (fun (_, v) -> match v with Metrics.Dist _ -> true | _ -> false) snap in
   let scalar_block title extract items =
-    p "%s  \"%s\": {" indent title;
+    p "  \"%s\": {" title;
     List.iteri
       (fun i (name, v) ->
-        p "%s%s    \"%s\": %d" (if i = 0 then "\n" else ",\n") indent (escape name)
+        p "%s    \"%s\": %d" (if i = 0 then "\n" else ",\n") (escape name)
           (extract v))
       items;
-    if items = [] then p "},\n" else p "\n%s  },\n" indent
+    if items = [] then p "},\n" else p "\n  },\n"
   in
   p "{\n";
-  p "%s  \"schema\": \"mlbs-metrics-1\",\n" indent;
+  p "  \"schema\": \"mlbs-metrics-1\",\n";
   scalar_block "counters" (function Metrics.Count n -> n | _ -> 0) counters;
   scalar_block "gauges" (function Metrics.Level n -> n | _ -> 0) gauges;
-  p "%s  \"histograms\": {" indent;
+  p "  \"histograms\": {";
   List.iteri
     (fun i (name, v) ->
       match v with
       | Metrics.Dist { counts; total; sum } ->
-          p "%s%s    \"%s\": {\"total\": %d, \"sum\": %d, \"buckets\": ["
+          p "%s    \"%s\": {\"total\": %d, \"sum\": %d, \"buckets\": ["
             (if i = 0 then "\n" else ",\n")
-            indent (escape name) total sum;
+            (escape name) total sum;
           let first = ref true in
           Array.iteri
             (fun b c ->
@@ -105,8 +105,8 @@ let metrics_object ?(indent = "") snap =
           p "]}"
       | _ -> ())
     hists;
-  if hists = [] then p "}\n" else p "\n%s  }\n" indent;
-  p "%s}" indent;
+  if hists = [] then p "}\n" else p "\n  }\n";
+  p "}";
   Buffer.contents buf
 
 let write_metrics path snap =

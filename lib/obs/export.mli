@@ -8,11 +8,9 @@
     puts the event log next to a trace file. *)
 val jsonl_path : string -> string
 
-(** [metrics_object ?indent snap] renders a snapshot as a JSON object
-    ([{"schema": …, "counters": …, "gauges": …, "histograms": …}]);
-    [indent] prefixes every line after the first, for embedding into an
-    enclosing document (the bench JSON). *)
-val metrics_object : ?indent:string -> (string * Metrics.value) list -> string
+(** [metrics_object snap] renders a snapshot as a JSON object
+    ([{"schema": …, "counters": …, "gauges": …, "histograms": …}]). *)
+val metrics_object : (string * Metrics.value) list -> string
 
 (** [dump ?trace_file ?metrics_file ()] writes whichever artifacts were
     requested: the Trace Event Format JSON ("complete" events, µs

@@ -20,7 +20,11 @@
       conflicts only intra-channel (arXiv:2009.09190). Channels are
       derived from the schedule bytes by first-fit grouping
       ({!module:Multichannel}), never stored, so schedules stay
-      wire-compatible; [Multichannel 1] reproduces UDG exactly.
+      wire-compatible; [Multichannel 1] reproduces UDG's schedules
+      exactly. The on-line runners are not covered by this: {!admit}
+      silences every sender past the first channel, so under
+      [Multichannel 1] they take fewer slots and see fewer collisions
+      than under UDG.
 
     The spec {!t} is pure data (wire-codable, part of the service's
     cache key via {!to_string}); {!bind} attaches it to a deployment's

@@ -1,7 +1,6 @@
 module Bitset = Mlbs_util.Bitset
 module Coloring = Mlbs_graph.Coloring
 module Quadrant = Mlbs_geom.Quadrant
-module Wake_schedule = Mlbs_dutycycle.Wake_schedule
 module Model = Mlbs_core.Model
 module Schedule = Mlbs_core.Schedule
 module Interference = Mlbs_phy.Interference
@@ -233,19 +232,8 @@ let run ?max_slots ?(faults = Fault.none) ?max_attempts model ~source ~start =
         st.view.Hello.neighbors)
     states;
   (* Forecasts of neighbours' wake slots come from the published (base)
-     schedule; a node's own radio follows its true, possibly jittered,
-     clock. The gap between the two is exactly the fault being
-     injected — with zero jitter both schedules are the same value. *)
-  let self_system =
-    match Model.system model with
-    | Model.Sync -> Model.Sync
-    | Model.Async sched -> Model.Async (Fault.jittered faults sched)
-  in
-  let awake_self u ~slot =
-    match self_system with
-    | Model.Sync -> true
-    | Model.Async sched -> Wake_schedule.awake sched u ~slot
-  in
+     schedule; a node's own radio follows its own clock. *)
+  let self_system = Online.own_clock model faults in
   let stalled = Array.make n 0 in
   let beacon_messages = ref hello_messages in
   let collisions = ref 0 in
@@ -301,7 +289,7 @@ let run ?max_slots ?(faults = Fault.none) ?max_attempts model ~source ~start =
     let st = states.(u) in
     st.has_msg
     && Fault.alive faults ~slot u
-    && awake_self u ~slot
+    && Online.awake self_system u ~slot
     && st.silent_until <= slot
     && st.own_req > 0
     && st.attempts < max_attempts

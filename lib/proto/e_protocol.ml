@@ -21,7 +21,7 @@ let infinity_ = max_int
    tuple before giving those neighbours up. *)
 let retry_cap = 16
 
-let construct ?(cwt_frames = 4) ?(faults = Fault.none) model views =
+let construct ?(faults = Fault.none) model views =
   Mlbs_obs.Trace.with_span ~cat:"proto" "e-construct" @@ fun () ->
   let n = Array.length views in
   if n <> Model.n_nodes model then invalid_arg "E_protocol.construct: view count mismatch";
@@ -42,7 +42,7 @@ let construct ?(cwt_frames = 4) ?(faults = Fault.none) model views =
         buckets)
       views
   in
-  let weight u v = Emodel.edge_weight model ~cwt_frames u v in
+  let weight u v = Emodel.edge_weight model u v in
   (* Local state: own tuple, plus the last tuple received from each
      neighbour (node-indexed table of per-neighbour copies). *)
   let e =

@@ -21,7 +21,7 @@ type result = {
   retransmissions : int;  (** announcements re-sent to recover lost copies *)
 }
 
-(** [construct ?cwt_frames ?faults model views] runs the protocol on the
+(** [construct ?faults model views] runs the protocol on the
     views produced by {!Hello.discover}. Under [Async] the edge weights
     are the same proactive CWT forecasts the centralized construction
     uses (computable by a node from its neighbour's seed, §III).
@@ -34,4 +34,4 @@ type result = {
     instead of aborting. With a no-op plan the rounds and message
     counts are identical to the loss-free protocol. *)
 val construct :
-  ?cwt_frames:int -> ?faults:Mlbs_sim.Fault.t -> Mlbs_core.Model.t -> Hello.view array -> result
+  ?faults:Mlbs_sim.Fault.t -> Mlbs_core.Model.t -> Hello.view array -> result

@@ -28,6 +28,7 @@ let run ?max_slots ?(faults = Fault.none) model variant ~source ~start =
   | _ -> ());
   let n = Model.n_nodes model in
   let max_slots = Online.max_slots model max_slots in
+  let clock = Online.own_clock model faults in
   let w = Model.initial_w model ~source in
   let has_sent = Array.make n 0 in
   let steps = ref [] in
@@ -35,7 +36,7 @@ let run ?max_slots ?(faults = Fault.none) model variant ~source ~start =
   let wants u ~slot =
     Bitset.mem w u
     && Fault.alive faults ~slot u
-    && Model.awake model u ~slot
+    && Online.awake clock u ~slot
     && Model.n_receivers model ~w u > 0
     &&
     match variant with

@@ -43,8 +43,10 @@ type result = {
     [faults] (default {!Mlbs_sim.Fault.none}, a strict no-op) excludes
     crashed nodes from sending and hearing and rolls each otherwise
     decodable reception for per-link loss on the data channel — a
-    corrupted packet still interferes. Wake jitter is not applied:
-    senders follow the published schedule. A permanently crashed
+    corrupted packet still interferes. Senders follow their own,
+    possibly jittered, clock ({!Online.own_clock}), the one
+    [Mlbs_sim.Validate.check_under_faults] replays them on. A
+    permanently crashed
     pending relay under [Once] idles the run out to [max_slots]. *)
 val run :
   ?max_slots:int ->

@@ -12,8 +12,8 @@ type result = {
   retransmissions : int;
 }
 
-let run ?tuples ?max_slots model ~source ~start =
-  let tuples = match tuples with Some t -> t | None -> Emodel.compute model in
+let run ?max_slots model ~source ~start =
+  let tuples = Emodel.compute model in
   let g = Model.graph model in
   let n = Model.n_nodes model in
   let max_slots = Online.max_slots model max_slots in

@@ -34,12 +34,11 @@ type result = {
   retransmissions : int;  (** sends beyond each node's first *)
 }
 
-(** [run ?tuples ?max_slots model ~source ~start] simulates the
+(** [run ?max_slots model ~source ~start] simulates the
     protocol until every node is informed. [max_slots] (default
     [64 * n * r]) bounds the simulation; exceeding it raises [Failure]
     (a livelock would be a protocol bug — tests rely on this). *)
 val run :
-  ?tuples:Mlbs_core.Emodel.t ->
   ?max_slots:int ->
   Mlbs_core.Model.t ->
   source:int ->

@@ -19,7 +19,6 @@ module Model = Mlbs_core.Model
 module Schedule = Mlbs_core.Schedule
 module Istate = Mlbs_core.Istate
 module Validate = Mlbs_sim.Validate
-module Obs = Mlbs_obs.Obs
 module Metrics = Mlbs_obs.Metrics
 module Trace = Mlbs_obs.Trace
 
@@ -66,7 +65,7 @@ let no_op schedule =
     escalations = 0;
   }
 
-let run ~seed ~max_us ~budget model schedule =
+let run ~seed ~budget model schedule =
   let n = Model.n_nodes model in
   let source = Schedule.source schedule in
   let start = Schedule.start schedule in
@@ -264,11 +263,7 @@ let run ~seed ~max_us ~budget model schedule =
   in
   let k = ref 1 in
   let since_accept = ref 0 and since_best = ref 0 in
-  let deadline = Option.map (fun us -> Obs.now_us () +. us) max_us in
-  let timed_out () =
-    match deadline with None -> false | Some d -> Obs.now_us () > d
-  in
-  while !evals < budget && not (timed_out ()) do
+  while !evals < budget do
     incr evals;
     Metrics.incr m_tried;
     (match try_move ~k:!k with
@@ -320,12 +315,12 @@ let run ~seed ~max_us ~budget model schedule =
     escalations = !escal;
   }
 
-let improve ?(seed = 0) ?max_us ~budget model schedule =
+let improve ?(seed = 0) ~budget model schedule =
   if Schedule.n_nodes schedule <> Model.n_nodes model then
     invalid_arg "Improve.improve: schedule/model node count mismatch";
   if budget <= 0 || List.length (Schedule.steps schedule) <= 1 then no_op schedule
   else begin
     Metrics.incr m_runs;
     Trace.with_span ~cat:"search" "improve" (fun () ->
-        run ~seed ~max_us ~budget model schedule)
+        run ~seed ~budget model schedule)
   end

@@ -34,9 +34,8 @@
 
     Determinism: the whole search is a pure function of (model,
     schedule, seed, budget) — it draws randomness only from
-    {!Mlbs_prng.Rng} — unless a wall-clock cap is supplied and fires.
-    [budget = 0] returns the input schedule value itself, so the
-    encoded reply bytes cannot change. *)
+    {!Mlbs_prng.Rng}. [budget = 0] returns the input schedule value
+    itself, so the encoded reply bytes cannot change. *)
 
 type outcome = {
   schedule : Mlbs_core.Schedule.t;
@@ -50,16 +49,14 @@ type outcome = {
   escalations : int;  (** VNS neighborhood-size escalations *)
 }
 
-(** [improve ?seed ?max_us ~budget model schedule] runs at most
-    [budget] candidate evaluations (and at most [max_us] microseconds
-    of wall clock when given) of GLS/VNS local search from [schedule],
-    which must be a schedule for [model]'s node count. Updates the
+(** [improve ?seed ~budget model schedule] runs [budget] candidate
+    evaluations of GLS/VNS local search from [schedule], which must be
+    a schedule for [model]'s node count. Updates the
     [search/improve/*] metrics and records a ["search"] trace span when
     the registries are enabled. Raises [Invalid_argument] on a node
     count mismatch. *)
 val improve :
   ?seed:int ->
-  ?max_us:float ->
   budget:int ->
   Mlbs_core.Model.t ->
   Mlbs_core.Schedule.t ->

@@ -20,9 +20,10 @@ val protocol_version : int
     library's default budgets (the same ones [mlbs schedule] uses). *)
 type policy = Baseline | Emodel | Gopt | Opt
 
-(** What to solve over: either generator parameters — the daemon samples
-    the deployment exactly as [mlbs schedule --n N --seed S] would — or
-    an explicit symmetric adjacency shipped in the request. *)
+(** What to solve over: either generator parameters — the paper's
+    deployment recipe, {!Daemon.instance}, which [mlbs schedule --n N
+    --seed S] runs too — or an explicit symmetric adjacency shipped in
+    the request. *)
 type topology =
   | Gen of { n : int; radius : float }
   | Adj of int list array

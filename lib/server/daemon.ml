@@ -69,7 +69,7 @@ let m_upgrades = Metrics.counter "search/improve/upgrades_installed"
 
 (* ------------------------ request resolution ----------------------- *)
 
-(* The paper's source-eccentricity window, as [mlbs schedule] uses. *)
+(* The paper's source-eccentricity window (§V.A). *)
 let min_ecc = Config.default.Config.min_ecc
 let max_ecc = Config.default.Config.max_ecc
 
@@ -84,16 +84,7 @@ let network_of_adjacency adj = Network.synthetic (Graph.of_adjacency adj)
 let build_topology (req : C.request) =
   match req.C.topology with
   | C.Gen { n; radius } ->
-      let spec =
-        {
-          Deployment.n_nodes = n;
-          width = Config.default.Config.width;
-          height = Config.default.Config.height;
-          radius;
-          shape = Deployment.Uniform;
-        }
-      in
-      Deployment.generate (Rng.create req.C.seed) spec
+      Deployment.generate (Rng.create req.C.seed) { (Deployment.paper_spec ~n_nodes:n) with radius }
   | C.Adj adj -> network_of_adjacency adj
 
 let resolve_fresh (req : C.request) =
@@ -182,12 +173,16 @@ let do_solve model policy ~source ~start =
   Metrics.observe h_solve_us stats.C.solve_us;
   (stats, plan)
 
-let solve req =
+let instance req =
   let r = resolve req in
-  do_solve (model_for req r) (policy_of req.C.policy) ~source:(source_of req r)
-    ~start:req.C.start
+  let source = source_of req r in
+  (model_for req r, source)
 
-let model_of req = model_for req (resolve req)
+let solve req =
+  let model, source = instance req in
+  do_solve model (policy_of req.C.policy) ~source ~start:req.C.start
+
+let model_of req = fst (instance req)
 
 (* The edited graph of a [Reschedule] and the base's resolved source. *)
 let derived_graph ?memo (base : C.request) (delta : C.delta) =

@@ -95,16 +95,24 @@ val tcp_port : t -> int option
 
 (* ------------------------------------------------------------------ *)
 
-(** [solve req] is the reference solve path: build the topology, derive
-    the model and source, run the scheduler — no daemon, no cache. The
-    daemon's replies carry exactly this schedule. Raises [Failure] on
-    unsatisfiable requests (bad source, disconnected density, …). *)
+(** [instance req] is the model and source {!solve} schedules. A [Gen]
+    request is the paper's recipe: [Deployment.paper_spec] with its
+    radius sampled from [Rng.create seed], the wake schedule seeded by
+    [seed], and the source drawn from a fresh [Rng.create seed] in the
+    eccentricity window 5–8. The CLI builds its instances here, so a
+    CLI run and a served request schedule the same instance by
+    construction. Raises like {!solve}. *)
+val instance : Codec.request -> Mlbs_core.Model.t * int
+
+(** [solve req] is the reference solve path: {!instance}, then the
+    scheduler — no daemon, no cache. The daemon's replies carry exactly
+    this schedule. Raises [Failure] on unsatisfiable requests (bad
+    source, disconnected density, …). *)
 val solve : Codec.request -> Codec.stats * Mlbs_core.Schedule.t
 
-(** [model_of req] rebuilds the interference model [solve req] runs
-    under — what a client needs to radio-replay a served schedule (the
-    version-upgrade branch of [mlbs loadgen --verify] and [mlbs request
-    --verify]). *)
+(** [model_of req] is [fst (instance req)] — what a client needs to
+    radio-replay a served schedule (the version-upgrade branch of
+    [mlbs loadgen --verify] and [mlbs request --verify]). *)
 val model_of : Codec.request -> Mlbs_core.Model.t
 
 (** [cache_key req] is the content address the daemon files [req]

@@ -40,9 +40,7 @@ type config = {
   socket_path : string option;
   tcp_port : int option;
   backends : Client.endpoint list;
-  replicas : int;
   health_period : float;
-  max_inflight : int;
 }
 
 let default_config ~backends ~socket_path =
@@ -50,9 +48,7 @@ let default_config ~backends ~socket_path =
     socket_path = Some socket_path;
     tcp_port = None;
     backends;
-    replicas = 64;
     health_period = 1.0;
-    max_inflight = 256;
   }
 
 let endpoint_name = function
@@ -139,7 +135,7 @@ let rebuild_ring t =
     |> List.filter (fun b -> Atomic.get b.balive)
     |> List.map (fun b -> b.bname)
   in
-  t.ring <- Ring.create ~replicas:t.fcfg.replicas alive
+  t.ring <- Ring.create alive
 
 let mark_dead t b =
   if Atomic.exchange b.balive false then begin
@@ -312,12 +308,16 @@ let key_of_request_payload t ~payload req = memo_key t ~payload (fun () -> Daemo
 
 (* ---------------------------- admission ----------------------------- *)
 
+(* The global in-flight cap: beyond it the front sheds with a retry
+   hint. *)
+let max_inflight = 256
+
 let with_admission t f =
   let cur = Atomic.fetch_and_add t.inflight 1 in
   Fun.protect
     ~finally:(fun () -> ignore (Atomic.fetch_and_add t.inflight (-1)))
     (fun () ->
-      if cur >= t.fcfg.max_inflight then begin
+      if cur >= max_inflight then begin
         Metrics.incr m_shed;
         Metrics.incr family.rejected;
         C.encode (C.Reply_rejected { retry_after_ms = shed_hint t })
@@ -443,7 +443,7 @@ let start cfg =
       fcfg = cfg;
       fbackends;
       rm = Mutex.create ();
-      ring = Ring.create ~replicas:cfg.replicas [];
+      ring = Ring.create [];
       kmemo = Cache.create ~metrics_prefix:"server/fleet/keymemo" ~capacity:512 ();
       tmemo = Cache.create ~metrics_prefix:"server/fleet/topo" ~capacity:64 ();
       inflight = Atomic.make 0;

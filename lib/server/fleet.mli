@@ -13,12 +13,12 @@ type config = {
   socket_path : string option;  (** Unix-domain listener *)
   tcp_port : int option;  (** loopback TCP listener; [Some 0] = ephemeral *)
   backends : Client.endpoint list;  (** the shards, in stable order *)
-  replicas : int;  (** virtual points per shard on the ring *)
   health_period : float;  (** seconds between backend probes *)
-  max_inflight : int;  (** global in-flight cap before the front sheds *)
 }
 
-(** 64 replicas, 1 s health period, 256 in-flight, no TCP. *)
+(** 1 s health period, no TCP. The ring gives each shard
+    {!Ring.create}'s default of 64 virtual points, and the front sheds
+    beyond 256 requests in flight. *)
 val default_config : backends:Client.endpoint list -> socket_path:string -> config
 
 (** Stable shard name used on the ring and in logs: ["host:port"] for

@@ -93,7 +93,7 @@ let wake_family_table cfg ~n ~rate =
       let g =
         mean_latency cfg ~n ~plan:(plan_with (gopt cfg.Config.budget))
       in
-      let e = mean_latency cfg ~n ~plan:(plan_with (fun m -> Emodel.plan ?tuples:None m)) in
+      let e = mean_latency cfg ~n ~plan:(plan_with Emodel.plan) in
       Tab.add_float_row tab ~label [ g; e ])
     [
       ("uniform per frame", Wake_schedule.Uniform_per_frame);

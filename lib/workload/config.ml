@@ -10,7 +10,6 @@ type t = {
   max_ecc : int;
   budget : Mcounter.budget;
   opt_max_sets : int;
-  validate : bool;
   jobs : int;
   loss_rates : float list;
   crash_fraction : float;
@@ -31,7 +30,6 @@ let default =
     max_ecc = 8;
     budget = { Mcounter.max_states = 2_000; lookahead = 2; beam = 4 };
     opt_max_sets = 32;
-    validate = true;
     jobs = Mlbs_util.Pool.default_jobs ();
     loss_rates = [ 0.; 0.05; 0.1; 0.2; 0.3 ];
     crash_fraction = 0.;

@@ -13,7 +13,6 @@ type t = {
   max_ecc : int;  (** paper: 8 *)
   budget : Mlbs_core.Mcounter.budget;  (** M-search budget for OPT/G-OPT *)
   opt_max_sets : int;  (** color-set enumeration cap for OPT *)
-  validate : bool;  (** radio-replay every schedule *)
   jobs : int;
       (** worker domains for the experiment pool; instances fan out over
           [jobs] domains with byte-identical output at any setting

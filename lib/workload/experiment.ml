@@ -68,16 +68,13 @@ let policies (cfg : Config.t) =
     Scheduler.Emodel;
   ]
 
-let measure (cfg : Config.t) model inst policy =
+let measure model inst policy =
   let schedule = Scheduler.run model policy ~source:inst.source ~start:1 in
-  let valid =
-    if cfg.Config.validate then (Validate.check model schedule).Validate.ok else true
-  in
   {
     policy = Scheduler.name ~system:(Model.system model) policy;
     elapsed = Schedule.elapsed schedule;
     transmissions = Schedule.n_transmissions schedule;
-    valid;
+    valid = (Validate.check model schedule).Validate.ok;
   }
 
 (* The G-OPT space (greedy classes) is a subset of OPT's (any color set,
@@ -97,7 +94,7 @@ let tighten_opt ms =
 let run_sync cfg inst =
   Otrace.with_span ~cat:"exp" "run-sync" @@ fun () ->
   let model = Model.create ~phy:cfg.Config.model inst.net Model.Sync in
-  tighten_opt (List.map (measure cfg model inst) (policies cfg))
+  tighten_opt (List.map (measure model inst) (policies cfg))
 
 let run_async cfg ~rate ~inst_seed inst =
   Otrace.with_span ~arg:rate ~cat:"exp" "run-async" @@ fun () ->
@@ -106,7 +103,7 @@ let run_async cfg ~rate ~inst_seed inst =
       ~seed:(inst_seed * 104729) ()
   in
   let model = Model.create ~phy:cfg.Config.model inst.net (Model.Async sched) in
-  tighten_opt (List.map (measure cfg model inst) (policies cfg))
+  tighten_opt (List.map (measure model inst) (policies cfg))
 
 let fault_plan (cfg : Config.t) ~inst_seed ?(jitter = 0) ~loss inst =
   let n = Mlbs_wsn.Network.n_nodes inst.net in

@@ -32,7 +32,7 @@ type measurement = {
   policy : string;
   elapsed : int;  (** end-to-end latency in rounds/slots *)
   transmissions : int;
-  valid : bool;  (** radio replay verdict (true when validation is off) *)
+  valid : bool;  (** radio replay verdict *)
 }
 
 (** [run_sync cfg inst] measures the paper's four synchronous policies

@@ -26,7 +26,9 @@ let rewires_between g g' =
   done;
   !out
 
-let drift ?(max_attempts = 100) rng net ~k ~jitter =
+let max_attempts = 100
+
+let drift rng net ~k ~jitter =
   let n = Network.n_nodes net in
   if k < 1 || k > n then invalid_arg "Churn.drift: k out of range";
   if jitter <= 0. then invalid_arg "Churn.drift: jitter <= 0";

@@ -24,12 +24,6 @@ type delta = {
     [[-jitter, +jitter]²], resampling offsets until the drifted UDG is
     both collision-free and connected (a broadcast must still reach
     every node). Raises [Invalid_argument] when [k] is not in
-    [1..n] or [jitter <= 0], and [Failure] after [max_attempts]
-    (default 100) failed resamples. *)
-val drift :
-  ?max_attempts:int ->
-  Mlbs_prng.Rng.t ->
-  Network.t ->
-  k:int ->
-  jitter:float ->
-  delta
+    [1..n] or [jitter <= 0], and [Failure] after 100 failed
+    resamples. *)
+val drift : Mlbs_prng.Rng.t -> Network.t -> k:int -> jitter:float -> delta

@@ -76,7 +76,9 @@ let sample_points rng spec =
               and jy = Rng.float rng (2. *. jitter) -. jitter in
               Point.v (base_x +. jx) (base_y +. jy)))
 
-let generate ?(max_attempts = 200) rng spec =
+let max_attempts = 200
+
+let generate rng spec =
   if spec.n_nodes <= 0 then invalid_arg "Deployment.generate: n_nodes <= 0";
   let rec attempt k =
     if k >= max_attempts then

@@ -32,10 +32,9 @@ val paper_spec : n_nodes:int -> spec
 
 (** [generate rng spec] samples node positions uniformly in the area and
     resamples whole deployments until the UDG is connected (a broadcast
-    must be able to reach every node). Raises [Failure] after
-    [max_attempts] (default 200) failed attempts — a sign the requested
-    density cannot connect. *)
-val generate : ?max_attempts:int -> Mlbs_prng.Rng.t -> spec -> Network.t
+    must be able to reach every node). Raises [Failure] after 200
+    failed attempts — a sign the requested density cannot connect. *)
+val generate : Mlbs_prng.Rng.t -> spec -> Network.t
 
 (** [select_source rng net ~min_ecc ~max_ecc] picks a node uniformly
     among those whose eccentricity lies in [min_ecc, max_ecc]; when no

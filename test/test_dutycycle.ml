@@ -116,7 +116,7 @@ let props =
         in
         listed = scanned);
     prop "cwt positive" QCheck2.Gen.(pair gen_sched (int_bound 100))
-      (fun (s, at) -> Cwt.wait s ~from_:0 ~at 1 >= 1);
+      (fun (s, at) -> Cwt.wait s ~at 1 >= 1);
   ]
 
 let test_cwt_helpers () =

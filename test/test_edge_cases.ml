@@ -90,7 +90,7 @@ let test_collinear_network_boundary () =
 let test_cwt_matches_next_wake () =
   let sched = Wake_schedule.create ~rate:10 ~n_nodes:3 ~seed:77 () in
   for at = 0 to 50 do
-    let wait = Cwt.wait sched ~from_:0 ~at 1 in
+    let wait = Cwt.wait sched ~at 1 in
     Alcotest.(check int) "wait lands on a wake" (Wake_schedule.next_wake sched 1 ~after:at)
       (at + wait)
   done
@@ -108,7 +108,7 @@ let test_async_emodel_weight_at_least_hops () =
       Alcotest.(check bool)
         (Printf.sprintf "weight(%d,%d) >= 1" u v)
         true
-        (Emodel.edge_weight m ~cwt_frames:4 u v >= 1))
+        (Emodel.edge_weight m u v >= 1))
     [ (0, 1); (1, 0); (1, 2); (2, 1) ]
 
 (* ------------------- schedule corner semantics ---------------------- *)

@@ -10,6 +10,9 @@ module E_protocol = Mlbs_proto.E_protocol
 module Broadcast_protocol = Mlbs_proto.Broadcast_protocol
 module Wake_schedule = Mlbs_dutycycle.Wake_schedule
 module Fixtures = Mlbs_workload.Fixtures
+module Config = Mlbs_workload.Config
+module Experiment = Mlbs_workload.Experiment
+module Flooding = Mlbs_proto.Flooding
 
 let plain ?(crashes = []) ?(jitter = 0) ?(seed = 7) loss =
   Fault.make { Fault.loss; crashes; wake_jitter = jitter; seed }
@@ -256,6 +259,30 @@ let test_protocol_schedule_audits_clean_under_loss () =
   Alcotest.(check int) "replay agrees on delivery" r.Broadcast_protocol.delivered
     audit.Validate.delivered
 
+(* ------------------- flooding on its own clock ---------------------- *)
+
+let test_flooding_replays_under_jitter () =
+  (* Flooding's senders follow their own jittered clock, the one the
+     fault replay checks them on: the nodes flooding reports informed
+     are exactly the ones the replay of its schedule delivers. *)
+  List.iter
+    (fun (jitter, loss, variant) ->
+      for seed = 1 to 4 do
+        let inst = Experiment.make_instance Config.default ~n:50 ~seed in
+        let sched = Wake_schedule.create ~rate:10 ~n_nodes:50 ~seed:(seed * 104729) () in
+        let m = Model.create inst.Experiment.net (Model.Async sched) in
+        let faults = bernoulli ~jitter ~seed loss in
+        let r = Flooding.run ~faults m variant ~source:inst.Experiment.source ~start:1 in
+        let audit =
+          Validate.check_under_faults ~allow_resend:true m ~faults r.Flooding.schedule
+        in
+        let label = Printf.sprintf "jitter %d loss %.1f seed %d" jitter loss seed in
+        Alcotest.(check (list string)) (label ^ ": no violations") [] audit.Validate.violations;
+        Alcotest.(check int) (label ^ ": informed = replayed delivered") r.Flooding.informed
+          audit.Validate.delivered
+      done)
+    [ (3, 0.1, Flooding.Persistent 0.5); (2, 0.2, Flooding.Persistent 0.9); (3, 0.1, Flooding.Once) ]
+
 (* -------------------- E construction under loss --------------------- *)
 
 let test_e_protocol_under_loss () =
@@ -312,7 +339,6 @@ let props =
 (* The fault sweep mirrors its returned measurements into the metrics
    registry; the two accountings must agree exactly. *)
 let test_run_faulty_matches_registry () =
-  let module Experiment = Mlbs_workload.Experiment in
   let module Obs = Mlbs_obs.Obs in
   let module Metrics = Mlbs_obs.Metrics in
   Obs.enable ~metrics:true ~tracing:false ();
@@ -379,6 +405,11 @@ let () =
             test_retry_budget_bounds_transmissions;
           Alcotest.test_case "audit clean under loss" `Quick
             test_protocol_schedule_audits_clean_under_loss;
+        ] );
+      ( "flooding",
+        [
+          Alcotest.test_case "informed = replay under jitter" `Quick
+            test_flooding_replays_under_jitter;
         ] );
       ("E construction", [ Alcotest.test_case "loss tolerated" `Quick test_e_protocol_under_loss ]);
       ( "telemetry",

@@ -478,6 +478,41 @@ let test_cache_key_pinned () =
       Alcotest.(check string) (Printf.sprintf "n=%d seed=%d" n seed) want (Daemon.cache_key req))
     pinned_keys
 
+(* [Daemon.instance] on a generator request is the paper's recipe: the
+   deployment from [Rng.create seed] over [paper_spec], the source from
+   a fresh [Rng.create seed] in the eccentricity window 5–8, and the
+   wake schedule seeded by the request seed. The CLI builds its
+   instances here, so this pins "CLI = served" at the library. *)
+let test_instance_is_paper_recipe () =
+  let module Rng = Mlbs_prng.Rng in
+  let module Deployment = Mlbs_wsn.Deployment in
+  let module Network = Mlbs_wsn.Network in
+  let module Wake_schedule = Mlbs_dutycycle.Wake_schedule in
+  let module Model = Mlbs_core.Model in
+  List.iter
+    (fun (rate, n, seed) ->
+      let label = Printf.sprintf "n=%d seed=%d" n seed in
+      let req = { gen_request with Codec.rate; seed; topology = Codec.Gen { n; radius = 10.0 } } in
+      let model, source = Daemon.instance req in
+      let net = Deployment.generate (Rng.create seed) (Deployment.paper_spec ~n_nodes:n) in
+      Alcotest.(check bool) (label ^ ": positions") true
+        (Network.positions (Model.network model) = Network.positions net);
+      Alcotest.(check int) (label ^ ": source")
+        (Deployment.select_source (Rng.create seed) net ~min_ecc:5 ~max_ecc:8)
+        source;
+      match (rate, Model.system model) with
+      | None, Model.Sync -> ()
+      | Some rate, Model.Async got ->
+          let want = Wake_schedule.create ~rate ~n_nodes:n ~seed () in
+          for u = 0 to n - 1 do
+            Alcotest.(check (list int))
+              (Printf.sprintf "%s: wakes of %d" label u)
+              (Wake_schedule.wakes_in want u ~from_:1 ~until:(8 * rate))
+              (Wake_schedule.wakes_in got u ~from_:1 ~until:(8 * rate))
+          done
+      | _ -> Alcotest.fail (label ^ ": wrong system"))
+    [ (None, 60, 1); (None, 60, 7); (None, 100, 3); (Some 10, 60, 2); (Some 5, 80, 5) ]
+
 let test_cache_key_content_addressing () =
   (* The same labelled adjacency, neighbour lists built in different
      orders, must file under the same key. *)
@@ -910,6 +945,8 @@ let () =
         [
           Alcotest.test_case "content addressing" `Quick test_cache_key_content_addressing;
           Alcotest.test_case "pinned addresses" `Quick test_cache_key_pinned;
+          Alcotest.test_case "instance is the paper recipe" `Quick
+            test_instance_is_paper_recipe;
         ] );
       ( "daemon",
         [
