@@ -209,23 +209,17 @@ type outcome = Silent | Delivered of int | Collision of int list
 type slot_ctx =
   | S_udg of Graph.t
   | S_sinr of Sinr.t
-  | S_mc of { graph : Graph.t; groups : int list list }
+  | S_mc of { graph : Graph.t; groups : int list list; overflow : bool }
 
 let slot_ctx inst ~uninformed ~scheduled =
   match inst with
   | I_udg g -> S_udg g
   | I_sinr s -> S_sinr s
-  | I_mc { graph; _ } ->
-      S_mc { graph; groups = Multichannel.groups graph ~uninformed scheduled }
+  | I_mc { graph; k } ->
+      let groups, overflow = Multichannel.groups ~k graph ~uninformed scheduled in
+      S_mc { graph; groups; overflow }
 
-let admit inst ~uninformed senders =
-  match inst with
-  | I_mc { graph; k } -> Multichannel.fit graph ~uninformed ~k senders
-  | I_udg _ | I_sinr _ -> senders
-
-let slot_channels = function
-  | S_udg _ | S_sinr _ -> 1
-  | S_mc { groups; _ } -> List.length groups
+let overflow = function S_udg _ | S_sinr _ -> false | S_mc { overflow; _ } -> overflow
 
 let outcome_of_audible = function
   | [] -> Silent
@@ -243,7 +237,7 @@ let reception ctx ~effective ~rx =
       | _, Some u -> Delivered u
       | [], None -> Silent
       | audible, None -> Collision audible)
-  | S_mc { graph; groups } ->
+  | S_mc { graph; groups; _ } ->
       outcome_of_audible
         (Multichannel.reception graph ~groups
            ~effective:(fun u -> List.mem u effective)

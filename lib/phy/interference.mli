@@ -20,11 +20,10 @@
       conflicts only intra-channel (arXiv:2009.09190). Channels are
       derived from the schedule bytes by first-fit grouping
       ({!module:Multichannel}), never stored, so schedules stay
-      wire-compatible; [Multichannel 1] reproduces UDG's schedules
-      exactly. The on-line runners are not covered by this: {!admit}
-      silences every sender past the first channel, so under
-      [Multichannel 1] they take fewer slots and see fewer collisions
-      than under UDG.
+      wire-compatible. A sender that finds none of the k channels free
+      transmits on the last one and may collide there, so
+      [Multichannel 1] is UDG for schedulers and on-line runners alike;
+      the strict validator still refuses a slot that overflows k.
 
     The spec {!t} is pure data (wire-codable, part of the service's
     cache key via {!to_string}); {!bind} attaches it to a deployment's
@@ -137,15 +136,10 @@ type slot_ctx
     survived faults). *)
 val slot_ctx : instance -> uninformed:Bitset.t -> scheduled:int list -> slot_ctx
 
-(** [admit inst ~uninformed senders] keeps, in order, the senders that
-    find a first-fit channel (the grouping {!slot_ctx} rebuilds): under
-    [Multichannel k] one that would need channel k+1 stays silent; the
-    identity on single-channel backends. *)
-val admit : instance -> uninformed:Bitset.t -> int list -> int list
-
-(** [slot_channels ctx] is how many channels the slot's first-fit
-    grouping uses — the validator's overflow check against k. *)
-val slot_channels : slot_ctx -> int
+(** [overflow ctx]: did some scheduled sender find none of the k
+    channels free and join the last one (the overflow rule)? Always
+    [false] on single-channel backends. *)
+val overflow : slot_ctx -> bool
 
 (** [reception ctx ~effective ~rx] is what [rx] hears given the
     transmissions that actually happened. *)

@@ -11,7 +11,12 @@
     every earlier class — that is why it was pushed to class j — and
     joins its own class's prefix as it did during construction), so
     the planner, the validator and the replay all reconstruct the same
-    (slot, channel) assignment from the schedule bytes alone. *)
+    (slot, channel) assignment from the schedule bytes alone.
+
+    There is no admission step: a sender that finds no free channel
+    among the [k] joins the last one and may collide there (the
+    overflow rule), so at [k = 1] every sender shares one channel and
+    the radio is UDG's. *)
 
 module Bitset = Mlbs_util.Bitset
 module Graph = Mlbs_graph.Graph
@@ -19,34 +24,34 @@ module Metrics = Mlbs_obs.Metrics
 
 let c_channel_assignments = Metrics.counter "phy/channel_assignments"
 
-(* First-fit channel assignment of [senders] (in list order): each
-   sender joins the lowest-indexed group it has no intra-channel (UDG vs
-   [uninformed]) conflict with, unless that would open group [k + 1] —
-   then it is left out. Returns the groups in channel order (members
-   newest first) and the placed senders newest first. A sender's group
-   depends on earlier senders only, so first-fit over the placed
-   senders rebuilds the same groups. *)
-let assign ~k g ~uninformed senders =
-  let rec place u = function
+(* First-fit channel assignment of [senders] (in list order) onto [k]
+   channels: each sender joins the lowest-indexed group it has no
+   intra-channel (UDG vs [uninformed]) conflict with. One that would
+   open group [k + 1] joins group [k] instead — it transmits anyway and
+   may collide there. Returns the groups in channel order and whether any
+   sender overflowed. A sender's group depends on earlier senders only,
+   so a schedule's grouping is a function of its bytes. *)
+let groups ~k g ~uninformed senders =
+  let overflow = ref false in
+  let rec place i u = function
     | [] -> [ [ u ] ]
     | grp :: rest ->
-        if List.exists (fun v -> Udg.conflicts g ~uninformed u v) grp then
-          grp :: place u rest
-        else (u :: grp) :: rest
+        if not (List.exists (fun v -> Udg.conflicts g ~uninformed u v) grp) then
+          (u :: grp) :: rest
+        else if rest = [] && i = k then begin
+          overflow := true;
+          [ u :: grp ]
+        end
+        else grp :: place (i + 1) u rest
   in
-  List.fold_left
-    (fun (gs, placed) u ->
-      Metrics.incr c_channel_assignments;
-      let gs' = place u gs in
-      if List.length gs' > k then (gs, placed) else (gs', u :: placed))
-    ([], []) senders
-
-(* Unbounded grouping — the validator checks the group count against k. *)
-let groups g ~uninformed senders =
-  List.map List.rev (fst (assign ~k:max_int g ~uninformed senders))
-
-(* The senders that find one of [k] channels. *)
-let fit g ~uninformed ~k senders = List.rev (snd (assign ~k g ~uninformed senders))
+  let gs =
+    List.fold_left
+      (fun gs u ->
+        Metrics.incr c_channel_assignments;
+        place 1 u gs)
+      [] senders
+  in
+  (List.map List.rev gs, !overflow)
 
 (* Rendezvous reception: [rx] tunes the lowest channel on which any
    *scheduled* sender is adjacent (receivers know the schedule, not the

@@ -233,7 +233,7 @@ let run ?max_slots ?(faults = Fault.none) ?max_attempts model ~source ~start =
     states;
   (* Forecasts of neighbours' wake slots come from the published (base)
      schedule; a node's own radio follows its own clock. *)
-  let self_system = Online.own_clock model faults in
+  let self_system = Fault.own_clock faults model in
   let stalled = Array.make n 0 in
   let beacon_messages = ref hello_messages in
   let collisions = ref 0 in
@@ -289,7 +289,7 @@ let run ?max_slots ?(faults = Fault.none) ?max_attempts model ~source ~start =
     let st = states.(u) in
     st.has_msg
     && Fault.alive faults ~slot u
-    && Online.awake self_system u ~slot
+    && Fault.awake self_system u ~slot
     && st.silent_until <= slot
     && st.own_req > 0
     && st.attempts < max_attempts
@@ -390,10 +390,7 @@ let run ?max_slots ?(faults = Fault.none) ?max_attempts model ~source ~start =
       Metrics.incr m_slots;
       List.iter (fun (r, node) -> if r = slot then revive node) recoveries;
       beacon_phase ~slot;
-      let senders =
-        Online.admit model ~informed:truly_informed
-          (List.filter (fun u -> decide u ~slot) (List.init n Fun.id))
-      in
+      let senders = List.filter (fun u -> decide u ~slot) (List.init n Fun.id) in
       if Mlbs_obs.Obs.metrics_enabled () then Metrics.add m_sends (List.length senders);
       Online.note_stalls (Model.graph model) stalled ~senders ~eligible:(eligible ~slot);
       if senders <> [] then begin

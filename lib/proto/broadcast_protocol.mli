@@ -23,11 +23,12 @@
       the class its (distributed) E values select.
     + {b radio}: the model's [Interference.reception] decides what
       each receiver hears ({!Online.air}: one audible sender under UDG,
-      capture under SINR, channel rendezvous under multi-channel), so
-      the schedule replays under the model it ran on. A sender cannot
-      observe its receivers directly — it backs off after each attempt
-      ({!Online.backoff}) and learns the outcome from the next beacons;
-      unresolved requests trigger a retransmission.
+      capture under SINR, channel rendezvous with overflow onto the
+      last channel under multi-channel), so the schedule replays under
+      the model it ran on. A sender cannot observe its receivers
+      directly — it backs off after each attempt ({!Online.backoff})
+      and learns the outcome from the next beacons; unresolved
+      requests trigger a retransmission.
 
     Imperfect knowledge (one-slot lag, uncertifiable edges) causes real
     collisions; back-off resolves them. Convergence is checked against
@@ -64,10 +65,10 @@ type stats = {
     with amnesia — its neighbours' unresolved requests, surfaced by the
     beacons (the implicit ACK stream), pull relays back into the greedy
     re-coloring exactly like a lagged relay; wake jitter desynchronises
-    a node's true radio clock from the published schedule its
-    neighbours forecast with. The run ends when every alive node is
-    informed, or when no alive holder with outstanding requests and
-    remaining retries exists (give-up).
+    a node's true radio clock ({!Mlbs_sim.Fault.own_clock}) from the
+    published schedule its neighbours forecast with. The run ends when
+    every alive node is informed, or when no alive holder with
+    outstanding requests and remaining retries exists (give-up).
 
     [max_attempts] bounds data transmissions per node (default: 8 when
     the plan is active, unbounded otherwise). *)

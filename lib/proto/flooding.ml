@@ -28,7 +28,7 @@ let run ?max_slots ?(faults = Fault.none) model variant ~source ~start =
   | _ -> ());
   let n = Model.n_nodes model in
   let max_slots = Online.max_slots model max_slots in
-  let clock = Online.own_clock model faults in
+  let clock = Fault.own_clock faults model in
   let w = Model.initial_w model ~source in
   let has_sent = Array.make n 0 in
   let steps = ref [] in
@@ -36,7 +36,7 @@ let run ?max_slots ?(faults = Fault.none) model variant ~source ~start =
   let wants u ~slot =
     Bitset.mem w u
     && Fault.alive faults ~slot u
-    && Online.awake clock u ~slot
+    && Fault.awake clock u ~slot
     && Model.n_receivers model ~w u > 0
     &&
     match variant with
@@ -55,9 +55,7 @@ let run ?max_slots ?(faults = Fault.none) model variant ~source ~start =
     else if slot - start >= max_slots then (false, last_tx)
     else if variant = Once && not (pending_exists ()) then (false, last_tx)
     else begin
-      let senders =
-        Online.admit model ~informed:w (List.filter (fun u -> wants u ~slot) (List.init n Fun.id))
-      in
+      let senders = List.filter (fun u -> wants u ~slot) (List.init n Fun.id) in
       if senders = [] then loop (slot + 1) last_tx
       else begin
         let received = ref [] in

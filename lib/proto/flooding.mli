@@ -44,10 +44,10 @@ type result = {
     crashed nodes from sending and hearing and rolls each otherwise
     decodable reception for per-link loss on the data channel — a
     corrupted packet still interferes. Senders follow their own,
-    possibly jittered, clock ({!Online.own_clock}), the one
+    possibly jittered, clock ({!Mlbs_sim.Fault.own_clock}), the one
     [Mlbs_sim.Validate.check_under_faults] replays them on. A
-    permanently crashed
-    pending relay under [Once] idles the run out to [max_slots]. *)
+    permanently crashed pending relay under [Once] idles the run out
+    to [max_slots]. *)
 val run :
   ?max_slots:int ->
   ?faults:Mlbs_sim.Fault.t ->

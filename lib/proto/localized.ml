@@ -61,10 +61,9 @@ let run ?max_slots model ~source ~start =
     else begin
       let candidates = List.filter (fun u -> candidate u ~slot) (List.init n Fun.id) in
       let senders =
-        Online.admit model ~informed:w
-          (List.filter
-             (fun u -> stalled.(u) >= Online.stall_limit || wants_to_send u ~candidates)
-             candidates)
+        List.filter
+          (fun u -> stalled.(u) >= Online.stall_limit || wants_to_send u ~candidates)
+          candidates
       in
       Online.note_stalls g stalled ~senders ~eligible:(fun u -> candidate u ~slot);
       if senders = [] then loop (slot + 1)

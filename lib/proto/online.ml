@@ -3,27 +3,12 @@ module Graph = Mlbs_graph.Graph
 module Wake_schedule = Mlbs_dutycycle.Wake_schedule
 module Model = Mlbs_core.Model
 module Interference = Mlbs_phy.Interference
-module Fault = Mlbs_sim.Fault
 
 let max_slots model = function
   | Some m -> m
   | None ->
       let rate = match Model.system model with Model.Sync -> 1 | Model.Async s -> Wake_schedule.rate s in
       64 * Model.n_nodes model * rate
-
-let own_clock model faults =
-  match Model.system model with
-  | Model.Sync -> Model.Sync
-  | Model.Async sched -> Model.Async (Fault.jittered faults sched)
-
-let awake system u ~slot =
-  match system with
-  | Model.Sync -> true
-  | Model.Async sched -> Wake_schedule.awake sched u ~slot
-
-let admit model ~informed senders =
-  Interference.admit (Model.phy_instance model) ~uninformed:(Bitset.complement informed)
-    senders
 
 let air model ~informed ~senders ~hears f =
   let ctx =

@@ -1,5 +1,6 @@
 module Splitmix64 = Mlbs_prng.Splitmix64
 module Wake_schedule = Mlbs_dutycycle.Wake_schedule
+module Model = Mlbs_core.Model
 
 type loss =
   | No_loss
@@ -159,6 +160,16 @@ let jittered t sched =
           int_of_float (u01 *. float_of_int ((2 * j) + 1)) - j)
     in
     Wake_schedule.shifted sched ~offsets
+
+let own_clock t model =
+  match Model.system model with
+  | Model.Sync -> Model.Sync
+  | Model.Async sched -> Model.Async (jittered t sched)
+
+let awake system u ~slot =
+  match system with
+  | Model.Sync -> true
+  | Model.Async sched -> Wake_schedule.awake sched u ~slot
 
 let sample_crashes ~n_nodes ~fraction ~window:(lo, hi) ?(avoid = []) ~seed () =
   if not (fraction >= 0. && fraction <= 1.) then

@@ -1,5 +1,4 @@
 module Bitset = Mlbs_util.Bitset
-module Wake_schedule = Mlbs_dutycycle.Wake_schedule
 module Model = Mlbs_core.Model
 module Schedule = Mlbs_core.Schedule
 module Interference = Mlbs_phy.Interference
@@ -24,11 +23,7 @@ let replay ?(allow_resend = false) ?(faults = Fault.none) model schedule =
   let fault_active = not (Fault.is_noop faults) in
   (* Under jitter a node's true wake sequence drifts from the one the
      scheduler planned against; the replay judges senders by the truth. *)
-  let jittered_sched =
-    match Model.system model with
-    | Model.Sync -> None
-    | Model.Async sched -> Some (Fault.jittered faults sched)
-  in
+  let clock = Fault.own_clock faults model in
   let w = Bitset.create n in
   Bitset.add w (Schedule.source schedule);
   let inst = Model.phy_instance model in
@@ -60,11 +55,8 @@ let replay ?(allow_resend = false) ?(faults = Fault.none) model schedule =
               violate "slot %d: sender %d does not hold the message" slot u;
             if Bitset.mem has_sent u && not allow_resend then
               violate "slot %d: sender %d already transmitted" slot u;
-            (match Model.system model with
-            | Model.Async sched when not fault_active ->
-                if not (Wake_schedule.awake sched u ~slot) then
-                  violate "slot %d: sender %d is asleep" slot u
-            | _ -> ());
+            if (not fault_active) && not (Fault.awake clock u ~slot) then
+              violate "slot %d: sender %d is asleep" slot u;
             Bitset.add has_sent u)
           senders;
         (* A sender without the message emits (and interferes) nothing.
@@ -74,12 +66,7 @@ let replay ?(allow_resend = false) ?(faults = Fault.none) model schedule =
           List.filter
             (fun u ->
               let airs =
-                Bitset.mem w u
-                && ((not fault_active)
-                   ||
-                   match jittered_sched with
-                   | None -> true
-                   | Some sched -> Wake_schedule.awake sched u ~slot)
+                Bitset.mem w u && ((not fault_active) || Fault.awake clock u ~slot)
               in
               if fault_active && not airs then dropped := (slot, u) :: !dropped;
               airs)
@@ -94,12 +81,11 @@ let replay ?(allow_resend = false) ?(faults = Fault.none) model schedule =
           Interference.slot_ctx inst ~uninformed:(Bitset.complement claimed_w)
             ~scheduled:step.Schedule.senders
         in
-        (match inst with
-        | Interference.I_mc { k; _ } ->
-            let used = Interference.slot_channels ctx in
-            if used > k then
-              violate "slot %d: senders need %d channels but only %d exist" slot used k
-        | _ -> ());
+        (* A lossy run may overflow the channels like it may collide;
+           a schedule may not. *)
+        if Interference.overflow ctx && not allow_resend then
+          violate "slot %d: senders need more than %d channel(s)" slot
+            (Interference.channels (Model.phy model));
         for v = n - 1 downto 0 do
           if (not (Bitset.mem w v)) && Fault.alive faults ~slot v then
             match Interference.reception ctx ~effective ~rx:v with

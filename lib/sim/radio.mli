@@ -45,9 +45,12 @@ type outcome = {
     [violations] (and collisions in the per-slot events) so tests can
     assert on them.
 
-    [allow_resend] (default false) suppresses the send-once violation:
-    lossy protocols such as [Mlbs_proto.Localized] legitimately
-    retransmit after collisions.
+    [allow_resend] (default false) suppresses the send-once and the
+    channel-overflow violations: lossy protocols such as
+    [Mlbs_proto.Localized] legitimately retransmit after collisions,
+    and their senders may find no free channel under [Multichannel k]
+    (they then collide on the last one). A schedule's slots must fit
+    the k channels.
 
     [faults] (default {!Fault.none}) injects the full fault plan. When
     the plan {!Fault.is_noop}, the replay is byte-identical to the

@@ -45,11 +45,7 @@ let check_under_faults ?(allow_resend = false) model ~faults schedule =
      plan directly — [Fault.delivers]/[alive] are pure in (seed, slot,
      link), so agreement means the delivered receptions really are
      conflict-free under the fault trace, not just self-consistent. *)
-  let jittered_sched =
-    match Mlbs_core.Model.system model with
-    | Mlbs_core.Model.Sync -> None
-    | Mlbs_core.Model.Async sched -> Some (Fault.jittered faults sched)
-  in
+  let clock = Fault.own_clock faults model in
   let informed = Bitset.create n in
   Bitset.add informed (Mlbs_core.Schedule.source schedule);
   let inst = Mlbs_core.Model.phy_instance model in
@@ -67,12 +63,7 @@ let check_under_faults ?(allow_resend = false) model ~faults schedule =
       let audible =
         List.filter
           (fun u ->
-            Fault.alive faults ~slot u
-            && Bitset.mem informed u
-            &&
-            match jittered_sched with
-            | None -> true
-            | Some sched -> Mlbs_dutycycle.Wake_schedule.awake sched u ~slot)
+            Fault.alive faults ~slot u && Bitset.mem informed u && Fault.awake clock u ~slot)
           e.Radio.senders
       in
       let ctx =

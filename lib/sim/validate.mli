@@ -22,8 +22,8 @@ val check_exn : Mlbs_core.Model.t -> Mlbs_core.Schedule.t -> unit
 
 (** [check_lossy model schedule] validates the run of a lossy protocol
     (the on-line runners of [Mlbs_proto], which pass it under the model
-    they ran on): collisions and retransmissions are tolerated and
-    merely counted; [ok] still requires full coverage, truthful per-slot
+    they ran on): collisions, retransmissions and slots that overflow
+    the channels are tolerated, collisions counted; [ok] still requires full coverage, truthful per-slot
     claims, and senders that are informed and awake. *)
 val check_lossy : Mlbs_core.Model.t -> Mlbs_core.Schedule.t -> report
 
@@ -52,7 +52,7 @@ type fault_report = {
     Crash-only plans make this the failure-injection measurement too:
     [delivered]/[alive] are the alive nodes the broadcast still reaches.
     [allow_resend] defaults to false; pass [true] for retransmitting
-    protocols. *)
+    protocols, which also accepts their channel overflow. *)
 val check_under_faults :
   ?allow_resend:bool ->
   Mlbs_core.Model.t ->

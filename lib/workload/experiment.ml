@@ -151,13 +151,6 @@ let run_faulty (cfg : Config.t) ?rate ~inst_seed ?(jitter = 0) ~loss inst =
         Model.Async (Wake_schedule.create ~rate ~n_nodes:n ~seed:(inst_seed * 104729) ())
   in
   let model = Model.create ~phy:cfg.Config.model inst.net system in
-  (* The on-line runners' senders cannot agree on per-slot channels
-     from 2-hop views: they all share one channel, the UDG model. *)
-  let runner_model =
-    match cfg.Config.model with
-    | Mlbs_phy.Interference.Multichannel _ -> Model.create inst.net system
-    | _ -> model
-  in
   let faults = fault_plan cfg ~inst_seed ~jitter ~loss inst in
   let alive = alive_at_end faults ~n in
   let informed_alive sched =
@@ -177,8 +170,8 @@ let run_faulty (cfg : Config.t) ?rate ~inst_seed ?(jitter = 0) ~loss inst =
      while delivery holds up. *)
   let flooding =
     let variant = Flooding.Persistent flooding_p in
-    let clean = Flooding.run runner_model variant ~source:inst.source ~start:1 in
-    let faulty = Flooding.run ~faults runner_model variant ~source:inst.source ~start:1 in
+    let clean = Flooding.run model variant ~source:inst.source ~start:1 in
+    let faulty = Flooding.run ~faults model variant ~source:inst.source ~start:1 in
     {
       policy = Printf.sprintf "flooding (p=%.1f)" flooding_p;
       delivery = ratio (informed_alive faulty.Flooding.schedule) alive;
@@ -186,13 +179,13 @@ let run_faulty (cfg : Config.t) ?rate ~inst_seed ?(jitter = 0) ~loss inst =
       stretch = stretch_of ~clean:clean.Flooding.latency ~faulty:faulty.Flooding.latency;
       retransmissions = faulty.Flooding.retransmissions;
       energy_overhead =
-        energy_ratio runner_model ~allow_resend:true ~clean:clean.Flooding.schedule
+        energy_ratio model ~allow_resend:true ~clean:clean.Flooding.schedule
           ~faulty:faulty.Flooding.schedule;
     }
   in
   let protocol =
-    let clean = Broadcast_protocol.run runner_model ~source:inst.source ~start:1 in
-    let faulty = Broadcast_protocol.run ~faults runner_model ~source:inst.source ~start:1 in
+    let clean = Broadcast_protocol.run model ~source:inst.source ~start:1 in
+    let faulty = Broadcast_protocol.run ~faults model ~source:inst.source ~start:1 in
     {
       policy = "protocol";
       delivery = ratio faulty.Broadcast_protocol.delivered alive;
@@ -202,7 +195,7 @@ let run_faulty (cfg : Config.t) ?rate ~inst_seed ?(jitter = 0) ~loss inst =
           ~faulty:faulty.Broadcast_protocol.latency;
       retransmissions = faulty.Broadcast_protocol.retransmissions;
       energy_overhead =
-        energy_ratio runner_model ~allow_resend:true
+        energy_ratio model ~allow_resend:true
           ~clean:clean.Broadcast_protocol.schedule ~faulty:faulty.Broadcast_protocol.schedule;
     }
   in

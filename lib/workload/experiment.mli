@@ -68,11 +68,8 @@ val fault_plan :
     the static G-OPT and E-model schedules are replayed as-is through
     {!Mlbs_sim.Validate.check_under_faults} (latency fixed, delivery
     pays). [rate] switches the model to duty-cycled; [jitter] (duty
-    cycle only) desynchronises wake clocks.
-
-    The static schedules keep [cfg.model]; the on-line runners, which
-    cannot coordinate channels, run (and are charged energy) on it with
-    [Multichannel _] replaced by [Udg]. *)
+    cycle only) desynchronises wake clocks. All four run under
+    [cfg.model]. *)
 val run_faulty :
   Config.t ->
   ?rate:int ->

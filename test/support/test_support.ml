@@ -6,6 +6,9 @@ module Network = Mlbs_wsn.Network
 module Deployment = Mlbs_wsn.Deployment
 module Wake_schedule = Mlbs_dutycycle.Wake_schedule
 module Model = Mlbs_core.Model
+module Flooding = Mlbs_proto.Flooding
+module Localized = Mlbs_proto.Localized
+module Broadcast_protocol = Mlbs_proto.Broadcast_protocol
 
 (* A small connected random deployment: n nodes in a (scaled) area dense
    enough to connect quickly, radius 10. Deterministic in the seed. *)
@@ -60,3 +63,18 @@ let gen_sparse_async_model =
 
 (* A deterministic source: node 0 is always present. *)
 let source _model = 0
+
+(* Every on-line runner from node 0 at slot 1, each reporting its
+   schedule and whether it claims full coverage. *)
+let runner_schedules model =
+  let flood variant =
+    let r = Flooding.run model variant ~source:0 ~start:1 in
+    (r.Flooding.schedule, r.Flooding.covered)
+  in
+  [
+    ("flooding once", flood Flooding.Once);
+    ("flooding p=0.4", flood (Flooding.Persistent 0.4));
+    ("localized", ((Localized.run model ~source:0 ~start:1).Localized.schedule, true));
+    ( "protocol",
+      ((Broadcast_protocol.run model ~source:0 ~start:1).Broadcast_protocol.schedule, true) );
+  ]

@@ -15,11 +15,13 @@ module Baseline_cds = Mlbs_core.Baseline_cds
 module Baseline26 = Mlbs_core.Baseline26
 module Baseline17 = Mlbs_core.Baseline17
 module Validate = Mlbs_sim.Validate
+module Radio = Mlbs_sim.Radio
 module Fixtures = Mlbs_workload.Fixtures
 module Codec = Mlbs_server.Codec
 module Daemon = Mlbs_server.Daemon
 module Sinr = Mlbs_phy.Sinr
 module Config = Mlbs_workload.Config
+module Wake_schedule = Mlbs_dutycycle.Wake_schedule
 
 let schedule_eq name a b =
   Alcotest.(check string) name (Codec.schedule_bytes a) (Codec.schedule_bytes b)
@@ -329,16 +331,32 @@ let qcheck_planners_validate =
 
 (* --------------------------- mc:1 ≡ udg ---------------------------- *)
 
+(* Under one channel every sender shares it (the overflow rule), so the
+   on-line runners hear exactly UDG's radio too, synchronous and
+   duty-cycled. *)
 let qcheck_mc1_is_udg =
-  QCheck2.Test.make ~name:"mc:1 schedules byte-equal to udg" ~count:40 ~print:print_net_w gen_net_w
-    (fun (net, _) ->
-      List.for_all
-        (fun policy ->
-          let udg = Model.create net Model.Sync in
-          let mc1 = Model.create ~phy:(Interference.Multichannel 1) net Model.Sync in
-          Codec.schedule_bytes (Scheduler.run udg policy ~source:0 ~start:1)
-          = Codec.schedule_bytes (Scheduler.run mc1 policy ~source:0 ~start:1))
-        [ Scheduler.Baseline; Scheduler.Emodel; Scheduler.gopt ])
+  QCheck2.Test.make ~name:"mc:1 schedules byte-equal to udg" ~count:40
+    ~print:(fun ((net, w), duty) ->
+      Printf.sprintf "%s duty=%s" (print_net_w (net, w))
+        (match duty with None -> "sync" | Some (r, seed) -> Printf.sprintf "r%d/%d" r seed))
+    QCheck2.Gen.(pair gen_net_w (opt (pair (int_range 2 8) (int_bound 100_000))))
+    (fun ((net, _), duty) ->
+      let system =
+        match duty with
+        | None -> Model.Sync
+        | Some (rate, seed) ->
+            Model.Async (Wake_schedule.create ~rate ~n_nodes:(Network.n_nodes net) ~seed ())
+      in
+      let runs phy =
+        List.map Codec.schedule_bytes
+          (List.map
+             (fun policy -> Scheduler.run (Model.create ~phy net Model.Sync) policy ~source:0 ~start:1)
+             [ Scheduler.Baseline; Scheduler.Emodel; Scheduler.gopt ]
+          @ List.map
+              (fun (_, (schedule, _)) -> schedule)
+              (Test_support.runner_schedules (Model.create ~phy net system)))
+      in
+      runs Interference.Udg = runs (Interference.Multichannel 1))
 
 (* The explicit [~phy:Udg] spells the default: schedules byte-equal. *)
 let test_udg_default () =
@@ -368,7 +386,32 @@ let test_mc_channel_separation () =
   let ok phy = (Validate.check (Model.create ~phy net Model.Sync) colliding).Validate.ok in
   Alcotest.(check bool) "collision under udg" false (ok Interference.Udg);
   Alcotest.(check bool) "overflow under mc:1" false (ok (Interference.Multichannel 1));
-  Alcotest.(check bool) "separated under mc:2" true (ok (Interference.Multichannel 2))
+  Alcotest.(check bool) "separated under mc:2" true (ok (Interference.Multichannel 2));
+  (* A lossy run may overflow: with one channel, 2 joins 1's and the
+     two collide at 3, which 1's resend then informs. The lossy replay
+     counts the collision; only the strict check refuses the overflow. *)
+  let overflowing =
+    Schedule.make ~n_nodes:5 ~source:0 ~start:1
+      [
+        { Schedule.slot = 1; senders = [ 0 ]; informed = [ 1; 2 ] };
+        { Schedule.slot = 2; senders = [ 1; 2 ]; informed = [ 4 ] };
+        { Schedule.slot = 3; senders = [ 1 ]; informed = [ 3 ] };
+      ]
+  in
+  let mc1 = Model.create ~phy:(Interference.Multichannel 1) net Model.Sync in
+  let lossy = Validate.check_lossy mc1 overflowing in
+  Alcotest.(check bool) "lossy overflow ok" true lossy.Validate.ok;
+  Alcotest.(check (list string)) "lossy overflow no violation" [] lossy.Validate.violations;
+  Alcotest.(check (list (pair int (list int))))
+    "collision at node 3"
+    [ (3, [ 1; 2 ]) ]
+    (List.concat_map
+       (fun e -> e.Radio.collided)
+       (Radio.replay ~allow_resend:true mc1 overflowing).Radio.events);
+  Alcotest.(check bool)
+    "strict check refuses the overflow" true
+    (List.mem "slot 2: senders need more than 1 channel(s)"
+       (Validate.check mc1 overflowing).Validate.violations)
 
 (* ------------------------ spec id roundtrip ------------------------ *)
 

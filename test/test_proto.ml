@@ -6,8 +6,6 @@ module Schedule = Mlbs_core.Schedule
 module Hello = Mlbs_proto.Hello
 module E_protocol = Mlbs_proto.E_protocol
 module Broadcast_protocol = Mlbs_proto.Broadcast_protocol
-module Flooding = Mlbs_proto.Flooding
-module Localized = Mlbs_proto.Localized
 module Interference = Mlbs_phy.Interference
 module Validate = Mlbs_sim.Validate
 module Fixtures = Mlbs_workload.Fixtures
@@ -114,25 +112,13 @@ let test_max_slots_guard () =
 let prop ?(count = 40) name gen f =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen f)
 
-(* Every on-line runner under [phy], each reporting its schedule and
-   whether it claims full coverage. *)
-let runner_schedules model =
-  let flood variant =
-    let r = Flooding.run model variant ~source:0 ~start:1 in
-    (r.Flooding.schedule, r.Flooding.covered)
-  in
-  [
-    ("flooding once", flood Flooding.Once);
-    ("flooding p=0.4", flood (Flooding.Persistent 0.4));
-    ("localized", ((Localized.run model ~source:0 ~start:1).Localized.schedule, true));
-    ( "protocol",
-      ((Broadcast_protocol.run model ~source:0 ~start:1).Broadcast_protocol.schedule, true) );
-  ]
-
 let gen_runner_model =
   QCheck2.Gen.(
     let* model, _ = oneof [ Test_support.gen_sync_model; Test_support.gen_async_model ] in
-    let* phy = oneofl Interference.[ Udg; Multichannel 2; Sinr default_sinr ] in
+    let* phy =
+      oneofl
+        Interference.[ Udg; Multichannel 1; Multichannel 2; Multichannel 3; Sinr default_sinr ]
+    in
     return (Model.create ~phy (Model.network model) (Model.system model)))
 
 let props =
@@ -187,7 +173,7 @@ let props =
                 (Interference.to_string (Model.phy model))
                 (String.concat "; " r.Validate.violations)
             else true)
-          (runner_schedules model));
+          (Test_support.runner_schedules model));
   ]
 
 let () =
