@@ -48,10 +48,13 @@ let n_receivers t ~w u =
 
 let has_receiver t ~w u = n_receivers t ~w u > 0
 
-let awake t u ~slot =
-  match t.system with
-  | Sync -> true
-  | Async sched -> Wake_schedule.awake sched u ~slot
+let awake_in system u ~slot =
+  match system with Sync -> true | Async sched -> Wake_schedule.awake sched u ~slot
+
+let next_wake system u ~after =
+  match system with Sync -> after + 1 | Async sched -> Wake_schedule.next_wake sched u ~after
+
+let awake t u ~slot = awake_in t.system u ~slot
 
 let frontier t ~w =
   List.rev (Bitset.fold (fun u acc -> if has_receiver t ~w u then u :: acc else acc) w [])
@@ -115,15 +118,7 @@ let newly_informed t ~w ~senders =
 let next_active_slot t ~w ~after =
   match frontier t ~w with
   | [] -> None
-  | front -> (
-      match t.system with
-      | Sync -> Some (after + 1)
-      | Async sched ->
-          let earliest =
-            List.fold_left
-              (fun acc u -> min acc (Wake_schedule.next_wake sched u ~after))
-              max_int front
-          in
-          Some earliest)
+  | front ->
+      Some (List.fold_left (fun acc u -> min acc (next_wake t.system u ~after)) max_int front)
 
 let complete _t ~w = Bitset.is_full w

@@ -51,8 +51,16 @@ val receivers : t -> w:Bitset.t -> int -> int list
 (** [n_receivers t ~w u] is [|N(u) ∩ W̄|] without building the list. *)
 val n_receivers : t -> w:Bitset.t -> int -> int
 
-(** [awake t u ~slot] is [true] under [Sync]; under [Async] it is the
-    wake schedule's verdict for [u] at [slot]. *)
+(** [awake_in system u ~slot] is [true] under [Sync]; under [Async] it
+    is the wake schedule's verdict for [u] at [slot]. The one awake
+    test: schedulers, runners and the radio replay all read it. *)
+val awake_in : system -> int -> slot:int -> bool
+
+(** [next_wake system u ~after] is [u]'s first active slot [> after]:
+    [after + 1] under [Sync]. *)
+val next_wake : system -> int -> after:int -> int
+
+(** [awake t u ~slot] is [awake_in (system t) u ~slot]. *)
 val awake : t -> int -> slot:int -> bool
 
 (** [candidates t ~w ~slot] is every node satisfying Eq. (1) constraints

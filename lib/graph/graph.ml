@@ -141,7 +141,7 @@ let common_neighbor_in g u v ~candidates =
 (* Canonical digest: fold a splitmix64-style finalizer over the sorted
    CSR rows, so the value depends on the labelled edge set alone and
    never on how the graph was presented to the constructor. *)
-let dmix h x =
+let mix h x =
   let open Int64 in
   let h = add h x in
   let h = mul (logxor h (shift_right_logical h 30)) 0xbf58476d1ce4e5b9L in
@@ -149,12 +149,12 @@ let dmix h x =
   logxor h (shift_right_logical h 31)
 
 let digest g =
-  let h = ref (dmix 0x6d6c62732d676468L (Int64.of_int g.n)) in
+  let h = ref (mix 0x6d6c62732d676468L (Int64.of_int g.n)) in
   for u = 0 to g.n - 1 do
     let arr = g.adj.(u) in
     for i = 0 to Array.length arr - 1 do
       let v = arr.(i) in
-      if u < v then h := dmix (dmix !h (Int64.of_int u)) (Int64.of_int v)
+      if u < v then h := mix (mix !h (Int64.of_int u)) (Int64.of_int v)
     done
   done;
   !h

@@ -73,6 +73,10 @@ val common_neighbor_in : t -> int -> int -> candidates:Mlbs_util.Bitset.t -> boo
     primitive of the scheduling service's schedule cache. *)
 val digest : t -> int64
 
+(** [mix h x] folds [x] into the digest state [h] — {!digest}'s mixing
+    step, for digests that extend the graph's. *)
+val mix : int64 -> int64 -> int64
+
 (** [edit g ~add ~remove ~rewire] is [g] with the delta applied, node
     count unchanged: [remove]d edges dropped first, then each
     [(u, nbrs)] in [rewire] replaces [u]'s entire neighbourhood (in

@@ -289,7 +289,7 @@ let run ?max_slots ?(faults = Fault.none) ?max_attempts model ~source ~start =
     let st = states.(u) in
     st.has_msg
     && Fault.alive faults ~slot u
-    && Fault.awake self_system u ~slot
+    && Model.awake_in self_system u ~slot
     && st.silent_until <= slot
     && st.own_req > 0
     && st.attempts < max_attempts

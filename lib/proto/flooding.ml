@@ -36,7 +36,7 @@ let run ?max_slots ?(faults = Fault.none) model variant ~source ~start =
   let wants u ~slot =
     Bitset.mem w u
     && Fault.alive faults ~slot u
-    && Fault.awake clock u ~slot
+    && Model.awake_in clock u ~slot
     && Model.n_receivers model ~w u > 0
     &&
     match variant with

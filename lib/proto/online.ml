@@ -41,11 +41,4 @@ let backoff u k =
   (h land max_int) mod window
 
 let rec nth_wake system u t k =
-  if k <= 0 then t
-  else
-    let t' =
-      match system with
-      | Model.Sync -> t + 1
-      | Model.Async sched -> Wake_schedule.next_wake sched u ~after:t
-    in
-    nth_wake system u t' (k - 1)
+  if k <= 0 then t else nth_wake system u (Model.next_wake system u ~after:t) (k - 1)

@@ -23,7 +23,7 @@ type policy = Baseline | Emodel | Gopt | Opt
 (** What to solve over: either generator parameters — the paper's
     deployment recipe, {!Daemon.instance}, which [mlbs schedule --n N
     --seed S] runs too — or an explicit symmetric adjacency shipped in
-    the request. *)
+    the request, solved on {!Mlbs_wsn.Network.synthetic}'s geometry. *)
 type topology =
   | Gen of { n : int; radius : float }
   | Adj of int list array
@@ -38,10 +38,12 @@ type request = {
           for [Gen], node 0 for [Adj]) *)
   start : int;  (** first transmission slot, [mlbs schedule] uses 1 *)
   model : Mlbs_phy.Interference.t;
-      (** interference model to solve under (protocol v4). Part of the
-          content address: requests differing only in model never share
-          a cache line. Decoding validates the parameters and rejects a
-          malformed spec with {!Malformed}. *)
+      (** interference model to solve under (protocol v4). The content
+          address ({!Daemon.cache_key}) covers it with the resolved
+          network's digest, the system, policy, source and start, so
+          requests differing only in model never share a cache line.
+          Decoding validates the parameters and rejects a malformed
+          spec with {!Malformed}. *)
 }
 
 (** A topology delta riding a {!msg.Reschedule} message: edge
@@ -88,9 +90,8 @@ type msg =
       (** the base request's schedule after a topology delta: the
           daemon resolves [base] (hitting its caches), applies the
           delta, and answers the plain [Request] for the edited
-          adjacency. The reply is a plain [Reply_ok], cached under the
-          {e edited} graph's content address and byte-identical to that
-          request's. *)
+          adjacency. The reply is a plain [Reply_ok], cached under that
+          request's content address and byte-identical to its reply. *)
   | Reply_ok of ok_reply
   | Reply_rejected of { retry_after_ms : int }
       (** admission queue full: overload is shed explicitly, retry after

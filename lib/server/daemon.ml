@@ -73,34 +73,28 @@ let m_upgrades = Metrics.counter "search/improve/upgrades_installed"
 let min_ecc = Config.default.Config.min_ecc
 let max_ecc = Config.default.Config.max_ecc
 
+(* [rdigest] is [Network.digest rnet], computed once per resolve: a
+   memoised generator topology carries it to every hit. *)
 type resolved = { rnet : Network.t; rdigest : int64; rsource : int }
+
+let resolved rnet rsource = { rnet; rdigest = Network.digest rnet; rsource }
 
 (* Explicit adjacencies carry no geometry; synthesize a unit grid of
    distinct positions (quadrants and hull then derive from the fake
-   geometry, deterministically — the schedule's conflict-freedom only
-   depends on the graph). *)
-let network_of_adjacency adj = Network.synthetic (Graph.of_adjacency adj)
-
-let build_topology (req : C.request) =
+   geometry, deterministically). *)
+let resolve_fresh (req : C.request) =
   match req.C.topology with
   | C.Gen { n; radius } ->
-      Deployment.generate (Rng.create req.C.seed) { (Deployment.paper_spec ~n_nodes:n) with radius }
-  | C.Adj adj -> network_of_adjacency adj
-
-let resolve_fresh (req : C.request) =
-  let net = build_topology req in
-  let rdigest = Graph.digest (Network.graph net) in
-  let rsource =
-    match req.C.topology with
-    | C.Gen _ -> Deployment.select_source (Rng.create req.C.seed) net ~min_ecc ~max_ecc
-    | C.Adj _ -> 0
-  in
-  { rnet = net; rdigest; rsource }
+      let net =
+        Deployment.generate (Rng.create req.C.seed) { (Deployment.paper_spec ~n_nodes:n) with radius }
+      in
+      resolved net (Deployment.select_source (Rng.create req.C.seed) net ~min_ecc ~max_ecc)
+  | C.Adj adj -> resolved (Network.synthetic (Graph.of_adjacency adj)) 0
 
 (* Generator requests are memoised on (n, radius, seed) so a warm
-   request never re-samples the deployment or re-runs the source
-   eccentricity scan; explicit adjacencies were shipped in the frame
-   and are rebuilt in O(n + m). *)
+   request never re-samples the deployment, re-runs the source
+   eccentricity scan or re-digests the network; explicit adjacencies
+   were shipped in the frame and are rebuilt in O(n + m). *)
 let resolve ?memo (req : C.request) =
   match (req.C.topology, memo) with
   | C.Gen { n; radius }, Some memo -> (
@@ -135,21 +129,19 @@ let policy_of = function
 
 let policy_tag = function C.Baseline -> 0 | C.Emodel -> 1 | C.Gopt -> 2 | C.Opt -> 3
 
-(* The content address: everything the served schedule is a function
-   of. The wake-schedule seed participates only under a duty cycle, so
-   sync requests for the same graph content hit regardless of seed. The
-   interference model id participates always — a SINR request must
-   never be answered from a UDG cache line. *)
-let key_of (req : C.request) ~digest ~source =
-  Printf.sprintf "%016Lx:p%d:r%d:w%d:s%d:t%d:m%s" digest (policy_tag req.C.policy)
-    (match req.C.rate with None -> -1 | Some r -> r)
+(* The content address, and the only function that spells one: it reads
+   exactly what [instance] builds the model from — the network digest
+   (graph, radius and positions), the system (the rate, and the seed
+   under a rate only: it seeds the wake schedule), the phy spec — plus
+   the policy, the source and the start. *)
+let key_of (req : C.request) r =
+  Printf.sprintf "%016Lx:p%d:r%d:w%d:s%d:t%d:m%s" r.rdigest (policy_tag req.C.policy)
+    (match req.C.rate with None -> -1 | Some k -> k)
     (match req.C.rate with None -> 0 | Some _ -> req.C.seed)
-    source req.C.start
+    (source_of req r) req.C.start
     (Interference.to_string req.C.model)
 
-let cache_key req =
-  let r = resolve req in
-  key_of req ~digest:r.rdigest ~source:(source_of req r)
+let cache_key req = key_of req (resolve req)
 
 let model_for (req : C.request) r = Model.create ~phy:req.C.model r.rnet (system_of req r.rnet)
 
@@ -184,33 +176,28 @@ let solve req =
 
 let model_of req = fst (instance req)
 
-(* The edited graph of a [Reschedule] and the base's resolved source. *)
-let derived_graph ?memo (base : C.request) (delta : C.delta) =
-  let r = resolve ?memo base in
-  ( Graph.edit (Network.graph r.rnet) ~add:delta.C.d_added ~remove:delta.C.d_removed
-      ~rewire:delta.C.d_rewired,
-    source_of base r )
-
 (* A [Reschedule] is its derived request: the plain request for the
    adjacency of [Graph.edit] applied to [base]'s resolved graph, with
-   the resolved source pinned. Returns that request together with its
-   resolved record — the synthetic geometry [resolve] would build for
-   the adjacency, the edited digest and the pinned source — so the
-   daemon can answer it without rebuilding the graph from the
-   adjacency. *)
-let resolve_derived ?memo base delta =
-  let g', source = derived_graph ?memo base delta in
+   the base's resolved source pinned. Returns that request together with
+   the record [resolve] would build for it — the edited graph on its
+   synthetic geometry, and that network's digest — so the daemon answers
+   it without rebuilding the graph from the adjacency. *)
+let resolve_derived ?memo base (delta : C.delta) =
+  let r = resolve ?memo base in
+  let source = source_of base r in
+  let g' =
+    Graph.edit (Network.graph r.rnet) ~add:delta.C.d_added ~remove:delta.C.d_removed
+      ~rewire:delta.C.d_rewired
+  in
   let adj = Array.init (Graph.n_nodes g') (fun u -> Array.to_list (Graph.neighbors g' u)) in
   ( { base with C.topology = C.Adj adj; source = Some source },
-    { rnet = Network.synthetic g'; rdigest = Graph.digest g'; rsource = source } )
+    resolved (Network.synthetic g') 0 )
 
 let derived_request base delta = fst (resolve_derived base delta)
 
-(* [key_of] reads neither the topology nor the requested source, the
-   two fields the derived request replaces, so the base stands in. *)
 let reschedule_key ?memo base delta =
-  let g', source = derived_graph ?memo base delta in
-  key_of base ~digest:(Graph.digest g') ~source
+  let req, r = resolve_derived ?memo base delta in
+  key_of req r
 
 (* --------------------------- the cache gate ------------------------ *)
 
@@ -250,8 +237,7 @@ let locate ~allowed (req : C.request) ~answer =
   else
     match
       let areq, ar = answer req in
-      let asource = source_of areq ar in
-      { areq; ar; asource; akey = key_of areq ~digest:ar.rdigest ~source:asource }
+      { areq; ar; asource = source_of areq ar; akey = key_of areq ar }
     with
     | a -> Ok a
     | exception e -> Error (Printexc.to_string e)

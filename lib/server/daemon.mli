@@ -7,10 +7,10 @@
     Flow of one request (see DESIGN.md §7):
     + a connection thread decodes the frame and resolves the topology
       (generator parameters are memoised, explicit adjacencies rebuilt),
-      giving the canonical {!Mlbs_graph.Graph.digest};
+      giving its {!Mlbs_wsn.Network.digest};
     + the schedule cache is probed under the content address
-      [digest:policy:rate:wake-seed:source:start] — a hit replies
-      immediately, without touching the solvers;
+      ({!cache_key}) — a hit replies immediately, without building a
+      model or touching the solvers;
     + a miss is admitted to the bounded queue — or, when
       [queue_capacity] solves are already waiting, shed with an explicit
       [Reply_rejected] carrying a retry hint (the daemon never buffers
@@ -116,8 +116,12 @@ val solve : Codec.request -> Codec.stats * Mlbs_core.Schedule.t
 val model_of : Codec.request -> Mlbs_core.Model.t
 
 (** [cache_key req] is the content address the daemon files [req]
-    under: canonical graph digest + policy + rate + wake-seed + source
-    + start. Exposed for tests. *)
+    under, a function of exactly what {!instance} reads:
+    [network-digest:policy:rate:wake-seed:source:start:model], where
+    the network digest covers the graph, the radius and every position
+    and the wake seed is the request seed under a rate only. Lookups,
+    disk loads, [Put]s, reschedules and the fleet front's routing all
+    compute their address with the one function behind it. *)
 val cache_key : Codec.request -> string
 
 (** [derived_request base delta] is the plain request equivalent to
@@ -129,17 +133,22 @@ val cache_key : Codec.request -> string
     Raises like {!solve} on unresolvable bases or malformed deltas. *)
 val derived_request : Codec.request -> Codec.delta -> Codec.request
 
-(** A request's resolved topology: its network, graph digest and
+(** A request's resolved topology: its network, the network's
+    {!Mlbs_wsn.Network.digest} (computed once per resolve) and its
     source. The daemon memoises generator topologies in a
-    [resolved Cache.t]; the fleet front keeps one too. *)
+    [resolved Cache.t], so a hit never re-digests; the fleet front
+    keeps one too. *)
 type resolved
 
 (** [reschedule_key ?memo base delta] is
     [cache_key (derived_request base delta)] — the address the daemon
-    files the reschedule's answer under — computed from the edited
-    graph without the adjacency round trip. [memo] memoises [base]'s
-    generator topology as the daemon does. The fleet front routes a
-    [Reschedule] by it. Raises like {!derived_request}. *)
+    files the reschedule's answer under — computed from the derived
+    request's resolved record (the edited graph on its synthetic
+    geometry) without the adjacency round trip. An empty delta is not
+    its base's address: the base's positions are not the synthetic
+    ones. [memo] memoises [base]'s generator topology as the daemon
+    does. The fleet front routes a [Reschedule] by it. Raises like
+    {!derived_request}. *)
 val reschedule_key : ?memo:resolved Cache.t -> Codec.request -> Codec.delta -> string
 
 (* --------------------- cache persistence ------------------------- *)

@@ -6,12 +6,12 @@
    ([Client.relay]) — the front never decodes a reply's schedule outside
    the rare fill event, so relayed replies are byte-identical to the
    owning backend's by construction and the per-reply CPU cost stays
-   O(header). A [Request] is routed by its content address (the
-   same [Daemon.cache_key] the backends file it under, memoised here by
-   the encoded request bytes); a [Reschedule] is routed by its derived
-   request's address ([Daemon.reschedule_key], memoised the same way),
-   the one the owner files the answer under, so a later plain request
-   for the edited graph finds it.
+   O(header). Every routed frame goes by the content address the
+   backends file it under, from the daemon's one key function: a
+   [Request], [Peek] or [Put] by [Daemon.cache_key] of its request, a
+   [Reschedule] by its derived request's ([Daemon.reschedule_key]), so
+   a later plain request for the edited adjacency finds it. Both are
+   memoised here by the encoded request bytes.
 
    Peer cache-fill: on a warm ring the front first [Peek]s the owner
    (cache-only, 1 RTT on a hit). On a miss it peeks the ring successor —
@@ -292,7 +292,7 @@ let serve_request t ~payload ~key =
 
 (* [Daemon.cache_key] resolves the topology: for generator requests it
    samples a deployment (resampling until connected), picks the source
-   and digests the graph — milliseconds at n = 300, dominated by the
+   and digests the network — milliseconds at n = 300, dominated by the
    sampling, against a sub-microsecond table lookup. So memoise it on
    the encoded request bytes — the canonical encoding makes equal
    requests equal keys. *)

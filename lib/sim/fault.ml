@@ -166,11 +166,6 @@ let own_clock t model =
   | Model.Sync -> Model.Sync
   | Model.Async sched -> Model.Async (jittered t sched)
 
-let awake system u ~slot =
-  match system with
-  | Model.Sync -> true
-  | Model.Async sched -> Wake_schedule.awake sched u ~slot
-
 let sample_crashes ~n_nodes ~fraction ~window:(lo, hi) ?(avoid = []) ~seed () =
   if not (fraction >= 0. && fraction <= 1.) then
     invalid_arg "Fault.sample_crashes: fraction outside [0, 1]";

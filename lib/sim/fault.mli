@@ -96,14 +96,10 @@ val jittered : t -> Mlbs_dutycycle.Wake_schedule.t -> Mlbs_dutycycle.Wake_schedu
     under the plan: the model's, with {!jittered} applied under
     [Async] (the identity at jitter 0). The radio replay drops a
     faulty-run sender that is asleep on this clock, so a runner that
-    sends only when {!awake} on it keeps every send its replay counts.
+    sends only when {!Mlbs_core.Model.awake_in} it keeps every send its replay counts.
     Forecasts of a neighbour's wakes stay on the published schedule —
     the gap between the two is the fault being injected. *)
 val own_clock : t -> Mlbs_core.Model.t -> Mlbs_core.Model.system
-
-(** [awake system u ~slot] is [true] under [Sync]; under [Async],
-    whether [slot] is one of [u]'s active slots. *)
-val awake : Mlbs_core.Model.system -> int -> slot:int -> bool
 
 (** [sample_crashes ~n_nodes ~fraction ~window ?avoid ~seed] draws a
     deterministic crash schedule: each node outside [avoid] crashes with

@@ -55,7 +55,7 @@ let replay ?(allow_resend = false) ?(faults = Fault.none) model schedule =
               violate "slot %d: sender %d does not hold the message" slot u;
             if Bitset.mem has_sent u && not allow_resend then
               violate "slot %d: sender %d already transmitted" slot u;
-            if (not fault_active) && not (Fault.awake clock u ~slot) then
+            if (not fault_active) && not (Model.awake_in clock u ~slot) then
               violate "slot %d: sender %d is asleep" slot u;
             Bitset.add has_sent u)
           senders;
@@ -66,7 +66,7 @@ let replay ?(allow_resend = false) ?(faults = Fault.none) model schedule =
           List.filter
             (fun u ->
               let airs =
-                Bitset.mem w u && ((not fault_active) || Fault.awake clock u ~slot)
+                Bitset.mem w u && ((not fault_active) || Model.awake_in clock u ~slot)
               in
               if fault_active && not airs then dropped := (slot, u) :: !dropped;
               airs)

@@ -63,7 +63,7 @@ let check_under_faults ?(allow_resend = false) model ~faults schedule =
       let audible =
         List.filter
           (fun u ->
-            Fault.alive faults ~slot u && Bitset.mem informed u && Fault.awake clock u ~slot)
+            Fault.alive faults ~slot u && Bitset.mem informed u && Mlbs_core.Model.awake_in clock u ~slot)
           e.Radio.senders
       in
       let ctx =

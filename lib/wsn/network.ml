@@ -75,6 +75,11 @@ let quadrants t =
 
 let neighbors_in_quadrant t u q = (quadrants t).(u).(Quadrant.to_index q)
 
+let digest t =
+  let fold h f = Graph.mix h (Int64.bits_of_float f) in
+  Array.fold_left (fun h p -> fold (fold h p.Point.x) p.Point.y)
+    (fold (Graph.digest t.graph) t.radius) t.points
+
 let is_connected t = Components.is_connected t.graph
 
 let density t ~area =

@@ -56,6 +56,13 @@ val neighbors : t -> int -> int array
     Algorithm 2 relaxes over. *)
 val neighbors_in_quadrant : t -> int -> Mlbs_geom.Quadrant.t -> int array
 
+(** [digest t] is {!Mlbs_graph.Graph.digest} folded with the radius and
+    each position's IEEE bits, in node order: two networks digest equal
+    iff they have the same graph, radius and geometry (with
+    overwhelming probability). The scheduling service's content
+    address. *)
+val digest : t -> int64
+
 (** [is_connected t] is connectivity of the UDG. *)
 val is_connected : t -> bool
 

@@ -168,6 +168,120 @@ let test_codec_framing () =
   Alcotest.(check bool) "clean EOF" true (Codec.recv r = None);
   Unix.close r
 
+(* Codec fuzzing: whatever bytes arrive, the decoders either decode or
+   raise [Malformed] — never another exception — and every generated
+   request survives a round trip. *)
+let prop ?(count = 300) ?print name gen f =
+  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ?print ~name gen f)
+
+let gen_model =
+  let open QCheck2.Gen in
+  let module I = Mlbs_phy.Interference in
+  oneof
+    [
+      pure I.Udg;
+      map (fun k -> I.Multichannel k) (int_range 1 255);
+      map
+        (fun (alpha, beta, noise, extra) ->
+          I.Sinr { alpha; beta; noise; power = (beta *. noise) +. extra })
+        (quad (float_range 0.5 6.0) (float_range 1.0 4.0) (float_range 0.0 1.0)
+           (float_range 0.01 2.0));
+    ]
+
+let gen_u32 = QCheck2.Gen.int_range 0 0xffff_ffff
+
+let gen_request_any =
+  let open QCheck2.Gen in
+  let topology =
+    oneof
+      [
+        map2 (fun n radius -> Codec.Gen { n; radius }) gen_u32 (float_range 0.0 1e6);
+        map (fun l -> Codec.Adj (Array.of_list l))
+          (list_size (int_bound 8) (list_size (int_bound 5) gen_u32));
+      ]
+  in
+  map
+    (fun ((policy, rate, seed, topology), (source, start, model)) ->
+      { Codec.policy; rate; seed; topology; source; start; model })
+    (pair
+       (quad
+          (oneofl Codec.[ Baseline; Emodel; Gopt; Opt ])
+          (opt gen_u32) int topology)
+       (triple (opt gen_u32) gen_u32 gen_model))
+
+let gen_delta =
+  let open QCheck2.Gen in
+  let pairs = list_size (int_bound 4) (pair gen_u32 gen_u32) in
+  map3
+    (fun d_added d_removed d_rewired -> { Codec.d_added; d_removed; d_rewired })
+    pairs pairs
+    (list_size (int_bound 3) (pair gen_u32 (list_size (int_bound 4) gen_u32)))
+
+let gen_msg =
+  let open QCheck2.Gen in
+  oneof
+    [
+      map (fun r -> Codec.Request r) gen_request_any;
+      map (fun r -> Codec.Peek r) gen_request_any;
+      map2 (fun base delta -> Codec.Reschedule { base; delta }) gen_request_any gen_delta;
+      map
+        (fun req ->
+          Codec.Put { req; version = 1; stats = sample_stats; schedule = sample_schedule })
+        gen_request_any;
+      oneofl
+        Codec.
+          [
+            Reply_ok
+              {
+                trace_id = "rq-000001-aabbccdd";
+                cache_hit = true;
+                version = 3;
+                stats = sample_stats;
+                schedule = sample_schedule;
+              };
+            Reply_rejected { retry_after_ms = 120 };
+            Reply_error "boom";
+            Stats_reply [ ("server/requests", 42) ];
+            Hello_ack { proto = 5; version = "1.1.0"; version_match = true };
+            Peek_miss;
+          ];
+    ]
+
+(* Every reader a daemon or front runs on untrusted bytes. *)
+let only_malformed payload =
+  List.for_all
+    (fun f -> match f payload with () -> true | exception Codec.Malformed _ -> true)
+    [
+      (fun p -> ignore (Codec.decode p));
+      (fun p -> ignore (Codec.reply_view p));
+      (fun p -> ignore (Codec.peek_of_request_payload p));
+    ]
+
+(* A valid frame cut at a random length, or with one bit flipped. *)
+let gen_damaged =
+  let open QCheck2.Gen in
+  gen_msg >>= fun msg ->
+  let s = Codec.encode msg in
+  let n = String.length s in
+  oneof
+    [
+      map (fun k -> String.sub s 0 k) (int_bound (n - 1));
+      map2
+        (fun i b ->
+          String.mapi (fun j c -> if j = i then Char.chr (Char.code c lxor (1 lsl b)) else c) s)
+        (int_bound (n - 1)) (int_bound 7);
+    ]
+
+let codec_fuzz =
+  [
+    prop "request round trip" gen_request_any (fun r ->
+        roundtrip (Codec.Request r) = Codec.Request r);
+    prop "message round trip" gen_msg (fun m -> roundtrip m = m);
+    prop ~count:1000 "random bytes raise only Malformed" QCheck2.Gen.(string_size (int_bound 64))
+      only_malformed;
+    prop ~count:1000 "damaged frames raise only Malformed" gen_damaged only_malformed;
+  ]
+
 (* ------------------------------ cache ------------------------------ *)
 
 let test_cache_lru_eviction () =
@@ -455,18 +569,18 @@ let test_polish_disk_entry () =
 let pinned_keys =
   let module I = Mlbs_phy.Interference in
   [
-    (I.Udg, None, 300, 100_001, "6a27bd070aab9b1b:p2:r-1:w0:s28:t1:mudg");
-    (I.Udg, None, 300, 100_002, "86b0dbe801e2373f:p2:r-1:w0:s124:t1:mudg");
-    (I.Udg, Some 10, 150, 200_001, "eb38523dca388bb7:p2:r10:w200001:s16:t1:mudg");
-    (I.Udg, Some 10, 150, 200_002, "942d064a0aef304a:p2:r10:w200002:s89:t1:mudg");
-    (I.Udg, Some 10, 300, 200_003, "86876cd0743e79ed:p2:r10:w200003:s244:t1:mudg");
-    (I.Multichannel 2, None, 300, 300_001, "3a881638df556b96:p2:r-1:w0:s146:t1:mmc:2");
-    (I.Multichannel 2, None, 300, 300_002, "b9672afd46925627:p2:r-1:w0:s111:t1:mmc:2");
-    (I.Sinr I.default_sinr, None, 150, 400_001, "ac09ede282c418fc:p2:r-1:w0:s28:t1:msinr:3,2,0.2,1");
-    (I.Sinr I.default_sinr, None, 150, 400_002, "0c0ca1e5921f9f89:p2:r-1:w0:s46:t1:msinr:3,2,0.2,1");
-    (I.Sinr I.default_sinr, None, 300, 400_003, "fdcc1f23954fcdda:p2:r-1:w0:s117:t1:msinr:3,2,0.2,1");
-    (I.Udg, None, 150, 500_001, "086faf8fcce8a73c:p2:r-1:w0:s40:t1:mudg");
-    (I.Udg, None, 150, 500_064, "afa6d29419a7c8d9:p2:r-1:w0:s1:t1:mudg");
+    (I.Udg, None, 300, 100_001, "a9c1a124a3637dad:p2:r-1:w0:s28:t1:mudg");
+    (I.Udg, None, 300, 100_002, "717d6fcbc20ce738:p2:r-1:w0:s124:t1:mudg");
+    (I.Udg, Some 10, 150, 200_001, "88d16eed24730f18:p2:r10:w200001:s16:t1:mudg");
+    (I.Udg, Some 10, 150, 200_002, "9d8f23c8d1589dbc:p2:r10:w200002:s89:t1:mudg");
+    (I.Udg, Some 10, 300, 200_003, "ebccf7e315f8164a:p2:r10:w200003:s244:t1:mudg");
+    (I.Multichannel 2, None, 300, 300_001, "c97a76e583f85a22:p2:r-1:w0:s146:t1:mmc:2");
+    (I.Multichannel 2, None, 300, 300_002, "92ba8578852169c8:p2:r-1:w0:s111:t1:mmc:2");
+    (I.Sinr I.default_sinr, None, 150, 400_001, "913561c1ba053ea3:p2:r-1:w0:s28:t1:msinr:3,2,0.2,1");
+    (I.Sinr I.default_sinr, None, 150, 400_002, "63199583fdf9f3c7:p2:r-1:w0:s46:t1:msinr:3,2,0.2,1");
+    (I.Sinr I.default_sinr, None, 300, 400_003, "9a8e065a5a95715f:p2:r-1:w0:s117:t1:msinr:3,2,0.2,1");
+    (I.Udg, None, 150, 500_001, "b93d2274435f9104:p2:r-1:w0:s40:t1:mudg");
+    (I.Udg, None, 150, 500_064, "2a4108a5b5296311:p2:r-1:w0:s1:t1:mudg");
   ]
 
 let test_cache_key_pinned () =
@@ -513,6 +627,18 @@ let test_instance_is_paper_recipe () =
       | _ -> Alcotest.fail (label ^ ": wrong system"))
     [ (None, 60, 1); (None, 60, 7); (None, 100, 3); (Some 10, 60, 2); (Some 5, 80, 5) ]
 
+(* [gen] with its resolved source pinned, and the [Adj] request of the
+   same graph with that source: twins that differ only in geometry. *)
+let adj_twin gen =
+  let model, source = Daemon.instance gen in
+  let g = Mlbs_core.Model.graph model in
+  let adj =
+    Array.init (Mlbs_graph.Graph.n_nodes g) (fun u ->
+        Array.to_list (Mlbs_graph.Graph.neighbors g u))
+  in
+  ( { gen with Codec.source = Some source },
+    { gen with Codec.topology = Codec.Adj adj; source = Some source } )
+
 let test_cache_key_content_addressing () =
   (* The same labelled adjacency, neighbour lists built in different
      orders, must file under the same key. *)
@@ -547,7 +673,62 @@ let test_cache_key_content_addressing () =
          { base with Codec.model = Mlbs_phy.Interference.(Sinr default_sinr) });
   Alcotest.(check bool) "channel count in key" true
     (Daemon.cache_key { base with Codec.model = Mlbs_phy.Interference.Multichannel 2 }
-    <> Daemon.cache_key { base with Codec.model = Mlbs_phy.Interference.Multichannel 3 })
+    <> Daemon.cache_key { base with Codec.model = Mlbs_phy.Interference.Multichannel 3 });
+  (* The geometry is part of the address: a generated deployment and its
+     adjacency twin (the same graph, source pinned) sit on different
+     positions, so they file apart. *)
+  let gen, twin = adj_twin gen_request in
+  Alcotest.(check bool) "positions in key" true (Daemon.cache_key gen <> Daemon.cache_key twin)
+
+(* The oracle for the cache fast path: two requests filed under one
+   address must be answered with one schedule. Each draw is a pair of
+   twins over every policy, udg/sinr/mc:2, sync and a duty cycle: a
+   [Gen] request and its [Adj] twin, a [Reschedule] with an empty delta
+   and its base, and a [Gen] request and itself with its resolved source
+   pinned (the one pair that must share an address). *)
+let twin_property =
+  let module I = Mlbs_phy.Interference in
+  let gen =
+    QCheck2.Gen.(
+      map
+        (fun ((policy, model, rate), (seed, kind)) ->
+          let topology = Codec.Gen { n = 50; radius = 10.0 } in
+          ({ gen_request with Codec.policy; model; rate; seed; topology }, kind))
+        (pair
+           (triple
+              (oneofl Codec.[ Baseline; Emodel; Gopt; Opt ])
+              (oneofl [ I.Udg; I.Sinr I.default_sinr; I.Multichannel 2 ])
+              (oneofl [ None; Some 10 ]))
+           (pair (int_range 1 10) (oneofl [ `Adj; `Empty_delta; `Pinned ]))))
+  in
+  let bytes req = Codec.schedule_bytes (snd (Daemon.solve req)) in
+  let print (req, kind) =
+    Printf.sprintf "%s, %s, %s %s seed %d"
+      (match kind with `Adj -> "Adj twin" | `Empty_delta -> "empty delta" | `Pinned -> "pinned")
+      (match req.Codec.policy with
+      | Codec.Baseline -> "baseline"
+      | Codec.Emodel -> "emodel"
+      | Codec.Gopt -> "gopt"
+      | Codec.Opt -> "opt")
+      (Mlbs_phy.Interference.to_string req.Codec.model)
+      (match req.Codec.rate with None -> "sync" | Some r -> Printf.sprintf "r=%d" r)
+      req.Codec.seed
+  in
+  prop ~count:60 ~print "equal cache_key => equal schedule bytes" gen (fun (base, kind) ->
+      let (a, ka), (b, kb) =
+        match kind with
+        | `Adj ->
+            let pinned, twin = adj_twin base in
+            ((pinned, Daemon.cache_key pinned), (twin, Daemon.cache_key twin))
+        | `Empty_delta ->
+            let empty = { Codec.d_added = []; d_removed = []; d_rewired = [] } in
+            ( (base, Daemon.cache_key base),
+              (Daemon.derived_request base empty, Daemon.reschedule_key base empty) )
+        | `Pinned ->
+            let pinned, _ = adj_twin base in
+            ((base, Daemon.cache_key base), (pinned, Daemon.cache_key pinned))
+      in
+      ka <> kb || bytes a = bytes b)
 
 (* --------------------------- daemon e2e ---------------------------- *)
 
@@ -924,7 +1105,8 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_codec_roundtrip;
           Alcotest.test_case "malformed" `Quick test_codec_malformed;
           Alcotest.test_case "framing" `Quick test_codec_framing;
-        ] );
+        ]
+        @ codec_fuzz );
       ( "cache",
         [
           Alcotest.test_case "lru eviction" `Quick test_cache_lru_eviction;
@@ -947,6 +1129,7 @@ let () =
           Alcotest.test_case "pinned addresses" `Quick test_cache_key_pinned;
           Alcotest.test_case "instance is the paper recipe" `Quick
             test_instance_is_paper_recipe;
+          twin_property;
         ] );
       ( "daemon",
         [
