@@ -12,7 +12,6 @@ open Cmdliner
 
 module Rng = Mlbs_prng.Rng
 module Network = Mlbs_wsn.Network
-module Deployment = Mlbs_wsn.Deployment
 module Churn = Mlbs_wsn.Churn
 module Metrics = Mlbs_graph.Metrics
 module Wake_schedule = Mlbs_dutycycle.Wake_schedule
@@ -71,17 +70,8 @@ let codec_policy = function
   | Scheduler.Gopt _ -> Sv_codec.Gopt
   | Scheduler.Opt _ -> Sv_codec.Opt
 
-let build_request ?(model = Interference.Udg) ~policy ~rate ~seed ~n ~source ~start ~load
-    () =
-  let topology =
-    match load with
-    | Some path ->
-        let g = Network.graph (Mlbs_workload.Persist.load_network path) in
-        Sv_codec.Adj
-          (Array.init (Mlbs_graph.Graph.n_nodes g) (fun u ->
-               Array.to_list (Mlbs_graph.Graph.neighbors g u)))
-    | None -> Sv_codec.Gen { n; radius = Config.default.Config.radius }
-  in
+let build_request ?(model = Interference.Udg) ~policy ~rate ~seed ~n ~source ~start () =
+  let topology = Sv_codec.Gen { n; radius = Config.default.Config.radius } in
   { Sv_codec.policy = codec_policy policy; rate; seed; topology; source; start; model }
 
 (* The paper's instance (§V.A) for N nodes and SEED: the model and
@@ -90,8 +80,7 @@ let build_request ?(model = Interference.Udg) ~policy ~rate ~seed ~n ~source ~st
    part of the instance. *)
 let instance ?model ~rate ~seed ~n () =
   Sv_daemon.instance
-    (build_request ?model ~policy:Scheduler.Emodel ~rate ~seed ~n ~source:None ~start:1
-       ~load:None ())
+    (build_request ?model ~policy:Scheduler.Emodel ~rate ~seed ~n ~source:None ~start:1 ())
 
 let trace_file_arg =
   Arg.(
@@ -109,7 +98,7 @@ let metrics_file_arg =
 
 (* -------------------------- generate ------------------------------- *)
 
-let generate n seed save =
+let generate n seed =
   let net = Model.network (fst (instance ~rate:None ~seed ~n ())) in
   let g = Network.graph net in
   Printf.printf "deployment: n=%d seed=%d area=50x50ft radius=10ft\n" n seed;
@@ -117,22 +106,12 @@ let generate n seed save =
   Printf.printf "  average degree: %.2f\n" (Metrics.average_degree g);
   Printf.printf "  diameter:       %d\n" (Metrics.diameter g);
   Printf.printf "  density:        %.3f nodes/sqft\n" (Network.density net ~area:2500.);
-  (match save with
-  | Some path ->
-      Mlbs_workload.Persist.save_network path net;
-      Printf.printf "  saved to:       %s\n" path
-  | None -> ());
   0
 
 let generate_cmd =
-  let save_arg =
-    Arg.(
-      value & opt (some string) None
-      & info [ "save" ] ~docv:"FILE" ~doc:"Also write the deployment to $(docv).")
-  in
   Cmd.v
     (Cmd.info "generate" ~doc:"Sample a connected deployment and print statistics")
-    Term.(const generate $ nodes_arg $ seed_arg $ save_arg)
+    Term.(const generate $ nodes_arg $ seed_arg)
 
 (* -------------------------- schedule ------------------------------- *)
 
@@ -162,24 +141,8 @@ let policy_arg =
 let verbose_arg =
   Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Print every advance of the schedule.")
 
-let schedule n seed rate policy phy verbose load save =
-  let model, source =
-    match load with
-    | None -> instance ~model:phy ~rate ~seed ~n ()
-    | Some path ->
-        (* A saved deployment keeps its geometry; the wake schedule and
-           the source window are the paper's. *)
-        let net = Mlbs_workload.Persist.load_network path in
-        let system =
-          match rate with
-          | None -> Model.Sync
-          | Some r ->
-              Model.Async (Wake_schedule.create ~rate:r ~n_nodes:(Network.n_nodes net) ~seed ())
-        in
-        ( Model.create ~phy net system,
-          Deployment.select_source (Rng.create seed) net ~min_ecc:Config.default.Config.min_ecc
-            ~max_ecc:Config.default.Config.max_ecc )
-  in
+let schedule n seed rate policy phy verbose =
+  let model, source = instance ~model:phy ~rate ~seed ~n () in
   let system = Model.system model in
   let plan = Scheduler.run model policy ~source ~start:1 in
   let d = Bounds.source_depth model ~source in
@@ -197,30 +160,14 @@ let schedule n seed rate policy phy verbose load save =
   | None -> Printf.printf "theorem 1:     < %d rounds\n" (Bounds.opt_sync ~d)
   | Some r -> Printf.printf "theorem 1:     < %d slots\n" (Bounds.opt_async ~d ~rate:r));
   if verbose then Format.printf "%a@." Schedule.pp plan;
-  (match save with
-  | Some path ->
-      Mlbs_workload.Persist.save_schedule path plan;
-      Printf.printf "schedule saved: %s\n" path
-  | None -> ());
   if report.Validate.ok then 0 else 1
 
 let schedule_cmd =
-  let load_arg =
-    Arg.(
-      value & opt (some string) None
-      & info [ "load" ] ~docv:"FILE"
-          ~doc:"Schedule over a deployment saved by 'generate --save' instead of sampling.")
-  in
-  let save_arg =
-    Arg.(
-      value & opt (some string) None
-      & info [ "save-schedule" ] ~docv:"FILE" ~doc:"Write the computed schedule to $(docv).")
-  in
   Cmd.v
     (Cmd.info "schedule" ~doc:"Run one scheduling policy on a deployment")
     Term.(
       const schedule $ nodes_arg $ seed_arg $ rate_arg $ policy_arg $ model_arg
-      $ verbose_arg $ load_arg $ save_arg)
+      $ verbose_arg)
 
 (* --------------------------- improve ------------------------------- *)
 
@@ -228,7 +175,7 @@ let schedule_cmd =
    policy, then spend an evaluation budget of GLS/VNS moves on the
    result and report the quality trajectory. The improved schedule is
    radio-replayed before printing, like everything else. *)
-let improve_run n seed rate policy phy budget search_seed verbose save =
+let improve_run n seed rate policy phy budget search_seed verbose =
   let model, source = instance ~model:phy ~rate ~seed ~n () in
   let system = Model.system model in
   let plan = Scheduler.run model policy ~source ~start:1 in
@@ -250,11 +197,6 @@ let improve_run n seed rate policy phy budget search_seed verbose save =
     o.Improve.penalty_bumps o.Improve.penalty_resets o.Improve.escalations;
   Printf.printf "radio replay:   %s\n" (if report.Validate.ok then "valid" else "INVALID");
   if verbose then Format.printf "%a@." Schedule.pp o.Improve.schedule;
-  (match save with
-  | Some path ->
-      Mlbs_workload.Persist.save_schedule path o.Improve.schedule;
-      Printf.printf "schedule saved: %s\n" path
-  | None -> ());
   if report.Validate.ok then 0 else 1
 
 let improve_cmd =
@@ -270,17 +212,12 @@ let improve_cmd =
       & info [ "search-seed" ] ~docv:"SEED"
           ~doc:"RNG seed of the local search (the result is deterministic per seed).")
   in
-  let save_arg =
-    Arg.(
-      value & opt (some string) None
-      & info [ "save-schedule" ] ~docv:"FILE" ~doc:"Write the improved schedule to $(docv).")
-  in
   Cmd.v
     (Cmd.info "improve"
        ~doc:"Polish a constructed schedule with GLS/VNS local search under a budget")
     Term.(
       const improve_run $ nodes_arg $ seed_arg $ rate_arg $ policy_arg $ model_arg
-      $ budget_arg $ search_seed_arg $ verbose_arg $ save_arg)
+      $ budget_arg $ search_seed_arg $ verbose_arg)
 
 (* ---------------------------- trace -------------------------------- *)
 
@@ -816,29 +753,21 @@ let verify_against_local req (ok : Sv_codec.ok_reply) =
     report.Validate.ok
     && Schedule.elapsed ok.Sv_codec.schedule <= Schedule.elapsed local
 
-(* The base deployment a delta drifts: the network the daemon resolves
-   for a generator request, so the generated rewires apply to the graph
-   it actually holds; a saved deployment drifts its own geometry. *)
-let base_network req ~load =
-  match load with
-  | Some path -> Mlbs_workload.Persist.load_network path
-  | None -> Model.network (Sv_daemon.model_of req)
-
 (* One churn event: drift [k] nodes of [net] by up to 20% of the radius
    and ship the resulting rewires as a wire delta. *)
 let drift_delta rng net ~k =
   let d = Churn.drift rng net ~k ~jitter:(Config.default.Config.radius /. 5.) in
   (d.Churn.network, { Sv_codec.d_added = []; d_removed = []; d_rewired = d.Churn.rewired })
 
-let request socket tcp n seed rate policy model source start load delta delta_seed verify
+let request socket tcp n seed rate policy model source start delta delta_seed verify
     verbose =
-  let req = build_request ~model ~policy ~rate ~seed ~n ~source ~start ~load () in
+  let req = build_request ~model ~policy ~rate ~seed ~n ~source ~start () in
   let c, `Version server_version, `Match version_match = endpoint socket tcp |> Sv_client.connect in
   Fun.protect ~finally:(fun () -> Sv_client.close c) @@ fun () ->
   let outcome, vreq =
     if delta = 0 then (Sv_client.request_retry c req, req)
     else begin
-      let net = base_network req ~load in
+      let net = Model.network (Sv_daemon.model_of req) in
       let _, d = drift_delta (Rng.create delta_seed) net ~k:delta in
       Printf.printf "delta:         %d nodes drifted, %d rewired\n" delta
         (List.length d.Sv_codec.d_rewired);
@@ -886,14 +815,6 @@ let request_cmd =
   let start_arg =
     Arg.(value & opt int 1 & info [ "start" ] ~docv:"SLOT" ~doc:"Start slot t_s.")
   in
-  let load_arg =
-    Arg.(
-      value & opt (some string) None
-      & info [ "load" ] ~docv:"FILE"
-          ~doc:
-            "Send the explicit adjacency of a deployment saved by 'generate --save' \
-             instead of generator parameters.")
-  in
   let verify_arg =
     Arg.(
       value & flag
@@ -917,7 +838,7 @@ let request_cmd =
     (Cmd.info "request" ~doc:"Send one solve request to the scheduling service")
     Term.(
       const request $ socket_arg $ tcp_arg $ nodes_arg $ seed_arg $ rate_arg
-      $ policy_arg $ model_arg $ source_arg $ start_arg $ load_arg $ delta_arg
+      $ policy_arg $ model_arg $ source_arg $ start_arg $ delta_arg
       $ delta_seed_arg $ verify_arg $ verbose_arg)
 
 (* Churn mode: one connection replaying a topology-churn stream per
@@ -939,10 +860,8 @@ let churn_loadgen ep ~requests ~n ~seeds ~policy ~rate ~model ~churn ~verify_sam
     (r, (Unix.gettimeofday () -. t0) *. 1e6)
   in
   for s = 1 to seeds do
-    let base =
-      build_request ~model ~policy ~rate ~seed:s ~n ~source:None ~start:1 ~load:None ()
-    in
-    let net = base_network base ~load:None in
+    let base = build_request ~model ~policy ~rate ~seed:s ~n ~source:None ~start:1 () in
+    let net = Model.network (Sv_daemon.model_of base) in
     (match time (fun () -> Sv_client.request_retry ~attempts:8 c base) with
     | Sv_client.Ok _, us -> cold := us :: !cold
     | (Sv_client.Rejected _ | Sv_client.Error _), _ -> incr errors);
@@ -994,8 +913,7 @@ let loadgen_plain socket tcp requests concurrency n seeds policy rate model veri
   let lat_us = Array.make (max 1 requests) 0.0 in
   let results = Array.make (max 1 requests) `Err in
   let req_of i =
-    build_request ~model ~policy ~rate ~seed:(1 + (i mod seeds)) ~n ~source:None ~start:1
-      ~load:None ()
+    build_request ~model ~policy ~rate ~seed:(1 + (i mod seeds)) ~n ~source:None ~start:1 ()
   in
   let worker w () =
     let c, _, _ = Sv_client.connect ep in

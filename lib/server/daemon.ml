@@ -178,26 +178,32 @@ let model_of req = fst (instance req)
 
 (* A [Reschedule] is its derived request: the plain request for the
    adjacency of [Graph.edit] applied to [base]'s resolved graph, with
-   the base's resolved source pinned. Returns that request together with
-   the record [resolve] would build for it — the edited graph on its
-   synthetic geometry, and that network's digest — so the daemon answers
-   it without rebuilding the graph from the adjacency. *)
-let resolve_derived ?memo base (delta : C.delta) =
+   the base's resolved source pinned. [resolve_edit] returns [base]
+   with that source pinned, together with the record [resolve] would
+   build for the derived request — the edited graph on its synthetic
+   geometry, and that network's digest — so the daemon answers it
+   without rebuilding the graph from the adjacency. *)
+let resolve_edit ?memo base (delta : C.delta) =
   let r = resolve ?memo base in
-  let source = source_of base r in
   let g' =
     Graph.edit (Network.graph r.rnet) ~add:delta.C.d_added ~remove:delta.C.d_removed
       ~rewire:delta.C.d_rewired
   in
+  ({ base with C.source = Some (source_of base r) }, resolved (Network.synthetic g') 0)
+
+let resolve_derived ?memo base delta =
+  let pinned, r' = resolve_edit ?memo base delta in
+  let g' = Network.graph r'.rnet in
   let adj = Array.init (Graph.n_nodes g') (fun u -> Array.to_list (Graph.neighbors g' u)) in
-  ( { base with C.topology = C.Adj adj; source = Some source },
-    resolved (Network.synthetic g') 0 )
+  ({ pinned with C.topology = C.Adj adj }, r')
 
 let derived_request base delta = fst (resolve_derived base delta)
 
+(* [key_of] never reads the topology, so the pinned base stands in for
+   the derived request and the adjacency list is never built. *)
 let reschedule_key ?memo base delta =
-  let req, r = resolve_derived ?memo base delta in
-  key_of req r
+  let pinned, r' = resolve_edit ?memo base delta in
+  key_of pinned r'
 
 (* --------------------------- the cache gate ------------------------ *)
 

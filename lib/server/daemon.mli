@@ -144,7 +144,7 @@ type resolved
     [cache_key (derived_request base delta)] — the address the daemon
     files the reschedule's answer under — computed from the derived
     request's resolved record (the edited graph on its synthetic
-    geometry) without the adjacency round trip. An empty delta is not
+    geometry) without building its adjacency list. An empty delta is not
     its base's address: the base's positions are not the synthetic
     ones. [memo] memoises [base]'s generator topology as the daemon
     does. The fleet front routes a [Reschedule] by it. Raises like

@@ -992,6 +992,22 @@ let test_daemon_model_keyed_cache () =
   | Client.Ok ok -> Alcotest.(check bool) "sinr repeat hits its own line" true ok.Codec.cache_hit
   | _ -> Alcotest.fail "expected Ok for sinr repeat"
 
+(* The SINR twin over the wire: a generated deployment and its
+   adjacency (the same graph and source on synthetic positions) hear
+   interference from different geometry, so the twin is a miss of its
+   own, solved on its own positions. Answered from the [Gen] line, it
+   would read as a hit with the generated deployment's schedule. *)
+let test_daemon_sinr_twin () =
+  let sinr = { gen_request with Codec.model = Mlbs_phy.Interference.(Sinr default_sinr) } in
+  let pinned, twin = adj_twin sinr in
+  let bytes req = Codec.schedule_bytes (snd (Daemon.solve req)) in
+  Alcotest.(check bool) "twin schedules differ" true (bytes pinned <> bytes twin);
+  with_daemon @@ fun socket ->
+  let c = connect socket in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  check_served c ~hit:false "generated deployment" sinr;
+  check_served c ~hit:false "adjacency twin" twin
+
 let test_daemon_serves_every_model () =
   (* Cold solve and reschedule repair per backend: both replies must be
      byte-identical to the reference path bound to the same model. *)
@@ -1145,6 +1161,7 @@ let () =
           Alcotest.test_case "reschedule bad delta" `Quick test_daemon_reschedule_bad_delta;
           Alcotest.test_case "put validated" `Quick test_daemon_put_validated;
           Alcotest.test_case "model-keyed cache" `Quick test_daemon_model_keyed_cache;
+          Alcotest.test_case "sinr twin" `Quick test_daemon_sinr_twin;
           Alcotest.test_case "serves every model" `Quick test_daemon_serves_every_model;
           Alcotest.test_case "allowed models" `Quick test_daemon_allowed_models;
           Alcotest.test_case "shutdown frame" `Quick test_daemon_shutdown_frame;
