@@ -1,7 +1,9 @@
-(* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation, runs the ablation studies, times the schedulers with
-   Bechamel, and drives the service, churn, fleet, search, model and
-   improver benches.
+(* Benchmark harness for the library: regenerates every table and
+   figure of the paper's evaluation, runs the ablation studies, times
+   the schedulers with Bechamel, and drives the churn, search, model and
+   improver benches. The scheduling service (daemon, fleet, wire
+   protocol) is measured end to end by perfbench's cold_solve and
+   hot_fleet workloads, not here.
 
      dune exec bench/main.exe                 # everything, full sweep
      dune exec bench/main.exe -- --quick      # reduced sweep
@@ -11,14 +13,11 @@
      dune exec bench/main.exe -- --smoke --json BENCH_9.json     # re-record it
 
    Targets: table2 table3 table4 fig3 fig4 fig5 fig6 fig7 reliability
-   ablation service churn fleet micro search models improve
-   (default: all).
-   The service target drives an in-process scheduling daemon over its
-   Unix socket — cold (distinct instances) then warm (cache hits). The
-   churn target times warm-started repair against full re-solves and
-   byte-compares every repair; fleet drives a front over 1/2/4 shards
-   and kills one. The search target times the default-budget cold-solve
-   kernels on fixed instances. The models target compares the
+   ablation churn micro search models improve (default: all).
+   The churn target times warm-started repair against full re-solves
+   across drift levels and byte-compares every repair. The search
+   target times the default-budget cold-solve kernels on fixed
+   instances. The models target compares the
    interference backends (udg / sinr / mc:2 / mc:3) on shared
    deployments — solve ns/run plus scheduled rounds and transmissions.
    The improve target sweeps the GLS/VNS anytime improver over fixed
@@ -62,7 +61,6 @@ module Bitset = Mlbs_util.Bitset
 module Pool = Mlbs_util.Pool
 module Validate = Mlbs_sim.Validate
 module Improve = Mlbs_search.Improve
-module Obs = Mlbs_obs.Obs
 module Obs_metrics = Mlbs_obs.Metrics
 module Rows = Bench_rows.Rows
 module Telemetry = Mlbs_workload.Telemetry
@@ -217,160 +215,6 @@ let run_ablation cfg =
          Mlbs_util.Tab.print
            (Ablation.fault_table { small with Config.crash_fraction = 0.1 } ~n:100 ~loss:0.2)))
 
-(* ------------------------- service bench --------------------------- *)
-
-module Sv_daemon = Mlbs_server.Daemon
-module Sv_client = Mlbs_server.Client
-module Sv_codec = Mlbs_server.Codec
-
-(* One load phase of the service or fleet bench. *)
-type phase = {
-  pname : string;
-  requests : int;
-  p_seconds : float;
-  rps : float;
-  p50_us : float;
-  p95_us : float;
-  p99_us : float;
-  hits : int;
-}
-
-let percentile sorted q =
-  if Array.length sorted = 0 then 0.0
-  else
-    sorted.(min
-              (Array.length sorted - 1)
-              (int_of_float (ceil (q *. float_of_int (Array.length sorted))) - 1))
-
-let emit_phase target suffix p =
-  emit target
-    (Printf.sprintf "%s %s" p.pname suffix)
-    [
-      ("requests", "count", float_of_int p.requests);
-      ("seconds", "s", p.p_seconds);
-      ("rps", "1/s", p.rps);
-      ("p50", "us", p.p50_us);
-      ("p95", "us", p.p95_us);
-      ("p99", "us", p.p99_us);
-      ("cache_hits", "count", float_of_int p.hits);
-    ]
-
-(* [requests] requests from [concurrency] clients; returns the phase
-   with the rejected and failed request counts. *)
-let load_phase name ~socket ~concurrency ~requests req_of =
-  let lat = Array.make requests 0.0 in
-  let hits = Atomic.make 0 in
-  let rejected = Atomic.make 0 in
-  let errors = Atomic.make 0 in
-  let worker w () =
-    let c, _, _ = Sv_client.connect (Sv_client.Unix_socket socket) in
-    Fun.protect ~finally:(fun () -> Sv_client.close c) @@ fun () ->
-    let i = ref w in
-    while !i < requests do
-      let t0 = now_s () in
-      (match Sv_client.request_retry ~attempts:8 c (req_of !i) with
-      | Sv_client.Ok ok -> if ok.Sv_codec.cache_hit then Atomic.incr hits
-      | Sv_client.Rejected _ -> Atomic.incr rejected
-      | Sv_client.Error _ -> Atomic.incr errors);
-      lat.(!i) <- (now_s () -. t0) *. 1e6;
-      i := !i + concurrency
-    done
-  in
-  let t0 = now_s () in
-  let threads = List.init concurrency (fun w -> Thread.create (worker w) ()) in
-  List.iter Thread.join threads;
-  let dt = now_s () -. t0 in
-  Array.sort compare lat;
-  ( {
-      pname = name;
-      requests;
-      p_seconds = dt;
-      rps = float_of_int requests /. dt;
-      p50_us = percentile lat 0.50;
-      p95_us = percentile lat 0.95;
-      p99_us = percentile lat 0.99;
-      hits = Atomic.get hits;
-    },
-    Atomic.get rejected,
-    Atomic.get errors )
-
-(* Cold phase: every request is a distinct instance — pays deployment
-   generation, source selection and the solve. Warm phase: the same
-   instances again, repeatedly — served from the content-addressed
-   cache. The speedup between the two is the cache's service-level
-   value, gated at >= 10x in the acceptance criteria. *)
-let run_service cfg ~smoke =
-  section
-    (Printf.sprintf "Scheduling service (daemon + wire protocol, jobs=%d)"
-       cfg.Config.jobs);
-  (* The daemon force-enables the metrics registry; restore the bench's
-     registry state afterwards so later timed sections (micro!) still
-     run with the disabled-branch cost the baseline rows were recorded
-     under. *)
-  let metrics0 = Obs.metrics_enabled () and tracing0 = Obs.tracing_enabled () in
-  let n = List.fold_left max 50 cfg.Config.node_counts in
-  let instances = if smoke then 8 else 32 in
-  let concurrency = if smoke then 4 else 8 in
-  let warm_requests = if smoke then 200 else 2000 in
-  let socket = Filename.temp_file "mlbs-bench" ".sock" in
-  let dcfg =
-    {
-      (Sv_daemon.default_config ~socket_path:socket) with
-      Sv_daemon.jobs = cfg.Config.jobs;
-      queue_capacity = 256;
-      cache_capacity = 2 * instances;
-    }
-  in
-  let req_of i =
-    {
-      Sv_codec.policy = Sv_codec.Gopt;
-      rate = None;
-      seed = 1 + (i mod instances);
-      topology = Sv_codec.Gen { n; radius = Config.default.Config.radius };
-      source = None;
-      start = 1;
-      model = Mlbs_phy.Interference.Udg;
-    }
-  in
-  let t0 = now_s () in
-  let d = Sv_daemon.start dcfg in
-  let cold, warm =
-    Fun.protect
-      ~finally:(fun () ->
-        Sv_daemon.stop d;
-        Sv_daemon.wait d;
-        if not metrics0 then begin
-          Obs.disable ();
-          if tracing0 then Obs.enable ~metrics:false ~tracing:true ()
-        end)
-      (fun () ->
-        let phase name requests =
-          let p, rejected, errors = load_phase name ~socket ~concurrency ~requests req_of in
-          if rejected + errors > 0 then
-            Printf.printf "  WARNING: %d failed requests in %s phase\n%!" (rejected + errors)
-              name;
-          p
-        in
-        let cold = phase "cold" instances in
-        (cold, phase "warm" warm_requests))
-  in
-  let dt = now_s () -. t0 in
-  let speedup = warm.rps /. cold.rps in
-  Printf.printf "  %d instances (n=%d), %d clients over a Unix socket\n" instances n
-    concurrency;
-  List.iter
-    (fun p ->
-      Printf.printf
-        "  %-5s %5d requests  %8.0f req/s  p50=%.0fus p95=%.0fus p99=%.0fus  (%d hits)\n"
-        p.pname p.requests p.rps p.p50_us p.p95_us p.p99_us p.hits)
-    [ cold; warm ];
-  Printf.printf "  warm/cold throughput: %.1fx\n" speedup;
-  Printf.printf "(%.1fs)\n\n%!" dt;
-  let suffix = Printf.sprintf "(n=%d, %d instances, %d clients)" n instances concurrency in
-  List.iter (emit_phase "service" suffix) [ cold; warm ];
-  emit "service" "warm/cold" [ ("speedup", "x", speedup) ];
-  record "service" dt
-
 (* ------------------------- churn bench ----------------------------- *)
 
 module Reschedule = Mlbs_core.Reschedule
@@ -378,6 +222,7 @@ module Churn = Mlbs_wsn.Churn
 module Deployment = Mlbs_wsn.Deployment
 module Network = Mlbs_wsn.Network
 module Rng = Mlbs_prng.Rng
+module Codec = Mlbs_server.Codec
 
 (* One churn level: [c_k] nodes drift per event, the
    repaired schedule is byte-compared against a full re-solve of the
@@ -394,6 +239,13 @@ type churn_level = {
   speedup_p50 : float;
   c_mismatches : int;
 }
+
+let percentile sorted q =
+  if Array.length sorted = 0 then 0.0
+  else
+    sorted.(min
+              (Array.length sorted - 1)
+              (int_of_float (ceil (q *. float_of_int (Array.length sorted))) - 1))
 
 let mean a = Array.fold_left ( +. ) 0.0 a /. float_of_int (max 1 (Array.length a))
 
@@ -424,7 +276,7 @@ let run_churn_level ~net ~model ~source ~policy ~snap ~sched ~rng ~events ~pct =
     let t1 = now_s () in
     let full = Scheduler.run rep.Reschedule.model policy ~source ~start:1 in
     res_us.(e) <- (now_s () -. t1) *. 1e6;
-    if Sv_codec.schedule_bytes full <> Sv_codec.schedule_bytes rep.Reschedule.schedule
+    if Codec.schedule_bytes full <> Codec.schedule_bytes rep.Reschedule.schedule
     then incr mismatches
   done;
   (* Speedup is paired per event — each edited instance is its own
@@ -445,8 +297,7 @@ let run_churn_level ~net ~model ~source ~policy ~snap ~sched ~rng ~events ~pct =
 
 (* A churn instance: paper-spec deployment re-anchored on synthetic
    geometry — the exact network the scheduling service resolves for the
-   same adjacency, so daemon-side repairs and these in-process numbers
-   describe one code path. *)
+   same adjacency. *)
 let churn_instance ~n ~seed =
   let rng = Rng.create seed in
   let net = Deployment.generate rng (Deployment.paper_spec ~n_nodes:n) in
@@ -461,98 +312,6 @@ let run_churn_levels ~n ~seed ~events ~pcts =
   List.map
     (fun pct -> run_churn_level ~net ~model ~source ~policy ~snap ~sched ~rng ~events ~pct)
     pcts
-
-(* The service-side half of the churn story: one daemon, cold solves of
-   the base and of a few sibling deployments, then a stream of
-   [Reschedule] frames on the base — every one a cache miss on the
-   edited digest, answered as its derived request. *)
-type churn_service = {
-  s_cold_us : float;
-  s_repair_mean_us : float;
-  s_repair_p50_us : float;
-  s_errors : int;
-}
-
-let run_churn_service cfg ~n ~seed ~events ~pct =
-  let metrics0 = Obs.metrics_enabled () and tracing0 = Obs.tracing_enabled () in
-  let request_of ~seed net source =
-    let g = Network.graph net in
-    let adj =
-      Array.init (Mlbs_graph.Graph.n_nodes g) (fun u ->
-          Array.to_list (Mlbs_graph.Graph.neighbors g u))
-    in
-    {
-      Sv_codec.policy = Sv_codec.Gopt;
-      rate = None;
-      seed;
-      topology = Sv_codec.Adj adj;
-      source = Some source;
-      start = 1;
-      model = Mlbs_phy.Interference.Udg;
-    }
-  in
-  let rng, net, _, source = churn_instance ~n ~seed in
-  let base = request_of ~seed net source in
-  let socket = Filename.temp_file "mlbs-churn" ".sock" in
-  let dcfg =
-    {
-      (Sv_daemon.default_config ~socket_path:socket) with
-      Sv_daemon.jobs = cfg.Config.jobs;
-      queue_capacity = 64;
-      cache_capacity = 2 * events;
-    }
-  in
-  let d = Sv_daemon.start dcfg in
-  Fun.protect
-    ~finally:(fun () ->
-      Sv_daemon.stop d;
-      Sv_daemon.wait d;
-      if not metrics0 then begin
-        Obs.disable ();
-        if tracing0 then Obs.enable ~metrics:false ~tracing:true ()
-      end)
-  @@ fun () ->
-  let c, _, _ = Sv_client.connect (Sv_client.Unix_socket socket) in
-  Fun.protect ~finally:(fun () -> Sv_client.close c) @@ fun () ->
-  let errors = ref 0 in
-  let timed_request req =
-    let t = now_s () in
-    (match Sv_client.request_retry ~attempts:8 c req with
-    | Sv_client.Ok _ -> ()
-    | Sv_client.Rejected _ | Sv_client.Error _ -> incr errors);
-    (now_s () -. t) *. 1e6
-  in
-  (* One untimed solve first: the daemon's first search pays one-time
-     costs (domain-local scratch sizing, allocator warm-up) that would
-     otherwise land entirely in the first cold sample. *)
-  ignore
-    (timed_request
-       { base with Sv_codec.topology = Sv_codec.Gen { n = 120; radius = 10.0 }; source = None });
-  (* Several deployments beat one: a single cold sample is too noisy. *)
-  let cold_us =
-    mean
-      (Array.init 6 (fun i ->
-           let seed = seed + (31 * i) in
-           let _, net, _, source = churn_instance ~n ~seed in
-           timed_request (request_of ~seed net source)))
-  in
-  let k = max 1 (n * pct / 100) in
-  let lat = Array.make events 0.0 in
-  for e = 0 to events - 1 do
-    let dr = Churn.drift rng net ~k ~jitter:drift_jitter in
-    let delta = { Sv_codec.d_added = []; d_removed = []; d_rewired = dr.Churn.rewired } in
-    let t1 = now_s () in
-    (match Sv_client.reschedule_retry ~attempts:8 c ~base ~delta with
-    | Sv_client.Ok _ -> ()
-    | Sv_client.Rejected _ | Sv_client.Error _ -> incr errors);
-    lat.(e) <- (now_s () -. t1) *. 1e6
-  done;
-  {
-    s_cold_us = cold_us;
-    s_repair_mean_us = mean lat;
-    s_repair_p50_us = median lat;
-    s_errors = !errors;
-  }
 
 (* The gate pair: repair and resolve at a fixed small size, whatever
    --smoke says, so the baseline and every run share these two kernel
@@ -584,11 +343,6 @@ let run_churn cfg ~smoke =
         (if l.c_mismatches = 0 then ""
          else Printf.sprintf "  %d BYTE MISMATCHES" l.c_mismatches))
     levels;
-  let svc = run_churn_service cfg ~n ~seed:42 ~events ~pct:10 in
-  Printf.printf
-    "  service: cold %8.0f us, repair mean %8.0f us (p50 %8.0f)%s\n" svc.s_cold_us
-    svc.s_repair_mean_us svc.s_repair_p50_us
-    (if svc.s_errors = 0 then "" else Printf.sprintf "  %d ERRORS" svc.s_errors);
   List.iter
     (fun l ->
       emit "churn"
@@ -603,14 +357,6 @@ let run_churn cfg ~smoke =
           ("mismatches", "count", float_of_int l.c_mismatches);
         ])
     levels;
-  emit "churn"
-    (Printf.sprintf "service (n=%d, %d events)" n events)
-    [
-      ("cold", "us", svc.s_cold_us);
-      ("repair_mean", "us", svc.s_repair_mean_us);
-      ("repair_p50", "us", svc.s_repair_p50_us);
-      ("errors", "count", float_of_int svc.s_errors);
-    ];
   let mismatches =
     churn_gate_kernels () + List.fold_left (fun a l -> a + l.c_mismatches) 0 levels
   in
@@ -622,184 +368,6 @@ let run_churn cfg ~smoke =
       Printf.sprintf "%d repaired schedules were not byte-identical to full re-solves"
         mismatches
       :: !failures
-
-(* ------------------------- fleet bench ----------------------------- *)
-
-module Sv_fleet = Mlbs_server.Fleet
-
-(* A shard for the fleet bench: an external [serve --backend] process
-   when the CLI binary sits next to this bench in _build (separate
-   OCaml runtimes — real multi-process scaling), an in-process daemon
-   otherwise (still exercises the full TCP path). *)
-type shard =
-  | Sh_proc of { pid : int; out : in_channel; port : int }
-  | Sh_inproc of Sv_daemon.t
-
-let cli_exe =
-  lazy
-    (let candidate =
-       Filename.concat
-         (Filename.dirname Sys.executable_name)
-         (Filename.concat ".." (Filename.concat "bin" "mlbs_cli.exe"))
-     in
-     if Sys.file_exists candidate then Some candidate else None)
-
-let spawn_shard () =
-  match Lazy.force cli_exe with
-  | Some exe ->
-      let out_r, out_w = Unix.pipe ~cloexec:true () in
-      let pid =
-        Unix.create_process exe
-          [| exe; "serve"; "--backend"; "--tcp"; "0"; "--jobs"; "1" |]
-          Unix.stdin out_w Unix.stderr
-      in
-      Unix.close out_w;
-      let out = Unix.in_channel_of_descr out_r in
-      let prefix = "backend ready on 127.0.0.1:" in
-      let rec scan attempts =
-        if attempts = 0 then failwith "backend never reported ready";
-        let line = input_line out in
-        if
-          String.length line > String.length prefix
-          && String.sub line 0 (String.length prefix) = prefix
-        then
-          int_of_string
-            (String.sub line (String.length prefix)
-               (String.length line - String.length prefix))
-        else scan (attempts - 1)
-      in
-      Sh_proc { pid; out; port = scan 10 }
-  | None ->
-      Sh_inproc
-        (Sv_daemon.start
-           {
-             (Sv_daemon.default_config ~socket_path:"unused") with
-             Sv_daemon.socket_path = None;
-             tcp_port = Some 0;
-             jobs = 1;
-           })
-
-let shard_endpoint = function
-  | Sh_proc { port; _ } -> Sv_client.Tcp { host = "127.0.0.1"; port }
-  | Sh_inproc d -> (
-      match Sv_daemon.tcp_port d with
-      | Some port -> Sv_client.Tcp { host = "127.0.0.1"; port }
-      | None -> failwith "in-process shard has no TCP port")
-
-(* SIGKILL for a process shard — the chaos scenario CI replays. *)
-let kill_shard = function
-  | Sh_proc { pid; out; _ } ->
-      (try Unix.kill pid Sys.sigkill with Unix.Unix_error (_, _, _) -> ());
-      (try ignore (Unix.waitpid [] pid) with Unix.Unix_error (_, _, _) -> ());
-      close_in_noerr out
-  | Sh_inproc d ->
-      Sv_daemon.stop d;
-      Sv_daemon.wait d
-
-let front_stats socket =
-  let c, _, _ = Sv_client.connect (Sv_client.Unix_socket socket) in
-  Fun.protect ~finally:(fun () -> Sv_client.close c) (fun () -> Sv_client.stats c)
-
-(* Fleet metric counters are process-global and survive across shard
-   counts within one bench run, so every row works on before/after
-   diffs rather than absolute values. *)
-let stat_diff before after k =
-  let get kvs = Option.value ~default:0 (List.assoc_opt k kvs) in
-  get after - get before
-
-(* Fixed small-n rows (the gate compares p50 latencies by name, so
-   sizes must not move with --smoke): shard counts 1/2/4 through one
-   front, cold then warm, and a kill-one-shard degraded phase at 4. *)
-let run_fleet cfg ~smoke =
-  section (Printf.sprintf "Fleet (front + sharded backends, jobs=%d)" cfg.Config.jobs);
-  let metrics0 = Obs.metrics_enabled () and tracing0 = Obs.tracing_enabled () in
-  let n = 50 in
-  let instances = 8 in
-  let concurrency = 4 in
-  let warm_requests = if smoke then 160 else 800 in
-  let req_of i =
-    {
-      Sv_codec.policy = Sv_codec.Gopt;
-      rate = None;
-      seed = 1 + (i mod instances);
-      topology = Sv_codec.Gen { n; radius = Config.default.Config.radius };
-      source = None;
-      start = 1;
-      model = Mlbs_phy.Interference.Udg;
-    }
-  in
-  Printf.printf "  %d instances (n=%d), %d clients, %s shards\n" instances n concurrency
-    (match Lazy.force cli_exe with Some _ -> "process" | None -> "in-process");
-  let t0 = now_s () in
-  List.iter
-    (fun shards ->
-      let label = Printf.sprintf "(%d shard%s)" shards (if shards = 1 then "" else "s") in
-      let members = List.init shards (fun _ -> spawn_shard ()) in
-      let socket = Filename.temp_file "mlbs-fleet" ".sock" in
-      let fcfg =
-        {
-          (Sv_fleet.default_config
-             ~backends:(List.map shard_endpoint members)
-             ~socket_path:socket)
-          with
-          Sv_fleet.health_period = 0.2;
-        }
-      in
-      let t = Sv_fleet.start fcfg in
-      Fun.protect
-        ~finally:(fun () ->
-          Sv_fleet.stop t;
-          Sv_fleet.wait t;
-          List.iter kill_shard members;
-          try Sys.remove socket with Sys_error _ -> ())
-        (fun () ->
-          let s0 = front_stats socket in
-          let cold, _, _ = load_phase "cold" ~socket ~concurrency ~requests:instances req_of in
-          let warm, rejected, _ =
-            load_phase "warm" ~socket ~concurrency ~requests:warm_requests req_of
-          in
-          let s1 = front_stats socket in
-          let fills = stat_diff s0 s1 "server/fleet/fill_hits" in
-          Printf.printf
-            "  %d shard%s: cold %7.0f req/s   warm %7.0f req/s  p50=%.0fus p99=%.0fus  (%d \
-             hits, %d rejected, %d fills)\n"
-            shards
-            (if shards = 1 then " " else "s")
-            cold.rps warm.rps warm.p50_us warm.p99_us warm.hits rejected fills;
-          List.iter (emit_phase "fleet" label) [ cold; warm ];
-          emit "fleet" ("warm " ^ label)
-            [ ("rejected", "count", float_of_int rejected); ("fill_hits", "count", float_of_int fills) ];
-          if shards <> 2 then
-            emit "fleet" ("fleet/warm p50 " ^ label) [ ("p50", "ns", warm.p50_us *. 1e3) ];
-          if shards = 4 then begin
-            (* Chaos: SIGKILL one shard, drive the same load straight
-               through the reroute storm. *)
-            kill_shard (List.hd members);
-            let ph, rejected, errors =
-              load_phase "degraded" ~socket ~concurrency ~requests:(warm_requests / 2) req_of
-            in
-            let rebalances = stat_diff s1 (front_stats socket) "server/fleet/rebalances" in
-            Printf.printf
-              "  kill 1/%d: %7.0f req/s  p50=%.0fus p99=%.0fus  (%d rejected, %d errors, %d \
-               rebalances)\n"
-              shards ph.rps ph.p50_us ph.p99_us rejected errors rebalances;
-            emit_phase "fleet" label ph;
-            emit "fleet" ("degraded " ^ label)
-              [
-                ("rejected", "count", float_of_int rejected);
-                ("errors", "count", float_of_int errors);
-                ("rebalances", "count", float_of_int rebalances);
-              ];
-            emit "fleet" ("fleet/degraded p50 " ^ label) [ ("p50", "ns", ph.p50_us *. 1e3) ]
-          end))
-    [ 1; 2; 4 ];
-  if not metrics0 then begin
-    Obs.disable ();
-    if tracing0 then Obs.enable ~metrics:false ~tracing:true ()
-  end;
-  let dt = now_s () -. t0 in
-  Printf.printf "(%.1fs)\n\n%!" dt;
-  record "fleet" dt
 
 (* ------------------------ bechamel micro --------------------------- *)
 
@@ -1154,7 +722,7 @@ let run_improve () =
 
 let known =
   [ "table2"; "table3"; "table4"; "fig3"; "fig4"; "fig5"; "fig6"; "fig7"; "reliability";
-    "ablation"; "service"; "churn"; "fleet"; "micro"; "search"; "models"; "improve" ]
+    "ablation"; "churn"; "micro"; "search"; "models"; "improve" ]
 
 let () =
   (* [json] is [None] until --json/--no-json appears, so --smoke can
@@ -1250,9 +818,7 @@ let () =
            (List.length cfg.Config.seeds))
         Figures.fig_reliability;
     if want "ablation" then run_ablation cfg;
-    if want "service" then run_service cfg ~smoke;
     if want "churn" then run_churn cfg ~smoke;
-    if want "fleet" then run_fleet cfg ~smoke;
     if want "search" then run_search ();
     if want "models" then run_models ();
     if want "improve" then run_improve ();

@@ -549,8 +549,8 @@ let serve socket tcp backend jobs queue cache cache_dir models improve_budget tr
     let t = Sv_daemon.start dcfg in
     Printf.printf "mlbs scheduling service %s (protocol v%d)\n" Sv_version.version
       Sv_codec.protocol_version;
-    (* The "backend ready" line is parsed by fleet spawners (bench,
-       scripts) to learn an ephemeral port — keep its shape stable. *)
+    (* The "backend ready" line is parsed by fleet scripts (the CI
+       chaos smoke) to learn an ephemeral port — keep its shape stable. *)
     (match (backend, Sv_daemon.tcp_port t) with
     | true, Some p -> Printf.printf "backend ready on 127.0.0.1:%d\n" p
     | _ ->
@@ -632,7 +632,7 @@ let serve_cmd =
       $ cache_dir_arg $ models_arg $ improve_arg $ trace_file_arg $ metrics_file_arg)
 
 (* fleet: the front tier — consistent-hash routing over backend shards
-   started with [serve --backend] (or spawned in-process via --spawn). *)
+   started with [serve --backend]. *)
 
 let parse_backend s =
   match String.rindex_opt s ':' with
@@ -644,43 +644,20 @@ let parse_backend s =
       | _ -> failwith (s ^ ": expected HOST:PORT"))
   | _ -> failwith (s ^ ": expected HOST:PORT")
 
-let fleet socket tcp backends spawn jobs health_period trace_file metrics_file =
+let fleet socket tcp backends health_period trace_file metrics_file =
   let base = { Config.default with Config.trace_file; metrics_file } in
   Telemetry.with_config base @@ fun () ->
   match List.map parse_backend backends with
   | exception Failure msg ->
       Printf.eprintf "fleet: %s\n" msg;
       2
-  | named when named = [] && spawn <= 0 ->
-      Printf.eprintf "fleet: need --backends HOST:PORT[,...] and/or --spawn K\n";
+  | [] ->
+      Printf.eprintf "fleet: need --backends HOST:PORT[,...]\n";
       2
-  | named ->
-      (* In-process shards share this process's cores: split the pool. *)
-      let jobs =
-        Option.value jobs
-          ~default:(max 1 (Config.default.Config.jobs / max 1 spawn))
-      in
-      let spawned =
-        List.init spawn (fun _ ->
-            Sv_daemon.start
-              {
-                (Sv_daemon.default_config ~socket_path:"unused") with
-                Sv_daemon.socket_path = None;
-                tcp_port = Some 0;
-                jobs;
-              })
-      in
-      let spawned_eps =
-        List.map
-          (fun d ->
-            match Sv_daemon.tcp_port d with
-            | Some port -> Sv_client.Tcp { host = "127.0.0.1"; port }
-            | None -> failwith "spawned backend has no TCP port")
-          spawned
-      in
+  | backends ->
       let fcfg =
         {
-          (Sv_fleet.default_config ~backends:(named @ spawned_eps) ~socket_path:socket) with
+          (Sv_fleet.default_config ~backends ~socket_path:socket) with
           Sv_fleet.tcp_port = tcp;
           health_period;
         }
@@ -692,18 +669,12 @@ let fleet socket tcp backends spawn jobs health_period trace_file metrics_file =
         (match Sv_fleet.tcp_port t with
         | Some p -> Printf.sprintf " and 127.0.0.1:%d" p
         | None -> "");
-      Printf.printf "shards: %s (%d spawned in-process)\n%!"
-        (String.concat ", " (List.map Sv_fleet.endpoint_name fcfg.Sv_fleet.backends))
-        spawn;
+      Printf.printf "shards: %s\n%!"
+        (String.concat ", " (List.map Sv_fleet.endpoint_name backends));
       let on_signal _ = Sv_fleet.stop t in
       Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal);
       Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal);
       Sv_fleet.wait t;
-      List.iter
-        (fun d ->
-          Sv_daemon.stop d;
-          Sv_daemon.wait d)
-        spawned;
       Printf.printf "fleet stopped\n";
       0
 
@@ -715,18 +686,6 @@ let fleet_cmd =
       & info [ "backends" ] ~docv:"HOST:PORT,..."
           ~doc:"Comma-separated backend shards (started with $(b,serve --backend)).")
   in
-  let spawn_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "spawn" ] ~docv:"K"
-          ~doc:"Additionally spawn $(docv) in-process backends on ephemeral ports.")
-  in
-  let jobs_arg =
-    Arg.(
-      value & opt (some int) None
-      & info [ "j"; "jobs" ] ~docv:"JOBS"
-          ~doc:"Solver pool size per spawned backend (default: cores / K).")
-  in
   let health_period_arg =
     Arg.(
       value & opt float 1.0
@@ -736,8 +695,8 @@ let fleet_cmd =
   Cmd.v
     (Cmd.info "fleet" ~doc:"Run the fleet front tier over backend shards")
     Term.(
-      const fleet $ socket_arg $ tcp_arg $ backends_arg $ spawn_arg $ jobs_arg
-      $ health_period_arg $ trace_file_arg $ metrics_file_arg)
+      const fleet $ socket_arg $ tcp_arg $ backends_arg $ health_period_arg
+      $ trace_file_arg $ metrics_file_arg)
 
 (* Version 0 replies are the deterministic construction and must be
    byte-identical to a direct solve. A version-upgraded reply (the
@@ -849,7 +808,7 @@ let request_cmd =
    byte-compared against a direct solve of the edited topology. *)
 let churn_loadgen ep ~requests ~n ~seeds ~policy ~rate ~model ~churn ~verify_sample
     ~smoke =
-  let events = max 1 (requests / max 1 seeds) in
+  let events = max 1 (requests / seeds) in
   let c, _, _ = Sv_client.connect ep in
   Fun.protect ~finally:(fun () -> Sv_client.close c) @@ fun () ->
   let errors = ref 0 and hits = ref 0 and mismatches = ref 0 and verified = ref 0 in
@@ -910,8 +869,8 @@ let churn_loadgen ep ~requests ~n ~seeds ~policy ~rate ~model ~churn ~verify_sam
 let loadgen_plain socket tcp requests concurrency n seeds policy rate model verify_sample
     smoke fleet =
   let ep = endpoint socket tcp in
-  let lat_us = Array.make (max 1 requests) 0.0 in
-  let results = Array.make (max 1 requests) `Err in
+  let lat_us = Array.make requests 0.0 in
+  let results = Array.make requests `Err in
   let req_of i =
     build_request ~model ~policy ~rate ~seed:(1 + (i mod seeds)) ~n ~source:None ~start:1 ()
   in
@@ -1015,12 +974,20 @@ let loadgen_plain socket tcp requests concurrency n seeds policy rate model veri
 
 let loadgen socket tcp requests concurrency n seeds policy rate model churn verify_sample
     smoke fleet =
-  if churn > 0 then
-    churn_loadgen (endpoint socket tcp) ~requests ~n ~seeds ~policy ~rate ~model ~churn
-      ~verify_sample ~smoke
-  else
-    loadgen_plain socket tcp requests concurrency n seeds policy rate model verify_sample
-      smoke fleet
+  match
+    List.find_opt
+      (fun (_, v) -> v < 1)
+      [ ("requests", requests); ("concurrency", concurrency); ("instances", seeds) ]
+  with
+  | Some (flag, v) ->
+      Printf.eprintf "loadgen: --%s must be >= 1, got %d\n" flag v;
+      2
+  | None when churn > 0 ->
+      churn_loadgen (endpoint socket tcp) ~requests ~n ~seeds ~policy ~rate ~model ~churn
+        ~verify_sample ~smoke
+  | None ->
+      loadgen_plain socket tcp requests concurrency n seeds policy rate model verify_sample
+        smoke fleet
 
 let loadgen_cmd =
   let requests_arg =
