@@ -63,7 +63,7 @@ module Validate = Mlbs_sim.Validate
 module Improve = Mlbs_search.Improve
 module Obs_metrics = Mlbs_obs.Metrics
 module Rows = Bench_rows.Rows
-module Telemetry = Mlbs_workload.Telemetry
+module Export = Mlbs_obs.Export
 
 (* Monotonic nanoseconds (CLOCK_MONOTONIC via bechamel's stubs), so
    section timings survive wall-clock adjustments mid-run. *)
@@ -779,13 +779,12 @@ let () =
     if smoke then Config.smoke else if quick then Config.quick else Config.default
   in
   let cfg = match jobs with Some j -> { cfg with Config.jobs = j } | None -> cfg in
-  let cfg = { cfg with Config.trace_file; metrics_file } in
   let compare_jobs1 = json <> None in
   (* The whole run executes under the telemetry wrapper (a no-op
      without --trace/--metrics); the regression exit happens outside
      it, after the artifacts are on disk. *)
   let failed =
-    Telemetry.with_config cfg @@ fun () ->
+    Export.with_files ?trace_file ?metrics_file @@ fun () ->
     (* Bring the shared pool up and pre-size every domain's search
        scratch before anything is timed; the host-core figure is
        sampled only once the pool is live, after any runtime topology

@@ -26,7 +26,7 @@ module Improve = Mlbs_search.Improve
 module Config = Mlbs_workload.Config
 module Figures = Mlbs_workload.Figures
 module Report = Mlbs_workload.Report
-module Telemetry = Mlbs_workload.Telemetry
+module Export = Mlbs_obs.Export
 module Obs_metrics = Mlbs_obs.Metrics
 module Sv_codec = Mlbs_server.Codec
 module Sv_client = Mlbs_server.Client
@@ -227,13 +227,9 @@ let improve_cmd =
 let trace_run n seed rate phy trace_file metrics_file =
   let trace_file = Option.value trace_file ~default:"mlbs.trace.json" in
   let metrics_file = Option.value metrics_file ~default:"mlbs.metrics.json" in
-  let cfg =
-    { Config.default with Config.trace_file = Some trace_file;
-      metrics_file = Some metrics_file; model = phy }
-  in
   let model, source = instance ~model:phy ~rate ~seed ~n () in
   let plan, polished, report, stats =
-    Telemetry.with_config cfg (fun () ->
+    Export.with_files ~trace_file ~metrics_file (fun () ->
         let plan = Scheduler.run model Scheduler.gopt ~source ~start:1 in
         let report = Validate.check model plan in
         let polished = Improve.improve ~seed ~budget:512 model plan in
@@ -401,11 +397,9 @@ let faults n seed rate loss crash fault_seed jitter sweep trace_file metrics_fil
       seeds = [ seed ];
       crash_fraction = crash;
       fault_seed;
-      trace_file;
-      metrics_file;
     }
   in
-  Telemetry.with_config cfg @@ fun () ->
+  Export.with_files ?trace_file ?metrics_file @@ fun () ->
   if sweep then begin
     List.iter
       (fun f ->
@@ -526,8 +520,7 @@ let endpoint socket tcp =
 
 let serve socket tcp backend jobs queue cache cache_dir models improve_budget trace_file
     metrics_file =
-  let base = { Config.default with Config.trace_file; metrics_file } in
-  Telemetry.with_config base @@ fun () ->
+  Export.with_files ?trace_file ?metrics_file @@ fun () ->
   if backend && tcp = None then begin
     Printf.eprintf "serve --backend needs --tcp PORT (0 picks an ephemeral port)\n";
     2
@@ -645,8 +638,7 @@ let parse_backend s =
   | _ -> failwith (s ^ ": expected HOST:PORT")
 
 let fleet socket tcp backends health_period trace_file metrics_file =
-  let base = { Config.default with Config.trace_file; metrics_file } in
-  Telemetry.with_config base @@ fun () ->
+  Export.with_files ?trace_file ?metrics_file @@ fun () ->
   match List.map parse_backend backends with
   | exception Failure msg ->
       Printf.eprintf "fleet: %s\n" msg;
@@ -939,12 +931,10 @@ let loadgen_plain socket tcp requests concurrency n seeds policy rate model veri
     let kvs = Sv_client.stats c in
     let get k = Option.value ~default:0 (List.assoc_opt k kvs) in
     Printf.printf
-      "fleet: requests=%d ok=%d rejected=%d fill_hits=%d rebalances=%d deaths=%d \
-       reroutes=%d\n"
+      "fleet: requests=%d ok=%d rejected=%d rebalances=%d deaths=%d reroutes=%d\n"
       (get "server/fleet/requests")
       (get "server/fleet/replies_ok")
       (get "server/fleet/rejected")
-      (get "server/fleet/fill_hits")
       (get "server/fleet/rebalances")
       (get "server/fleet/deaths")
       (get "server/fleet/reroutes");
@@ -1047,8 +1037,8 @@ let loadgen_cmd =
 let experiment figure quick smoke jobs model csv_dir trace_file metrics_file =
   let cfg = if smoke then Config.smoke else if quick then Config.quick else Config.default in
   let cfg = match jobs with Some j -> { cfg with Config.jobs = j } | None -> cfg in
-  let cfg = { cfg with Config.trace_file; metrics_file; model } in
-  Telemetry.with_config cfg @@ fun () ->
+  let cfg = { cfg with Config.model } in
+  Export.with_files ?trace_file ?metrics_file @@ fun () ->
   let figures =
     match figure with
     | "fig3" -> [ Figures.fig3 cfg ]
@@ -1124,13 +1114,21 @@ let () =
         "Minimum-latency broadcast scheduling with conflict awareness in WSNs \
          (Jiang et al., ICPP 2012)"
   in
-  (* [~term_err:2]: malformed flags and unknown subcommands exit 2 (with
-     usage on stderr), distinct from the domain failures that exit 1. *)
+  let cmd =
+    Cmd.group info
+      [
+        generate_cmd; schedule_cmd; improve_cmd; trace_cmd; experiment_cmd; tree_cmd;
+        energy_cmd; localized_cmd; faults_cmd; serve_cmd; fleet_cmd; request_cmd;
+        loadgen_cmd;
+      ]
+  in
+  (* Every command-line error exits 2 (with usage on stderr): an unknown
+     flag or subcommand, and a value a converter refuses, which
+     cmdliner's own [eval'] would exit 124 for. Domain failures exit 1
+     from the commands themselves. *)
   exit
-    (Cmd.eval' ~term_err:2
-       (Cmd.group info
-          [
-            generate_cmd; schedule_cmd; improve_cmd; trace_cmd; experiment_cmd; tree_cmd;
-            energy_cmd; localized_cmd; faults_cmd; serve_cmd; fleet_cmd; request_cmd;
-            loadgen_cmd;
-          ]))
+    (match Cmd.eval_value cmd with
+    | Ok (`Ok code) -> code
+    | Ok (`Help | `Version) -> Cmd.Exit.ok
+    | Error (`Parse | `Term) -> 2
+    | Error `Exn -> Cmd.Exit.internal_error)

@@ -126,3 +126,19 @@ let dump ?trace_file ?metrics_file () =
   match metrics_file with
   | Some path -> write_metrics path (Metrics.snapshot ())
   | None -> ()
+
+let with_files ?trace_file ?metrics_file f =
+  match (trace_file, metrics_file) with
+  | None, None -> f ()
+  | _ ->
+      (* Start from a clean registry so the artifacts describe this run
+         only, then dump whatever was requested — also on exceptions,
+         so a crashed run still leaves its telemetry behind. *)
+      Obs.enable ~metrics:(metrics_file <> None) ~tracing:(trace_file <> None) ();
+      if metrics_file <> None then Metrics.reset ();
+      if trace_file <> None then Trace.reset ();
+      Fun.protect
+        ~finally:(fun () ->
+          Obs.disable ();
+          dump ?trace_file ?metrics_file ())
+        f

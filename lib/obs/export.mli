@@ -19,3 +19,11 @@ val metrics_object : (string * Metrics.value) list -> string
     load directly, plus its JSONL sibling (one event object per line),
     and the metrics JSON ({!metrics_object}) of a fresh snapshot. *)
 val dump : ?trace_file:string -> ?metrics_file:string -> unit -> unit
+
+(** [with_files ?trace_file ?metrics_file f] runs [f ()] with the
+    requested artifacts recorded: span tracing and/or the metrics
+    registry are enabled (and reset) around the call, and {!dump}
+    writes the files when [f] returns — or raises, so a failing run
+    still leaves what it recorded. With neither file this is exactly
+    [f ()]. *)
+val with_files : ?trace_file:string -> ?metrics_file:string -> (unit -> 'a) -> 'a

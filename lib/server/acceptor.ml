@@ -93,7 +93,7 @@ let bind ~socket_path ~tcp_port fam =
   if socket_path = None && tcp_port = None then
     failwith "no listener configured (need a socket path or TCP port)";
   (* The registry is the server's own observability surface; tracing
-     stays at whatever the caller (Telemetry.with_config) selected. *)
+     stays at whatever the caller (Export.with_files) selected. *)
   Obs.enable ~metrics:true ~tracing:(Obs.tracing_enabled ()) ();
   (match Sys.os_type with
   | "Unix" -> Sys.set_signal Sys.sigpipe Sys.Signal_ignore

@@ -84,19 +84,6 @@ let rec reschedule_retry ?(attempts = 5) t ~base ~delta =
       reschedule_retry ~attempts:(attempts - 1) t ~base ~delta
   | outcome -> outcome
 
-let peek t req =
-  match roundtrip t (C.Peek req) with
-  | C.Reply_ok ok -> `Hit ok
-  | C.Peek_miss -> `Miss
-  | C.Reply_error m -> `Error m
-  | _ -> `Error "unexpected reply to peek"
-
-let put t ?(version = 0) ~req ~stats ~schedule () =
-  match roundtrip t (C.Put { req; version; stats; schedule }) with
-  | C.Put_ack -> Result.Ok ()
-  | C.Reply_error m -> Result.Error m
-  | _ -> Result.Error "unexpected reply to put"
-
 let stats t =
   match roundtrip t C.Stats_request with
   | C.Stats_reply kvs -> kvs

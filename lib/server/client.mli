@@ -39,26 +39,6 @@ val reschedule : t -> base:Codec.request -> delta:Codec.delta -> outcome
     {!request_retry}. *)
 val reschedule_retry : ?attempts:int -> t -> base:Codec.request -> delta:Codec.delta -> outcome
 
-(** [peek t req] probes the server's schedule cache without solving
-    (protocol v3): [`Hit] carries the cached reply ([cache_hit = true]),
-    [`Miss] means the server does not hold it. The fleet's fill path and
-    the tests use this to observe cache contents over the wire. *)
-val peek :
-  t -> Codec.request -> [ `Hit of Codec.ok_reply | `Miss | `Error of string ]
-
-(** [put t ~req ~stats ~schedule] files a finished reply under [req]'s
-    content address on the server (peer cache-fill; protocol v3).
-    [version] (default 0) is the schedule version the entry carries;
-    the server installs monotonically. *)
-val put :
-  t ->
-  ?version:int ->
-  req:Codec.request ->
-  stats:Codec.stats ->
-  schedule:Mlbs_core.Schedule.t ->
-  unit ->
-  (unit, string) result
-
 (** [relay t payload] sends an encoded message payload and returns the
     reply payload undecoded — the fleet front's path to its shards.
     Raises [Failure] when the server closes the connection. *)

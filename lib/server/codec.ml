@@ -1,7 +1,7 @@
 module Schedule = Mlbs_core.Schedule
 module Interference = Mlbs_phy.Interference
 
-let protocol_version = 5
+let protocol_version = 6
 let max_frame = 1 lsl 26 (* 64 MiB *)
 
 type policy = Baseline | Emodel | Gopt | Opt
@@ -54,10 +54,7 @@ type msg =
   | Stats_reply of (string * int) list
   | Shutdown
   | Shutdown_ack
-  | Peek of request
-  | Peek_miss
   | Put of { req : request; version : int; stats : stats; schedule : Schedule.t }
-  | Put_ack
 
 exception Malformed of string
 
@@ -371,17 +368,12 @@ let encode msg =
       put_u8 b 11;
       put_request b base;
       put_delta b delta
-  | Peek q ->
-      put_u8 b 12;
-      put_request b q
-  | Peek_miss -> put_u8 b 13
   | Put { req; version; stats; schedule } ->
       put_u8 b 14;
       put_request b req;
       put_u32 b version;
       put_stats b stats;
-      put_schedule b schedule
-  | Put_ack -> put_u8 b 15);
+      put_schedule b schedule);
   Buffer.contents b
 
 let decode payload =
@@ -422,15 +414,12 @@ let decode payload =
         let base = get_request r in
         let delta = get_delta r in
         Reschedule { base; delta }
-    | 12 -> Peek (get_request r)
-    | 13 -> Peek_miss
     | 14 ->
         let req = get_request r in
         let version = get_u32 r in
         let stats = get_stats r in
         let schedule = get_schedule r in
         Put { req; version; stats; schedule }
-    | 15 -> Put_ack
     | t -> fail "unknown message tag %d" t
   in
   if r.pos <> String.length payload then fail "trailing bytes after message";
@@ -489,22 +478,17 @@ let recv_payload fd =
 
 let recv fd = Option.map decode (recv_payload fd)
 
-(* ------------------------- payload peeking -------------------------- *)
+(* -------------------------- payload views --------------------------- *)
 
 (* The fleet front tier relays payloads without decoding schedules; the
    helpers below read just enough of a payload to route and account it. *)
 
 let payload_tag payload = if payload = "" then fail "empty payload" else Char.code payload.[0]
 
-let peek_of_request_payload payload =
-  if payload_tag payload <> 3 then fail "not a Request payload";
-  "\x0c" ^ String.sub payload 1 (String.length payload - 1)
-
 type reply_view =
-  | View_ok of { cache_hit : bool; version : int }
+  | View_ok of { cache_hit : bool }
   | View_rejected of { retry_after_ms : int }
   | View_error of string
-  | View_peek_miss
   | View_other of int
 
 let reply_view payload =
@@ -512,9 +496,7 @@ let reply_view payload =
   match get_u8 r with
   | 4 ->
       let _trace_id = get_string r in
-      let cache_hit = get_bool r in
-      View_ok { cache_hit; version = get_u32 r }
+      View_ok { cache_hit = get_bool r }
   | 5 -> View_rejected { retry_after_ms = get_u32 r }
   | 6 -> View_error (get_string r)
-  | 13 -> View_peek_miss
   | t -> View_other t

@@ -12,8 +12,9 @@
     which is what lets the CI smoke job byte-compare served schedules
     against direct {!Mlbs_core.Scheduler} output. *)
 
-(** Protocol revision carried in the handshake; bumped on any frame
-    layout change. *)
+(** Protocol revision carried in the handshake and in the header of a
+    daemon's cache file; bumped on any frame layout change. Tags 12, 13
+    and 15 are retired and decode as unknown. *)
 val protocol_version : int
 
 (** Scheduling policy requested for a solve; [Gopt]/[Opt] run with the
@@ -101,22 +102,12 @@ type msg =
   | Stats_reply of (string * int) list
   | Shutdown
   | Shutdown_ack
-  | Peek of request
-      (** cache-only probe (protocol v3): the daemon resolves the
-          request and answers from its schedule cache — [Reply_ok] with
-          [cache_hit = true] on a hit, {!Peek_miss} otherwise — but
-          never solves. The fleet front tier uses this to ask a shard
-          "do you already have it?" before committing a solve. *)
-  | Peek_miss
   | Put of { req : request; version : int; stats : stats; schedule : Mlbs_core.Schedule.t }
-      (** peer cache-fill (protocol v3): insert a finished reply under
-          [req]'s content address. The daemon recomputes the address
-          from [req] itself — raw cache keys never ride the wire — and
-          answers {!Put_ack}. [version] (protocol v5) rides along so
-          improver upgrades propagate across the fleet ring; the
-          receiver installs monotonically, never replacing a newer
-          version with an older one. *)
-  | Put_ack
+      (** one entry of a daemon's [cache.frames] file: the request the
+          schedule answers, its version and its reply. It is a disk
+          record only: a daemon answers a [Put] sent over the wire with
+          [Reply_error], and a disk entry passes the daemon's replay
+          gate before it is installed. *)
 
 exception Malformed of string
 
@@ -159,17 +150,11 @@ val recv_payload : Unix.file_descr -> string option
     empty payload. *)
 val payload_tag : string -> int
 
-(** Rewrite an encoded [Request] payload into the corresponding [Peek]
-    payload (the two frames share their field layout; only the tag
-    differs). Raises {!Malformed} on any other tag. *)
-val peek_of_request_payload : string -> string
-
 (** A reply payload classified without decoding the schedule body. *)
 type reply_view =
-  | View_ok of { cache_hit : bool; version : int }
+  | View_ok of { cache_hit : bool }
   | View_rejected of { retry_after_ms : int }
   | View_error of string
-  | View_peek_miss
   | View_other of int  (** any other tag, returned verbatim *)
 
 (** [reply_view payload] inspects just the tag and leading fixed fields.

@@ -60,8 +60,6 @@ let entry_of ~origin ?(version = 0) (stats, schedule) =
 (* ---------------------------- metrics ------------------------------ *)
 
 let family = Acceptor.family "server"
-let m_peeks = Metrics.counter "server/peeks"
-let m_fills = Metrics.counter "server/fills"
 let m_put_refused = Metrics.counter "server/put_refused"
 let h_solve_us = Metrics.histogram "server/solve_us"
 let m_polish_passes = Metrics.counter "search/improve/polish_passes"
@@ -208,9 +206,9 @@ let reschedule_key ?memo base delta =
 (* --------------------------- the cache gate ------------------------ *)
 
 (* Monotone install: a cache line's schedule version never decreases.
-   Two concurrent writers (a solve's [on_done], the improver, a fleet
-   [Put]) race through [Cache.upsert]'s mutex, and whichever carries
-   the newer version wins; an equal-version improver result never
+   Two concurrent writers (a solve's [on_done], the improver) race
+   through [Cache.upsert]'s mutex, and whichever carries the newer
+   version wins; an equal-version improver result never
    replaces (same address + same version = same upgrade chain, and for
    version 0 the bytes are identical by determinism anyway). *)
 let install cache ~key (e : entry) =
@@ -248,13 +246,12 @@ let locate ~allowed (req : C.request) ~answer =
     | a -> Ok a
     | exception e -> Error (Printexc.to_string e)
 
-(* The one gate for schedules this daemon did not solve itself: a peer
-   [Put] and every entry read back from disk. The content address is
-   recomputed from the request, and the schedule must answer it: same
-   node count, source and start, and a clean radio replay under the
-   request's model. Neither a peer nor a file is trusted further than
-   that, so a wrong schedule is refused (counted in [server/put_refused])
-   and never installed. *)
+(* The one gate for schedules this daemon did not solve itself: every
+   entry read back from disk. The content address is recomputed from
+   the request, and the schedule must answer it: same node count,
+   source and start, and a clean radio replay under the request's
+   model. A file is not trusted further than that, so a wrong schedule
+   is refused (counted in [server/put_refused]) and never installed. *)
 let admit ~allowed ?memo cache (req : C.request) ~version stats schedule =
   let refuse msg =
     Metrics.incr m_put_refused;
@@ -432,27 +429,6 @@ let serve t ~name (req : C.request) ~answer =
     Trace.complete ~cat:"server" ~name ~t0_us:t0 ~dur_us:dt ();
   reply
 
-(* A [Peek] (protocol v3): cache-only probe — a hit is a normal
-   [Reply_ok] with [cache_hit = true]; a miss answers [Peek_miss] and
-   never solves. The fleet front tier peeks shards before committing a
-   solve, so this path must stay allocation-light and queue-free. *)
-let handle_peek t req =
-  Metrics.incr m_peeks;
-  match address t req ~answer:(plain t) with
-  | Error reply -> reply
-  | Ok { ar; akey; _ } -> (
-      match Cache.find t.cache akey with
-      | Some e -> reply_ok t ~digest:ar.rdigest ~cache_hit:true e
-      | None -> C.Peek_miss)
-
-(* A [Put] (protocol v3): peer cache-fill through [admit]. *)
-let handle_put t req ~version stats schedule =
-  match admit ~allowed:t.cfg.allowed_models ~memo:t.topo t.cache req ~version stats schedule with
-  | Ok () ->
-      Metrics.incr m_fills;
-      C.Put_ack
-  | Error msg -> reply_error msg
-
 (* The Stats frame carries the daemon's own counters plus the search
    core's ("search/states", bound-prune kinds, dominance prunes, the
    transposition-table hit/miss/collision/grow family) and the phy
@@ -475,11 +451,9 @@ let handle t payload =
            improver can polish it. *)
         serve t ~name:"reschedule" base ~answer:(fun base ->
             resolve_derived ~memo:t.topo base delta)
-    | C.Peek req -> handle_peek t req
-    | C.Put { req; version; stats; schedule } -> handle_put t req ~version stats schedule
     | C.Stats_request -> C.Stats_reply (server_stats ())
     | C.Hello _ | C.Shutdown | C.Hello_ack _ | C.Reply_ok _ | C.Reply_rejected _
-    | C.Reply_error _ | C.Stats_reply _ | C.Shutdown_ack | C.Peek_miss | C.Put_ack ->
+    | C.Reply_error _ | C.Stats_reply _ | C.Shutdown_ack | C.Put _ ->
         reply_error "unexpected message from client")
 
 (* ----------------------- background polishing ---------------------- *)

@@ -26,12 +26,12 @@
     same cache line as a plain [Request] for that adjacency, same
     solve on a miss.
 
-    A [Put] frame (peer cache-fill) and every entry read back from
-    [cache_dir] pass one gate: the schedule is installed under the
-    address recomputed from its request only when it replays clean
-    under that request's model ({!Mlbs_sim.Validate.check}). A refused
-    entry is counted in [server/put_refused]; a refused [Put] is also
-    answered with [Reply_error].
+    Every entry read back from [cache_dir] passes one gate: the
+    schedule is installed under the address recomputed from its request
+    only when it replays clean under that request's model
+    ({!Mlbs_sim.Validate.check}). A refused entry is counted in
+    [server/put_refused]. No schedule is accepted off the wire: a [Put]
+    frame from a client is answered with [Reply_error].
 
     Served schedules are byte-identical to a direct
     {!Mlbs_core.Scheduler.run} on the same request, at any [jobs],
@@ -120,8 +120,8 @@ val model_of : Codec.request -> Mlbs_core.Model.t
     [network-digest:policy:rate:wake-seed:source:start:model], where
     the network digest covers the graph, the radius and every position
     and the wake seed is the request seed under a rate only. Lookups,
-    disk loads, [Put]s, reschedules and the fleet front's routing all
-    compute their address with the one function behind it. *)
+    disk loads, reschedules and the fleet front's routing all compute
+    their address with the one function behind it. *)
 val cache_key : Codec.request -> string
 
 (** [derived_request base delta] is the plain request equivalent to
@@ -191,7 +191,7 @@ val polish_once : t -> budget:int -> bool
 val save_cache : dir:string -> entry Cache.t -> int
 
 (** [load_cache ?allowed_models ?memo ~dir cache] reads that file back,
-    restoring the recency order. Every entry passes the [Put] gate
+    restoring the recency order. Every entry passes the replay gate
     ([allowed_models] as in {!config}, [memo] as in {!reschedule_key});
     a refused one is dropped. A missing file or another protocol
     version loads nothing; a truncated or garbled frame ends the read.

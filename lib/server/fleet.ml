@@ -2,23 +2,19 @@
    consistent-hash ring over backend daemons.
 
    Data path: the server shell ([Acceptor]) hands each client frame
-   over as a raw payload, and backend replies go back byte-for-byte
-   ([Client.relay]) — the front never decodes a reply's schedule outside
-   the rare fill event, so relayed replies are byte-identical to the
-   owning backend's by construction and the per-reply CPU cost stays
-   O(header). Every routed frame goes by the content address the
-   backends file it under, from the daemon's one key function: a
-   [Request], [Peek] or [Put] by [Daemon.cache_key] of its request, a
-   [Reschedule] by its derived request's ([Daemon.reschedule_key]), so
-   a later plain request for the edited adjacency finds it. Both are
-   memoised here by the encoded request bytes.
-
-   Peer cache-fill: on a warm ring the front first [Peek]s the owner
-   (cache-only, 1 RTT on a hit). On a miss it peeks the ring successor —
-   the shard that owned the key before the last membership change — and
-   on a hit there relays that reply and [Put]s the entry back to the
-   owner, so the next request is local. Only after both miss does the
-   owner solve.
+   over as a raw payload, the front sends it once to the ring owner of
+   its content address, and the owner's reply goes back byte-for-byte
+   ([Client.relay]) — the front never decodes a reply's schedule, so
+   relayed replies are byte-identical to the owning backend's by
+   construction and the per-reply CPU cost stays O(header). Every
+   routed frame goes by the content address the backends file it
+   under, from the daemon's one key function: a [Request] by
+   [Daemon.cache_key], a [Reschedule] by its derived request's
+   ([Daemon.reschedule_key]), so a later plain request for the edited
+   adjacency finds it. Both are memoised here by the encoded request
+   bytes. The front copies no schedule between shards: a solve is
+   deterministic, so a key that moves to a new owner is solved there
+   once.
 
    Failure: any I/O failure against a backend marks it dead, rebuilds
    the ring, and re-routes the request to the new owner — whose solve is
@@ -58,7 +54,6 @@ let endpoint_name = function
 (* ------------------------------ metrics ----------------------------- *)
 
 let family = Acceptor.family "server/fleet"
-let m_fill_hits = Metrics.counter "server/fleet/fill_hits"
 let m_rebalances = Metrics.counter "server/fleet/rebalances"
 let m_deaths = Metrics.counter "server/fleet/deaths"
 let m_reroutes = Metrics.counter "server/fleet/reroutes"
@@ -155,12 +150,11 @@ let mark_alive t b =
     Mutex.unlock t.rm
   end
 
-let owner_and_successor t key =
+let owner t key =
   Mutex.lock t.rm;
   let o = Ring.owner t.ring key in
-  let s = Ring.successor t.ring key in
   Mutex.unlock t.rm;
-  (o, s)
+  o
 
 let backend_named t name =
   let rec go i =
@@ -208,85 +202,43 @@ let encode_error msg =
   Metrics.incr family.errors;
   C.encode (C.Reply_error msg)
 
-(* Account the reply the client is about to see, and return it. [from]
-   is the shard that answered, when its own cache hit counts as its. *)
-let record_reply t ?from reply =
+(* Account the reply the client is about to see, and return it. A hit
+   in the answering shard's cache counts as that shard's. *)
+let record_reply t b reply =
   (match C.reply_view reply with
-  | C.View_ok { cache_hit; _ } ->
+  | C.View_ok { cache_hit } ->
       Metrics.incr family.replies_ok;
-      if cache_hit then Option.iter (fun b -> Metrics.incr b.m_shard_hits) from
+      if cache_hit then Metrics.incr b.m_shard_hits
   | C.View_rejected { retry_after_ms } ->
       Metrics.incr family.rejected;
       Acceptor.note_ewma t.ewma_retry_ms retry_after_ms
   | C.View_error _ -> Metrics.incr family.errors
-  | C.View_peek_miss | C.View_other _ -> ());
+  | C.View_other _ -> ());
   reply
 
 (* ------------------------------ routing ----------------------------- *)
 
-(* Route an opaque payload to [key]'s owner with death-driven re-route:
-   [attempt] runs against the current owner and raises [Backend_down]
-   (after [rpc] already rebuilt the ring) to trigger another pass. *)
-let routed t ~key attempt =
+(* Relay an opaque payload to [key]'s owner, verbatim, with death-driven
+   re-route: [rpc] raises [Backend_down] after it rebuilt the ring, and
+   the next pass asks the new owner. *)
+let serve_routed t ~payload ~key =
   let rec go tries =
     if tries <= 0 then encode_error "no backend available"
     else
-      match owner_and_successor t key with
-      | None, _ -> encode_error "no backends alive"
-      | Some oname, succ -> (
+      match owner t key with
+      | None -> encode_error "no backends alive"
+      | Some oname -> (
           match backend_named t oname with
           | None -> encode_error "no backend available"
           | Some b -> (
               Metrics.incr b.m_shard_requests;
-              match attempt b succ with
-              | reply -> reply
+              match rpc t b payload with
+              | reply -> record_reply t b reply
               | exception Backend_down ->
                   Metrics.incr m_reroutes;
                   go (tries - 1)))
   in
   go (Array.length t.fbackends + 1)
-
-(* Reschedule / client-peek / client-put, and a plain request's solve:
-   relayed to the owner verbatim. *)
-let relay t b payload = record_reply t ~from:b (rpc t b payload)
-let serve_routed t ~payload ~key = routed t ~key (fun b _succ -> relay t b payload)
-
-(* A plain [Request]: peek-owner / fill-from-successor / solve-on-owner. *)
-let serve_request t ~payload ~key =
-  routed t ~key (fun b succ ->
-      match (match succ with Some s when s <> b.bname -> backend_named t s | _ -> None) with
-      | None -> relay t b payload
-      | Some sb -> (
-          let peek = C.peek_of_request_payload payload in
-          let reply = rpc t b peek in
-          match C.reply_view reply with
-          | C.View_peek_miss -> (
-              (* The successor owned this key before the last membership
-                 change — ask it before paying for a solve. Its failure
-                 must not fail the request, so [Backend_down] falls
-                 through to the owner solve. *)
-              let filled =
-                match rpc t sb peek with
-                | exception Backend_down -> None
-                | sreply -> (
-                    match C.reply_view sreply with C.View_ok _ -> Some sreply | _ -> None)
-              in
-              match filled with
-              | None -> relay t b payload
-              | Some sreply ->
-                  Metrics.incr m_fill_hits;
-                  (* Warm the owner so the next request is local. Decode
-                     only here, on the rare fill event. *)
-                  (match (C.decode sreply, C.decode payload) with
-                  | C.Reply_ok ok, C.Request req -> (
-                      let put =
-                        C.Put
-                          { req; version = ok.C.version; stats = ok.C.stats; schedule = ok.C.schedule }
-                      in
-                      try ignore (rpc t b (C.encode put)) with Backend_down -> ())
-                  | _ -> ());
-                  record_reply t sreply)
-          | _ -> record_reply t ~from:b reply))
 
 (* --------------------------- content keys --------------------------- *)
 
@@ -303,8 +255,6 @@ let memo_key t ~payload key =
       let k = key () in
       Cache.add t.kmemo payload k;
       k
-
-let key_of_request_payload t ~payload req = memo_key t ~payload (fun () -> Daemon.cache_key req)
 
 (* ---------------------------- admission ----------------------------- *)
 
@@ -357,10 +307,10 @@ let fleet_stats t =
 (* Every frame but the shell's [Hello] and [Shutdown]. A routed frame
    resolves its routing key, then passes admission. *)
 let handle t payload =
-  let route serve key =
-    match key () with
+  let route key =
+    match memo_key t ~payload key with
     | exception e -> encode_error (Printexc.to_string e)
-    | key -> with_admission t (fun () -> serve t ~payload ~key)
+    | key -> with_admission t (fun () -> serve_routed t ~payload ~key)
   in
   (* As in the daemon, [request_us] times the solve frames only. *)
   let timed f =
@@ -371,19 +321,12 @@ let handle t payload =
     reply
   in
   match C.decode payload with
-  | C.Request req ->
-      timed (fun () -> route serve_request (fun () -> key_of_request_payload t ~payload req))
+  | C.Request req -> timed (fun () -> route (fun () -> Daemon.cache_key req))
   | C.Reschedule { base; delta } ->
       (* Routed by the derived request's address, memoised by the
          reschedule's bytes; every reschedule of one base resolves that
          base from [tmemo]. *)
-      timed (fun () ->
-          route serve_routed (fun () ->
-              memo_key t ~payload (fun () -> Daemon.reschedule_key ~memo:t.tmemo base delta)))
-  | C.Peek req | C.Put { req; _ } ->
-      (* A client-side Peek or Put: forward to the owner. *)
-      route serve_routed (fun () ->
-          key_of_request_payload t ~payload:(C.encode (C.Request req)) req)
+      timed (fun () -> route (fun () -> Daemon.reschedule_key ~memo:t.tmemo base delta))
   | C.Stats_request -> C.encode (C.Stats_reply (fleet_stats t))
   | _ -> encode_error "unexpected message from client"
 

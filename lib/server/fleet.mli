@@ -1,6 +1,7 @@
 (** The fleet front tier: consistent-hash routing of scheduling
-    requests across backend daemons, with peer cache-fill, health-driven
-    ring rebuilds, and global backpressure (DESIGN.md §9).
+    requests across backend daemons, with health-driven ring rebuilds
+    and global backpressure (DESIGN.md §9). Each request is sent once,
+    to the ring owner of its content address.
 
     The front speaks the same {!Codec} protocol as a single daemon — a
     client cannot tell the difference — and relays reply payloads

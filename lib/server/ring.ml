@@ -63,20 +63,5 @@ let point_at t h =
 let owner t key =
   if is_empty t then None else Some (snd t.points.(point_at t (hash_string key)))
 
-let successor t key =
-  if is_empty t then None
-  else begin
-    let n = Array.length t.points in
-    let i = point_at t (hash_string key) in
-    let own = snd t.points.(i) in
-    let rec walk j steps =
-      if steps = 0 then None
-      else
-        let name = snd t.points.(j) in
-        if name <> own then Some name else walk ((j + 1) mod n) (steps - 1)
-    in
-    walk ((i + 1) mod n) n
-  end
-
 let add t name = create ~replicas:t.replicas (name :: t.names)
 let remove t name = create ~replicas:t.replicas (List.filter (( <> ) name) t.names)

@@ -6,8 +6,8 @@
     [Hashtbl.hash] and of insertion order); a key is owned by the first
     point clockwise from its hash. Adding a member only claims keys from
     its ring neighbours; removing one only re-homes the keys it owned —
-    the properties the fleet's peer cache-fill and failover lean on, and
-    that test_fleet.ml checks with qcheck. *)
+    the properties the fleet's failover leans on, and that test_fleet.ml
+    checks with qcheck. *)
 
 type t
 
@@ -24,13 +24,6 @@ val replicas : t -> int
 
 (** [owner t key] is the member owning [key], [None] on an empty ring. *)
 val owner : t -> string -> string option
-
-(** [successor t key] is the first member clockwise after [key]'s owner
-    that is {e not} the owner — equivalently, the owner [key] would have
-    if its current owner left the ring. [None] when the ring has fewer
-    than two members. The fleet peeks this member before solving on a
-    cache miss (a just-rehashed key's old home). *)
-val successor : t -> string -> string option
 
 (** Functional membership updates (same replica count). *)
 val add : t -> string -> t

@@ -14,8 +14,6 @@ type t = {
   loss_rates : float list;
   crash_fraction : float;
   fault_seed : int;
-  trace_file : string option;
-  metrics_file : string option;
   model : Mlbs_phy.Interference.t;
 }
 
@@ -34,8 +32,6 @@ let default =
     loss_rates = [ 0.; 0.05; 0.1; 0.2; 0.3 ];
     crash_fraction = 0.;
     fault_seed = 0xFA17;
-    trace_file = None;
-    metrics_file = None;
     model = Mlbs_phy.Interference.Udg;
   }
 

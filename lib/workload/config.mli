@@ -23,13 +23,6 @@ type t = {
       (** fraction of non-source nodes crashed during the reliability
           sweep; 0 disables crash injection *)
   fault_seed : int;  (** master seed of every fault plan the sweep builds *)
-  trace_file : string option;
-      (** when set, enable span tracing and write a Chrome-trace JSON
-          (plus a [.jsonl] sibling) here when the run ends — see
-          {!Telemetry.with_config} *)
-  metrics_file : string option;
-      (** when set, enable the metrics registry and write its merged
-          snapshot here when the run ends *)
   model : Mlbs_phy.Interference.t;
       (** interference model every solve and replay of the run binds
           (default {!Mlbs_phy.Interference.Udg}, the paper's protocol

@@ -94,20 +94,6 @@ let qcheck_ring_minimal_movement_remove =
       done;
       !ok)
 
-(* The fill protocol peeks the successor because it is exactly where the
-   key lived (or will live) when the owner is absent. *)
-let qcheck_ring_successor_is_owner_after_removal =
-  QCheck.Test.make ~name:"successor = owner after the owner leaves" ~count:100
-    arb_names_key (fun (names, key) ->
-      let r = Ring.create names in
-      match Ring.owner r key with
-      | None -> true
-      | Some o -> (
-          let r' = Ring.remove r o in
-          match Ring.successor r key with
-          | None -> List.length (Ring.nodes r) < 2
-          | Some s -> Ring.owner r' key = Some s && s <> o))
-
 let test_ring_balance () =
   let names = List.init 4 (Printf.sprintf "shard%d") in
   let r = Ring.create names in
@@ -195,8 +181,8 @@ let test_fleet_serves_and_routes () =
       (Option.get (Ring.owner ring (Daemon.cache_key req)))
       ()
   done;
-  (* Verify routing against the model ring: peek each request at its
-     predicted owner directly — the schedule must be cached there. *)
+  (* Verify routing against the model ring: ask every backend directly
+     for each request — only its predicted owner answers from cache. *)
   List.iter
     (fun ep ->
       let bc, _, _ = Client.connect ep in
@@ -206,54 +192,29 @@ let test_fleet_serves_and_routes () =
         let is_owner =
           Ring.owner ring (Daemon.cache_key req) = Some (Fleet.endpoint_name ep)
         in
-        match Client.peek bc req with
-        | `Hit _ ->
-            Alcotest.(check bool)
-              (Printf.sprintf "seed %d cached only at its owner" seed)
-              true is_owner
-        | `Miss ->
-            Alcotest.(check bool)
-              (Printf.sprintf "seed %d absent from non-owners" seed)
-              false is_owner
-        | `Error m -> Alcotest.failf "peek error: %s" m
+        Alcotest.(check bool)
+          (Printf.sprintf "seed %d cached at %s iff it is the owner" seed
+             (Fleet.endpoint_name ep))
+          is_owner (request_ok bc req).Codec.cache_hit
       done)
     eps
 
-(* Peer cache-fill: warm a schedule at the WRONG backend (the ring
-   successor), then ask the fleet — the front must fill from the peer
-   rather than re-solving, and afterwards the owner must hold a copy. *)
-let test_fleet_peer_fill () =
-  with_fleet @@ fun socket _t _backends eps ->
-  let ring = Ring.create (List.map Fleet.endpoint_name eps) in
-  let req = gen_request 42 in
-  let key = Daemon.cache_key req in
-  let owner = Option.get (Ring.owner ring key) in
-  let succ = Option.get (Ring.successor ring key) in
-  let ep_named name = List.find (fun ep -> Fleet.endpoint_name ep = name) eps in
-  (* Plant the solved schedule at the successor via a direct Put. *)
-  let stats, schedule = Daemon.solve req in
-  let sc, _, _ = Client.connect (ep_named succ) in
-  (match Client.put sc ~req ~stats ~schedule () with
-  | Ok () -> ()
-  | Error m -> Alcotest.failf "put to successor failed: %s" m);
-  Client.close sc;
+(* The front sends each request once, to its owner: K distinct cold
+   requests through three shards cost the backends K schedule-cache
+   misses in all, one solve each, and no probe of any other shard. The
+   backends share this process's metrics registry. *)
+let test_fleet_one_backend_frame_per_request () =
+  with_fleet ~n_backends:3 @@ fun socket _t _backends _eps ->
   let c = connect socket in
   Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
-  let ok = request_ok c req in
-  Alcotest.(check bool) "fill serves as a cache hit" true ok.Codec.cache_hit;
-  Alcotest.(check string) "filled reply byte-identical"
-    (Codec.schedule_bytes schedule)
-    (Codec.schedule_bytes ok.Codec.schedule);
-  (* The fill must also have installed the entry at the owner. *)
-  let oc, _, _ = Client.connect (ep_named owner) in
-  Fun.protect ~finally:(fun () -> Client.close oc) @@ fun () ->
-  match Client.peek oc req with
-  | `Hit hit ->
-      Alcotest.(check string) "owner holds the filled schedule"
-        (Codec.schedule_bytes schedule)
-        (Codec.schedule_bytes hit.Codec.schedule)
-  | `Miss -> Alcotest.fail "fill did not install the entry at the owner"
-  | `Error m -> Alcotest.failf "peek at owner failed: %s" m
+  let k = 8 in
+  let misses () = Mlbs_obs.Metrics.counter_value "server/cache/misses" in
+  let m0 = misses () in
+  for i = 1 to k do
+    let ok = request_ok c (gen_request (200 + i)) in
+    Alcotest.(check bool) (Printf.sprintf "request %d is cold" i) false ok.Codec.cache_hit
+  done;
+  Alcotest.(check int) "one backend cache miss per cold request" k (misses () - m0)
 
 (* Kill a backend, then re-issue requests that it owned: the fleet must
    re-route to the surviving shards and the replies must stay
@@ -387,7 +348,10 @@ let check_shell ~socket ~prefix ~wait =
       Alcotest.(check int) "protocol" Codec.protocol_version proto;
       Alcotest.(check bool) "version_match" true version_match
   | _ -> Alcotest.fail "Hello not answered with Hello_ack");
-  (match roundtrip fd Codec.Put_ack with
+  (* No server takes a schedule off the wire, even a correct one. *)
+  let req = gen_request 1 in
+  let stats, schedule = Daemon.solve req in
+  (match roundtrip fd (Codec.Put { req; version = 0; stats; schedule }) with
   | Some (Codec.Reply_error _) -> ()
   | _ -> Alcotest.fail "unexpected frame not answered with Reply_error");
   (match roundtrip fd Codec.Stats_request with
@@ -437,13 +401,13 @@ let () =
           QCheck_alcotest.to_alcotest qcheck_ring_membership;
           QCheck_alcotest.to_alcotest qcheck_ring_minimal_movement_add;
           QCheck_alcotest.to_alcotest qcheck_ring_minimal_movement_remove;
-          QCheck_alcotest.to_alcotest qcheck_ring_successor_is_owner_after_removal;
           Alcotest.test_case "balance" `Quick test_ring_balance;
         ] );
       ( "fleet",
         [
           Alcotest.test_case "serves and routes" `Quick test_fleet_serves_and_routes;
-          Alcotest.test_case "peer cache-fill" `Quick test_fleet_peer_fill;
+          Alcotest.test_case "one backend frame per request" `Quick
+            test_fleet_one_backend_frame_per_request;
           Alcotest.test_case "backend death failover" `Quick
             test_fleet_backend_death_failover;
           Alcotest.test_case "reschedule routed" `Quick test_fleet_reschedule_routed;

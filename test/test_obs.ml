@@ -150,6 +150,25 @@ let test_metrics_object_canonical () =
       Alcotest.(check bool) "schema tagged" true
         (contains ~sub:"\"schema\": \"mlbs-metrics-1\"" once))
 
+(* A run that raises still leaves its artifacts: the registry is reset
+   on entry, so the file holds only what the run recorded, and the
+   switches are off again afterwards. *)
+let test_with_files_dumps_on_exception () =
+  let metrics_file = Filename.temp_file "mlbs_obs" ".metrics.json" in
+  Fun.protect ~finally:(fun () -> Sys.remove metrics_file) @@ fun () ->
+  with_obs (fun () -> Metrics.add cs.(1) 5);
+  (match
+     Export.with_files ~metrics_file (fun () ->
+         Metrics.add cs.(1) 2;
+         failwith "boom")
+   with
+  | () -> Alcotest.fail "the exception must pass through"
+  | exception Failure _ -> ());
+  Alcotest.(check bool) "metrics switched off" false (Obs.metrics_enabled ());
+  let json = In_channel.with_open_bin metrics_file In_channel.input_all in
+  Alcotest.(check bool) "counter of this run only" true
+    (contains ~sub:"\"t/merge_c1\": 2" json)
+
 let () =
   Alcotest.run "obs"
     [
@@ -165,5 +184,9 @@ let () =
       ( "disabled",
         [ Alcotest.test_case "records nothing" `Quick test_disabled_records_nothing ] );
       ( "export",
-        [ Alcotest.test_case "canonical object" `Quick test_metrics_object_canonical ] );
+        [
+          Alcotest.test_case "canonical object" `Quick test_metrics_object_canonical;
+          Alcotest.test_case "files dumped on exception" `Quick
+            test_with_files_dumps_on_exception;
+        ] );
     ]

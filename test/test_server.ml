@@ -60,7 +60,7 @@ let sample_delta =
   }
 
 let test_codec_roundtrip () =
-  Alcotest.(check int) "versioned replies need protocol v5" 5 Codec.protocol_version;
+  Alcotest.(check int) "protocol v6: no peer cache-fill frames" 6 Codec.protocol_version;
   check_roundtrip "hello" (Codec.Hello { proto = 1; version = "1.1.0" });
   check_roundtrip "hello_ack"
     (Codec.Hello_ack { proto = 1; version = "1.1.0"; version_match = false });
@@ -107,12 +107,9 @@ let test_codec_roundtrip () =
     (Codec.Stats_reply [ ("server/requests", 42); ("server/cache/hits", 7) ]);
   check_roundtrip "shutdown" Codec.Shutdown;
   check_roundtrip "shutdown_ack" Codec.Shutdown_ack;
-  check_roundtrip "peek" (Codec.Peek gen_request);
-  check_roundtrip "peek_miss" Codec.Peek_miss;
   check_roundtrip "put"
     (Codec.Put
-       { req = gen_request; version = 2; stats = sample_stats; schedule = sample_schedule });
-  check_roundtrip "put_ack" Codec.Put_ack
+       { req = gen_request; version = 2; stats = sample_stats; schedule = sample_schedule })
 
 let expect_malformed name payload =
   match Codec.decode payload with
@@ -222,7 +219,6 @@ let gen_msg =
   oneof
     [
       map (fun r -> Codec.Request r) gen_request_any;
-      map (fun r -> Codec.Peek r) gen_request_any;
       map2 (fun base delta -> Codec.Reschedule { base; delta }) gen_request_any gen_delta;
       map
         (fun req ->
@@ -242,8 +238,7 @@ let gen_msg =
             Reply_rejected { retry_after_ms = 120 };
             Reply_error "boom";
             Stats_reply [ ("server/requests", 42) ];
-            Hello_ack { proto = 5; version = "1.1.0"; version_match = true };
-            Peek_miss;
+            Hello_ack { proto = 6; version = "1.1.0"; version_match = true };
           ];
     ]
 
@@ -254,7 +249,6 @@ let only_malformed payload =
     [
       (fun p -> ignore (Codec.decode p));
       (fun p -> ignore (Codec.reply_view p));
-      (fun p -> ignore (Codec.peek_of_request_payload p));
     ]
 
 (* A valid frame cut at a random length, or with one bit flipped. *)
@@ -464,7 +458,7 @@ let test_load_cache_wrong_proto () =
   Alcotest.(check int) "wrong proto loads nothing" 0
     (Daemon.load_cache ~dir (Cache.create ~metrics_prefix:"test/proto" ~capacity:4 ()))
 
-(* A disk entry passes the same replay check as a peer [Put]: a
+(* A disk entry must replay clean under its request's model: a
    schedule edited so that two relays collide is dropped at start,
    counted once in [server/put_refused], and the request is then
    solved afresh. On the diamond 0-{1,2}-3 the edit makes both 1 and 2
@@ -932,39 +926,6 @@ let test_daemon_reschedule_bad_delta () =
   | Client.Ok _ -> ()
   | _ -> Alcotest.fail "connection must survive a bad delta"
 
-(* A peer [Put] is installed only if its schedule replays clean under
-   the request's model: another deployment's schedule of the same size,
-   source and start is refused and leaves the address empty; the right
-   schedule is acked and then served. *)
-let test_daemon_put_validated () =
-  let req = { gen_request with Codec.source = Some 0 } in
-  let other = { req with Codec.seed = 8 } in
-  with_daemon @@ fun socket ->
-  let c = connect socket in
-  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
-  let refused = Mlbs_obs.Metrics.counter_value "server/put_refused" in
-  let wrong_stats, wrong = Daemon.solve other in
-  (match Client.put c ~req ~stats:wrong_stats ~schedule:wrong () with
-  | Error _ -> ()
-  | Ok () -> Alcotest.fail "a schedule for another deployment must be refused");
-  (match Client.peek c req with
-  | `Miss -> ()
-  | `Hit _ -> Alcotest.fail "a refused put must not be installed"
-  | `Error m -> Alcotest.failf "peek failed: %s" m);
-  Alcotest.(check bool) "refusal counted" true
-    (List.assoc_opt "server/put_refused" (Client.stats c) = Some (refused + 1));
-  let stats, schedule = Daemon.solve req in
-  (match Client.put c ~req ~stats ~schedule () with
-  | Ok () -> ()
-  | Error m -> Alcotest.failf "a correct put must be acked: %s" m);
-  match Client.peek c req with
-  | `Hit hit ->
-      Alcotest.(check string) "put schedule served"
-        (Codec.schedule_bytes schedule)
-        (Codec.schedule_bytes hit.Codec.schedule)
-  | `Miss -> Alcotest.fail "a correct put must be installed"
-  | `Error m -> Alcotest.failf "peek failed: %s" m
-
 let test_daemon_model_keyed_cache () =
   (* Same topology, policy and source under a different interference
      model must never share a cache line: the UDG hit must not leak
@@ -1159,7 +1120,6 @@ let () =
           Alcotest.test_case "concurrent clients" `Quick test_daemon_concurrent_clients;
           Alcotest.test_case "reschedule" `Quick test_daemon_reschedule;
           Alcotest.test_case "reschedule bad delta" `Quick test_daemon_reschedule_bad_delta;
-          Alcotest.test_case "put validated" `Quick test_daemon_put_validated;
           Alcotest.test_case "model-keyed cache" `Quick test_daemon_model_keyed_cache;
           Alcotest.test_case "sinr twin" `Quick test_daemon_sinr_twin;
           Alcotest.test_case "serves every model" `Quick test_daemon_serves_every_model;
