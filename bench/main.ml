@@ -1,19 +1,16 @@
-(* Benchmark harness for the library: regenerates every table and
-   figure of the paper's evaluation, runs the ablation studies, times
-   the schedulers with Bechamel, and drives the churn, search, model and
-   improver benches. The scheduling service (daemon, fleet, wire
-   protocol) is measured end to end by perfbench's cold_solve and
-   hot_fleet workloads, not here.
+(* Kernel timer for the library: times the schedulers with Bechamel
+   and drives the churn, search, model and improver benches. The
+   paper's tables, figures and ablations are rendered by `mlbs trace`
+   and `mlbs experiment`, not here; the scheduling service (daemon,
+   fleet, wire protocol) is measured end to end by perfbench's
+   cold_solve and hot_fleet workloads.
 
-     dune exec bench/main.exe                 # everything, full sweep
-     dune exec bench/main.exe -- --quick      # reduced sweep
-     dune exec bench/main.exe -- fig3 table2  # selected targets
-     dune exec bench/main.exe -- --jobs 4 fig3  # 4 worker domains
+     dune exec bench/main.exe                  # everything
+     dune exec bench/main.exe -- churn search  # selected targets
      dune exec bench/main.exe -- --smoke --compare BENCH_9.json  # CI gate
      dune exec bench/main.exe -- --smoke --json BENCH_9.json     # re-record it
 
-   Targets: table2 table3 table4 fig3 fig4 fig5 fig6 fig7 reliability
-   ablation churn micro search models improve (default: all).
+   Targets: churn micro search models improve (default: all).
    The churn target times warm-started repair against full re-solves
    across drift levels and byte-compares every repair. The search
    target times the default-budget cold-solve kernels on fixed
@@ -26,14 +23,11 @@
    replay) plus two ns/run kernels.
 
    Every number a run records is one row of rows.ml's schema
-   {target, name, metric, value, unit}: section wall-clock (figures
-   additionally run at jobs=1 first — a parallel-speedup baseline and
-   warm-up — with a byte-identity check on the rendered output), every
+   {target, name, metric, value, unit}: section wall-clock, every
    Bechamel ns/run estimate, and each target's own table.
 
-   Flags: --quick (reduced sweep), --smoke (Config.smoke plus the
-   representative micro-kernel subset — the CI gate; no JSON unless
-   --json is given), --jobs N (worker domains, default all cores),
+   Flags: --smoke (Config.smoke plus the representative micro-kernel
+   subset — the CI gate; no JSON unless --json is given),
    --json FILE (the rows, default BENCH_9.json; the committed file is a
    --smoke run, the CI baseline), --no-json, --compare FILE (gate this
    run's rows against a previous dump with rows.ml's rule: an ns row
@@ -47,9 +41,6 @@
    improved schedule that fails the radio replay, also exits non-zero. *)
 
 module Config = Mlbs_workload.Config
-module Figures = Mlbs_workload.Figures
-module Report = Mlbs_workload.Report
-module Ablation = Mlbs_workload.Ablation
 module Experiment = Mlbs_workload.Experiment
 module Model = Mlbs_core.Model
 module Scheduler = Mlbs_core.Scheduler
@@ -58,7 +49,6 @@ module Interference = Mlbs_phy.Interference
 module Emodel = Mlbs_core.Emodel
 module Wake_schedule = Mlbs_dutycycle.Wake_schedule
 module Bitset = Mlbs_util.Bitset
-module Pool = Mlbs_util.Pool
 module Validate = Mlbs_sim.Validate
 module Improve = Mlbs_search.Improve
 module Obs_metrics = Mlbs_obs.Metrics
@@ -97,123 +87,12 @@ let failures : string list ref = ref []
 
 (* Section timings also feed the registry (a no-op unless --metrics is
    on), so a telemetry-enabled bench run ships its phase profile. Every
-   section is named after its target; the jobs=1 comparison run of a
-   figure sweep defaults to the timed run itself for single-run
-   sections, so both rows are always present. *)
+   section is named after its target. *)
 let h_section_ms = Obs_metrics.histogram "bench/section_ms"
 
-let record target ?seconds_jobs1 seconds =
+let record target seconds =
   Obs_metrics.observe h_section_ms (int_of_float (seconds *. 1000.));
-  emit target "section"
-    [
-      ("seconds", "s", seconds);
-      ("seconds_jobs1", "s", Option.value seconds_jobs1 ~default:seconds);
-    ]
-
-(* ------------------------ paper tables ----------------------------- *)
-
-let run_table n target render =
-  section (Printf.sprintf "Table %s (fixture walkthrough)" n);
-  record target (timed (fun () -> print_string (render ())))
-
-(* ------------------------ paper figures ---------------------------- *)
-
-(* The jobs=1 baseline runs before the timed configured-jobs run: it is
-   both the parallel-speedup denominator and the warm-up, so the timed
-   run starts with hot code, a warm shared pool, and sized scratch —
-   the regime a long sweep actually operates in. Its render is kept for
-   a live check of the pool's determinism guarantee. *)
-let jobs1_baseline cfg ~compare_jobs1 render =
-  if (not compare_jobs1) || cfg.Config.jobs <= 1 then None
-  else begin
-    let t0 = now_s () in
-    let rendered1 = render { cfg with Config.jobs = 1 } in
-    Some (now_s () -. t0, rendered1)
-  end
-
-let check_identical name cfg baseline rendered =
-  match baseline with
-  | Some (_, r1) when r1 <> rendered ->
-      Printf.printf "WARNING: %s output differs between jobs=%d and jobs=1\n%!" name
-        cfg.Config.jobs
-  | _ -> ()
-
-(* The configured-jobs render is timed twice and the faster pass kept:
-   the second pass runs at steady state (hot code, sized scratch, heap
-   settled by the [Gc.full_major] below), which is the regime a long
-   sweep operates in and the one the recorded number represents. The
-   jobs=1 baseline pass above doubles as the first-touch warm-up, and
-   the rendered output (identical across passes — checked against the
-   baseline) is printed outside the clock. *)
-let timed_render render cfg rendered =
-  let pass () =
-    Gc.full_major ();
-    let t0 = now_s () in
-    rendered := render cfg;
-    now_s () -. t0
-  in
-  let d1 = pass () in
-  let d2 = pass () in
-  let dt = Float.min d1 d2 in
-  Printf.printf "(%.1fs)\n\n%!" dt;
-  dt
-
-let run_figure cfg ~compare_jobs1 name build =
-  section
-    (Printf.sprintf "%s (density sweep: %s seeds x %s node counts, jobs=%d)"
-       (String.capitalize_ascii name)
-       (string_of_int (List.length cfg.Config.seeds))
-       (string_of_int (List.length cfg.Config.node_counts))
-       cfg.Config.jobs);
-  let render cfg = Report.render_figure (build cfg) in
-  let baseline = jobs1_baseline cfg ~compare_jobs1 render in
-  let rendered = ref "" in
-  let dt = timed_render render cfg rendered in
-  print_string !rendered;
-  check_identical name cfg baseline !rendered;
-  record name ?seconds_jobs1:(Option.map fst baseline) dt
-
-(* Same shape for multi-chart sweeps (the reliability pair): render the
-   concatenation, cross-check the concatenation at jobs=1. *)
-let run_figure_group cfg ~compare_jobs1 name title build =
-  section (Printf.sprintf "%s (jobs=%d)" title cfg.Config.jobs);
-  let render cfg =
-    String.concat "\n" (List.map Report.render_figure (build cfg))
-  in
-  let baseline = jobs1_baseline cfg ~compare_jobs1 render in
-  let rendered = ref "" in
-  let dt = timed_render render cfg rendered in
-  print_string !rendered;
-  check_identical name cfg baseline !rendered;
-  record name ?seconds_jobs1:(Option.map fst baseline) dt
-
-(* -------------------------- ablations ------------------------------ *)
-
-let run_ablation cfg =
-  section (Printf.sprintf "Ablations (DESIGN.md design choices, jobs=%d)" cfg.Config.jobs);
-  record "ablation"
-    (timed (fun () ->
-         let small = { cfg with Config.seeds = [ 1; 2; 3 ] } in
-         Mlbs_util.Tab.print (Ablation.selector_table small ~n:150);
-         print_newline ();
-         Mlbs_util.Tab.print (Ablation.wake_family_table small ~n:100 ~rate:10);
-         print_newline ();
-         Mlbs_util.Tab.print (Ablation.lookahead_table small ~n:150);
-         print_newline ();
-         Mlbs_util.Tab.print (Ablation.relay_set_table small ~n:150);
-         print_newline ();
-         Mlbs_util.Tab.print (Ablation.localized_table small ~n:150 ~rate:None);
-         print_newline ();
-         Mlbs_util.Tab.print (Ablation.localized_table small ~n:100 ~rate:(Some 10));
-         print_newline ();
-         Mlbs_util.Tab.print (Ablation.shape_table small ~n:150);
-         print_newline ();
-         Mlbs_util.Tab.print (Ablation.protocol_table small ~n:150);
-         print_newline ();
-         Mlbs_util.Tab.print (Ablation.resilience_table small ~n:150 ~kill_fraction:0.1);
-         print_newline ();
-         Mlbs_util.Tab.print
-           (Ablation.fault_table { small with Config.crash_fraction = 0.1 } ~n:100 ~loss:0.2)))
+  emit target "section" [ ("seconds", "s", seconds) ]
 
 (* ------------------------- churn bench ----------------------------- *)
 
@@ -324,13 +203,11 @@ let churn_gate_kernels () =
       l.c_mismatches
   | _ -> 0
 
-let run_churn cfg ~smoke =
+let run_churn ~smoke =
   let n = if smoke then 80 else 300 in
   let events = if smoke then 6 else 20 in
   let pcts = [ 1; 3; 10; 30 ] in
-  section
-    (Printf.sprintf "Churn repair (n=%d, %d events/level, G-OPT, jobs=%d)" n events
-       cfg.Config.jobs);
+  section (Printf.sprintf "Churn repair (n=%d, %d events/level, G-OPT)" n events);
   let t0 = now_s () in
   let levels = run_churn_levels ~n ~seed:42 ~events ~pcts in
   List.iter
@@ -515,7 +392,7 @@ let run_micro cfg ~smoke =
 
 (* The cold-solve kernels: the service's cold-solve path —
    Scheduler.run at the default budget — on fixed instances,
-   independent of --quick/--smoke so every invocation gates against the
+   independent of --smoke so every invocation gates against the
    committed baseline on identical work. This is the path every cache
    miss, fleet fill and churn re-solve pays. *)
 let search_tests () =
@@ -551,7 +428,7 @@ let run_search () =
 (* ------------------------- model bench ----------------------------- *)
 
 (* The interference-backend comparison: cold G-OPT solves per backend
-   on shared deployments, at fixed sizes independent of --smoke/--quick
+   on shared deployments, at fixed sizes independent of --smoke
    (like the search bench) so the committed rows are comparable across
    runs. The ns/run kernels price SINR's additive
    zone checks and multi-channel's first-fit grouping against the
@@ -615,7 +492,7 @@ let run_models () =
 (* ------------------------ improve bench ---------------------------- *)
 
 (* The quality-vs-budget sweep: GLS/VNS local search from cold G-OPT
-   starts on fixed instances (independent of --quick/--smoke, like the
+   starts on fixed instances (independent of --smoke, like the
    search and model benches, so the committed rows are comparable
    across runs). Each sweep point takes
    the best final latency over a small search-seed portfolio — the
@@ -720,37 +597,29 @@ let run_improve () =
 
 (* ----------------------------- main -------------------------------- *)
 
-let known =
-  [ "table2"; "table3"; "table4"; "fig3"; "fig4"; "fig5"; "fig6"; "fig7"; "reliability";
-    "ablation"; "churn"; "micro"; "search"; "models"; "improve" ]
+let known = [ "churn"; "micro"; "search"; "models"; "improve" ]
 
 let () =
   (* [json] is [None] until --json/--no-json appears, so --smoke can
      default to no file without overriding an explicit request. *)
-  let rec parse targets jobs json cmp tr mt = function
-    | [] -> (List.rev targets, jobs, json, cmp, tr, mt)
-    | "--jobs" :: v :: rest -> (
-        match int_of_string_opt v with
-        | Some j when j >= 1 -> parse targets (Some j) json cmp tr mt rest
-        | _ -> failwith (Printf.sprintf "bad --jobs value %S" v))
-    | [ "--jobs" ] -> failwith "--jobs needs a value"
-    | "--json" :: v :: rest -> parse targets jobs (Some (Some v)) cmp tr mt rest
+  let rec parse targets json cmp tr mt = function
+    | [] -> (List.rev targets, json, cmp, tr, mt)
+    | "--json" :: v :: rest -> parse targets (Some (Some v)) cmp tr mt rest
     | [ "--json" ] -> failwith "--json needs a value"
-    | "--no-json" :: rest -> parse targets jobs (Some None) cmp tr mt rest
-    | "--compare" :: v :: rest -> parse targets jobs json (Some v) tr mt rest
+    | "--no-json" :: rest -> parse targets (Some None) cmp tr mt rest
+    | "--compare" :: v :: rest -> parse targets json (Some v) tr mt rest
     | [ "--compare" ] -> failwith "--compare needs a value"
-    | "--trace" :: v :: rest -> parse targets jobs json cmp (Some v) mt rest
+    | "--trace" :: v :: rest -> parse targets json cmp (Some v) mt rest
     | [ "--trace" ] -> failwith "--trace needs a value"
-    | "--metrics" :: v :: rest -> parse targets jobs json cmp tr (Some v) rest
+    | "--metrics" :: v :: rest -> parse targets json cmp tr (Some v) rest
     | [ "--metrics" ] -> failwith "--metrics needs a value"
-    | a :: rest -> parse (a :: targets) jobs json cmp tr mt rest
+    | a :: rest -> parse (a :: targets) json cmp tr mt rest
   in
-  let args, jobs, json_arg, cmp, trace_file, metrics_file =
-    parse [] None None None None None (List.tl (Array.to_list Sys.argv))
+  let args, json_arg, cmp, trace_file, metrics_file =
+    parse [] None None None None (List.tl (Array.to_list Sys.argv))
   in
-  let quick = List.mem "--quick" args in
   let smoke = List.mem "--smoke" args in
-  let targets = List.filter (fun a -> a <> "--quick" && a <> "--smoke") args in
+  let targets = List.filter (fun a -> a <> "--smoke") args in
   let json =
     match json_arg with
     | Some j -> j
@@ -775,55 +644,28 @@ let () =
           exit 1)
       cmp
   in
-  let cfg =
-    if smoke then Config.smoke else if quick then Config.quick else Config.default
-  in
-  let cfg = match jobs with Some j -> { cfg with Config.jobs = j } | None -> cfg in
-  let compare_jobs1 = json <> None in
+  let cfg = if smoke then Config.smoke else Config.default in
   (* The whole run executes under the telemetry wrapper (a no-op
      without --trace/--metrics); the regression exit happens outside
      it, after the artifacts are on disk. *)
   let failed =
     Export.with_files ?trace_file ?metrics_file @@ fun () ->
-    (* Bring the shared pool up and pre-size every domain's search
-       scratch before anything is timed; the host-core figure is
-       sampled only once the pool is live, after any runtime topology
-       detection the spawns trigger. *)
-    let max_n = List.fold_left max 150 cfg.Config.node_counts in
-    Pool.prewarm ~jobs:cfg.Config.jobs
-      ~setup:(fun () -> Mlbs_core.Mcounter.prewarm ~n:max_n)
-      ();
-    let flag b = if b then 1. else 0. in
+    (* Pre-size the search scratch before anything is timed. Every
+       kernel runs on this domain; no pool domain is spawned. *)
+    Mlbs_core.Mcounter.prewarm ~n:(List.fold_left max 150 cfg.Config.node_counts);
     emit "run" "config"
       [
-        ("host_cores", "count", float_of_int (Pool.default_jobs ()));
-        ("jobs", "count", float_of_int cfg.Config.jobs);
-        ("quick", "bool", flag quick);
-        ("smoke", "bool", flag smoke);
+        ("host_cores", "count", float_of_int (Mlbs_util.Pool.default_jobs ()));
+        ("smoke", "bool", if smoke then 1. else 0.);
       ];
     let total0 = now_s () in
-    if want "table2" then run_table "II" "table2" Figures.table2;
-    if want "table3" then run_table "III" "table3" Figures.table3;
-    if want "table4" then run_table "IV" "table4" Figures.table4;
-    if want "fig3" then run_figure cfg ~compare_jobs1 "fig3" Figures.fig3;
-    if want "fig4" then run_figure cfg ~compare_jobs1 "fig4" Figures.fig4;
-    if want "fig5" then run_figure cfg ~compare_jobs1 "fig5" Figures.fig5;
-    if want "fig6" then run_figure cfg ~compare_jobs1 "fig6" Figures.fig6;
-    if want "fig7" then run_figure cfg ~compare_jobs1 "fig7" Figures.fig7;
-    if want "reliability" then
-      run_figure_group cfg ~compare_jobs1 "reliability"
-        (Printf.sprintf "Reliability (loss sweep: %d rates x %d seeds)"
-           (List.length cfg.Config.loss_rates)
-           (List.length cfg.Config.seeds))
-        Figures.fig_reliability;
-    if want "ablation" then run_ablation cfg;
-    if want "churn" then run_churn cfg ~smoke;
+    if want "churn" then run_churn ~smoke;
     if want "search" then run_search ();
     if want "models" then run_models ();
     if want "improve" then run_improve ();
     if want "micro" then run_micro cfg ~smoke;
     let total = now_s () -. total0 in
-    Printf.printf "total: %.1fs (jobs=%d)\n" total cfg.Config.jobs;
+    Printf.printf "total: %.1fs\n" total;
     emit "run" "total" [ ("seconds", "s", total) ];
     let rows = List.rev !rows in
     Option.iter

@@ -23,7 +23,7 @@ let test_round_trip () =
       row "mlbs/kernel/conflict-test new (intersects3)" 13.8;
       row ~target:"models" "models/G-OPT cold sinr (n=300)" 2125235992.0;
       row ~target:"churn" "churn/repair (n=80, 10%)" 0.1;
-      { Rows.target = "fig3"; name = "section"; metric = "seconds"; value = 1e-3; unit = "s" };
+      { Rows.target = "churn"; name = "section"; metric = "seconds"; value = 1e-3; unit = "s" };
       { Rows.target = "improve"; name = "x"; metric = "gopt"; value = -7.; unit = "rounds" };
       row "third" (1. /. 3.);
     ]
@@ -79,11 +79,11 @@ let test_threshold () =
     (Rows.failed (Rows.compare ~ran:[ "micro" ] ~baseline:[ row "b" 100. ] [ row "b" 400. ]))
 
 let test_ungated () =
-  let s v = row ~target:"fig3" ~unit:"s" "section" v in
-  let checks = Rows.compare ~ran:[ "fig3" ] ~baseline:[ s 1. ] [ s 1000. ] in
+  let s v = row ~target:"churn" ~unit:"s" "section" v in
+  let checks = Rows.compare ~ran:[ "churn" ] ~baseline:[ s 1. ] [ s 1000. ] in
   Alcotest.(check (list (pair string pp_verdict))) "info" [ ("section", Rows.Info) ] (verdicts checks);
   Alcotest.(check bool) "never gates" false (Rows.failed checks);
-  let gone = Rows.compare ~ran:[ "fig3" ] ~baseline:[ s 1. ] [] in
+  let gone = Rows.compare ~ran:[ "churn" ] ~baseline:[ s 1. ] [] in
   Alcotest.(check bool) "missing non-ns row does not gate" false (Rows.failed gone)
 
 let test_missing () =

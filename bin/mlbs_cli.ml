@@ -6,7 +6,8 @@
      trace       print the paper's Table II/III/IV walkthroughs, or
                  ('trace run') execute an instrumented scenario and dump
                  Perfetto trace + metrics artifacts
-     experiment  regenerate a figure of the paper's evaluation *)
+     experiment  regenerate a figure of the paper's evaluation, or the
+                 ablation tables ('experiment ablation') *)
 
 open Cmdliner
 
@@ -1034,40 +1035,64 @@ let loadgen_cmd =
 
 (* -------------------------- experiment ----------------------------- *)
 
+(* The ablation study binds only the protocol model and writes no CSV:
+   one of its ten tables reads [cfg.model], so any other model would
+   print a report only partly under it. *)
 let experiment figure quick smoke jobs model csv_dir trace_file metrics_file =
   let cfg = if smoke then Config.smoke else if quick then Config.quick else Config.default in
   let cfg = match jobs with Some j -> { cfg with Config.jobs = j } | None -> cfg in
   let cfg = { cfg with Config.model } in
-  Export.with_files ?trace_file ?metrics_file @@ fun () ->
-  let figures =
-    match figure with
-    | "fig3" -> [ Figures.fig3 cfg ]
-    | "fig4" -> [ Figures.fig4 cfg ]
-    | "fig5" -> [ Figures.fig5 cfg ]
-    | "fig6" -> [ Figures.fig6 cfg ]
-    | "fig7" -> [ Figures.fig7 cfg ]
-    | "reliability" -> Figures.fig_reliability cfg
-    | "all" ->
-        [ Figures.fig3 cfg; Figures.fig4 cfg; Figures.fig5 cfg; Figures.fig6 cfg;
-          Figures.fig7 cfg ]
-        @ Figures.fig_reliability cfg
-    | other ->
-        Printf.eprintf "unknown figure %S (fig3..fig7|reliability|all)\n" other;
-        exit 2
+  let figures build =
+    Export.with_files ?trace_file ?metrics_file @@ fun () ->
+    List.iter
+      (fun f ->
+        print_string (Report.render_figure f);
+        print_newline ();
+        match csv_dir with
+        | Some dir -> Printf.printf "wrote %s\n" (Report.write_csv ~dir f)
+        | None -> ())
+      (build cfg);
+    0
   in
-  List.iter
-    (fun f ->
-      print_string (Report.render_figure f);
-      print_newline ();
-      match csv_dir with
-      | Some dir -> Printf.printf "wrote %s\n" (Report.write_csv ~dir f)
-      | None -> ())
-    figures;
-  0
+  let one figure cfg = [ figure cfg ] in
+  match figure with
+  | `Fig3 -> figures (one Figures.fig3)
+  | `Fig4 -> figures (one Figures.fig4)
+  | `Fig5 -> figures (one Figures.fig5)
+  | `Fig6 -> figures (one Figures.fig6)
+  | `Fig7 -> figures (one Figures.fig7)
+  | `Reliability -> figures Figures.fig_reliability
+  | `All ->
+      figures (fun cfg ->
+          [ Figures.fig3 cfg; Figures.fig4 cfg; Figures.fig5 cfg; Figures.fig6 cfg;
+            Figures.fig7 cfg ]
+          @ Figures.fig_reliability cfg)
+  | `Ablation when csv_dir <> None ->
+      Printf.eprintf "experiment ablation writes no CSV; drop --csv\n";
+      2
+  | `Ablation when model <> Interference.Udg ->
+      Printf.eprintf "experiment ablation runs under --model udg only, got %s\n"
+        (Interference.to_string model);
+      2
+  | `Ablation ->
+      Export.with_files ?trace_file ?metrics_file @@ fun () ->
+      print_string (Mlbs_workload.Ablation.report cfg);
+      0
 
 let experiment_cmd =
   let figure_arg =
-    Arg.(value & pos 0 string "all" & info [] ~docv:"FIGURE" ~doc:"fig3..fig7 | reliability | all")
+    let figures =
+      [ ("fig3", `Fig3); ("fig4", `Fig4); ("fig5", `Fig5); ("fig6", `Fig6); ("fig7", `Fig7);
+        ("reliability", `Reliability); ("ablation", `Ablation); ("all", `All) ]
+    in
+    Arg.(
+      value & pos 0 (enum figures) `All
+      & info [] ~docv:"FIGURE"
+          ~doc:
+            (Printf.sprintf
+               "%s. $(b,all) is fig3 to fig7 plus reliability; $(b,ablation) is the \
+                design-choice ablation tables."
+               (doc_alts_enum figures)))
   in
   let quick_arg =
     Arg.(value & flag & info [ "quick" ] ~doc:"Reduced sweep (3 node counts, 2 seeds).")
@@ -1102,7 +1127,8 @@ let experiment_cmd =
       & info [ "csv" ] ~docv:"DIR" ~doc:"Also write one CSV per figure into $(docv).")
   in
   Cmd.v
-    (Cmd.info "experiment" ~doc:"Regenerate a figure of the paper's evaluation")
+    (Cmd.info "experiment"
+       ~doc:"Regenerate a figure of the paper's evaluation, or the ablation tables")
     Term.(
       const experiment $ figure_arg $ quick_arg $ smoke_arg $ jobs_arg
       $ model_arg $ csv_arg $ trace_file_arg $ metrics_file_arg)

@@ -166,6 +166,6 @@ val hop_lower_bound : Model.t -> w:Bitset.t -> int
 
 (** [prewarm ~n] pre-sizes this domain's search scratch (the
     incremental {!Istate} and the BFS workspace) for [n]-node models,
-    so the first evaluation on a worker domain does not allocate it
-    inside a timed region. Idempotent. *)
+    so the first evaluation on this domain does not allocate it inside
+    a timed region. Idempotent. *)
 val prewarm : n:int -> unit

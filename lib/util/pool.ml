@@ -207,42 +207,6 @@ let get_shared ~jobs =
   Mutex.unlock shared_lock;
   t
 
-let prewarm ?(setup = fun () -> ()) ~jobs () =
-  setup ();
-  if jobs > 1 then begin
-    let t = get_shared ~jobs in
-    let k = List.length t.workers in
-    if k > 0 then begin
-      (* One barrier task per worker: each runs [setup] and then holds
-         its worker until all have arrived, so no worker takes two. *)
-      let bl = Mutex.create () and bc = Condition.create () in
-      let arrived = ref 0 and release = ref false in
-      Mutex.lock t.lock;
-      for _ = 1 to k do
-        Queue.add
-          (fun () ->
-            setup ();
-            Mutex.lock bl;
-            incr arrived;
-            Condition.broadcast bc;
-            while not !release do
-              Condition.wait bc bl
-            done;
-            Mutex.unlock bl)
-          t.queue
-      done;
-      Condition.broadcast t.work;
-      Mutex.unlock t.lock;
-      Mutex.lock bl;
-      while !arrived < k do
-        Condition.wait bc bl
-      done;
-      release := true;
-      Condition.broadcast bc;
-      Mutex.unlock bl
-    end
-  end
-
 let map ~jobs f input =
   if jobs <= 1 || Array.length input <= 1 then Array.map f input
   else map_on (get_shared ~jobs) f input

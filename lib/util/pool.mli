@@ -57,10 +57,3 @@ val map : jobs:int -> ('a -> 'b) -> 'a array -> 'b array
 
 (** [map_list ~jobs f xs] is [map] over a list, preserving order. *)
 val map_list : jobs:int -> ('a -> 'b) -> 'a list -> 'b list
-
-(** [prewarm ~jobs ?setup ()] brings the shared pool up before a timed
-    region: spawns the shared pool's workers if needed and runs [setup]
-    exactly once on the submitter and once on every worker domain (via a
-    barrier batch), e.g. to pre-size domain-local scratch. No-op beyond
-    [setup ()] when [jobs <= 1]. *)
-val prewarm : ?setup:(unit -> unit) -> jobs:int -> unit -> unit

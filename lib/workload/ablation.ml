@@ -367,3 +367,24 @@ let lookahead_table cfg ~n =
       Tab.add_float_row tab ~label:(string_of_int depth) [ mean_latency cfg ~n ~plan ])
     [ 0; 1; 2; 3 ];
   tab
+
+(* ---------------------------- report ------------------------------- *)
+
+(* Fixed sizes and seeds whatever the sweep's node counts and seeds,
+   so the smoke, quick and full configs run the same instances. *)
+let report cfg =
+  let small = { cfg with Config.seeds = [ 1; 2; 3 ] } in
+  String.concat "\n"
+    (List.map Tab.render
+       [
+         selector_table small ~n:150;
+         wake_family_table small ~n:100 ~rate:10;
+         lookahead_table small ~n:150;
+         relay_set_table small ~n:150;
+         localized_table small ~n:150 ~rate:None;
+         localized_table small ~n:100 ~rate:(Some 10);
+         shape_table small ~n:150;
+         protocol_table small ~n:150;
+         resilience_table small ~n:150 ~kill_fraction:0.1;
+         fault_table { small with Config.crash_fraction = 0.1 } ~n:100 ~loss:0.2;
+       ])

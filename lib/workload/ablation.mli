@@ -83,3 +83,9 @@ val resilience_table : Config.t -> n:int -> kill_fraction:float -> Mlbs_util.Tab
     overhead per policy — the graceful-degradation companion to
     {!resilience_table}'s crash-only view. *)
 val fault_table : Config.t -> n:int -> loss:float -> Mlbs_util.Tab.t
+
+(** [report cfg] is every table above, blank-line separated, at the
+    fixed sizes the evaluation cites (n = 150, or n = 100 for the
+    duty-cycled and fault studies) over seeds 1–3 whatever
+    [cfg.seeds]. Byte-identical at any [cfg.jobs]. *)
+val report : Config.t -> string

@@ -33,7 +33,7 @@ type t = {
 val default : t
 
 (** A reduced sweep (3 node counts, 2 seeds, tighter budgets) for smoke
-    tests and [--quick] bench runs. *)
+    tests and [mlbs experiment --quick]. *)
 val quick : t
 
 (** The minimal sweep (one node count, one seed, smallest budgets) —

@@ -208,7 +208,16 @@ let test_ablation_tables_render () =
       ("shapes", Ablation.shape_table ablation_cfg ~n:50);
       ("protocols", Ablation.protocol_table ablation_cfg ~n:50);
       ("resilience", Ablation.resilience_table ablation_cfg ~n:50 ~kill_fraction:0.1);
+      ( "faults",
+        Ablation.fault_table { ablation_cfg with Config.crash_fraction = 0.1 } ~n:50 ~loss:0.2 );
     ]
+
+(* The report fans its seeds out over the experiment pool; the bytes
+   must not depend on how many domains ran them. *)
+let test_ablation_report_jobs () =
+  let module Ablation = Mlbs_workload.Ablation in
+  let at jobs = Ablation.report { tiny_cfg with Config.jobs } in
+  Alcotest.(check string) "jobs=1 = jobs=2" (at 1) (at 2)
 
 let test_plan_with_selector_valid () =
   let module Ablation = Mlbs_workload.Ablation in
@@ -268,5 +277,6 @@ let () =
         [
           Alcotest.test_case "tables render" `Quick test_ablation_tables_render;
           Alcotest.test_case "selectors valid" `Quick test_plan_with_selector_valid;
+          Alcotest.test_case "report jobs-invariant" `Quick test_ablation_report_jobs;
         ] );
     ]
