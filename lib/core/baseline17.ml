@@ -1,6 +1,23 @@
 module Bitset = Mlbs_util.Bitset
 module Bfs = Mlbs_graph.Bfs
 module Wake_schedule = Mlbs_dutycycle.Wake_schedule
+module Interference = Mlbs_phy.Interference
+
+(* Would [senders], firing together at informed set [w], inform exactly
+   their uninformed neighbours on the model's radio? The check the
+   replay makes of every step. *)
+let replays_clean model ~w senders =
+  let ctx =
+    Interference.slot_ctx (Model.phy_instance model) ~uninformed:(Bitset.complement w)
+      ~scheduled:senders
+  in
+  (not (Interference.overflow ctx))
+  && Bitset.for_all
+       (fun rx ->
+         match Interference.reception ctx ~effective:senders ~rx with
+         | Interference.Delivered _ -> true
+         | Interference.Silent | Interference.Collision _ -> false)
+       (Bitset.diff (Model.apply model ~w ~senders) w)
 
 let plan model ~source ~start =
   let sched =
@@ -14,28 +31,36 @@ let plan model ~source ~start =
   let release = ref (start - 1) in
   let steps = ref [] in
   (* Transmissions of one color: every sender fires at its own next
-     wake-up after the color is released; group them per slot. *)
-  let fire_class senders =
-    let timed =
-      List.map (fun u -> (Wake_schedule.next_wake sched u ~after:!release, u)) senders
-    in
-    let sorted = List.sort compare timed in
-    let by_slot = Hashtbl.create 8 in
-    List.iter
-      (fun (slot, u) ->
-        Hashtbl.replace by_slot slot
-          (u :: Option.value ~default:[] (Hashtbl.find_opt by_slot slot)))
-      sorted;
-    let slots = List.sort_uniq compare (List.map fst sorted) in
-    List.iter
-      (fun slot ->
-        let group = List.rev (Hashtbl.find by_slot slot) in
-        let w' = Model.apply model ~w:!w ~senders:group in
+     wake-up after the color is released; group them per slot. A slot's
+     group is only part of the color, and under SINR it can lack the
+     capturer one of its receivers decoded from. A group that would not
+     replay clean at the current W is split with the model's class
+     builder: its first class fires, and the rest re-time to their next
+     wake-ups after the slot. *)
+  let split group =
+    let counts = List.map (fun u -> (u, Model.n_receivers model ~w:!w u)) group in
+    match Model.color_classes model ~uninformed:(Bitset.complement !w) counts with
+    | first :: _ -> (first, List.filter (fun u -> not (List.mem u first)) group)
+    | [] -> assert false
+  in
+  let rec fire pending =
+    match List.sort compare pending with
+    | [] -> ()
+    | (slot, _) :: _ as sorted ->
+        let group, later = List.partition (fun (s, _) -> s = slot) sorted in
+        let group = List.map snd group in
+        let senders, retimed =
+          if replays_clean model ~w:!w group then (group, []) else split group
+        in
+        let w' = Model.apply model ~w:!w ~senders in
         let informed = Bitset.elements (Bitset.diff w' !w) in
-        steps := { Schedule.slot; senders = group; informed } :: !steps;
-        w := w')
-      slots;
-    release := List.fold_left (fun acc (slot, _) -> max acc slot) !release timed
+        steps := { Schedule.slot; senders; informed } :: !steps;
+        w := w';
+        release := max !release slot;
+        fire (List.map (fun u -> (Wake_schedule.next_wake sched u ~after:slot, u)) retimed @ later)
+  in
+  let fire_class senders =
+    fire (List.map (fun u -> (Wake_schedule.next_wake sched u ~after:!release, u)) senders)
   in
   List.iter
     (fun layer ->

@@ -9,7 +9,13 @@
     of a layer completes before the next layer starts. The total delay
     accumulates per hop — up to 17·k·d — because the layer
     synchronisation forbids any pipelining with already-informed
-    nodes. *)
+    nodes.
+
+    A slot's share of a color is fired unchanged when it replays clean
+    at the current informed set. Under SINR it may not (it can lack the
+    capturer a receiver decoded from); then it is split with the
+    model's class builder, its first class fires, and the rest wait for
+    their next wake-ups. *)
 
 (** [plan model ~source ~start] computes the layered duty-cycle
     schedule; the source transmits at its first wake slot ≥ [start].

@@ -101,9 +101,10 @@ let local_istate model ~w =
 (* keyed on (W, key slot): the active slot under Async, and 0 under    *)
 (* Sync, whose values are time-shift invariant. The stored value is    *)
 (* the span [finish − t + 1] from the active slot [t], which under     *)
-(* Sync is the remaining advance count. The table grows and never      *)
-(* evicts here, so every value the search establishes stays available  *)
-(* to plan construction.                                               *)
+(* Sync is the remaining advance count; an exact entry also holds the *)
+(* advance chosen there. The table grows and never evicts here, so     *)
+(* every value and move the search establishes stays available to plan *)
+(* construction.                                                       *)
 (* ------------------------------------------------------------------ *)
 
 type ctx = {
@@ -340,8 +341,8 @@ let rec finish ctx ~slot ~limit =
               ctx.states <- ctx.states + 1;
               if ctx.states > ctx.budget.max_states then raise Exhausted;
               match r with
-              | Best (v, _) ->
-                  Ttable.add ctx.tt ~h ~slot:key ~set (v - t + 1);
+              | Best (v, c) ->
+                  Ttable.add ctx.tt ~h ~slot:key ~set ~move:c (v - t + 1);
                   v
               | Refuted b ->
                   Metrics.incr m_cutoffs;
@@ -452,14 +453,15 @@ let snapshot_reusable s ~space ~budget ~n =
    the degraded path is byte-identical to a cold solve's. *)
 exception Restart_unseeded
 
-(* Plan construction: walk greedily, choosing each advance with the
-   search's own candidate fold and the same evaluator the top level
-   used, so the realised schedule matches the evaluated finish time in
-   exact mode. [seeds] pre-populates the memo with still-valid entries
-   from a previous solve: every value the search reads is the same pure
-   function of (graph, wake schedules, informed set) either way, so the
-   constructed schedule is unchanged — only the work to re-derive it
-   shrinks. *)
+(* Plan construction: walk greedily, replaying the advance the search
+   stored with each position, or, where none is stored, choosing it
+   with the search's own candidate fold and the same evaluator the top
+   level used, so the realised schedule matches the evaluated finish
+   time in exact mode. [seeds] pre-populates the memo with still-valid
+   entries from a previous solve: every value the search reads is the
+   same pure function of (graph, wake schedules, informed set) either
+   way, so the constructed schedule is unchanged — only the work to
+   re-derive it shrinks. *)
 let rec plan_gen model space ~budget ~source ~start ~seeds ~capture =
   try
     Otrace.with_span ~arg:start ~cat:"search" "plan" @@ fun () ->
@@ -490,8 +492,9 @@ let rec plan_gen model space ~budget ~source ~start ~seeds ~capture =
       Metrics.incr m_exhausted;
       Istate.rewind st ~depth
     in
-    (* Root search first: if the budget holds, candidate scores reuse its
-       memo; otherwise every score degrades to the lookahead policy. *)
+    (* Root search first: if the budget holds, the plan replays its
+       moves and candidate scores reuse its memo; otherwise every score
+       degrades to the lookahead policy. *)
     let exact_ok =
       try
         ignore (finish ctx ~slot:start ~limit:max_int);
@@ -509,8 +512,8 @@ let rec plan_gen model space ~budget ~source ~start ~seeds ~capture =
       in
       if not exact_ok then fallback ()
       else
-        (* Unseeded, this expands no new state: the root search already
-           solved or refuted every candidate the plan scores. A seeded
+        (* Only a position without a stored move is scored, and
+           unseeded every position the plan reaches has one. A seeded
            plan can reach a position whose value came from a seed and
            whose siblings were never expanded; if that blows the budget
            it restarts unseeded. *)
@@ -520,19 +523,36 @@ let rec plan_gen model space ~budget ~source ~start ~seeds ~capture =
           exhausted ~depth:d;
           fallback ()
     in
-    (* The limit of the advance at slot [t]: the exact finish the table
-       holds for the current position, so every candidate that cannot
-       match it is refuted by a stored bound rather than re-searched.
-       The root search leaves an exact entry at every position the plan
-       reaches. Degraded plans score with the lookahead and keep
-       [max_int]. *)
-    let step_limit t =
-      if (not exact_ok) || !degraded then max_int
+    (* An exact, undegraded plan replays the advance the search stored
+       with the current position: the first candidate, in the same
+       ranked list, whose finish is the least, which is the one the fold
+       below would pick against that finish. The root search leaves a
+       move at every position an unseeded plan reaches, so such a plan
+       colours no position a second time. Positions seeded from a
+       snapshot hold no move and take the fold. *)
+    let stored lookup t =
+      if (not exact_ok) || !degraded then None
       else
         let key = if ctx.sync then 0 else t in
-        match Ttable.find ctx.tt ~h:(Istate.whash st) ~slot:key ~set:(Istate.w st) with
-        | Some span when span > 0 -> t + span - 1
-        | _ -> max_int
+        lookup ctx.tt ~h:(Istate.whash st) ~slot:key ~set:(Istate.w st)
+    in
+    (* The fold's limit at slot [t]: the exact finish the table holds
+       for the current position, so every candidate that cannot match
+       it is refuted by a stored bound rather than re-searched. Degraded
+       plans score with the lookahead and keep [max_int]. *)
+    let step_limit t =
+      match stored Ttable.find t with Some span when span > 0 -> t + span - 1 | _ -> max_int
+    in
+    let fold t =
+      let succs =
+        Otrace.with_span ~arg:t ~cat:"search" "color-select" (fun () ->
+            search_successors ctx ~slot:t)
+      in
+      let probe = exact_ok && ctx.sync in
+      let floor = Bounds.remaining st in
+      match best_advance ctx ~t ~limit:(step_limit t) ~floor succs ~probe ~score:(score ~t) with
+      | Refuted _ -> failwith "Mcounter.plan: no advance within the limit"
+      | Best (_, c) -> c
     in
     let rec loop slot steps =
       if Istate.complete st then List.rev steps
@@ -545,20 +565,10 @@ let rec plan_gen model space ~budget ~source ~start ~seeds ~capture =
                siblings (with nested color-selection) in the trace. *)
             let step =
               Otrace.with_span ~arg:t ~cat:"sched" "round" @@ fun () ->
-              let succs =
-                Otrace.with_span ~arg:t ~cat:"search" "color-select" (fun () ->
-                    search_successors ctx ~slot:t)
-              in
-              let probe = exact_ok && ctx.sync in
-              let floor = Bounds.remaining st in
-              match
-                best_advance ctx ~t ~limit:(step_limit t) ~floor succs ~probe ~score:(score ~t)
-              with
-              | Refuted _ -> failwith "Mcounter.plan: no advance within the limit"
-              | Best (_, c) ->
-                  Istate.apply st ~senders:c;
-                  let informed = List.sort compare (Istate.last_added st) in
-                  { Schedule.slot = t; senders = c; informed }
+              let c = match stored Ttable.find_move t with Some c -> c | None -> fold t in
+              Istate.apply st ~senders:c;
+              let informed = List.sort compare (Istate.last_added st) in
+              { Schedule.slot = t; senders = c; informed }
             in
             loop (t + 1) (step :: steps)
     in

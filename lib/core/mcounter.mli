@@ -28,10 +28,13 @@
     bound is stored negated, only exact entries answer child probes,
     seed a search or enter a snapshot, and an exact result overwrites a
     bound for the same key. The top-level search runs with no limit.
-    Plan construction picks each advance with the same candidate fold,
-    against the exact finish the table holds for its position, so it
-    expands no state the top-level search did not; a degraded plan
-    scores with no limit.
+    Each exact entry also holds its move, the advance the search chose
+    there, and plan construction replays those moves: an exact plan
+    colours each expanded position once and scores nothing again. A
+    position seeded from a snapshot holds no move; there the plan picks
+    the advance with the same candidate fold, against the exact finish
+    the table holds, which chooses the same advance the replay would.
+    A degraded plan scores with no limit.
 
     The hop-distance bound and the {!Bounds} floors skip candidates
     whose finish must exceed the cap, and the transposition table shares

@@ -24,6 +24,7 @@ type t = {
   mutable slot : int array;  (* -1 = empty *)
   mutable set : Bitset.t array;
   mutable value : int array;
+  mutable move : int list array;  (* [] = no move *)
   mutable size : int;
   dummy : Bitset.t;
   (* intern store: content-addressed informed-set copies *)
@@ -42,6 +43,7 @@ let create () =
     slot = Array.make cap (-1);
     set = Array.make cap dummy;
     value = Array.make cap 0;
+    move = Array.make cap [];
     size = 0;
     dummy;
     imask = cap - 1;
@@ -60,17 +62,19 @@ let mixkey h slot =
   let x = (x lxor (x lsr 30)) * 0x27d4eb2f165667c5 land max_int in
   x lxor (x lsr 27)
 
-let find t ~h ~slot ~set =
+(* The index of [(set, slot)] given [h], or [-1]: the one probe walk
+   behind [find] and [find_move]. *)
+let index t ~h ~slot ~set =
   let rec probe i =
     let j = i land t.mask in
     if t.slot.(j) < 0 then begin
       Metrics.incr m_miss;
-      None
+      -1
     end
     else if t.hkey.(j) = h && t.slot.(j) = slot && Bitset.equal t.set.(j) set
     then begin
       Metrics.incr m_hit;
-      Some t.value.(j)
+      j
     end
     else begin
       Metrics.incr m_collision;
@@ -78,6 +82,14 @@ let find t ~h ~slot ~set =
     end
   in
   probe (mixkey h slot)
+
+let find t ~h ~slot ~set =
+  let j = index t ~h ~slot ~set in
+  if j < 0 then None else Some t.value.(j)
+
+let find_move t ~h ~slot ~set =
+  let j = index t ~h ~slot ~set in
+  if j < 0 then None else match t.move.(j) with [] -> None | c -> Some c
 
 (* Probe for the child key [base ∪ cov] without materialising the
    union: the caller derives [h] with [Bitset.hash_union] and equality
@@ -146,13 +158,14 @@ let intern t ~h ~shared set =
 let grow t =
   Metrics.incr m_grow;
   let old_hkey = t.hkey and old_slot = t.slot in
-  let old_set = t.set and old_value = t.value in
+  let old_set = t.set and old_value = t.value and old_move = t.move in
   let cap = (t.mask + 1) * 2 in
   t.mask <- cap - 1;
   t.hkey <- Array.make cap 0;
   t.slot <- Array.make cap (-1);
   t.set <- Array.make cap t.dummy;
   t.value <- Array.make cap 0;
+  t.move <- Array.make cap [];
   Array.iteri
     (fun j s ->
       if s >= 0 then begin
@@ -162,7 +175,8 @@ let grow t =
             t.hkey.(j') <- old_hkey.(j);
             t.slot.(j') <- s;
             t.set.(j') <- old_set.(j);
-            t.value.(j') <- old_value.(j)
+            t.value.(j') <- old_value.(j);
+            t.move.(j') <- old_move.(j)
           end
           else place (i + 1)
         in
@@ -170,7 +184,7 @@ let grow t =
       end)
     old_slot
 
-let insert t ~h ~slot ~shared ~set v =
+let insert t ~h ~slot ~shared ~set ~move v =
   let rec probe i =
     let j = i land t.mask in
     if t.slot.(j) < 0 then begin
@@ -178,17 +192,21 @@ let insert t ~h ~slot ~shared ~set v =
       t.slot.(j) <- slot;
       t.set.(j) <- intern t ~h ~shared set;
       t.value.(j) <- v;
+      t.move.(j) <- move;
       t.size <- t.size + 1;
       if (t.size + 1) * 2 > t.mask + 1 then grow t
     end
     else if t.hkey.(j) = h && t.slot.(j) = slot && Bitset.equal t.set.(j) set
-    then t.value.(j) <- v
+    then begin
+      t.value.(j) <- v;
+      t.move.(j) <- move
+    end
     else probe (i + 1)
   in
   probe (mixkey h slot)
 
-let add t ~h ~slot ~set v = insert t ~h ~slot ~shared:false ~set v
-let add_shared t ~h ~slot ~set v = insert t ~h ~slot ~shared:true ~set v
+let add t ~h ~slot ~set ?(move = []) v = insert t ~h ~slot ~shared:false ~set ~move v
+let add_shared t ~h ~slot ~set v = insert t ~h ~slot ~shared:true ~set ~move:[] v
 
 let iter f t =
   Array.iteri

@@ -197,6 +197,14 @@ let pinned =
     ("sinr", 0, "OPT", opt, capped 20, (8, false, 21, 9));
   ]
 
+(* [f ()] with the metrics registry on and reset, and the value of the
+   counter [name] it leaves. *)
+let counting name f =
+  Obs.enable ~metrics:true ();
+  Metrics.reset ();
+  let r = Fun.protect ~finally:Obs.disable f in
+  (r, Metrics.counter_value name)
+
 let pinned_case (phy, rate, policy, space, budget, (finish, exact, states, entries)) =
   let name =
     Printf.sprintf "%s %s %s%s" phy
@@ -214,7 +222,62 @@ let pinned_case (phy, rate, policy, space, budget, (finish, exact, states, entri
       Alcotest.(check bool) "exact" exact e.Mcounter.exact;
       Alcotest.(check int) "states" states e.Mcounter.states;
       let _, snap = Mcounter.plan_snapshot model space ~budget ~source:0 ~start:1 in
-      Alcotest.(check int) "snapshot entries" entries (Mcounter.snapshot_entries snap))
+      Alcotest.(check int) "snapshot entries" entries (Mcounter.snapshot_entries snap);
+      (* An exact plan replays the moves its root search stored, so it
+         runs Algorithm 1 once per expanded position and never again. *)
+      if exact && space = Choices.Greedy then begin
+        let _, colourings =
+          counting "search/color_selections" (fun () ->
+              Mcounter.plan model space ~budget ~source:0 ~start:1)
+        in
+        Alcotest.(check int) "colourings = states" states colourings
+      end)
+
+(* -------------------- replay = candidate fold --------------------- *)
+
+(* A plan replays the advance its search stored with each exact entry.
+   Snapshot seeds hold no move, so the same plan seeded with its own
+   snapshot chooses every advance with the candidate fold: the oracle.
+   Both must give the same bytes, under every interference backend,
+   both systems and both choice spaces. The seeded run must also really
+   fold: it colours at least once per step. *)
+let gen_replay =
+  QCheck2.Gen.(
+    let* n = int_range 6 16 in
+    let* seed = int_bound 100000 in
+    let* phy = oneofl [ "udg"; "sinr"; "mc:2" ] in
+    let* rate = oneofl [ 0; 4 ] in
+    let* greedy = bool in
+    return (n, seed, phy, rate, greedy))
+
+let print_replay (n, seed, phy, rate, greedy) =
+  Printf.sprintf "n=%d seed=%d %s %s %s" n seed phy
+    (if rate = 0 then "sync" else Printf.sprintf "r=%d" rate)
+    (if greedy then "Greedy" else "All 64")
+
+let replay_is_fold (n, seed, phy, rate, greedy) =
+  let net = Test_support.sparse_network ~n ~seed in
+  let system =
+    if rate = 0 then Model.Sync
+    else Model.Async (Mlbs_dutycycle.Wake_schedule.create ~rate ~n_nodes:n ~seed ())
+  in
+  let phy = Result.get_ok (Mlbs_phy.Interference.parse phy) in
+  let model = Model.create ~phy net system in
+  let space = if greedy then Choices.Greedy else opt in
+  let budget = Mcounter.default_budget in
+  let bytes = Mlbs_server.Codec.schedule_bytes in
+  let replayed = Mcounter.plan model space ~budget ~source:0 ~start:1 in
+  let _, snap = Mcounter.plan_snapshot model space ~budget ~source:0 ~start:1 in
+  let (folded, _), colourings =
+    counting "search/color_selections" (fun () ->
+        Mcounter.plan_snapshot ~seeds:(snap, fun _ -> true) model space ~budget ~source:0
+          ~start:1)
+  in
+  let steps = List.length (Schedule.steps folded) in
+  if bytes replayed <> bytes folded then QCheck2.Test.fail_report "replay differs from the fold"
+  else if greedy && colourings < steps then
+    QCheck2.Test.fail_reportf "seeded plan coloured %d times in %d steps" colourings steps
+  else true
 
 (* ------------------------ properties ------------------------------ *)
 
@@ -304,6 +367,9 @@ let props =
         || a.Mcounter.finish >= s.Mcounter.finish);
     prop ~count:100 "monotone on sparse deployments (OPT space)"
       Test_support.gen_sparse_sync_model monotone;
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:120 ~name:"plan replay = seeded candidate fold"
+         ~print:print_replay gen_replay replay_is_fold);
   ]
 
 let () =

@@ -259,7 +259,7 @@ let qcheck_zone_oracle =
         (fun p -> zone_oracle p nw)
         Interference.[ default_sinr; { alpha = 2.5; beta = 1.0; noise = 0.0; power = 1.0 } ])
 
-(* ----------------------- SINR golden schedules ---------------------- *)
+(* ----------------------- golden served schedules ------------------- *)
 
 (* G-OPT under SINR on paper deployments (n = 150, the service's source
    selection): MD5 of the schedule bytes, pinned. A change to the power
@@ -278,16 +278,32 @@ let sinr_golden =
     ("sinr:2.5,1,0,1", 400020, "9022757686e8c901bba0599a9df37a6a");
   ]
 
+(* The served G-OPT bytes of the other cold-miss request classes, in
+   the same form: (model, duty-cycle rate, n, seed, MD5). Their
+   searches expand from 7 states (100002, 300001) to 567 (100021). A
+   change to the search or plan construction that moves any chosen
+   advance moves these. *)
+let served_golden =
+  [
+    ("udg", None, 300, 100001, "90ddba40fe9a9106ce86f744ea877f97");
+    ("udg", None, 300, 100002, "b6e663121428e375e8ee9a5ac8c4b6a0");
+    ("udg", None, 300, 100021, "3fab72e38581a8bc974e1a5c849ba964");
+    ("udg", Some 10, 150, 200001, "ba1e3e1fdac4043734129a953f1a6d8c");
+    ("udg", Some 10, 150, 200039, "54efd407b022186b4fcd363751758370");
+    ("mc:2", None, 300, 300001, "1bbf7a8a0f48ff37b2954a670c9f3a89");
+    ("mc:2", None, 300, 300002, "e4f1949f6d3879c5000170303b5b80e2");
+  ]
+
 let test_sinr_golden () =
   List.iter
-    (fun (spec, seed, digest) ->
+    (fun (spec, rate, n, seed, digest) ->
       let model = Result.get_ok (Interference.parse spec) in
       let req =
         {
           Codec.policy = Codec.Gopt;
-          rate = None;
+          rate;
           seed;
-          topology = Codec.Gen { n = 150; radius = Config.default.Config.radius };
+          topology = Codec.Gen { n; radius = Config.default.Config.radius };
           source = None;
           start = 1;
           model;
@@ -295,10 +311,13 @@ let test_sinr_golden () =
       in
       let _, s = Daemon.solve req in
       Alcotest.(check string)
-        (Printf.sprintf "%s seed %d" spec seed)
+        (Printf.sprintf "%s rate %s n %d seed %d" spec
+           (Option.fold ~none:"sync" ~some:string_of_int rate)
+           n seed)
         digest
         (Digest.to_hex (Digest.string (Codec.schedule_bytes s))))
-    sinr_golden
+    (List.map (fun (spec, seed, digest) -> (spec, None, 150, seed, digest)) sinr_golden
+    @ served_golden)
 
 (* -------------- validator accepts every planner/backend ------------ *)
 

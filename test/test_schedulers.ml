@@ -94,6 +94,20 @@ let test_baseline17_senders_at_own_wakes () =
   in
   layers_ordered 0
 
+(* Under SINR a slot's share of a color can lack the capturer a
+   receiver decoded from; fired unchanged, this instance's schedule
+   claimed receptions the radio does not deliver. *)
+let test_baseline17_sinr_split () =
+  let n = 9 and seed = 32 in
+  let net = Test_support.small_network ~n ~seed in
+  let m =
+    Model.create ~phy:(Mlbs_phy.Interference.Sinr Mlbs_phy.Interference.default_sinr) net
+      (Model.Async (Wake_schedule.create ~rate:6 ~n_nodes:n ~seed ()))
+  in
+  let plan = Baseline17.plan m ~source:0 ~start:1 in
+  Validate.check_exn m plan;
+  Alcotest.(check bool) "covers" true (Schedule.covers_all plan)
+
 let test_baseline17_rejects_sync () =
   let m = Model.create Fixtures.fig2.Fixtures.net Model.Sync in
   Alcotest.check_raises "sync rejected"
@@ -204,6 +218,7 @@ let () =
           Alcotest.test_case "17 on fig2dc" `Quick test_baseline17_fig2dc;
           Alcotest.test_case "17 senders at own wakes" `Quick test_baseline17_senders_at_own_wakes;
           Alcotest.test_case "17 rejects sync" `Quick test_baseline17_rejects_sync;
+          Alcotest.test_case "17 sinr split" `Quick test_baseline17_sinr_split;
         ] );
       ( "dispatch",
         [
