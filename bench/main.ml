@@ -16,7 +16,9 @@
    target times the default-budget cold-solve kernels on fixed
    instances. The models target compares the
    interference backends (udg / sinr / mc:2 / mc:3) on shared
-   deployments — solve ns/run plus scheduled rounds and transmissions.
+   deployments — solve ns/run plus scheduled rounds and transmissions —
+   and, without --smoke, prints the served SINR solve's tail at n = 300
+   over seeds 1–20 (report-only rows).
    The improve target sweeps the GLS/VNS anytime improver over fixed
    G-OPT starts at increasing evaluation budgets (best of a small seed
    portfolio per point, every improved schedule re-validated by radio
@@ -102,6 +104,8 @@ module Deployment = Mlbs_wsn.Deployment
 module Network = Mlbs_wsn.Network
 module Rng = Mlbs_prng.Rng
 module Codec = Mlbs_server.Codec
+module Daemon = Mlbs_server.Daemon
+module Obs = Mlbs_obs.Obs
 
 (* One churn level: [c_k] nodes drift per event, the
    repaired schedule is byte-compared against a full re-solve of the
@@ -475,7 +479,63 @@ let model_latencies insts =
         model_specs)
     insts
 
-let run_models () =
+(* The SINR tail: the served G-OPT solve (deployment, source pick and
+   search, as `mlbs schedule --model sinr -n 300 -p gopt --seed S` runs
+   it) over seeds 1–20, whose slowest seeds take seconds. Wall-clock
+   seconds and search states per seed, then the max, p90 (nearest
+   rank) and median. The registry is switched on for the table only —
+   [search_states] is a counter delta — so these rows are report-only
+   and are skipped under --smoke. *)
+let tail_seeds = List.init 20 (fun i -> i + 1)
+
+let run_sinr_tail () =
+  let metrics_on = Obs.metrics_enabled () in
+  if not metrics_on then Obs.enable ~tracing:false ();
+  let runs =
+    Fun.protect
+      ~finally:(fun () -> if not metrics_on then Obs.disable ~tracing:false ())
+      (fun () ->
+        List.map
+          (fun seed ->
+            let req =
+              {
+                Codec.policy = Codec.Gopt;
+                rate = None;
+                seed;
+                topology = Codec.Gen { n = 300; radius = Config.default.Config.radius };
+                source = None;
+                start = 1;
+                model = Interference.Sinr Interference.default_sinr;
+              }
+            in
+            let t0 = now_s () in
+            let stats, _ = Daemon.solve req in
+            (seed, now_s () -. t0, stats.Codec.search_states))
+          tail_seeds)
+  in
+  Printf.printf "  SINR tail: G-OPT n=300, seeds 1-20 (registry on)\n  %-6s %-9s %s\n" "seed"
+    "seconds" "states";
+  List.iter
+    (fun (seed, dt, states) ->
+      Printf.printf "  %-6d %-9.3f %d\n" seed dt states;
+      emit "models"
+        (Printf.sprintf "G-OPT sinr tail (n=300, seed %d)" seed)
+        [ ("seconds", "s", dt); ("states", "count", float_of_int states) ])
+    runs;
+  let times = List.map (fun (_, dt, _) -> dt) runs in
+  let sorted = Array.of_list (List.sort Float.compare times) in
+  let k = Array.length sorted in
+  let p90 = sorted.(((9 * k) + 9) / 10 - 1) and worst = sorted.(k - 1) in
+  let median = Mlbs_util.Stats.median times in
+  let states = List.fold_left (fun a (_, _, st) -> a + st) 0 runs in
+  Printf.printf "  max %.3f s  p90 %.3f s  median %.3f s  states %d\n%!" worst p90 median states;
+  emit "models" "G-OPT sinr tail (n=300, seeds 1-20)"
+    [
+      ("max", "s", worst); ("p90", "s", p90); ("median", "s", median);
+      ("states", "count", float_of_int states);
+    ]
+
+let run_models ~smoke =
   section "Interference backends (cold G-OPT per model, shared deployments)";
   let insts = model_instances () in
   let lat = model_latencies insts in
@@ -487,7 +547,8 @@ let run_models () =
         (Printf.sprintf "G-OPT %s (n=%d)" label n)
         [ ("rounds", "rounds", float_of_int rounds); ("transmissions", "count", float_of_int tx) ])
     lat;
-  bechamel_session ~group:"models" ~target:"models" (model_tests insts)
+  bechamel_session ~group:"models" ~target:"models" (model_tests insts);
+  if not smoke then run_sinr_tail ()
 
 (* ------------------------ improve bench ---------------------------- *)
 
@@ -661,7 +722,7 @@ let () =
     let total0 = now_s () in
     if want "churn" then run_churn ~smoke;
     if want "search" then run_search ();
-    if want "models" then run_models ();
+    if want "models" then run_models ~smoke;
     if want "improve" then run_improve ();
     if want "micro" then run_micro cfg ~smoke;
     let total = now_s () -. total0 in

@@ -36,6 +36,6 @@ let enable ?(metrics = true) ?(tracing = true) () =
   if metrics then Atomic.set metrics_flag true;
   if tracing then Atomic.set tracing_flag true
 
-let disable () =
-  Atomic.set metrics_flag false;
-  Atomic.set tracing_flag false
+let disable ?(metrics = true) ?(tracing = true) () =
+  if metrics then Atomic.set metrics_flag false;
+  if tracing then Atomic.set tracing_flag false

@@ -23,9 +23,10 @@ val tracing_enabled : unit -> bool
     trace epoch: subsequent span timestamps are relative to it. *)
 val enable : ?metrics:bool -> ?tracing:bool -> unit -> unit
 
-(** [disable ()] turns both subsystems off. Recorded data is retained
-    and can still be snapshotted or exported. *)
-val disable : unit -> unit
+(** [disable ?metrics ?tracing ()] turns the selected subsystems off
+    (both by default). Recorded data is retained and can still be
+    snapshotted or exported. *)
+val disable : ?metrics:bool -> ?tracing:bool -> unit -> unit
 
 (** [now_us ()] is the wall clock in microseconds — the time base of
     every span. *)

@@ -125,12 +125,24 @@ let classifier = function
       C_udg { graph = g; blocked; ubar = blocked }
   | I_sinr s -> C_sinr (Sinr.zone s)
 
-let start_class c ~uninformed =
+(* Open a class whose SINR sums are tracked on [reach] (ignored under
+   UDG, whose blocked set needs no per-receiver state). *)
+let open_class c ~uninformed ~reach =
   match c with
   | C_udg u ->
       Bitset.clear u.blocked;
       u.ubar <- uninformed
-  | C_sinr z -> Sinr.zone_start z ~uninformed
+  | C_sinr z -> Sinr.zone_start z ~uninformed ~reach
+
+(* A class whose members are not known up front tracks all of W̄. *)
+let start_class c ~uninformed = open_class c ~uninformed ~reach:uninformed
+
+(* The receivers a class drawn from [items] can affect: under SINR
+   W̄ ∩ ⋃ N(items), so accepts add power there only. *)
+let reach_of c ~uninformed items =
+  match c with
+  | C_udg _ -> uninformed
+  | C_sinr z -> Sinr.zone_reach z ~uninformed items
 
 let admits c u =
   match c with
@@ -153,8 +165,8 @@ let class_coverage = function
    Under UDG admission against the running blocked set is exactly "no
    common uninformed neighbour with any member", so this is the
    pairwise greedy colouring with one intersection test per item. *)
-let pass c ~uninformed items =
-  start_class c ~uninformed;
+let fill c ~uninformed ~reach items =
+  open_class c ~uninformed ~reach;
   let cl, rest =
     List.fold_left
       (fun (cl, rest) u ->
@@ -167,15 +179,19 @@ let pass c ~uninformed items =
   in
   (List.rev cl, List.rev rest)
 
+let pass c ~uninformed items = fill c ~uninformed ~reach:(reach_of c ~uninformed items) items
+
 (* Repeated passes over the rejects: every item of class i > 1 was
-   refused by each earlier class. The coverage is copied out before the
-   next pass reuses the classifier's scratch. *)
+   refused by each earlier class. The rejects are a subset of [items],
+   so one reach serves every pass. The coverage is copied out before
+   the next pass reuses the classifier's scratch. *)
 let classes c ~uninformed items =
+  let reach = reach_of c ~uninformed items in
   let rec go items acc =
     match items with
     | [] -> List.rev acc
     | _ ->
-        let cl, rest = pass c ~uninformed items in
+        let cl, rest = fill c ~uninformed ~reach items in
         go rest ((cl, Bitset.copy (class_coverage c)) :: acc)
   in
   go items []

@@ -89,7 +89,9 @@ val conflicts : instance -> uninformed:Bitset.t -> int -> int -> bool
     [classifier] is reusable scratch sized to the instance's network;
     [start_class] opens a class against a slot's uninformed set,
     [admits]/[accept] grow it, [class_coverage] is the informed-set
-    delta (valid until the next [start_class]; do not mutate). *)
+    delta (valid until the next [start_class]; do not mutate). Under
+    SINR a class opened by [start_class] tracks interference sums on
+    all of the uninformed set, since any node may be accepted. *)
 
 type classifier
 
@@ -109,12 +111,16 @@ val class_coverage : classifier -> Bitset.t
 (** [pass c ~uninformed items] opens one class against [uninformed]
     and admits each item in order while the class stays feasible.
     Returns the class and the rejects, both in visiting order; the
-    class's coverage is then [class_coverage c]. *)
+    class's coverage is then [class_coverage c]. Under SINR the class
+    tracks sums only on [reach = uninformed ∩ ⋃ N(items)], the
+    receivers an item can affect; the classes are those of
+    [start_class] and the same [admits]/[accept] sequence. *)
 val pass : classifier -> uninformed:Bitset.t -> int list -> int list * int list
 
 (** [classes c ~uninformed items] repeats {!pass} over the rejects
     until every item has a class, pairing each class with a fresh copy
-    of its coverage [N(class) ∩ uninformed]. *)
+    of its coverage [N(class) ∩ uninformed]. [reach] is computed once,
+    from [items], for every pass. *)
 val classes : classifier -> uninformed:Bitset.t -> int list -> (int list * Bitset.t) list
 
 (** [merge_channels k rows] merges runs of [k] consecutive classes into

@@ -111,89 +111,137 @@ let power_at t u x = Float.Array.get t.pw ((u * t.n) + x)
    and validator re-check, so a zone-built class is accepted by
    construction.
 
-   State per claimed receiver x: [s.(x)] is the total class power at x,
-   [capturer.(x)] the unique decodable member (unique because β ≥ 1)
-   and [p_cap.(x)] its power. Admission of [u] only has to re-examine
-   the current capturer and [u] itself: every other member already
-   failed a smaller denominator, and interference only grows. *)
+   State per claimed receiver x: [s.(x)] is the total class power at x
+   and [p_cap.(x)] the power of its capturer, the unique decodable
+   member (unique because β ≥ 1). Admission of [u] only has to
+   re-examine the current capturer and [u] itself: every other member
+   already failed a smaller denominator, and interference only grows.
+
+   Sums are tracked on [reach], a superset of every receiver the class
+   can ever read: admission reads the covered nodes and N(u) ∩ W̄, and
+   covered ⊆ N(members) ∩ W̄. A class over known candidates opens with
+   [reach = W̄ ∩ ⋃_c N(c)] ({!zone_reach}), so an accept costs the
+   receivers some candidate reaches rather than all of W̄; a class whose
+   members are not known up front tracks [reach = W̄]. Each tracked sum
+   adds the same powers in the same (acceptance) order either way, so
+   every decision — and every schedule byte — is the same.
+
+   Admission and accept walk the sets a word at a time
+   ({!Bitset.words}) and read [u]'s row of the power table at a fixed
+   offset. *)
 type zone = {
   z : t;
   mutable ubar : Bitset.t;  (** the slot's uninformed set (borrowed) *)
+  mutable reach : Bitset.t;  (** the receivers whose sums are tracked (borrowed) *)
+  reach_buf : Bitset.t;  (** {!zone_reach}'s result *)
   s : float array;
   covered : Bitset.t;
-  capturer : int array;
   p_cap : float array;
 }
 
 let zone z =
   let n = Graph.n_nodes z.graph in
+  let empty = Bitset.create n in
   {
     z;
-    ubar = Bitset.create n;
+    ubar = empty;
+    reach = empty;
+    reach_buf = Bitset.create n;
     s = Array.make n 0.0;
     covered = Bitset.create n;
-    capturer = Array.make n (-1);
     p_cap = Array.make n 0.0;
   }
 
-let zone_start zn ~uninformed =
+(* W̄ ∩ ⋃_{c ∈ items} N(c), into the zone's own buffer: valid until the
+   next call. *)
+let zone_reach zn ~uninformed items =
+  let r = zn.reach_buf in
+  Bitset.clear r;
+  List.iter
+    (fun c -> Bitset.union_inter_into ~into:r (Graph.neighbor_set zn.z.graph c) uninformed)
+    items;
+  r
+
+let zone_start zn ~uninformed ~reach =
   zn.ubar <- uninformed;
+  zn.reach <- reach;
   Array.fill zn.s 0 (Array.length zn.s) 0.0;
   Bitset.clear zn.covered
 
-(* Would admitting [u] keep every claimed receiver decodable? Both
-   scans stop at the first receiver that would lose its signal. *)
+(* Would admitting [u] keep every claimed receiver decodable? Two word
+   scans — the covered receivers, then the uninformed neighbours of [u]
+   no member reaches yet — each stopping at the first receiver that
+   would lose its signal. *)
 let zone_admits zn u =
   let z = zn.z in
   let beta = z.p.beta and noise = z.p.noise in
-  let evals = ref 0 in
-  let ok =
-    Bitset.for_all
-      (fun x ->
-        incr evals;
-        let pu = power_at z u x in
-        let pc = zn.p_cap.(x) in
-        pc >= beta *. (noise +. zn.s.(x) +. pu -. pc)
-        || (Graph.mem_edge z.graph u x && pu >= beta *. (noise +. zn.s.(x))))
-      zn.covered
-    && Array.for_all
-         (fun x ->
-           (not (Bitset.mem zn.ubar x))
-           || Bitset.mem zn.covered x
-           || begin
-                incr evals;
-                power_at z u x >= beta *. (noise +. zn.s.(x))
-              end)
-         (Graph.neighbors z.graph u)
-  in
+  let pw = z.pw and row = u * z.n and s = zn.s and p_cap = zn.p_cap in
+  let adj = Bitset.words (Graph.neighbor_set z.graph u) in
+  let cov = Bitset.words zn.covered and ubar = Bitset.words zn.ubar in
+  let n_words = Array.length cov in
+  let evals = ref 0 and ok = ref true in
+  let w = ref 0 in
+  while !ok && !w < n_words do
+    let base = !w * Bitset.bits_per_word and a = adj.(!w) in
+    let word = ref cov.(!w) in
+    while !ok && !word <> 0 do
+      let lsb = !word land - !word in
+      let x = base + Bitset.bit_index lsb in
+      incr evals;
+      let pu = Float.Array.get pw (row + x) in
+      let pc = p_cap.(x) in
+      ok :=
+        pc >= beta *. (noise +. s.(x) +. pu -. pc)
+        || (a land lsb <> 0 && pu >= beta *. (noise +. s.(x)));
+      word := !word land (!word - 1)
+    done;
+    incr w
+  done;
+  w := 0;
+  while !ok && !w < n_words do
+    let base = !w * Bitset.bits_per_word in
+    let word = ref (adj.(!w) land ubar.(!w) land lnot cov.(!w)) in
+    while !ok && !word <> 0 do
+      let x = base + Bitset.bit_index (!word land - !word) in
+      incr evals;
+      ok := Float.Array.get pw (row + x) >= beta *. (noise +. s.(x));
+      word := !word land (!word - 1)
+    done;
+    incr w
+  done;
   Metrics.add c_power_evals !evals;
-  ok
+  !ok
 
 (* Commit [u] (must have been admitted): interference accumulates at
-   every still-uninformed node — also the ones no member reaches yet,
-   whose later admission checks must see it. *)
+   every tracked node — also the ones no member reaches yet, whose
+   later admission checks must see it. *)
 let zone_accept zn u =
   let z = zn.z in
   let beta = z.p.beta and noise = z.p.noise in
+  let pw = z.pw and row = u * z.n and s = zn.s and p_cap = zn.p_cap in
+  let adj = Bitset.words (Graph.neighbor_set z.graph u) in
+  let cov = Bitset.words zn.covered and reach = Bitset.words zn.reach in
   let evals = ref 0 in
-  Bitset.iter
-    (fun x ->
+  for w = 0 to Array.length reach - 1 do
+    let base = w * Bitset.bits_per_word and a = adj.(w) in
+    let word = ref reach.(w) in
+    while !word <> 0 do
+      let lsb = !word land - !word in
+      let x = base + Bitset.bit_index lsb in
       incr evals;
-      let pu = power_at z u x in
-      (if Bitset.mem zn.covered x then begin
-         let pc = zn.p_cap.(x) in
-         if pc < beta *. (noise +. zn.s.(x) +. pu -. pc) then begin
-           zn.capturer.(x) <- u;
-           zn.p_cap.(x) <- pu
-         end
+      let pu = Float.Array.get pw (row + x) in
+      (if cov.(w) land lsb <> 0 then begin
+         let pc = p_cap.(x) in
+         if pc < beta *. (noise +. s.(x) +. pu -. pc) then p_cap.(x) <- pu
        end
-       else if Graph.mem_edge z.graph u x then begin
+       else if a land lsb <> 0 then begin
          Bitset.add zn.covered x;
-         zn.capturer.(x) <- u;
-         zn.p_cap.(x) <- pu
+         p_cap.(x) <- pu
        end);
-      zn.s.(x) <- zn.s.(x) +. pu)
-    zn.ubar;
+      s.(x) <- s.(x) +. pu;
+      word := !word land (!word - 1)
+    done
+  done;
   Metrics.add c_power_evals !evals
 
 (* The invariant makes coverage and claim coincide: every node of

@@ -231,13 +231,17 @@ let lsb_index =
   t.(0) <- 62;
   t
 
+let[@inline] bit_index lsb = lsb_index.(lsb land max_int mod 67)
+
+let words s = s.words
+
 let iter f s =
   for w = 0 to Array.length s.words - 1 do
     let word = ref s.words.(w) in
     let base = w * bits_per_word in
     while !word <> 0 do
       let lsb = !word land - !word in
-      f (base + lsb_index.(lsb land max_int mod 67));
+      f (base + bit_index lsb);
       word := !word land (!word - 1)
     done
   done
@@ -248,7 +252,7 @@ let for_all p s =
   let rec from w word =
     if word <> 0 then
       let lsb = word land -word in
-      p ((w * bits_per_word) + lsb_index.(lsb land max_int mod 67))
+      p ((w * bits_per_word) + bit_index lsb)
       && from w (word land (word - 1))
     else w + 1 >= n_words || from (w + 1) s.words.(w + 1)
   in

@@ -119,6 +119,25 @@ val hash_union : t -> t -> int -> int
     the union — the verification step after a [hash_union] probe hit. *)
 val equal_union : t -> t -> t -> bool
 
+(** {1 Word view}
+
+    For kernels that scan several sets in lock-step one word at a time:
+    member [i] of [s] is bit [i mod bits_per_word] of word
+    [i / bits_per_word] of [words s]. *)
+
+(** [bits_per_word] is 63: the sign bit of each word is left clear. *)
+val bits_per_word : int
+
+(** [words s] is [s]'s word array — the internal one, not a copy, so a
+    view that follows later {!add}s. Callers must not mutate it. Sets
+    of one capacity have word arrays of one length. *)
+val words : t -> int array
+
+(** [bit_index b] is [k] when [b = 1 lsl k] with [k] in
+    [0, bits_per_word)] — the position of a word's lowest member once
+    isolated as [w land (-w)]. *)
+val bit_index : int -> int
+
 (** [iter f s] applies [f] to each member in increasing order. *)
 val iter : (int -> unit) -> t -> unit
 

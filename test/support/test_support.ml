@@ -78,3 +78,87 @@ let runner_schedules model =
     ( "protocol",
       ((Broadcast_protocol.run model ~source:0 ~start:1).Broadcast_protocol.schedule, true) );
   ]
+
+(* The SINR additive-feasibility zone written plainly, as a reference
+   for [Interference.pass]/[classes]: closures over the sets, and every
+   accept adds power at all of W̄, not only at the receivers the
+   candidates reach. Same decision expressions, in the same order, as
+   the library's zone, so the two must agree bit for bit. *)
+module Sinr_ref = struct
+  module Bitset = Mlbs_util.Bitset
+  module Graph = Mlbs_graph.Graph
+  module Sinr = Mlbs_phy.Sinr
+
+  type zone = {
+    z : Sinr.t;
+    ubar : Bitset.t;
+    s : float array;
+    covered : Bitset.t;
+    p_cap : float array;
+  }
+
+  let start z ~uninformed =
+    let n = Bitset.cap uninformed in
+    {
+      z;
+      ubar = uninformed;
+      s = Array.make n 0.0;
+      covered = Bitset.create n;
+      p_cap = Array.make n 0.0;
+    }
+
+  let admits zn u =
+    let { Sinr.beta; noise; _ } = Sinr.params zn.z in
+    let g = zn.z.Sinr.graph in
+    Bitset.for_all
+      (fun x ->
+        let pu = Sinr.power_at zn.z u x in
+        let pc = zn.p_cap.(x) in
+        pc >= beta *. (noise +. zn.s.(x) +. pu -. pc)
+        || (Graph.mem_edge g u x && pu >= beta *. (noise +. zn.s.(x))))
+      zn.covered
+    && Array.for_all
+         (fun x ->
+           (not (Bitset.mem zn.ubar x))
+           || Bitset.mem zn.covered x
+           || Sinr.power_at zn.z u x >= beta *. (noise +. zn.s.(x)))
+         (Graph.neighbors g u)
+
+  let accept zn u =
+    let { Sinr.beta; noise; _ } = Sinr.params zn.z in
+    let g = zn.z.Sinr.graph in
+    Bitset.iter
+      (fun x ->
+        let pu = Sinr.power_at zn.z u x in
+        (if Bitset.mem zn.covered x then begin
+           let pc = zn.p_cap.(x) in
+           if pc < beta *. (noise +. zn.s.(x) +. pu -. pc) then zn.p_cap.(x) <- pu
+         end
+         else if Graph.mem_edge g u x then begin
+           Bitset.add zn.covered x;
+           zn.p_cap.(x) <- pu
+         end);
+        zn.s.(x) <- zn.s.(x) +. pu)
+      zn.ubar
+
+  (* One greedy pass: the class, the rejects and the class's coverage. *)
+  let pass z ~uninformed items =
+    let zn = start z ~uninformed in
+    let cl, rest =
+      List.fold_left
+        (fun (cl, rest) u ->
+          if admits zn u then begin
+            accept zn u;
+            (u :: cl, rest)
+          end
+          else (cl, u :: rest))
+        ([], []) items
+    in
+    (List.rev cl, List.rev rest, zn.covered)
+
+  let rec classes z ~uninformed = function
+    | [] -> []
+    | items ->
+        let cl, rest, cov = pass z ~uninformed items in
+        (cl, cov) :: classes z ~uninformed rest
+end

@@ -160,6 +160,23 @@ let props =
           | Some bad -> List.filter (fun i -> i <= bad) xs
         in
         all = List.for_all (fun i -> i < cut) xs && List.rev !seen = expect_seen);
+    (* The word view: peeling each word's lowest bit with [bit_index]
+       lists the members, and the view follows later [add]s. *)
+    prop "words + bit_index list the members" pair (fun (a, b) ->
+        let s = of_members a in
+        let ws = Bitset.words s in
+        List.iter (Bitset.add s) b;
+        let members = ref [] in
+        Array.iteri
+          (fun w word ->
+            let word = ref word in
+            while !word <> 0 do
+              let lsb = !word land - !word in
+              members := ((w * Bitset.bits_per_word) + Bitset.bit_index lsb) :: !members;
+              word := !word land (!word - 1)
+            done)
+          ws;
+        List.rev !members = sorted (a @ b));
     prop "clear empties in place" gen_members (fun xs ->
         let s = of_members xs in
         Bitset.clear s;

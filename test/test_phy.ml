@@ -259,6 +259,58 @@ let qcheck_zone_oracle =
         (fun p -> zone_oracle p nw)
         Interference.[ default_sinr; { alpha = 2.5; beta = 1.0; noise = 0.0; power = 1.0 } ])
 
+(* ------------- SINR classes over reach vs the full zone ------------ *)
+
+(* [Interference.pass]/[classes] track SINR sums only on the receivers
+   their items reach; the reference zone in test/support tracks all of
+   W̄ with closures. Random informed sets and random item subsets in
+   random order — a subset's reach is smaller than the whole
+   frontier's — on deployments of up to 140 nodes, so the word loops
+   cross word boundaries. One classifier serves every call, so stale
+   scratch would show too. *)
+let gen_reach_case =
+  QCheck2.Gen.(
+    let* n = int_range 5 140 in
+    let* seed = int_bound 100_000 in
+    let net = Test_support.small_network ~n ~seed in
+    let n = Network.n_nodes net in
+    let pick mask xs = List.filter_map (fun (b, x) -> if b then Some x else None) (List.combine mask xs) in
+    let* mask = list_repeat n bool in
+    let w = Bitset.of_list n (0 :: pick mask (List.init n Fun.id)) in
+    let members = Bitset.elements w in
+    let* item_lists =
+      list_repeat 3
+        (let* keep = list_repeat (List.length members) bool in
+         shuffle_l (pick keep members))
+    in
+    return ((net, w), item_lists))
+
+let print_reach_case (nw, item_lists) =
+  Printf.sprintf "%s items=%s" (print_net_w nw)
+    (String.concat " | "
+       (List.map (fun l -> String.concat "," (List.map string_of_int l)) item_lists))
+
+let qcheck_reach_ref =
+  QCheck2.Test.make ~name:"sinr: pass/classes over reach = the zone over all of W̄" ~count:100
+    ~print:print_reach_case gen_reach_case (fun ((net, w), item_lists) ->
+      let uninformed = Bitset.complement w in
+      let same_rows = List.equal (fun (a, ca) (b, cb) -> a = b && Bitset.equal ca cb) in
+      List.for_all
+        (fun p ->
+          let z = Sinr.make net p in
+          let cls = Interference.classifier (Interference.I_sinr z) in
+          List.for_all
+            (fun items ->
+              let cl, rest = Interference.pass cls ~uninformed items in
+              let cov = Bitset.copy (Interference.class_coverage cls) in
+              let ref_cl, ref_rest, ref_cov = Test_support.Sinr_ref.pass z ~uninformed items in
+              cl = ref_cl && rest = ref_rest && Bitset.equal cov ref_cov
+              && same_rows
+                   (Interference.classes cls ~uninformed items)
+                   (Test_support.Sinr_ref.classes z ~uninformed items))
+            item_lists)
+        Interference.[ default_sinr; { alpha = 2.5; beta = 1.0; noise = 0.0; power = 1.0 } ])
+
 (* ----------------------- golden served schedules ------------------- *)
 
 (* G-OPT under SINR on paper deployments (n = 150, the service's source
@@ -292,6 +344,12 @@ let served_golden =
     ("udg", Some 10, 150, 200039, "54efd407b022186b4fcd363751758370");
     ("mc:2", None, 300, 300001, "1bbf7a8a0f48ff37b2954a670c9f3a89");
     ("mc:2", None, 300, 300002, "e4f1949f6d3879c5000170303b5b80e2");
+    ("sinr", Some 10, 150, 400002, "4aae1d394da145b4ceec84532beaaab6");
+    ("sinr", Some 10, 150, 400005, "210723369cf4cbf56616639d3b7998f4");
+    ("sinr", Some 10, 150, 400009, "d12e920e6fe228996406e55301cdb7b6");
+    ("sinr", None, 300, 2, "5236457a3c3fab89e617b136dad70f18");
+    ("sinr", None, 300, 5, "45502a5b23caf73ef9acbe4257e1143b");
+    ("sinr:2.5,1,0,1", Some 10, 150, 400002, "34d81134d3ae7ba4a09baa6a2f48b59b");
   ]
 
 let test_sinr_golden () =
@@ -492,6 +550,7 @@ let () =
           qt qcheck_power_table;
           Alcotest.test_case "synthetic long edge" `Quick test_synthetic_long_edge;
           qt qcheck_zone_oracle;
+          qt qcheck_reach_ref;
           Alcotest.test_case "golden G-OPT schedules" `Quick test_sinr_golden;
         ] );
       ( "schedules",
