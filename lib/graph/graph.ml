@@ -107,6 +107,7 @@ let n_edges g = g.m
 let degree g u = Array.length g.adj.(u)
 let neighbors g u = g.adj.(u)
 let neighbor_set g u = g.sets.(u)
+let neighbor_sets g = g.sets
 
 let mem_edge g u v = Bitset.mem g.sets.(u) v
 
@@ -125,18 +126,6 @@ let edges g =
   !acc
 
 let max_degree g = Array.fold_left (fun acc arr -> max acc (Array.length arr)) 0 g.adj
-
-let common_neighbor_in g u v ~candidates =
-  (* Scan the smaller adjacency list; probe the other's bit set and the
-     candidate set. *)
-  let a, b = if degree g u <= degree g v then (u, v) else (v, u) in
-  let arr = g.adj.(a) in
-  let other = g.sets.(b) in
-  let rec loop i =
-    i < Array.length arr
-    && ((Bitset.mem other arr.(i) && Bitset.mem candidates arr.(i)) || loop (i + 1))
-  in
-  loop 0
 
 (* Canonical digest: fold a splitmix64-style finalizer over the sorted
    CSR rows, so the value depends on the labelled edge set alone and

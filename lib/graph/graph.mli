@@ -43,6 +43,10 @@ val neighbors : t -> int -> int array
     mutate). *)
 val neighbor_set : t -> int -> Mlbs_util.Bitset.t
 
+(** [neighbor_sets g] is every [neighbor_set], indexed by node
+    (internal array, do not mutate). *)
+val neighbor_sets : t -> Mlbs_util.Bitset.t array
+
 (** [mem_edge g u v] is O(log degree) edge membership. *)
 val mem_edge : t -> int -> int -> bool
 
@@ -58,11 +62,6 @@ val edges : t -> (int * int) list
 
 (** [max_degree g] is the maximum degree, 0 for an empty graph. *)
 val max_degree : t -> int
-
-(** [common_neighbor_in g u v ~candidates] is [true] iff some node in
-    [candidates] is adjacent to both [u] and [v] — the paper's conflict
-    predicate with [candidates = W̄]. Allocation-free. *)
-val common_neighbor_in : t -> int -> int -> candidates:Mlbs_util.Bitset.t -> bool
 
 (** [digest g] is a canonical 64-bit digest of the labelled adjacency:
     two graphs digest equal iff they have the same node count and the

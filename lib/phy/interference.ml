@@ -113,16 +113,19 @@ let conflicts inst ~uninformed u v =
 (* One greedy-class builder per instance: [start_class] opens a class
    against the slot's uninformed set, [admits] asks whether a candidate
    keeps it feasible, [accept] commits one, [class_coverage] is the
-   informed-set delta the class produces. The UDG blocked set doubles
-   as coverage. *)
+   informed-set delta the class produces. The UDG builder reads only
+   neighbour rows (a bound graph's own, or a node's local view), and
+   its blocked set doubles as coverage. *)
 type classifier =
-  | C_udg of { graph : Graph.t; blocked : Bitset.t; mutable ubar : Bitset.t }
+  | C_udg of { rows : Bitset.t array; blocked : Bitset.t; mutable ubar : Bitset.t }
   | C_sinr of Sinr.zone
 
+let row_classifier rows =
+  let blocked = Bitset.create (Array.length rows) in
+  C_udg { rows; blocked; ubar = blocked }
+
 let classifier = function
-  | I_udg g | I_mc { graph = g; _ } ->
-      let blocked = Bitset.create (Graph.n_nodes g) in
-      C_udg { graph = g; blocked; ubar = blocked }
+  | I_udg g | I_mc { graph = g; _ } -> row_classifier (Graph.neighbor_sets g)
   | I_sinr s -> C_sinr (Sinr.zone s)
 
 (* Open a class whose SINR sums are tracked on [reach] (ignored under
@@ -146,12 +149,12 @@ let reach_of c ~uninformed items =
 
 let admits c u =
   match c with
-  | C_udg c -> Udg.admits c.graph ~blocked:c.blocked u
+  | C_udg c -> Udg.admits ~blocked:c.blocked c.rows.(u)
   | C_sinr z -> Sinr.zone_admits z u
 
 let accept c u =
   match c with
-  | C_udg c -> Udg.accept c.graph ~blocked:c.blocked ~uninformed:c.ubar u
+  | C_udg c -> Udg.accept ~blocked:c.blocked ~uninformed:c.ubar c.rows.(u)
   | C_sinr z -> Sinr.zone_accept z u
 
 let class_coverage = function

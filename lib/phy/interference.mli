@@ -96,6 +96,13 @@ val conflicts : instance -> uninformed:Bitset.t -> int -> int -> bool
 type classifier
 
 val classifier : instance -> classifier
+
+(** [row_classifier rows] is the UDG class builder over symmetric
+    neighbour rows [rows.(i) = N(i)], read and never mutated; every
+    [uninformed] set has their capacity. [classifier] of a UDG or mc
+    instance is this over the graph's rows; the distributed protocol
+    builds one over each node's 2-hop view. *)
+val row_classifier : Bitset.t array -> classifier
 val start_class : classifier -> uninformed:Bitset.t -> unit
 val admits : classifier -> int -> bool
 val accept : classifier -> int -> unit

@@ -21,8 +21,8 @@ let conflicts g ~uninformed u v =
 (* [blocked] is the union of N(m) ∩ W̄ over accepted class members — it
    doubles as the class's coverage (the informed-set delta a slot of
    these senders produces), which is why the search keeps a single
-   bitset for both roles. *)
-let admits g ~blocked u = not (Bitset.intersects (Graph.neighbor_set g u) blocked)
+   bitset for both roles. Both take the candidate's neighbour row
+   [N(u)], so a graph and a node's local view share them. *)
+let admits ~blocked row = not (Bitset.intersects row blocked)
 
-let accept g ~blocked ~uninformed u =
-  Bitset.union_inter_into ~into:blocked (Graph.neighbor_set g u) uninformed
+let accept ~blocked ~uninformed row = Bitset.union_inter_into ~into:blocked row uninformed

@@ -1,7 +1,7 @@
 module Bitset = Mlbs_util.Bitset
-module Coloring = Mlbs_graph.Coloring
 module Quadrant = Mlbs_geom.Quadrant
 module Model = Mlbs_core.Model
+module Emodel = Mlbs_core.Emodel
 module Schedule = Mlbs_core.Schedule
 module Interference = Mlbs_phy.Interference
 module Fault = Mlbs_sim.Fault
@@ -56,6 +56,7 @@ type nstate = {
   adj : Bitset.t array;
       (** per universe index, the certifiable-adjacency mask (universe
           = known ++ [self], self at the last index) *)
+  cls : Interference.classifier;  (** Algorithm 1's class builder over [adj] *)
   b_holds : bool array;  (** belief: universe index holds the message *)
   b_requests : int array;  (** belief: its uninformed-neighbour count *)
   b_score : int array;  (** belief: its Eq. (10) score *)
@@ -186,6 +187,7 @@ let run ?max_slots ?(faults = Fault.none) ?max_attempts model ~source ~start =
           known;
           local_index;
           adj;
+          cls = Interference.row_classifier adj;
           b_holds = Array.make size false;
           b_requests = Array.make size 0;
           b_score = Array.make size 0;
@@ -299,46 +301,30 @@ let run ?max_slots ?(faults = Fault.none) ?max_attempts model ~source ~start =
     if not (eligible u ~slot) then false
     else if stalled.(u) >= Online.stall_limit then true
     else begin
-      (* Candidates this node can see: itself plus believed holders with
-         requests in its 2-hop view, filtered by wake forecast. Each
-         candidate carries its universe index so the conflict test needs
-         no id lookup. *)
-      let size = Array.length st.known + 1 in
-      let others = ref [] in
-      for i = Array.length st.known - 1 downto 0 do
-        let x = st.known.(i) in
-        if st.b_holds.(i) && st.b_requests.(i) > 0 && Model.awake model x ~slot then
-          others := (x, st.b_requests.(i), i) :: !others
-      done;
-      let cands = (u, st.own_req, size - 1) :: !others in
-      (* Believed-uninformed mask over the local universe; the conflict
-         test is then two bitset intersections. *)
+      (* Algorithm 1 on the 2-hop belief view: itself plus believed
+         holders with requests, awake by forecast, as universe indices
+         in request count descending, then id, against the believed
+         uninformed set. Send iff Eq. (10)'s class holds this node. *)
+      let self = Array.length st.known in
+      let cands = ref [ self ] in
       Bitset.clear st.uninformed;
-      for i = 0 to size - 2 do
+      for i = self - 1 downto 0 do
         if not st.b_holds.(i) then Bitset.add st.uninformed i
+        else if st.b_requests.(i) > 0 && Model.awake model st.known.(i) ~slot then
+          cands := i :: !cands
       done;
-      let order (a, ca, _) (b, cb, _) = if ca <> cb then compare cb ca else compare a b in
-      let conflict (a, _, ia) (b, _, ib) =
-        a <> b && Bitset.intersects3 st.adj.(ia) st.adj.(ib) st.uninformed
+      let count i = if i = self then st.own_req else st.b_requests.(i) in
+      let id i = if i = self then u else st.known.(i) in
+      let order a b =
+        let ca = count a and cb = count b in
+        if ca <> cb then compare cb ca else compare (id a) (id b)
       in
-      let classes = Coloring.greedy ~order ~conflicts:conflict cands in
-      let score cls =
-        List.fold_left
-          (fun acc (x, _, i) ->
-            max acc (if x = u then max_applicable_e st else st.b_score.(i)))
-          (-1) cls
+      let classes =
+        Interference.classes st.cls ~uninformed:st.uninformed (List.sort order !cands)
+        |> List.map fst
       in
-      match classes with
-      | [] -> false
-      | first :: rest ->
-          let best, _ =
-            List.fold_left
-              (fun (best, bs) cls ->
-                let s = score cls in
-                if s > bs then (cls, s) else (best, bs))
-              (first, score first) rest
-          in
-          List.exists (fun (x, _, _) -> x = u) best
+      let score i = if i = self then max_applicable_e st else st.b_score.(i) in
+      List.mem self (List.nth classes (Emodel.argmax_class score classes))
     end
   in
 

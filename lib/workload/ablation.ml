@@ -2,8 +2,8 @@ module Bitset = Mlbs_util.Bitset
 module Tab = Mlbs_util.Tab
 module Stats = Mlbs_util.Stats
 module Bfs = Mlbs_graph.Bfs
-module Coloring = Mlbs_graph.Coloring
 module Wake_schedule = Mlbs_dutycycle.Wake_schedule
+module Interference = Mlbs_phy.Interference
 module Model = Mlbs_core.Model
 module Emodel = Mlbs_core.Emodel
 module Scheduler = Mlbs_core.Scheduler
@@ -26,18 +26,15 @@ let plan_with_selector model sel ~source ~start =
         ~select:(fun ~w:_ ~classes -> Emodel.argmax_class (fun u -> dist.(u)) classes)
         ~source ~start
 
-(* Algorithm 1 with ascending-id visiting order instead of Eq. (2)'s
-   most-receivers-first sort. *)
-let id_order_classes model ~w ~slot =
-  let cands = Model.candidates model ~w ~slot in
-  Coloring.greedy ~order:compare
-    ~conflicts:(fun u v -> Model.conflicts model ~w u v)
-    cands
-
-let plan_with_id_order model ~source ~start =
-  Emodel.pipeline ~classes_of:(id_order_classes model)
-    ~select:(fun ~w:_ ~classes:_ -> 0)
-    model ~source ~start
+(* Algorithm 1 with ascending-id visiting order (the candidates' own)
+   instead of Eq. (2)'s most-receivers-first sort. *)
+let plan_with_id_order model =
+  let cls = Interference.classifier (Model.phy_instance model) in
+  let classes_of ~w ~slot =
+    List.map fst
+      (Interference.classes cls ~uninformed:(Bitset.complement w) (Model.candidates model ~w ~slot))
+  in
+  Emodel.pipeline ~classes_of ~select:(fun ~w:_ ~classes:_ -> 0) model
 
 (* --------------------------- tables -------------------------------- *)
 

@@ -1,12 +1,12 @@
-(** Generic greedy vertex colouring over an explicit conflict relation.
+(** Generic greedy vertex colouring over an explicit conflict relation:
+    the tests' pairwise oracle for Algorithm 1.
 
     The paper's Algorithm 1 colours *relay candidates* where "adjacent"
     means the conflict predicate (common uninformed neighbour), and
-    visits candidates in descending receiver count. This module is that
-    colouring spelled pairwise, for any relation: the distributed
-    protocol's per-node views and the ablation use it, and the tests
-    hold the scheduler's incremental class builder
-    ([Mlbs_phy.Interference.classes]) to it. *)
+    visits candidates in descending receiver count. The library builds
+    those classes incrementally ([Mlbs_phy.Interference.classes]); this
+    module is the same colouring spelled pairwise, for any relation,
+    and the tests hold the incremental builder to it. *)
 
 (** [greedy ~order ~conflicts items] colours [items] visiting them in
     [order]'s sort order (stable; ties keep input order). [conflicts a b]
@@ -22,6 +22,5 @@ val greedy :
 
 (** [classes_valid ~conflicts classes] checks the colouring invariants:
     members of one class are pairwise conflict-free, and every member of
-    class i > 0 conflicts with a member of some earlier class. Used by
-    tests and the schedule validator. *)
+    class i > 0 conflicts with a member of some earlier class. *)
 val classes_valid : conflicts:('a -> 'a -> bool) -> 'a list list -> bool

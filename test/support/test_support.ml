@@ -10,6 +10,9 @@ module Flooding = Mlbs_proto.Flooding
 module Localized = Mlbs_proto.Localized
 module Broadcast_protocol = Mlbs_proto.Broadcast_protocol
 
+(* The pairwise Algorithm-1 oracle. *)
+module Coloring = Coloring
+
 (* A small connected random deployment: n nodes in a (scaled) area dense
    enough to connect quickly, radius 10. Deterministic in the seed. *)
 let small_network ~n ~seed =

@@ -1,7 +1,7 @@
 module Graph = Mlbs_graph.Graph
 module Bfs = Mlbs_graph.Bfs
 module Components = Mlbs_graph.Components
-module Coloring = Mlbs_graph.Coloring
+module Coloring = Test_support.Coloring
 module Metrics = Mlbs_graph.Metrics
 module Indep = Mlbs_graph.Indep
 module Bitset = Mlbs_util.Bitset
@@ -54,21 +54,6 @@ let test_edges_listing () =
   let es = Graph.edges sample in
   Alcotest.(check int) "count" 6 (List.length es);
   Alcotest.(check bool) "normalised u<v" true (List.for_all (fun (u, v) -> u < v) es)
-
-let test_common_neighbor () =
-  (* 0 and 2 share neighbour 1; gate on candidate sets. *)
-  let all = Bitset.full 6 in
-  let none = Bitset.create 6 in
-  let only_1 = Bitset.of_list 6 [ 1 ] in
-  let not_1 = Bitset.complement only_1 in
-  Alcotest.(check bool) "shared neighbor" true
-    (Graph.common_neighbor_in sample 0 2 ~candidates:all);
-  Alcotest.(check bool) "empty candidates" false
-    (Graph.common_neighbor_in sample 0 2 ~candidates:none);
-  Alcotest.(check bool) "candidate present" true
-    (Graph.common_neighbor_in sample 0 2 ~candidates:only_1);
-  Alcotest.(check bool) "candidate excluded" false
-    (Graph.common_neighbor_in sample 0 2 ~candidates:not_1)
 
 let test_bfs () =
   let r = Bfs.run sample ~source:0 in
@@ -427,7 +412,6 @@ let () =
           Alcotest.test_case "of_rows errors" `Quick test_of_rows_errors;
           Alcotest.test_case "duplicates" `Quick test_duplicate_edges_collapse;
           Alcotest.test_case "edges" `Quick test_edges_listing;
-          Alcotest.test_case "common neighbor" `Quick test_common_neighbor;
         ] );
       ( "bfs",
         [

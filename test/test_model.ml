@@ -1,5 +1,5 @@
 module Bitset = Mlbs_util.Bitset
-module Coloring = Mlbs_graph.Coloring
+module Coloring = Test_support.Coloring
 module Interference = Mlbs_phy.Interference
 module Model = Mlbs_core.Model
 module Wake_schedule = Mlbs_dutycycle.Wake_schedule

@@ -74,6 +74,51 @@ let qcheck_udg_spec =
         (fun (u, v) -> Udg.conflicts g ~uninformed u v = naive u v)
         (informed_pairs w))
 
+(* The row classifier against the pairwise oracle: on random symmetric
+   rows, a random uninformed mask and a random visiting order,
+   [Interference.classes] over [row_classifier] is [Coloring.greedy]
+   over N(a) ∩ N(b) ∩ W̄ ≠ ∅, and each class covers exactly the union
+   of its members' rows inside W̄. *)
+let gen_rows_case =
+  QCheck2.Gen.(
+    let* n = int_range 1 24 in
+    let* edges = list_repeat (n * (n - 1) / 2) (map (fun x -> x < 3) (int_bound 9)) in
+    let* ubar = list_repeat n bool in
+    let* order = shuffle_l (List.init n Fun.id) in
+    let* keep = list_repeat n bool in
+    let rows = Array.init n (fun _ -> Bitset.create n) in
+    let pairs = List.concat (List.init n (fun a -> List.init (n - a - 1) (fun k -> (a, a + k + 1)))) in
+    List.iter2
+      (fun (a, b) e ->
+        if e then begin
+          Bitset.add rows.(a) b;
+          Bitset.add rows.(b) a
+        end)
+      pairs edges;
+    let mask = Bitset.of_list n (List.filteri (fun i _ -> List.nth ubar i) (List.init n Fun.id)) in
+    return (rows, mask, List.filteri (fun i _ -> List.nth keep i) order))
+
+let print_rows_case (rows, ubar, items) =
+  let ints l = String.concat "," (List.map string_of_int l) in
+  Printf.sprintf "rows=[%s] ubar=%s items=%s"
+    (String.concat "; " (Array.to_list (Array.map (fun r -> ints (Bitset.elements r)) rows)))
+    (ints (Bitset.elements ubar)) (ints items)
+
+let qcheck_row_classifier =
+  QCheck2.Test.make ~name:"row_classifier classes = pairwise greedy oracle" ~count:300
+    ~print:print_rows_case gen_rows_case (fun (rows, ubar, items) ->
+      let n = Array.length rows in
+      let got = Interference.classes (Interference.row_classifier rows) ~uninformed:ubar items in
+      let conflicts a b = a <> b && Bitset.intersects3 rows.(a) rows.(b) ubar in
+      let covered cl =
+        Bitset.of_list n
+          (List.filter
+             (fun x -> Bitset.mem ubar x && List.exists (fun m -> Bitset.mem rows.(m) x) cl)
+             (List.init n Fun.id))
+      in
+      List.map fst got = Test_support.Coloring.greedy ~order:(fun _ _ -> 0) ~conflicts items
+      && List.for_all (fun (cl, cov) -> Bitset.equal cov (covered cl)) got)
+
 (* [Model.conflicts] on a default model still answers through the
    extracted backend — the old inline predicate and the new path are
    one code path, and must agree with the spec above. *)
@@ -541,7 +586,12 @@ let () =
   Alcotest.run "phy"
     [
       ( "udg extraction",
-        [ qt qcheck_udg_spec; qt qcheck_model_dispatch; qt qcheck_symmetry ] );
+        [
+          qt qcheck_udg_spec;
+          qt qcheck_row_classifier;
+          qt qcheck_model_dispatch;
+          qt qcheck_symmetry;
+        ] );
       ( "sinr",
         [
           qt qcheck_beta_monotone;

@@ -9,6 +9,9 @@ module Broadcast_protocol = Mlbs_proto.Broadcast_protocol
 module Interference = Mlbs_phy.Interference
 module Validate = Mlbs_sim.Validate
 module Fixtures = Mlbs_workload.Fixtures
+module Config = Mlbs_workload.Config
+module Experiment = Mlbs_workload.Experiment
+module Wake_schedule = Mlbs_dutycycle.Wake_schedule
 module Network = Mlbs_wsn.Network
 
 (* ---------------------------- hello -------------------------------- *)
@@ -109,6 +112,62 @@ let test_max_slots_guard () =
     (Failure "Broadcast_protocol.run: no coverage within 1 slots") (fun () ->
       ignore (Broadcast_protocol.run ~max_slots:1 m ~source:11 ~start:1))
 
+(* Pinned output: the protocol's schedule text and its collision,
+   beacon and retransmission counts, digested, on generated n = 60
+   deployments under every interference model, one duty-cycled run and
+   one run under a Bernoulli fault plan. Any change to the per-node
+   colouring, the class choice or the beacon exchange shows here. *)
+let protocol_digest ?faults phy system ~seed =
+  let inst = Experiment.make_instance Config.quick ~n:60 ~seed in
+  let m = Model.create ~phy inst.Experiment.net (system inst) in
+  let r = Broadcast_protocol.run ?faults m ~source:inst.Experiment.source ~start:1 in
+  Digest.to_hex
+    (Digest.string
+       (Format.asprintf "%a|%d|%d|%d" Schedule.pp r.Broadcast_protocol.schedule
+          r.Broadcast_protocol.collisions r.Broadcast_protocol.beacon_messages
+          r.Broadcast_protocol.retransmissions))
+
+let sync _ = Model.Sync
+
+let test_pinned_digests () =
+  let cases =
+    List.concat_map
+      (fun (phy, digests) ->
+        List.map2
+          (fun seed d ->
+            (Printf.sprintf "%s seed %d" (Interference.to_string phy) seed,
+             (fun () -> protocol_digest phy sync ~seed), d))
+          [ 1; 2; 3 ] digests)
+      Interference.
+        [
+          (Udg,
+           [ "cca43e44848bcf8a66f74a275e437a50"; "15b6b801e34c78ac50f674ec697d2690";
+             "2479cecaeb2ed64a57ca53597ae23a22" ]);
+          (Sinr default_sinr,
+           [ "dbbbd437c96e1cc01bbc919ca556890f"; "786255ee84a4e236cc53e3600d2334e7";
+             "eadaf42db7c3d155b4603a805f827865" ]);
+          (Multichannel 3,
+           [ "cca43e44848bcf8a66f74a275e437a50"; "79c9f6b07e0889ede2892b33b7ed71c8";
+             "356d5cbbee7aa0e09115bd895da0b796" ]);
+        ]
+    @ [
+        ( "udg duty-cycled seed 1",
+          (fun () ->
+            protocol_digest Interference.Udg ~seed:1 (fun inst ->
+                Model.Async
+                  (Wake_schedule.create ~rate:5
+                     ~n_nodes:(Network.n_nodes inst.Experiment.net) ~seed:104729 ()))),
+          "8923313651364641afd6c41ea0c6a703" );
+        ( "udg bernoulli 0.2 seed 2",
+          (fun () ->
+            let inst = Experiment.make_instance Config.quick ~n:60 ~seed:2 in
+            protocol_digest Interference.Udg sync ~seed:2
+              ~faults:(Experiment.fault_plan Config.quick ~inst_seed:2 ~loss:0.2 inst)),
+          "e2b75fe4a48bc09f94992f4a8b2fea6f" );
+      ]
+  in
+  List.iter (fun (name, run, d) -> Alcotest.(check string) name d (run ())) cases
+
 let prop ?(count = 40) name gen f =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen f)
 
@@ -196,6 +255,7 @@ let () =
           Alcotest.test_case "fig1" `Quick test_broadcast_fig1;
           Alcotest.test_case "async" `Quick test_broadcast_async;
           Alcotest.test_case "max slots" `Quick test_max_slots_guard;
+          Alcotest.test_case "pinned digests" `Quick test_pinned_digests;
         ] );
       ("properties", props);
     ]
