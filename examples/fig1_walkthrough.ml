@@ -7,11 +7,11 @@
 module Fixtures = Mlbs_workload.Fixtures
 module Model = Mlbs_core.Model
 module Choices = Mlbs_core.Choices
+module Istate = Mlbs_core.Istate
 module Trace = Mlbs_core.Trace
 module Emodel = Mlbs_core.Emodel
 module Schedule = Mlbs_core.Schedule
 module Baseline26 = Mlbs_core.Baseline26
-module Bitset = Mlbs_util.Bitset
 module Q = Mlbs_geom.Quadrant
 
 let () =
@@ -31,11 +31,13 @@ let () =
 
   (* The wrong early choice (Figure 1(b)): firing node 0 first strands
      {4,8,9,10} behind an interference at node 4 and costs a round. *)
-  let w1 = Model.apply model ~w:(Model.initial_w model ~source) ~senders:[ source ] in
-  let after0 = Model.apply model ~w:w1 ~senders:[ 0 ] in
+  let ist = Istate.create (Model.n_nodes model) in
+  Istate.reset ist model ~w:(Model.initial_w model ~source);
+  Istate.apply ist ~senders:[ source ];
+  Istate.apply ist ~senders:[ 0 ];
   let m =
     Mlbs_core.Mcounter.evaluate model Choices.Greedy
-      ~budget:Mlbs_core.Mcounter.default_budget ~w:after0 ~slot:3
+      ~budget:Mlbs_core.Mcounter.default_budget ~w:(Istate.w ist) ~slot:3
   in
   Printf.printf "Figure 1(b): firing node 0 first ends at round %d (one round late)\n\n"
     m.Mlbs_core.Mcounter.finish;

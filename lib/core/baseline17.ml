@@ -3,13 +3,14 @@ module Bfs = Mlbs_graph.Bfs
 module Wake_schedule = Mlbs_dutycycle.Wake_schedule
 module Interference = Mlbs_phy.Interference
 
-(* Would [senders], firing together at informed set [w], inform exactly
-   their uninformed neighbours on the model's radio? The check the
-   replay makes of every step. *)
-let replays_clean model ~w senders =
+(* Would [senders], firing together at the current position, inform
+   exactly their uninformed neighbours on the model's radio? The check
+   the replay makes of every step. *)
+let replays_clean ist senders =
   let ctx =
-    Interference.slot_ctx (Model.phy_instance model) ~uninformed:(Bitset.complement w)
-      ~scheduled:senders
+    Interference.slot_ctx
+      (Model.phy_instance (Istate.model ist))
+      ~uninformed:(Istate.ubar ist) ~scheduled:senders
   in
   (not (Interference.overflow ctx))
   && Bitset.for_all
@@ -17,7 +18,7 @@ let replays_clean model ~w senders =
          match Interference.reception ctx ~effective:senders ~rx with
          | Interference.Delivered _ -> true
          | Interference.Silent | Interference.Collision _ -> false)
-       (Bitset.diff (Model.apply model ~w ~senders) w)
+       (Istate.coverage ist ~senders)
 
 let plan model ~source ~start =
   let sched =
@@ -26,7 +27,8 @@ let plan model ~source ~start =
     | Model.Sync -> invalid_arg "Baseline17.plan: duty-cycle model required"
   in
   let layers = Bfs.layers (Model.graph model) ~source in
-  let w = ref (Model.initial_w model ~source) in
+  let ist = Istate.create (Model.n_nodes model) in
+  Istate.reset ist model ~w:(Model.initial_w model ~source);
   (* release = the slot after which the next color may begin sending. *)
   let release = ref (start - 1) in
   let steps = ref [] in
@@ -38,8 +40,8 @@ let plan model ~source ~start =
      builder: its first class fires, and the rest re-time to their next
      wake-ups after the slot. *)
   let split group =
-    let counts = List.map (fun u -> (u, Model.n_receivers model ~w:!w u)) group in
-    match Model.color_classes model ~uninformed:(Bitset.complement !w) counts with
+    let counts = List.map (fun u -> (u, Istate.uncov ist u)) group in
+    match Model.color_classes model ~uninformed:(Istate.ubar ist) counts with
     | first :: _ -> (first, List.filter (fun u -> not (List.mem u first)) group)
     | [] -> assert false
   in
@@ -49,13 +51,10 @@ let plan model ~source ~start =
     | (slot, _) :: _ as sorted ->
         let group, later = List.partition (fun (s, _) -> s = slot) sorted in
         let group = List.map snd group in
-        let senders, retimed =
-          if replays_clean model ~w:!w group then (group, []) else split group
-        in
-        let w' = Model.apply model ~w:!w ~senders in
-        let informed = Bitset.elements (Bitset.diff w' !w) in
+        let senders, retimed = if replays_clean ist group then (group, []) else split group in
+        Istate.apply ist ~senders;
+        let informed = List.sort compare (Istate.last_added ist) in
         steps := { Schedule.slot; senders; informed } :: !steps;
-        w := w';
         release := max !release slot;
         fire (List.map (fun u -> (Wake_schedule.next_wake sched u ~after:slot, u)) retimed @ later)
   in
@@ -64,9 +63,9 @@ let plan model ~source ~start =
   in
   List.iter
     (fun layer ->
-      let classes = Baseline26.layer_classes model ~w:!w layer in
+      let classes = Baseline26.layer_classes ist layer in
       List.iter (fun senders -> if senders <> [] then fire_class senders) classes)
     layers;
-  if not (Model.complete model ~w:!w) then
+  if not (Istate.complete ist) then
     failwith "Baseline17.plan: broadcast did not cover the network (disconnected?)";
   Schedule.make ~n_nodes:(Model.n_nodes model) ~source ~start (List.rev !steps)

@@ -27,8 +27,9 @@ val layered :
   start:int ->
   Schedule.t
 
-(** [layer_classes model ~w layer] colours one BFS layer's relays the
-    way the hop-distance schemes do: relays are the layer members with
-    an uninformed neighbour; the greedy order is descending receiver
-    count. Shared with {!Baseline17}. *)
-val layer_classes : Model.t -> w:Model.Bitset.t -> int list -> int list list
+(** [layer_classes ist layer] colours one BFS layer's relays at the
+    current position of [ist] the way the hop-distance schemes do:
+    relays are the layer members with an uninformed neighbour; the
+    greedy order is descending receiver count. Shared with
+    {!Baseline17}. *)
+val layer_classes : Istate.t -> int list -> int list list

@@ -51,19 +51,9 @@ let enumerate_all_phy inst ~uninformed ~max_sets cands =
             channels 1 s1 (List.filter (fun u -> not (Bitset.mem taken u)) cands))
           sets
 
-let enumerate model space ~w ~slot =
-  match space with
-  | Greedy -> Model.greedy_classes model ~w ~slot
-  | All { max_sets } ->
-      let uninformed = Bitset.complement w in
-      enumerate_all_phy (Model.phy_instance model) ~uninformed ~max_sets
-        (Model.candidates model ~w ~slot)
-
-(* Same choice sets, computed from the incremental state: the greedy
-   classes reuse the maintained uninformed-neighbour counts, and the
-   OPT enumeration reuses the maintained complement instead of
-   materialising one per call. *)
-let enumerate_incremental ist space ~slot =
+(* The greedy classes reuse the maintained uninformed-neighbour
+   counts, and the OPT enumeration the maintained complement. *)
+let enumerate ist space ~slot =
   match space with
   | Greedy -> Istate.greedy_classes ist ~slot
   | All { max_sets } ->

@@ -12,12 +12,7 @@
 
 type t = Greedy | All of { max_sets : int }
 
-(** [enumerate model space ~w ~slot] is the list of color sets (each a
-    sender list) available at this state. Empty iff there is no awake
-    candidate. *)
-val enumerate : Model.t -> t -> w:Model.Bitset.t -> slot:int -> int list list
-
-(** [enumerate_incremental ist space ~slot] is [enumerate] evaluated at
-    the current position of an incremental state — the same sets in the
-    same order, without rebuilding the frontier or the complement. *)
-val enumerate_incremental : Istate.t -> t -> slot:int -> int list list
+(** [enumerate ist space ~slot] is the list of color sets (each a
+    sender list) available at the current position of [ist]. Empty iff
+    there is no awake candidate. *)
+val enumerate : Istate.t -> t -> slot:int -> int list list

@@ -15,30 +15,40 @@ let infinity_ = max_int
    wait. *)
 let cwt_frames = 4
 
-let edge_weight model v u =
+(* Each node's wake list is built once per call, not once per
+   relaxation. *)
+let edge_weights model =
   match Model.system model with
-  | Model.Sync -> 1
+  | Model.Sync -> fun _ _ -> 1
   | Model.Async sched ->
-      let r = Wake_schedule.rate sched in
-      let horizon = cwt_frames * r in
-      let wakes = Wake_schedule.wakes_in sched v ~from_:1 ~until:horizon in
-      let wakes = if wakes = [] then [ Wake_schedule.next_wake sched v ~after:0 ] else wakes in
-      let total =
-        List.fold_left
-          (fun acc wv -> acc + (Wake_schedule.next_wake sched u ~after:wv - wv))
-          0 wakes
+      let horizon = cwt_frames * Wake_schedule.rate sched in
+      let mean_wait v =
+        let wakes =
+          match Wake_schedule.wakes_in sched v ~from_:1 ~until:horizon with
+          | [] -> [ Wake_schedule.next_wake sched v ~after:0 ]
+          | wakes -> wakes
+        in
+        let k = List.length wakes in
+        fun u ->
+          let total =
+            List.fold_left
+              (fun acc wv -> acc + (Wake_schedule.next_wake sched u ~after:wv - wv))
+              0 wakes
+          in
+          max 1 (total / k)
       in
-      max 1 (total / List.length wakes)
+      let waits = Array.init (Model.n_nodes model) mean_wait in
+      fun v u -> waits.(v) u
 
 (* Multi-source Dijkstra on the quadrant-i relation: settled node [u]
    relaxes each neighbour [v] having [u ∈ Q_i(v)] — equivalently
    [v ∈ Q_opp(i)(u)] — with [E_i(v) = w(v,u) + E_i(u)]. [updatable]
    restricts which nodes may change (phase B must not touch phase-A
    results). *)
-let relax model ~qi values updatable =
-  let net = Model.network model in
+let relax net ~weight ~qi values updatable =
   let opp = Quadrant.opposite qi in
-  let cmp (d1, _) (d2, _) = compare d1 d2 in
+  (* Typed at int, so [compare] is not the polymorphic C call. *)
+  let cmp ((d1 : int), _) (d2, _) = compare d1 d2 in
   let heap = Heap.create ~cmp in
   Array.iteri (fun u d -> if d <> infinity_ then Heap.push heap (d, u)) values;
   let rec drain () =
@@ -49,7 +59,7 @@ let relax model ~qi values updatable =
           Array.iter
             (fun v ->
               if updatable.(v) then begin
-                let cand = edge_weight model v u + d in
+                let cand = weight v u + d in
                 if cand < values.(v) then begin
                   values.(v) <- cand;
                   Heap.push heap (cand, v)
@@ -64,6 +74,7 @@ type seeding = Two_phase | Merged
 
 let compute ?(seeding = Two_phase) model =
   let net = Model.network model in
+  let weight = edge_weights model in
   let n = Model.n_nodes model in
   let boundary = Array.make n false in
   List.iter (fun u -> boundary.(u) <- true) (Boundary.outer_boundary net);
@@ -81,7 +92,7 @@ let compute ?(seeding = Two_phase) model =
         if (seeding = Merged || boundary.(u)) && empty_quadrant u then vq.(u) <- 0
       done;
       let all = Array.make n true in
-      relax model ~qi vq all;
+      relax net ~weight ~qi vq all;
       (* Phase B: re-seed interior local minima (step 5), then update the
          remaining ∞ values — and only those (step 6). A no-op under
          [Merged], where those nodes were seeded up front. *)
@@ -89,7 +100,7 @@ let compute ?(seeding = Two_phase) model =
       for u = 0 to n - 1 do
         if vq.(u) = infinity_ && empty_quadrant u then vq.(u) <- 0
       done;
-      relax model ~qi vq updatable;
+      relax net ~weight ~qi vq updatable;
       Array.iteri
         (fun u d ->
           if d = infinity_ then
@@ -141,23 +152,24 @@ let select t model ~w ~classes =
     classes
 
 let pipeline ~classes_of ~select model ~source ~start =
-  let rec loop w slot steps =
-    if Model.complete model ~w then List.rev steps
+  let ist = Istate.create (Model.n_nodes model) in
+  Istate.reset ist model ~w:(Model.initial_w model ~source);
+  let rec loop slot steps =
+    if Istate.complete ist then List.rev steps
     else
-      match Model.next_active_slot model ~w ~after:(slot - 1) with
+      match Istate.next_active_slot ist ~after:(slot - 1) with
       | None -> failwith "Emodel.pipeline: empty frontier before completion"
       | Some t -> (
-          match classes_of ~w ~slot:t with
+          match classes_of ist ~slot:t with
           | [] -> failwith "Emodel.pipeline: active slot without candidates"
           | classes ->
-              let senders = List.nth classes (select ~w ~classes) in
-              let w' = Model.apply model ~w ~senders in
-              let informed = Bitset.elements (Bitset.diff w' w) in
-              loop w' (t + 1) ({ Schedule.slot = t; senders; informed } :: steps))
+              let senders = List.nth classes (select ~w:(Istate.w ist) ~classes) in
+              Istate.apply ist ~senders;
+              let informed = List.sort compare (Istate.last_added ist) in
+              loop (t + 1) ({ Schedule.slot = t; senders; informed } :: steps))
   in
-  let steps = loop (Model.initial_w model ~source) start [] in
-  Schedule.make ~n_nodes:(Model.n_nodes model) ~source ~start steps
+  Schedule.make ~n_nodes:(Model.n_nodes model) ~source ~start (loop start [])
 
 let plan model ~source ~start =
-  pipeline ~classes_of:(Model.greedy_classes model) ~select:(select (compute model) model) model
+  pipeline ~classes_of:Istate.greedy_classes ~select:(select (compute model) model) model
     ~source ~start

@@ -44,12 +44,14 @@ type seeding = Two_phase | Merged
     active slot. *)
 val compute : ?seeding:seeding -> Model.t -> t
 
-(** [edge_weight model u v] is the per-hop weight of
-    Eq. (9)/(11): [1] under [Sync]; under [Async], the proactive
-    estimate of [t(u,v)] — how long [u] waits for [v]'s next wake-up.
-    Exposed for the distributed construction
-    ([Mlbs_proto.E_protocol]), which must price edges the same way. *)
-val edge_weight : Model.t -> int -> int -> int
+(** [edge_weights model] is the per-hop weight of Eq. (9)/(11), as a
+    function of [(u, v)]: [1] under [Sync]; under [Async], the
+    proactive estimate of [t(u,v)] — how long [u] waits for [v]'s next
+    wake-up. Applying [edge_weights model] builds every node's wake
+    list once; {!compute} prices through it, and so does the
+    distributed construction ([Mlbs_proto.E_protocol]), which must
+    price edges the same way. *)
+val edge_weights : Model.t -> int -> int -> int
 
 (** [value t ~node q] is [E_q(node)]. After construction no value is ∞
     (every node reaches an empty-quadrant node inside its own quadrant
@@ -75,12 +77,14 @@ val select : t -> Model.t -> w:Model.Bitset.t -> classes:int list list -> int
 val argmax_class : (int -> int) -> int list list -> int
 
 (** [pipeline ~classes_of ~select model ~source ~start] is the greedy
-    pipelined broadcast: at each active slot from [start] on, launch
-    class [select ~w ~classes] of [classes_of ~w ~slot] until every node
-    is informed. {!plan} is [pipeline] over Algorithm 1's classes with
-    the Eq. (10) choice; the ablations swap either argument. *)
+    pipelined broadcast: it walks an {!Istate} of its own from
+    [{source}], and at each active slot from [start] on launches class
+    [select ~w ~classes] of [classes_of ist ~slot] ([w] is the live
+    informed set) until every node is informed. {!plan} is [pipeline]
+    over Algorithm 1's classes ({!Istate.greedy_classes}) with the
+    Eq. (10) choice; the ablations swap either argument. *)
 val pipeline :
-  classes_of:(w:Model.Bitset.t -> slot:int -> int list list) ->
+  classes_of:(Istate.t -> slot:int -> int list list) ->
   select:(w:Model.Bitset.t -> classes:int list list -> int) ->
   Model.t ->
   source:int ->

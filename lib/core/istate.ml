@@ -1,4 +1,5 @@
-(* Incremental search state for the M-counter (paper Eq. 4–8).
+(* The one frontier state (paper Eq. 1–8): the M-counter search, the
+   improver and every off-line planner walk it.
 
    The branch-and-bound search over informed sets used to rebuild, for
    every candidate advance, the frontier (a scan of [W] with per-node
@@ -413,9 +414,9 @@ let candidates st ~slot =
 
 (* Algorithm 1 from the maintained counts: the receiver counts are
    [uncov] and the uninformed set is the live [ubar], so the class
-   builder runs without a frontier scan or a complement. *)
-let greedy_classes_cov st ~slot =
-  Metrics.incr m_color;
+   builder runs without a frontier scan or a complement. Runs of k
+   classes then merge into one (slot, channel) class. *)
+let merged_classes st ~slot =
   let m = model st in
   let counts =
     Bitset.fold
@@ -432,9 +433,14 @@ let greedy_classes_cov st ~slot =
         st.cls <- Some c;
         c
   in
-  Model.classes_of_counts m cls ~uninformed:st.ubar counts
+  Interference.classes_cov cls ~uninformed:st.ubar (Interference.visit_order counts)
+  |> Interference.merge_channels (Interference.channels (Model.phy m))
 
-let greedy_classes st ~slot = List.map fst (greedy_classes_cov st ~slot)
+let greedy_classes_cov st ~slot =
+  Metrics.incr m_color;
+  merged_classes st ~slot
+
+let greedy_classes st ~slot = List.map fst (merged_classes st ~slot)
 
 let next_active_slot st ~after =
   let m = model st in

@@ -1,17 +1,22 @@
-(** Incremental evaluation state for the M-counter search.
+(** The frontier state every off-line planner walks.
 
-    A reusable mutable view of one search position: the informed set
+    A reusable mutable view of one broadcast position: the informed set
     [W], its complement, an incrementally maintained [Bitset.hash] of
     [W], per-node uninformed-neighbour counts (frontier + greedy
     receiver counts), and the hop-distance structure backing the
     admissible lower bound. [apply] advances by one sender set in
     O(affected nodes); [undo] restores the previous position exactly
-    from a watermarked log. Query results agree, state for state, with
-    the from-scratch recomputations in {!Model} and {!Mcounter}
-    (property-tested in [test/test_incremental.ml]).
+    from a watermarked log. The M-counter search, the improver, the
+    E-model pipeline, the traces and the layered baselines all read the
+    frontier, the advance and Algorithm 1's classes from here. Query
+    results agree, state for state, with a from-scratch walk over [W]
+    (the test oracle [Test_support.Model_walk], property-tested in
+    [test/test_incremental.ml]).
 
-    One instance is intended per domain (see [Mcounter]'s domain-local
-    scratch); instances are never shared across domains. *)
+    The search keeps one instance per domain (see [Mcounter]'s
+    domain-local scratch), and [Mcounter.evaluate] resets it; a planner
+    that calls the search owns a separate instance. Instances are never
+    shared across domains. *)
 
 module Bitset = Mlbs_util.Bitset
 
@@ -72,7 +77,7 @@ val n_informed : t -> int
 val complete : t -> bool
 
 (** [uncov t u] is [|N(u) ∩ W̄|] — [Model.n_receivers] without the
-    scan. *)
+    scan. Maintained for every node, informed or not. *)
 val uncov : t -> int -> int
 
 (** [lb t] is the hop lower bound: the largest distance from [W] to an
@@ -107,22 +112,28 @@ val probe_seeded : t -> seeds:Bitset.t -> int * int
     [Invalid_argument] when a sender is not informed. *)
 val coverage : t -> senders:int list -> Bitset.t
 
-(** [candidates t ~slot] equals [Model.candidates] at the current
-    position. *)
+(** [candidates t ~slot] is every informed node with an uninformed
+    neighbour (Eq. 1 constraints 1–2) that is awake at [slot] (Eq. 3),
+    ascending. *)
 val candidates : t -> slot:int -> int list
 
-(** [greedy_classes t ~slot] equals [Model.greedy_classes] at the
-    current position. *)
+(** [greedy_classes t ~slot] is Algorithm 1 at the current position:
+    colour classes [C_1 .. C_λ] of the candidates, visited in
+    {!Mlbs_phy.Interference.visit_order} (descending receiver count,
+    ties by ascending id). Under [Multichannel k] runs of [k] classes
+    merge into one (slot, channel) super-class in concatenated order;
+    under [Sinr] admission is the additive-feasibility zone. *)
 val greedy_classes : t -> slot:int -> int list list
 
 (** [greedy_classes_cov t ~slot] is [greedy_classes] paired with each
     class's coverage set [N(class) ∩ W̄] — a byproduct of the colouring
     that the search reuses as probe seeds and child memo keys. It runs
-    [Model.classes_of_counts] over the maintained counts and the live
-    [ubar], with one classifier cached per [reset]. The returned sets
-    are fresh copies. *)
+    the class builder over the maintained counts and the live [ubar],
+    with one classifier cached per [reset]; the returned sets are fresh
+    copies. Each call counts one [search/color_selections]. *)
 val greedy_classes_cov : t -> slot:int -> (int list * Bitset.t) list
 
-(** [next_active_slot t ~after] equals [Model.next_active_slot] at the
-    current position. *)
+(** [next_active_slot t ~after] is, under [Async], the earliest slot
+    [> after] at which some frontier node is awake; under [Sync] it is
+    [after + 1]. [None] when the frontier is empty. *)
 val next_active_slot : t -> after:int -> int option

@@ -140,7 +140,7 @@ let ranked_successors ctx ~slot =
     | Choices.All _ ->
         List.map
           (fun c -> score_cov (c, Istate.coverage ctx.st ~senders:c))
-          (Choices.enumerate_incremental ctx.st ctx.space ~slot)
+          (Choices.enumerate ctx.st ctx.space ~slot)
   in
   List.stable_sort
     (fun (lb1, cov1, _, _) (lb2, cov2, _, _) ->

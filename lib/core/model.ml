@@ -3,7 +3,6 @@ module Graph = Mlbs_graph.Graph
 module Network = Mlbs_wsn.Network
 module Wake_schedule = Mlbs_dutycycle.Wake_schedule
 module Interference = Mlbs_phy.Interference
-module Udg = Mlbs_phy.Udg
 
 type system = Sync | Async of Wake_schedule.t
 
@@ -37,16 +36,9 @@ let initial_w t ~source =
   Bitset.add w source;
   w
 
-let receivers t ~w u =
-  Graph.fold_neighbors t.graph u ~init:[] ~f:(fun acc v ->
-      if Bitset.mem w v then acc else v :: acc)
-  |> List.rev
-
 let n_receivers t ~w u =
   Graph.fold_neighbors t.graph u ~init:0 ~f:(fun acc v ->
       if Bitset.mem w v then acc else acc + 1)
-
-let has_receiver t ~w u = n_receivers t ~w u > 0
 
 let awake_in system u ~slot =
   match system with Sync -> true | Async sched -> Wake_schedule.awake sched u ~slot
@@ -56,69 +48,12 @@ let next_wake system u ~after =
 
 let awake t u ~slot = awake_in t.system u ~slot
 
-let frontier t ~w =
-  List.rev (Bitset.fold (fun u acc -> if has_receiver t ~w u then u :: acc else acc) w [])
-
-let candidates t ~w ~slot =
-  List.filter (fun u -> awake t u ~slot) (frontier t ~w)
-
-(* The conflict predicate [N(u) ∩ N(v) ∩ W̄ ≠ ∅]. Under multi-channel
-   the same predicate applies (it is the intra-channel rule; channel
-   parallelism lives in the class merge); under SINR the backend's
-   pairwise-conservative test takes over. *)
-let conflicts_with_uninformed t ~uninformed u v =
-  match t.inst with
-  | Interference.I_udg _ | Interference.I_mc _ -> Udg.conflicts t.graph ~uninformed u v
-  | Interference.I_sinr _ -> Interference.conflicts t.inst ~uninformed u v
-
-let conflicts t ~w u v =
-  u <> v
-  &&
-  let uninformed = Bitset.complement w in
-  conflicts_with_uninformed t ~uninformed u v
-
-(* Algorithm 1's visiting order. Total — ids are distinct — so the
-   input order of [counts] never shows. *)
-let visit_order counts =
-  List.stable_sort
-    (fun ((u : int), (cu : int)) (v, cv) -> if cu <> cv then compare cv cu else compare u v)
-    counts
-  |> List.map fst
-
-(* The layer-structured baselines colour pre-counted candidate lists of
-   their own making; they never merge channels (a single-channel
-   schedule is valid under any channel count). *)
+(* The layer-structured baselines and the localized runner colour
+   pre-counted candidate lists of their own making; they never merge
+   channels (a single-channel schedule is valid under any channel
+   count). *)
 let color_classes t ~uninformed counts =
-  Interference.classes (Interference.classifier t.inst) ~uninformed (visit_order counts)
-  |> List.map fst
-
-let classes_of_counts t cls ~uninformed counts =
-  Interference.classes cls ~uninformed (visit_order counts)
-  |> Interference.merge_channels (Interference.channels t.phy)
-
-let greedy_classes t ~w ~slot =
-  let counts = List.map (fun u -> (u, n_receivers t ~w u)) (candidates t ~w ~slot) in
-  classes_of_counts t (Interference.classifier t.inst) ~uninformed:(Bitset.complement w) counts
-  |> List.map fst
-
-let apply t ~w ~senders =
-  let w' = Bitset.copy w in
-  List.iter
-    (fun u ->
-      if not (Bitset.mem w u) then
-        invalid_arg (Printf.sprintf "Model.apply: sender %d not informed" u);
-      Graph.iter_neighbors t.graph u ~f:(fun v -> Bitset.add w' v))
-    senders;
-  w'
-
-let newly_informed t ~w ~senders =
-  let w' = apply t ~w ~senders in
-  Bitset.elements (Bitset.diff w' w)
-
-let next_active_slot t ~w ~after =
-  match frontier t ~w with
-  | [] -> None
-  | front ->
-      Some (List.fold_left (fun acc u -> min acc (next_wake t.system u ~after)) max_int front)
+  Interference.classes (Interference.classifier t.inst) ~uninformed
+    (Interference.visit_order counts)
 
 let complete _t ~w = Bitset.is_full w

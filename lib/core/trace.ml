@@ -12,23 +12,28 @@ type row = {
 
 type t = { rows : row list; schedule : Schedule.t }
 
+(* Trace walks an Istate of its own: [Mcounter.evaluate] resets the
+   search's domain-local one at every call. *)
 let run ?(budget = Mcounter.default_budget) model space ~source ~start =
-  let evaluate ~w ~slot = (Mcounter.evaluate model space ~budget ~w ~slot).Mcounter.finish in
-  let rec loop w slot rows steps =
-    if Model.complete model ~w then (List.rev rows, List.rev steps)
+  let ist = Istate.create (Model.n_nodes model) in
+  Istate.reset ist model ~w:(Model.initial_w model ~source);
+  let evaluate senders ~slot =
+    Istate.apply ist ~senders;
+    let m = (Mcounter.evaluate model space ~budget ~w:(Istate.w ist) ~slot).Mcounter.finish in
+    Istate.undo ist;
+    m
+  in
+  let rec loop slot rows steps =
+    if Istate.complete ist then (List.rev rows, List.rev steps)
     else
-      match Model.next_active_slot model ~w ~after:(slot - 1) with
+      match Istate.next_active_slot ist ~after:(slot - 1) with
       | None -> failwith "Trace.run: empty frontier before completion"
       | Some t -> (
-          match Choices.enumerate model space ~w ~slot:t with
+          match Choices.enumerate ist space ~slot:t with
           | [] -> failwith "Trace.run: active slot without candidates"
           | choice_list ->
               let evals =
-                List.map
-                  (fun c ->
-                    let w' = Model.apply model ~w ~senders:c in
-                    { members = c; m_value = evaluate ~w:w' ~slot:(t + 1) })
-                  choice_list
+                List.map (fun c -> { members = c; m_value = evaluate c ~slot:(t + 1) }) choice_list
               in
               let chosen, _ =
                 List.fold_left
@@ -38,14 +43,14 @@ let run ?(budget = Mcounter.default_budget) model space ~source ~start =
                   (List.mapi (fun i e -> (i, e)) evals)
               in
               let senders = (List.nth evals chosen).members in
-              let w' = Model.apply model ~w ~senders in
-              let advance = Bitset.elements (Bitset.diff w' w) in
-              let row = { slot = t; w_before = Bitset.elements w; classes = evals; chosen; advance } in
+              let w_before = Bitset.elements (Istate.w ist) in
+              Istate.apply ist ~senders;
+              let advance = List.sort compare (Istate.last_added ist) in
+              let row = { slot = t; w_before; classes = evals; chosen; advance } in
               let step = { Schedule.slot = t; senders; informed = advance } in
-              loop w' (t + 1) (row :: rows) (step :: steps))
+              loop (t + 1) (row :: rows) (step :: steps))
   in
-  let w0 = Model.initial_w model ~source in
-  let rows, steps = loop w0 start [] [] in
+  let rows, steps = loop start [] [] in
   { rows; schedule = Schedule.make ~n_nodes:(Model.n_nodes model) ~source ~start steps }
 
 let render ?(node_name = string_of_int) t =

@@ -186,18 +186,31 @@ let pass c ~uninformed items = fill c ~uninformed ~reach:(reach_of c ~uninformed
 
 (* Repeated passes over the rejects: every item of class i > 1 was
    refused by each earlier class. The rejects are a subset of [items],
-   so one reach serves every pass. The coverage is copied out before
-   the next pass reuses the classifier's scratch. *)
-let classes c ~uninformed items =
+   so one reach serves every pass. [row] reads each class before the
+   next pass reuses the classifier's scratch. *)
+let build c ~uninformed items ~row =
   let reach = reach_of c ~uninformed items in
   let rec go items acc =
     match items with
     | [] -> List.rev acc
     | _ ->
         let cl, rest = fill c ~uninformed ~reach items in
-        go rest ((cl, Bitset.copy (class_coverage c)) :: acc)
+        go rest (row cl :: acc)
   in
   go items []
+
+let classes c ~uninformed items = build c ~uninformed items ~row:Fun.id
+
+let classes_cov c ~uninformed items =
+  build c ~uninformed items ~row:(fun cl -> (cl, Bitset.copy (class_coverage c)))
+
+(* Eq. (2)'s visiting order. Total — ids are distinct — so the input
+   order of [counts] never shows. *)
+let visit_order counts =
+  List.stable_sort
+    (fun ((u : int), (cu : int)) (v, cv) -> if cu <> cv then compare cv cu else compare u v)
+    counts
+  |> List.map fst
 
 (* Runs of [k] classes merge into one (slot, channel) super-class.
    Concatenated-class sender order is load-bearing: first-fit grouping

@@ -112,8 +112,13 @@ val class_coverage : classifier -> Bitset.t
 
     The paper's extended greedy colour scheme, the one class builder
     every scheduler, the search and the choice enumeration call. Items
-    arrive already in visiting order ([Model] in the scheduler core
-    sorts by receiver count descending, then id ascending). *)
+    arrive already in visiting order; the schedulers' order is
+    {!visit_order}. *)
+
+(** [visit_order counts] is Eq. (2)'s visiting order of the candidates
+    [(u, receiver count)]: receiver count descending, then id
+    ascending. *)
+val visit_order : (int * int) list -> int list
 
 (** [pass c ~uninformed items] opens one class against [uninformed]
     and admits each item in order while the class stays feasible.
@@ -125,10 +130,14 @@ val class_coverage : classifier -> Bitset.t
 val pass : classifier -> uninformed:Bitset.t -> int list -> int list * int list
 
 (** [classes c ~uninformed items] repeats {!pass} over the rejects
-    until every item has a class, pairing each class with a fresh copy
-    of its coverage [N(class) ∩ uninformed]. [reach] is computed once,
-    from [items], for every pass. *)
-val classes : classifier -> uninformed:Bitset.t -> int list -> (int list * Bitset.t) list
+    until every item has a class. [reach] is computed once, from
+    [items], for every pass. *)
+val classes : classifier -> uninformed:Bitset.t -> int list -> int list list
+
+(** [classes_cov c ~uninformed items] is [classes], each class paired
+    with a fresh copy of its coverage [N(class) ∩ uninformed] — the
+    probe seeds and child memo keys of the search. *)
+val classes_cov : classifier -> uninformed:Bitset.t -> int list -> (int list * Bitset.t) list
 
 (** [merge_channels k rows] merges runs of [k] consecutive classes into
     one (slot, channel) super-class: senders concatenated in class

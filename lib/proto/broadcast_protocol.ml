@@ -321,7 +321,6 @@ let run ?max_slots ?(faults = Fault.none) ?max_attempts model ~source ~start =
       in
       let classes =
         Interference.classes st.cls ~uninformed:st.uninformed (List.sort order !cands)
-        |> List.map fst
       in
       let score i = if i = self then max_applicable_e st else st.b_score.(i) in
       List.mem self (List.nth classes (Emodel.argmax_class score classes))

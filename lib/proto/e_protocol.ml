@@ -42,7 +42,7 @@ let construct ?(faults = Fault.none) model views =
         buckets)
       views
   in
-  let weight u v = Emodel.edge_weight model u v in
+  let weight = Emodel.edge_weights model in
   (* Local state: own tuple, plus the last tuple received from each
      neighbour (node-indexed table of per-neighbour copies). *)
   let e =

@@ -18,6 +18,8 @@ module Rng = Mlbs_prng.Rng
 module Model = Mlbs_core.Model
 module Schedule = Mlbs_core.Schedule
 module Istate = Mlbs_core.Istate
+module Interference = Mlbs_phy.Interference
+module Udg = Mlbs_phy.Udg
 module Validate = Mlbs_sim.Validate
 module Metrics = Mlbs_obs.Metrics
 module Trace = Mlbs_obs.Trace
@@ -232,19 +234,26 @@ let run ~seed ~budget model schedule =
   in
   (* GLS feature penalties: a sender's utility is its count of conflict
      edges into the immediately following step (the edges that forced
-     that coverage to wait), discounted by its standing penalty. *)
+     that coverage to wait), discounted by its standing penalty. Pairs
+     are tested against the live W̄; UDG and mc:k ask [Udg] directly, so
+     their probes stay out of [phy/conflict_checks] as in [Choices]. *)
+  let conflicts =
+    match Model.phy_instance model with
+    | Interference.I_udg g | Interference.I_mc { graph = g; _ } -> Udg.conflicts g
+    | Interference.I_sinr _ as inst -> Interference.conflicts inst
+  in
   let bump_penalties () =
     Istate.rewind ist ~depth:0;
     let len = Array.length !cur in
     let best_util = ref neg_infinity and best_us = ref [] in
     for i = 0 to len - 1 do
-      let w = Istate.w ist in
+      let uninformed = Istate.ubar ist in
       if i + 1 < len then
         List.iter
           (fun u ->
             let cong =
               List.fold_left
-                (fun a v -> if Model.conflicts model ~w u v then a + 1 else a)
+                (fun a v -> if u <> v && conflicts ~uninformed u v then a + 1 else a)
                 0
                 (!cur).(i + 1).Schedule.senders
             in

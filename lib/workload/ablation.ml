@@ -1,4 +1,3 @@
-module Bitset = Mlbs_util.Bitset
 module Tab = Mlbs_util.Tab
 module Stats = Mlbs_util.Stats
 module Bfs = Mlbs_graph.Bfs
@@ -6,6 +5,7 @@ module Wake_schedule = Mlbs_dutycycle.Wake_schedule
 module Interference = Mlbs_phy.Interference
 module Model = Mlbs_core.Model
 module Emodel = Mlbs_core.Emodel
+module Istate = Mlbs_core.Istate
 module Scheduler = Mlbs_core.Scheduler
 module Mcounter = Mlbs_core.Mcounter
 module Schedule = Mlbs_core.Schedule
@@ -14,7 +14,7 @@ let gopt budget model ~source ~start = Scheduler.run model (Scheduler.Gopt budge
 
 type selector = By_emodel | By_hop_to_source | First_class
 
-let greedy model ~select = Emodel.pipeline ~classes_of:(Model.greedy_classes model) ~select model
+let greedy model ~select = Emodel.pipeline ~classes_of:Istate.greedy_classes ~select model
 
 let plan_with_selector model sel ~source ~start =
   match sel with
@@ -30,9 +30,8 @@ let plan_with_selector model sel ~source ~start =
    instead of Eq. (2)'s most-receivers-first sort. *)
 let plan_with_id_order model =
   let cls = Interference.classifier (Model.phy_instance model) in
-  let classes_of ~w ~slot =
-    List.map fst
-      (Interference.classes cls ~uninformed:(Bitset.complement w) (Model.candidates model ~w ~slot))
+  let classes_of ist ~slot =
+    Interference.classes cls ~uninformed:(Istate.ubar ist) (Istate.candidates ist ~slot)
   in
   Emodel.pipeline ~classes_of ~select:(fun ~w:_ ~classes:_ -> 0) model
 

@@ -13,6 +13,9 @@ module Broadcast_protocol = Mlbs_proto.Broadcast_protocol
 (* The pairwise Algorithm-1 oracle. *)
 module Coloring = Coloring
 
+(* The from-scratch W-passing walk: frontier queries and planners. *)
+module Model_walk = Model_walk
+
 (* A small connected random deployment: n nodes in a (scaled) area dense
    enough to connect quickly, radius 10. Deterministic in the seed. *)
 let small_network ~n ~seed =

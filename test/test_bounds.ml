@@ -7,6 +7,7 @@
 
 module Bitset = Mlbs_util.Bitset
 module Model = Mlbs_core.Model
+module Walk = Test_support.Model_walk
 module Choices = Mlbs_core.Choices
 module Istate = Mlbs_core.Istate
 module Bounds = Mlbs_core.Bounds
@@ -126,8 +127,8 @@ let find_union_agrees (base_members, cov_members, slot, v) =
 let oracle_choices ~maximal model space ~w ~slot =
   let succs =
     List.map
-      (fun c -> (c, Model.apply model ~w ~senders:c))
-      (Choices.enumerate model space ~w ~slot)
+      (fun c -> (c, Walk.apply model ~w ~senders:c))
+      (Walk.enumerate model space ~w ~slot)
   in
   let strictly_below (_, w1) (_, w2) = Bitset.subset w1 w2 && not (Bitset.equal w1 w2) in
   if not maximal then succs
@@ -144,7 +145,7 @@ let oracle_finish ?(maximal = true) model space =
   let rec finish w ~slot =
     if Model.complete model ~w then slot - 1
     else
-      match Model.next_active_slot model ~w ~after:(slot - 1) with
+      match Walk.next_active_slot model ~w ~after:(slot - 1) with
       | None -> failwith "oracle: empty frontier before completion"
       | Some t -> (
           let key = (mask w, t) in
@@ -171,7 +172,7 @@ let oracle_plan model space ~source ~start =
   let rec loop w ~slot steps =
     if Model.complete model ~w then List.rev steps
     else
-      match Model.next_active_slot model ~w ~after:(slot - 1) with
+      match Walk.next_active_slot model ~w ~after:(slot - 1) with
       | None -> failwith "oracle: empty frontier before completion"
       | Some t ->
           let ranked =
@@ -190,7 +191,7 @@ let oracle_plan model space ~source ~start =
               (max_int, [], w) ranked
           in
           let step =
-            { Schedule.slot = t; senders = c; informed = Model.newly_informed model ~w ~senders:c }
+            { Schedule.slot = t; senders = c; informed = Walk.newly_informed model ~w ~senders:c }
           in
           loop w' ~slot:(t + 1) (step :: steps)
   in

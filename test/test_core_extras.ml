@@ -4,7 +4,9 @@
 
 module Bitset = Mlbs_util.Bitset
 module Model = Mlbs_core.Model
+module Walk = Test_support.Model_walk
 module Choices = Mlbs_core.Choices
+module Istate = Mlbs_core.Istate
 module Trace = Mlbs_core.Trace
 module Scheduler = Mlbs_core.Scheduler
 module Mcounter = Mlbs_core.Mcounter
@@ -15,20 +17,26 @@ module Point = Mlbs_geom.Point
 
 let fig1_model () = Model.create Fixtures.fig1.Fixtures.net Model.Sync
 
+(* An incremental state positioned at [w]. *)
+let at m ~w =
+  let ist = Istate.create (Model.n_nodes m) in
+  Istate.reset ist m ~w;
+  ist
+
 (* ---------------------------- choices ------------------------------ *)
 
 let test_choices_greedy_equals_model () =
   let m = fig1_model () in
   let w = Bitset.of_list 12 [ 11; 0; 1; 2 ] in
   Alcotest.(check (list (list int))) "same classes"
-    (Model.greedy_classes m ~w ~slot:1)
-    (Choices.enumerate m Choices.Greedy ~w ~slot:1)
+    (Walk.greedy_classes m ~w ~slot:1)
+    (Choices.enumerate (at m ~w) Choices.Greedy ~slot:1)
 
 let test_choices_all_are_maximal_and_conflict_free () =
   let m = fig1_model () in
   let w = Bitset.of_list 12 [ 11; 0; 1; 2; 3; 4; 10 ] in
-  let sets = Choices.enumerate m (Choices.All { max_sets = 64 }) ~w ~slot:1 in
-  let cands = Model.candidates m ~w ~slot:1 in
+  let sets = Choices.enumerate (at m ~w) (Choices.All { max_sets = 64 }) ~slot:1 in
+  let cands = Walk.candidates m ~w ~slot:1 in
   Alcotest.(check bool) "nonempty" true (sets <> []);
   List.iter
     (fun s ->
@@ -38,7 +46,7 @@ let test_choices_all_are_maximal_and_conflict_free () =
           List.iter
             (fun v ->
               if u <> v then
-                Alcotest.(check bool) "no conflict" false (Model.conflicts m ~w u v))
+                Alcotest.(check bool) "no conflict" false (Walk.conflicts m ~w u v))
             s)
         s;
       (* ...and maximal: every other candidate conflicts with a member. *)
@@ -48,21 +56,21 @@ let test_choices_all_are_maximal_and_conflict_free () =
             Alcotest.(check bool)
               (Printf.sprintf "candidate %d blocked" c)
               true
-              (List.exists (fun u -> Model.conflicts m ~w u c) s))
+              (List.exists (fun u -> Walk.conflicts m ~w u c) s))
         cands)
     sets
 
 let test_choices_all_cap_respected () =
   let m = fig1_model () in
   let w = Bitset.of_list 12 [ 11; 0; 1; 2; 3; 4; 10 ] in
-  let sets = Choices.enumerate m (Choices.All { max_sets = 1 }) ~w ~slot:1 in
+  let sets = Choices.enumerate (at m ~w) (Choices.All { max_sets = 1 }) ~slot:1 in
   Alcotest.(check int) "capped" 1 (List.length sets)
 
 let test_choices_empty_when_complete () =
   let m = fig1_model () in
   let w = Bitset.full 12 in
   Alcotest.(check (list (list int))) "no candidates" []
-    (Choices.enumerate m Choices.Greedy ~w ~slot:1)
+    (Choices.enumerate (at m ~w) Choices.Greedy ~slot:1)
 
 (* ----------------------------- trace ------------------------------- *)
 

@@ -8,6 +8,7 @@ module Network = Mlbs_wsn.Network
 module Wake_schedule = Mlbs_dutycycle.Wake_schedule
 module Cwt = Mlbs_dutycycle.Cwt
 module Model = Mlbs_core.Model
+module Istate = Mlbs_core.Istate
 module Schedule = Mlbs_core.Schedule
 module Scheduler = Mlbs_core.Scheduler
 module Emodel = Mlbs_core.Emodel
@@ -102,13 +103,10 @@ let test_async_emodel_weight_at_least_hops () =
   let points = Array.init 3 (fun i -> Point.v (float_of_int i *. 8.) 0.) in
   let net = Network.create ~radius:10. points in
   let sched = Wake_schedule.of_explicit ~rate:10 [| [ 1 ]; [ 5 ]; [ 9 ] |] in
-  let m = Model.create net (Model.Async sched) in
+  let weight = Emodel.edge_weights (Model.create net (Model.Async sched)) in
   List.iter
     (fun (u, v) ->
-      Alcotest.(check bool)
-        (Printf.sprintf "weight(%d,%d) >= 1" u v)
-        true
-        (Emodel.edge_weight m u v >= 1))
+      Alcotest.(check bool) (Printf.sprintf "weight(%d,%d) >= 1" u v) true (weight u v >= 1))
     [ (0, 1); (1, 0); (1, 2); (2, 1) ]
 
 (* ------------------- schedule corner semantics ---------------------- *)
@@ -129,8 +127,10 @@ let test_model_single_node () =
   let m = Model.create net Model.Sync in
   let w = Model.initial_w m ~source:0 in
   Alcotest.(check bool) "complete immediately" true (Model.complete m ~w);
-  Alcotest.(check (list int)) "no candidates" [] (Model.candidates m ~w ~slot:1);
-  Alcotest.(check (option int)) "no next slot" None (Model.next_active_slot m ~w ~after:0)
+  let ist = Istate.create 1 in
+  Istate.reset ist m ~w;
+  Alcotest.(check (list int)) "no candidates" [] (Istate.candidates ist ~slot:1);
+  Alcotest.(check (option int)) "no next slot" None (Istate.next_active_slot ist ~after:0)
 
 let () =
   Alcotest.run "edge_cases"

@@ -1,6 +1,7 @@
 module Bitset = Mlbs_util.Bitset
 module Quadrant = Mlbs_geom.Quadrant
 module Model = Mlbs_core.Model
+module Walk = Test_support.Model_walk
 module Emodel = Mlbs_core.Emodel
 module Schedule = Mlbs_core.Schedule
 module Fixtures = Mlbs_workload.Fixtures
@@ -28,7 +29,7 @@ let test_fig1_selects_magenta () =
   let m = Model.create net Model.Sync in
   let e = Emodel.compute m in
   let w = Bitset.of_list 12 [ source; 0; 1; 2 ] in
-  let classes = Model.greedy_classes m ~w ~slot:2 in
+  let classes = Walk.greedy_classes m ~w ~slot:2 in
   Alcotest.(check (list (list int))) "greedy classes" [ [ 0 ]; [ 1 ]; [ 2 ] ] classes;
   Alcotest.(check int) "selects node 1's class" 1 (Emodel.select e m ~w ~classes)
 

@@ -8,9 +8,17 @@
 module Bitset = Mlbs_util.Bitset
 module Interference = Mlbs_phy.Interference
 module Model = Mlbs_core.Model
+module Walk = Test_support.Model_walk
 module Choices = Mlbs_core.Choices
 module Istate = Mlbs_core.Istate
 module Mcounter = Mlbs_core.Mcounter
+module Emodel = Mlbs_core.Emodel
+module Trace = Mlbs_core.Trace
+module Schedule = Mlbs_core.Schedule
+module Baseline26 = Mlbs_core.Baseline26
+module Baseline17 = Mlbs_core.Baseline17
+module Ablation = Mlbs_workload.Ablation
+module Wake_schedule = Mlbs_dutycycle.Wake_schedule
 
 (* Naive frontier count: |N(u) ∩ W̄| straight off the graph. *)
 let naive_uncov model ~w u = Model.n_receivers model ~w u
@@ -30,22 +38,22 @@ let check_agrees ~ctx model st ~w ~slot =
   Alcotest.(check int) (ctx ^ ": lb") (Mcounter.hop_lower_bound model ~w) (Istate.lb st);
   Alcotest.(check (list int))
     (ctx ^ ": candidates")
-    (Model.candidates model ~w ~slot)
+    (Walk.candidates model ~w ~slot)
     (Istate.candidates st ~slot);
   Alcotest.(check (list (list int)))
     (ctx ^ ": greedy classes")
-    (Model.greedy_classes model ~w ~slot)
+    (Walk.greedy_classes model ~w ~slot)
     (Istate.greedy_classes st ~slot);
   Alcotest.(check (option int))
     (ctx ^ ": next active slot")
-    (Model.next_active_slot model ~w ~after:slot)
+    (Walk.next_active_slot model ~w ~after:slot)
     (Istate.next_active_slot st ~after:slot);
   List.iter
     (fun space ->
       Alcotest.(check (list (list int)))
         (ctx ^ ": enumerate")
-        (Choices.enumerate model space ~w ~slot)
-        (Choices.enumerate_incremental st space ~slot))
+        (Walk.enumerate model space ~w ~slot)
+        (Choices.enumerate st space ~slot))
     [ Choices.Greedy; Choices.All { max_sets = 32 } ]
 
 (* Random walk: at each step either undo (when possible) or apply one
@@ -69,7 +77,7 @@ let walk_agrees ((model, _seed), moves) =
         check_agrees ~ctx:"after undo" model st ~w:w' ~slot:slot'
       end
       else if not (Model.complete model ~w) then begin
-        let choices = Choices.enumerate model Choices.Greedy ~w ~slot in
+        let choices = Walk.enumerate model Choices.Greedy ~w ~slot in
         match choices with
         | [] ->
             (* No awake candidate this slot (async lull): advance time. *)
@@ -92,9 +100,9 @@ let walk_agrees ((model, _seed), moves) =
             Istate.apply st ~senders;
             Alcotest.(check (list int))
               "last_added matches newly_informed"
-              (List.sort compare (Model.newly_informed model ~w ~senders))
+              (List.sort compare (Walk.newly_informed model ~w ~senders))
               (List.sort compare (Istate.last_added st));
-            let w' = Model.apply model ~w ~senders in
+            let w' = Walk.apply model ~w ~senders in
             stack := (w', slot + 1) :: !stack;
             check_agrees ~ctx:"after apply" model st ~w:w' ~slot:(slot + 1)
       end)
@@ -121,7 +129,7 @@ let coverage_agrees (model, members) =
           (fun (senders, cov) ->
             Alcotest.(check (list int))
               "coverage = newly informed"
-              (Model.newly_informed model ~w ~senders)
+              (Walk.newly_informed model ~w ~senders)
               (Bitset.elements cov))
           rows;
         Istate.apply st ~senders:first;
@@ -139,6 +147,58 @@ let gen_phy_model_and_members =
     let model = Model.create ~phy (Test_support.small_network ~n ~seed) Model.Sync in
     let* members = list_size (int_bound (n - 1)) (int_bound (n - 1)) in
     return (model, members))
+
+(* Every off-line planner walks an [Istate]; each must produce the
+   schedule of its from-scratch walk over W, step for step, under every
+   backend, in both systems. *)
+let gen_planner_model =
+  QCheck2.Gen.(
+    let* phy = oneofl Interference.[ Udg; Multichannel 2; Sinr default_sinr ] in
+    let* n = int_range 4 12 in
+    let* seed = int_bound 100000 in
+    let* rate = oneofl [ None; Some 3; Some 6 ] in
+    let net = Test_support.small_network ~n ~seed in
+    let system =
+      match rate with
+      | None -> Model.Sync
+      | Some rate -> Model.Async (Wake_schedule.create ~rate ~n_nodes:n ~seed ())
+    in
+    return (Model.create ~phy net system))
+
+let print_planner_model model =
+  Printf.sprintf "n=%d phy=%s %s" (Model.n_nodes model)
+    (Interference.to_string (Model.phy model))
+    (match Model.system model with Model.Sync -> "sync" | Model.Async _ -> "async")
+
+let planners_agree model =
+  let source = 0 and start = 1 in
+  let same label (got : Schedule.t) (want : Schedule.t) =
+    Schedule.steps got = Schedule.steps want
+    || QCheck2.Test.fail_reportf "%s: schedule differs from the W walk" label
+  in
+  let trace = Trace.run model Choices.Greedy ~source ~start in
+  let walk = Walk.trace_run model Choices.Greedy ~source ~start in
+  let sync = Model.system model = Model.Sync in
+  same "Emodel.plan" (Emodel.plan model ~source ~start) (Walk.emodel_plan model ~source ~start)
+  && same "First_class"
+       (Ablation.plan_with_selector model Ablation.First_class ~source ~start)
+       (Walk.first_class_plan model ~source ~start)
+  && same "By_hop_to_source"
+       (Ablation.plan_with_selector model Ablation.By_hop_to_source ~source ~start)
+       (Walk.hop_to_source_plan model ~source ~start)
+  && same "id order"
+       (Ablation.plan_with_id_order model ~source ~start)
+       (Walk.id_order_plan model ~source ~start)
+  && same "Trace.run" trace.Trace.schedule walk.Trace.schedule
+  && (trace.Trace.rows = walk.Trace.rows
+     || QCheck2.Test.fail_reportf "Trace.run: rows differ from the W walk")
+  &&
+  if sync then
+    same "Baseline26.plan" (Baseline26.plan model ~source ~start)
+      (Walk.baseline26_plan model ~source ~start)
+  else
+    same "Baseline17.plan" (Baseline17.plan model ~source ~start)
+      (Walk.baseline17_plan model ~source ~start)
 
 let prop ?(count = 60) name gen f =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen f)
@@ -177,6 +237,10 @@ let () =
             (gen_walk Test_support.gen_async_model) walk_agrees;
           prop ~count:200 "class coverage = newly informed (udg, mc:2, sinr)"
             gen_phy_model_and_members coverage_agrees;
+          QCheck_alcotest.to_alcotest
+            (QCheck2.Test.make ~count:150 ~print:print_planner_model
+               ~name:"planners = the W walk (udg, mc:2, sinr; sync, async)" gen_planner_model
+               planners_agree);
         ] );
       ( "hash",
         [

@@ -1,5 +1,6 @@
 module Bitset = Mlbs_util.Bitset
 module Model = Mlbs_core.Model
+module Walk = Test_support.Model_walk
 module Choices = Mlbs_core.Choices
 module Mcounter = Mlbs_core.Mcounter
 module Schedule = Mlbs_core.Schedule
@@ -48,11 +49,11 @@ let test_fig1_wrong_first_choice () =
   let { Fixtures.net; source; _ } = Fixtures.fig1 in
   let m = Model.create net Model.Sync in
   let w = Model.initial_w m ~source in
-  let w1 = Model.apply m ~w ~senders:[ source ] in
-  let after_zero = Model.apply m ~w:w1 ~senders:[ 0 ] in
+  let w1 = Walk.apply m ~w ~senders:[ source ] in
+  let after_zero = Walk.apply m ~w:w1 ~senders:[ 0 ] in
   Alcotest.(check int) "deferred" 4
     (eval m (Choices.All { max_sets = 64 }) ~w:after_zero ~slot:3).Mcounter.finish;
-  let after_one = Model.apply m ~w:w1 ~senders:[ 1 ] in
+  let after_one = Walk.apply m ~w:w1 ~senders:[ 1 ] in
   Alcotest.(check int) "optimal branch" 3
     (eval m (Choices.All { max_sets = 64 }) ~w:after_one ~slot:3).Mcounter.finish
 
@@ -351,7 +352,7 @@ let props =
            monotonicity makes acting dominate. Skipping the first active
            slot must not improve the finish time. *)
         let w = initial model in
-        match Model.next_active_slot model ~w ~after:0 with
+        match Walk.next_active_slot model ~w ~after:0 with
         | None -> true
         | Some t ->
             let act = eval model Choices.Greedy ~w ~slot:t in

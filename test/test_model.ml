@@ -1,7 +1,14 @@
+(* [Model]'s own primitives, and the from-scratch W walk
+   ([Test_support.Model_walk]) that the incremental state and every
+   planner are checked against: its frontier, conflict, colouring and
+   advance answers, on the paper's Figure 2 and on random models. *)
+
 module Bitset = Mlbs_util.Bitset
 module Coloring = Test_support.Coloring
 module Interference = Mlbs_phy.Interference
 module Model = Mlbs_core.Model
+module Istate = Mlbs_core.Istate
+module Walk = Test_support.Model_walk
 module Wake_schedule = Mlbs_dutycycle.Wake_schedule
 module Fixtures = Mlbs_workload.Fixtures
 
@@ -18,64 +25,68 @@ let test_initial_w () =
 let test_receivers () =
   let m = fig2_model () in
   let w = Bitset.of_list 5 [ 0; 1; 2 ] in
-  Alcotest.(check (list int)) "node 2's receivers" [ 3; 4 ] (Model.receivers m ~w 1);
+  Alcotest.(check (list int)) "node 2's receivers" [ 3; 4 ] (Walk.receivers m ~w 1);
   Alcotest.(check int) "count" 2 (Model.n_receivers m ~w 1);
-  Alcotest.(check (list int)) "node 3's receivers" [ 3 ] (Model.receivers m ~w 2);
-  Alcotest.(check (list int)) "source exhausted" [] (Model.receivers m ~w 0)
+  Alcotest.(check (list int)) "node 3's receivers" [ 3 ] (Walk.receivers m ~w 2);
+  Alcotest.(check (list int)) "source exhausted" [] (Walk.receivers m ~w 0)
 
 let test_candidates_sync () =
   let m = fig2_model () in
   let w = Bitset.of_list 5 [ 0; 1; 2 ] in
-  Alcotest.(check (list int)) "nodes with receivers" [ 1; 2 ] (Model.candidates m ~w ~slot:1);
-  Alcotest.(check (list int)) "frontier same in sync" [ 1; 2 ] (Model.frontier m ~w)
+  Alcotest.(check (list int)) "nodes with receivers" [ 1; 2 ] (Walk.candidates m ~w ~slot:1);
+  Alcotest.(check (list int)) "frontier same in sync" [ 1; 2 ] (Walk.frontier m ~w)
 
 let test_conflicts () =
   let m = fig2_model () in
   let w = Bitset.of_list 5 [ 0; 1; 2 ] in
   (* 2 and 3 share the uninformed neighbour 4. *)
-  Alcotest.(check bool) "conflict at 4" true (Model.conflicts m ~w 1 2);
-  Alcotest.(check bool) "symmetric" true (Model.conflicts m ~w 2 1);
-  Alcotest.(check bool) "irreflexive" false (Model.conflicts m ~w 1 1);
+  Alcotest.(check bool) "conflict at 4" true (Walk.conflicts m ~w 1 2);
+  Alcotest.(check bool) "symmetric" true (Walk.conflicts m ~w 2 1);
+  Alcotest.(check bool) "irreflexive" false (Walk.conflicts m ~w 1 1);
   (* Once 4 is informed, the conflict disappears. *)
   let w' = Bitset.of_list 5 [ 0; 1; 2; 3 ] in
-  Alcotest.(check bool) "no conflict once informed" false (Model.conflicts m ~w:w' 1 2)
+  Alcotest.(check bool) "no conflict once informed" false (Walk.conflicts m ~w:w' 1 2)
 
 let test_greedy_classes_fig2 () =
   let m = fig2_model () in
   let w = Bitset.of_list 5 [ 0; 1; 2 ] in
   (* Table II: C1 = {2} (two receivers), C2 = {3}. *)
   Alcotest.(check (list (list int))) "classes" [ [ 1 ]; [ 2 ] ]
-    (Model.greedy_classes m ~w ~slot:1)
+    (Walk.greedy_classes m ~w ~slot:1);
+  let ist = Istate.create 5 in
+  Istate.reset ist m ~w;
+  Alcotest.(check (list (list int))) "istate classes" [ [ 1 ]; [ 2 ] ]
+    (Istate.greedy_classes ist ~slot:1)
 
 let test_apply () =
   let m = fig2_model () in
   let w = Bitset.of_list 5 [ 0; 1; 2 ] in
-  let w' = Model.apply m ~w ~senders:[ 1 ] in
+  let w' = Walk.apply m ~w ~senders:[ 1 ] in
   Alcotest.(check (list int)) "node 2 informs 4 and 5" [ 0; 1; 2; 3; 4 ] (Bitset.elements w');
   Alcotest.(check (list int)) "w untouched" [ 0; 1; 2 ] (Bitset.elements w);
   Alcotest.(check (list int)) "newly informed" [ 3; 4 ]
-    (Model.newly_informed m ~w ~senders:[ 1 ]);
+    (Walk.newly_informed m ~w ~senders:[ 1 ]);
   Alcotest.check_raises "uninformed sender"
-    (Invalid_argument "Model.apply: sender 3 not informed") (fun () ->
-      ignore (Model.apply m ~w ~senders:[ 3 ]))
+    (Invalid_argument "Model_walk.apply: sender 3 not informed") (fun () ->
+      ignore (Walk.apply m ~w ~senders:[ 3 ]))
 
 let test_async_candidates_gated () =
   let fixture, sched = Fixtures.fig2_dc in
   let m = Model.create fixture.Fixtures.net (Model.Async sched) in
   let w = Bitset.of_list 5 [ 0; 1; 2 ] in
   (* Nodes 2 and 3 wake at slot 4, nobody relays at slot 3. *)
-  Alcotest.(check (list int)) "slot 3: none awake" [] (Model.candidates m ~w ~slot:3);
-  Alcotest.(check (list int)) "slot 4: both" [ 1; 2 ] (Model.candidates m ~w ~slot:4);
+  Alcotest.(check (list int)) "slot 3: none awake" [] (Walk.candidates m ~w ~slot:3);
+  Alcotest.(check (list int)) "slot 4: both" [ 1; 2 ] (Walk.candidates m ~w ~slot:4);
   Alcotest.(check (option int)) "next active from 3" (Some 4)
-    (Model.next_active_slot m ~w ~after:2)
+    (Walk.next_active_slot m ~w ~after:2)
 
 let test_next_active_sync () =
   let m = fig2_model () in
   let w = Bitset.of_list 5 [ 0; 1; 2 ] in
-  Alcotest.(check (option int)) "sync: next round" (Some 8) (Model.next_active_slot m ~w ~after:7);
+  Alcotest.(check (option int)) "sync: next round" (Some 8) (Walk.next_active_slot m ~w ~after:7);
   let full = Bitset.full 5 in
   Alcotest.(check (option int)) "complete: no frontier" None
-    (Model.next_active_slot m ~w:full ~after:1)
+    (Walk.next_active_slot m ~w:full ~after:1)
 
 let test_complete () =
   let m = fig2_model () in
@@ -100,17 +111,17 @@ let gen_model_and_w =
     ignore seed;
     return (model, Bitset.of_list n (0 :: members)))
 
-(* Algorithm 1 spelled pairwise: [Coloring.greedy] over [Model.conflicts]
+(* Algorithm 1 spelled pairwise: [Coloring.greedy] over [Model_walk.conflicts]
    in the visiting order (receiver count descending, id ascending), then
    runs of [k] classes concatenated into one (slot, channel) class. The
    class builder behind lib/phy must reproduce it exactly. *)
 let pairwise_classes model ~w ~slot ~k =
   let order (u, cu) (v, cv) = if cu <> cv then compare cv cu else compare u v in
   let counts =
-    List.map (fun u -> (u, Model.n_receivers model ~w u)) (Model.candidates model ~w ~slot)
+    List.map (fun u -> (u, Model.n_receivers model ~w u)) (Walk.candidates model ~w ~slot)
   in
   let classes =
-    Coloring.greedy ~order ~conflicts:(fun (u, _) (v, _) -> Model.conflicts model ~w u v) counts
+    Coloring.greedy ~order ~conflicts:(fun (u, _) (v, _) -> Walk.conflicts model ~w u v) counts
     |> List.map (List.map fst)
   in
   let rec merge = function
@@ -143,18 +154,18 @@ let props =
          ~name:"greedy classes = pairwise greedy colouring, k classes merged"
          gen_phy_model_and_w (fun (model, w) ->
            let k = Interference.channels (Model.phy model) in
-           Model.greedy_classes model ~w ~slot:1 = pairwise_classes model ~w ~slot:1 ~k));
+           Walk.greedy_classes model ~w ~slot:1 = pairwise_classes model ~w ~slot:1 ~k));
     prop "greedy classes partition the candidates and are valid" gen_model_and_w
       (fun (model, w) ->
-        let classes = Model.greedy_classes model ~w ~slot:1 in
-        let cands = Model.candidates model ~w ~slot:1 in
+        let classes = Walk.greedy_classes model ~w ~slot:1 in
+        let cands = Walk.candidates model ~w ~slot:1 in
         List.sort compare (List.concat classes) = cands
         && Coloring.classes_valid
-             ~conflicts:(fun u v -> Model.conflicts model ~w u v)
+             ~conflicts:(fun u v -> Walk.conflicts model ~w u v)
              classes);
     prop "classes ordered by descending best receiver count" gen_model_and_w
       (fun (model, w) ->
-        let classes = Model.greedy_classes model ~w ~slot:1 in
+        let classes = Walk.greedy_classes model ~w ~slot:1 in
         let best cls =
           List.fold_left (fun acc u -> max acc (Model.n_receivers model ~w u)) 0 cls
         in
@@ -164,10 +175,10 @@ let props =
         in
         decreasing classes);
     prop "apply only adds neighbours of senders" gen_model_and_w (fun (model, w) ->
-        match Model.candidates model ~w ~slot:1 with
+        match Walk.candidates model ~w ~slot:1 with
         | [] -> true
         | u :: _ ->
-            let added = Model.newly_informed model ~w ~senders:[ u ] in
+            let added = Walk.newly_informed model ~w ~senders:[ u ] in
             List.for_all
               (fun v -> Mlbs_graph.Graph.mem_edge (Model.graph model) u v)
               added);
@@ -176,9 +187,9 @@ let props =
         List.for_all
           (fun cls ->
             List.for_all
-              (fun u -> List.for_all (fun v -> u = v || not (Model.conflicts model ~w u v)) cls)
+              (fun u -> List.for_all (fun v -> u = v || not (Walk.conflicts model ~w u v)) cls)
               cls)
-          (Model.greedy_classes model ~w ~slot:1));
+          (Walk.greedy_classes model ~w ~slot:1));
   ]
 
 let () =

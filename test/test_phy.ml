@@ -9,6 +9,7 @@ module Point = Mlbs_geom.Point
 module Interference = Mlbs_phy.Interference
 module Udg = Mlbs_phy.Udg
 module Model = Mlbs_core.Model
+module Walk = Test_support.Model_walk
 module Scheduler = Mlbs_core.Scheduler
 module Schedule = Mlbs_core.Schedule
 module Baseline_cds = Mlbs_core.Baseline_cds
@@ -108,7 +109,8 @@ let qcheck_row_classifier =
   QCheck2.Test.make ~name:"row_classifier classes = pairwise greedy oracle" ~count:300
     ~print:print_rows_case gen_rows_case (fun (rows, ubar, items) ->
       let n = Array.length rows in
-      let got = Interference.classes (Interference.row_classifier rows) ~uninformed:ubar items in
+      let cls = Interference.row_classifier rows in
+      let got = Interference.classes_cov cls ~uninformed:ubar items in
       let conflicts a b = a <> b && Bitset.intersects3 rows.(a) rows.(b) ubar in
       let covered cl =
         Bitset.of_list n
@@ -117,19 +119,20 @@ let qcheck_row_classifier =
              (List.init n Fun.id))
       in
       List.map fst got = Test_support.Coloring.greedy ~order:(fun _ _ -> 0) ~conflicts items
+      && Interference.classes cls ~uninformed:ubar items = List.map fst got
       && List.for_all (fun (cl, cov) -> Bitset.equal cov (covered cl)) got)
 
-(* [Model.conflicts] on a default model still answers through the
-   extracted backend — the old inline predicate and the new path are
-   one code path, and must agree with the spec above. *)
+(* The conflict predicate of a default model's bound instance answers
+   through the extracted backend, and must agree with the spec above. *)
 let qcheck_model_dispatch =
-  QCheck2.Test.make ~name:"Model.conflicts dispatches to the Udg backend" ~count:50 ~print:print_net_w
-    gen_net_w (fun (net, w) ->
-      let m = Model.create net Model.Sync in
+  QCheck2.Test.make ~name:"Interference.conflicts dispatches to the Udg backend" ~count:50
+    ~print:print_net_w gen_net_w (fun (net, w) ->
+      let inst = Model.phy_instance (Model.create net Model.Sync) in
       let g = Network.graph net in
       let uninformed = Bitset.complement w in
       List.for_all
-        (fun (u, v) -> Model.conflicts m ~w u v = Udg.conflicts g ~uninformed u v)
+        (fun (u, v) ->
+          Interference.conflicts inst ~uninformed u v = Udg.conflicts g ~uninformed u v)
         (informed_pairs w))
 
 (* ----------------------- conflict symmetry ------------------------- *)
@@ -295,7 +298,7 @@ let zone_oracle p (net, w) =
       List.iter (Interference.accept cls) members;
       List.for_all (fun x -> (not (reached x)) || decodable x) xs
       && Bitset.elements (Interference.class_coverage cls) = List.filter decodable xs)
-    (Model.greedy_classes m ~w ~slot:1)
+    (Walk.greedy_classes m ~w ~slot:1)
 
 let qcheck_zone_oracle =
   QCheck2.Test.make ~name:"sinr: greedy classes pass a naive SINR check" ~count:80
@@ -351,7 +354,7 @@ let qcheck_reach_ref =
               let ref_cl, ref_rest, ref_cov = Test_support.Sinr_ref.pass z ~uninformed items in
               cl = ref_cl && rest = ref_rest && Bitset.equal cov ref_cov
               && same_rows
-                   (Interference.classes cls ~uninformed items)
+                   (Interference.classes_cov cls ~uninformed items)
                    (Test_support.Sinr_ref.classes z ~uninformed items))
             item_lists)
         Interference.[ default_sinr; { alpha = 2.5; beta = 1.0; noise = 0.0; power = 1.0 } ])
