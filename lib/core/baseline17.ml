@@ -53,7 +53,7 @@ let plan model ~source ~start =
         let group = List.map snd group in
         let senders, retimed = if replays_clean ist group then (group, []) else split group in
         Istate.apply ist ~senders;
-        let informed = List.sort compare (Istate.last_added ist) in
+        let informed = Istate.last_added ist in
         steps := { Schedule.slot; senders; informed } :: !steps;
         release := max !release slot;
         fire (List.map (fun u -> (Wake_schedule.next_wake sched u ~after:slot, u)) retimed @ later)

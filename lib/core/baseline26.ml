@@ -29,7 +29,7 @@ let layered ~name layering model ~source ~start =
       List.iter
         (fun senders ->
           Istate.apply ist ~senders;
-          let informed = List.sort compare (Istate.last_added ist) in
+          let informed = Istate.last_added ist in
           steps := { Schedule.slot = !t; senders; informed } :: !steps;
           incr t)
         (layer_classes ist layer))

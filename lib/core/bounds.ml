@@ -14,7 +14,7 @@ let source_depth model ~source =
 
 (* ------------------------------------------------------------------ *)
 (* Search-side admissible lower bounds on the remaining advance count, *)
-(* read straight off the Istate's maintained distance structure.       *)
+(* read straight off the Istate's maintained distance layers.          *)
 (*                                                                     *)
 (* Eccentricity: every advance informs only distance-1 nodes, so no    *)
 (* distance drops by more than one per advance and a node at distance  *)
@@ -63,6 +63,20 @@ let packing_applies st =
   | Mlbs_phy.Interference.Udg -> true
   | Mlbs_phy.Interference.Sinr _ | Mlbs_phy.Interference.Multichannel _ -> false
 
+(* [lone r set] is the word index of the one bit of [r ∩ set], -1 when
+   the intersection is empty and -2 when it has two bits or more. *)
+let lone r set =
+  let at = ref (-1) and j = ref 0 in
+  while !at <> -2 && !j < Array.length set do
+    let y = r.(!j) land set.(!j) in
+    if y <> 0 then at := if !at = -1 && y land (y - 1) = 0 then !j else -2;
+    incr j
+  done;
+  !at
+
+(* Two word loops over the top layer's members [x]: [x] has a forced
+   parent iff N(x) ∩ parents is one bit, and the bound is refuted iff
+   some [x] has two bits or more in N(x) ∩ forced. *)
 let remaining st =
   if Istate.complete st then (0, Ecc)
   else
@@ -70,35 +84,25 @@ let remaining st =
     if d = max_int then (max_int, Ecc)
     else if not (packing_applies st) then (d, Ecc)
     else begin
-      let g = Model.graph (Istate.model st) in
-      let top = Istate.layer st ~d in
-      let parents = if d = 1 then Istate.w st else Istate.layer st ~d:(d - 1) in
-      let forced = local_forced (Istate.capacity st) in
-      Bitset.clear forced;
-      let any_forced = ref false in
-      Bitset.iter
-        (fun x ->
-          let cnt = ref 0 and last = ref (-1) in
-          Graph.iter_neighbors g x ~f:(fun v ->
-              if Bitset.mem parents v then begin
-                incr cnt;
-                last := v
-              end);
-          if !cnt = 1 then begin
-            Bitset.add forced !last;
-            any_forced := true
-          end)
-        top;
-      let refuted = ref false in
-      if !any_forced then
-        Bitset.iter
-          (fun x ->
-            if not !refuted then begin
-              let cnt = ref 0 in
-              Graph.iter_neighbors g x ~f:(fun v ->
-                  if Bitset.mem forced v then incr cnt);
-              if !cnt >= 2 then refuted := true
-            end)
-          top;
+      let rows = Graph.neighbor_sets (Model.graph (Istate.model st)) in
+      let top = Bitset.words (Istate.layer st ~d) in
+      let parents = Bitset.words (if d = 1 then Istate.w st else Istate.layer st ~d:(d - 1)) in
+      let forced_set = local_forced (Istate.capacity st) in
+      Bitset.clear forced_set;
+      let forced = Bitset.words forced_set and refuted = ref false in
+      for pass = 0 to 1 do
+        for i = 0 to Array.length top - 1 do
+          let word = ref top.(i) in
+          while !word <> 0 && not !refuted do
+            let lsb = !word land - !word in
+            let r = Bitset.words rows.((i * Bitset.bits_per_word) + Bitset.bit_index lsb) in
+            (if pass = 0 then (
+               let j = lone r parents in
+               if j >= 0 then forced.(j) <- forced.(j) lor (r.(j) land parents.(j)))
+             else if lone r forced = -2 then refuted := true);
+            word := !word lxor lsb
+          done
+        done
+      done;
       if !refuted then (d + 1, Packing) else (d, Ecc)
     end

@@ -33,7 +33,7 @@ val source_depth : Model.t -> source:int -> int
 (** Which bound was decisive. *)
 type kind =
   | Ecc  (** remaining eccentricity: the farthest uninformed node's BFS
-             distance, carried by the istate's distance histogram *)
+             distance, the istate's top maintained layer *)
   | Packing
       (** uninformed-neighbour packing at the top distance layer: two
           forced parents sharing an uninformed neighbour must conflict

@@ -40,41 +40,60 @@ let edge_weights model =
       let waits = Array.init (Model.n_nodes model) mean_wait in
       fun v u -> waits.(v) u
 
-(* Multi-source Dijkstra on the quadrant-i relation: settled node [u]
-   relaxes each neighbour [v] having [u ∈ Q_i(v)] — equivalently
-   [v ∈ Q_opp(i)(u)] — with [E_i(v) = w(v,u) + E_i(u)]. [updatable]
-   restricts which nodes may change (phase B must not touch phase-A
-   results). *)
+(* Multi-source shortest paths on the quadrant-i relation: settled
+   node [u] relaxes each neighbour [v] having [u ∈ Q_i(v)] —
+   equivalently [v ∈ Q_opp(i)(u)] — with [E_i(v) = w(v,u) + E_i(u)].
+   Every finite value is a source; [updatable] restricts which nodes
+   may change (phase B must not touch phase-A results). Under [Sync]
+   ([weight = None]) every hop weighs 1, so a bucket queue indexed by
+   distance settles the values a Dijkstra would: buckets are scanned
+   in increasing order and a relaxation from bucket [d] files into
+   [d + 1] only. *)
 let relax net ~weight ~qi values updatable =
   let opp = Quadrant.opposite qi in
-  (* Typed at int, so [compare] is not the polymorphic C call. *)
-  let cmp ((d1 : int), _) (d2, _) = compare d1 d2 in
-  let heap = Heap.create ~cmp in
-  Array.iteri (fun u d -> if d <> infinity_ then Heap.push heap (d, u)) values;
-  let rec drain () =
-    match Heap.pop heap with
-    | None -> ()
-    | Some (d, u) ->
-        if d = values.(u) then
-          Array.iter
-            (fun v ->
-              if updatable.(v) then begin
-                let cand = weight v u + d in
-                if cand < values.(v) then begin
-                  values.(v) <- cand;
-                  Heap.push heap (cand, v)
-                end
-              end)
-            (Network.neighbors_in_quadrant net u opp);
-        drain ()
+  let hop = Option.value weight ~default:(fun _ _ -> 1) in
+  let settle ~push d u =
+    if d = values.(u) then
+      Array.iter
+        (fun v ->
+          if updatable.(v) then begin
+            let cand = hop v u + d in
+            if cand < values.(v) then begin
+              values.(v) <- cand;
+              push cand v
+            end
+          end)
+        (Network.neighbors_in_quadrant net u opp)
   in
-  drain ()
+  match weight with
+  | None ->
+      (* A path has fewer than n hops, so no value passes top + n - 1. *)
+      let top = Array.fold_left (fun acc d -> if d = infinity_ then acc else max acc d) (-1) values in
+      let buckets = Array.make (top + Array.length values + 1) [] in
+      let push d u = buckets.(d) <- u :: buckets.(d) in
+      Array.iteri (fun u d -> if d <> infinity_ then push d u) values;
+      Array.iteri (fun d us -> List.iter (settle ~push d) us) buckets
+  | Some _ ->
+      (* Typed at int, so [compare] is not the polymorphic C call. *)
+      let heap = Heap.create ~cmp:(fun ((d1 : int), _) (d2, _) -> compare d1 d2) in
+      let push d u = Heap.push heap (d, u) in
+      Array.iteri (fun u d -> if d <> infinity_ then push d u) values;
+      let rec drain () =
+        match Heap.pop heap with
+        | None -> ()
+        | Some (d, u) ->
+            settle ~push d u;
+            drain ()
+      in
+      drain ()
 
 type seeding = Two_phase | Merged
 
 let compute ?(seeding = Two_phase) model =
   let net = Model.network model in
-  let weight = edge_weights model in
+  let weight =
+    match Model.system model with Model.Sync -> None | Model.Async _ -> Some (edge_weights model)
+  in
   let n = Model.n_nodes model in
   let boundary = Array.make n false in
   List.iter (fun u -> boundary.(u) <- true) (Boundary.outer_boundary net);
@@ -165,7 +184,7 @@ let pipeline ~classes_of ~select model ~source ~start =
           | classes ->
               let senders = List.nth classes (select ~w:(Istate.w ist) ~classes) in
               Istate.apply ist ~senders;
-              let informed = List.sort compare (Istate.last_added ist) in
+              let informed = Istate.last_added ist in
               loop (t + 1) ({ Schedule.slot = t; senders; informed } :: steps))
   in
   Schedule.make ~n_nodes:(Model.n_nodes model) ~source ~start (loop start [])

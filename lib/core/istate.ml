@@ -1,30 +1,25 @@
 (* The one frontier state (paper Eq. 1–8): the M-counter search, the
    improver and every off-line planner walk it.
 
-   The branch-and-bound search over informed sets used to rebuild, for
-   every candidate advance, the frontier (a scan of [W] with per-node
-   receiver counts), the conflict structure (a fresh complement bitset),
-   and the hop lower bound (a full multi-source BFS). This module keeps
-   all of that as mutable scratch updated in O(affected nodes) by
-   [apply], and restored exactly by [undo] from a watermarked log:
+   A position is the informed set [W], its complement, the carried
+   [Bitset.hash W] and the hop-distance field from [W] kept as layer
+   bitsets: [lay.(d)] is L_d, the uninformed nodes at distance [d], for
+   [1 <= d <= dmax], and every layer above [dmax] is empty. [unreach]
+   counts the uninformed nodes no layer holds; it is fixed at [reset],
+   since a node unreachable from W is never informed. Every query is a
+   word loop over these sets and the graph's neighbour rows.
 
-   - [w] / [ubar]: the informed set and its complement;
-   - [whash]: [Bitset.hash w], maintained via [Bitset.hash_flip] so memo
-     probes never re-hash the full word array;
-   - [uncov.(u)]: |N(u) ∩ W̄| — zero iff [u] has nothing left to cover,
-     so the frontier is {u ∈ W : uncov u > 0} and greedy-colouring
-     receiver counts come for free;
-   - [dist.(v)]: hop distance from [W] (0 on [W] itself). Informing A
-     only ever shrinks distances, by a BFS relaxation seeded at A, so a
-     distance histogram [dcnt] plus [dmax]/[unreach] give the hop lower
-     bound without re-running the BFS from scratch.
-
-   Each [apply] pushes one frame (watermarks into the shared logs plus
-   the saved [dmax]); [undo] pops a frame by replaying the logs in
-   reverse. The per-frame dist log records (node, old distance) pairs;
-   their informed/uninformed status at undo time equals their status
-   when logged, because within a frame every inform precedes every
-   relaxation and frames unwind LIFO. *)
+   [apply] informs A = N(senders) ∩ W̄, which lies inside L_1. A newly
+   informed node sits at distance 0, so no distance drops by more than
+   one per advance, and one that drops goes to [old - 1]: the nodes
+   that drop form the cone D_1 = A, D_j = N(D_{j-1}) ∩ L_j (a node of
+   L_j has no neighbour below L_{j-1}, so only a dropped one can pull
+   it down), and each D_j moves from L_j to L_{j-1}, L_0 being W. The
+   walk stops at the first empty D_j. The frame logs the [whash],
+   [ninf] and [dmax] it replaces, then the words of D_1 .. D_k; [undo]
+   moves the sets back in reverse. [dmax] drops by at most one per
+   apply: when the top layer empties, its cone moved into the layer
+   below. *)
 
 module Bitset = Mlbs_util.Bitset
 module Graph = Mlbs_graph.Graph
@@ -39,33 +34,27 @@ let m_color = Metrics.counter "search/color_selections"
 
 type t = {
   cap : int;
+  nw : int;  (* words per set *)
   mutable model : Model.t option;
+  mutable rows : int array array;  (* the words of N(u), per node *)
   w : Bitset.t;
   ubar : Bitset.t;
   mutable whash : int;
   mutable ninf : int;  (* |W| *)
-  uncov : int array;
-  dist : int array;
-  dcnt : int array;  (* per distance d >= 1, # uninformed reachable nodes at d *)
+  lay : Bitset.t array;  (* lay.(d) = L_d for 1 <= d <= dmax, empty above *)
   mutable dmax : int;
-  mutable unreach : int;  (* # uninformed nodes with dist = max_int *)
-  queue : int array;  (* BFS ring, each node enqueued at most once per apply *)
-  (* Watermarked undo logs, shared by all frames. *)
-  mutable added : int array;
-  mutable n_added : int;
-  mutable dlog_node : int array;
-  mutable dlog_dist : int array;
-  mutable n_dlog : int;
-  mutable f_added : int array;  (* per frame: added watermark *)
-  mutable f_dlog : int array;  (* per frame: dist-log watermark *)
-  mutable f_dmax : int array;  (* per frame: dmax before the apply *)
+  mutable unreach : int;  (* # uninformed nodes in no layer *)
+  (* Undo log: per frame a header [previous frame; whash; ninf; dmax],
+     then the cone D_1 .. D_k, [nw] words a set. *)
+  mutable log : int array;
+  mutable n_log : int;
+  mutable frame : int;  (* the top frame's header offset, -1 when none *)
   mutable n_frames : int;
-  (* Non-mutating child-probe scratch: per-distance layer bitsets of
-     the current position, built lazily once per state and shared by
-     every probe at it, plus two wave-front scratch sets. *)
-  lay : Bitset.t array;
-  mutable lay_max : int;  (* layers filled by the last build *)
-  mutable lay_valid : bool;
+  (* The frontier W ∩ N(L_1), cached per position. *)
+  front : Bitset.t;
+  mutable front_ok : bool;
+  (* Scratch: the probe's wave front and next layer, the BFS's unseen
+     set, the apply's coverage and [last_added]'s decode. *)
   pfront : Bitset.t;
   pnext : Bitset.t;
   (* Class-builder scratch for the bound model, created lazily on the
@@ -75,34 +64,28 @@ type t = {
 
 let create cap =
   if cap < 0 then invalid_arg "Istate.create: negative capacity";
-  let sz = max 1 cap in
+  let set () = Bitset.create cap in
+  let nw = Array.length (Bitset.words (set ())) in
   {
     cap;
+    nw;
     model = None;
-    w = Bitset.create cap;
-    ubar = Bitset.create cap;
+    rows = [||];
+    w = set ();
+    ubar = set ();
     whash = 0;
     ninf = 0;
-    uncov = Array.make sz 0;
-    dist = Array.make sz max_int;
-    dcnt = Array.make (sz + 1) 0;
+    lay = Array.init (max 1 cap + 1) (fun _ -> set ());
     dmax = 0;
     unreach = 0;
-    queue = Array.make sz 0;
-    added = Array.make sz 0;
-    n_added = 0;
-    dlog_node = Array.make sz 0;
-    dlog_dist = Array.make sz 0;
-    n_dlog = 0;
-    f_added = Array.make 16 0;
-    f_dlog = Array.make 16 0;
-    f_dmax = Array.make 16 0;
+    log = Array.make (16 * (nw + 4)) 0;
+    n_log = 0;
+    frame = -1;
     n_frames = 0;
-    lay = Array.init (sz + 1) (fun _ -> Bitset.create cap);
-    lay_max = 0;
-    lay_valid = false;
-    pfront = Bitset.create cap;
-    pnext = Bitset.create cap;
+    front = set ();
+    front_ok = false;
+    pfront = set ();
+    pnext = set ();
     cls = None;
   }
 
@@ -113,32 +96,44 @@ let model st =
   | Some m -> m
   | None -> invalid_arg "Istate: not reset to a model yet"
 
-let graph st = Model.graph (model st)
+(* ---------------------------- word loops --------------------------- *)
 
-(* -------------------------- log plumbing --------------------------- *)
+(* SWAR popcount of a 63-bit word: 2-, 4- then 8-bit field sums, and
+   the byte sums gathered in the top byte (a count fits its 7 bits). *)
+let popcount x =
+  let x = x - ((x lsr 1) land (0x1555555555555555 lor (1 lsl 62))) in
+  let x = (x land 0x3333333333333333) + ((x lsr 2) land 0x3333333333333333) in
+  let x = (x + (x lsr 4)) land 0x0f0f0f0f0f0f0f0f in
+  (x * 0x0101010101010101) lsr 56
 
-let grow a used = if used < Array.length a then a else Array.append a (Array.make (Array.length a) 0)
+(* [dst.(doff ..)] := N(src.(soff ..)) ∩ mask, one set of [nw] words
+   each: the union of every member's neighbour row, then the mask.
+   True iff the result is non-empty. [src] and [dst] may be one array
+   when the two ranges do not overlap. *)
+let step_into st src soff dst doff mask =
+  let nw = st.nw in
+  Array.fill dst doff nw 0;
+  for i = 0 to nw - 1 do
+    let word = ref src.(soff + i) in
+    let base = i * Bitset.bits_per_word in
+    while !word <> 0 do
+      let lsb = !word land - !word in
+      let r = st.rows.(base + Bitset.bit_index lsb) in
+      for j = 0 to nw - 1 do
+        dst.(doff + j) <- dst.(doff + j) lor r.(j)
+      done;
+      word := !word lxor lsb
+    done
+  done;
+  let any = ref 0 in
+  for j = 0 to nw - 1 do
+    let x = dst.(doff + j) land mask.(j) in
+    dst.(doff + j) <- x;
+    any := !any lor x
+  done;
+  !any <> 0
 
-let push_added st v =
-  st.added <- grow st.added st.n_added;
-  st.added.(st.n_added) <- v;
-  st.n_added <- st.n_added + 1
-
-let push_dlog st v d =
-  st.dlog_node <- grow st.dlog_node st.n_dlog;
-  st.dlog_dist <- grow st.dlog_dist st.n_dlog;
-  st.dlog_node.(st.n_dlog) <- v;
-  st.dlog_dist.(st.n_dlog) <- d;
-  st.n_dlog <- st.n_dlog + 1
-
-let push_frame st =
-  st.f_added <- grow st.f_added st.n_frames;
-  st.f_dlog <- grow st.f_dlog st.n_frames;
-  st.f_dmax <- grow st.f_dmax st.n_frames;
-  st.f_added.(st.n_frames) <- st.n_added;
-  st.f_dlog.(st.n_frames) <- st.n_dlog;
-  st.f_dmax.(st.n_frames) <- st.dmax;
-  st.n_frames <- st.n_frames + 1
+let step st ~into src mask = step_into st (Bitset.words src) 0 (Bitset.words into) 0 (Bitset.words mask)
 
 (* ------------------------------ reset ------------------------------ *)
 
@@ -147,151 +142,140 @@ let reset st m ~w =
   if n <> st.cap then invalid_arg "Istate.reset: model size does not match capacity";
   if Bitset.cap w <> st.cap then invalid_arg "Istate.reset: informed set capacity mismatch";
   st.model <- Some m;
-  st.lay_valid <- false;
   st.cls <- None;
+  st.rows <- Array.map Bitset.words (Graph.neighbor_sets (Model.graph m));
   Bitset.assign ~into:st.w w;
   Bitset.complement_into ~into:st.ubar w;
   st.whash <- Bitset.hash st.w;
   st.ninf <- Bitset.cardinal st.w;
-  st.n_added <- 0;
-  st.n_dlog <- 0;
+  st.n_log <- 0;
+  st.frame <- -1;
   st.n_frames <- 0;
-  let g = Model.graph m in
-  (* Full multi-source BFS from W, once per reset. *)
-  Array.fill st.dist 0 (max 1 n) max_int;
-  let tail = ref 0 in
-  Bitset.iter
-    (fun s ->
-      st.dist.(s) <- 0;
-      st.queue.(!tail) <- s;
-      incr tail)
-    st.w;
-  let head = ref 0 in
-  while !head < !tail do
-    let u = st.queue.(!head) in
-    incr head;
-    let du = st.dist.(u) + 1 in
-    Graph.iter_neighbors g u ~f:(fun v ->
-        if st.dist.(v) = max_int then begin
-          st.dist.(v) <- du;
-          st.queue.(!tail) <- v;
-          incr tail
-        end)
+  st.front_ok <- false;
+  for d = 1 to st.dmax do
+    Bitset.clear st.lay.(d)
   done;
-  Array.fill st.dcnt 0 (n + 1) 0;
-  st.dmax <- 0;
-  st.unreach <- 0;
-  for v = 0 to n - 1 do
-    st.uncov.(v) <-
-      Graph.fold_neighbors g v ~init:0 ~f:(fun acc x ->
-          if Bitset.mem st.w x then acc else acc + 1);
-    if not (Bitset.mem st.w v) then begin
-      let d = st.dist.(v) in
-      if d = max_int then st.unreach <- st.unreach + 1
-      else begin
-        st.dcnt.(d) <- st.dcnt.(d) + 1;
-        if d > st.dmax then st.dmax <- d
-      end
-    end
-  done
+  (* Layered BFS from W, once per reset: L_{d+1} is N(L_d) less W and
+     every earlier layer ([pfront] holds the uninformed nodes no layer
+     has taken yet). *)
+  let unseen = st.pfront in
+  Bitset.assign ~into:unseen st.ubar;
+  let d = ref 0 in
+  while step st ~into:st.lay.(!d + 1) (if !d = 0 then st.w else st.lay.(!d)) unseen do
+    incr d;
+    let u = Bitset.words unseen and l = Bitset.words st.lay.(!d) in
+    for j = 0 to st.nw - 1 do
+      u.(j) <- u.(j) land lnot l.(j)
+    done
+  done;
+  st.dmax <- !d;
+  st.unreach <- Bitset.cardinal unseen
 
 (* --------------------------- apply / undo -------------------------- *)
 
+(* The log offset of [k] more words, growing the log when full. *)
+let reserve st k =
+  let off = st.n_log in
+  if off + k > Array.length st.log then begin
+    let bigger = Array.make ((2 * Array.length st.log) + k) 0 in
+    Array.blit st.log 0 bigger 0 off;
+    st.log <- bigger
+  end;
+  st.n_log <- off + k;
+  off
+
+let push_frame st =
+  let off = reserve st 4 in
+  st.log.(off) <- st.frame;
+  st.log.(off + 1) <- st.whash;
+  st.log.(off + 2) <- st.ninf;
+  st.log.(off + 3) <- st.dmax;
+  st.frame <- off;
+  st.n_frames <- st.n_frames + 1
+
 let apply st ~senders =
   Metrics.incr m_apply;
-  let g = graph st in
-  st.lay_valid <- false;
-  push_frame st;
-  let base_added = st.n_added in
-  (* Phase 1: inform every uninformed neighbour of a sender. *)
   List.iter
     (fun u ->
       if not (Bitset.mem st.w u) then
-        invalid_arg (Printf.sprintf "Istate.apply: sender %d not informed" u);
-      Graph.iter_neighbors g u ~f:(fun v ->
-          if not (Bitset.mem st.w v) then begin
-            st.whash <- Bitset.hash_flip st.w v st.whash;
-            Bitset.add st.w v;
-            Bitset.remove st.ubar v;
-            st.ninf <- st.ninf + 1;
-            let d = st.dist.(v) in
-            if d = max_int then st.unreach <- st.unreach - 1
-            else st.dcnt.(d) <- st.dcnt.(d) - 1;
-            Graph.iter_neighbors g v ~f:(fun x -> st.uncov.(x) <- st.uncov.(x) - 1);
-            push_added st v
-          end))
+        invalid_arg (Printf.sprintf "Istate.apply: sender %d not informed" u))
     senders;
-  (* Phase 2: distances can only shrink — BFS relaxation seeded at the
-     newly informed set, logging every overwritten distance. *)
-  let tail = ref 0 in
-  for i = base_added to st.n_added - 1 do
-    let v = st.added.(i) in
-    if st.dist.(v) <> 0 then begin
-      push_dlog st v st.dist.(v);
-      st.dist.(v) <- 0
-    end;
-    st.queue.(!tail) <- v;
-    incr tail
+  let nw = st.nw in
+  let a = Bitset.words st.pnext and ubar = Bitset.words st.ubar in
+  Array.fill a 0 nw 0;
+  List.iter
+    (fun u ->
+      let r = st.rows.(u) in
+      for j = 0 to nw - 1 do
+        a.(j) <- a.(j) lor (r.(j) land ubar.(j))
+      done)
+    senders;
+  push_frame st;
+  st.front_ok <- false;
+  st.whash <- Bitset.hash_union st.w st.pnext st.whash;
+  let off = reserve st nw in
+  Array.blit a 0 st.log off nw;
+  (* D_1 = A leaves L_1 for W. *)
+  let w = Bitset.words st.w and l1 = Bitset.words st.lay.(1) in
+  let k = ref 0 in
+  for j = 0 to nw - 1 do
+    let x = a.(j) in
+    w.(j) <- w.(j) lor x;
+    ubar.(j) <- ubar.(j) land lnot x;
+    l1.(j) <- l1.(j) land lnot x;
+    k := !k + popcount x
   done;
-  let head = ref 0 in
-  while !head < !tail do
-    let x = st.queue.(!head) in
-    incr head;
-    let dd = st.dist.(x) + 1 in
-    Graph.iter_neighbors g x ~f:(fun y ->
-        if st.dist.(y) > dd then begin
-          push_dlog st y st.dist.(y);
-          (* Only uninformed nodes sit in the histogram; every node
-             relaxed here is uninformed (informed nodes are at 0). *)
-          if st.dist.(y) = max_int then st.unreach <- st.unreach - 1
-          else st.dcnt.(st.dist.(y)) <- st.dcnt.(st.dist.(y)) - 1;
-          st.dcnt.(dd) <- st.dcnt.(dd) + 1;
-          st.dist.(y) <- dd;
-          st.queue.(!tail) <- y;
-          incr tail
-        end)
-  done;
-  if st.ninf = st.cap then st.dmax <- 0
-  else begin
-    let d = ref st.dmax in
-    while !d > 0 && st.dcnt.(!d) = 0 do
-      decr d
-    done;
-    st.dmax <- !d
-  end
+  st.ninf <- st.ninf + !k;
+  (* The cone: D_d = N(D_{d-1}) ∩ L_d moves from L_d to L_{d-1}. *)
+  let rec cone d prev =
+    if d <= st.dmax then begin
+      let off = reserve st nw in
+      if step_into st st.log prev st.log off (Bitset.words st.lay.(d)) then begin
+        let hi = Bitset.words st.lay.(d) and lo = Bitset.words st.lay.(d - 1) in
+        for j = 0 to nw - 1 do
+          let x = st.log.(off + j) in
+          hi.(j) <- hi.(j) land lnot x;
+          lo.(j) <- lo.(j) lor x
+        done;
+        cone (d + 1) off
+      end
+      else st.n_log <- off
+    end
+  in
+  if !k > 0 then cone 2 off;
+  if st.dmax >= 1 && Bitset.is_empty st.lay.(st.dmax) then st.dmax <- st.dmax - 1
 
 let undo st =
   Metrics.incr m_undo;
   if st.n_frames = 0 then invalid_arg "Istate.undo: no frame to pop";
-  let g = graph st in
-  st.lay_valid <- false;
+  let f = st.frame and nw = st.nw and log = st.log in
+  let base = f + 4 in
+  (* D_k .. D_2 move back up one layer, then D_1 leaves W for L_1. *)
+  let off = ref (st.n_log - nw) and d = ref ((st.n_log - base) / nw) in
+  while !d >= 2 do
+    let hi = Bitset.words st.lay.(!d) and lo = Bitset.words st.lay.(!d - 1) in
+    for j = 0 to nw - 1 do
+      let x = log.(!off + j) in
+      lo.(j) <- lo.(j) land lnot x;
+      hi.(j) <- hi.(j) lor x
+    done;
+    off := !off - nw;
+    decr d
+  done;
+  let w = Bitset.words st.w and ubar = Bitset.words st.ubar and l1 = Bitset.words st.lay.(1) in
+  for j = 0 to nw - 1 do
+    let x = log.(base + j) in
+    w.(j) <- w.(j) land lnot x;
+    ubar.(j) <- ubar.(j) lor x;
+    l1.(j) <- l1.(j) lor x
+  done;
+  st.frame <- log.(f);
+  st.whash <- log.(f + 1);
+  st.ninf <- log.(f + 2);
+  st.dmax <- log.(f + 3);
+  st.n_log <- f;
   st.n_frames <- st.n_frames - 1;
-  let ba = st.f_added.(st.n_frames)
-  and bd = st.f_dlog.(st.n_frames)
-  and saved_dmax = st.f_dmax.(st.n_frames) in
-  for i = st.n_dlog - 1 downto bd do
-    let y = st.dlog_node.(i) and old = st.dlog_dist.(i) in
-    if Bitset.mem st.ubar y then begin
-      st.dcnt.(st.dist.(y)) <- st.dcnt.(st.dist.(y)) - 1;
-      if old = max_int then st.unreach <- st.unreach + 1
-      else st.dcnt.(old) <- st.dcnt.(old) + 1
-    end;
-    st.dist.(y) <- old
-  done;
-  st.n_dlog <- bd;
-  for i = st.n_added - 1 downto ba do
-    let v = st.added.(i) in
-    st.whash <- Bitset.hash_flip st.w v st.whash;
-    Bitset.remove st.w v;
-    Bitset.add st.ubar v;
-    st.ninf <- st.ninf - 1;
-    let d = st.dist.(v) in
-    if d = max_int then st.unreach <- st.unreach + 1
-    else st.dcnt.(d) <- st.dcnt.(d) + 1;
-    Graph.iter_neighbors g v ~f:(fun x -> st.uncov.(x) <- st.uncov.(x) + 1)
-  done;
-  st.n_added <- ba;
-  st.dmax <- saved_dmax
+  st.front_ok <- false
 
 let depth st = st.n_frames
 
@@ -301,11 +285,11 @@ let rewind st ~depth =
     undo st
   done
 
+(* The frame's logged D_1, read through the apply's scratch set. *)
 let last_added st =
   if st.n_frames = 0 then invalid_arg "Istate.last_added: no frame";
-  let base = st.f_added.(st.n_frames - 1) in
-  let rec collect i acc = if i < base then acc else collect (i - 1) (st.added.(i) :: acc) in
-  collect (st.n_added - 1) []
+  Array.blit st.log (st.frame + 4) (Bitset.words st.pnext) 0 st.nw;
+  Bitset.elements st.pnext
 
 (* ---------------------------- queries ------------------------------ *)
 
@@ -314,54 +298,38 @@ let ubar st = st.ubar
 let whash st = st.whash
 let n_informed st = st.ninf
 let complete st = st.ninf = st.cap
-let uncov st u = st.uncov.(u)
+
+let uncov st u =
+  let r = st.rows.(u) and ubar = Bitset.words st.ubar in
+  let c = ref 0 in
+  for j = 0 to st.nw - 1 do
+    c := !c + popcount (r.(j) land ubar.(j))
+  done;
+  !c
 
 let lb st = if complete st then 0 else if st.unreach > 0 then max_int else st.dmax
-
-(* [probe_child] answers the two ranking queries the search asks of
-   every candidate advance — coverage and the child's hop lower bound —
-   without mutating anything, so ranking candidates no longer costs an
-   apply/undo pair each. It leans on facts the apply relaxation
-   guarantees: every newly informed node sits at distance 1 from [W],
-   hence no distance drops by more than one per advance, [unreach] is
-   invariant, and the dropped-to distance is always [old - 1]. The
-   child's [dmax] is therefore [dmax - 1] exactly when every uninformed
-   node at distance [dmax] is reached by the improvement cone — the BFS
-   over nodes whose distance shrinks, stamped per probe so the scratch
-   never needs clearing. Nodes already at [dmax] cannot relax anyone
-   further (no distance exceeds [dmax]), so they are counted but not
-   expanded, and the wave stops early once every [dmax] node dropped. *)
-(* Per-distance layers of the current position, built lazily from the
-   dist array on the first probe at a state (apply/undo invalidate).
-   Every node at distance >= 1 is uninformed, so the layers partition
-   the reachable uninformed set and the top layer is exactly the set
-   the lower bound hangs on. *)
-let ensure_layers st =
-  if not st.lay_valid then begin
-    for d = 1 to st.lay_max do
-      Bitset.clear st.lay.(d)
-    done;
-    for v = 0 to st.cap - 1 do
-      let d = st.dist.(v) in
-      if d >= 1 && d <> max_int then Bitset.add st.lay.(d) v
-    done;
-    st.lay_max <- st.dmax;
-    st.lay_valid <- true
-  end
 
 let layer st ~d =
   if d < 1 || d > st.dmax then
     invalid_arg (Printf.sprintf "Istate.layer: distance %d out of [1,%d]" d st.dmax);
-  ensure_layers st;
   st.lay.(d)
 
-(* The wave of shrinking distances, bit-parallel: every newly informed
-   node sits at distance 1, so distances drop by at most one per
-   advance, the drop is always to [old - 1], and [unreach] is
-   invariant. Cone layer j — the distance-(j+1) nodes that drop — is
-   [N(layer j-1) ∩ lay.(j+1)], seeded by the advance's coverage set.
-   The child's bound is [dmax - 1] exactly when the final cone layer
-   reaches the whole top layer. *)
+(* The informed nodes with an uninformed neighbour: every uninformed
+   neighbour of W lies in L_1. *)
+let frontier st =
+  if not st.front_ok then begin
+    ignore (step st ~into:st.front st.lay.(1) st.w);
+    st.front_ok <- true
+  end;
+  st.front
+
+(* [probe_child] answers the two ranking queries the search asks of
+   every candidate advance — coverage and the child's hop lower bound —
+   without mutating anything, so ranking candidates costs no apply/undo
+   pair. The child's [dmax] is [dmax - 1] exactly when the advance's
+   cone reaches the whole top layer; nodes at [dmax] relax nobody
+   further, so the walk stops there, or at the first empty cone
+   layer. *)
 let probe_seeded st ~seeds =
   Metrics.incr m_probe;
   let cov = Bitset.cardinal seeds in
@@ -370,30 +338,21 @@ let probe_seeded st ~seeds =
     else if st.unreach > 0 then max_int
     else if st.dmax <= 1 then st.dmax
     else begin
-      ensure_layers st;
-      let g = graph st in
-      Bitset.assign ~into:st.pfront seeds;
-      let j = ref 1 and dead = ref false in
-      while (not !dead) && !j <= st.dmax - 1 do
-        Bitset.clear st.pnext;
-        Bitset.iter
-          (fun x -> Bitset.union_into ~into:st.pnext (Graph.neighbor_set g x))
-          st.pfront;
-        Bitset.inter_into ~into:st.pnext st.lay.(!j + 1);
-        if Bitset.is_empty st.pnext then dead := true
-        else begin
-          Bitset.assign ~into:st.pfront st.pnext;
-          incr j
-        end
-      done;
-      if (not !dead) && Bitset.equal st.pfront st.lay.(st.dmax) then st.dmax - 1
-      else st.dmax
+      (* [cone] is cone layer [j]; the next one goes to [next], and the
+         two scratch sets take turns after the seeds. *)
+      let rec reaches_top j cone next =
+        if j = st.dmax then Bitset.equal cone st.lay.(j)
+        else
+          step st ~into:next cone st.lay.(j + 1)
+          && reaches_top (j + 1) next (if cone == seeds then st.pfront else cone)
+      in
+      if reaches_top 1 seeds st.pnext then st.dmax - 1 else st.dmax
     end
   in
   (lb, cov)
 
 let coverage st ~senders =
-  let g = graph st in
+  let g = Model.graph (model st) in
   let c = Bitset.create st.cap in
   List.iter
     (fun u ->
@@ -408,53 +367,53 @@ let probe_child st ~senders = probe_seeded st ~seeds:(coverage st ~senders)
 let candidates st ~slot =
   let m = model st in
   List.rev
-    (Bitset.fold
-       (fun u acc -> if st.uncov.(u) > 0 && Model.awake m u ~slot then u :: acc else acc)
-       st.w [])
+    (Bitset.fold (fun u acc -> if Model.awake m u ~slot then u :: acc else acc) (frontier st) [])
 
-(* Algorithm 1 from the maintained counts: the receiver counts are
-   [uncov] and the uninformed set is the live [ubar], so the class
-   builder runs without a frontier scan or a complement. Runs of k
+(* Algorithm 1 at the current position: the awake frontier in
+   {!Interference.visit_order} of its receiver counts, coloured against
+   the live [ubar] with one classifier cached per reset; runs of k
    classes then merge into one (slot, channel) class. *)
-let merged_classes st ~slot =
+let visit_order st ~slot =
   let m = model st in
-  let counts =
-    Bitset.fold
-      (fun u acc ->
-        if st.uncov.(u) > 0 && Model.awake m u ~slot then (u, st.uncov.(u)) :: acc
-        else acc)
-      st.w []
-  in
-  let cls =
-    match st.cls with
-    | Some c -> c
-    | None ->
-        let c = Interference.classifier (Model.phy_instance m) in
-        st.cls <- Some c;
-        c
-  in
-  Interference.classes_cov cls ~uninformed:st.ubar (Interference.visit_order counts)
-  |> Interference.merge_channels (Interference.channels (Model.phy m))
+  Interference.visit_order
+    (Bitset.fold
+       (fun u acc -> if Model.awake m u ~slot then (u, uncov st u) :: acc else acc)
+       (frontier st) [])
+
+let classifier st =
+  match st.cls with
+  | Some c -> c
+  | None ->
+      let c = Interference.classifier (Model.phy_instance (model st)) in
+      st.cls <- Some c;
+      c
+
+let channels st = Interference.channels (Model.phy (model st))
 
 let greedy_classes_cov st ~slot =
   Metrics.incr m_color;
-  merged_classes st ~slot
+  Interference.classes_cov (classifier st) ~uninformed:st.ubar (visit_order st ~slot)
+  |> Interference.merge_channels (channels st)
 
-let greedy_classes st ~slot = List.map fst (merged_classes st ~slot)
+let greedy_classes st ~slot =
+  Interference.classes (classifier st) ~uninformed:st.ubar (visit_order st ~slot)
+  |> Interference.merge_classes (channels st)
 
 let next_active_slot st ~after =
   let m = model st in
   match Model.system m with
   | Model.Sync ->
       (* Some informed node has an uninformed neighbour iff some
-         uninformed node is reachable at all: BFS layers are contiguous,
-         so [dmax >= 1] implies an uninformed node at distance 1. *)
+         uninformed node is reachable at all: the layers are contiguous,
+         so [dmax >= 1] implies a non-empty L_1. *)
       if st.ninf < st.cap && st.dmax >= 1 then Some (after + 1) else None
   | Model.Async sched ->
+      (* No wake comes before [after + 1]: stop at the first node there. *)
       let earliest = ref max_int in
-      Bitset.iter
-        (fun u ->
-          if st.uncov.(u) > 0 then
-            earliest := min !earliest (Mlbs_dutycycle.Wake_schedule.next_wake sched u ~after))
-        st.w;
+      ignore
+        (Bitset.for_all
+           (fun u ->
+             earliest := min !earliest (Mlbs_dutycycle.Wake_schedule.next_wake sched u ~after);
+             !earliest > after + 1)
+           (frontier st));
       if !earliest = max_int then None else Some !earliest

@@ -1,13 +1,15 @@
 (** The frontier state every off-line planner walks.
 
     A reusable mutable view of one broadcast position: the informed set
-    [W], its complement, an incrementally maintained [Bitset.hash] of
-    [W], per-node uninformed-neighbour counts (frontier + greedy
-    receiver counts), and the hop-distance structure backing the
-    admissible lower bound. [apply] advances by one sender set in
-    O(affected nodes); [undo] restores the previous position exactly
-    from a watermarked log. The M-counter search, the improver, the
-    E-model pipeline, the traces and the layered baselines all read the
+    [W], its complement, an incrementally carried [Bitset.hash] of [W],
+    and the hop-distance field from [W] kept as per-distance layer
+    bitsets [L_1 .. L_dmax] (the admissible lower bounds hang on them).
+    [apply] informs the senders' uninformed neighbours and moves the
+    cone of nodes whose distance drops one layer down, a word loop per
+    layer; [undo] moves the logged cone back. The frontier [W ∩ N(L_1)]
+    is cached per position, and a receiver count is a popcount of
+    [N(u) ∩ W̄]. The M-counter search, the improver, the E-model
+    pipeline, the traces and the layered baselines all read the
     frontier, the advance and Algorithm 1's classes from here. Query
     results agree, state for state, with a from-scratch walk over [W]
     (the test oracle [Test_support.Model_walk], property-tested in
@@ -31,16 +33,16 @@ val capacity : t -> int
 
 (** [reset t model ~w] binds [model] (whose node count must equal the
     capacity) and rebuilds every structure from scratch for the
-    informed set [w] — one multi-source BFS plus one adjacency sweep.
-    Clears the undo log. *)
+    informed set [w] — one layered bit-parallel BFS. Clears the undo
+    log. *)
 val reset : t -> Model.t -> w:Bitset.t -> unit
 
 (** [model t] is the model bound by the last [reset]. *)
 val model : t -> Model.t
 
 (** [apply t ~senders] advances: informs every uninformed neighbour of
-    a sender and pushes one undo frame. Raises [Invalid_argument] when
-    a sender is not informed. *)
+    a sender and pushes one undo frame. Raises [Invalid_argument],
+    before any change, when a sender is not informed. *)
 val apply : t -> senders:int list -> unit
 
 (** [undo t] pops the most recent [apply] frame, restoring the previous
@@ -54,8 +56,8 @@ val depth : t -> int
     exception-unwind path of the search. *)
 val rewind : t -> depth:int -> unit
 
-(** [last_added t] is the nodes informed by the most recent frame, in
-    application order (not sorted). *)
+(** [last_added t] is the nodes informed by the most recent frame,
+    ascending — the frame's logged first cone layer. *)
 val last_added : t -> int list
 
 (** [w t] is the current informed set. The returned value is the live
@@ -76,8 +78,9 @@ val n_informed : t -> int
 (** [complete t] is [W = N]. *)
 val complete : t -> bool
 
-(** [uncov t u] is [|N(u) ∩ W̄|] — [Model.n_receivers] without the
-    scan. Maintained for every node, informed or not. *)
+(** [uncov t u] is [|N(u) ∩ W̄|] — [Model.n_receivers] as a popcount
+    over [u]'s neighbour row and the live [W̄], for any node, informed
+    or not. *)
 val uncov : t -> int -> int
 
 (** [lb t] is the hop lower bound: the largest distance from [W] to an
@@ -85,19 +88,20 @@ val uncov : t -> int -> int
     complete — equal to [Mcounter.hop_lower_bound]. *)
 val lb : t -> int
 
-(** [layer t ~d] is the set of (uninformed) nodes at BFS distance [d]
-    from [W], for [1 ≤ d ≤ lb t] — the per-distance layers the lower
-    bounds in {!Bounds} hang on. Built lazily from the maintained
-    distance array; the returned set is live scratch, invalidated by
-    the next [apply]/[undo]/[reset]. Raises [Invalid_argument] when [d]
-    is out of range. *)
+(** [layer t ~d] is [L_d], the set of (uninformed) nodes at BFS
+    distance [d] from [W], for [1 ≤ d ≤ dmax] where [dmax] is the
+    largest finite distance ([lb t] when nothing is unreachable) — the
+    per-distance layers the lower bounds in {!Bounds} hang on. The
+    returned set is the maintained one: it mutates with
+    [apply]/[undo]/[reset], so callers must [Bitset.copy] it before
+    retaining it. Raises [Invalid_argument] when [d] is out of range. *)
 val layer : t -> d:int -> Bitset.t
 
 (** [probe_child t ~senders] is [(lb', k)] where [k] is the number of
     nodes [apply t ~senders] would inform and [lb'] the value [lb]
-    would take in the resulting position — computed by a bit-parallel
-    cone walk over per-distance layer bitsets without mutating [t] (no
-    undo frame is pushed). Raises
+    would take in the resulting position — computed by [apply]'s cone
+    walk over the layers, without mutating [t] (no undo frame is
+    pushed). Raises
     [Invalid_argument] when a sender is not informed. *)
 val probe_child : t -> senders:int list -> int * int
 
@@ -128,9 +132,9 @@ val greedy_classes : t -> slot:int -> int list list
 (** [greedy_classes_cov t ~slot] is [greedy_classes] paired with each
     class's coverage set [N(class) ∩ W̄] — a byproduct of the colouring
     that the search reuses as probe seeds and child memo keys. It runs
-    the class builder over the maintained counts and the live [ubar],
-    with one classifier cached per [reset]; the returned sets are fresh
-    copies. Each call counts one [search/color_selections]. *)
+    the class builder over the cached frontier's counts and the live
+    [ubar], with one classifier cached per [reset]; the returned sets
+    are fresh copies. Each call counts one [search/color_selections]. *)
 val greedy_classes_cov : t -> slot:int -> (int list * Bitset.t) list
 
 (** [next_active_slot t ~after] is, under [Async], the earliest slot

@@ -567,7 +567,7 @@ let rec plan_gen model space ~budget ~source ~start ~seeds ~capture =
               Otrace.with_span ~arg:t ~cat:"sched" "round" @@ fun () ->
               let c = match stored Ttable.find_move t with Some c -> c | None -> fold t in
               Istate.apply st ~senders:c;
-              let informed = List.sort compare (Istate.last_added st) in
+              let informed = Istate.last_added st in
               { Schedule.slot = t; senders = c; informed }
             in
             loop (t + 1) (step :: steps)

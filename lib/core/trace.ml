@@ -45,7 +45,7 @@ let run ?(budget = Mcounter.default_budget) model space ~source ~start =
               let senders = (List.nth evals chosen).members in
               let w_before = Bitset.elements (Istate.w ist) in
               Istate.apply ist ~senders;
-              let advance = List.sort compare (Istate.last_added ist) in
+              let advance = Istate.last_added ist in
               let row = { slot = t; w_before; classes = evals; chosen; advance } in
               let step = { Schedule.slot = t; senders; informed = advance } in
               loop (t + 1) (row :: rows) (step :: steps))

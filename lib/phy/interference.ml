@@ -216,20 +216,27 @@ let visit_order counts =
    Concatenated-class sender order is load-bearing: first-fit grouping
    over it ({!Multichannel.groups}) reconstructs exactly these classes
    from the schedule bytes, so channels never need storing. *)
+let rec runs k = function
+  | [] -> []
+  | rows ->
+      let rec take i acc = function
+        | x :: tl when i > 0 -> take (i - 1) (x :: acc) tl
+        | tl -> (List.rev acc, tl)
+      in
+      let run, tl = take k [] rows in
+      run :: runs k tl
+
+let merge_classes k classes = if k <= 1 then classes else List.map List.concat (runs k classes)
+
 let merge_channels k rows =
-  let rec go = function
-    | [] -> []
-    | (s0, cov) :: rest ->
-        let rec take i acc = function
-          | (s, c) :: tl when i > 0 ->
-              Bitset.union_into ~into:cov c;
-              take (i - 1) (s :: acc) tl
-          | tl -> (List.concat (List.rev acc), tl)
-        in
-        let senders, tl = take (k - 1) [ s0 ] rest in
-        (senders, cov) :: go tl
-  in
-  if k <= 1 then rows else go rows
+  if k <= 1 then rows
+  else
+    List.map
+      (fun run ->
+        let cov = snd (List.hd run) in
+        List.iter (fun (_, c) -> Bitset.union_into ~into:cov c) (List.tl run);
+        (List.concat_map fst run, cov))
+      (runs k rows)
 
 (* --------------------------- reception ----------------------------- *)
 

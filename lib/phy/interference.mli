@@ -139,10 +139,14 @@ val classes : classifier -> uninformed:Bitset.t -> int list -> int list list
     probe seeds and child memo keys of the search. *)
 val classes_cov : classifier -> uninformed:Bitset.t -> int list -> (int list * Bitset.t) list
 
-(** [merge_channels k rows] merges runs of [k] consecutive classes into
-    one (slot, channel) super-class: senders concatenated in class
-    order, coverage unioned into the run's first set (which is
-    mutated). The identity when [k <= 1]. *)
+(** [merge_classes k classes] merges runs of [k] consecutive classes
+    into one (slot, channel) super-class, senders concatenated in class
+    order. The identity when [k <= 1]. *)
+val merge_classes : int -> int list list -> int list list
+
+(** [merge_channels k rows] is {!merge_classes} over [(members,
+    coverage)] rows, the coverage of each run unioned into its first
+    set (which is mutated). *)
 val merge_channels : int -> (int list * Bitset.t) list -> (int list * Bitset.t) list
 
 (** {1 Slot replay} *)

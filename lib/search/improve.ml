@@ -119,7 +119,7 @@ let run ~seed ~budget model schedule =
     let failed = ref false in
     let push ~slot senders =
       Istate.apply ist ~senders;
-      let informed = List.sort compare (Istate.last_added ist) in
+      let informed = Istate.last_added ist in
       acc := { Schedule.slot; senders; informed } :: !acc;
       incr count
     in

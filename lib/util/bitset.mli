@@ -129,8 +129,10 @@ val equal_union : t -> t -> t -> bool
 val bits_per_word : int
 
 (** [words s] is [s]'s word array — the internal one, not a copy, so a
-    view that follows later {!add}s. Callers must not mutate it. Sets
-    of one capacity have word arrays of one length. *)
+    view that follows later {!add}s. Only the owner of [s] may write
+    it, in place, leaving the sign bit and every bit at or past
+    [cap s] clear. Sets of one capacity have word arrays of one
+    length. *)
 val words : t -> int array
 
 (** [bit_index b] is [k] when [b = 1 lsl k] with [k] in

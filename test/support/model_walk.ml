@@ -14,6 +14,7 @@ module Udg = Mlbs_phy.Udg
 module Model = Mlbs_core.Model
 module Choices = Mlbs_core.Choices
 module Emodel = Mlbs_core.Emodel
+module Bounds = Mlbs_core.Bounds
 module Mcounter = Mlbs_core.Mcounter
 module Schedule = Mlbs_core.Schedule
 module Trace = Mlbs_core.Trace
@@ -72,6 +73,40 @@ let apply model ~w ~senders =
   w'
 
 let newly_informed model ~w ~senders = Bitset.elements (Bitset.diff (apply model ~w ~senders) w)
+
+(* The hop layers of W from one BFS: [L_1; ..; L_D], where L_d holds
+   the uninformed nodes at distance d and D is the largest finite
+   distance (unreachable nodes sit in no layer). *)
+let layers model ~w =
+  let dist = (Bfs.run_multi (Model.graph model) ~sources:(Bitset.elements w)).Bfs.dist in
+  let top = Array.fold_left (fun acc d -> if d = max_int then acc else max acc d) 0 dist in
+  List.init top (fun i ->
+      let l = Bitset.create (Model.n_nodes model) in
+      Array.iteri (fun v d -> if d = i + 1 then Bitset.add l v) dist;
+      l)
+
+(* [Bounds.remaining] at W by neighbour scans over the BFS layers: the
+   eccentricity bound d, tightened to d + 1 under UDG when two forced
+   parents (the only neighbour in L_{d-1}, or W when d = 1, of some
+   x ∈ L_d) share a neighbour in L_d. *)
+let remaining model ~w =
+  if Model.complete model ~w then (0, Bounds.Ecc)
+  else
+    let d = Mcounter.hop_lower_bound model ~w in
+    if d = max_int then (max_int, Bounds.Ecc)
+    else
+      match Model.phy model with
+      | Interference.Sinr _ | Interference.Multichannel _ -> (d, Bounds.Ecc)
+      | Interference.Udg ->
+          let g = Model.graph model in
+          let ls = Array.of_list (layers model ~w) in
+          let top = ls.(d - 1) and parents = if d = 1 then w else ls.(d - 2) in
+          let in_set set x = Graph.fold_neighbors g x ~init:[] ~f:(fun acc v ->
+              if Bitset.mem set v then v :: acc else acc) in
+          let forced = Bitset.create (Model.n_nodes model) in
+          Bitset.iter (fun x -> match in_set parents x with [ u ] -> Bitset.add forced u | _ -> ()) top;
+          if Bitset.for_all (fun x -> List.length (in_set forced x) < 2) top then (d, Bounds.Ecc)
+          else (d + 1, Bounds.Packing)
 
 (* The earliest slot > [after] at which a frontier node is awake. *)
 let next_active_slot model ~w ~after =

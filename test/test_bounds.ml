@@ -65,6 +65,42 @@ let bound_admissible ((model, _), moves) =
     moves;
   true
 
+(* The word-loop packing bound equals the neighbour-scan oracle over
+   the BFS layers of W, at every position of a random walk of greedy
+   advances and undos. *)
+let bound_matches_oracle ((model, _), moves) =
+  let st = Istate.create (Model.n_nodes model) in
+  Istate.reset st model ~w:(Model.initial_w model ~source:0);
+  let stack = ref [ 1 ] in
+  let agrees () =
+    let r, k = Bounds.remaining st and r', k' = Walk.remaining model ~w:(Istate.w st) in
+    if r <> r' || k <> k' then
+      Alcotest.failf "remaining %d (%s), oracle %d (%s)" r
+        (if k = Bounds.Packing then "packing" else "ecc")
+        r'
+        (if k' = Bounds.Packing then "packing" else "ecc")
+  in
+  agrees ();
+  List.iter
+    (fun r ->
+      if r mod 4 = 0 && Istate.depth st > 0 then begin
+        Istate.undo st;
+        stack := List.tl !stack;
+        agrees ()
+      end
+      else if not (Istate.complete st) then
+        match Istate.next_active_slot st ~after:(List.hd !stack - 1) with
+        | None -> ()
+        | Some t ->
+            let classes = Istate.greedy_classes st ~slot:t in
+            if classes <> [] then begin
+              Istate.apply st ~senders:(List.nth classes (r mod List.length classes));
+              stack := (t + 1) :: !stack;
+              agrees ()
+            end)
+    moves;
+  true
+
 (* ----------------- transposition table equivalence ----------------- *)
 
 (* Replay a random op sequence against a [Hashtbl] oracle. Sets live in
@@ -285,6 +321,10 @@ let () =
             (gen_walk gen_sync) bound_admissible;
           prop ~count:50 "async: bound never refutes the optimum"
             (gen_walk gen_async) bound_admissible;
+          prop ~count:200 "sync: remaining = scalar oracle" (gen_walk gen_sparse_sync)
+            bound_matches_oracle;
+          prop ~count:200 "async: remaining = scalar oracle" (gen_walk gen_sparse_async)
+            bound_matches_oracle;
         ] );
       ( "ttable",
         [

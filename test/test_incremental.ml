@@ -36,6 +36,17 @@ let check_agrees ~ctx model st ~w ~slot =
       (naive_uncov model ~w u) (Istate.uncov st u)
   done;
   Alcotest.(check int) (ctx ^ ": lb") (Mcounter.hop_lower_bound model ~w) (Istate.lb st);
+  (* The maintained layers are the BFS layers of W, and none past the
+     last: [layer] refuses the distance above them. *)
+  let layers = Walk.layers model ~w in
+  List.iteri
+    (fun i l ->
+      if not (Bitset.equal (Istate.layer st ~d:(i + 1)) l) then
+        Alcotest.failf "%s: layer %d diverged" ctx (i + 1))
+    layers;
+  (match Istate.layer st ~d:(List.length layers + 1) with
+  | _ -> Alcotest.failf "%s: a layer past the last" ctx
+  | exception Invalid_argument _ -> ());
   Alcotest.(check (list int))
     (ctx ^ ": candidates")
     (Walk.candidates model ~w ~slot)
@@ -99,9 +110,9 @@ let walk_agrees ((model, _seed), moves) =
             let senders = List.nth choices (abs r mod List.length choices) in
             Istate.apply st ~senders;
             Alcotest.(check (list int))
-              "last_added matches newly_informed"
-              (List.sort compare (Walk.newly_informed model ~w ~senders))
-              (List.sort compare (Istate.last_added st));
+              "last_added = newly_informed, ascending"
+              (Walk.newly_informed model ~w ~senders)
+              (Istate.last_added st);
             let w' = Walk.apply model ~w ~senders in
             stack := (w', slot + 1) :: !stack;
             check_agrees ~ctx:"after apply" model st ~w:w' ~slot:(slot + 1)
