@@ -606,8 +606,8 @@ let run_improve_sweep () =
     improve_instances
 
 (* The improver's gate kernels: one budget-bounded improvement pass over a
-   G-OPT start and over a baseline start (the regime the daemon's
-   background polishing runs in). *)
+   G-OPT start and over a baseline start (the start with the most slack,
+   where the moves are accepted most often). *)
 let improve_tests () =
   let open Bechamel in
   let inst = Experiment.make_instance Config.default ~n:150 ~seed:1 in

@@ -519,8 +519,7 @@ let endpoint socket tcp =
   | Some port -> Sv_client.Tcp { host = "127.0.0.1"; port }
   | None -> Sv_client.Unix_socket socket
 
-let serve socket tcp backend jobs queue cache cache_dir models improve_budget trace_file
-    metrics_file =
+let serve socket tcp backend jobs queue cache cache_dir models trace_file metrics_file =
   Export.with_files ?trace_file ?metrics_file @@ fun () ->
   if backend && tcp = None then begin
     Printf.eprintf "serve --backend needs --tcp PORT (0 picks an ephemeral port)\n";
@@ -537,7 +536,6 @@ let serve socket tcp backend jobs queue cache cache_dir models improve_budget tr
         cache_capacity = cache;
         cache_dir;
         allowed_models = (match models with [] -> None | l -> Some l);
-        improve_budget;
       }
     in
     let t = Sv_daemon.start dcfg in
@@ -552,10 +550,8 @@ let serve socket tcp backend jobs queue cache cache_dir models improve_budget tr
           (match Sv_daemon.tcp_port t with
           | Some p -> Printf.sprintf " and 127.0.0.1:%d" p
           | None -> ""));
-    Printf.printf "jobs=%d queue=%d cache=%d%s%s\n%!" jobs queue cache
-      (match cache_dir with Some d -> " cache-dir=" ^ d | None -> "")
-      (if improve_budget > 0 then Printf.sprintf " improve-budget=%d" improve_budget
-       else "");
+    Printf.printf "jobs=%d queue=%d cache=%d%s\n%!" jobs queue cache
+      (match cache_dir with Some d -> " cache-dir=" ^ d | None -> "");
     let on_signal _ = Sv_daemon.stop t in
     Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal);
     Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal);
@@ -608,22 +604,11 @@ let serve_cmd =
             "Serve only this interference model (repeatable; default: all). Requests \
              for any other model are refused with an error reply.")
   in
-  let improve_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "improve-budget" ] ~docv:"EVALS"
-          ~doc:
-            "Background polishing: in idle dispatcher cycles, spend $(docv) GLS/VNS \
-             evaluations per pass improving hot cached schedules; strictly better \
-             Validate-clean results are installed as monotone version upgrades. 0 \
-             (default) disables polishing — every reply stays byte-identical to the \
-             direct scheduler.")
-  in
   Cmd.v
     (Cmd.info "serve" ~doc:"Run the scheduling service daemon")
     Term.(
       const serve $ socket_arg $ tcp_arg $ backend_arg $ jobs_arg $ queue_arg $ cache_arg
-      $ cache_dir_arg $ models_arg $ improve_arg $ trace_file_arg $ metrics_file_arg)
+      $ cache_dir_arg $ models_arg $ trace_file_arg $ metrics_file_arg)
 
 (* fleet: the front tier — consistent-hash routing over backend shards
    started with [serve --backend]. *)
@@ -691,19 +676,10 @@ let fleet_cmd =
       const fleet $ socket_arg $ tcp_arg $ backends_arg $ health_period_arg
       $ trace_file_arg $ metrics_file_arg)
 
-(* Version 0 replies are the deterministic construction and must be
-   byte-identical to a direct solve. A version-upgraded reply (the
-   background improver installed a strictly better schedule) is not
-   byte-comparable; it verifies by radio replay on the same model plus
-   latency no worse than the construction's. *)
+(* Every reply must be byte-identical to a direct solve. *)
 let verify_against_local req (ok : Sv_codec.ok_reply) =
   let _, local = Sv_daemon.solve req in
-  if ok.Sv_codec.version = 0 then
-    Sv_codec.schedule_bytes local = Sv_codec.schedule_bytes ok.Sv_codec.schedule
-  else
-    let report = Validate.check (Sv_daemon.model_of req) ok.Sv_codec.schedule in
-    report.Validate.ok
-    && Schedule.elapsed ok.Sv_codec.schedule <= Schedule.elapsed local
+  Sv_codec.schedule_bytes local = Sv_codec.schedule_bytes ok.Sv_codec.schedule
 
 (* One churn event: drift [k] nodes of [net] by up to 20% of the radius
    and ship the resulting rewires as a wire delta. *)
@@ -730,11 +706,8 @@ let request socket tcp n seed rate policy model source start delta delta_seed ve
   | Sv_client.Ok ok ->
       Printf.printf "server:        %s%s\n" server_version
         (if version_match then "" else Printf.sprintf " (client is %s)" Sv_version.version);
-      Printf.printf "trace id:      %s (cache %s%s)\n" ok.Sv_codec.trace_id
-        (if ok.Sv_codec.cache_hit then "hit" else "miss")
-        (if ok.Sv_codec.version > 0 then
-           Printf.sprintf ", improved v%d" ok.Sv_codec.version
-         else "");
+      Printf.printf "trace id:      %s (cache %s)\n" ok.Sv_codec.trace_id
+        (if ok.Sv_codec.cache_hit then "hit" else "miss");
       Printf.printf "latency:       %d %s\n" ok.Sv_codec.stats.Sv_codec.elapsed
         (match rate with None -> "rounds" | Some _ -> "slots");
       Printf.printf "transmissions: %d\n" ok.Sv_codec.stats.Sv_codec.transmissions;
@@ -744,9 +717,7 @@ let request socket tcp n seed rate policy model source start delta delta_seed ve
       if verify then begin
         let same = verify_against_local vreq ok in
         Printf.printf "verify:        %s\n"
-          (if not same then "MISMATCH"
-           else if ok.Sv_codec.version = 0 then "byte-identical to direct scheduler"
-           else "upgraded schedule replays clean, latency <= direct scheduler");
+          (if same then "byte-identical to direct scheduler" else "MISMATCH");
         if same then 0 else 1
       end
       else 0

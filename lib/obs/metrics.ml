@@ -179,6 +179,8 @@ let to_int = function Count n | Level n -> n | Dist d -> d.total
 let counter_value name =
   match List.assoc_opt name (snapshot ()) with Some v -> to_int v | None -> 0
 
+let domain_value (c : counter) = cell_or_zero (Domain.DLS.get shard_key) c.off
+
 let reset () =
   Mutex.lock shards_lock;
   List.iter (fun s -> Array.fill s.cells 0 (Array.length s.cells) 0) !shards;

@@ -65,5 +65,11 @@ val to_int : value -> int
     never registered). *)
 val counter_value : string -> int
 
+(** [domain_value c] is the calling domain's own count of [c], not
+    merged with other shards: the difference of two readings around a
+    piece of work that runs on one domain is that work's count alone,
+    whatever other domains do meanwhile. *)
+val domain_value : counter -> int
+
 (** [reset ()] zeroes every shard. Call at a quiescent point. *)
 val reset : unit -> unit

@@ -104,29 +104,6 @@ let add t key value =
     Mutex.unlock t.lock
   end
 
-let upsert t key f =
-  if t.cap > 0 then begin
-    Mutex.lock t.lock;
-    let node = Hashtbl.find_opt t.tbl key in
-    (match f (Option.map (fun n -> n.value) node) with
-    | None -> ()
-    | Some value -> (
-        match node with
-        | Some node ->
-            node.value <- value;
-            unlink t node;
-            push_front t node
-        | None ->
-            let node = { key; value; prev = None; next = None } in
-            Hashtbl.replace t.tbl key node;
-            push_front t node;
-            t.len <- t.len + 1;
-            Metrics.incr t.m_insertions;
-            evict_over_capacity t));
-    Metrics.set t.g_entries t.len;
-    Mutex.unlock t.lock
-  end
-
 let to_list_mru t =
   Mutex.lock t.lock;
   let rec go acc = function

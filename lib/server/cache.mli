@@ -28,16 +28,6 @@ val find : 'a t -> string -> 'a option
     least-recently-used entries while over capacity. *)
 val add : 'a t -> string -> 'a -> unit
 
-(** [upsert t key f] applies [f] to the current entry at [key] (without
-    counting a hit or a miss, and without promoting on its own) under
-    the instance mutex: [f None] runs when the key is absent, and a
-    [Some v] result is installed at most-recently-used while [None]
-    leaves the cache unchanged. This is the atomic
-    compare-and-install the daemon's monotone schedule-version
-    upgrades are built on — [f] must be fast and must not touch the
-    cache itself. *)
-val upsert : 'a t -> string -> ('a option -> 'a option) -> unit
-
 (** [to_list_mru t] is every (key, value) pair, most-recently-used
     first — the order the daemon persists hot entries in. *)
 val to_list_mru : 'a t -> (string * 'a) list

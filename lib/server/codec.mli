@@ -59,9 +59,10 @@ type delta = {
   d_rewired : (int * int list) list;
 }
 
-(** Per-solve statistics carried in an [Ok] reply. [search_states] is
-    the process-wide M-counter state delta observed around the solve —
-    exact when the daemon is idle, an aggregate under concurrency. *)
+(** Per-solve statistics carried in an [Ok] reply. [search_states]
+    counts the M-counter states of this solve alone, read from the
+    solving domain's metrics shard, so concurrent solves report what
+    each reports run alone (0 while the metrics registry is off). *)
 type stats = {
   elapsed : int;
   transmissions : int;
@@ -74,11 +75,8 @@ type ok_reply = {
   trace_id : string;  (** server-side span id, greppable in the trace *)
   cache_hit : bool;
   version : int;
-      (** schedule version (protocol v5): [0] is the deterministic
-          construction {!Daemon.solve} would produce; [v > 0] means the
-          background improver installed [v] successive strictly-better,
-          Validate-clean upgrades on this cache line. Versions only ever
-          increase for a given content address. *)
+      (** reserved (protocol v5), always [0]: every reply carries the
+          schedule {!Daemon.solve} produces. *)
   stats : stats;
   schedule : Mlbs_core.Schedule.t;
 }
@@ -104,8 +102,9 @@ type msg =
   | Shutdown_ack
   | Put of { req : request; version : int; stats : stats; schedule : Mlbs_core.Schedule.t }
       (** one entry of a daemon's [cache.frames] file: the request the
-          schedule answers, its version and its reply. It is a disk
-          record only: a daemon answers a [Put] sent over the wire with
+          schedule answers, its version (reserved, written as [0]; a
+          daemon refuses any other) and its reply. It is a disk record
+          only: a daemon answers a [Put] sent over the wire with
           [Reply_error], and a disk entry passes the daemon's replay
           gate before it is installed. *)
 

@@ -11,7 +11,6 @@ module Schedule = Mlbs_core.Schedule
 module Scheduler = Mlbs_core.Scheduler
 module Validate = Mlbs_sim.Validate
 module Config = Mlbs_workload.Config
-module Improve = Mlbs_search.Improve
 module Obs = Mlbs_obs.Obs
 module Metrics = Mlbs_obs.Metrics
 module Trace = Mlbs_obs.Trace
@@ -24,7 +23,6 @@ type config = {
   cache_capacity : int;
   cache_dir : string option;
   allowed_models : Interference.t list option;
-  improve_budget : int;
 }
 
 let default_config ~socket_path =
@@ -36,34 +34,21 @@ let default_config ~socket_path =
     cache_capacity = 512;
     cache_dir = None;
     allowed_models = None;
-    improve_budget = 0;
   }
 
-(* One cached solve. [version] counts the strictly-better Validate-clean
-   upgrades the background improver installed on this content address
-   (0 = the deterministic construction [solve] produces). [origin] is
-   the request the entry answers — the improver rebuilds the model from
-   it, and the disk file stores it so a restart re-checks the entry.
-   [attempts] counts polish passes spent on this entry (it salts the
-   improver's seed and caps fruitless re-polish work). *)
-type entry = {
-  stats : C.stats;
-  schedule : Schedule.t;
-  version : int;
-  origin : C.request;
-  attempts : int Atomic.t;
-}
+(* One cached solve: [solve]'s result for [origin], the request the
+   entry answers. The disk file stores [origin] so a restart re-checks
+   the entry. *)
+type entry = { stats : C.stats; schedule : Schedule.t; origin : C.request }
 
-let entry_of ~origin ?(version = 0) (stats, schedule) =
-  { stats; schedule; version; origin; attempts = Atomic.make 0 }
+let entry_of ~origin (stats, schedule) = { stats; schedule; origin }
 
 (* ---------------------------- metrics ------------------------------ *)
 
 let family = Acceptor.family "server"
 let m_put_refused = Metrics.counter "server/put_refused"
 let h_solve_us = Metrics.histogram "server/solve_us"
-let m_polish_passes = Metrics.counter "search/improve/polish_passes"
-let m_upgrades = Metrics.counter "search/improve/upgrades_installed"
+let m_states = Metrics.counter "search/states"
 
 (* ------------------------ request resolution ----------------------- *)
 
@@ -145,9 +130,12 @@ let model_for (req : C.request) r = Model.create ~phy:req.C.model r.rnet (system
 
 (* The one solve path: [solve] below and every dispatched miss, a
    [Reschedule] included, run this, so served bytes equal the
-   reference by construction. *)
+   reference by construction. [search_states] reads the calling
+   domain's shard: a dispatched solve runs start to finish on one pool
+   domain, and no other daemon thread searches, so concurrent solves
+   do not count into each other. *)
 let do_solve model policy ~source ~start =
-  let s0 = Metrics.counter_value "search/states" in
+  let s0 = Metrics.domain_value m_states in
   let t0 = Obs.now_us () in
   let plan = Scheduler.run model policy ~source ~start in
   let dt = Obs.now_us () -. t0 in
@@ -156,7 +144,7 @@ let do_solve model policy ~source ~start =
       C.elapsed = Schedule.elapsed plan;
       transmissions = Schedule.n_transmissions plan;
       n_steps = List.length (Schedule.steps plan);
-      search_states = max 0 (Metrics.counter_value "search/states" - s0);
+      search_states = max 0 (Metrics.domain_value m_states - s0);
       solve_us = int_of_float dt;
     }
   in
@@ -205,18 +193,6 @@ let reschedule_key ?memo base delta =
 
 (* --------------------------- the cache gate ------------------------ *)
 
-(* Monotone install: a cache line's schedule version never decreases.
-   Two concurrent writers (a solve's [on_done], the improver) race
-   through [Cache.upsert]'s mutex, and whichever carries the newer
-   version wins; an equal-version improver result never
-   replaces (same address + same version = same upgrade chain, and for
-   version 0 the bytes are identical by determinism anyway). *)
-let install cache ~key (e : entry) =
-  Cache.upsert cache key (function
-    | Some old when old.version > e.version -> None
-    | Some old when old.version = e.version && e.version > 0 -> None
-    | _ -> Some e)
-
 (* Serve-side model policy: a daemon started with an allow-list (the
    [mlbs serve --model] flag) refuses any other interference model
    before resolving the topology, so a shard dedicated to one backend
@@ -247,17 +223,22 @@ let locate ~allowed (req : C.request) ~answer =
     | exception e -> Error (Printexc.to_string e)
 
 (* The one gate for schedules this daemon did not solve itself: every
-   entry read back from disk. The content address is recomputed from
-   the request, and the schedule must answer it: same node count,
-   source and start, and a clean radio replay under the request's
-   model. A file is not trusted further than that, so a wrong schedule
-   is refused (counted in [server/put_refused]) and never installed. *)
+   entry read back from disk. Only version 0, [solve]'s own bytes, is
+   served, so an upgrade an older daemon's improver wrote is refused.
+   The content address is recomputed from the request, and the
+   schedule must answer it: same node count, source and start, and a
+   clean radio replay under the request's model. A file is not trusted
+   further than that, so a wrong schedule is refused (counted in
+   [server/put_refused]) and never installed. *)
 let admit ~allowed ?memo cache (req : C.request) ~version stats schedule =
   let refuse msg =
     Metrics.incr m_put_refused;
     Error msg
   in
-  match locate ~allowed req ~answer:(fun req -> (req, resolve ?memo req)) with
+  match
+    if version <> 0 then Error "put: only version 0 is served"
+    else locate ~allowed req ~answer:(fun req -> (req, resolve ?memo req))
+  with
   | Error msg -> refuse msg
   | Ok { areq; ar; asource; akey } ->
       if
@@ -269,7 +250,7 @@ let admit ~allowed ?memo cache (req : C.request) ~version stats schedule =
         not (try (Validate.check (model_for areq ar) schedule).Validate.ok with _ -> false)
       then refuse "put: schedule does not replay clean under the request's model"
       else begin
-        install cache ~key:akey (entry_of ~origin:areq ~version (stats, schedule));
+        Cache.add cache akey (entry_of ~origin:areq (stats, schedule));
         Ok ()
       end
 
@@ -300,7 +281,7 @@ let save_cache ~dir cache =
       List.iter
         (fun (_, e) ->
           C.send fd
-            (C.Put { req = e.origin; version = e.version; stats = e.stats; schedule = e.schedule }))
+            (C.Put { req = e.origin; version = 0; stats = e.stats; schedule = e.schedule }))
         (List.rev entries);
       Unix.fsync fd);
   Unix.rename tmp (cache_file dir);
@@ -339,7 +320,6 @@ type t = {
   shell : Acceptor.t;
   ewma_solve_us : int Atomic.t;  (* recent solve wall time: the retry hint's basis *)
   trace_ctr : int Atomic.t;
-  mutable improver : Thread.t option;
   mutable cleaned : bool;
 }
 
@@ -373,7 +353,7 @@ let reply_ok t ~digest ~cache_hit (e : entry) =
     {
       trace_id = fresh_trace_id t digest;
       cache_hit;
-      version = e.version;
+      version = 0;
       stats = e.stats;
       schedule = e.schedule;
     }
@@ -383,7 +363,7 @@ let reply_ok t ~digest ~cache_hit (e : entry) =
    [on_done] publishes the entry under [key] even if this connection
    dies before waking. *)
 let await t ~key ~digest run =
-  let on_done = function Ok e -> install t.cache ~key e | Error _ -> () in
+  let on_done = function Ok e -> Cache.add t.cache key e | Error _ -> () in
   match Dispatch.submit t.disp ~on_done run with
   | Error `Closing -> reply_error "server is shutting down"
   | Error (`Shed depth) ->
@@ -447,76 +427,13 @@ let handle t payload =
         (* Answered as its derived request: edit the base graph, then
            serve the plain request for the edited adjacency. The reply
            is byte-identical to that request's, and both share one cache
-           line; the entry's origin is the derived request, so the
-           improver can polish it. *)
+           line, whose origin is the derived request. *)
         serve t ~name:"reschedule" base ~answer:(fun base ->
             resolve_derived ~memo:t.topo base delta)
     | C.Stats_request -> C.Stats_reply (server_stats ())
     | C.Hello _ | C.Shutdown | C.Hello_ack _ | C.Reply_ok _ | C.Reply_rejected _
     | C.Reply_error _ | C.Stats_reply _ | C.Shutdown_ack | C.Put _ ->
         reply_error "unexpected message from client")
-
-(* ----------------------- background polishing ---------------------- *)
-
-(* The improver runs in otherwise-idle dispatcher cycles. One pass
-   picks a polish candidate from the hot (MRU) end of the cache —
-   preferring the entry with the fewest prior attempts, ties broken
-   towards most recently used — rebuilds its model from the stored
-   origin request, runs a budget-bounded GLS/VNS pass, and installs a
-   strictly-better Validate-clean result as version+1. The seed is a
-   deterministic function of the content address and the attempt
-   number, so a pass over a given entry is reproducible while
-   successive passes still explore different trajectories. *)
-
-let max_polish_attempts = 16
-let polish_scan = 8
-
-let polish_once t ~budget =
-  let cands =
-    List.filteri
-      (fun i (_, e) -> i < polish_scan && Atomic.get e.attempts < max_polish_attempts)
-      (Cache.to_list_mru t.cache)
-  in
-  match cands with
-  | [] -> false
-  | first :: rest ->
-      let key, e =
-        List.fold_left
-          (fun ((_, be) as b) ((_, ce) as c) ->
-            if Atomic.get ce.attempts < Atomic.get be.attempts then c else b)
-          first rest
-      in
-      let attempt = Atomic.fetch_and_add e.attempts 1 in
-      Metrics.incr m_polish_passes;
-      let outcome =
-        try
-          let model = model_for e.origin (resolve ~memo:t.topo e.origin) in
-          let seed = (Hashtbl.hash key * 131) + attempt in
-          Some (Improve.improve ~seed ~budget model e.schedule)
-        with _ -> None
-      in
-      (match outcome with
-      | Some o when o.Improve.improved ->
-          let plan = o.Improve.schedule in
-          let stats =
-            {
-              e.stats with
-              C.elapsed = Schedule.elapsed plan;
-              transmissions = Schedule.n_transmissions plan;
-              n_steps = List.length (Schedule.steps plan);
-            }
-          in
-          install t.cache ~key
-            {
-              e with
-              stats;
-              schedule = plan;
-              version = e.version + 1;
-              attempts = Atomic.make (attempt + 1);
-            };
-          Metrics.incr m_upgrades;
-          true
-      | Some _ | None -> false)
 
 (* --------------------------- lifecycle ----------------------------- *)
 
@@ -548,27 +465,11 @@ let start cfg =
       shell;
       ewma_solve_us = Atomic.make 0;
       trace_ctr = Atomic.make 0;
-      improver = None;
       cleaned = false;
     }
   in
   Dispatch.start t.disp;
   Acceptor.serve shell (handle t);
-  if cfg.improve_budget > 0 then
-    t.improver <-
-      Some
-        (Thread.create
-           (fun () ->
-             (* Poll for idleness; a polish pass only starts while the
-                dispatcher has neither queued nor in-flight work, and
-                every pass is budget-bounded, so shutdown joins
-                promptly. *)
-             while not (Acceptor.stopping shell) do
-               if Dispatch.busy t.disp then Thread.delay 0.02
-               else if not (polish_once t ~budget:cfg.improve_budget) then
-                 Thread.delay 0.02
-             done)
-           ());
   t
 
 (* Once stopped: drain the queue, join the threads, persist the hot
@@ -578,7 +479,6 @@ let wait t =
   if not t.cleaned then begin
     t.cleaned <- true;
     Dispatch.stop t.disp;
-    Option.iter Thread.join t.improver;
     Dispatch.join t.disp;
     (match t.cfg.cache_dir with
     | Some dir -> ignore (save_cache ~dir t.cache)

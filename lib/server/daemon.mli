@@ -28,8 +28,8 @@
 
     Every entry read back from [cache_dir] passes one gate: the
     schedule is installed under the address recomputed from its request
-    only when it replays clean under that request's model
-    ({!Mlbs_sim.Validate.check}). A refused entry is counted in
+    only when its version is 0 and it replays clean under that
+    request's model ({!Mlbs_sim.Validate.check}). A refused entry is counted in
     [server/put_refused]. No schedule is accepted off the wire: a [Put]
     frame from a client is answered with [Reply_error].
 
@@ -51,22 +51,17 @@ type config = {
       (** interference models this daemon serves; [None] = all. A
           request for any other model is refused with [Reply_error]
           before topology resolution. *)
-  improve_budget : int;
-      (** candidate evaluations per background polish pass; 0 (the
-          default) disables the improver entirely — every served
-          schedule then stays byte-identical to {!solve}. *)
 }
 
 (** The [mlbs serve] defaults: jobs = all cores, queue 64, cache 512,
-    no TCP, socket required, improvement off. *)
+    no TCP, socket required. *)
 val default_config : socket_path:string -> config
 
 (** A running daemon. *)
 type t
 
 (** [start cfg] binds the listeners ({!Acceptor.bind}), spawns the
-    accept and dispatcher threads (and the improver when
-    [improve_budget > 0]) and returns. Raises [Failure] when no
+    accept and dispatcher threads and returns. Raises [Failure] when no
     listener is configured or a bind fails. Enables the {!Mlbs_obs}
     metrics registry (the server's own counters live under
     [server/…]). The connection frames the shell does not answer itself
@@ -106,13 +101,14 @@ val instance : Codec.request -> Mlbs_core.Model.t * int
 
 (** [solve req] is the reference solve path: {!instance}, then the
     scheduler — no daemon, no cache. The daemon's replies carry exactly
-    this schedule. Raises [Failure] on unsatisfiable requests (bad
+    this schedule and these stats but [solve_us]. [search_states]
+    counts only the M-counter states of this solve, even while other
+    domains search. Raises [Failure] on unsatisfiable requests (bad
     source, disconnected density, …). *)
 val solve : Codec.request -> Codec.stats * Mlbs_core.Schedule.t
 
-(** [model_of req] is [fst (instance req)] — what a client needs to
-    radio-replay a served schedule (the version-upgrade branch of
-    [mlbs loadgen --verify] and [mlbs request --verify]). *)
+(** [model_of req] is [fst (instance req)] — the network [mlbs request
+    --delta] and [mlbs loadgen --churn] drift. *)
 val model_of : Codec.request -> Mlbs_core.Model.t
 
 (** [cache_key req] is the content address the daemon files [req]
@@ -153,39 +149,22 @@ val reschedule_key : ?memo:resolved Cache.t -> Codec.request -> Codec.delta -> s
 
 (* --------------------- cache persistence ------------------------- *)
 
-(** One cached solve. [version] counts the strictly-better
-    Validate-clean upgrades installed on this content address (0 = the
-    deterministic {!solve} result). [origin] is the request the entry
-    answers: the background improver rebuilds the model from it, and
-    {!save_cache} stores it so {!load_cache} can re-check the entry.
-    [attempts] counts polish passes spent on the entry — it salts the
-    improver's seed and caps fruitless re-polish work. *)
+(** One cached solve: the {!solve} result for [origin], the request
+    the entry answers. {!save_cache} stores [origin] so {!load_cache}
+    can re-check the entry. *)
 type entry = {
   stats : Codec.stats;
   schedule : Mlbs_core.Schedule.t;
-  version : int;
   origin : Codec.request;
-  attempts : int Atomic.t;
 }
 
-(** [entry_of ~origin ?version (stats, schedule)] builds an entry
-    (defaults: version 0, zero attempts). *)
-val entry_of : origin:Codec.request -> ?version:int -> Codec.stats * Mlbs_core.Schedule.t -> entry
-
-(** [polish_once t ~budget] runs one background-improvement pass by
-    hand: pick the least-attempted entry among the hottest few, run a
-    [budget]-bounded {!Mlbs_search.Improve.improve} over it, and install
-    a strictly-better Validate-clean result under [version + 1].
-    Returns [true] iff an upgrade was installed. This is exactly what
-    the improver thread does in idle dispatcher cycles when the daemon
-    runs with [improve_budget > 0]; exposed so tests can drive the
-    polishing loop deterministically. *)
-val polish_once : t -> budget:int -> bool
+(** [entry_of ~origin (stats, schedule)] builds an entry. *)
+val entry_of : origin:Codec.request -> Codec.stats * Mlbs_core.Schedule.t -> entry
 
 (** [save_cache ~dir cache] writes the 64 hottest entries to
     [dir/cache.frames] (creating [dir]) in the wire's own frames: a
     [Hello] header carrying {!Codec.protocol_version}, then one [Put]
-    per entry, least recently used first. It writes a temp file, fsyncs
+    per entry (version 0), least recently used first. It writes a temp file, fsyncs
     it and renames it over the old one, so a crash mid-save leaves the
     previous file whole. Returns the number written. *)
 val save_cache : dir:string -> entry Cache.t -> int
@@ -193,7 +172,8 @@ val save_cache : dir:string -> entry Cache.t -> int
 (** [load_cache ?allowed_models ?memo ~dir cache] reads that file back,
     restoring the recency order. Every entry passes the replay gate
     ([allowed_models] as in {!config}, [memo] as in {!reschedule_key});
-    a refused one is dropped. A missing file or another protocol
+    a refused one, a [Put] whose version is not 0 included, is dropped
+    and counted in [server/put_refused]. A missing file or another protocol
     version loads nothing; a truncated or garbled frame ends the read.
     Returns the number installed. *)
 val load_cache :

@@ -31,7 +31,6 @@ type 'a t = {
   q : 'a ticket Queue.t;
   stop_requested : bool Atomic.t;
   mutable draining_done : bool;
-  mutable inflight : bool;  (* a batch is on the pool right now *)
   mutable thread : Thread.t option;
 }
 
@@ -44,7 +43,6 @@ let create ~pool ~capacity =
     q = Queue.create ();
     stop_requested = Atomic.make false;
     draining_done = false;
-    inflight = false;
     thread = None;
   }
 
@@ -65,13 +63,9 @@ let rec loop t =
     let batch_n = min (Pool.size t.pool) (Queue.length t.q) in
     let batch = Array.init batch_n (fun _ -> Queue.pop t.q) in
     Metrics.set g_queue_depth (Queue.length t.q);
-    t.inflight <- true;
     Mutex.unlock t.qm;
     Metrics.incr m_batches;
     let results = Pool.map_on t.pool run_ticket batch in
-    Mutex.lock t.qm;
-    t.inflight <- false;
-    Mutex.unlock t.qm;
     Array.iteri
       (fun i tk ->
         (try tk.ton_done results.(i) with _ -> ());
@@ -114,12 +108,6 @@ let await tk =
   let r = Option.get tk.tresult in
   Mutex.unlock tk.tm;
   r
-
-let busy t =
-  Mutex.lock t.qm;
-  let b = t.inflight || not (Queue.is_empty t.q) in
-  Mutex.unlock t.qm;
-  b
 
 let start t =
   if t.thread <> None then invalid_arg "Dispatch.start: already started";

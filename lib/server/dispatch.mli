@@ -32,14 +32,6 @@ val submit :
 (** Block until the ticket's closure ran. *)
 val await : 'a ticket -> ('a, string) result
 
-(** [busy t] is [true] while work is queued or a batch is running on
-    the pool — the idleness probe the daemon's background improver
-    consults so that polishing only ever uses otherwise-wasted
-    dispatcher cycles. Point-in-time: a submission can race it, which
-    at worst delays one solve batch by a single (budget-bounded)
-    polish pass. *)
-val busy : 'a t -> bool
-
 (** Spawn the dispatcher thread. *)
 val start : 'a t -> unit
 

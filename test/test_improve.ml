@@ -5,10 +5,7 @@
    on the radio simulator and never regresses the start, (2) the whole
    search is a pure function of (model, schedule, seed, budget), (3)
    quality is monotone in the budget per seed, (4) budget 0 is a
-   byte-identical no-op. The daemon test drives the background
-   polishing loop by hand through [Daemon.polish_once] and checks that
-   upgrades are versioned and monotone while a reply already handed to
-   a client stays pinned to the bytes of its version. *)
+   byte-identical no-op. *)
 
 module Interference = Mlbs_phy.Interference
 module Model = Mlbs_core.Model
@@ -16,30 +13,8 @@ module Schedule = Mlbs_core.Schedule
 module Scheduler = Mlbs_core.Scheduler
 module Validate = Mlbs_sim.Validate
 module Improve = Mlbs_search.Improve
-module Codec = Mlbs_server.Codec
-module Client = Mlbs_server.Client
-module Daemon = Mlbs_server.Daemon
 
-let bytes_of = Codec.schedule_bytes
-
-let temp_dir =
-  let ctr = ref 0 in
-  fun () ->
-    incr ctr;
-    let d =
-      Filename.concat (Filename.get_temp_dir_name ())
-        (Printf.sprintf "mlbs_improve_%d_%d" (Unix.getpid ()) !ctr)
-    in
-    (try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-    d
-
-let rec rm_rf path =
-  match Unix.lstat path with
-  | { Unix.st_kind = Unix.S_DIR; _ } ->
-      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-      Unix.rmdir path
-  | _ -> Unix.unlink path
-  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
+let bytes_of = Mlbs_server.Codec.schedule_bytes
 
 (* ------------------------- qcheck cases ---------------------------- *)
 
@@ -99,90 +74,6 @@ let budget_zero_noop (model, plan, seed) =
 let prop ?(count = 40) name f =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen_case f)
 
-(* --------------------- daemon background polish -------------------- *)
-
-(* Improver thread off ([improve_budget = 0]); the polishing loop is
-   driven deterministically through [polish_once]. *)
-let with_daemon f =
-  let dir = temp_dir () in
-  let socket_path = Filename.concat dir "d.sock" in
-  let cfg =
-    { (Daemon.default_config ~socket_path) with Daemon.jobs = 1; cache_capacity = 8 }
-  in
-  let d = Daemon.start cfg in
-  let finish () =
-    Daemon.stop d;
-    Daemon.wait d;
-    rm_rf dir
-  in
-  Fun.protect ~finally:finish (fun () -> f d socket_path)
-
-let baseline_request =
-  {
-    Codec.policy = Codec.Baseline;
-    rate = None;
-    seed = 7;
-    topology = Codec.Gen { n = 60; radius = 10.0 };
-    source = None;
-    start = 1;
-    model = Interference.Udg;
-  }
-
-let request_ok c req =
-  match Client.request_retry c req with
-  | Client.Ok ok -> ok
-  | Client.Rejected _ -> Alcotest.fail "request shed"
-  | Client.Error m -> Alcotest.failf "request failed: %s" m
-
-(* Polish until an upgrade installs, bounded by the daemon's own
-   per-entry attempt cap. *)
-let rec polish_until d ~budget = function
-  | 0 -> false
-  | n -> Daemon.polish_once d ~budget || polish_until d ~budget (n - 1)
-
-let test_polish_pinned_reply () =
-  with_daemon @@ fun d socket ->
-  let c, _, _ = Client.connect (Client.Unix_socket socket) in
-  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
-  let req = baseline_request in
-  let ok0 = request_ok c req in
-  Alcotest.(check int) "first reply is the deterministic construction" 0
-    ok0.Codec.version;
-  let pinned = bytes_of ok0.Codec.schedule in
-  Alcotest.(check bool) "an upgrade installs" true (polish_until d ~budget:400 12);
-  let ok1 = request_ok c req in
-  Alcotest.(check bool) "served version advanced" true (ok1.Codec.version > 0);
-  Alcotest.(check bool) "upgrade is a cache hit" true ok1.Codec.cache_hit;
-  Alcotest.(check bool) "upgrade strictly better" true
-    (Schedule.elapsed ok1.Codec.schedule < Schedule.elapsed ok0.Codec.schedule);
-  let report = Validate.check (Daemon.model_of req) ok1.Codec.schedule in
-  Alcotest.(check bool) "upgrade replays clean" true report.Validate.ok;
-  (* The reply already handed out is pinned to its version: polishing
-     installed a new entry, it did not mutate the served value. *)
-  Alcotest.(check string) "pinned v0 reply unchanged" pinned (bytes_of ok0.Codec.schedule);
-  let _, local = Daemon.solve req in
-  Alcotest.(check string) "pinned v0 reply = direct scheduler" (bytes_of local) pinned;
-  (* Versions only ever go up; a further upgrade (if any) outranks v1. *)
-  let v1 = ok1.Codec.version in
-  let _ = polish_until d ~budget:400 12 in
-  let ok2 = request_ok c req in
-  Alcotest.(check bool) "versions are monotone" true (ok2.Codec.version >= v1);
-  Alcotest.(check bool) "later version never worse" true
-    (Schedule.elapsed ok2.Codec.schedule <= Schedule.elapsed ok1.Codec.schedule)
-
-(* Budget 0 in the daemon config means no improver thread exists and
-   every reply stays version 0 regardless of how often it is served. *)
-let test_budget_zero_daemon () =
-  with_daemon @@ fun _d socket ->
-  let c, _, _ = Client.connect (Client.Unix_socket socket) in
-  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
-  let ok0 = request_ok c baseline_request in
-  let ok1 = request_ok c baseline_request in
-  Alcotest.(check int) "cold version 0" 0 ok0.Codec.version;
-  Alcotest.(check int) "hit version 0" 0 ok1.Codec.version;
-  Alcotest.(check string) "hit byte-identical" (bytes_of ok0.Codec.schedule)
-    (bytes_of ok1.Codec.schedule)
-
 let () =
   Alcotest.run "improve"
     [
@@ -192,12 +83,5 @@ let () =
           prop "deterministic per (model, schedule, seed, budget)" deterministic_per_seed;
           prop ~count:25 "quality monotone in budget" monotone_in_budget;
           prop "budget 0 is a byte-identical no-op" budget_zero_noop;
-        ] );
-      ( "daemon",
-        [
-          Alcotest.test_case "polish upgrades are versioned; replies stay pinned" `Slow
-            test_polish_pinned_reply;
-          Alcotest.test_case "improve budget 0 serves version 0 forever" `Quick
-            test_budget_zero_daemon;
         ] );
     ]

@@ -388,7 +388,6 @@ let check_entries name want got =
         (Codec.schedule_bytes e.Daemon.schedule)
         (Codec.schedule_bytes e'.Daemon.schedule);
       Alcotest.(check bool) (name ^ ": stats") true (e.Daemon.stats = e'.Daemon.stats);
-      Alcotest.(check int) (name ^ ": version") e.Daemon.version e'.Daemon.version;
       Alcotest.(check bool) (name ^ ": origin") true (e.Daemon.origin = e'.Daemon.origin))
     (Cache.to_list_mru want) (Cache.to_list_mru got)
 
@@ -396,9 +395,8 @@ let test_cache_persistence_roundtrip () =
   let dir = temp_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
   let c = Cache.create ~metrics_prefix:"test/persist" ~capacity:8 () in
-  List.iteri
-    (fun version req ->
-      Cache.add c (Daemon.cache_key req) (Daemon.entry_of ~origin:req ~version (Daemon.solve req)))
+  List.iter
+    (fun req -> Cache.add c (Daemon.cache_key req) (Daemon.entry_of ~origin:req (Daemon.solve req)))
     persist_requests;
   (* A hit moves the oldest entry to the MRU end. *)
   ignore (Cache.find c (Daemon.cache_key (List.hd persist_requests)));
@@ -530,28 +528,25 @@ let test_load_cache_torn_save () =
           check_served c ~hit:(i < 2) (Printf.sprintf "truncated tail, entry %d" i) req)
         persist_requests)
 
-(* Entries read back from disk carry their request, so the improver
-   can polish them like any other. *)
-let test_polish_disk_entry () =
+(* Only version 0, [Daemon.solve]'s own bytes, is served: a [Put]
+   with another version (an upgrade an older daemon's improver wrote)
+   is refused even though its schedule replays clean, and counted once
+   in [server/put_refused]. *)
+let test_load_cache_refuses_upgrade () =
   let dir = temp_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
-  let req = { gen_request with Codec.policy = Codec.Baseline } in
-  save_requests dir [ req ];
-  with_running_daemon ~jobs:1 ~cache_dir:dir @@ fun d socket ->
-  let rec polish_until = function
-    | 0 -> false
-    | n -> Daemon.polish_once d ~budget:400 || polish_until (n - 1)
-  in
-  Alcotest.(check bool) "a disk entry is upgraded" true (polish_until 12);
-  let c = connect socket in
-  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
-  match Client.request c req with
-  | Client.Ok ok ->
-      Alcotest.(check bool) "upgrade served from cache" true ok.Codec.cache_hit;
-      Alcotest.(check bool) "version advanced" true (ok.Codec.version > 0);
-      Alcotest.(check bool) "upgrade replays clean" true
-        (Mlbs_sim.Validate.check (Daemon.model_of req) ok.Codec.schedule).Mlbs_sim.Validate.ok
-  | _ -> Alcotest.fail "expected Ok"
+  Mlbs_obs.Obs.enable ~metrics:true ();
+  let stats, schedule = Daemon.solve gen_request in
+  write_frames (cache_file dir)
+    [
+      Codec.Hello { proto = Codec.protocol_version; version = Mlbs_server.Version.version };
+      Codec.Put { req = gen_request; version = 1; stats; schedule };
+    ];
+  let refused = Mlbs_obs.Metrics.counter_value "server/put_refused" in
+  Alcotest.(check int) "upgrade loads nothing" 0
+    (Daemon.load_cache ~dir (Cache.create ~metrics_prefix:"test/upgrade" ~capacity:4 ()));
+  Alcotest.(check int) "refusal counted once" (refused + 1)
+    (Mlbs_obs.Metrics.counter_value "server/put_refused")
 
 (* ---------------------------- cache keys --------------------------- *)
 
@@ -874,6 +869,37 @@ let test_daemon_concurrent_clients () =
   List.iter Thread.join threads;
   Alcotest.(check int) "80 concurrent requests all byte-identical" 0 (Atomic.get errors)
 
+(* A reply's [search_states] counts its own solve only. A slow solve
+   holds the dispatcher while two different cold requests queue, so
+   the next batch solves them side by side on the two pool domains;
+   each reply must still carry the count [Daemon.solve] reports for
+   its request alone. *)
+let test_daemon_concurrent_search_states () =
+  Mlbs_obs.Obs.enable ~metrics:true ();
+  let sinr = Mlbs_phy.Interference.(Sinr default_sinr) in
+  let gen policy model seed =
+    { gen_request with Codec.policy; model; seed; topology = Codec.Gen { n = 300; radius = 10.0 } }
+  in
+  let blocker = gen Codec.Gopt sinr 1 in
+  let pair = [ gen Codec.Gopt sinr 4; gen Codec.Opt Mlbs_phy.Interference.Udg 3 ] in
+  let alone = List.map (fun req -> (fst (Daemon.solve req)).Codec.search_states) pair in
+  List.iter (fun n -> Alcotest.(check bool) "the solve searches" true (n > 0)) alone;
+  with_daemon ~jobs:2 @@ fun socket ->
+  let served = Array.make 2 (-1) in
+  let send slot req () =
+    let c = connect socket in
+    Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+    match Client.request c req with
+    | Client.Ok ok ->
+        Option.iter (fun i -> served.(i) <- ok.Codec.stats.Codec.search_states) slot
+    | _ -> ()
+  in
+  let held = Thread.create (send None blocker) () in
+  Thread.delay 0.05;
+  let threads = List.mapi (fun i req -> Thread.create (send (Some i) req) ()) pair in
+  List.iter Thread.join (held :: threads);
+  Alcotest.(check (list int)) "concurrent = alone" alone (Array.to_list served)
+
 let test_daemon_reschedule () =
   (* Added edges only: never disconnects. The reply must be
      byte-identical to solving the derived request directly, and must
@@ -1098,7 +1124,7 @@ let () =
           Alcotest.test_case "wrong proto" `Quick test_load_cache_wrong_proto;
           Alcotest.test_case "collided entry refused" `Quick test_load_cache_refuses_collision;
           Alcotest.test_case "torn save" `Quick test_load_cache_torn_save;
-          Alcotest.test_case "disk entry polished" `Quick test_polish_disk_entry;
+          Alcotest.test_case "disk upgrade refused" `Quick test_load_cache_refuses_upgrade;
         ] );
       ( "keys",
         [
@@ -1118,6 +1144,8 @@ let () =
           Alcotest.test_case "overload shedding" `Quick test_daemon_sheds_overload;
           Alcotest.test_case "warm restart" `Quick test_daemon_warm_restart;
           Alcotest.test_case "concurrent clients" `Quick test_daemon_concurrent_clients;
+          Alcotest.test_case "concurrent search states" `Quick
+            test_daemon_concurrent_search_states;
           Alcotest.test_case "reschedule" `Quick test_daemon_reschedule;
           Alcotest.test_case "reschedule bad delta" `Quick test_daemon_reschedule_bad_delta;
           Alcotest.test_case "model-keyed cache" `Quick test_daemon_model_keyed_cache;
